@@ -1,0 +1,57 @@
+"""Golden artifacts: every builtin scenario that writes a run re-runs at a
+small size and must reproduce its committed copy under ``tests/golden/``
+byte for byte (``run.log`` holds timestamps and is not kept).
+
+After a change that is meant to move the artifacts, regenerate them with
+
+    PYTHONPATH=src python3 tests/test_golden.py
+
+and review the diff of ``tests/golden/``.
+"""
+
+import os
+import shutil
+import tempfile
+
+import pytest
+
+from graphflow.app import builtin_config, run_scenario
+
+GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+CONFIGS = {
+    "tsui_wang_s2": {("grid", "nodes"): 32, ("flow", "t_end"): 0.2,
+                     ("flow", "record_every"): 80},
+    "cylinder_drift": {},
+    "cylinder_waist": {("flow", "record_every"): 2000},
+    "torus_projection": {("grid", "shape"): "4,4,4"},
+    "hopf_pointwise": {},
+}
+
+FILES = ("config.ini", "time_series.csv", "verification.json", "classification.json",
+         "manifest.json")
+
+
+def _read(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_artifacts_match_golden(name, tmp_path):
+    out = str(tmp_path / name)
+    run_scenario(builtin_config(name, CONFIGS[name]), out_dir=out)
+    for fname in FILES:
+        assert _read(os.path.join(out, fname)) == \
+            _read(os.path.join(GOLDEN_DIR, name, fname)), f"{name}/{fname}"
+
+
+if __name__ == "__main__":
+    for name, overrides in CONFIGS.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            run_scenario(builtin_config(name, overrides), out_dir=tmp)
+            dest = os.path.join(GOLDEN_DIR, name)
+            os.makedirs(dest, exist_ok=True)
+            for fname in FILES:
+                shutil.copyfile(os.path.join(tmp, fname), os.path.join(dest, fname))
+        print(f"wrote {dest}")
