@@ -62,7 +62,6 @@ _SCHEMA = {
         "t_end": (float, 5.0),
         "record_every": (int, 400),
         "h_tol": (float, 1e-6),
-        "diam_tol": (float, 1e-3),
         "integrator": (str, "RK2"),
         "ode_dt": (float, 1e-3),
     },
@@ -108,7 +107,7 @@ class ScenarioConfig:
         return FlowParams(
             cfl=self.get("flow", "cfl"), t_end=self.get("flow", "t_end"),
             record_every=self.get("flow", "record_every"),
-            h_tol=self.get("flow", "h_tol"), diam_tol=self.get("flow", "diam_tol"),
+            h_tol=self.get("flow", "h_tol"),
             integrator=self.get("flow", "integrator"),
         )
 

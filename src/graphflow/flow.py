@@ -27,7 +27,6 @@ class FlowParams:
     t_end: float = 1.0
     record_every: int = 10
     h_tol: float = 1e-6
-    diam_tol: float = 1e-3
     integrator: str = "RK2"  # or "Euler"
 
     def __post_init__(self):

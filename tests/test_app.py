@@ -34,9 +34,11 @@ def test_unknown_section_rejected(tmp_path):
 
 
 def test_unknown_key_rejected(tmp_path):
-    path = _write(tmp_path, "[scenario]\nname = torus_projection\nbogus = 1\n")
-    with pytest.raises(ConfigurationError, match="unknown key"):
-        load_config(path)
+    for text in ("[scenario]\nname = torus_projection\nbogus = 1\n",
+                 "[scenario]\nname = torus_projection\n[flow]\ndiam_tol = 1e-3\n"):
+        path = _write(tmp_path, text)
+        with pytest.raises(ConfigurationError, match="unknown key"):
+            load_config(path)
 
 
 def test_missing_name_rejected(tmp_path):
