@@ -672,11 +672,14 @@ def run_identities(samples: int = 10_000, seed: int = 0) -> dict:
             raw = al @ g_m @ al - (df.T @ al) @ g_n @ (df.T @ al)
             errs["s_diag_oracle"] = max(errs["s_diag_oracle"],
                                         abs(raw / (1 + s * s) - fr.s_diag[i]))
-        # independent singular values through the metric pullback eigenproblem
+        # independent singular values of g_N^{1/2} df^T g_M^{-1/2}, whitened by
+        # symmetric square roots (the frame whitens by Cholesky factors); the
+        # square root of a tiny pullback eigenvalue would lose half the digits
+        wm, vm = np.linalg.eigh(g_m)
+        wn, vn = np.linalg.eigh(g_n)
+        whitened = (vn * np.sqrt(wn)) @ vn.T @ df.T @ (vm / np.sqrt(wm)) @ vm.T
+        s1, s2 = np.linalg.svd(whitened, compute_uv=False)
         pb = df @ g_n @ df.T
-        inv_l = np.linalg.inv(np.linalg.cholesky(g_m))
-        ev = np.sqrt(np.clip(np.linalg.eigvalsh(inv_l @ pb @ inv_l.T), 0, None))
-        s1, s2 = ev[-1], ev[-2]
         errs["t_oracle"] = max(errs["t_oracle"],
                                abs(fr.t11 - (-2 * s1 / (1 + s1 * s1))),
                                abs(fr.t22 - (-2 * s2 / (1 + s2 * s2))))

@@ -193,10 +193,13 @@ def test_builtin_scenarios_listed():
 
 
 def test_run_identities_small():
-    report = run_identities(samples=300, seed=7)
-    assert report["pass"]
-    assert report["max_error"] <= 1e-10
-    assert set(report["max_errors"]) >= {"s2_plus_t2", "t_oracle", "ric_vw", "w_norm"}
+    # seed 34 reaches mu = 2.6e-6 at its last sample, where a square-root
+    # oracle loses precision and reported a false FAIL
+    for samples, seed in ((300, 7), (218, 34)):
+        report = run_identities(samples=samples, seed=seed)
+        assert report["pass"]
+        assert report["max_error"] <= 1e-10
+        assert set(report["max_errors"]) >= {"s2_plus_t2", "t_oracle", "ric_vw", "w_norm"}
 
 
 # -- CLI ---------------------------------------------------------------------
