@@ -249,14 +249,6 @@ def _write_csv(path: str, rows: list) -> None:
                               for c in CSV_COLUMNS) + "\n")
 
 
-def worker_count() -> int:
-    raw = os.environ.get("GRAPHFLOW_MAX_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 # ---------------------------------------------------------------------------
 # Scenario runners
 
@@ -282,7 +274,6 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> RunManif
     out = out_dir or os.path.join(cfg.output_dir, cfg.name)
     os.makedirs(out, exist_ok=True)
     t_start = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    np.random.default_rng(cfg.seed)  # seed reserved for sampling-based monitors
 
     dispatch = {
         "tsui_wang_s2": _run_tsui_wang,

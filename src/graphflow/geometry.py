@@ -13,7 +13,6 @@ sigma = +1.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -732,10 +731,3 @@ def curvature_conditions_report(
         trace_ineq_3=bool(ineq_3),
     )
 
-
-def worker_count() -> int:
-    """Worker cap honored by sampling loops (GRAPHFLOW_MAX_WORKERS)."""
-    try:
-        return max(1, int(os.environ.get("GRAPHFLOW_MAX_WORKERS", "1")))
-    except ValueError:
-        return 1

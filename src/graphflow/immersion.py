@@ -12,7 +12,6 @@ coordinate is singular there); consumers skip a node margin, see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -377,15 +376,6 @@ def point_geometry(field: GraphMapField, node) -> PointGeometry:
 
 # ---------------------------------------------------------------------------
 # Derived curvature quantities
-
-
-@dataclass
-class CurvatureTerms:
-    q: float
-    r: float
-    v: np.ndarray
-    w: np.ndarray
-    theta: Optional[float]
 
 
 def quantity_Q(pg: PointGeometry, ric_a1: float, ric_a2: float, sigma_m12: float, sigma_n: float) -> float:

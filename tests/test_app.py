@@ -8,7 +8,7 @@ import pytest
 
 from graphflow.app import (BUILTIN_SCENARIOS, CLASSIFICATION_SCHEMA, CSV_COLUMNS,
                            VERIFICATION_SCHEMA, builtin_config, load_config, run_identities,
-                           run_scenario, worker_count)
+                           run_scenario)
 from graphflow.cli import main as cli_main
 from graphflow.errors import ConfigurationError
 
@@ -82,15 +82,6 @@ def test_config_hash_stable_and_sensitive():
     assert a.config_hash() == b.config_hash()
     c = builtin_config("torus_projection", {("flow", "cfl"): 0.3})
     assert a.config_hash() != c.config_hash()
-
-
-def test_worker_count(monkeypatch):
-    monkeypatch.delenv("GRAPHFLOW_MAX_WORKERS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("GRAPHFLOW_MAX_WORKERS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("GRAPHFLOW_MAX_WORKERS", "bad")
-    assert worker_count() == 1
 
 
 # -- scenario runs -----------------------------------------------------------
