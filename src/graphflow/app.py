@@ -15,8 +15,8 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 import numpy as np
 import jsonschema
@@ -25,25 +25,21 @@ from . import __version__
 from .errors import ConfigurationError, NotAreaDecreasingError, SolverAbort
 from .barrier import certify_convexity, containment_monitor, diameter_series, waist_tube_barrier
 from .classify import classify_from_observables, classify_limit
-from .flow import (EquivariantFlow, FlowParams, FlowState, drift_velocity, h2_field,
-                   reduce_circle_drift, step)
+from .flow import (EquivariantFlow, FlowParams, FlowRecord, FlowState, drift_velocity,
+                   h2_field, reduce_circle_drift, step)
 from .frames import DifferentialSample, singular_values
 from .geometry import (WarpedSurface, builtin_warp, curvature_conditions_report,
                        flat_torus, hopf_map, product_s1_s2, round_sphere, s3_hopf_chart)
-from .immersion import GraphMapField
+from .immersion import GraphMapField, point_geometry
 from .verify import (BoundConstants, check_H_and_theta_inequalities, check_decay_bounds,
-                     check_volume_budget, compute_bound_constants, residual_p_evolution)
+                     check_volume_budget, compute_bound_constants, decay_rates,
+                     residual_p_evolution)
 
 CSV_COLUMNS = [
     "t", "min_p", "max_lambda", "max_mu", "max_H2", "max_A2", "max_theta",
     "total_volume", "image_diameter", "bound_p", "bound_df2", "bound_H2",
     "residual_p_L2", "residual_p_Linf",
 ]
-
-BUILTIN_SCENARIOS = (
-    "tsui_wang_s2", "cylinder_drift", "cylinder_waist", "torus_projection",
-    "hopf_pointwise", "torus_identity_edge",
-)
 
 # section -> key -> (parser, default); None default means scenario-dependent
 _SCHEMA = {
@@ -81,17 +77,6 @@ _SCHEMA = {
         "level": (float, 1.0),
     },
 }
-
-_SCENARIO_DEFAULTS = {
-    "tsui_wang_s2": {("flow", "t_end"): 5.0, ("initial", "amplitude"): 0.8},
-    "cylinder_drift": {("initial", "z0"): 0.0, ("flow", "t_end"): 5.0},
-    "cylinder_waist": {("initial", "z0"): 0.5, ("flow", "t_end"): 30.0,
-                       ("barrier", "kind"): "waist_tube", ("barrier", "level"): 1.0},
-    "torus_projection": {("flow", "t_end"): 0.05, ("flow", "record_every"): 1},
-    "hopf_pointwise": {},
-    "torus_identity_edge": {},
-}
-
 
 @dataclass
 class ScenarioConfig:
@@ -162,7 +147,7 @@ def _validate(parser: configparser.ConfigParser) -> ScenarioConfig:
         raise ConfigurationError(
             f"unknown scenario '{name}' (builtins: {', '.join(BUILTIN_SCENARIOS)})")
     values = {}
-    defaults = _SCENARIO_DEFAULTS[name]
+    defaults = SCENARIOS[name].defaults
     for section, keys in _SCHEMA.items():
         for key, (parse, default) in keys.items():
             if parser.has_option(section, key):
@@ -241,32 +226,45 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
+def _csv_row(rec: FlowRecord, constants: Optional[BoundConstants]) -> tuple:
+    """One ``time_series.csv`` row, in CSV_COLUMNS order; no constants: NaN bounds."""
+    nan = float("nan")
+    bounds = ((constants.bound_p(rec.t), constants.bound_df2(rec.t), constants.bound_h2(rec.t))
+              if constants else (nan, nan, nan))
+    return (rec.t, rec.min_p, rec.max_lambda, rec.max_mu, rec.max_h2, rec.max_a2,
+            rec.max_theta, rec.volume, rec.diameter, *bounds, rec.residual_l2, rec.residual_linf)
+
+
 def _write_csv(path: str, rows: list) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for row in rows:
-            fh.write(",".join(f"{row[c]:.12g}" if isinstance(row[c], float) else str(row[c])
-                              for c in CSV_COLUMNS) + "\n")
+            fh.write(",".join(f"{v:.12g}" if isinstance(v, float) else str(v)
+                              for v in row) + "\n")
 
 
 # ---------------------------------------------------------------------------
-# Scenario runners
+# Scenario skeleton: a table entry per builtin scenario, one shared assembler
 
 
-def _manifolds_for(cfg: ScenarioConfig):
-    name = cfg.name
-    if name == "tsui_wang_s2":
-        return round_sphere(2), round_sphere(2, curvature=1.0)
-    if name in ("cylinder_drift", "cylinder_waist"):
-        warp = builtin_warp("exp_neg" if name == "cylinder_drift" else "cosh")
-        return product_s1_s2(), WarpedSurface(warp)
-    if name in ("torus_projection", "torus_identity_edge"):
-        m = flat_torus(3) if name == "torus_projection" else flat_torus(2)
-        scale = cfg.get("initial", "r") if name == "torus_projection" else 1.0
-        return m, flat_torus(2, scale=scale)
-    if name == "hopf_pointwise":
-        return s3_hopf_chart(), round_sphere(2)
-    raise ConfigurationError(f"unknown scenario {name}")
+@dataclass
+class Evolution:
+    """What a scenario's evolve step hands to the assembler in ``run_scenario``."""
+
+    records: list         # FlowRecord per CSV row; records[0] is the initial state
+    status: str
+    classification: dict
+    sections: dict        # the scenario's own verification sections
+    checks: list          # verdicts of those sections; all feed overall_pass
+    dissipation: Optional[float] = None  # None: no flow, so no constants, bounds or budget
+    h_grid: float = 0.0   # spacing behind the decay-bound tolerance
+
+
+@dataclass(frozen=True)
+class Scenario:
+    manifolds: Callable   # cfg -> (M, N)
+    evolve: Callable      # (cfg, M, N, curvature report) -> Evolution
+    defaults: dict = field(default_factory=dict)  # (section, key) -> value
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> RunManifest:
@@ -274,62 +272,51 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> RunManif
     out = out_dir or os.path.join(cfg.output_dir, cfg.name)
     os.makedirs(out, exist_ok=True)
     t_start = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    scenario = SCENARIOS[cfg.name]
+    m_manifold, n_manifold = scenario.manifolds(cfg)
+    report = curvature_conditions_report(m_manifold, n_manifold, seed=cfg.seed)
+    ev = scenario.evolve(cfg, m_manifold, n_manifold, report)
 
-    dispatch = {
-        "tsui_wang_s2": _run_tsui_wang,
-        "cylinder_drift": _run_cylinder,
-        "cylinder_waist": _run_cylinder,
-        "torus_projection": _run_torus_projection,
-        "hopf_pointwise": _run_hopf_pointwise,
-        "torus_identity_edge": _run_identity_edge,
-    }
-    rows, verification, classification, status = dispatch[cfg.name](cfg)
+    verification = {"curvature_conditions": report.as_dict(), "constants": None, **ev.sections}
+    checks = list(ev.checks)
+    constants = None
+    if ev.dissipation is not None:
+        rec0 = ev.records[0]
+        constants = compute_bound_constants(rec0.min_p, rec0.max_theta, min_ric=report.min_ric,
+                                            sup_sigma_n=report.sup_sigma_n)
+        verification["constants"] = {k: getattr(constants, k) for k in (
+            "rho0", "c0", "c1", "eps0", "eps1", "a0", "a0_reconstructed")}
+        if cfg.get("verify", "decay_bounds"):
+            decay = check_decay_bounds(ev.records, constants, h_grid=ev.h_grid,
+                                       condition_a=report.cond_a)
+            verification["decay_bounds"] = decay
+            checks.append(decay.get("pass", True))
+        budget = check_volume_budget(rec0.volume, ev.records[-1].volume, ev.dissipation)
+        verification["volume_budget"] = budget
+        checks.append(budget["pass"])
+    verification.update(overall_pass=all(checks), schema_version=1, scenario=cfg.name)
+    jsonschema.validate(verification, VERIFICATION_SCHEMA)
+    classification = {**ev.classification, "schema_version": 1, "scenario": cfg.name}
+    jsonschema.validate(classification, CLASSIFICATION_SCHEMA)
 
-    files = []
     with open(os.path.join(out, "config.ini"), "w") as fh:
         fh.write(cfg.canonical_text())
-    files.append("config.ini")
-    _write_csv(os.path.join(out, "time_series.csv"), rows)
-    files.append("time_series.csv")
-    verification["schema_version"] = 1
-    verification["scenario"] = cfg.name
-    jsonschema.validate(verification, VERIFICATION_SCHEMA)
+    _write_csv(os.path.join(out, "time_series.csv"),
+               [_csv_row(rec, constants) for rec in ev.records])
     _write_json(os.path.join(out, "verification.json"), verification)
-    files.append("verification.json")
-    classification["schema_version"] = 1
-    classification["scenario"] = cfg.name
-    jsonschema.validate(classification, CLASSIFICATION_SCHEMA)
     _write_json(os.path.join(out, "classification.json"), classification)
-    files.append("classification.json")
-
+    files = ["config.ini", "time_series.csv", "verification.json", "classification.json"]
     manifest = RunManifest(config_hash=cfg.config_hash(), version=__version__,
-                           status=status, files=files + ["manifest.json", "run.log"],
+                           status=ev.status, files=files + ["manifest.json", "run.log"],
                            out_dir=out)
     _write_json(os.path.join(out, "manifest.json"), manifest.as_dict())
     t_end = datetime.datetime.now(datetime.timezone.utc).isoformat()
     with open(os.path.join(out, "run.log"), "w") as fh:
-        fh.write(f"scenario: {cfg.name}\nstart: {t_start}\nend: {t_end}\nstatus: {status}\n")
+        fh.write(f"scenario: {cfg.name}\nstart: {t_start}\nend: {t_end}\nstatus: {ev.status}\n")
     return manifest
 
 
-def _record_to_row(rec, constants: Optional[BoundConstants], res: Optional[dict]) -> dict:
-    row = {
-        "t": rec.t, "min_p": rec.min_p, "max_lambda": rec.max_lambda,
-        "max_mu": rec.max_mu, "max_H2": rec.max_h2, "max_A2": rec.max_a2,
-        "max_theta": rec.max_theta, "total_volume": rec.volume,
-        "image_diameter": rec.diameter,
-        "bound_p": constants.bound_p(rec.t) if constants else float("nan"),
-        "bound_df2": constants.bound_df2(rec.t) if constants else float("nan"),
-        "bound_H2": constants.bound_h2(rec.t) if constants else float("nan"),
-        "residual_p_L2": res["l2"] if res else float("nan"),
-        "residual_p_Linf": res["linf"] if res else float("nan"),
-    }
-    return row
-
-
-def _run_tsui_wang(cfg: ScenarioConfig):
-    m_manifold, n_manifold = _manifolds_for(cfg)
-    report = curvature_conditions_report(m_manifold, n_manifold, seed=cfg.seed)
+def _evolve_tsui_wang(cfg: ScenarioConfig, m_manifold, n_manifold, report) -> Evolution:
     amp = cfg.get("initial", "amplitude")
     eq = EquivariantFlow(cfg.get("grid", "nodes"), lambda th: amp * np.sin(th),
                          kappa=1.0, cfl=cfg.get("flow", "cfl"))
@@ -337,131 +324,68 @@ def _run_tsui_wang(cfg: ScenarioConfig):
                  h_tol=cfg.get("flow", "h_tol"), integrator=cfg.get("flow", "integrator"))
     if run.status == "Aborted":
         raise SolverAbort("equivariant run aborted")
-    rec0 = run.records[0]
-    constants = compute_bound_constants(rec0.min_p, rec0.max_theta,
-                                        min_ric=report.min_ric, sup_sigma_n=report.sup_sigma_n)
+    eps0, eps1 = decay_rates(report.min_ric, report.sup_sigma_n)
     margin = cfg.get("verify", "margin")
     n_phi = cfg.get("grid", "n_phi")
+    sections: dict = {"barrier": None}
+    checks = []
 
-    # per-record |A|^2 from expanded 2D fields (interior maximum)
-    from .immersion import point_geometry
-    rows = []
     residuals = []
     triples = eq.expand_triples(run, n_phi=n_phi)
     if cfg.get("verify", "residuals") and triples:
         residuals = residual_p_evolution(triples, margin=margin)
+    if residuals:
+        sections["residual_p"] = {"checkpoints": residuals}
     res_by_t = {round(r["t"], 12): r for r in residuals}
-    for rec in run.records:
-        fld = eq.expand_field(rec_profile(run, rec.t), n_phi=4)
+    # per-record |A|^2 from expanded 2D fields (interior maximum); run()
+    # appends a record and a snapshot at the same moments
+    for rec, (_, h) in zip(run.records, run.snapshots):
+        fld = eq.expand_field(h, n_phi=4)
         max_a2 = 0.0
         for i in range(margin, fld.shape[0] - margin):
             pg = point_geometry(fld, (i, 0))
             max_a2 = max(max_a2, pg.a_sq)
         rec.max_a2 = max_a2
-        rows.append(_record_to_row(rec, constants, res_by_t.get(round(rec.t, 12))))
+        res = res_by_t.get(round(rec.t, 12))
+        if res:
+            rec.residual_l2, rec.residual_linf = res["l2"], res["linf"]
 
-    verification: dict = {"curvature_conditions": report.as_dict(), "constants": {
-        "rho0": constants.rho0, "c0": constants.c0, "c1": constants.c1,
-        "eps0": constants.eps0, "eps1": constants.eps1, "a0": constants.a0,
-        "a0_reconstructed": constants.a0_reconstructed,
-    }}
-    checks = []
-    if cfg.get("verify", "decay_bounds"):
-        decay = check_decay_bounds(run.records, constants, h_grid=eq.dtheta,
-                                   condition_a=report.cond_a)
-        verification["decay_bounds"] = decay
-        checks.append(decay.get("pass", True))
-    if residuals:
-        verification["residual_p"] = {"checkpoints": residuals}
     if cfg.get("verify", "inequalities") and triples:
-        ineq = check_H_and_theta_inequalities(triples, eps1=constants.eps1, margin=margin)
-        verification["inequalities"] = ineq
+        ineq = check_H_and_theta_inequalities(triples, eps1=eps1, margin=margin)
+        sections["inequalities"] = ineq
         checks.append(ineq["pass"])
-    budget = check_volume_budget(run.records[0].volume, run.records[-1].volume, run.dissipation)
-    verification["volume_budget"] = budget
-    checks.append(budget["pass"])
-    diam = diameter_series([(r.t, r.diameter) for r in run.records], eps0=constants.eps0)
-    verification["barrier"] = None
-    verification["diameter"] = {k: (v.tolist() if isinstance(v, np.ndarray) else v)
-                                for k, v in diam.items()}
-    verification["overall_pass"] = all(checks)
+    diam = diameter_series([(r.t, r.diameter) for r in run.records], eps0=eps0)
+    sections["diameter"] = {k: (v.tolist() if isinstance(v, np.ndarray) else v)
+                            for k, v in diam.items()}
 
     final = eq.expand_field(run.h_final, n_phi=n_phi)
-    rep = classify_limit(final, "Converged" if run.status == "Converged" else run.status,
-                         ricci_positive=report.min_ric > 0, margin=cfg.get("verify", "margin"))
-    classification = rep.as_dict()
-    return rows, verification, classification, run.status
+    rep = classify_limit(final, run.status, ricci_positive=report.min_ric > 0, margin=margin)
+    return Evolution(run.records, run.status, rep.as_dict(), sections, checks,
+                     dissipation=run.dissipation, h_grid=eq.dtheta)
 
 
-def rec_profile(run, t):
-    """Profile snapshot at a recorded time (exact match by time key)."""
-    for (ts, h) in run.snapshots:
-        if abs(ts - t) < 1e-12:
-            return h
-    raise KeyError(f"no snapshot at t = {t}")
-
-
-def _cylinder_observables(surface: WarpedSurface, z: float):
+def _cylinder_record(surface: WarpedSurface, t: float, z: float) -> FlowRecord:
+    """Observables of the symmetric circle at height z (|A| = |H| = |Phi|)."""
     w = float(surface.warp.w(z))
     phi = drift_velocity(surface, z)
-    lam = w
     p = 2.0 / (1.0 + w * w)
     h2 = phi * phi
-    return {
-        "min_p": p, "max_lambda": lam, "max_mu": 0.0, "max_H2": h2, "max_A2": h2,
-        "max_theta": h2 / p, "total_volume": 8 * math.pi**2 * math.sqrt(1 + w * w),
-        "image_diameter": math.pi * w,  # chart half-circumference proxy
-    }
+    return FlowRecord(
+        t=t, min_p=p, max_lambda=w, max_mu=0.0, max_df2=w**2, max_h2=h2, max_a2=h2,
+        max_theta=h2 / p, volume=8 * math.pi**2 * math.sqrt(1 + w * w),
+        diameter=math.pi * w,  # chart half-circumference proxy
+    )
 
 
-def _run_cylinder(cfg: ScenarioConfig):
-    m_manifold, n_manifold = _manifolds_for(cfg)
-    report = curvature_conditions_report(m_manifold, n_manifold, seed=cfg.seed)
-    z0 = cfg.get("initial", "z0")
-    t_end = cfg.get("flow", "t_end")
+def _evolve_cylinder(cfg: ScenarioConfig, m_manifold, n_manifold, report) -> Evolution:
     dt = cfg.get("flow", "ode_dt")
-    run = reduce_circle_drift(n_manifold, z0, t_end, dt=dt)
+    run = reduce_circle_drift(n_manifold, cfg.get("initial", "z0"), cfg.get("flow", "t_end"),
+                              dt=dt)
     cadence = max(1, cfg.get("flow", "record_every"))
     idx = list(range(0, len(run.t), cadence))
     if idx[-1] != len(run.t) - 1:
         idx.append(len(run.t) - 1)
-
-    obs0 = _cylinder_observables(n_manifold, float(run.z[0]))
-    constants = compute_bound_constants(obs0["min_p"], obs0["max_theta"],
-                                        min_ric=report.min_ric, sup_sigma_n=report.sup_sigma_n)
-    rows = []
-    series = []
-    for i in idx:
-        ob = _cylinder_observables(n_manifold, float(run.z[i]))
-        t = float(run.t[i])
-        rows.append({
-            "t": t, **{k: ob[k] for k in ("min_p", "max_lambda", "max_mu", "max_H2",
-                                          "max_A2", "max_theta", "total_volume",
-                                          "image_diameter")},
-            "bound_p": constants.bound_p(t), "bound_df2": constants.bound_df2(t),
-            "bound_H2": constants.bound_h2(t),
-            "residual_p_L2": float("nan"), "residual_p_Linf": float("nan"),
-        })
-        class _Row:
-            pass
-        r = _Row()
-        r.t, r.min_p, r.max_h2, r.max_theta = t, ob["min_p"], ob["max_H2"], ob["max_theta"]
-        r.max_df2 = ob["max_lambda"] ** 2
-        series.append(r)
-
-    verification: dict = {"curvature_conditions": report.as_dict(), "constants": {
-        "rho0": constants.rho0, "c0": constants.c0, "c1": constants.c1,
-        "eps0": constants.eps0, "eps1": constants.eps1, "a0": constants.a0,
-        "a0_reconstructed": constants.a0_reconstructed,
-    }}
-    checks = []
-    if cfg.get("verify", "decay_bounds"):
-        decay = check_decay_bounds(series, constants, h_grid=dt, condition_a=report.cond_a)
-        verification["decay_bounds"] = decay
-        checks.append(decay.get("pass", True))
-    budget = check_volume_budget(run.volume[0], run.volume[-1], run.dissipation)
-    verification["volume_budget"] = budget
-    checks.append(budget["pass"])
+    records = [_cylinder_record(n_manifold, float(run.t[i]), float(run.z[i])) for i in idx]
 
     final_z = float(run.z[-1])
     final_h2 = drift_velocity(n_manifold, final_z) ** 2
@@ -472,6 +396,8 @@ def _run_cylinder(cfg: ScenarioConfig):
         vol_dec = bool(np.all(np.diff(run.volume) < 0))
         status = "Drifting" if (monotone and vol_dec) else "Finished"
 
+    sections: dict = {"barrier": None}
+    checks = []
     if cfg.get("barrier", "kind") == "waist_tube":
         level = cfg.get("barrier", "level")
         bar = waist_tube_barrier(level)
@@ -483,7 +409,7 @@ def _run_cylinder(cfg: ScenarioConfig):
         cps = [(float(run.t[i]), [np.array([0.0, 1.0, 2.0, 0.0, float(run.z[i])])])
                for i in idx]
         contain = containment_monitor(cps, bar)
-        verification["barrier"] = {
+        sections["barrier"] = {
             "kind": "waist_tube", "level": level,
             "certificate": {"verdict": cert.verdict, "worst_value": cert.worst_value,
                             "n_samples": cert.n_samples, "m": cert.m,
@@ -491,9 +417,6 @@ def _run_cylinder(cfg: ScenarioConfig):
             "containment": contain,
         }
         checks.append(cert.verdict and contain["pass"])
-    else:
-        verification["barrier"] = None
-    verification["overall_pass"] = all(checks)
 
     lam_final = float(n_manifold.warp.w(final_z))
     sig_final = n_manifold.gauss_curvature(final_z)
@@ -503,27 +426,20 @@ def _run_cylinder(cfg: ScenarioConfig):
         lam=np.full(8, lam_final), mu=np.zeros(8),
         sigma_n_values=np.full(8, sig_final),
         ricci_positive=report.min_ric > 0)
-    classification = rep.as_dict()
-    return rows, verification, classification, status
+    return Evolution(records, status, rep.as_dict(), sections, checks,
+                     dissipation=run.dissipation, h_grid=dt)
 
 
-def _run_torus_projection(cfg: ScenarioConfig):
-    m_manifold, n_manifold = _manifolds_for(cfg)
-    report = curvature_conditions_report(m_manifold, n_manifold, seed=cfg.seed)
+def _evolve_torus_projection(cfg: ScenarioConfig, m_manifold, n_manifold, report) -> Evolution:
     shape = tuple(int(s) for s in cfg.get("grid", "shape").split(","))
     coords = [np.arange(n) * ax.length / n for n, ax in zip(shape, m_manifold.axes)]
     mesh = np.meshgrid(*coords, indexing="ij")
     f0 = np.stack([mesh[0], mesh[1]], axis=-1)
-    field = GraphMapField(m_manifold, n_manifold, shape, f0)
-    if field.min_p() <= 0:
-        raise NotAreaDecreasingError(f"initial min p = {field.min_p():.3e}")
-    state = FlowState(field=field, min_p=field.min_p())
+    field0 = GraphMapField(m_manifold, n_manifold, shape, f0)
+    if field0.min_p() <= 0:
+        raise NotAreaDecreasingError(f"initial min p = {field0.min_p():.3e}")
+    state = FlowState(field=field0, min_p=field0.min_p())
     params = cfg.flow_params()
-    rec0 = {"min_p": state.min_p, "theta0": 0.0}
-    constants = compute_bound_constants(state.min_p, 0.0, min_ric=report.min_ric,
-                                        sup_sigma_n=report.sup_sigma_n)
-    rows = []
-    series = []
     drift_max = 0.0
     snapshots = [state]
     while state.status == "Running" and state.t < params.t_end - 1e-14:
@@ -531,63 +447,32 @@ def _run_torus_projection(cfg: ScenarioConfig):
         state = step(state, params)
         drift_max = max(drift_max, float(np.abs(state.field.f - prev_f).max()))
         snapshots.append(state)
+    diam = cfg.get("initial", "r") * math.sqrt(2) * math.pi
+    records = []
     for st in snapshots:
         lam, mu = st.field.singular_value_fields()
         h2 = h2_field(st.field)
         p = st.field.p_field()
-        t = st.t
-        vol = st.field.volume()
-        r = cfg.get("initial", "r")
-        diam = r * math.sqrt(2) * math.pi
-        rows.append({
-            "t": t, "min_p": float(p.min()), "max_lambda": float(lam.max()),
-            "max_mu": float(mu.max()), "max_H2": float(h2.max()), "max_A2": float(h2.max()),
-            "max_theta": float((h2 / p).max()), "total_volume": vol,
-            "image_diameter": diam,
-            "bound_p": constants.bound_p(t), "bound_df2": constants.bound_df2(t),
-            "bound_H2": constants.bound_h2(t),
-            "residual_p_L2": float("nan"), "residual_p_Linf": float("nan"),
-        })
-        class _Row:
-            pass
-        rr = _Row()
-        rr.t, rr.min_p, rr.max_h2 = t, float(p.min()), float(h2.max())
-        rr.max_theta = float((h2 / p).max())
-        rr.max_df2 = float((lam**2 + mu**2).max())
-        series.append(rr)
+        records.append(FlowRecord(
+            t=st.t, min_p=float(p.min()), max_lambda=float(lam.max()),
+            max_mu=float(mu.max()), max_df2=float((lam**2 + mu**2).max()),
+            max_h2=float(h2.max()), max_a2=float(h2.max()), max_theta=float((h2 / p).max()),
+            volume=st.field.volume(), diameter=diam))
 
-    verification: dict = {"curvature_conditions": report.as_dict(), "constants": {
-        "rho0": constants.rho0, "c0": constants.c0, "c1": constants.c1,
-        "eps0": constants.eps0, "eps1": constants.eps1, "a0": constants.a0,
-        "a0_reconstructed": constants.a0_reconstructed,
-    }}
-    checks = [drift_max <= 1e-12]
-    verification["stationarity"] = {"max_step_drift": drift_max, "pass": drift_max <= 1e-12}
-    if cfg.get("verify", "decay_bounds"):
-        decay = check_decay_bounds(series, constants, h_grid=float(field.h.max()),
-                                   condition_a=report.cond_a)
-        verification["decay_bounds"] = decay
-        checks.append(decay.get("pass", True))
+    stationary = drift_max <= 1e-12
+    sections: dict = {"stationarity": {"max_step_drift": drift_max, "pass": stationary}}
+    checks = [stationary]
     if cfg.get("verify", "residuals"):
-        res = residual_p_evolution([(0.0, 1.0, 1.0, field, field, field)], margin=0)
-        verification["residual_p"] = {"checkpoints": res}
+        res = residual_p_evolution([(0.0, 1.0, 1.0, field0, field0, field0)], margin=0)
+        sections["residual_p"] = {"checkpoints": res}
         checks.append(res[0]["linf"] <= 1e-10)
-    budget = check_volume_budget(rows[0]["total_volume"], rows[-1]["total_volume"],
-                                 snapshots[-1].dissipation)
-    verification["volume_budget"] = budget
-    checks.append(budget["pass"])
-    verification["overall_pass"] = all(checks)
-
     rep = classify_limit(snapshots[-1].field, "Stationary",
                          ricci_positive=report.min_ric > 0, margin=0)
-    classification = rep.as_dict()
-    status = "Stationary"
-    return rows, verification, classification, status
+    return Evolution(records, "Stationary", rep.as_dict(), sections, checks,
+                     dissipation=snapshots[-1].dissipation, h_grid=float(field0.h.max()))
 
 
-def _run_hopf_pointwise(cfg: ScenarioConfig):
-    m_manifold, n_manifold = _manifolds_for(cfg)
-    report = curvature_conditions_report(m_manifold, n_manifold, seed=cfg.seed)
+def _evolve_hopf_pointwise(cfg: ScenarioConfig, m_manifold, n_manifold, report) -> Evolution:
     n = max(13, int(round(cfg.get("grid", "nodes") ** (1 / 3))))
     eta = (np.arange(n) + 0.5) * (math.pi / 2) / n
     xi = np.arange(n) * 2 * math.pi / n
@@ -603,27 +488,54 @@ def _run_hopf_pointwise(cfg: ScenarioConfig):
                 lam, mu = singular_values(DifferentialSample(df=df, g_m=m_manifold.metric_at(x), g_n=g_n))
                 worst = max(worst, abs(lam - 2.0), abs(mu - 2.0))
                 count += 1
-    verification = {
-        "curvature_conditions": report.as_dict(),
-        "constants": None,
-        "pointwise": {"samples": count, "max_deviation_from_2": worst,
-                      "pass": worst <= 1e-10},
-        "overall_pass": worst <= 1e-10,
-    }
-    rows = [{
-        "t": 0.0, "min_p": -1.2, "max_lambda": 2.0, "max_mu": 2.0,
-        "max_H2": float("nan"), "max_A2": float("nan"), "max_theta": float("nan"),
-        "total_volume": float("nan"), "image_diameter": float("nan"),
-        "bound_p": float("nan"), "bound_df2": float("nan"), "bound_H2": float("nan"),
-        "residual_p_L2": float("nan"), "residual_p_Linf": float("nan"),
-    }]
-    classification = {"class": None, "notes": ["no flow in this scenario"]}
-    return rows, verification, classification, "Pointwise"
+    nan = float("nan")
+    record = FlowRecord(t=0.0, min_p=-1.2, max_lambda=2.0, max_mu=2.0, max_df2=nan,
+                        max_h2=nan, max_theta=nan, volume=nan, diameter=nan)
+    pointwise = {"samples": count, "max_deviation_from_2": worst, "pass": worst <= 1e-10}
+    return Evolution([record], "Pointwise", {"class": None, "notes": ["no flow in this scenario"]},
+                     {"pointwise": pointwise}, [pointwise["pass"]])
 
 
 def _hopf_differential() -> np.ndarray:
     # chart differential of (eta, xi1, xi2) -> (2 eta, xi2 - xi1)
     return np.array([[2.0, 0.0], [0.0, -1.0], [0.0, 1.0]])
+
+
+def _evolve_identity_edge(cfg: ScenarioConfig, m_manifold, n_manifold, report) -> Evolution:
+    n = 16
+    xs = np.arange(n) * 2 * math.pi / n
+    xg, yg = np.meshgrid(xs, xs, indexing="ij")
+    field0 = GraphMapField(m_manifold, n_manifold, (n, n), np.stack([xg, yg], -1))
+    raise ConfigurationError(
+        f"scenario 'torus_identity_edge' is not strictly area decreasing: "
+        f"min p = {field0.min_p():.3e} (lambda mu = 1 on the boundary of the admissible regime)")
+
+
+def _warped_cylinder(warp: str):
+    return lambda cfg: (product_s1_s2(), WarpedSurface(builtin_warp(warp)))
+
+
+SCENARIOS = {
+    "tsui_wang_s2": Scenario(
+        lambda cfg: (round_sphere(2), round_sphere(2, curvature=1.0)), _evolve_tsui_wang,
+        {("flow", "t_end"): 5.0, ("initial", "amplitude"): 0.8}),
+    "cylinder_drift": Scenario(
+        _warped_cylinder("exp_neg"), _evolve_cylinder,
+        {("initial", "z0"): 0.0, ("flow", "t_end"): 5.0}),
+    "cylinder_waist": Scenario(
+        _warped_cylinder("cosh"), _evolve_cylinder,
+        {("initial", "z0"): 0.5, ("flow", "t_end"): 30.0,
+         ("barrier", "kind"): "waist_tube", ("barrier", "level"): 1.0}),
+    "torus_projection": Scenario(
+        lambda cfg: (flat_torus(3), flat_torus(2, scale=cfg.get("initial", "r"))),
+        _evolve_torus_projection, {("flow", "t_end"): 0.05, ("flow", "record_every"): 1}),
+    "hopf_pointwise": Scenario(
+        lambda cfg: (s3_hopf_chart(), round_sphere(2)), _evolve_hopf_pointwise),
+    "torus_identity_edge": Scenario(
+        lambda cfg: (flat_torus(2), flat_torus(2)), _evolve_identity_edge),
+}
+
+BUILTIN_SCENARIOS = tuple(SCENARIOS)
 
 
 # ---------------------------------------------------------------------------
@@ -713,15 +625,3 @@ def run_identities(samples: int = 10_000, seed: int = 0) -> dict:
     return {"samples": samples, "seed": seed, "elapsed_seconds": elapsed,
             "max_errors": errs, "max_error": max(errs.values()),
             "pass": max(errs.values()) <= 1e-10}
-
-
-def _run_identity_edge(cfg: ScenarioConfig):
-    m_manifold, n_manifold = _manifolds_for(cfg)
-    n = 16
-    xs = np.arange(n) * 2 * math.pi / n
-    xg, yg = np.meshgrid(xs, xs, indexing="ij")
-    field = GraphMapField(m_manifold, n_manifold, (n, n), np.stack([xg, yg], -1))
-    min_p = field.min_p()
-    raise ConfigurationError(
-        f"scenario 'torus_identity_edge' is not strictly area decreasing: "
-        f"min p = {min_p:.3e} (lambda mu = 1 on the boundary of the admissible regime)")

@@ -13,8 +13,8 @@ import sys
 
 import jsonschema
 
-from .app import (CLASSIFICATION_SCHEMA, VERIFICATION_SCHEMA, load_config,
-                  run_identities, run_scenario, _manifolds_for)
+from .app import (CLASSIFICATION_SCHEMA, SCENARIOS, VERIFICATION_SCHEMA, load_config,
+                  run_identities, run_scenario)
 from .errors import ConfigurationError, GraphflowError, NotAreaDecreasingError, SolverAbort
 from .geometry import curvature_conditions_report
 
@@ -49,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_check_curvature(args) -> int:
     cfg = load_config(args.config)
-    m_manifold, n_manifold = _manifolds_for(cfg)
+    m_manifold, n_manifold = SCENARIOS[cfg.name].manifolds(cfg)
     report = curvature_conditions_report(m_manifold, n_manifold, seed=cfg.seed)
     print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
     return EXIT_PASS if (report.cond_a and report.cond_b and report.cond_c) \

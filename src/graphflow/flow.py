@@ -160,7 +160,13 @@ class EquivariantProfile:
 
 
 @dataclass
-class EquivariantRecord:
+class FlowRecord:
+    """Observables of one recorded state of any scenario: a ``time_series.csv`` row.
+
+    max_df2 is the node-wise max of lambda^2 + mu^2, which can be less than
+    max lambda^2 + max mu^2.
+    """
+
     t: float
     min_p: float
     max_lambda: float
@@ -171,6 +177,8 @@ class EquivariantRecord:
     volume: float
     diameter: float
     max_a2: float = float("nan")
+    residual_l2: float = float("nan")
+    residual_linf: float = float("nan")
 
 
 @dataclass
@@ -236,7 +244,7 @@ class EquivariantFlow:
         b = r * np.abs(np.sin(h)) / np.sin(self.theta)
         return np.maximum(a, b), np.minimum(a, b)
 
-    def observables(self, h: np.ndarray) -> EquivariantRecord:
+    def observables(self, h: np.ndarray) -> FlowRecord:
         d1, _ = self.derivatives(h)
         v = self.rhs(h)
         h2 = self.r2 * v**2 / (1 + self.r2 * d1**2)
@@ -247,7 +255,7 @@ class EquivariantFlow:
         vol = 2 * np.pi * float(np.sum(np.sqrt(g11 * g22)) * self.dtheta)
         r = np.sqrt(self.r2)
         diam = r * min(np.pi, 2 * float(np.abs(h).max()))
-        return EquivariantRecord(
+        return FlowRecord(
             t=np.nan, min_p=float(p.min()), max_lambda=float(lam.max()),
             max_mu=float(mu.max()), max_df2=float((lam**2 + mu**2).max()),
             max_h2=float(h2.max()), max_theta=float((h2 / p).max()),

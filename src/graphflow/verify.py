@@ -52,6 +52,12 @@ class BoundConstants:
         return self.theta0_max * np.exp(2 * max(0.0, self.eps1) * np.asarray(t, dtype=float))
 
 
+def decay_rates(min_ric: float, sup_sigma_n: float) -> tuple[float, float]:
+    """(eps0, eps1): the exponential rates of the bounds, set by the curvature alone."""
+    eps0 = 0.25 * min_ric if min_ric >= 0 else 0.5 * min_ric
+    return eps0, sup_sigma_n - min_ric
+
+
 def compute_bound_constants(min_p0: float, max_theta0: float, min_ric: float,
                             sup_sigma_n: float) -> BoundConstants:
     """Constants from the initial state and the ambient curvature extremes."""
@@ -60,34 +66,10 @@ def compute_bound_constants(min_p0: float, max_theta0: float, min_ric: float,
     rho0 = float(min_p0)
     c0 = rho0 / math.sqrt(4.0 - rho0**2)
     c1 = 2.0 / c0
-    eps0 = 0.25 * min_ric if min_ric >= 0 else 0.5 * min_ric
-    eps1 = sup_sigma_n - min_ric
+    eps0, eps1 = decay_rates(min_ric, sup_sigma_n)
     a0 = 2.0 * max_theta0
     return BoundConstants(rho0=rho0, c0=c0, c1=c1, eps0=eps0, eps1=eps1,
                           a0=a0, theta0_max=float(max_theta0))
-
-
-@dataclass
-class TimeSeriesRecord:
-    t: float
-    min_p: float
-    max_lambda: float
-    max_mu: float
-    max_h2: float
-    max_a2: float
-    max_theta: float
-    total_volume: float
-    image_diameter: float
-    bound_p: float
-    bound_df2: float
-    bound_h2: float
-    residual_p_l2: float = float("nan")
-    residual_p_linf: float = float("nan")
-
-    @property
-    def max_df2(self) -> float:
-        # upper bound surrogate kept out of the CSV schema
-        return self.max_lambda**2 + self.max_mu**2
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +80,7 @@ def check_decay_bounds(series, constants: BoundConstants, h_grid: float,
                        condition_a: Optional[bool] = True) -> dict:
     """Margins of min p / max|df|^2 / max|H|^2 / max Theta against the bounds.
 
-    ``series`` rows need t, min_p, max_df2, max_h2, max_theta attributes.
+    ``series`` holds ``flow.FlowRecord`` rows (t, min_p, max_df2, max_h2, max_theta).
     """
     if not condition_a:
         return {"applicable": False,

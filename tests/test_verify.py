@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from graphflow.errors import NotAreaDecreasingError
-from graphflow.flow import EquivariantFlow
+from graphflow.flow import EquivariantFlow, FlowRecord
 from graphflow.geometry import flat_torus
 from graphflow.immersion import GraphMapField
-from graphflow.verify import (TimeSeriesRecord, _time_derivative, check_H_and_theta_inequalities,
-                              check_decay_bounds, check_volume_budget, compute_bound_constants,
-                              residual_p_evolution)
+from graphflow.verify import (_time_derivative, check_H_and_theta_inequalities, check_decay_bounds,
+                              check_volume_budget, compute_bound_constants, residual_p_evolution)
 
 
 def test_bound_constants_formulas():
@@ -45,24 +44,17 @@ def test_constants_reject_non_area_decreasing():
 
 
 def _series(constants, ts, inflate=0.0):
-    rows = []
-    for t in ts:
-        rows.append(TimeSeriesRecord(
-            t=t, min_p=float(constants.bound_p(t)) - inflate,
-            max_lambda=0.0, max_mu=0.0,
-            max_h2=float(constants.bound_h2(t)),
-            max_a2=0.0, max_theta=float(constants.bound_theta(t)),
-            total_volume=1.0, image_diameter=1.0,
-            bound_p=0.0, bound_df2=0.0, bound_h2=0.0))
-    return rows
+    return [FlowRecord(t=t, min_p=float(constants.bound_p(t)) - inflate,
+                       max_lambda=0.0, max_mu=0.0, max_df2=0.0,  # max_df2 = 0 <= bound
+                       max_h2=float(constants.bound_h2(t)),
+                       max_theta=float(constants.bound_theta(t)), volume=1.0, diameter=1.0)
+            for t in ts]
 
 
 def test_check_decay_bounds_pass_and_fail():
     c = compute_bound_constants(1.0, 0.3, 1.0, 1.0)
     ts = [0.0, 1.0, 2.0]
     rows = _series(c, ts)
-    for r in rows:
-        r.max_lambda = 0.0  # max_df2 = 0 <= bound
     res = check_decay_bounds(rows, c, h_grid=0.01)
     assert res["applicable"] and res["pass"]
     bad = _series(c, ts, inflate=1.0)  # min_p far below its lower bound
