@@ -78,6 +78,7 @@ _SCHEMA = {
     },
 }
 
+
 @dataclass
 class ScenarioConfig:
     name: str
@@ -262,6 +263,8 @@ class Evolution:
 
 @dataclass(frozen=True)
 class Scenario:
+    """A builtin scenario: its manifolds, its config defaults and its evolve step."""
+
     manifolds: Callable   # cfg -> (M, N)
     evolve: Callable      # (cfg, M, N, curvature report) -> Evolution
     defaults: dict = field(default_factory=dict)  # (section, key) -> value
@@ -364,19 +367,6 @@ def _evolve_tsui_wang(cfg: ScenarioConfig, m_manifold, n_manifold, report) -> Ev
                      dissipation=run.dissipation, h_grid=eq.dtheta)
 
 
-def _cylinder_record(surface: WarpedSurface, t: float, z: float) -> FlowRecord:
-    """Observables of the symmetric circle at height z (|A| = |H| = |Phi|)."""
-    w = float(surface.warp.w(z))
-    phi = drift_velocity(surface, z)
-    p = 2.0 / (1.0 + w * w)
-    h2 = phi * phi
-    return FlowRecord(
-        t=t, min_p=p, max_lambda=w, max_mu=0.0, max_df2=w**2, max_h2=h2, max_a2=h2,
-        max_theta=h2 / p, volume=8 * math.pi**2 * math.sqrt(1 + w * w),
-        diameter=math.pi * w,  # chart half-circumference proxy
-    )
-
-
 def _evolve_cylinder(cfg: ScenarioConfig, m_manifold, n_manifold, report) -> Evolution:
     dt = cfg.get("flow", "ode_dt")
     run = reduce_circle_drift(n_manifold, cfg.get("initial", "z0"), cfg.get("flow", "t_end"),
@@ -385,7 +375,17 @@ def _evolve_cylinder(cfg: ScenarioConfig, m_manifold, n_manifold, report) -> Evo
     idx = list(range(0, len(run.t), cadence))
     if idx[-1] != len(run.t) - 1:
         idx.append(len(run.t) - 1)
-    records = [_cylinder_record(n_manifold, float(run.t[i]), float(run.z[i])) for i in idx]
+    records = []
+    for i in idx:  # observables of the symmetric circle: |A| = |H| = |Phi|
+        z = float(run.z[i])
+        w = float(n_manifold.warp.w(z))
+        phi = drift_velocity(n_manifold, z)
+        p = 2.0 / (1.0 + w * w)
+        h2 = phi * phi
+        records.append(FlowRecord(
+            t=float(run.t[i]), min_p=p, max_lambda=w, max_mu=0.0, max_df2=w**2, max_h2=h2,
+            max_a2=h2, max_theta=h2 / p, volume=8 * math.pi**2 * math.sqrt(1 + w * w),
+            diameter=math.pi * w))  # chart half-circumference proxy
 
     final_z = float(run.z[-1])
     final_h2 = drift_velocity(n_manifold, final_z) ** 2

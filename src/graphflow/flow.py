@@ -153,13 +153,6 @@ def step(state: FlowState, params: FlowParams) -> FlowState:
 
 
 @dataclass
-class EquivariantProfile:
-    kind: str                      # "SphereToSphere" or "CircleDrift"
-    h: Optional[np.ndarray] = None  # profile values at offset colatitude nodes
-    z: Optional[float] = None
-
-
-@dataclass
 class FlowRecord:
     """Observables of one recorded state of any scenario: a ``time_series.csv`` row.
 

@@ -184,8 +184,8 @@ def test_builtin_scenarios_listed():
 
 
 def test_run_identities_small():
-    # seed 34 reaches mu = 2.6e-6 at its last sample, where a square-root
-    # oracle loses precision and reported a false FAIL
+    # seed 34 reaches mu = 2.6e-6 at its last sample: the t oracle must keep
+    # 1e-10 for a tiny singular value
     for samples, seed in ((300, 7), (218, 34)):
         report = run_identities(samples=samples, seed=seed)
         assert report["pass"]
