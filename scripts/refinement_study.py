@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from graphflow.flow import EquivariantFlow
-from graphflow.immersion import point_geometry
+from graphflow.immersion import field_geometry
 from graphflow.verify import residual_p_evolution
 
 
@@ -33,20 +33,16 @@ def velocity_residual(J: int, amplitude: float) -> float:
     eq = EquivariantFlow(J, lambda th: amplitude * np.sin(th))
     fld = eq.expand_field(eq.h, n_phi=8)
     m = fld.M.dim
-    gm, gn = fld.g_m_field(), fld.g_n_field()
-    vals = []
-    for i in range(J):
-        if not (0.5 <= eq.theta[i] <= math.pi - 0.5):
-            continue
-        idx = (i, 0)
-        pg = point_geometry(fld, idx)
-        vec = np.zeros(m + 2)
-        vec[m] = v_exact(eq.theta[i])
-        gp = np.zeros((m + 2, m + 2))
-        gp[:m, :m] = gm[idx]
-        gp[m:, m:] = gn[idx]
-        vals.append(vec @ gp @ pg.frame.xi - pg.h_xi)
-        vals.append(vec @ gp @ pg.frame.eta - pg.h_eta)
+    sel = (eq.theta >= 0.5) & (eq.theta <= math.pi - 0.5)
+    geo = field_geometry(fld)
+    v = v_exact(eq.theta[sel])
+    g_n = fld.g_n_field()[sel, 0]
+
+    def normal_component(normal):  # <(0, V), normal> in the product metric
+        return v * np.sum(g_n[:, 0, :] * normal[sel, 0, m:], axis=-1)
+
+    vals = np.concatenate([normal_component(geo.frame.xi) - geo.h_xi[sel, 0],
+                           normal_component(geo.frame.eta) - geo.h_eta[sel, 0]])
     return float(np.sqrt(np.mean(np.square(vals))))
 
 

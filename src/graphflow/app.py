@@ -30,7 +30,7 @@ from .flow import (EquivariantFlow, FlowParams, FlowRecord, FlowState, drift_vel
 from .frames import DifferentialSample, singular_values
 from .geometry import (WarpedSurface, builtin_warp, curvature_conditions_report,
                        flat_torus, hopf_map, product_s1_s2, round_sphere, s3_hopf_chart)
-from .immersion import GraphMapField, point_geometry
+from .immersion import GraphMapField, field_geometry
 from .verify import (BoundConstants, check_H_and_theta_inequalities, check_decay_bounds,
                      check_volume_budget, compute_bound_constants, decay_rates,
                      residual_p_evolution)
@@ -41,7 +41,8 @@ CSV_COLUMNS = [
     "residual_p_L2", "residual_p_Linf",
 ]
 
-# section -> key -> (parser, default); None default means scenario-dependent
+# section -> key -> (parser, default[, bound]); None default means scenario-dependent.
+# A bound is (check of the value and all values, what a valid value is).
 _SCHEMA = {
     "scenario": {
         "name": (str, None),
@@ -49,14 +50,16 @@ _SCHEMA = {
         "output_dir": (str, "runs"),
     },
     "grid": {
-        "nodes": (int, 256),        # 1D profile resolution
+        "nodes": (int, 256,         # 1D profile resolution; needs interior nodes
+                  (lambda v, vals: v > 2 * vals[("verify", "margin")],
+                   "must exceed 2 * [verify] margin")),
         "n_phi": (int, 8),          # azimuthal width of expanded 2D fields
         "shape": (str, "8,8,8"),    # full-grid scenarios
     },
     "flow": {
-        "cfl": (float, 0.4),
-        "t_end": (float, 5.0),
-        "record_every": (int, 400),
+        "cfl": (float, 0.4, (lambda v, vals: 0 < v <= 1, "must lie in (0, 1]")),
+        "t_end": (float, 5.0, (lambda v, vals: v > 0, "must be positive")),
+        "record_every": (int, 400, (lambda v, vals: v >= 1, "must be at least 1")),
         "h_tol": (float, 1e-6),
         "integrator": (str, "RK2"),
         "ode_dt": (float, 1e-3),
@@ -128,13 +131,11 @@ def builtin_config(name: str, overrides: Optional[dict] = None) -> ScenarioConfi
     parser = configparser.ConfigParser()
     parser.add_section("scenario")
     parser.set("scenario", "name", name)
-    cfg = _validate(parser)
-    if overrides:
-        cfg.values.update(overrides)
-    return cfg
+    return _validate(parser, overrides)
 
 
-def _validate(parser: configparser.ConfigParser) -> ScenarioConfig:
+def _validate(parser: configparser.ConfigParser,
+              overrides: Optional[dict] = None) -> ScenarioConfig:
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigurationError(f"unknown config section [{section}]")
@@ -150,7 +151,7 @@ def _validate(parser: configparser.ConfigParser) -> ScenarioConfig:
     values = {}
     defaults = SCENARIOS[name].defaults
     for section, keys in _SCHEMA.items():
-        for key, (parse, default) in keys.items():
+        for key, (parse, default, *_) in keys.items():
             if parser.has_option(section, key):
                 raw = parser.get(section, key)
                 try:
@@ -161,6 +162,12 @@ def _validate(parser: configparser.ConfigParser) -> ScenarioConfig:
             else:
                 values[(section, key)] = defaults.get((section, key), default)
     values[("scenario", "name")] = name
+    values.update(overrides or {})
+    for section, keys in _SCHEMA.items():
+        for key, (_, _, *bound) in keys.items():
+            value = values[(section, key)]
+            if bound and not bound[0][0](value, values):
+                raise ConfigurationError(f"[{section}] {key} = {value!r} {bound[0][1]}")
     cfg = ScenarioConfig(name=name, seed=values[("scenario", "seed")],
                          output_dir=values[("scenario", "output_dir")], values=values)
     if cfg.get("flow", "integrator") not in ("RK2", "Euler"):
@@ -343,12 +350,8 @@ def _evolve_tsui_wang(cfg: ScenarioConfig, m_manifold, n_manifold, report) -> Ev
     # per-record |A|^2 from expanded 2D fields (interior maximum); run()
     # appends a record and a snapshot at the same moments
     for rec, (_, h) in zip(run.records, run.snapshots):
-        fld = eq.expand_field(h, n_phi=4)
-        max_a2 = 0.0
-        for i in range(margin, fld.shape[0] - margin):
-            pg = point_geometry(fld, (i, 0))
-            max_a2 = max(max_a2, pg.a_sq)
-        rec.max_a2 = max_a2
+        a_sq = field_geometry(eq.expand_field(h, n_phi=4)).a_sq
+        rec.max_a2 = float(a_sq[margin:a_sq.shape[0] - margin, 0].max(initial=0.0))
         res = res_by_t.get(round(rec.t, 12))
         if res:
             rec.residual_l2, rec.residual_linf = res["l2"], res["linf"]
@@ -371,8 +374,7 @@ def _evolve_cylinder(cfg: ScenarioConfig, m_manifold, n_manifold, report) -> Evo
     dt = cfg.get("flow", "ode_dt")
     run = reduce_circle_drift(n_manifold, cfg.get("initial", "z0"), cfg.get("flow", "t_end"),
                               dt=dt)
-    cadence = max(1, cfg.get("flow", "record_every"))
-    idx = list(range(0, len(run.t), cadence))
+    idx = list(range(0, len(run.t), cfg.get("flow", "record_every")))
     if idx[-1] != len(run.t) - 1:
         idx.append(len(run.t) - 1)
     records = []
@@ -476,22 +478,17 @@ def _evolve_hopf_pointwise(cfg: ScenarioConfig, m_manifold, n_manifold, report) 
     n = max(13, int(round(cfg.get("grid", "nodes") ** (1 / 3))))
     eta = (np.arange(n) + 0.5) * (math.pi / 2) / n
     xi = np.arange(n) * 2 * math.pi / n
-    worst = 0.0
-    count = 0
-    for e in eta:
-        for x1 in xi:
-            for x2 in xi[:max(1, n // 2)]:
-                x = np.array([e, x1, x2])
-                fx = hopf_map(x)
-                df = _hopf_differential()
-                g_n = n_manifold.metric_at(fx)
-                lam, mu = singular_values(DifferentialSample(df=df, g_m=m_manifold.metric_at(x), g_n=g_n))
-                worst = max(worst, abs(lam - 2.0), abs(mu - 2.0))
-                count += 1
+    x = np.stack(np.meshgrid(eta, xi, xi[:max(1, n // 2)], indexing="ij"), axis=-1)
+    x = x.reshape(-1, 3)
+    sample = DifferentialSample(df=np.broadcast_to(_hopf_differential(), x.shape[:1] + (3, 2)),
+                                g_m=m_manifold.metric_many(x),
+                                g_n=n_manifold.metric_many(hopf_map(x.T).T))
+    lam, mu = singular_values(sample)
+    worst = float(max(np.abs(lam - 2.0).max(), np.abs(mu - 2.0).max()))
     nan = float("nan")
     record = FlowRecord(t=0.0, min_p=-1.2, max_lambda=2.0, max_mu=2.0, max_df2=nan,
                         max_h2=nan, max_theta=nan, volume=nan, diameter=nan)
-    pointwise = {"samples": count, "max_deviation_from_2": worst, "pass": worst <= 1e-10}
+    pointwise = {"samples": len(x), "max_deviation_from_2": worst, "pass": worst <= 1e-10}
     return Evolution([record], "Pointwise", {"class": None, "notes": ["no flow in this scenario"]},
                      {"pointwise": pointwise}, [pointwise["pass"]])
 
@@ -543,84 +540,93 @@ BUILTIN_SCENARIOS = tuple(SCENARIOS)
 
 
 def run_identities(samples: int = 10_000, seed: int = 0) -> dict:
-    """Max absolute errors of the frame/scalar identities over random samples."""
+    """Max absolute errors of the frame/scalar identities over random samples.
+
+    Every sample is drawn first, in one fixed order per sample; the samples
+    of each dimension m are then evaluated as one batch.
+    """
     import time
     from types import SimpleNamespace
 
-    from .frames import build_svd_frame
+    from .frames import build_svd_frame, quad_form
     from .immersion import quantity_R_vw, w_norm_sq
+
+    def worst_dev(a, target):
+        return np.abs(a - target).max(axis=tuple(range(1, a.ndim)))
 
     rng = np.random.default_rng(seed)
     t0 = time.perf_counter()
-    errs = {k: 0.0 for k in (
-        "s2_plus_t2", "s_diag_oracle", "t_oracle", "frame_orthonormality",
-        "normal_frame", "tangency", "p_formula", "est2", "w_norm", "ric_vw")}
+    drawn: dict = {}
     for _ in range(samples):
         m = int(rng.integers(2, 6))
         a = rng.standard_normal((m, m))
-        g_m = a @ a.T + m * np.eye(m)
         b = rng.standard_normal((2, 2))
-        g_n = b @ b.T + 2 * np.eye(2)
         df = rng.standard_normal((m, 2)) * rng.uniform(0.0, 1.5)
+        h_xi, h_eta = rng.standard_normal(2)
+        ric_raw = rng.standard_normal((m, m))
+        drawn.setdefault(m, []).append((a @ a.T + m * np.eye(m), b @ b.T + 2 * np.eye(2), df,
+                                        h_xi, h_eta, (ric_raw + ric_raw.T) / 2))
+    errs = {k: 0.0 for k in (
+        "s2_plus_t2", "s_diag_oracle", "t_oracle", "frame_orthonormality",
+        "normal_frame", "tangency", "p_formula", "est2", "w_norm", "ric_vw")}
+    for m, rows in drawn.items():
+        g_m, g_n, df, h_xi, h_eta, ric = (np.array(col) for col in zip(*rows))
+        dft = np.swapaxes(df, -1, -2)
         fr = build_svd_frame(DifferentialSample(df=df, g_m=g_m, g_n=g_n))
-        lam, mu = fr.lam, fr.mu
-
-        errs["s2_plus_t2"] = max(errs["s2_plus_t2"],
-                                 abs(fr.s_diag[0] ** 2 + fr.t11 ** 2 - 1),
-                                 abs(fr.s_diag[1] ** 2 + fr.t22 ** 2 - 1))
+        sv = np.stack([fr.lam, fr.mu], axis=-1)
+        found = {
+            "s2_plus_t2": np.maximum(abs(fr.s_diag[:, 0] ** 2 + fr.t11 ** 2 - 1),
+                                     abs(fr.s_diag[:, 1] ** 2 + fr.t22 ** 2 - 1)),
+        }
         # independent S oracle: S_ii = <alpha_i, alpha_i>_{g_M} - <df alpha_i, df alpha_i>_{g_N},
         # normalized by 1 + s_i^2
-        for i, s in ((0, lam), (1, mu)):
-            al = fr.alpha[i]
-            raw = al @ g_m @ al - (df.T @ al) @ g_n @ (df.T @ al)
-            errs["s_diag_oracle"] = max(errs["s_diag_oracle"],
-                                        abs(raw / (1 + s * s) - fr.s_diag[i]))
+        al = fr.alpha[:, :2]                                   # (n, 2, m)
+        dal = al @ df                                          # rows df^T alpha_i
+        raw = np.stack([quad_form(al[:, i], g_m, al[:, i])
+                        - quad_form(dal[:, i], g_n, dal[:, i]) for i in range(2)], axis=-1)
+        found["s_diag_oracle"] = np.abs(raw / (1 + sv * sv) - fr.s_diag[:, :2]).max(axis=-1)
         # independent singular values of g_N^{1/2} df^T g_M^{-1/2}, whitened by
         # symmetric square roots (the frame whitens by Cholesky factors); the
         # square root of a tiny pullback eigenvalue would lose half the digits
         wm, vm = np.linalg.eigh(g_m)
         wn, vn = np.linalg.eigh(g_n)
-        whitened = (vn * np.sqrt(wn)) @ vn.T @ df.T @ (vm / np.sqrt(wm)) @ vm.T
-        s1, s2 = np.linalg.svd(whitened, compute_uv=False)
-        pb = df @ g_n @ df.T
-        errs["t_oracle"] = max(errs["t_oracle"],
-                               abs(fr.t11 - (-2 * s1 / (1 + s1 * s1))),
-                               abs(fr.t22 - (-2 * s2 / (1 + s2 * s2))))
+        whitened = ((vn * np.sqrt(wn)[:, None, :]) @ np.swapaxes(vn, -1, -2) @ dft
+                    @ (vm / np.sqrt(wm)[:, None, :]) @ np.swapaxes(vm, -1, -2))
+        s12 = np.linalg.svd(whitened, compute_uv=False)
+        t = np.stack([fr.t11, fr.t22], axis=-1)
+        found["t_oracle"] = np.abs(t - (-2 * s12 / (1 + s12 * s12))).max(axis=-1)
 
-        g_ind = g_m + pb
-        gp = np.zeros((m + 2, m + 2))
-        gp[:m, :m] = g_m
-        gp[m:, m:] = g_n
-        dfe = np.concatenate([fr.e, (df.T @ fr.e.T).T], axis=-1)
-        errs["frame_orthonormality"] = max(
-            errs["frame_orthonormality"],
-            np.abs(fr.alpha @ g_m @ fr.alpha.T - np.eye(m)).max(),
-            np.abs(fr.beta @ g_n @ fr.beta.T - np.eye(2)).max(),
-            np.abs(fr.e @ g_ind @ fr.e.T - np.eye(m)).max(),
-        )
-        nrm = np.array([fr.xi @ gp @ fr.xi - 1, fr.eta @ gp @ fr.eta - 1, fr.xi @ gp @ fr.eta])
-        errs["normal_frame"] = max(errs["normal_frame"], np.abs(nrm).max())
-        errs["tangency"] = max(errs["tangency"],
-                               np.abs(dfe @ gp @ fr.xi).max(), np.abs(dfe @ gp @ fr.eta).max())
+        g_ind = g_m + df @ g_n @ dft
+        gp = np.zeros((len(rows), m + 2, m + 2))
+        gp[:, :m, :m] = g_m
+        gp[:, m:, m:] = g_n
+        dfe = np.concatenate([fr.e, fr.e @ df], axis=-1)
+        found["frame_orthonormality"] = np.maximum.reduce([
+            worst_dev(fr.alpha @ g_m @ np.swapaxes(fr.alpha, -1, -2), np.eye(m)),
+            worst_dev(fr.beta @ g_n @ np.swapaxes(fr.beta, -1, -2), np.eye(2)),
+            worst_dev(fr.e @ g_ind @ np.swapaxes(fr.e, -1, -2), np.eye(m))])
+        nrm = np.stack([quad_form(fr.xi, gp, fr.xi) - 1, quad_form(fr.eta, gp, fr.eta) - 1,
+                        quad_form(fr.xi, gp, fr.eta)], axis=-1)
+        found["normal_frame"] = np.abs(nrm).max(axis=-1)
+        normals = np.stack([fr.xi, fr.eta], axis=-1)           # (n, m+2, 2)
+        found["tangency"] = np.abs(dfe @ gp @ normals).max(axis=(-2, -1))
+        lam, mu = fr.lam, fr.mu
         den = (1 + lam**2) * (1 + mu**2)
-        errs["p_formula"] = max(errs["p_formula"],
-                                abs(fr.p - 2 * (1 - lam**2 * mu**2) / den))
-        if lam * mu < 1:
-            mid = 2 * (lam**2 + mu**2) / den
-            lo, hi = 1 - fr.p**2 / 4, 2 * (1 - fr.p**2 / 4)
-            errs["est2"] = max(errs["est2"], max(0.0, lo - mid), max(0.0, mid - hi))
+        found["p_formula"] = abs(fr.p - 2 * (1 - lam**2 * mu**2) / den)
+        mid = 2 * (lam**2 + mu**2) / den
+        lo, hi = 1 - fr.p**2 / 4, 2 * (1 - fr.p**2 / 4)
+        found["est2"] = np.where(lam * mu < 1, np.maximum(np.maximum(0.0, lo - mid), mid - hi),
+                                 0.0)
 
-        h_xi, h_eta = rng.standard_normal(2)
-        pg = SimpleNamespace(frame=fr, h_xi=h_xi, h_eta=h_eta,
-                             h_sq=h_xi**2 + h_eta**2)
-        ric_raw = rng.standard_normal((m, m))
-        ric = (ric_raw + ric_raw.T) / 2
+        pg = SimpleNamespace(frame=fr, h_xi=h_xi, h_eta=h_eta, h_sq=h_xi**2 + h_eta**2)
         _, v, w = quantity_R_vw(pg, ric, 0.0, 0.0)
-        errs["w_norm"] = max(errs["w_norm"], abs(w @ g_m @ w - w_norm_sq(pg)))
-        lhs = v @ ric @ v + w @ ric @ w
-        rhs = (lam**2 / (1 + lam**2) * (fr.alpha[0] @ ric @ fr.alpha[0])
-               + mu**2 / (1 + mu**2) * (fr.alpha[1] @ ric @ fr.alpha[1])) * pg.h_sq
-        errs["ric_vw"] = max(errs["ric_vw"], abs(lhs - rhs))
+        found["w_norm"] = abs(quad_form(w, g_m, w) - w_norm_sq(pg))
+        lhs = quad_form(v, ric, v) + quad_form(w, ric, w)
+        rhs = (lam**2 / (1 + lam**2) * quad_form(fr.alpha[:, 0], ric, fr.alpha[:, 0])
+               + mu**2 / (1 + mu**2) * quad_form(fr.alpha[:, 1], ric, fr.alpha[:, 1])) * pg.h_sq
+        found["ric_vw"] = abs(lhs - rhs)
+        for key, vals in found.items():
+            errs[key] = max(errs[key], float(vals.max()))
     elapsed = time.perf_counter() - t0
     return {"samples": samples, "seed": seed, "elapsed_seconds": elapsed,
             "max_errors": errs, "max_error": max(errs.values()),

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .geometry import gauss_curvature_at
-from .immersion import GraphMapField, point_geometry
+from .immersion import GraphMapField, field_geometry
 
 UNTESTED_NOTE = (
     "Euler-characteristic and local-product-structure properties of the limit "
@@ -115,12 +115,9 @@ def classify_limit(field: GraphMapField, status: str,
     """Classify a final grid state; evidence from interior nodes."""
     mask = field.interior_mask(margin)
     lam, mu = field.singular_value_fields()
-    max_h = 0.0
-    max_a = 0.0
-    for node in np.argwhere(mask):
-        pg = point_geometry(field, tuple(node))
-        max_h = max(max_h, np.sqrt(pg.h_sq))
-        max_a = max(max_a, np.sqrt(pg.a_sq))
-    sig = np.array([gauss_curvature_at(field.N, y) for y in field.f[mask].reshape(-1, field.N.dim)])
+    geo = field_geometry(field)
+    max_h = float(np.sqrt(geo.h_sq[mask]).max(initial=0.0))
+    max_a = float(np.sqrt(geo.a_sq[mask]).max(initial=0.0))
+    sig = np.broadcast_to(gauss_curvature_at(field.N, field.f[mask]), lam[mask].shape)
     return classify_from_observables(status, max_h, max_a, lam[mask], mu[mask], sig,
                                      tols, ricci_positive)

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NotAreaDecreasingError, SolverAbort
-from .frames import p_batch
+from .frames import p_batch, quad_form
 from .geometry import WarpedSurface, round_sphere
 from .immersion import GraphMapField
 
@@ -53,26 +53,11 @@ class FlowState:
 # Nonparametric velocity
 
 
-def nonparametric_rhs(field: GraphMapField, node=None) -> np.ndarray:
-    """V^a = g^{ij}(d2_ij f^a - Gamma_M^k_ij d_k f^a + Gamma_N^a_bc d_i f^b d_j f^c).
-
-    With ``node`` given, returns the (2,) velocity at that node; otherwise the
-    full (grid, 2) array.
-    """
-    df = field.df_field()
-    d2f = field.d2f_field()
+def nonparametric_rhs(field: GraphMapField) -> np.ndarray:
+    """V^a = g^{ij}(d2_ij f^a - Gamma_M^k_ij d_k f^a + Gamma_N^a_bc d_i f^b d_j f^c), (grid, 2)."""
+    term = field.covariant_d2f(field.gamma_m_field())         # (..., a, i, j)
     ginv = field.induced_g_inv_field()
-    gam_m = field.gamma_m_field()
-    gam_n = field.gamma_n_field()
-    term = (
-        d2f
-        - np.einsum("...kij,...ka->...ija", gam_m, df)
-        + np.einsum("...abc,...ib,...jc->...ija", gam_n, df, df)
-    )
-    v = np.einsum("...ij,...ija->...a", ginv, term)
-    if node is not None:
-        return v[tuple(int(i) for i in node)]
-    return v
+    return (term.reshape(term.shape[:-2] + (-1,)) @ ginv.reshape(ginv.shape[:-2] + (-1, 1)))[..., 0]
 
 
 def tangential_vector_field(field: GraphMapField) -> np.ndarray:
@@ -88,11 +73,8 @@ def h2_field(field: GraphMapField, v: Optional[np.ndarray] = None) -> np.ndarray
         v = nonparametric_rhs(field)
     x = tangential_vector_field(field)
     df = field.df_field()
-    tn = v - np.einsum("...ka,...k->...a", df, x)
-    return (
-        np.einsum("...i,...ij,...j->...", x, field.g_m_field(), x)
-        + np.einsum("...a,...ab,...b->...", tn, field.g_n_field(), tn)
-    )
+    tn = v - (x[..., None, :] @ df)[..., 0, :]
+    return quad_form(x, field.g_m_field(), x) + quad_form(tn, field.g_n_field(), tn)
 
 
 def cfl_dt(field: GraphMapField, params: FlowParams) -> float:
@@ -248,10 +230,11 @@ class EquivariantFlow:
         vol = 2 * np.pi * float(np.sum(np.sqrt(g11 * g22)) * self.dtheta)
         r = np.sqrt(self.r2)
         diam = r * min(np.pi, 2 * float(np.abs(h).max()))
+        pos = p > 0  # Theta only where p > 0; a record with min p <= 0 aborts the run
         return FlowRecord(
             t=np.nan, min_p=float(p.min()), max_lambda=float(lam.max()),
             max_mu=float(mu.max()), max_df2=float((lam**2 + mu**2).max()),
-            max_h2=float(h2.max()), max_theta=float((h2 / p).max()),
+            max_h2=float(h2.max()), max_theta=float(np.max(h2[pos] / p[pos], initial=0.0)),
             volume=vol, diameter=diam,
         )
 

@@ -11,119 +11,104 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 
 @dataclass
 class DifferentialSample:
-    """df together with the metrics at the point and its image."""
+    """df together with the metrics at a batch of points (batch shape ``...``).
 
-    df: np.ndarray    # (m, 2): df^alpha_i = d_i f^alpha, rows indexed by M axes
-    g_m: np.ndarray   # (m, m)
-    g_n: np.ndarray   # (2, 2)
+    A single point is a batch of shape ().
+    """
+
+    df: np.ndarray    # (..., m, 2): df^alpha_i = d_i f^alpha, rows indexed by M axes
+    g_m: np.ndarray   # (..., m, m)
+    g_n: np.ndarray   # (..., 2, 2)
 
 
 @dataclass
 class SVDFrame:
-    """Adapted frames and derived scalars at one point."""
+    """Adapted frames and derived scalars over a batch of points (dim M >= 2)."""
 
-    lam: float
-    mu: float
-    alpha: np.ndarray        # (m, m): rows are the g_M-orthonormal alpha_i
-    beta: np.ndarray         # (2, 2): rows are the g_N-orthonormal beta_a
-    e: np.ndarray            # (m, m): rows orthonormal w.r.t. induced g
-    xi: np.ndarray           # (m + 2,): product-chart components
-    eta: np.ndarray          # (m + 2,)
-    s_diag: np.ndarray       # (m,)
-    sperp_diag: np.ndarray   # (2,)
-    t11: float
-    t22: float
-    p: float
-
-
-def singular_values(sample: DifferentialSample) -> tuple[float, float]:
-    """The two possibly nonzero singular values of df, largest first."""
-    d = _whitened(sample)
-    sv = np.linalg.svd(d, compute_uv=False)
-    lam = float(sv[0]) if len(sv) > 0 else 0.0
-    mu = float(sv[1]) if len(sv) > 1 else 0.0
-    return lam, mu
+    lam: np.ndarray          # (...)
+    mu: np.ndarray           # (...)
+    alpha: np.ndarray        # (..., m, m): rows are the g_M-orthonormal alpha_i
+    beta: np.ndarray         # (..., 2, 2): rows are the g_N-orthonormal beta_a
+    e: np.ndarray            # (..., m, m): rows orthonormal w.r.t. induced g
+    xi: np.ndarray           # (..., m + 2): product-chart components
+    eta: np.ndarray          # (..., m + 2)
+    s_diag: np.ndarray       # (..., m)
+    sperp_diag: np.ndarray   # (..., 2)
+    t11: np.ndarray          # (...)
+    t22: np.ndarray          # (...)
+    p: np.ndarray            # (...)
 
 
-def _whitened(sample: DifferentialSample) -> np.ndarray:
-    """R_N df L_M^{-T} where L L^T = g_M and R^T R = g_N (2 x m)."""
+def _t(a: np.ndarray) -> np.ndarray:
+    return np.swapaxes(a, -1, -2)
+
+
+def _whiten(sample: DifferentialSample):
+    """(L_M, R_N, R_N df^T L_M^{-T}) where L L^T = g_M and R^T R = g_N; d is (..., 2, m)."""
     lm = np.linalg.cholesky(sample.g_m)
-    rn = scipy.linalg.cholesky(sample.g_n, lower=False)
-    dfn = rn @ sample.df.T            # (2, m) in whitened target coordinates
-    return scipy.linalg.solve_triangular(lm, dfn.T, lower=True).T
+    rn = _t(np.linalg.cholesky(sample.g_n))
+    return lm, rn, _t(np.linalg.solve(lm, sample.df @ _t(rn)))
 
 
-def _sign_fix(vecs: np.ndarray) -> np.ndarray:
-    """Flip rows so the first component of largest magnitude is positive."""
-    out = vecs.copy()
-    for i, v in enumerate(out):
-        idx = np.argmax(np.abs(v) > 1e-13) if np.any(np.abs(v) > 1e-13) else 0
-        if v[idx] < 0:
-            out[i] = -v
-    return out
+def quad_form(u: np.ndarray, a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u^T a v over the batch axes: u, v (..., k), a (..., k, k)."""
+    return (u[..., None, :] @ a @ v[..., :, None])[..., 0, 0]
+
+
+def _first_nonzero_positive(rows: np.ndarray) -> np.ndarray:
+    """Flip rows so that their first component above 1e-13 in magnitude is positive."""
+    idx = np.argmax(np.abs(rows) > 1e-13, axis=-1)[..., None]
+    lead = np.take_along_axis(rows, idx, axis=-1)
+    return np.where(lead < 0, -rows, rows)
+
+
+def singular_values(sample: DifferentialSample) -> tuple[np.ndarray, np.ndarray]:
+    """The two possibly nonzero singular values of df, largest first."""
+    sv = np.linalg.svd(_whiten(sample)[2], compute_uv=False)
+    return sv[..., 0], sv[..., 1]
 
 
 def build_svd_frame(sample: DifferentialSample) -> SVDFrame:
-    """Construct the full adapted frame at a point.
+    """Construct the full adapted frame at every point of a batch.
 
     Deterministic: numpy's SVD ordering plus a sign fix making the first
     nonzero component of each whitened right-singular vector positive.  The
     beta vectors are re-derived from df alpha_i where the singular value is
-    nonzero so that df(alpha_1) = lam beta_1 holds exactly.
+    nonzero so that df(alpha_1) = lam beta_1 holds exactly; where it vanishes
+    they are the sign-fixed whitened left-singular vectors.
     """
-    m = sample.df.shape[0]
-    lm = np.linalg.cholesky(sample.g_m)
-    rn = scipy.linalg.cholesky(sample.g_n, lower=False)
-    d = _whitened(sample)                       # (2, m)
+    lm, rn, d = _whiten(sample)
     u, sv, vt = np.linalg.svd(d, full_matrices=True)
-    lam = float(sv[0]) if len(sv) > 0 else 0.0
-    mu = float(sv[1]) if len(sv) > 1 else 0.0
+    lam, mu = sv[..., 0], sv[..., 1]
+    alpha = _t(np.linalg.solve(_t(lm), _t(_first_nonzero_positive(vt))))
 
-    v = _sign_fix(vt)                           # (m, m) rows
-    alpha = scipy.linalg.solve_triangular(lm, v.T, lower=True, trans="T").T
-
-    beta = np.empty((2, 2))
-    for a, s in enumerate((lam, mu)):
-        if s > 1e-13:
-            beta[a] = (sample.df.T @ alpha[a]) / s
-        else:
-            # rank-deficient direction: whitened chart axis, sign-fixed
-            ua = _sign_fix(u.T)[a]
-            beta[a] = np.linalg.solve(rn, ua)
+    nonzero = sv[..., None] > 1e-13
+    mapped = (alpha[..., :2, :] @ sample.df) / np.where(nonzero, sv[..., None], 1.0)
+    chart_axis = _t(np.linalg.solve(rn, _t(_first_nonzero_positive(_t(u)))))
+    beta = np.where(nonzero, mapped, chart_axis)
     # re-orthonormalize beta against g_N (exact for clean input, guards roundoff)
-    b0 = beta[0] / np.sqrt(beta[0] @ sample.g_n @ beta[0])
-    b1 = beta[1] - (b0 @ sample.g_n @ beta[1]) * b0
-    b1 = b1 / np.sqrt(b1 @ sample.g_n @ b1)
-    beta = np.vstack([b0, b1])
+    g_n = sample.g_n
+    b0 = beta[..., 0, :] / np.sqrt(quad_form(beta[..., 0, :], g_n, beta[..., 0, :]))[..., None]
+    b1 = beta[..., 1, :] - quad_form(b0, g_n, beta[..., 1, :])[..., None] * b0
+    b1 = b1 / np.sqrt(quad_form(b1, g_n, b1))[..., None]
+    beta = np.stack([b0, b1], axis=-2)
 
+    root = np.sqrt(1.0 + sv * sv)[..., None]                   # (..., 2, 1)
     e = alpha.copy()
-    e[0] = alpha[0] / np.sqrt(1.0 + lam * lam)
-    if m > 1:
-        e[1] = alpha[1] / np.sqrt(1.0 + mu * mu)
+    e[..., :2, :] /= root
+    normals = np.concatenate([-sv[..., None] * alpha[..., :2, :], beta], axis=-1) / root
 
-    xi = np.concatenate([-lam * alpha[0], beta[0]]) / np.sqrt(1.0 + lam * lam)
-    if m > 1:
-        eta = np.concatenate([-mu * alpha[1], beta[1]]) / np.sqrt(1.0 + mu * mu)
-    else:  # pragma: no cover - dim M > 1 everywhere in this package
-        eta = np.concatenate([np.zeros(m), beta[1]])
-
-    s_diag = np.ones(m)
-    s_diag[0] = (1.0 - lam * lam) / (1.0 + lam * lam)
-    if m > 1:
-        s_diag[1] = (1.0 - mu * mu) / (1.0 + mu * mu)
-    sperp_diag = np.array([-s_diag[0], -s_diag[1] if m > 1 else -1.0])
-    t11 = -2.0 * lam / (1.0 + lam * lam)
-    t22 = -2.0 * mu / (1.0 + mu * mu)
-    p = float(s_diag[0] + (s_diag[1] if m > 1 else 1.0))
-
+    s_diag = np.ones(alpha.shape[:-1])
+    s_diag[..., :2] = (1.0 - sv * sv) / (1.0 + sv * sv)
+    t = -2.0 * sv / (1.0 + sv * sv)
     return SVDFrame(
-        lam=lam, mu=mu, alpha=alpha, beta=beta, e=e, xi=xi, eta=eta,
-        s_diag=s_diag, sperp_diag=sperp_diag, t11=t11, t22=t22, p=p,
+        lam=lam, mu=mu, alpha=alpha, beta=beta, e=e, xi=normals[..., 0, :],
+        eta=normals[..., 1, :], s_diag=s_diag, sperp_diag=-s_diag[..., :2],
+        t11=t[..., 0], t22=t[..., 1], p=s_diag[..., 0] + s_diag[..., 1],
     )
 
 
@@ -140,7 +125,7 @@ def singular_values_batch(g_m: np.ndarray, g_n: np.ndarray, df: np.ndarray) -> t
 
     g_m: (..., m, m), g_n: (..., 2, 2), df: (..., m, 2).
     """
-    pullback = np.einsum("...ia,...ab,...jb->...ij", df, g_n, df)
+    pullback = df @ g_n @ _t(df)
     lm = np.linalg.cholesky(g_m)
     inv_lm = np.linalg.inv(lm)
     c = inv_lm @ pullback @ np.swapaxes(inv_lm, -1, -2)

@@ -54,9 +54,11 @@ class Axis:
 class ChartManifold:
     """Riemannian manifold given by a global coordinate chart.
 
-    ``metric_at`` maps a chart point to a symmetric positive-definite matrix.
-    ``christoffels_at`` may be supplied analytically; otherwise Christoffel
-    symbols are obtained by differentiating the metric.
+    ``metric_at`` maps chart points (..., m) to symmetric positive-definite
+    matrices (..., m, m), real or complex.  ``christoffels_at`` may be
+    supplied analytically, with the same batch convention; otherwise
+    Christoffel symbols are obtained point by point by differentiating the
+    metric.
     """
 
     def __init__(
@@ -83,15 +85,17 @@ class ChartManifold:
     # -- chart bookkeeping -------------------------------------------------
 
     def wrap(self, x) -> np.ndarray:
-        """Wrap periodic coordinates into range; validate the others."""
-        x = np.asarray(x, dtype=float).copy()
+        """Wrap periodic coordinates of points (..., m) into range; validate the others."""
+        x = np.array(x, dtype=float)
         for a, ax in enumerate(self.axes):
             if ax.periodic:
-                x[a] = ax.lo + (x[a] - ax.lo) % ax.length
-            elif not (ax.lo - 1e-12 <= x[a] <= ax.hi + 1e-12):
+                x[..., a] = ax.lo + (x[..., a] - ax.lo) % ax.length
+                continue
+            inside = (ax.lo - 1e-12 <= x[..., a]) & (x[..., a] <= ax.hi + 1e-12)
+            if not np.all(inside):
                 raise DomainError(
-                    f"{self.name}: coordinate {x[a]!r} outside axis {a} "
-                    f"range [{ax.lo}, {ax.hi}]"
+                    f"{self.name}: coordinate {x[..., a][~inside].flat[0]!r} outside "
+                    f"axis {a} range [{ax.lo}, {ax.hi}]"
                 )
         return x
 
@@ -104,21 +108,15 @@ class ChartManifold:
 
     # -- metric ------------------------------------------------------------
 
-    def metric_at(self, x) -> np.ndarray:
-        x = self.wrap(x)
+    def metric_many(self, pts) -> np.ndarray:
+        """Metric at a batch of points, shape (..., m) -> (..., m, m)."""
+        x = self.wrap(pts)
         g = np.asarray(self._metric_at(x))
-        if not np.allclose(g, g.T, atol=1e-12):
-            raise DegenerateMetricError(f"{self.name}: metric not symmetric at {x}")
+        if not np.allclose(g, np.swapaxes(g, -1, -2), atol=1e-12):
+            raise DegenerateMetricError(f"{self.name}: metric not symmetric")
         return g
 
-    def metric_many(self, pts: np.ndarray) -> np.ndarray:
-        """Metric at an array of points, shape (..., m) -> (..., m, m)."""
-        pts = np.asarray(pts, dtype=float)
-        flat = pts.reshape(-1, self.dim)
-        out = np.empty((flat.shape[0], self.dim, self.dim))
-        for i, x in enumerate(flat):
-            out[i] = self.metric_at(x)
-        return out.reshape(pts.shape[:-1] + (self.dim, self.dim))
+    metric_at = metric_many  # one point is a batch of shape ()
 
     def inverse_metric_at(self, x) -> np.ndarray:
         g = self.metric_at(x)
@@ -159,12 +157,15 @@ class ChartManifold:
             y[a] = ax.lo + (y[a] - ax.lo) % ax.length
         return y
 
-    def christoffels_at(self, x) -> np.ndarray:
-        """Gamma^k_{ij}, shape (m, m, m), first index upper."""
-        x = self.wrap(x)
+    def christoffels_many(self, pts) -> np.ndarray:
+        """Gamma^k_{ij} at a batch of points, (..., m) -> (..., m, m, m), first index upper."""
+        x = self.wrap(pts)
         if self._christoffels_at is not None:
             return np.asarray(self._christoffels_at(x))
-        return self._christoffels_from_metric(x)
+        flat = [self._christoffels_from_metric(y) for y in x.reshape(-1, self.dim)]
+        return np.reshape(flat, x.shape + (self.dim, self.dim))
+
+    christoffels_at = christoffels_many  # one point is a batch of shape ()
 
     def _christoffels_from_metric(self, x) -> np.ndarray:
         ginv = self.inverse_metric_at(x)
@@ -172,14 +173,6 @@ class ChartManifold:
         # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
         comb = dg.transpose(0, 1, 2) + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
         return 0.5 * np.einsum("kl,ijl->kij", ginv, comb)
-
-    def christoffels_many(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        flat = pts.reshape(-1, self.dim)
-        out = np.empty((flat.shape[0], self.dim, self.dim, self.dim))
-        for i, x in enumerate(flat):
-            out[i] = self.christoffels_at(x)
-        return out.reshape(pts.shape[:-1] + (self.dim,) * 3)
 
     def _dchristoffels(self, x) -> np.ndarray:
         """d_a Gamma^k_{ij}, shape (m, m, m, m), first index derivative axis."""
@@ -316,18 +309,18 @@ class WarpedSurface(ChartManifold):
         axes = [Axis(0.0, period, periodic=True), Axis(z_range[0], z_range[1])]
 
         def metric(x):
-            wz = warp.w(x[1])
-            g = np.zeros((2, 2), dtype=np.asarray(x).dtype)
-            g[0, 0] = wz * wz
-            g[1, 1] = 1.0
+            wz = warp.w(x[..., 1])
+            g = np.zeros(x.shape + (2,), dtype=x.dtype)
+            g[..., 0, 0] = wz * wz
+            g[..., 1, 1] = 1.0
             return g
 
         def christoffels(x):
-            wz = warp.w(x[1])
-            dwz = warp.dw(x[1])
-            gam = np.zeros((2, 2, 2), dtype=np.asarray(x).dtype)
-            gam[0, 0, 1] = gam[0, 1, 0] = dwz / wz
-            gam[1, 0, 0] = -wz * dwz
+            wz = warp.w(x[..., 1])
+            dwz = warp.dw(x[..., 1])
+            gam = np.zeros(x.shape + (2, 2), dtype=x.dtype)
+            gam[..., 0, 0, 1] = gam[..., 0, 1, 0] = dwz / wz
+            gam[..., 1, 0, 0] = -wz * dwz
             return gam
 
         cc = 0.0 if warp.name == "const" else None
@@ -341,17 +334,17 @@ class WarpedSurface(ChartManifold):
         lo, hi = z_range
         zs = np.linspace(lo, hi, 201)
         with np.errstate(all="raise"):
-            ws = np.asarray([warp.w(z) for z in zs], dtype=float)
+            ws = np.asarray(warp.w(zs), dtype=float)
         if ws.min() <= 0:
             raise ConfigurationError("warp must stay positive on the z-range")
 
-    def gauss_curvature(self, z) -> float:
-        return float(-self.warp.d2w(z) / self.warp.w(z))
+    def gauss_curvature(self, z):
+        """-w''(z)/w(z), elementwise over an array of heights."""
+        return -self.warp.d2w(z) / self.warp.w(z)
 
     def sup_gauss_curvature(self, samples: int = 2001) -> float:
         lo, hi = self.axes[1].lo, self.axes[1].hi
-        zs = np.linspace(lo, hi, samples)
-        return float(np.max([self.gauss_curvature(z) for z in zs]))
+        return float(np.max(self.gauss_curvature(np.linspace(lo, hi, samples))))
 
 
 def warped_curvature(surface: WarpedSurface, z) -> float:
@@ -369,12 +362,11 @@ def flat_torus(m: int, period: float = 2 * math.pi, scale: float = 1.0) -> Chart
     """Flat m-torus; ``scale`` multiplies the metric by scale^2 (homothety)."""
     axes = [Axis(0.0, period, periodic=True) for _ in range(m)]
     eye = scale * scale * np.eye(m)
-    zero = np.zeros((m, m, m))
     return ChartManifold(
         name=f"flat_torus_{m}",
         axes=axes,
-        metric_at=lambda x: eye.astype(complex) if np.iscomplexobj(x) else eye.copy(),
-        christoffels_at=lambda x: zero.astype(complex) if np.iscomplexobj(x) else zero.copy(),
+        metric_at=lambda x: np.ones(x.shape[:-1] + (1, 1), dtype=x.dtype) * eye,
+        christoffels_at=lambda x: np.zeros(x.shape + (m, m), dtype=x.dtype),
         constant_curvature=0.0,
     )
 
@@ -396,29 +388,23 @@ def round_sphere(m: int, curvature: float = 1.0) -> ChartManifold:
         axes.append(Axis(0.0, math.pi, reflect=True, partner_axis=m - 1, partner_shift=math.pi))
     axes.append(Axis(0.0, 2 * math.pi, periodic=True))
 
+    def diagonal(x):
+        # diag(g)_i = prod_{j<i} sin^2 theta_j, before the overall scale
+        s2 = np.sin(x[..., : m - 1]) ** 2
+        return np.cumprod(np.concatenate([np.ones_like(x[..., :1]), s2], axis=-1), axis=-1)
+
     def metric(x):
-        s = np.sin(x[: m - 1])
-        diag = np.empty(m, dtype=np.asarray(x).dtype)
-        diag[0] = 1.0
-        for i in range(1, m):
-            diag[i] = diag[i - 1] * s[i - 1] ** 2
-        return np.diag(diag * scale)
+        return (diagonal(x) * scale)[..., None, :] * np.eye(m)
 
     def christoffels(x):
-        # diag(g)_i = prod_{j<i} sin^2 theta_j (the overall scale cancels)
-        s = np.sin(x[: m - 1])
-        c = np.cos(x[: m - 1])
-        diag = np.empty(m, dtype=np.asarray(x).dtype)
-        diag[0] = 1.0
-        for i in range(1, m):
-            diag[i] = diag[i - 1] * s[i - 1] ** 2
-        gam = np.zeros((m, m, m), dtype=np.asarray(x).dtype)
+        diag = diagonal(x)
+        cot = np.cos(x[..., : m - 1]) / np.sin(x[..., : m - 1])
+        gam = np.zeros(x.shape + (m, m), dtype=x.dtype)
         for i in range(m - 1):
-            cot = c[i] / s[i]
             for j in range(i + 1, m):
                 # Gamma^i_{jj} = -(1/2) g^{ii} d_i g_jj, Gamma^j_{ij} = cot theta_i
-                gam[i, j, j] = -(diag[j] / diag[i]) * cot
-                gam[j, i, j] = gam[j, j, i] = cot
+                gam[..., i, j, j] = -(diag[..., j] / diag[..., i]) * cot[..., i]
+                gam[..., j, i, j] = gam[..., j, j, i] = cot[..., i]
         return gam
 
     return ChartManifold(
@@ -447,17 +433,17 @@ def product_s1_s2(circle_length: float = 2 * math.pi) -> ChartManifold:
     ]
 
     def metric(x):
-        g = np.zeros((3, 3), dtype=np.asarray(x).dtype)
-        g[0, 0] = 1.0
-        g[1, 1] = 1.0
-        g[2, 2] = np.sin(x[1]) ** 2
+        g = np.zeros(x.shape + (3,), dtype=x.dtype)
+        g[..., 0, 0] = 1.0
+        g[..., 1, 1] = 1.0
+        g[..., 2, 2] = np.sin(x[..., 1]) ** 2
         return g
 
     def christoffels(x):
-        gam = np.zeros((3, 3, 3), dtype=np.asarray(x).dtype)
-        st, ct = np.sin(x[1]), np.cos(x[1])
-        gam[1, 2, 2] = -st * ct
-        gam[2, 1, 2] = gam[2, 2, 1] = ct / st
+        gam = np.zeros(x.shape + (3, 3), dtype=x.dtype)
+        st, ct = np.sin(x[..., 1]), np.cos(x[..., 1])
+        gam[..., 1, 2, 2] = -st * ct
+        gam[..., 2, 1, 2] = gam[..., 2, 2, 1] = ct / st
         return gam
 
     return ChartManifold(
@@ -478,19 +464,19 @@ def s3_hopf_chart() -> ChartManifold:
     ]
 
     def metric(x):
-        g = np.zeros((3, 3), dtype=np.asarray(x).dtype)
-        g[0, 0] = 1.0
-        g[1, 1] = np.cos(x[0]) ** 2
-        g[2, 2] = np.sin(x[0]) ** 2
+        g = np.zeros(x.shape + (3,), dtype=x.dtype)
+        g[..., 0, 0] = 1.0
+        g[..., 1, 1] = np.cos(x[..., 0]) ** 2
+        g[..., 2, 2] = np.sin(x[..., 0]) ** 2
         return g
 
     def christoffels(x):
-        gam = np.zeros((3, 3, 3), dtype=np.asarray(x).dtype)
-        s, c = np.sin(x[0]), np.cos(x[0])
-        gam[0, 1, 1] = s * c
-        gam[0, 2, 2] = -s * c
-        gam[1, 0, 1] = gam[1, 1, 0] = -s / c
-        gam[2, 0, 2] = gam[2, 2, 0] = c / s
+        gam = np.zeros(x.shape + (3, 3), dtype=x.dtype)
+        s, c = np.sin(x[..., 0]), np.cos(x[..., 0])
+        gam[..., 0, 1, 1] = s * c
+        gam[..., 0, 2, 2] = -s * c
+        gam[..., 1, 0, 1] = gam[..., 1, 1, 0] = -s / c
+        gam[..., 2, 0, 2] = gam[..., 2, 2, 0] = c / s
         return gam
 
     return ChartManifold(
@@ -548,16 +534,21 @@ class CurvatureReport:
         }
 
 
-def gauss_curvature_at(n_manifold: ChartManifold, y) -> float:
-    """Gauss curvature of a 2-dimensional manifold at a chart point."""
+def gauss_curvature_at(n_manifold: ChartManifold, y):
+    """Gauss curvature of a 2-dimensional manifold at chart points (..., 2).
+
+    A float where the surface declares a constant curvature; otherwise an
+    array over the points.
+    """
     if n_manifold.dim != 2:
         raise ConfigurationError("gauss_curvature_at expects a surface")
-    if isinstance(n_manifold, WarpedSurface):
-        return n_manifold.gauss_curvature(np.asarray(y, dtype=float)[1])
     if n_manifold.constant_curvature is not None:
         return float(n_manifold.constant_curvature)
-    tensors = curvature_package(n_manifold, y)
-    return sectional(n_manifold, y, [1.0, 0.0], [0.0, 1.0], tensors)
+    y = np.asarray(y, dtype=float)
+    if isinstance(n_manifold, WarpedSurface):
+        return n_manifold.gauss_curvature(y[..., 1])
+    flat = [sectional(n_manifold, x, [1.0, 0.0], [0.0, 1.0]) for x in y.reshape(-1, 2)]
+    return np.reshape(flat, y.shape[:-1])
 
 
 def sup_sigma_of(n_manifold: ChartManifold, samples: int = 400) -> float:

@@ -11,13 +11,18 @@ coordinate is singular there); consumers skip a node margin, see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import ConfigurationError, SolverAbort
-from .frames import DifferentialSample, SVDFrame, build_svd_frame, p_batch, singular_values_batch
+from .frames import (DifferentialSample, SVDFrame, build_svd_frame, p_batch, quad_form,
+                     singular_values_batch)
 from .geometry import ChartManifold
+
+
+def _swap(a: np.ndarray) -> np.ndarray:
+    return np.swapaxes(a, -1, -2)
 
 
 class GraphMapField:
@@ -47,8 +52,10 @@ class GraphMapField:
         return ax.lo + (np.arange(self.shape[a]) + off) * self.h[a]
 
     def coords(self) -> np.ndarray:
-        grids = np.meshgrid(*[self.axis_coords(a) for a in range(self.M.dim)], indexing="ij")
-        return np.stack(grids, axis=-1)
+        if "coords" not in self._cache:
+            grids = np.meshgrid(*[self.axis_coords(a) for a in range(self.M.dim)], indexing="ij")
+            self._cache["coords"] = np.stack(grids, axis=-1)
+        return self._cache["coords"]
 
     def _wrap_target(self, f: np.ndarray) -> np.ndarray:
         f = f.copy()
@@ -204,7 +211,7 @@ class GraphMapField:
     def induced_g_field(self) -> np.ndarray:
         if "g" not in self._cache:
             df = self.df_field()
-            g = self.g_m_field() + np.einsum("...ia,...ab,...jb->...ij", df, self.g_n_field(), df)
+            g = self.g_m_field() + df @ self.g_n_field() @ _swap(df)
             self._cache["g"] = g
         return self._cache["g"]
 
@@ -233,6 +240,22 @@ class GraphMapField:
             )
             self._cache["gamma_g"] = 0.5 * np.einsum("...kl,...ijl->...kij", ginv, comb)
         return self._cache["gamma_g"]
+
+    def covariant_d2f(self, gamma: np.ndarray) -> np.ndarray:
+        """d2_ij f^a - gamma^k_ij d_k f^a + Gamma_N^a_bc d_i f^b d_j f^c, as (grid, a, i, j).
+
+        With gamma = Gamma_M its g-trace is the velocity V; with the induced
+        Christoffels it is the N part of the second fundamental form.
+        """
+        df = self.df_field()
+        m = self.M.dim
+        batch = df.shape[:-2]
+        gam_n = self.gamma_n_field()
+        gam_n_df = (gam_n.reshape(batch + (4, 2)) @ _swap(df)).reshape(batch + (2, 2, m))
+        gam_n_dfdf = df[..., None, :, :] @ gam_n_df                # (..., a, i, j)
+        flat = self.d2f_field().reshape(batch + (m * m, 2)) \
+            - _swap(gamma.reshape(batch + (m, m * m))) @ df
+        return gam_n_dfdf + _swap(flat).reshape(gam_n_dfdf.shape)
 
     # -- scalar helpers --------------------------------------------------------
 
@@ -294,95 +317,94 @@ class GraphMapField:
 
     def grad_norm_sq(self, u: np.ndarray) -> np.ndarray:
         du = self.grad_field(u)
-        return np.einsum("...ij,...i,...j->...", self.induced_g_inv_field(), du, du)
+        return quad_form(du, self.induced_g_inv_field(), du)
 
 
 # ---------------------------------------------------------------------------
-# Pointwise geometry
+# Graph geometry of a whole field
 
 
 @dataclass
 class PointGeometry:
-    """Induced metric, second fundamental form, and frame at one node."""
+    """Induced metric, second fundamental form, and frame over a batch of nodes.
+
+    ``field_geometry`` fills it with arrays over the grid (leading axes the
+    grid shape); ``point_geometry`` indexes one node out of it.
+    """
 
     g: np.ndarray
     g_inv: np.ndarray
-    a_xi: np.ndarray      # (m, m) second fundamental form w.r.t. xi, e-basis
+    a_xi: np.ndarray      # (..., m, m) second fundamental form w.r.t. xi, e-basis
     a_eta: np.ndarray
-    h_xi: float
-    h_eta: float
-    a_sq: float           # |A|^2
-    h_sq: float           # |H|^2
+    h_xi: np.ndarray      # (...)
+    h_eta: np.ndarray
+    a_sq: np.ndarray      # |A|^2
+    h_sq: np.ndarray      # |H|^2
     frame: SVDFrame
-    tangency_residual: float
-    a_vectors: np.ndarray  # (m, m, m+2) A(e_i, e_j) in product-chart components
+    tangency_residual: np.ndarray
+    a_vectors: np.ndarray  # (..., m, m, m+2) A(e_i, e_j) in product-chart components
+
+    def __getitem__(self, idx) -> "PointGeometry":
+        """The same record restricted to ``idx`` of the batch axes (a node or a mask)."""
+        def take(rec, skip=()):
+            return {f.name: getattr(rec, f.name)[idx] for f in fields(rec) if f.name not in skip}
+        return PointGeometry(**take(self, ("frame",)), frame=SVDFrame(**take(self.frame)))
 
 
-def _node_slices(node):
-    return tuple(int(i) for i in node)
+def field_geometry(field: GraphMapField) -> PointGeometry:
+    """Second-order geometry of the graph at every node, computed once per field."""
+    if "geometry" in field._cache:
+        return field._cache["geometry"]
+    m = field.M.dim
+    df = field.df_field()                                      # (..., k, a)
+    g_m = field.g_m_field()
+    g_n = field.g_n_field()
+    gam_g = field.gamma_induced_field()                        # (..., k, i, j)
+    frame = build_svd_frame(DifferentialSample(df=df, g_m=g_m, g_n=g_n))
+    e = frame.e                                                # rows e_i, chart comps
+
+    # A(d_a, d_b) in product-chart components c (M part, N part), then in the e-basis
+    a_coord = np.moveaxis(np.concatenate(
+        [field.gamma_m_field() - gam_g, field.covariant_d2f(gam_g)], axis=-3), -3, -1)
+    a_b = (e @ a_coord.reshape(df.shape[:-2] + (m, -1))).reshape(a_coord.shape)  # (.., i, b, c)
+    a_vectors = e[..., None, :, :] @ a_b                       # (..., i, j, c)
+
+    # lower the component index with the product metric: (g_M + g_N) blocks
+    def lowered(v):
+        return np.concatenate([(g_m @ v[..., :m, None])[..., 0],
+                               (g_n @ v[..., m:, None])[..., 0]], axis=-1)
+
+    a_xi = (a_vectors @ lowered(frame.xi)[..., None, :, None])[..., 0]
+    a_eta = (a_vectors @ lowered(frame.eta)[..., None, :, None])[..., 0]
+    h_xi = np.trace(a_xi, axis1=-2, axis2=-1)
+    h_eta = np.trace(a_eta, axis1=-2, axis2=-1)
+    a_sq = np.sum(a_xi**2, axis=(-2, -1)) + np.sum(a_eta**2, axis=(-2, -1))
+
+    dfe_low = np.concatenate([e @ g_m, e @ df @ g_n], axis=-1)  # rows of dF(e_k), lowered
+    tang = a_vectors.reshape(df.shape[:-2] + (m * m, m + 2)) @ _swap(dfe_low)
+    geo = PointGeometry(
+        g=field.induced_g_field(), g_inv=field.induced_g_inv_field(), a_xi=a_xi,
+        a_eta=a_eta, h_xi=h_xi, h_eta=h_eta, a_sq=a_sq, h_sq=h_xi**2 + h_eta**2,
+        frame=frame, tangency_residual=np.abs(tang).max(axis=(-2, -1)), a_vectors=a_vectors,
+    )
+    field._cache["geometry"] = geo
+    return geo
 
 
 def point_geometry(field: GraphMapField, node) -> PointGeometry:
     """Full second-order geometry of the graph at a grid node."""
-    idx = _node_slices(node)
-    m = field.M.dim
-    x = field.coords()[idx]
-    fx = field.f[idx]
-    df = field.df_field()[idx]
-    d2f = field.d2f_field()[idx]
-    g_m = field.g_m_field()[idx]
-    g_n = field.g_n_field()[idx]
-    gam_m = field.gamma_m_field()[idx]
-    gam_n = field.gamma_n_field()[idx]
-    gam_g = field.gamma_induced_field()[idx]
-    g = field.induced_g_field()[idx]
-    g_inv = field.induced_g_inv_field()[idx]
-
-    frame = build_svd_frame(DifferentialSample(df=df, g_m=g_m, g_n=g_n))
-
-    # A(d_i, d_j) in product-chart components (M part, N part)
-    a_m = gam_m - gam_g                                        # (k, i, j)
-    a_n = (
-        d2f
-        + np.einsum("abc,ib,jc->ija", gam_n, df, df)
-        - np.einsum("kij,ka->ija", gam_g, df)
-    )                                                          # (i, j, alpha)
-    a_coord = np.concatenate([a_m.transpose(1, 2, 0), a_n], axis=-1)  # (i, j, m+2)
-
-    e = frame.e                                                # rows e_i, chart comps
-    a_e = np.einsum("ia,jb,abc->ijc", e, e, a_coord)           # e-basis
-
-    gp = np.zeros((m + 2, m + 2))
-    gp[:m, :m] = g_m
-    gp[m:, m:] = g_n
-    a_xi = a_e @ gp @ frame.xi
-    a_eta = a_e @ gp @ frame.eta
-
-    h_xi = float(np.trace(a_xi))
-    h_eta = float(np.trace(a_eta))
-    a_sq = float(np.sum(a_xi**2) + np.sum(a_eta**2))
-    h_sq = h_xi**2 + h_eta**2
-
-    dfe = np.concatenate([e, (df.T @ e.T).T], axis=-1)         # rows dF(e_i)
-    tang = np.einsum("ijc,cd,kd->ijk", a_e, gp, dfe)
-    tangency = float(np.abs(tang).max())
-
-    return PointGeometry(
-        g=g, g_inv=g_inv, a_xi=a_xi, a_eta=a_eta, h_xi=h_xi, h_eta=h_eta,
-        a_sq=a_sq, h_sq=h_sq, frame=frame, tangency_residual=tangency,
-        a_vectors=a_e,
-    )
+    return field_geometry(field)[tuple(int(i) for i in node)]
 
 
 # ---------------------------------------------------------------------------
-# Derived curvature quantities
+# Derived curvature quantities (elementwise over a batch or at one node)
 
 
-def quantity_Q(pg: PointGeometry, ric_a1: float, ric_a2: float, sigma_m12: float, sigma_n: float) -> float:
+def quantity_Q(pg: PointGeometry, ric_a1, ric_a2, sigma_m12, sigma_n):
     """First-order curvature source in the evolution of p."""
     fr = pg.frame
     p = fr.p
-    if p <= 0:
+    if np.any(p <= 0):
         raise ValueError("quantity_Q requires p > 0")
     lam2, mu2 = fr.lam**2, fr.mu**2
     den = (1 + lam2) * (1 + mu2)
@@ -394,27 +416,28 @@ def quantity_Q(pg: PointGeometry, ric_a1: float, ric_a2: float, sigma_m12: float
     )
 
 
-def quantity_R_vw(pg: PointGeometry, ricci: np.ndarray, sigma_m12: float, sigma_n: float):
+def quantity_R_vw(pg: PointGeometry, ricci: np.ndarray, sigma_m12, sigma_n):
     """Curvature term in the evolution of |H|^2 and the vectors v, w."""
     fr = pg.frame
     lam, mu = fr.lam, fr.mu
     den = (1 + lam**2) * (1 + mu**2)
-    v = (lam * pg.h_xi / np.sqrt(1 + lam**2)) * fr.alpha[0] + (mu * pg.h_eta / np.sqrt(1 + mu**2)) * fr.alpha[1]
-    w = (-lam * pg.h_eta / np.sqrt(1 + lam**2)) * fr.alpha[0] + (mu * pg.h_xi / np.sqrt(1 + mu**2)) * fr.alpha[1]
-    ric_a1 = float(fr.alpha[0] @ ricci @ fr.alpha[0])
-    ric_a2 = float(fr.alpha[1] @ ricci @ fr.alpha[1])
+    a1, a2 = fr.alpha[..., 0, :], fr.alpha[..., 1, :]
+    r1, r2 = np.sqrt(1 + lam**2), np.sqrt(1 + mu**2)
+    v = (lam * pg.h_xi / r1)[..., None] * a1 + (mu * pg.h_eta / r2)[..., None] * a2
+    w = (-lam * pg.h_eta / r1)[..., None] * a1 + (mu * pg.h_xi / r2)[..., None] * a2
+    ric_a1 = quad_form(a1, ricci, a1)
+    ric_a2 = quad_form(a2, ricci, a2)
     bric = ric_a1 + ric_a2 - sigma_m12
-    w_sq = (lam**2 * pg.h_eta**2 + mu**2 * pg.h_xi**2 + lam**2 * mu**2 * pg.h_sq) / den
     r = (
         2 * lam**2 * mu**2 * pg.h_sq / den * (bric - sigma_n)
-        + 2 * float(v @ ricci @ v)
+        + 2 * quad_form(v, ricci, v)
         - 2 * lam**2 * mu**2 * pg.h_sq / den * (ric_a1 + ric_a2)
-        + 2 * sigma_n * w_sq
+        + 2 * sigma_n * w_norm_sq(pg)
     )
     return r, v, w
 
 
-def w_norm_sq(pg: PointGeometry) -> float:
+def w_norm_sq(pg: PointGeometry):
     fr = pg.frame
     lam, mu = fr.lam, fr.mu
     return (lam**2 * pg.h_eta**2 + mu**2 * pg.h_xi**2 + lam**2 * mu**2 * pg.h_sq) / (
@@ -422,14 +445,14 @@ def w_norm_sq(pg: PointGeometry) -> float:
     )
 
 
-def theta_of(pg: PointGeometry) -> float:
+def theta_of(pg: PointGeometry):
     return pg.h_sq / pg.frame.p
 
 
 def p_gradient_check(field: GraphMapField, node) -> np.ndarray:
     """|discrete grad_{e_k} p - (2 A^xi_{1k} T11 + 2 A^eta_{2k} T22)| per k."""
-    idx = _node_slices(node)
-    pg = point_geometry(field, node)
+    idx = tuple(int(i) for i in node)
+    pg = point_geometry(field, idx)
     dp = field.grad_field(field.p_field())[idx]
     fr = pg.frame
     lhs = fr.e @ dp

@@ -17,8 +17,9 @@ import numpy as np
 
 from .errors import NotAreaDecreasingError
 from .flow import h2_field, tangential_vector_field
-from .geometry import ChartManifold, curvature_package, gauss_curvature_at, sectional
-from .immersion import point_geometry, quantity_Q, quantity_R_vw, w_norm_sq
+from .frames import quad_form
+from .geometry import curvature_package, gauss_curvature_at, sectional
+from .immersion import GraphMapField, field_geometry, quantity_Q, quantity_R_vw, w_norm_sq
 
 
 @dataclass
@@ -104,20 +105,32 @@ def check_decay_bounds(series, constants: BoundConstants, h_grid: float,
 
 
 # ---------------------------------------------------------------------------
-# Pointwise curvature inputs
+# Curvature inputs over the interior nodes
 
 
-def _m_curvature_inputs(m_manifold: ChartManifold, x, alpha) -> tuple[float, float, float]:
-    """Ric(alpha1, alpha1), Ric(alpha2, alpha2), sigma_M(alpha1 ^ alpha2)."""
+def _curvature_inputs(field: GraphMapField, mask: np.ndarray, alpha: np.ndarray):
+    """Ric_M(alpha1, alpha1), Ric_M(alpha2, alpha2), sigma_M(alpha1 ^ alpha2),
+    sigma_N and Ric_M at the nodes of ``mask``; ``alpha`` holds their frames.
+
+    Scalars where M or N declares a constant curvature (Ric_M is then
+    (m - 1) k g_M); otherwise arrays over the masked nodes.
+    """
+    m_manifold = field.M
     if m_manifold.constant_curvature is not None:
-        s = float(m_manifold.constant_curvature)
-        r = (m_manifold.dim - 1) * s
-        return r, r, s
-    tensors = curvature_package(m_manifold, x)
-    ric11 = float(alpha[0] @ tensors.ricci @ alpha[0])
-    ric22 = float(alpha[1] @ tensors.ricci @ alpha[1])
-    sig = sectional(m_manifold, x, alpha[0], alpha[1], tensors)
-    return ric11, ric22, sig
+        k = float(m_manifold.constant_curvature)
+        r = (m_manifold.dim - 1) * k
+        ric11 = ric22 = r
+        sig_m = k
+        ricci = r * field.g_m_field()[mask]
+    else:
+        coords = field.coords()[mask]
+        tensors = [curvature_package(m_manifold, x) for x in coords]
+        ricci = np.reshape([ct.ricci for ct in tensors], (len(tensors),) + alpha.shape[-2:])
+        sig_m = np.array([sectional(m_manifold, x, a[0], a[1], ct)
+                          for x, a, ct in zip(coords, alpha, tensors)])
+        ric11 = quad_form(alpha[:, 0], ricci, alpha[:, 0])
+        ric22 = quad_form(alpha[:, 1], ricci, alpha[:, 1])
+    return ric11, ric22, sig_m, gauss_curvature_at(field.N, field.f[mask]), ricci
 
 
 def _time_derivative(prev, now, nxt, dtp, dtn):
@@ -152,26 +165,17 @@ def residual_p_evolution(triples: Sequence, margin: int = 4) -> list:
         lhs = dpdt - adv - lap
         gradp_sq = f_now.grad_norm_sq(p_now)
         mask = f_now.interior_mask(margin)
-        sigma_n_const = f_now.N.constant_curvature
-        res = []
-        coords = f_now.coords()
-        for node in np.argwhere(mask):
-            idx = tuple(node)
-            pg = point_geometry(f_now, idx)
-            fr = pg.frame
-            p = fr.p
-            axi, aeta = pg.a_xi, pg.a_eta
-            s11, s22 = fr.s_diag[0], fr.s_diag[1]
-            high = 2 * float(np.sum(axi[:, 2:] ** 2)) * (1 - s11) \
-                + 2 * float(np.sum(aeta[:, 2:] ** 2)) * (1 - s22)
-            cross = 4 * float(np.sum((axi[0] * fr.t22 + aeta[1] * fr.t11) ** 2))
-            ric11, ric22, sig_m = _m_curvature_inputs(f_now.M, coords[idx], fr.alpha)
-            sig_n = sigma_n_const if sigma_n_const is not None \
-                else gauss_curvature_at(f_now.N, f_now.f[idx])
-            q = quantity_Q(pg, ric11, ric22, sig_m, sig_n)
-            rhs = 2 * p * pg.a_sq + high + (cross - gradp_sq[idx]) / (2 * p) + q
-            res.append(lhs[idx] - rhs)
-        res = np.array(res)
+        pg = field_geometry(f_now)[mask]
+        fr = pg.frame
+        p = fr.p
+        high = 2 * np.sum(pg.a_xi[..., 2:] ** 2, axis=(-2, -1)) * (1 - fr.s_diag[:, 0]) \
+            + 2 * np.sum(pg.a_eta[..., 2:] ** 2, axis=(-2, -1)) * (1 - fr.s_diag[:, 1])
+        cross = 4 * np.sum((pg.a_xi[:, 0] * fr.t22[:, None] + pg.a_eta[:, 1] * fr.t11[:, None])
+                           ** 2, axis=-1)
+        ric11, ric22, sig_m, sig_n, _ = _curvature_inputs(f_now, mask, fr.alpha)
+        q = quantity_Q(pg, ric11, ric22, sig_m, sig_n)
+        rhs = 2 * p * pg.a_sq + high + (cross - gradp_sq[mask]) / (2 * p) + q
+        res = lhs[mask] - rhs
         out.append({
             "t": float(t),
             "l2": float(np.sqrt(np.mean(res**2))),
@@ -214,42 +218,30 @@ def check_H_and_theta_inequalities(triples: Sequence, eps1: float, margin: int =
         dth = f_now.grad_field(th_now)
         dp = f_now.grad_field(p_now)
         ginv = f_now.induced_g_inv_field()
-        inner_th_p = np.einsum("...ij,...i,...j->...", ginv, dth, dp)
+        inner_th_p = quad_form(dth, ginv, dp)
 
         h_grid = float(f_now.h.max())
         tol = 1e-6 + 10 * (h_grid**2 + max(dtp, dtn))
-        mask = f_now.interior_mask(margin)
-        coords = f_now.coords()
-        worst_h = worst_th = np.inf
-        worst_w = -np.inf
-        n_eval = 0
-        sigma_n_const = f_now.N.constant_curvature
-        for node in np.argwhere(mask):
-            idx = tuple(node)
-            pg = point_geometry(f_now, idx)
-            if pg.h_sq <= delta**2:
-                continue
-            n_eval += 1
-            ric11, ric22, sig_m = _m_curvature_inputs(f_now.M, coords[idx], pg.frame.alpha)
-            sig_n = sigma_n_const if sigma_n_const is not None \
-                else gauss_curvature_at(f_now.N, f_now.f[idx])
-            if f_now.M.constant_curvature is not None:
-                ricci = (f_now.M.dim - 1) * f_now.M.constant_curvature * f_now.g_m_field()[idx]
-            else:
-                ricci = curvature_package(f_now.M, coords[idx]).ricci
-            r_term, _, _ = quantity_R_vw(pg, ricci, sig_m, sig_n)
-            rhs_h = -2 * grad_habs_sq[idx] + 2 * pg.a_sq * pg.h_sq + r_term
-            worst_h = min(worst_h, rhs_h - lhs_h[idx])
-            rhs_th = inner_th_p[idx] / pg.frame.p + 2 * max(0.0, eps1) * (pg.h_sq / pg.frame.p)
-            worst_th = min(worst_th, rhs_th - lhs_th[idx])
-            worst_w = max(worst_w, w_norm_sq(pg) - pg.h_sq)
+        geo = field_geometry(f_now)
+        mask = f_now.interior_mask(margin) & (geo.h_sq > delta**2)
+        pg = geo[mask]
+        n_eval = int(mask.sum())
+        ric11, ric22, sig_m, sig_n, ricci = _curvature_inputs(f_now, mask, pg.frame.alpha)
+        r_term, _, _ = quantity_R_vw(pg, ricci, sig_m, sig_n)
+        slack_h = -2 * grad_habs_sq[mask] + 2 * pg.a_sq * pg.h_sq + r_term - lhs_h[mask]
+        theta = pg.h_sq / pg.frame.p
+        slack_th = inner_th_p[mask] / pg.frame.p + 2 * max(0.0, eps1) * theta - lhs_th[mask]
+        w_excess = w_norm_sq(pg) - pg.h_sq
+        worst_h, worst_th, worst_w = (float(slack_h.min(initial=np.inf)),
+                                      float(slack_th.min(initial=np.inf)),
+                                      float(w_excess.max(initial=-np.inf)))
         cp_ok = (n_eval == 0) or (worst_h >= -tol and worst_th >= -tol and worst_w <= 1e-12)
         all_ok = all_ok and cp_ok
         checkpoints.append({
             "t": float(t), "nodes": n_eval, "tol": tol,
-            "worst_slack_h": None if n_eval == 0 else float(worst_h),
-            "worst_slack_theta": None if n_eval == 0 else float(worst_th),
-            "worst_w_excess": None if n_eval == 0 else float(worst_w),
+            "worst_slack_h": None if n_eval == 0 else worst_h,
+            "worst_slack_theta": None if n_eval == 0 else worst_th,
+            "worst_w_excess": None if n_eval == 0 else worst_w,
             "pass": cp_ok,
         })
     return {"pass": all_ok, "checkpoints": checkpoints}

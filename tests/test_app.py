@@ -213,6 +213,21 @@ def test_cli_run_and_inspect(tmp_path, capsys):
     assert cli_main(["check-curvature", cfg_path]) == 0
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("flow", "record_every", "0"),   # was a ZeroDivisionError traceback
+    ("grid", "nodes", "2"),          # no interior node: a ValueError traceback
+    ("flow", "t_end", "-1"),         # an empty run that printed PASS
+    ("flow", "cfl", "5"),            # escaped the equivariant path unchecked
+])
+def test_cli_rejects_out_of_range_values(tmp_path, capsys, section, key, value):
+    cfg_path = _write(tmp_path, f"[scenario]\nname = tsui_wang_s2\n[{section}]\n{key} = {value}\n")
+    assert cli_main(["run", cfg_path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"[{section}] {key}" in err
+    with pytest.raises(ConfigurationError):
+        builtin_config("tsui_wang_s2", {(section, key): float(value)})
+
+
 def test_cli_config_error_exit_code(tmp_path):
     cfg_path = str(tmp_path / "edge.ini")
     with open(cfg_path, "w") as fh:

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from graphflow.errors import ConfigurationError, DomainError
-from graphflow.geometry import (WarpedSurface, bi_ricci, builtin_warp, curvature_package,
-                                curvature_conditions_report, flat_torus, gauss_curvature_at,
-                                hopf_map, round_sphere, s3_hopf_chart,
+from graphflow.geometry import (ChartManifold, WarpedSurface, bi_ricci, builtin_warp,
+                                curvature_package, curvature_conditions_report, flat_torus,
+                                gauss_curvature_at, hopf_map, round_sphere, s3_hopf_chart,
                                 sectional, sphere_distance, sup_sigma_of, warped_curvature)
 
 
@@ -47,6 +47,32 @@ def test_christoffels_match_metric_derivatives(man, pt, request):
     analytic = manifold.christoffels_at(pt)
     fd = manifold._christoffels_from_metric(np.asarray(pt, dtype=float))
     assert np.abs(analytic - fd).max() < 1e-8
+
+
+def _chart_points(manifold, rng, batch):
+    lo = np.array([ax.lo + (0 if ax.periodic else 0.05 * ax.length) for ax in manifold.axes])
+    hi = np.array([ax.hi - (0 if ax.periodic else 0.05 * ax.length) for ax in manifold.axes])
+    return rng.uniform(lo, hi, size=batch + (manifold.dim,))
+
+
+@pytest.mark.parametrize("man", ["sphere2", "sphere3", "s1xs2", "waist_cylinder", "torus3"])
+def test_batched_chart_matches_pointwise(man, request, rng):
+    manifold = request.getfixturevalue(man)
+    m = manifold.dim
+    pts = _chart_points(manifold, rng, (3, 4))
+    g = manifold.metric_many(pts)
+    gam = manifold.christoffels_many(pts)
+    assert g.shape == (3, 4, m, m) and gam.shape == (3, 4, m, m, m)
+    for idx in np.ndindex(3, 4):
+        assert np.array_equal(g[idx], manifold.metric_at(pts[idx]))
+        fd = manifold._christoffels_from_metric(pts[idx])
+        assert np.abs(gam[idx] - fd).max() < 1e-8
+
+
+def test_numeric_christoffels_fallback(s1xs2, rng):
+    numeric = ChartManifold("numeric_s1xs2", s1xs2.axes, s1xs2._metric_at)
+    pts = _chart_points(s1xs2, rng, (5,))
+    assert np.abs(numeric.christoffels_many(pts) - s1xs2.christoffels_many(pts)).max() < 1e-8
 
 
 # -- curvature ---------------------------------------------------------------
