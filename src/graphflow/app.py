@@ -330,8 +330,11 @@ def _evolve_tsui_wang(cfg: ScenarioConfig, m_manifold, n_manifold, report) -> Ev
     amp = cfg.get("initial", "amplitude")
     eq = EquivariantFlow(cfg.get("grid", "nodes"), lambda th: amp * np.sin(th),
                          kappa=1.0, cfl=cfg.get("flow", "cfl"))
+    # snapshot triples feed only the residual and inequality monitors
+    monitored = cfg.get("verify", "residuals") or cfg.get("verify", "inequalities")
     run = eq.run(cfg.get("flow", "t_end"), record_every=cfg.get("flow", "record_every"),
-                 h_tol=cfg.get("flow", "h_tol"), integrator=cfg.get("flow", "integrator"))
+                 h_tol=cfg.get("flow", "h_tol"), integrator=cfg.get("flow", "integrator"),
+                 capture_triples=monitored)
     if run.status == "Aborted":
         raise SolverAbort("equivariant run aborted")
     eps0, eps1 = decay_rates(report.min_ric, report.sup_sigma_n)
@@ -341,7 +344,7 @@ def _evolve_tsui_wang(cfg: ScenarioConfig, m_manifold, n_manifold, report) -> Ev
     checks = []
 
     residuals = []
-    triples = eq.expand_triples(run, n_phi=n_phi)
+    triples = eq.expand_triples(run, n_phi=n_phi) if monitored else []
     if cfg.get("verify", "residuals") and triples:
         residuals = residual_p_evolution(triples, margin=margin)
     if residuals:

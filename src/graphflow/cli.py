@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: check-curvature, run, verify, classify, identities.
-Exit codes: 0 pass, 1 verification failure, 2 usage/config error, 3 solver abort.
+Exit codes: 0 pass, 1 verification failure, 2 usage/config error, 3 solver abort
+(any other package error).
 """
 
 from __future__ import annotations
@@ -15,13 +16,27 @@ import jsonschema
 
 from .app import (CLASSIFICATION_SCHEMA, SCENARIOS, VERIFICATION_SCHEMA, load_config,
                   run_identities, run_scenario)
-from .errors import ConfigurationError, GraphflowError, NotAreaDecreasingError, SolverAbort
+from .errors import (ConfigurationError, DegenerateMetricError, DegeneratePlaneError,
+                     DomainError, FrameError, GraphflowError, NotAreaDecreasingError,
+                     SolverAbort)
 from .geometry import curvature_conditions_report
 
 EXIT_PASS = 0
 EXIT_VERIFICATION_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_SOLVER_ABORT = 3
+
+# exit code and message prefix of each package error; exit 1 is kept for a FAIL verdict
+ERROR_EXITS = {
+    ConfigurationError: (EXIT_CONFIG_ERROR, "config error"),
+    NotAreaDecreasingError: (EXIT_CONFIG_ERROR, "config error"),
+    SolverAbort: (EXIT_SOLVER_ABORT, "solver abort"),
+    DomainError: (EXIT_SOLVER_ABORT, "domain error"),
+    DegenerateMetricError: (EXIT_SOLVER_ABORT, "degenerate metric"),
+    DegeneratePlaneError: (EXIT_SOLVER_ABORT, "degenerate plane"),
+    FrameError: (EXIT_SOLVER_ABORT, "frame error"),
+    GraphflowError: (EXIT_SOLVER_ABORT, "error"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -123,15 +138,11 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigurationError, NotAreaDecreasingError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    except SolverAbort as exc:
-        print(f"solver abort: {exc}", file=sys.stderr)
-        return EXIT_SOLVER_ABORT
     except GraphflowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION_FAILURE
+        code, label = next(ERROR_EXITS[c] for c in type(exc).__mro__ if c in ERROR_EXITS)
+        message = " ".join(str(exc).split())  # one line, whatever the message holds
+        print(f"{label}: {message}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -9,14 +9,13 @@ profile h(theta, t) and the warped-cylinder circle drift z(t).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import NotAreaDecreasingError, SolverAbort
 from .frames import p_batch, quad_form
 from .geometry import WarpedSurface, round_sphere
-from .immersion import GraphMapField
+from .immersion import GraphMapField, field_cached
 
 CONVERGENCE_STREAK = 100  # consecutive steps with max|H| below tolerance
 
@@ -53,6 +52,7 @@ class FlowState:
 # Nonparametric velocity
 
 
+@field_cached
 def nonparametric_rhs(field: GraphMapField) -> np.ndarray:
     """V^a = g^{ij}(d2_ij f^a - Gamma_M^k_ij d_k f^a + Gamma_N^a_bc d_i f^b d_j f^c), (grid, 2)."""
     term = field.covariant_d2f(field.gamma_m_field())         # (..., a, i, j)
@@ -67,33 +67,34 @@ def tangential_vector_field(field: GraphMapField) -> np.ndarray:
     return np.einsum("...ij,...kij->...k", ginv, diff)
 
 
-def h2_field(field: GraphMapField, v: Optional[np.ndarray] = None) -> np.ndarray:
+@field_cached
+def h2_field(field: GraphMapField) -> np.ndarray:
     """|H|^2 per node via H = (0, V) - dF(X) in product-chart components."""
-    if v is None:
-        v = nonparametric_rhs(field)
     x = tangential_vector_field(field)
     df = field.df_field()
-    tn = v - (x[..., None, :] @ df)[..., 0, :]
+    tn = nonparametric_rhs(field) - (x[..., None, :] @ df)[..., 0, :]
     return quad_form(x, field.g_m_field(), x) + quad_form(tn, field.g_n_field(), tn)
 
 
 def cfl_dt(field: GraphMapField, params: FlowParams) -> float:
     """dt = cfl * h_min^2 / (2 m Lambda), Lambda the max eigenvalue of g^{-1}."""
-    lam = float(np.linalg.eigvalsh(field.induced_g_inv_field()).max())
+    lam = 1.0 / float(field.induced_g_eigvals().min())
     h_min = float(field.h.min())
     return params.cfl * h_min**2 / (2 * field.M.dim * lam)
 
 
 def step(state: FlowState, params: FlowParams) -> FlowState:
-    """Advance one explicit step; updates status, min p, and the volume budget."""
+    """Advance one explicit step; updates status, min p, and the volume budget.
+
+    The RHS and |H|^2 are cached on each field, so the end of one step hands
+    them to the start of the next.
+    """
     if state.status != "Running":
         raise SolverAbort(f"step called on non-running state ({state.status})")
     field = state.field
     dt = cfl_dt(field, params)
     v = nonparametric_rhs(field)
-    h2 = h2_field(field, v)
-    det = np.linalg.det(field.induced_g_field())
-    dissipated = float(np.sum(h2 * np.sqrt(det)) * np.prod(field.h)) * dt
+    dissipated = float(np.sum(h2_field(field) * field.volume_density()) * np.prod(field.h)) * dt
 
     if params.integrator == "Euler":
         f_new = field.f + dt * v
@@ -237,22 +238,6 @@ class EquivariantFlow:
             max_h2=float(h2.max()), max_theta=float(np.max(h2[pos] / p[pos], initial=0.0)),
             volume=vol, diameter=diam,
         )
-
-    def dt_value(self, h: np.ndarray) -> float:
-        # CFL against the 1D induced metric of the reduction: the largest
-        # inverse-metric eigenvalue seen by the profile equation is
-        # 1/(1 + r^2 h'^2) <= 1, so dt ~ cfl dtheta^2 / 2
-        d1, _ = self.derivatives(h)
-        lam = float((1.0 / (1 + self.r2 * d1**2)).max())
-        return self.cfl * self.dtheta**2 / (2 * lam)
-
-    def dissipation_rate(self, h: np.ndarray) -> float:
-        d1, _ = self.derivatives(h)
-        v = self.rhs(h)
-        h2 = self.r2 * v**2 / (1 + self.r2 * d1**2)
-        g11 = 1 + self.r2 * d1**2
-        g22 = np.sin(self.theta) ** 2 + self.r2 * np.sin(h) ** 2
-        return 2 * np.pi * float(np.sum(h2 * np.sqrt(g11 * g22)) * self.dtheta)
 
     def run(self, t_end: float, record_every: int = 50, h_tol: float = 1e-6,
             integrator: str = "RK2", capture_triples: bool = True) -> EquivariantRun:

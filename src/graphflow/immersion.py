@@ -1,16 +1,22 @@
 """Discrete geometry of graph maps: induced metric, second fundamental form,
 mean curvature, and the derived scalar quantities.
 
-A map field lives on a structured grid over the chart of M.  Periodic axes
-wrap; polar (reflect) axes use offset nodes and mirror ghosts that roll the
-azimuthal partner axis by half a turn.  Chart components of derived fields are
-polluted in a narrow band next to reflect seams (the azimuthal target
-coordinate is singular there); consumers skip a node margin, see
-``interior_mask``.
+A map field lives on a structured grid over the chart of M.  Stencils read
+their neighbours through a ghost-padded copy of the grid's node index, built
+once per grid: one ghost layer per M axis, added in axis order.  A periodic
+axis wraps; a polar (reflect) axis uses offset nodes, and its ghost layer
+mirrors the edge layer and rolls the azimuthal partner axis by the seam shift.
+The partner must be a later axis, so the roll never moves ghosts already
+added.  Each neighbour offset is a slice of the padded index, and a grid array
+is gathered at all offsets in one indexing step.  Chart components of
+derived fields are polluted in a narrow band next to reflect seams (the
+azimuthal target coordinate is singular there); consumers skip a node margin,
+see ``interior_mask``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -25,8 +31,29 @@ def _swap(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2)
 
 
+def field_cached(fn):
+    """Compute ``fn(field)`` once per field; it is kept with the field's derived values."""
+    @functools.wraps(fn)
+    def once(field):
+        if fn.__name__ not in field._cache:
+            field._cache[fn.__name__] = fn(field)
+        return field._cache[fn.__name__]
+    return once
+
+
+def _stencil_offsets(m: int) -> np.ndarray:
+    """Grid steps per M axis: +e_a, then -e_a, then ++, +-, -+, -- of each pair a < b."""
+    eye = np.eye(m, dtype=int)
+    corners = [s * eye[a] + t * eye[b] for a, b in zip(*np.triu_indices(m, 1))
+               for s in (1, -1) for t in (1, -1)]
+    return np.array([*eye, *-eye, *corners])
+
+
 class GraphMapField:
     """Discrete map f: M -> N sampled on a structured chart grid of M."""
+
+    # M-side fields, equal for every field on the same grid
+    GRID_FIELDS = ("coords", "_stencil_index", "g_m_field", "gamma_m_field")
 
     def __init__(self, m_manifold: ChartManifold, n_manifold: ChartManifold, shape, f_values):
         self.M = m_manifold
@@ -38,6 +65,17 @@ class GraphMapField:
             if not (ax.periodic or ax.reflect):
                 raise ConfigurationError("grid axes must be periodic or reflect (compact charts)")
         self.h = np.array([ax.length / n for ax, n in zip(m_manifold.axes, self.shape)])
+        # ghost roll of the partner axis at each reflect seam, in partner nodes
+        self._seam_roll = [0] * m_manifold.dim
+        for a, ax in enumerate(m_manifold.axes):
+            if ax.reflect and ax.partner_axis is not None:
+                if ax.partner_axis <= a:
+                    raise ConfigurationError(
+                        f"reflect axis {a}: partner axis {ax.partner_axis} must be a later axis")
+                hp = self.h[ax.partner_axis]
+                self._seam_roll[a] = int(round(ax.partner_shift / hp))
+                if abs(self._seam_roll[a] * hp - ax.partner_shift) > 1e-9:
+                    raise ConfigurationError("partner axis resolution must divide the seam shift")
         f = np.asarray(f_values, dtype=float)
         if f.shape != self.shape + (n_manifold.dim,):
             raise ConfigurationError(f"f-values shape {f.shape} incompatible with grid {self.shape}")
@@ -51,11 +89,10 @@ class GraphMapField:
         off = 0.5 if ax.reflect else 0.0
         return ax.lo + (np.arange(self.shape[a]) + off) * self.h[a]
 
+    @field_cached
     def coords(self) -> np.ndarray:
-        if "coords" not in self._cache:
-            grids = np.meshgrid(*[self.axis_coords(a) for a in range(self.M.dim)], indexing="ij")
-            self._cache["coords"] = np.stack(grids, axis=-1)
-        return self._cache["coords"]
+        grids = np.meshgrid(*[self.axis_coords(a) for a in range(self.M.dim)], indexing="ij")
+        return np.stack(grids, axis=-1)
 
     def _wrap_target(self, f: np.ndarray) -> np.ndarray:
         f = f.copy()
@@ -76,54 +113,55 @@ class GraphMapField:
         return f
 
     def with_values(self, f_values) -> "GraphMapField":
-        return GraphMapField(self.M, self.N, self.shape, f_values)
+        """A field on the same grid; it shares the M-side fields computed so far."""
+        new = GraphMapField(self.M, self.N, self.shape, f_values)
+        new._cache.update({k: self._cache[k] for k in self.GRID_FIELDS if k in self._cache})
+        return new
 
-    # -- shifted fields with ghost rules -------------------------------------
+    # -- stencils on the ghost-padded grid ------------------------------------
 
-    def shift(self, arr: np.ndarray, axis: int, step: int) -> np.ndarray:
-        """Neighbor values along a grid axis; same shape as ``arr``.
+    @field_cached
+    def _stencil_index(self) -> np.ndarray:
+        """Node index of each stencil neighbour, (offsets, grid): slices of the
+        ghost-padded node index."""
+        padded = np.arange(int(np.prod(self.shape))).reshape(self.shape)
+        for a, ax in enumerate(self.M.axes):
+            ghosts = [np.take(padded, [i], axis=a) for i in ((-1, 0) if ax.periodic else (0, -1))]
+            if self._seam_roll[a]:
+                ghosts = [np.roll(g, -self._seam_roll[a], axis=ax.partner_axis) for g in ghosts]
+            padded = np.concatenate([ghosts[0], padded, ghosts[1]], axis=a)
+        return np.stack([padded[tuple(slice(1 + d, 1 + d + n) for d, n in zip(off, self.shape))]
+                         for off in _stencil_offsets(self.M.dim)])
 
-        ``arr`` must carry the grid shape in its leading axes.  Reflect axes
-        mirror across the seam and roll the partner axis by its shift.
-        """
-        ax = self.M.axes[axis]
-        if ax.periodic:
-            return np.roll(arr, -step, axis=axis)
-        out = np.roll(arr, -step, axis=axis)
-        n = self.shape[axis]
-        partner = ax.partner_axis
-        idx_roll = 0
-        if partner is not None:
-            hp = self.h[partner]
-            idx_roll = int(round(ax.partner_shift / hp))
-            if abs(idx_roll * hp - ax.partner_shift) > 1e-9:
-                raise ConfigurationError(
-                    "partner axis resolution must divide the seam shift"
-                )
-        sl = [slice(None)] * arr.ndim
-        if step > 0:
-            sl[axis] = n - 1
-            ghost = np.take(arr, n - 1, axis=axis)
-        else:
-            sl[axis] = 0
-            ghost = np.take(arr, 0, axis=axis)
-        if partner is not None and idx_roll:
-            # the partner axis index shrinks by one after np.take if it was
-            # behind ``axis``; adjust
-            roll_axis = partner if partner < axis else partner - 1
-            ghost = np.roll(ghost, -idx_roll, axis=roll_axis)
-        out[tuple(sl)] = ghost
+    def _neighbours(self, arr: np.ndarray, mixed: bool = True) -> np.ndarray:
+        """``arr`` at the stencil offsets (mixed: all of them, else +-e_a only),
+        shape (offsets,) + arr.shape; ``arr`` carries the grid shape in its
+        leading axes."""
+        m = self.M.dim
+        idx = self._stencil_index() if mixed else self._stencil_index()[:2 * m]
+        return arr.reshape((-1,) + arr.shape[m:])[idx]
+
+    def _first(self, nb: np.ndarray) -> np.ndarray:
+        """Central first differences d_a from stacked neighbours, (grid, m, ...)."""
+        m = self.M.dim
+        h = self.h.reshape((m,) + (1,) * (nb.ndim - 1))
+        return np.ascontiguousarray(np.moveaxis((nb[:m] - nb[m:2 * m]) / (2 * h), 0, m))
+
+    def _second(self, nb: np.ndarray, centre: np.ndarray) -> np.ndarray:
+        """Second differences d2_ab (9-point mixed stencil) from stacked neighbours,
+        (grid, m, m, ...)."""
+        m = self.M.dim
+        ones = (1,) * (nb.ndim - 1)
+        out = np.empty(self.shape + (m, m) + centre.shape[m:])
+        view = np.moveaxis(out, (m, m + 1), (0, 1))       # (a, b, grid, ...) into out
+        diag = np.arange(m)
+        view[diag, diag] = (nb[:m] - 2 * centre + nb[m:2 * m]) / self.h.reshape((m,) + ones) ** 2
+        a, b = np.triu_indices(m, 1)
+        pp, pm, mp, mm = (nb[2 * m + k::4] for k in range(4))
+        mixed = (pp - pm - mp + mm) / (4 * self.h[a] * self.h[b]).reshape((len(a),) + ones)
+        view[a, b] = mixed
+        view[b, a] = mixed
         return out
-
-    def neighbor_f(self, shifts) -> np.ndarray:
-        """f at a neighbor offset, unwrapped against the center values.
-
-        ``shifts`` is a list of (axis, step) applied in order.
-        """
-        vals = self.f
-        for axis, step in shifts:
-            vals = self.shift(vals, axis, step)
-        return self.unwrap_target(vals)
 
     def unwrap_target(self, vals: np.ndarray) -> np.ndarray:
         out = vals.copy()
@@ -154,92 +192,71 @@ class GraphMapField:
 
     # -- differential fields --------------------------------------------------
 
+    @field_cached
+    def _f_derivatives(self) -> tuple[np.ndarray, np.ndarray]:
+        nb = self.unwrap_target(self._neighbours(self.f))
+        return self._first(nb), self._second(nb, self.f)
+
     def df_field(self) -> np.ndarray:
         """(grid, m, 2) central-difference differential of f."""
-        if "df" not in self._cache:
-            m = self.M.dim
-            out = np.empty(self.shape + (m, self.N.dim))
-            for a in range(m):
-                plus = self.neighbor_f([(a, +1)])
-                minus = self.neighbor_f([(a, -1)])
-                out[..., a, :] = (plus - minus) / (2 * self.h[a])
-            self._cache["df"] = out
-        return self._cache["df"]
+        return self._f_derivatives()[0]
 
     def d2f_field(self) -> np.ndarray:
         """(grid, m, m, 2) second chart derivatives (9-point mixed stencil)."""
-        if "d2f" not in self._cache:
-            m = self.M.dim
-            out = np.empty(self.shape + (m, m, self.N.dim))
-            for a in range(m):
-                plus = self.neighbor_f([(a, +1)])
-                minus = self.neighbor_f([(a, -1)])
-                out[..., a, a, :] = (plus - 2 * self.f + minus) / self.h[a] ** 2
-                for b in range(a + 1, m):
-                    pp = self.neighbor_f([(a, +1), (b, +1)])
-                    pm = self.neighbor_f([(a, +1), (b, -1)])
-                    mp = self.neighbor_f([(a, -1), (b, +1)])
-                    mm = self.neighbor_f([(a, -1), (b, -1)])
-                    mixed = (pp - pm - mp + mm) / (4 * self.h[a] * self.h[b])
-                    out[..., a, b, :] = mixed
-                    out[..., b, a, :] = mixed
-            self._cache["d2f"] = out
-        return self._cache["d2f"]
+        return self._f_derivatives()[1]
 
     # -- metric fields --------------------------------------------------------
 
+    @field_cached
     def g_m_field(self) -> np.ndarray:
-        if "g_m" not in self._cache:
-            self._cache["g_m"] = self.M.metric_many(self.coords())
-        return self._cache["g_m"]
+        return self.M.metric_many(self.coords())
 
+    @field_cached
     def gamma_m_field(self) -> np.ndarray:
-        if "gamma_m" not in self._cache:
-            self._cache["gamma_m"] = self.M.christoffels_many(self.coords())
-        return self._cache["gamma_m"]
+        return self.M.christoffels_many(self.coords())
 
+    @field_cached
     def g_n_field(self) -> np.ndarray:
-        if "g_n" not in self._cache:
-            self._cache["g_n"] = self.N.metric_many(self.f)
-        return self._cache["g_n"]
+        return self.N.metric_many(self.f)
 
+    @field_cached
     def gamma_n_field(self) -> np.ndarray:
-        if "gamma_n" not in self._cache:
-            self._cache["gamma_n"] = self.N.christoffels_many(self.f)
-        return self._cache["gamma_n"]
+        return self.N.christoffels_many(self.f)
 
+    @field_cached
     def induced_g_field(self) -> np.ndarray:
-        if "g" not in self._cache:
-            df = self.df_field()
-            g = self.g_m_field() + df @ self.g_n_field() @ _swap(df)
-            self._cache["g"] = g
-        return self._cache["g"]
+        df = self.df_field()
+        return self.g_m_field() + df @ self.g_n_field() @ _swap(df)
 
+    @field_cached
+    def induced_g_eigvals(self) -> np.ndarray:
+        """Eigenvalues of the induced metric per node, ascending; all must be positive."""
+        ev = np.linalg.eigvalsh(self.induced_g_field())
+        if ev.min() <= 0 or not np.all(np.isfinite(ev)):
+            raise SolverAbort("induced metric not positive definite (corrupted state)")
+        return ev
+
+    @field_cached
     def induced_g_inv_field(self) -> np.ndarray:
-        if "ginv" not in self._cache:
-            g = self.induced_g_field()
-            ev = np.linalg.eigvalsh(g)
-            if ev.min() <= 0 or not np.all(np.isfinite(ev)):
-                raise SolverAbort("induced metric not positive definite (corrupted state)")
-            self._cache["ginv"] = np.linalg.inv(g)
-        return self._cache["ginv"]
+        self.induced_g_eigvals()
+        return np.linalg.inv(self.induced_g_field())
 
+    def volume_density(self) -> np.ndarray:
+        """sqrt(det g) per node, from the eigenvalues of the induced metric."""
+        return np.sqrt(np.prod(self.induced_g_eigvals(), axis=-1))
+
+    @field_cached
     def gamma_induced_field(self) -> np.ndarray:
         """Christoffels of the induced metric, finite-differenced from its field."""
-        if "gamma_g" not in self._cache:
-            g = self.induced_g_field()
-            m = self.M.dim
-            dg = np.empty(self.shape + (m, m, m))
-            for a in range(m):
-                dg[..., a, :, :] = (self.shift(g, a, +1) - self.shift(g, a, -1)) / (2 * self.h[a])
-            ginv = self.induced_g_inv_field()
-            comb = (
-                dg.transpose(*range(m), m, m + 1, m + 2)
-                + dg.transpose(*range(m), m + 1, m, m + 2)
-                - dg.transpose(*range(m), m + 1, m + 2, m)
-            )
-            self._cache["gamma_g"] = 0.5 * np.einsum("...kl,...ijl->...kij", ginv, comb)
-        return self._cache["gamma_g"]
+        m = self.M.dim
+        dg = self._first(self._neighbours(self.induced_g_field(), mixed=False))
+        ginv = self.induced_g_inv_field()
+        comb = (
+            dg.transpose(*range(m), m, m + 1, m + 2)
+            + dg.transpose(*range(m), m + 1, m, m + 2)
+            - dg.transpose(*range(m), m + 1, m + 2, m)
+        )
+        return 0.5 * np.einsum("...kl,...ijl->...kij", ginv, comb)
 
     def covariant_d2f(self, gamma: np.ndarray) -> np.ndarray:
         """d2_ij f^a - gamma^k_ij d_k f^a + Gamma_N^a_bc d_i f^b d_j f^c, as (grid, a, i, j).
@@ -259,10 +276,9 @@ class GraphMapField:
 
     # -- scalar helpers --------------------------------------------------------
 
+    @field_cached
     def singular_value_fields(self) -> tuple[np.ndarray, np.ndarray]:
-        if "sv" not in self._cache:
-            self._cache["sv"] = singular_values_batch(self.g_m_field(), self.g_n_field(), self.df_field())
-        return self._cache["sv"]
+        return singular_values_batch(self.g_m_field(), self.g_n_field(), self.df_field())
 
     def p_field(self) -> np.ndarray:
         lam, mu = self.singular_value_fields()
@@ -272,8 +288,7 @@ class GraphMapField:
         return float(self.p_field().min())
 
     def volume(self) -> float:
-        det = np.linalg.det(self.induced_g_field())
-        return float(np.sum(np.sqrt(det)) * np.prod(self.h))
+        return float(np.sum(self.volume_density()) * np.prod(self.h))
 
     def interior_mask(self, margin: int = 4) -> np.ndarray:
         """True away from reflect seams (periodic axes are seam-free)."""
@@ -291,25 +306,12 @@ class GraphMapField:
 
     def grad_field(self, u: np.ndarray) -> np.ndarray:
         """Coordinate gradient d_a u of a node scalar field, (grid, m)."""
-        m = self.M.dim
-        out = np.empty(self.shape + (m,))
-        for a in range(m):
-            out[..., a] = (self.shift(u, a, +1) - self.shift(u, a, -1)) / (2 * self.h[a])
-        return out
+        return self._first(self._neighbours(u, mixed=False))
 
     def laplace_beltrami(self, u: np.ndarray) -> np.ndarray:
         """Laplacian of a scalar w.r.t. the induced metric: g^{ij}(d2_ij u - Gamma^k_ij d_k u)."""
-        m = self.M.dim
-        d2 = np.empty(self.shape + (m, m))
-        for a in range(m):
-            d2[..., a, a] = (self.shift(u, a, +1) - 2 * u + self.shift(u, a, -1)) / self.h[a] ** 2
-            for b in range(a + 1, m):
-                pp = self.shift(self.shift(u, a, +1), b, +1)
-                pm = self.shift(self.shift(u, a, +1), b, -1)
-                mp = self.shift(self.shift(u, a, -1), b, +1)
-                mm = self.shift(self.shift(u, a, -1), b, -1)
-                d2[..., a, b] = d2[..., b, a] = (pp - pm - mp + mm) / (4 * self.h[a] * self.h[b])
-        du = self.grad_field(u)
+        nb = self._neighbours(u)
+        d2, du = self._second(nb, u), self._first(nb)
         ginv = self.induced_g_inv_field()
         gam = self.gamma_induced_field()
         hess = d2 - np.einsum("...kij,...k->...ij", gam, du)
@@ -318,7 +320,6 @@ class GraphMapField:
     def grad_norm_sq(self, u: np.ndarray) -> np.ndarray:
         du = self.grad_field(u)
         return quad_form(du, self.induced_g_inv_field(), du)
-
 
 # ---------------------------------------------------------------------------
 # Graph geometry of a whole field
@@ -351,10 +352,9 @@ class PointGeometry:
         return PointGeometry(**take(self, ("frame",)), frame=SVDFrame(**take(self.frame)))
 
 
+@field_cached
 def field_geometry(field: GraphMapField) -> PointGeometry:
     """Second-order geometry of the graph at every node, computed once per field."""
-    if "geometry" in field._cache:
-        return field._cache["geometry"]
     m = field.M.dim
     df = field.df_field()                                      # (..., k, a)
     g_m = field.g_m_field()
@@ -382,13 +382,11 @@ def field_geometry(field: GraphMapField) -> PointGeometry:
 
     dfe_low = np.concatenate([e @ g_m, e @ df @ g_n], axis=-1)  # rows of dF(e_k), lowered
     tang = a_vectors.reshape(df.shape[:-2] + (m * m, m + 2)) @ _swap(dfe_low)
-    geo = PointGeometry(
+    return PointGeometry(
         g=field.induced_g_field(), g_inv=field.induced_g_inv_field(), a_xi=a_xi,
         a_eta=a_eta, h_xi=h_xi, h_eta=h_eta, a_sq=a_sq, h_sq=h_xi**2 + h_eta**2,
         frame=frame, tangency_residual=np.abs(tang).max(axis=(-2, -1)), a_vectors=a_vectors,
     )
-    field._cache["geometry"] = geo
-    return geo
 
 
 def point_geometry(field: GraphMapField, node) -> PointGeometry:

@@ -1,6 +1,8 @@
 """Reference implementation of the pointwise graph geometry: the scalar
 ``build_svd_frame`` and ``point_geometry`` as they were before the batched
-field geometry replaced them, kept verbatim as a test oracle.
+field geometry replaced them, and the per-offset stencils of ``GraphMapField``
+as they were before the ghost-padded grid replaced them, kept verbatim as test
+oracles.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from graphflow.errors import ConfigurationError
 from graphflow.frames import DifferentialSample
 from graphflow.immersion import GraphMapField
 
@@ -180,3 +183,130 @@ def point_geometry(field: GraphMapField, node) -> PointGeometry:
         a_sq=a_sq, h_sq=h_sq, frame=frame, tangency_residual=tangency,
         a_vectors=a_e,
     )
+
+
+class LoopStencilField(GraphMapField):
+    """``GraphMapField`` with the stencils it had before the ghost-padded grid:
+    ``shift``, ``neighbor_f`` and one neighbour array per offset and axis,
+    kept verbatim as a test oracle for the padded slices.
+    """
+
+    def shift(self, arr: np.ndarray, axis: int, step: int) -> np.ndarray:
+        """Neighbor values along a grid axis; same shape as ``arr``.
+
+        ``arr`` must carry the grid shape in its leading axes.  Reflect axes
+        mirror across the seam and roll the partner axis by its shift.
+        """
+        ax = self.M.axes[axis]
+        if ax.periodic:
+            return np.roll(arr, -step, axis=axis)
+        out = np.roll(arr, -step, axis=axis)
+        n = self.shape[axis]
+        partner = ax.partner_axis
+        idx_roll = 0
+        if partner is not None:
+            hp = self.h[partner]
+            idx_roll = int(round(ax.partner_shift / hp))
+            if abs(idx_roll * hp - ax.partner_shift) > 1e-9:
+                raise ConfigurationError(
+                    "partner axis resolution must divide the seam shift"
+                )
+        sl = [slice(None)] * arr.ndim
+        if step > 0:
+            sl[axis] = n - 1
+            ghost = np.take(arr, n - 1, axis=axis)
+        else:
+            sl[axis] = 0
+            ghost = np.take(arr, 0, axis=axis)
+        if partner is not None and idx_roll:
+            # the partner axis index shrinks by one after np.take if it was
+            # behind ``axis``; adjust
+            roll_axis = partner if partner < axis else partner - 1
+            ghost = np.roll(ghost, -idx_roll, axis=roll_axis)
+        out[tuple(sl)] = ghost
+        return out
+
+    def neighbor_f(self, shifts) -> np.ndarray:
+        """f at a neighbor offset, unwrapped against the center values.
+
+        ``shifts`` is a list of (axis, step) applied in order.
+        """
+        vals = self.f
+        for axis, step in shifts:
+            vals = self.shift(vals, axis, step)
+        return self.unwrap_target(vals)
+
+    def df_field(self) -> np.ndarray:
+        """(grid, m, 2) central-difference differential of f."""
+        if "df" not in self._cache:
+            m = self.M.dim
+            out = np.empty(self.shape + (m, self.N.dim))
+            for a in range(m):
+                plus = self.neighbor_f([(a, +1)])
+                minus = self.neighbor_f([(a, -1)])
+                out[..., a, :] = (plus - minus) / (2 * self.h[a])
+            self._cache["df"] = out
+        return self._cache["df"]
+
+    def d2f_field(self) -> np.ndarray:
+        """(grid, m, m, 2) second chart derivatives (9-point mixed stencil)."""
+        if "d2f" not in self._cache:
+            m = self.M.dim
+            out = np.empty(self.shape + (m, m, self.N.dim))
+            for a in range(m):
+                plus = self.neighbor_f([(a, +1)])
+                minus = self.neighbor_f([(a, -1)])
+                out[..., a, a, :] = (plus - 2 * self.f + minus) / self.h[a] ** 2
+                for b in range(a + 1, m):
+                    pp = self.neighbor_f([(a, +1), (b, +1)])
+                    pm = self.neighbor_f([(a, +1), (b, -1)])
+                    mp = self.neighbor_f([(a, -1), (b, +1)])
+                    mm = self.neighbor_f([(a, -1), (b, -1)])
+                    mixed = (pp - pm - mp + mm) / (4 * self.h[a] * self.h[b])
+                    out[..., a, b, :] = mixed
+                    out[..., b, a, :] = mixed
+            self._cache["d2f"] = out
+        return self._cache["d2f"]
+
+    def gamma_induced_field(self) -> np.ndarray:
+        """Christoffels of the induced metric, finite-differenced from its field."""
+        if "gamma_g" not in self._cache:
+            g = self.induced_g_field()
+            m = self.M.dim
+            dg = np.empty(self.shape + (m, m, m))
+            for a in range(m):
+                dg[..., a, :, :] = (self.shift(g, a, +1) - self.shift(g, a, -1)) / (2 * self.h[a])
+            ginv = self.induced_g_inv_field()
+            comb = (
+                dg.transpose(*range(m), m, m + 1, m + 2)
+                + dg.transpose(*range(m), m + 1, m, m + 2)
+                - dg.transpose(*range(m), m + 1, m + 2, m)
+            )
+            self._cache["gamma_g"] = 0.5 * np.einsum("...kl,...ijl->...kij", ginv, comb)
+        return self._cache["gamma_g"]
+
+    def grad_field(self, u: np.ndarray) -> np.ndarray:
+        """Coordinate gradient d_a u of a node scalar field, (grid, m)."""
+        m = self.M.dim
+        out = np.empty(self.shape + (m,))
+        for a in range(m):
+            out[..., a] = (self.shift(u, a, +1) - self.shift(u, a, -1)) / (2 * self.h[a])
+        return out
+
+    def laplace_beltrami(self, u: np.ndarray) -> np.ndarray:
+        """Laplacian of a scalar w.r.t. the induced metric: g^{ij}(d2_ij u - Gamma^k_ij d_k u)."""
+        m = self.M.dim
+        d2 = np.empty(self.shape + (m, m))
+        for a in range(m):
+            d2[..., a, a] = (self.shift(u, a, +1) - 2 * u + self.shift(u, a, -1)) / self.h[a] ** 2
+            for b in range(a + 1, m):
+                pp = self.shift(self.shift(u, a, +1), b, +1)
+                pm = self.shift(self.shift(u, a, +1), b, -1)
+                mp = self.shift(self.shift(u, a, -1), b, +1)
+                mm = self.shift(self.shift(u, a, -1), b, -1)
+                d2[..., a, b] = d2[..., b, a] = (pp - pm - mp + mm) / (4 * self.h[a] * self.h[b])
+        du = self.grad_field(u)
+        ginv = self.induced_g_inv_field()
+        gam = self.gamma_induced_field()
+        hess = d2 - np.einsum("...kij,...k->...ij", gam, du)
+        return np.einsum("...ij,...ij->...", ginv, hess)

@@ -6,6 +6,7 @@ import os
 import jsonschema
 import pytest
 
+from graphflow import cli, errors
 from graphflow.app import (BUILTIN_SCENARIOS, CLASSIFICATION_SCHEMA, CSV_COLUMNS,
                            VERIFICATION_SCHEMA, builtin_config, load_config, run_identities,
                            run_scenario)
@@ -235,3 +236,18 @@ def test_cli_config_error_exit_code(tmp_path):
     assert cli_main(["run", cfg_path, "--out", str(tmp_path / "o")]) == 2
     assert cli_main(["run", str(tmp_path / "missing.ini")]) == 2
     assert cli_main(["verify", str(tmp_path / "not_a_run")]) == 2
+
+
+@pytest.mark.parametrize("error", [errors.GraphflowError, *errors.GraphflowError.__subclasses__()],
+                         ids=lambda cls: cls.__name__)
+def test_cli_exit_code_of_every_error(monkeypatch, capsys, error):
+    want = 2 if error in (errors.ConfigurationError, errors.NotAreaDecreasingError) else 3
+    assert error in cli.ERROR_EXITS  # every package error is mapped explicitly
+
+    def handler(args):
+        raise error("first line\nsecond line")
+
+    monkeypatch.setattr(cli, "_cmd_classify", handler)
+    assert cli.main(["classify", "some_run"]) == want
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith("first line second line\n")

@@ -1,6 +1,8 @@
 """Time integration: nonparametric velocity, equivariant and drift reductions."""
 
 import math
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from graphflow.errors import NotAreaDecreasingError, SolverAbort
 from graphflow.flow import (EquivariantFlow, FlowParams, FlowState, cfl_dt, drift_velocity,
                             h2_field, nonparametric_rhs, reduce_circle_drift, step,
                             tangential_vector_field)
-from graphflow.geometry import flat_torus
+from graphflow.geometry import WarpedSurface, builtin_warp, flat_torus, product_s1_s2
 from graphflow.immersion import GraphMapField, point_geometry
 
 
@@ -60,6 +62,46 @@ def test_step_keeps_stationary_map_fixed():
     with pytest.raises(SolverAbort):
         bad = FlowState(field=f, status="Aborted")
         step(bad, params)
+
+
+def test_grid_step_does_its_work_once(monkeypatch):
+    # k RK2 steps on S^1 x S^2 -> cosh cylinder make 1 + 2k fields (the start,
+    # then a midpoint and an end per step)
+    k = 3
+    m_manifold, surface, shape = product_s1_s2(), WarpedSurface(builtin_warp("cosh")), (4, 4, 4)
+    x = GraphMapField(m_manifold, surface, shape, np.zeros(shape + (2,))).coords()
+    field = GraphMapField(m_manifold, surface, shape,
+                          np.stack([x[..., 0], np.full(shape, 0.5)], axis=-1))
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    eigvalsh = np.linalg.eigvalsh
+
+    def eigvalsh_by_caller(a):
+        calls["eigvalsh in " + sys._getframe(1).f_code.co_name] += 1
+        return eigvalsh(a)
+
+    for name in ("metric_many", "christoffels_many"):
+        monkeypatch.setattr(m_manifold, name, counted(name, getattr(m_manifold, name)))
+    monkeypatch.setattr(GraphMapField, "covariant_d2f",
+                        counted("covariant_d2f", GraphMapField.covariant_d2f))
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh_by_caller)
+    monkeypatch.setattr(np.linalg, "det", counted("det", np.linalg.det))
+    state = FlowState(field=field, min_p=field.min_p())
+    for _ in range(k):
+        state = step(state, FlowParams(cfl=0.4, t_end=1.0))
+    assert state.status == "Running" and state.step_count == k
+    assert calls == {
+        "metric_many": 1, "christoffels_many": 1,     # M side once per grid
+        "covariant_d2f": 1 + 2 * k,                    # RHS: the start, then 2 per step
+        "eigvalsh in induced_g_eigvals": 1 + 2 * k,    # one eigensolve per field, no det
+        "eigvalsh in singular_values_batch": 1 + k,    # p of the start and of each end
+    }
 
 
 # -- equivariant reduction ---------------------------------------------------

@@ -1,0 +1,98 @@
+"""Ghost-padded stencils against the per-offset loop stencils they replaced.
+
+``reference_geometry.LoopStencilField`` keeps ``shift``, ``neighbor_f`` and
+the per-offset ``df_field``, ``d2f_field``, ``gamma_induced_field``,
+``grad_field`` and ``laplace_beltrami``; the padded slices must reproduce
+them bit for bit.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import reference_geometry as ref
+from graphflow.errors import ConfigurationError
+from graphflow.flow import EquivariantFlow
+from graphflow.geometry import (Axis, ChartManifold, WarpedSurface, builtin_warp, flat_torus,
+                                product_s1_s2, round_sphere)
+from graphflow.immersion import GraphMapField, _stencil_offsets
+
+
+def _tsui(n_phi, amplitude=0.8):
+    eq = EquivariantFlow(32, lambda th: amplitude * np.sin(th))
+    fld = eq.expand_field(eq.h, n_phi=n_phi)
+    return fld.M, fld.N, fld.shape, fld.f
+
+
+def _torus_projection():
+    m, n = flat_torus(3), flat_torus(2, scale=0.5)
+    shape = (4, 4, 4)
+    mesh = np.meshgrid(*[np.arange(k) * ax.length / k for k, ax in zip(shape, m.axes)],
+                       indexing="ij")
+    return m, n, shape, np.stack([mesh[0], mesh[1]], axis=-1)
+
+
+def _s1xs2_to_cosh(shape=(4, 4, 4), amp=0.3):
+    m, n = product_s1_s2(), WarpedSurface(builtin_warp("cosh"))
+    x = GraphMapField(m, n, shape, np.zeros(shape + (2,))).coords()
+    f = np.stack([x[..., 0] + amp * np.sin(x[..., 2]),
+                  0.5 + 0.2 * np.cos(x[..., 1]) * np.sin(x[..., 0])], axis=-1)
+    return m, n, shape, f
+
+
+CASES = {
+    "tsui_32x8": lambda: _tsui(8),
+    "tsui_32x4": lambda: _tsui(4),
+    "torus_projection_4x4x4": _torus_projection,
+    "s1xs2_to_cosh_4x4x4": _s1xs2_to_cosh,
+}
+
+
+def _assert_same_stencils(m, n, shape, f):
+    new = GraphMapField(m, n, shape, f)
+    old = ref.LoopStencilField(m, n, shape, f)
+    # every neighbour of f, one offset at a time
+    nb = new.unwrap_target(new._neighbours(new.f))
+    for off, got in zip(_stencil_offsets(m.dim), nb):
+        shifts = [(a, int(s)) for a, s in enumerate(off) if s]
+        assert np.array_equal(got, old.neighbor_f(shifts)), off
+    assert np.array_equal(new.df_field(), old.df_field())
+    assert np.array_equal(new.d2f_field(), old.d2f_field())
+    assert np.array_equal(new.gamma_induced_field(), old.gamma_induced_field())
+    u = new.p_field()
+    assert np.array_equal(new.grad_field(u), old.grad_field(u))
+    assert np.array_equal(new.laplace_beltrami(u), old.laplace_beltrami(u))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_padded_stencils_match_loop_stencils(name):
+    _assert_same_stencils(*CASES[name]())
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000), amp=st.floats(0.0, 0.3),
+       case=st.sampled_from(("sphere", "s1xs2")))
+def test_padded_stencils_match_loop_stencils_on_perturbed_fields(seed, amp, case):
+    rng = np.random.default_rng(seed)
+    if case == "sphere":
+        m, n, shape, f = _tsui(int(rng.choice([4, 8])), amplitude=0.6)
+    else:
+        m, n, shape, f = _s1xs2_to_cosh(amp=0.1)
+    _assert_same_stencils(m, n, shape, f + amp * rng.uniform(-1.0, 1.0, f.shape))
+
+
+def test_partner_axis_must_come_later():
+    m = ChartManifold("flipped_sphere", [
+        Axis(0.0, 2 * math.pi, periodic=True),
+        Axis(0.0, math.pi, reflect=True, partner_axis=0, partner_shift=math.pi)],
+        lambda x: np.broadcast_to(np.eye(2), x.shape[:-1] + (2, 2)))
+    with pytest.raises(ConfigurationError, match="later axis"):
+        GraphMapField(m, flat_torus(2), (8, 8), np.zeros((8, 8, 2)))
+
+
+def test_partner_resolution_must_divide_seam_shift():
+    # an odd azimuthal node count cannot roll by half a turn
+    with pytest.raises(ConfigurationError, match="divide the seam shift"):
+        GraphMapField(round_sphere(2), round_sphere(2), (8, 5), np.ones((8, 5, 2)))
