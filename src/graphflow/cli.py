@@ -2,7 +2,7 @@
 
 Subcommands: check-curvature, run, verify, classify, identities.
 Exit codes: 0 pass, 1 verification failure, 2 usage/config error, 3 solver abort
-(any other package error).
+or any other package error (``ERROR_EXITS``).
 """
 
 from __future__ import annotations
