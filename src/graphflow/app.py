@@ -61,7 +61,8 @@ _SCHEMA = {
         "t_end": (float, 5.0, (lambda v, vals: v > 0, "must be positive")),
         "record_every": (int, 400, (lambda v, vals: v >= 1, "must be at least 1")),
         "h_tol": (float, 1e-6),
-        "integrator": (str, "RK2"),
+        "integrator": (str, "RK2", (lambda v, vals: v in ("RK2", "Euler"),
+                                    "must be RK2 or Euler")),
         "ode_dt": (float, 1e-3),
     },
     "initial": {
@@ -76,7 +77,8 @@ _SCHEMA = {
         "margin": (int, 4),
     },
     "barrier": {
-        "kind": (str, "none"),
+        "kind": (str, "none", (lambda v, vals: v in ("none", "waist_tube"),
+                               "must be none or waist_tube")),
         "level": (float, 1.0),
     },
 }
@@ -168,11 +170,8 @@ def _validate(parser: configparser.ConfigParser,
             value = values[(section, key)]
             if bound and not bound[0][0](value, values):
                 raise ConfigurationError(f"[{section}] {key} = {value!r} {bound[0][1]}")
-    cfg = ScenarioConfig(name=name, seed=values[("scenario", "seed")],
-                         output_dir=values[("scenario", "output_dir")], values=values)
-    if cfg.get("flow", "integrator") not in ("RK2", "Euler"):
-        raise ConfigurationError("flow.integrator must be RK2 or Euler")
-    return cfg
+    return ScenarioConfig(name=name, seed=values[("scenario", "seed")],
+                          output_dir=values[("scenario", "output_dir")], values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +367,8 @@ def _evolve_tsui_wang(cfg: ScenarioConfig, m_manifold, n_manifold, report) -> Ev
                             for k, v in diam.items()}
 
     final = eq.expand_field(run.h_final, n_phi=n_phi)
-    rep = classify_limit(final, run.status, ricci_positive=report.min_ric > 0, margin=margin)
+    rep = classify_limit(final, run.status, h_tol=cfg.get("flow", "h_tol"),
+                         ricci_positive=report.min_ric > 0, margin=margin)
     return Evolution(run.records, run.status, rep.as_dict(), sections, checks,
                      dissipation=run.dissipation, h_grid=eq.dtheta)
 
@@ -429,7 +429,7 @@ def _evolve_cylinder(cfg: ScenarioConfig, m_manifold, n_manifold, report) -> Evo
         status, math.sqrt(final_h2),
         max_a=math.sqrt(final_h2),  # |A| = |H| on the circle reduction
         lam=np.full(8, lam_final), mu=np.zeros(8),
-        sigma_n_values=np.full(8, sig_final),
+        sigma_n_values=np.full(8, sig_final), h_tol=cfg.get("flow", "h_tol"),
         ricci_positive=report.min_ric > 0)
     return Evolution(records, status, rep.as_dict(), sections, checks,
                      dissipation=run.dissipation, h_grid=dt)
@@ -471,7 +471,7 @@ def _evolve_torus_projection(cfg: ScenarioConfig, m_manifold, n_manifold, report
         res = residual_p_evolution([(0.0, 1.0, 1.0, field0, field0, field0)], margin=0)
         sections["residual_p"] = {"checkpoints": res}
         checks.append(res[0]["linf"] <= 1e-10)
-    rep = classify_limit(snapshots[-1].field, "Stationary",
+    rep = classify_limit(snapshots[-1].field, "Stationary", h_tol=cfg.get("flow", "h_tol"),
                          ricci_positive=report.min_ric > 0, margin=0)
     return Evolution(records, "Stationary", rep.as_dict(), sections, checks,
                      dissipation=snapshots[-1].dissipation, h_grid=float(field0.h.max()))

@@ -15,6 +15,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 import scipy.linalg
 
+from .errors import ConfigurationError
 from .geometry import ChartManifold
 
 
@@ -25,8 +26,8 @@ class BarrierFunction:
     name: str
     phi: Callable[[np.ndarray], float]
     level: float
-    grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    hess: Optional[Callable[[np.ndarray], np.ndarray]] = None  # chart second derivatives
+    grad: Callable[[np.ndarray], np.ndarray]
+    hess: Callable[[np.ndarray], np.ndarray]  # chart second derivatives
 
 
 @dataclass
@@ -36,31 +37,6 @@ class ConvexityCertificate:
     worst_value: float
     n_samples: int
     m: int
-
-
-def _fd_grad(phi, y, h=1e-4):
-    y = np.asarray(y, dtype=float)
-    g = np.empty(len(y))
-    for i in range(len(y)):
-        e = np.zeros(len(y)); e[i] = h
-        g[i] = (phi(y + e) - phi(y - e)) / (2 * h)
-    return g
-
-
-def _fd_hess(phi, y, h=1e-3):
-    y = np.asarray(y, dtype=float)
-    n = len(y)
-    out = np.empty((n, n))
-    f0 = phi(y)
-    for i in range(n):
-        ei = np.zeros(n); ei[i] = h
-        out[i, i] = (phi(y + ei) - 2 * f0 + phi(y - ei)) / h**2
-        for j in range(i + 1, n):
-            ej = np.zeros(n); ej[j] = h
-            out[i, j] = out[j, i] = (
-                phi(y + ei + ej) - phi(y + ei - ej) - phi(y - ei + ej) + phi(y - ei - ej)
-            ) / (4 * h**2)
-    return out
 
 
 def product_metric(m_manifold: ChartManifold, n_manifold: ChartManifold, y) -> np.ndarray:
@@ -85,10 +61,8 @@ def covariant_hessian(barrier: BarrierFunction, m_manifold: ChartManifold,
                       n_manifold: ChartManifold, y) -> np.ndarray:
     """D^2 phi = d^2 phi - Gamma^k d_k phi w.r.t. the product connection."""
     y = np.asarray(y, dtype=float)
-    grad = barrier.grad(y) if barrier.grad is not None else _fd_grad(barrier.phi, y)
-    hess = barrier.hess(y) if barrier.hess is not None else _fd_hess(barrier.phi, y)
     gam = product_christoffels(m_manifold, n_manifold, y)
-    return hess - np.einsum("kij,k->ij", gam, np.asarray(grad, dtype=float))
+    return barrier.hess(y) - np.einsum("kij,k->ij", gam, np.asarray(barrier.grad(y), dtype=float))
 
 
 def m_convexity_at(barrier: BarrierFunction, m_manifold: ChartManifold,
@@ -149,7 +123,7 @@ def containment_monitor(checkpoints: Sequence, barrier: BarrierFunction) -> dict
         vals = np.array([barrier.phi(np.asarray(y, dtype=float)) for y in pts])
         mx = float(vals.max())
         if i == 0 and mx >= barrier.level:
-            raise ValueError(
+            raise ConfigurationError(
                 f"initial datum not inside the sublevel set (max phi = {mx:.6g} >= c = {barrier.level:.6g})"
             )
         ok = mx < barrier.level
@@ -181,7 +155,7 @@ def diameter_series(pairs: Sequence, eps0: Optional[float] = None,
 
 
 # ---------------------------------------------------------------------------
-# Builtin barrier catalog
+# Builtin barrier
 
 
 def waist_tube_barrier(level: float) -> BarrierFunction:
@@ -199,47 +173,3 @@ def waist_tube_barrier(level: float) -> BarrierFunction:
         return h
 
     return BarrierFunction("squared_distance_to_waist_geodesic", phi, level, grad, hess)
-
-
-def coordinate_height_barrier(level: float, coordinate: int = -1) -> BarrierFunction:
-    def phi(y):
-        return float(y[coordinate])
-
-    def grad(y):
-        g = np.zeros(len(y)); g[coordinate] = 1.0
-        return g
-
-    def hess(y):
-        return np.zeros((len(y), len(y)))
-
-    return BarrierFunction("coordinate_height", phi, level, grad, hess)
-
-
-def squared_distance_to_point_barrier(n_manifold: ChartManifold, center,
-                                      level: float, m_dim: int) -> BarrierFunction:
-    """phi = chart squared distance on N to a center point (flat-chart proxy;
-    exact on flat tori, a documented proxy elsewhere)."""
-    center = np.asarray(center, dtype=float)
-
-    def phi(y):
-        d = np.asarray(y[m_dim:], dtype=float) - center
-        for b, ax in enumerate(n_manifold.axes):
-            if ax.periodic:
-                d[b] = (d[b] + ax.length / 2) % ax.length - ax.length / 2
-        return float(d @ d)
-
-    return BarrierFunction("squared_distance_to_point", phi, level)
-
-
-def polynomial_chart_barrier(coeffs: Sequence[float], level: float) -> BarrierFunction:
-    """phi = c0 + sum_i c_{i+1} y_i + quadratic diag terms c_{n+1+i} y_i^2."""
-    c = np.asarray(coeffs, dtype=float)
-
-    def phi(y):
-        y = np.asarray(y, dtype=float)
-        n = len(y)
-        if len(c) != 1 + 2 * n:
-            raise ValueError("need 1 + 2*dim coefficients")
-        return float(c[0] + c[1:n + 1] @ y + c[n + 1:] @ (y * y))
-
-    return BarrierFunction("custom_polynomial_in_chart", phi, level)

@@ -23,13 +23,10 @@ UNTESTED_NOTE = (
 )
 
 
-@dataclass
-class ClassifyTolerances:
-    h_tol: float = 1e-6
-    sv_tol: float = 1e-4       # singular value considered nonzero above this
-    sv_var_tol: float = 1e-3   # spatial standard deviation allowed for "constant"
-    a_tol: float = 1e-4        # totally geodesic threshold on max |A|
-    flat_tol: float = 1e-6     # |sigma_N| on the image for the rank-2 case
+SV_TOL = 1e-4       # singular value considered nonzero above this
+SV_VAR_TOL = 1e-3   # spatial standard deviation allowed for "constant"
+A_TOL = 1e-4        # totally geodesic threshold on max |A|
+FLAT_TOL = 1e-6     # |sigma_N| on the image for the rank-2 case
 
 
 @dataclass
@@ -65,16 +62,16 @@ class LimitReport:
 def classify_from_observables(status: str, max_h: float, max_a: float,
                               lam: np.ndarray, mu: np.ndarray,
                               sigma_n_values: Optional[np.ndarray],
-                              tols: Optional[ClassifyTolerances] = None,
+                              h_tol: float = 1e-6,
                               ricci_positive: Optional[bool] = None) -> LimitReport:
-    tols = tols or ClassifyTolerances()
+    """Sort a limit by its evidence; minimal means a converged status and max|H| < h_tol."""
     lam = np.asarray(lam, dtype=float)
     mu = np.asarray(mu, dtype=float)
     lam_mean, lam_std = float(lam.mean()), float(lam.std())
     mu_mean, mu_std = float(mu.mean()), float(mu.std())
     sig_max = None if sigma_n_values is None else float(np.abs(sigma_n_values).max())
 
-    rank = int(lam_mean > tols.sv_tol) + int(mu_mean > tols.sv_tol)
+    rank = int(lam_mean > SV_TOL) + int(mu_mean > SV_TOL)
 
     def report(klass, contradiction=False, extra_notes=()):
         return LimitReport(
@@ -85,12 +82,12 @@ def classify_from_observables(status: str, max_h: float, max_a: float,
             notes=[UNTESTED_NOTE, *extra_notes],
         )
 
-    converged = status in ("Converged", "Stationary") and max_h < tols.h_tol
+    converged = status in ("Converged", "Stationary") and max_h < h_tol
     if not converged:
         return report("NotMinimal", extra_notes=[
-            f"status {status}, max|H| = {max_h:.3e} >= {tols.h_tol:.1e}"])
-    constant_sv = lam_std < tols.sv_var_tol and mu_std < tols.sv_var_tol
-    geodesic = max_a < tols.a_tol
+            f"status {status}, max|H| = {max_h:.3e} >= {h_tol:.1e}"])
+    constant_sv = lam_std < SV_VAR_TOL and mu_std < SV_VAR_TOL
+    geodesic = max_a < A_TOL
     if not (constant_sv and geodesic):
         return report("Inconclusive", extra_notes=[
             "minimal but singular values vary or |A| above the totally-geodesic threshold"])
@@ -102,14 +99,13 @@ def classify_from_observables(status: str, max_h: float, max_a: float,
     # rank 2: the image must be flat
     if sig_max is None:
         return report("Inconclusive", extra_notes=["rank 2 but no target curvature samples"])
-    if sig_max < tols.flat_tol:
+    if sig_max < FLAT_TOL:
         return report("Rank2Flat", contradiction=contradiction)
     return report("Inconclusive", extra_notes=[
         f"rank 2 with nonflat image (max|sigma_N| = {sig_max:.3e})"])
 
 
-def classify_limit(field: GraphMapField, status: str,
-                   tols: Optional[ClassifyTolerances] = None,
+def classify_limit(field: GraphMapField, status: str, h_tol: float = 1e-6,
                    ricci_positive: Optional[bool] = None,
                    margin: int = 4) -> LimitReport:
     """Classify a final grid state; evidence from interior nodes."""
@@ -120,4 +116,4 @@ def classify_limit(field: GraphMapField, status: str,
     max_a = float(np.sqrt(geo.a_sq[mask]).max(initial=0.0))
     sig = np.broadcast_to(gauss_curvature_at(field.N, field.f[mask]), lam[mask].shape)
     return classify_from_observables(status, max_h, max_a, lam[mask], mu[mask], sig,
-                                     tols, ricci_positive)
+                                     h_tol, ricci_positive)

@@ -60,6 +60,7 @@ def nonparametric_rhs(field: GraphMapField) -> np.ndarray:
     return (term.reshape(term.shape[:-2] + (-1,)) @ ginv.reshape(ginv.shape[:-2] + (-1, 1)))[..., 0]
 
 
+@field_cached
 def tangential_vector_field(field: GraphMapField) -> np.ndarray:
     """X^k = g^{ij}(Gamma_g - Gamma_M)^k_ij; dF(X) is the tangential part of (0, V)."""
     ginv = field.induced_g_inv_field()
@@ -159,8 +160,6 @@ class FlowRecord:
 
 @dataclass
 class EquivariantRun:
-    theta: np.ndarray
-    kappa: float
     records: list
     snapshots: list        # (t, h) at record cadence
     triples: list          # (t, dt, h_prev, h_now, h_next) for time stencils
@@ -309,8 +308,7 @@ class EquivariantFlow:
         records.append(rec)
         snapshots.append((t, h.copy()))
         return EquivariantRun(
-            theta=self.theta, kappa=self.kappa, records=records,
-            snapshots=snapshots, triples=triples, dissipation=dissipation,
+            records=records, snapshots=snapshots, triples=triples, dissipation=dissipation,
             status=status, t_final=t, h_final=h,
         )
 

@@ -112,14 +112,6 @@ def build_svd_frame(sample: DifferentialSample) -> SVDFrame:
     )
 
 
-def area_decreasing_status(lam: float, mu: float) -> tuple[float, bool, float]:
-    """(p, strictly area decreasing?, 2-dilation) from the singular values."""
-    if mu > lam or mu < 0:
-        raise ValueError("expects lam >= mu >= 0")
-    p = 2.0 * (1.0 - lam * lam * mu * mu) / ((1.0 + lam * lam) * (1.0 + mu * mu))
-    return p, lam * mu < 1.0, lam * mu
-
-
 def singular_values_batch(g_m: np.ndarray, g_n: np.ndarray, df: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized singular values over a batch of points.
 

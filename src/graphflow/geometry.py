@@ -68,7 +68,6 @@ class ChartManifold:
         metric_at: Callable[[np.ndarray], np.ndarray],
         christoffels_at: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         constant_curvature: Optional[float] = None,
-        fd_order: int = 4,
         is_product_s1xs2: bool = False,
     ):
         self.name = name
@@ -77,10 +76,7 @@ class ChartManifold:
         self._metric_at = metric_at
         self._christoffels_at = christoffels_at
         self.constant_curvature = constant_curvature
-        self.fd_order = fd_order
         self.is_product_s1xs2 = is_product_s1xs2
-        if fd_order != 4:
-            raise ConfigurationError("only the fourth-order stencil is supported")
 
     # -- chart bookkeeping -------------------------------------------------
 
@@ -98,13 +94,6 @@ class ChartManifold:
                     f"axis {a} range [{ax.lo}, {ax.hi}]"
                 )
         return x
-
-    def contains(self, x) -> bool:
-        try:
-            self.wrap(x)
-        except DomainError:
-            return False
-        return True
 
     # -- metric ------------------------------------------------------------
 
@@ -206,6 +195,7 @@ def _central4(f: Callable[[float], np.ndarray], h: float = _FD_STEP) -> np.ndarr
 class CurvatureTensors:
     """Chart-component curvature data at a single point."""
 
+    g: np.ndarray           # g_{ij}
     gamma: np.ndarray       # Gamma^k_{ij}
     riemann: np.ndarray     # R_{ijkl} = <R(d_i, d_j) d_k, d_l>
     ricci: np.ndarray
@@ -230,18 +220,18 @@ def curvature_package(manifold: ChartManifold, x) -> CurvatureTensors:
     riemann = np.einsum("lm,mkij->ijkl", g, r_up)
     ricci = np.einsum("il,ijkl->jk", ginv, riemann)
     scalar = float(np.einsum("jk,jk->", ginv, ricci))
-    return CurvatureTensors(gamma=gamma, riemann=riemann, ricci=ricci, scalar=scalar)
+    return CurvatureTensors(g=g, gamma=gamma, riemann=riemann, ricci=ricci, scalar=scalar)
 
 
 def sectional(manifold: ChartManifold, x, v, w, tensors: Optional[CurvatureTensors] = None) -> float:
     """Sectional curvature of the plane spanned by v and w."""
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
-    g = manifold.metric_at(x)
+    ct = tensors if tensors is not None else curvature_package(manifold, x)
+    g = ct.g
     gram = (v @ g @ v) * (w @ g @ w) - (v @ g @ w) ** 2
     if gram < 1e-14 * max(1.0, float(v @ g @ v) * float(w @ g @ w)):
         raise DegeneratePlaneError("vectors do not span a plane")
-    ct = tensors if tensors is not None else curvature_package(manifold, x)
     num = float(np.einsum("ijkl,i,j,k,l->", ct.riemann, v, w, w, v))
     return num / gram
 
@@ -250,14 +240,14 @@ def bi_ricci(manifold: ChartManifold, x, v, w, tensors: Optional[CurvatureTensor
     """BRic(v, w) = Ric(v, v) + Ric(w, w) - sigma(v ^ w) for orthonormal v, w."""
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
-    g = manifold.metric_at(x)
+    ct = tensors if tensors is not None else curvature_package(manifold, x)
+    g = ct.g
     if (
         abs(v @ g @ v - 1.0) > 1e-8
         or abs(w @ g @ w - 1.0) > 1e-8
         or abs(v @ g @ w) > 1e-8
     ):
         raise FrameError("bi_ricci requires g-orthonormal vectors")
-    ct = tensors if tensors is not None else curvature_package(manifold, x)
     ric_v = float(v @ ct.ricci @ v)
     ric_w = float(w @ ct.ricci @ w)
     return ric_v + ric_w - sectional(manifold, x, v, w, tensors=ct)
@@ -277,27 +267,11 @@ class Warp:
     d2w: Callable[[float], float]
 
 
-def builtin_warp(name: str, coeffs: Optional[Sequence[float]] = None) -> Warp:
-    if name == "const":
-        return Warp("const", lambda z: 1.0 + 0.0 * z, lambda z: 0.0 * z, lambda z: 0.0 * z)
-    if name == "sin":
-        return Warp("sin", np.sin, np.cos, lambda z: -np.sin(z))
+def builtin_warp(name: str) -> Warp:
     if name == "cosh":
         return Warp("cosh", np.cosh, np.sinh, np.cosh)
     if name == "exp_neg":
         return Warp("exp_neg", lambda z: np.exp(-z), lambda z: -np.exp(-z), lambda z: np.exp(-z))
-    if name == "poly":
-        if not coeffs:
-            raise ConfigurationError("polynomial warp requires coefficients")
-        c = np.asarray(coeffs, dtype=float)
-        d1 = np.polyder(c)
-        d2 = np.polyder(c, 2)
-        return Warp(
-            "poly",
-            lambda z: np.polyval(c, z),
-            lambda z: np.polyval(d1, z),
-            lambda z: np.polyval(d2, z),
-        )
     raise ConfigurationError(f"unknown warp {name!r}")
 
 
@@ -323,13 +297,11 @@ class WarpedSurface(ChartManifold):
             gam[..., 1, 0, 0] = -wz * dwz
             return gam
 
-        cc = 0.0 if warp.name == "const" else None
         super().__init__(
             name=name or f"warped_cylinder[{warp.name}]",
             axes=axes,
             metric_at=metric,
             christoffels_at=christoffels,
-            constant_curvature=cc,
         )
         lo, hi = z_range
         zs = np.linspace(lo, hi, 201)
@@ -345,13 +317,6 @@ class WarpedSurface(ChartManifold):
     def sup_gauss_curvature(self, samples: int = 2001) -> float:
         lo, hi = self.axes[1].lo, self.axes[1].hi
         return float(np.max(self.gauss_curvature(np.linspace(lo, hi, samples))))
-
-
-def warped_curvature(surface: WarpedSurface, z) -> float:
-    """Gauss curvature -w''(z)/w(z) of a warped cylinder."""
-    if not (surface.axes[1].lo - 1e-12 <= z <= surface.axes[1].hi + 1e-12):
-        raise DomainError(f"z={z} outside the declared range")
-    return surface.gauss_curvature(z)
 
 
 # ---------------------------------------------------------------------------
@@ -414,14 +379,6 @@ def round_sphere(m: int, curvature: float = 1.0) -> ChartManifold:
         christoffels_at=christoffels,
         constant_curvature=curvature,
     )
-
-
-def sphere_distance(curvature: float, y1, y2) -> float:
-    """Geodesic distance between two chart points of a round 2-sphere."""
-    t1, p1 = y1
-    t2, p2 = y2
-    cosd = math.cos(t1) * math.cos(t2) + math.sin(t1) * math.sin(t2) * math.cos(p1 - p2)
-    return math.acos(min(1.0, max(-1.0, cosd))) / math.sqrt(curvature)
 
 
 def product_s1_s2(circle_length: float = 2 * math.pi) -> ChartManifold:
@@ -556,14 +513,8 @@ def sup_sigma_of(n_manifold: ChartManifold, samples: int = 400) -> float:
         return n_manifold.sup_gauss_curvature()
     if n_manifold.constant_curvature is not None:
         return n_manifold.constant_curvature
-    rng = np.random.default_rng(0)
-    pts = _sample_points(n_manifold, samples, rng)
-    vals = []
-    for x in pts:
-        ct = curvature_package(n_manifold, x)
-        g = n_manifold.metric_at(x)
-        vals.append(ct.riemann[0, 1, 1, 0] / (g[0, 0] * g[1, 1] - g[0, 1] ** 2))
-    return float(np.max(vals))
+    pts = _sample_points(n_manifold, samples, np.random.default_rng(0))
+    return float(np.max(gauss_curvature_at(n_manifold, pts)))
 
 
 def _sample_points(manifold: ChartManifold, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -607,20 +558,11 @@ def min_bric_sampled(
     m = manifold.dim
     for x in points:
         ct = curvature_package(manifold, x)
-        g = manifold.metric_at(x)
-
-        def value(pair):
-            v, w = pair
-            ric = float(v @ ct.ricci @ v + w @ ct.ricci @ w)
-            num = float(np.einsum("ijkl,i,j,k,l->", ct.riemann, v, w, w, v))
-            gram = (v @ g @ v) * (w @ g @ w) - (v @ g @ w) ** 2
-            return ric - num / gram
-
         local_best = math.inf
         local_pair = None
         for _ in range(frames_per_point):
-            pair = _orthonormalize(g, rng.standard_normal((2, m)))
-            val = value(pair)
+            pair = _orthonormalize(ct.g, rng.standard_normal((2, m)))
+            val = bi_ricci(manifold, x, *pair, tensors=ct)
             if val < local_best:
                 local_best, local_pair = val, pair
         # local rotation descent around the best sampled pair
@@ -628,10 +570,10 @@ def min_bric_sampled(
         for _ in range(descent_steps):
             cand = local_pair + step * rng.standard_normal((2, m))
             try:
-                cand = _orthonormalize(g, cand)
+                cand = _orthonormalize(ct.g, cand)
             except FrameError:
                 continue
-            val = value(cand)
+            val = bi_ricci(manifold, x, *cand, tensors=ct)
             if val < local_best:
                 local_best, local_pair = val, cand
             else:
@@ -677,8 +619,7 @@ def curvature_conditions_report(
         ric_min = math.inf
         for x in pts:
             ct = curvature_package(m_manifold, x)
-            g = m_manifold.metric_at(x)
-            vals = np.linalg.eigvalsh(np.linalg.solve(g, ct.ricci))
+            vals = np.linalg.eigvalsh(np.linalg.solve(ct.g, ct.ricci))
             ric_min = min(ric_min, float(vals.min()))
         min_ric = ric_min
         min_bric = min_bric_sampled(m_manifold, pts, frame_samples, rng)
@@ -700,8 +641,7 @@ def curvature_conditions_report(
             rng2 = np.random.default_rng(seed + 1)
             for x in _sample_points(m_manifold, min(point_samples, 16), rng2):
                 ct = curvature_package(m_manifold, x)
-                g = m_manifold.metric_at(x)
-                vals = np.linalg.eigvalsh(np.linalg.solve(g, ct.ricci))
+                vals = np.linalg.eigvalsh(np.linalg.solve(ct.g, ct.ricci))
                 if (m - 3) * vals.min() + ct.scalar < (m - 1) * sup_sn - 1e-8:
                     ineq_2b = False
                 if ct.scalar < m * (m - 1) / (2 * m - 3) * sup_sn - 1e-8:

@@ -443,10 +443,6 @@ def w_norm_sq(pg: PointGeometry):
     )
 
 
-def theta_of(pg: PointGeometry):
-    return pg.h_sq / pg.frame.p
-
-
 def p_gradient_check(field: GraphMapField, node) -> np.ndarray:
     """|discrete grad_{e_k} p - (2 A^xi_{1k} T11 + 2 A^eta_{2k} T22)| per k."""
     idx = tuple(int(i) for i in node)

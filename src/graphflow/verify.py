@@ -140,6 +140,13 @@ def _time_derivative(prev, now, nxt, dtp, dtn):
     )
 
 
+def _material(field: GraphMapField, prev, now, nxt, dtp, dtn):
+    """(d/dt - X . grad - Laplace-Beltrami) of a scalar at the middle snapshot ``field``;
+    X is the tangential field of the nonparametric gauge."""
+    adv = np.einsum("...k,...k->...", tangential_vector_field(field), field.grad_field(now))
+    return _time_derivative(prev, now, nxt, dtp, dtn) - adv - field.laplace_beltrami(now)
+
+
 # ---------------------------------------------------------------------------
 # Evolution residual of p
 
@@ -157,12 +164,7 @@ def residual_p_evolution(triples: Sequence, margin: int = 4) -> list:
         p_prev, p_now, p_next = (f.p_field() for f in (f_prev, f_now, f_next))
         if p_now.min() <= 0:
             raise NotAreaDecreasingError("p <= 0 inside residual evaluation")
-        dpdt = _time_derivative(p_prev, p_now, p_next, dtp, dtn)
-        x_field = tangential_vector_field(f_now)
-        dp = f_now.grad_field(p_now)
-        adv = np.einsum("...k,...k->...", x_field, dp)
-        lap = f_now.laplace_beltrami(p_now)
-        lhs = dpdt - adv - lap
+        lhs = _material(f_now, p_prev, p_now, p_next, dtp, dtn)
         gradp_sq = f_now.grad_norm_sq(p_now)
         mask = f_now.interior_mask(margin)
         pg = field_geometry(f_now)[mask]
@@ -202,16 +204,8 @@ def check_H_and_theta_inequalities(triples: Sequence, eps1: float, margin: int =
         h2_prev, h2_now, h2_next = (h2_field(f) for f in (f_prev, f_now, f_next))
         p_prev, p_now, p_next = (f.p_field() for f in (f_prev, f_now, f_next))
         th_prev, th_now, th_next = h2_prev / p_prev, h2_now / p_now, h2_next / p_next
-
-        x_field = tangential_vector_field(f_now)
-
-        def material(prev, now, nxt):
-            ddt = _time_derivative(prev, now, nxt, dtp, dtn)
-            adv = np.einsum("...k,...k->...", x_field, f_now.grad_field(now))
-            return ddt - adv - f_now.laplace_beltrami(now)
-
-        lhs_h = material(h2_prev, h2_now, h2_next)
-        lhs_th = material(th_prev, th_now, th_next)
+        lhs_h = _material(f_now, h2_prev, h2_now, h2_next, dtp, dtn)
+        lhs_th = _material(f_now, th_prev, th_now, th_next, dtp, dtn)
 
         hnorm = np.sqrt(np.maximum(h2_now, 0.0))
         grad_habs_sq = f_now.grad_norm_sq(hnorm)

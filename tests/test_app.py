@@ -169,6 +169,18 @@ def test_tsui_wang_small_run(tmp_path):
     assert len(rows) >= 2
 
 
+def test_tsui_wang_classifier_reads_h_tol(tmp_path):
+    # converges at max|H| = 6.8e-4: minimal under [flow] h_tol = 1e-3
+    cfg = builtin_config("tsui_wang_s2", {
+        ("grid", "nodes"): 32, ("flow", "t_end"): 20.0, ("flow", "h_tol"): 1e-3,
+        ("flow", "record_every"): 5000, ("verify", "residuals"): False,
+        ("verify", "inequalities"): False})
+    out = str(tmp_path / "tsui")
+    assert run_scenario(cfg, out_dir=out).status == "Converged"
+    classification = json.loads(_read(out, "classification.json"))
+    assert classification["class"] == "Inconclusive"  # max|A| = 4.8e-4 is above 1e-4
+
+
 def test_identity_edge_scenario_rejected(tmp_path):
     cfg = builtin_config("torus_identity_edge")
     with pytest.raises(ConfigurationError, match="not strictly area decreasing"):
@@ -227,6 +239,19 @@ def test_cli_rejects_out_of_range_values(tmp_path, capsys, section, key, value):
     assert err.count("\n") == 1 and f"[{section}] {key}" in err
     with pytest.raises(ConfigurationError):
         builtin_config("tsui_wang_s2", {(section, key): float(value)})
+
+
+@pytest.mark.parametrize("section,key,value,says", [
+    ("barrier", "kind", "wasit_tube", "[barrier] kind"),  # ran without the barrier: PASS
+    ("flow", "integrator", "RK9", "[flow] integrator"),
+    ("initial", "z0", "2.0", "not inside the sublevel set"),  # was a ValueError traceback
+], ids=["kind", "integrator", "z0"])
+def test_cli_rejects_bad_waist_settings(tmp_path, capsys, section, key, value, says):
+    cfg_path = _write(tmp_path,
+                      f"[scenario]\nname = cylinder_waist\n[{section}]\n{key} = {value}\n")
+    assert cli_main(["run", cfg_path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and says in err
 
 
 def test_cli_config_error_exit_code(tmp_path):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from graphflow.classify import (ClassifyTolerances, classify_from_observables, classify_limit)
+from graphflow.classify import classify_from_observables, classify_limit
 from graphflow.geometry import flat_torus, round_sphere
 from graphflow.immersion import GraphMapField
 
@@ -85,7 +85,6 @@ def test_classify_limit_rank2_projection():
 
 
 def test_tolerances_dataclass():
-    t = ClassifyTolerances(h_tol=1e-3)
     rep = classify_from_observables("Converged", 1e-4, 1e-9, np.zeros(4), np.zeros(4),
-                                    np.zeros(4), tols=t)
+                                    np.zeros(4), h_tol=1e-3)
     assert rep.klass == "Constant"  # looser h tolerance admits this limit

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphflow.frames import (DifferentialSample, area_decreasing_status, build_svd_frame,
-                              p_batch, singular_values, singular_values_batch)
+from graphflow.frames import (DifferentialSample, build_svd_frame, p_batch, singular_values,
+                              singular_values_batch)
 
 
 def _random_sample(rng, m):
@@ -85,15 +85,6 @@ def test_singular_values_of_isometry():
     lam, mu = singular_values(s)
     assert lam == pytest.approx(1.0)
     assert mu == pytest.approx(1.0)
-
-
-def test_area_decreasing_status():
-    p, ok, dil = area_decreasing_status(0.5, 0.5)
-    assert ok and dil == 0.25 and p > 0
-    p, ok, dil = area_decreasing_status(2.0, 0.5)
-    assert not ok and dil == 1.0 and abs(p) < 1e-15
-    with pytest.raises(ValueError):
-        area_decreasing_status(0.5, 2.0)
 
 
 def test_constant_map_frame():

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from graphflow.errors import ConfigurationError, DomainError
-from graphflow.geometry import (ChartManifold, WarpedSurface, bi_ricci, builtin_warp,
+from graphflow.geometry import (ChartManifold, Warp, WarpedSurface, bi_ricci, builtin_warp,
                                 curvature_package, curvature_conditions_report, flat_torus,
                                 gauss_curvature_at, hopf_map, round_sphere, s3_hopf_chart,
-                                sectional, sphere_distance, sup_sigma_of, warped_curvature)
+                                sectional, sup_sigma_of)
 
 
 # -- chart bookkeeping -------------------------------------------------------
@@ -23,8 +23,6 @@ def test_periodic_wrap(torus2):
 def test_non_periodic_out_of_range_raises(waist_cylinder):
     with pytest.raises(DomainError):
         waist_cylinder.wrap([0.0, 100.0])
-    assert not waist_cylinder.contains([0.0, 100.0])
-    assert waist_cylinder.contains([0.0, 1.0])
 
 
 def test_flat_torus_scale_metric():
@@ -118,28 +116,21 @@ def test_warped_surface_gauss_curvature():
     surf = WarpedSurface(builtin_warp("cosh"))
     for z in (-1.0, 0.0, 0.7):
         assert abs(surf.gauss_curvature(z) + 1.0) < 1e-12
-        assert abs(warped_curvature(surf, z) + 1.0) < 1e-12
     # cross-check against the intrinsic curvature tensor
     x = np.array([0.2, 0.5])
     val = sectional(surf, x, [1.0, 0.0], [0.0, 1.0])
     assert abs(val + 1.0) < 1e-6
 
 
-def test_warped_curvature_domain_check(waist_cylinder):
-    with pytest.raises(DomainError):
-        warped_curvature(waist_cylinder, 50.0)
-
-
 def test_builtin_warp_unknown():
     with pytest.raises(ConfigurationError):
         builtin_warp("nope")
-    with pytest.raises(ConfigurationError):
-        builtin_warp("poly")  # coefficients required
 
 
 def test_warp_must_stay_positive():
+    sin = Warp("sin", np.sin, np.cos, lambda z: -np.sin(z))
     with pytest.raises(ConfigurationError):
-        WarpedSurface(builtin_warp("sin"))  # vanishes inside the z-range
+        WarpedSurface(sin)  # vanishes inside the z-range
 
 
 def test_gauss_curvature_at_dispatch(sphere2, waist_cylinder):
@@ -152,14 +143,13 @@ def test_gauss_curvature_at_dispatch(sphere2, waist_cylinder):
 def test_sup_sigma(waist_cylinder, torus2):
     assert abs(sup_sigma_of(waist_cylinder) + 1.0) < 1e-12
     assert sup_sigma_of(torus2) == 0.0
+    # a sphere without its constant-curvature flag is sampled
+    s = round_sphere(2, curvature=2.0)
+    unflagged = ChartManifold("sphere_sampled", s.axes, s._metric_at, s._christoffels_at)
+    assert abs(sup_sigma_of(unflagged) - 2.0) < 1e-12
 
 
-# -- distances and the Hopf map ---------------------------------------------
-
-
-def test_sphere_distance():
-    assert abs(sphere_distance(1.0, [0.5, 0.0], [0.5 + 0.3, 0.0]) - 0.3) < 1e-12
-    assert abs(sphere_distance(4.0, [0.5, 0.0], [0.8, 0.0]) - 0.15) < 1e-12
+# -- the Hopf map ------------------------------------------------------------
 
 
 def test_hopf_map_range():
@@ -194,6 +184,26 @@ def test_report_product_pair(s1xs2, waist_cylinder):
     assert rep.min_bric == 1.0
     assert rep.sup_sigma_n == -1.0
     assert rep.cond_a and rep.cond_b and rep.cond_c
+
+
+def test_report_sampled_branch(s1xs2, waist_cylinder):
+    # S^1 x S^2 without its product flag takes the sampled branch; its minima
+    # must reach the closed form of the flagged report
+    unflagged = ChartManifold("s1_x_s2_sampled", s1xs2.axes, s1xs2._metric_at,
+                              s1xs2._christoffels_at)
+    rep = curvature_conditions_report(unflagged, waist_cylinder)
+    assert not rep.exact
+    assert rep.point_count == 64 and rep.frame_count == 64
+    assert abs(rep.min_ric) <= 1e-12
+    assert abs(rep.min_bric - 1.0) <= 1e-12
+    assert rep.cond_a and rep.cond_b and rep.cond_c
+    assert rep.trace_ineq_2b and rep.trace_ineq_3
+    # the cosh cylinder (K = -1) as the source of a map into the round sphere
+    rep = curvature_conditions_report(waist_cylinder, round_sphere(2))
+    assert not rep.exact
+    assert abs(rep.min_ric + 1.0) <= 1e-12
+    assert abs(rep.min_bric + 1.0) <= 1e-12
+    assert not (rep.cond_a or rep.cond_b or rep.cond_c)
 
 
 def test_report_flat_pair(torus3, torus2):
