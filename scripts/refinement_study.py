@@ -31,7 +31,7 @@ def velocity_residual(J: int, amplitude: float) -> float:
                                    - np.sin(h) * np.cos(h)) / (np.sin(th)**2 + np.sin(h)**2)
 
     eq = EquivariantFlow(J, lambda th: amplitude * np.sin(th))
-    fld = eq.expand_field(eq.h, n_phi=8)
+    fld = eq.expand_field(eq.h)
     m = fld.M.dim
     sel = (eq.theta >= 0.5) & (eq.theta <= math.pi - 0.5)
     geo = field_geometry(fld)
@@ -49,8 +49,9 @@ def velocity_residual(J: int, amplitude: float) -> float:
 def p_residual(J: int, amplitude: float, base_cadence: int = 60) -> float:
     eq = EquivariantFlow(J, lambda th: amplitude * np.sin(th))
     cadence = base_cadence * (J // 32) ** 2 if J >= 32 else base_cadence
-    run = eq.run(t_end=0.3, record_every=max(cadence, 1), capture_triples=True)
-    rows = residual_p_evolution(eq.expand_triples(run, n_phi=8), margin=4)
+    run = eq.run(t_end=0.3, record_every=max(cadence, 1))
+    triples = [eq.stencil_fields(s) for s in run.states if s.stencil]
+    rows = residual_p_evolution(triples, margin=4)
     return rows[0]["l2"] if rows else float("nan")
 
 

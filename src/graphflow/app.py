@@ -53,7 +53,6 @@ _SCHEMA = {
         "nodes": (int, 256,         # 1D profile resolution; needs interior nodes
                   (lambda v, vals: v > 2 * vals[("verify", "margin")],
                    "must exceed 2 * [verify] margin")),
-        "n_phi": (int, 8),          # azimuthal width of expanded 2D fields
         "shape": (str, "8,8,8"),    # full-grid scenarios
     },
     "flow": {
@@ -329,45 +328,40 @@ def _evolve_tsui_wang(cfg: ScenarioConfig, m_manifold, n_manifold, report) -> Ev
     amp = cfg.get("initial", "amplitude")
     eq = EquivariantFlow(cfg.get("grid", "nodes"), lambda th: amp * np.sin(th),
                          kappa=1.0, cfl=cfg.get("flow", "cfl"))
-    # snapshot triples feed only the residual and inequality monitors
-    monitored = cfg.get("verify", "residuals") or cfg.get("verify", "inequalities")
     run = eq.run(cfg.get("flow", "t_end"), record_every=cfg.get("flow", "record_every"),
-                 h_tol=cfg.get("flow", "h_tol"), integrator=cfg.get("flow", "integrator"),
-                 capture_triples=monitored)
+                 h_tol=cfg.get("flow", "h_tol"), integrator=cfg.get("flow", "integrator"))
     if run.status == "Aborted":
         raise SolverAbort("equivariant run aborted")
     eps0, eps1 = decay_rates(report.min_ric, report.sup_sigma_n)
     margin = cfg.get("verify", "margin")
-    n_phi = cfg.get("grid", "n_phi")
+    residuals_on = cfg.get("verify", "residuals")
+    inequalities_on = cfg.get("verify", "inequalities")
+    residuals, checkpoints = [], []
+    for rec, state in zip(run.records, run.states):  # one lift per recorded state
+        fld = eq.expand_field(state.h)
+        rec.max_a2 = float(field_geometry(fld).a_sq[fld.interior_mask(margin)].max(initial=0.0))
+        if state.stencil is None or not (residuals_on or inequalities_on):
+            continue
+        triple = [eq.stencil_fields(state, fld)]  # lifts only the stencil neighbours
+        if residuals_on:
+            (row,) = residual_p_evolution(triple, margin=margin)
+            rec.residual_l2, rec.residual_linf = row["l2"], row["linf"]
+            residuals.append(row)
+        if inequalities_on:
+            checkpoints += check_H_and_theta_inequalities(triple, eps1=eps1,
+                                                          margin=margin)["checkpoints"]
+
     sections: dict = {"barrier": None}
     checks = []
-
-    residuals = []
-    triples = eq.expand_triples(run, n_phi=n_phi) if monitored else []
-    if cfg.get("verify", "residuals") and triples:
-        residuals = residual_p_evolution(triples, margin=margin)
     if residuals:
         sections["residual_p"] = {"checkpoints": residuals}
-    res_by_t = {round(r["t"], 12): r for r in residuals}
-    # per-record |A|^2 from expanded 2D fields (interior maximum); run()
-    # appends a record and a snapshot at the same moments
-    for rec, (_, h) in zip(run.records, run.snapshots):
-        a_sq = field_geometry(eq.expand_field(h, n_phi=4)).a_sq
-        rec.max_a2 = float(a_sq[margin:a_sq.shape[0] - margin, 0].max(initial=0.0))
-        res = res_by_t.get(round(rec.t, 12))
-        if res:
-            rec.residual_l2, rec.residual_linf = res["l2"], res["linf"]
-
-    if cfg.get("verify", "inequalities") and triples:
-        ineq = check_H_and_theta_inequalities(triples, eps1=eps1, margin=margin)
-        sections["inequalities"] = ineq
-        checks.append(ineq["pass"])
+    if checkpoints:
+        checks.append(all(cp["pass"] for cp in checkpoints))
+        sections["inequalities"] = {"pass": checks[-1], "checkpoints": checkpoints}
     diam = diameter_series([(r.t, r.diameter) for r in run.records], eps0=eps0)
     sections["diameter"] = {k: (v.tolist() if isinstance(v, np.ndarray) else v)
                             for k, v in diam.items()}
-
-    final = eq.expand_field(run.h_final, n_phi=n_phi)
-    rep = classify_limit(final, run.status, h_tol=cfg.get("flow", "h_tol"),
+    rep = classify_limit(fld, run.status, h_tol=cfg.get("flow", "h_tol"),  # the last lift
                          ricci_positive=report.min_ric > 0, margin=margin)
     return Evolution(run.records, run.status, rep.as_dict(), sections, checks,
                      dissipation=run.dissipation, h_grid=eq.dtheta)

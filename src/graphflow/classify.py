@@ -23,9 +23,8 @@ UNTESTED_NOTE = (
 )
 
 
-SV_TOL = 1e-4       # singular value considered nonzero above this
+TOL_PER_H_TOL = 100  # a singular value or |A| above 100 h_tol is nonzero
 SV_VAR_TOL = 1e-3   # spatial standard deviation allowed for "constant"
-A_TOL = 1e-4        # totally geodesic threshold on max |A|
 FLAT_TOL = 1e-6     # |sigma_N| on the image for the rank-2 case
 
 
@@ -71,7 +70,8 @@ def classify_from_observables(status: str, max_h: float, max_a: float,
     mu_mean, mu_std = float(mu.mean()), float(mu.std())
     sig_max = None if sigma_n_values is None else float(np.abs(sigma_n_values).max())
 
-    rank = int(lam_mean > SV_TOL) + int(mu_mean > SV_TOL)
+    tol = TOL_PER_H_TOL * h_tol
+    rank = int(lam_mean > tol) + int(mu_mean > tol)
 
     def report(klass, contradiction=False, extra_notes=()):
         return LimitReport(
@@ -87,7 +87,7 @@ def classify_from_observables(status: str, max_h: float, max_a: float,
         return report("NotMinimal", extra_notes=[
             f"status {status}, max|H| = {max_h:.3e} >= {h_tol:.1e}"])
     constant_sv = lam_std < SV_VAR_TOL and mu_std < SV_VAR_TOL
-    geodesic = max_a < A_TOL
+    geodesic = max_a < tol
     if not (constant_sv and geodesic):
         return report("Inconclusive", extra_notes=[
             "minimal but singular values vary or |A| above the totally-geodesic threshold"])

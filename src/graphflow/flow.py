@@ -9,6 +9,7 @@ profile h(theta, t) and the warped-cylinder circle drift z(t).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from .geometry import WarpedSurface, round_sphere
 from .immersion import GraphMapField, field_cached
 
 CONVERGENCE_STREAK = 100  # consecutive steps with max|H| below tolerance
+PHI_WIDTH = 8  # azimuthal nodes of the 2D lift of an equivariant profile
 
 
 @dataclass
@@ -159,10 +161,18 @@ class FlowRecord:
 
 
 @dataclass
+class RecordedState:
+    t: float
+    h: np.ndarray
+    # (dt_prev, dt_next, h_prev, h_next): the steps into and out of this state;
+    # None without a step on both sides
+    stencil: Optional[tuple] = None
+
+
+@dataclass
 class EquivariantRun:
-    records: list
-    snapshots: list        # (t, h) at record cadence
-    triples: list          # (t, dt, h_prev, h_now, h_next) for time stencils
+    records: list          # FlowRecord per recorded state
+    states: list           # RecordedState, aligned 1:1 with records
     dissipation: float
     status: str
     t_final: float
@@ -189,6 +199,9 @@ class EquivariantFlow:
         self.h = np.asarray(h0(self.theta) if callable(h0) else h0, dtype=float).copy()
         if self.h.shape != (self.J,):
             raise ValueError("profile length must match node count")
+        self.M = round_sphere(2)
+        self.N = round_sphere(2, curvature=self.kappa)
+        self._template: Optional[GraphMapField] = None  # the first lift
 
     def _ghosted(self, h: np.ndarray) -> np.ndarray:
         out = np.empty(self.J + 2)
@@ -219,7 +232,7 @@ class EquivariantFlow:
         b = r * np.abs(np.sin(h)) / np.sin(self.theta)
         return np.maximum(a, b), np.minimum(a, b)
 
-    def observables(self, h: np.ndarray) -> FlowRecord:
+    def observables(self, h: np.ndarray, t: float = np.nan) -> FlowRecord:
         d1, _ = self.derivatives(h)
         v = self.rhs(h)
         h2 = self.r2 * v**2 / (1 + self.r2 * d1**2)
@@ -232,40 +245,36 @@ class EquivariantFlow:
         diam = r * min(np.pi, 2 * float(np.abs(h).max()))
         pos = p > 0  # Theta only where p > 0; a record with min p <= 0 aborts the run
         return FlowRecord(
-            t=np.nan, min_p=float(p.min()), max_lambda=float(lam.max()),
+            t=t, min_p=float(p.min()), max_lambda=float(lam.max()),
             max_mu=float(mu.max()), max_df2=float((lam**2 + mu**2).max()),
             max_h2=float(h2.max()), max_theta=float(np.max(h2[pos] / p[pos], initial=0.0)),
             volume=vol, diameter=diam,
         )
 
     def run(self, t_end: float, record_every: int = 50, h_tol: float = 1e-6,
-            integrator: str = "RK2", capture_triples: bool = True) -> EquivariantRun:
-        """Integrate the profile; records at cadence, snapshot triples for
-        time-derivative stencils (prev/now/next with their unequal steps)."""
+            integrator: str = "RK2") -> EquivariantRun:
+        """Integrate the profile, recording every ``record_every`` steps and at
+        the end; a recorded state keeps the steps around it for time stencils."""
         h = self.h.copy()
         t = 0.0
         rec0 = self.observables(h)
         if rec0.min_p <= 0:
             raise NotAreaDecreasingError(f"initial profile has min p = {rec0.min_p:.3e}")
         records: list = []
-        snapshots: list = []
-        triples: list = []
+        states: list = []
         dissipation = 0.0
         status = "Running"
         streak = 0
         step_i = 0
-        prev_h = None
-        prev_dt = None
-        pending = None  # (t, dt_prev, dt_next, h_prev, h_now) awaiting h_next
+        prev_h = prev_dt = None
         sin_t = np.sin(self.theta)
         quad_w = 2 * np.pi * self.dtheta
         while t < t_end - 1e-14:
             at_record = step_i % record_every == 0
             if at_record:
-                rec = self.observables(h)
-                rec.t = t
+                rec = self.observables(h, t)
                 records.append(rec)
-                snapshots.append((t, h.copy()))
+                states.append(RecordedState(t, h))
                 if rec.min_p <= 0:
                     status = "Aborted"
                     break
@@ -281,8 +290,6 @@ class EquivariantFlow:
                 status = "Converged"
                 break
             dt = min(self.cfl * self.dtheta**2 * g11.min() / 2, t_end - t)
-            if capture_triples and at_record and prev_h is not None:
-                pending = (t, prev_dt, dt, prev_h.copy(), h.copy())
             g22 = sin_t**2 + self.r2 * np.sin(h) ** 2
             dissipation += dt * quad_w * float(np.sum(h2_now * np.sqrt(g11 * g22)))
             if integrator == "Euler":
@@ -293,42 +300,38 @@ class EquivariantFlow:
             if not np.all(np.isfinite(h_new)):
                 status = "Aborted"
                 break
-            if pending is not None:
-                t0, dtp, dtn, hp, hc = pending
-                triples.append((t0, dtp, dtn, hp, hc, h_new.copy()))
-                pending = None
+            if at_record and step_i > 0:
+                states[-1].stencil = (prev_dt, dt, prev_h, h_new)
             prev_h, prev_dt = h, dt
             h = h_new
             t += dt
             step_i += 1
         if status == "Running":
             status = "Finished"
-        rec = self.observables(h)
-        rec.t = t
-        records.append(rec)
-        snapshots.append((t, h.copy()))
-        return EquivariantRun(
-            records=records, snapshots=snapshots, triples=triples, dissipation=dissipation,
-            status=status, t_final=t, h_final=h,
-        )
+        records.append(self.observables(h, t))
+        states.append(RecordedState(t, h))
+        return EquivariantRun(records=records, states=states, dissipation=dissipation,
+                              status=status, t_final=t, h_final=h)
 
-    def expand_triples(self, run: "EquivariantRun", n_phi: int = 8) -> list:
-        """Lift recorded snapshot triples to 2D fields for residual checks."""
-        return [
-            (t, dtp, dtn, self.expand_field(hp, n_phi), self.expand_field(hc, n_phi),
-             self.expand_field(hn, n_phi))
-            for (t, dtp, dtn, hp, hc, hn) in run.triples
-        ]
-
-    def expand_field(self, h: np.ndarray, n_phi: int = 8) -> GraphMapField:
-        """Lift a profile to a 2D field f(theta, phi) = (h(theta), phi)."""
-        m = round_sphere(2)
-        n = round_sphere(2, curvature=self.kappa)
-        phi = np.arange(n_phi) * 2 * np.pi / n_phi
-        f = np.empty((self.J, n_phi, 2))
+    def expand_field(self, h: np.ndarray) -> GraphMapField:
+        """Lift a profile to the 2D field f(theta, phi) = (h(theta), phi) on
+        PHI_WIDTH azimuthal nodes.  The first lift is the template grid: every
+        later one shares its M-side fields."""
+        f = np.empty((self.J, PHI_WIDTH, 2))
         f[..., 0] = h[:, None]
-        f[..., 1] = phi[None, :]
-        return GraphMapField(m, n, (self.J, n_phi), f)
+        f[..., 1] = np.arange(PHI_WIDTH) * 2 * np.pi / PHI_WIDTH
+        if self._template is None:
+            self._template = GraphMapField(self.M, self.N, f.shape[:2], f)
+            return self._template
+        return self._template.with_values(f)
+
+    def stencil_fields(self, state: RecordedState, now: Optional[GraphMapField] = None) -> tuple:
+        """(t, dt_prev, dt_next, field_prev, field_now, field_next) of a state
+        with a stencil, for the time-derivative monitors; ``now`` is the
+        state's own lift when the caller has it."""
+        dt_prev, dt_next, h_prev, h_next = state.stencil
+        return (state.t, dt_prev, dt_next, self.expand_field(h_prev),
+                self.expand_field(state.h) if now is None else now, self.expand_field(h_next))
 
 
 # ---------------------------------------------------------------------------

@@ -113,9 +113,9 @@ class GraphMapField:
         return f
 
     def with_values(self, f_values) -> "GraphMapField":
-        """A field on the same grid; it shares the M-side fields computed so far."""
+        """A field on the same grid; it shares this field's M-side fields."""
         new = GraphMapField(self.M, self.N, self.shape, f_values)
-        new._cache.update({k: self._cache[k] for k in self.GRID_FIELDS if k in self._cache})
+        new._cache.update({k: getattr(self, k)() for k in self.GRID_FIELDS})
         return new
 
     # -- stencils on the ghost-padded grid ------------------------------------

@@ -199,7 +199,6 @@ def check_H_and_theta_inequalities(triples: Sequence, eps1: float, margin: int =
     Pass iff every slack >= -(1e-6 + 10 (h^2 + dt)).
     """
     checkpoints = []
-    all_ok = True
     for (t, dtp, dtn, f_prev, f_now, f_next) in triples:
         h2_prev, h2_now, h2_next = (h2_field(f) for f in (f_prev, f_now, f_next))
         p_prev, p_now, p_next = (f.p_field() for f in (f_prev, f_now, f_next))
@@ -230,7 +229,6 @@ def check_H_and_theta_inequalities(triples: Sequence, eps1: float, margin: int =
                                       float(slack_th.min(initial=np.inf)),
                                       float(w_excess.max(initial=-np.inf)))
         cp_ok = (n_eval == 0) or (worst_h >= -tol and worst_th >= -tol and worst_w <= 1e-12)
-        all_ok = all_ok and cp_ok
         checkpoints.append({
             "t": float(t), "nodes": n_eval, "tol": tol,
             "worst_slack_h": None if n_eval == 0 else worst_h,
@@ -238,7 +236,7 @@ def check_H_and_theta_inequalities(triples: Sequence, eps1: float, margin: int =
             "worst_w_excess": None if n_eval == 0 else worst_w,
             "pass": cp_ok,
         })
-    return {"pass": all_ok, "checkpoints": checkpoints}
+    return {"pass": all(cp["pass"] for cp in checkpoints), "checkpoints": checkpoints}
 
 
 # ---------------------------------------------------------------------------

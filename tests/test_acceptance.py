@@ -43,7 +43,7 @@ def _tsui_decay_run():
     """Criterion 5 workload: 1D equivariant run to t = 5 at 128 nodes."""
     eq = EquivariantFlow(128, _profile)
     t0 = time.perf_counter()
-    run = eq.run(t_end=5.0, record_every=2000, capture_triples=False)
+    run = eq.run(t_end=5.0, record_every=2000)
     return eq, run, time.perf_counter() - t0
 
 
@@ -51,7 +51,7 @@ def _tsui_decay_run():
 def _tsui_convergence_run():
     """Criteria 6 and 9 workload: run to convergence (t <= 20) at 96 nodes."""
     eq = EquivariantFlow(96, _profile)
-    run = eq.run(t_end=20.0, record_every=500, capture_triples=False)
+    run = eq.run(t_end=20.0, record_every=500)
     return eq, run
 
 
@@ -134,7 +134,7 @@ def test_criterion_3_nonparametric_consistency():
     norms = []
     for J in (16, 32, 64, 128):
         eq = EquivariantFlow(J, _profile)
-        fld = eq.expand_field(eq.h, n_phi=8)
+        fld = eq.expand_field(eq.h)
         m = fld.M.dim
         gm, gn = fld.g_m_field(), fld.g_n_field()
         vals = []
@@ -162,8 +162,9 @@ def test_criterion_4_p_evolution_residual():
     l2 = {}
     for J, cadence in ((32, 60), (64, 240)):
         eq = EquivariantFlow(J, _profile)
-        run = eq.run(t_end=0.3, record_every=cadence, capture_triples=True)
-        rows = residual_p_evolution(eq.expand_triples(run, n_phi=8), margin=4)
+        run = eq.run(t_end=0.3, record_every=cadence)
+        triples = [eq.stencil_fields(s) for s in run.states if s.stencil]
+        rows = residual_p_evolution(triples, margin=4)
         l2[J] = [r["l2"] for r in rows]
     n = min(len(l2[32]), len(l2[64]))
     ratios = [l2[32][k] / l2[64][k] for k in range(n)]
@@ -204,7 +205,7 @@ def test_criterion_6_convergence_to_constant():
     eq, run = _tsui_convergence_run()
     last = run.records[-1]
     max_h = math.sqrt(last.max_h2)
-    final = eq.expand_field(run.h_final, n_phi=8)
+    final = eq.expand_field(run.h_final)
     rep = classify_limit(final, run.status, ricci_positive=True)
     diam = diameter_series([(r.t, r.diameter) for r in run.records], eps0=0.25)
     ok = (run.status == "Converged" and run.t_final <= 20.0 and max_h < 1e-6

@@ -2,16 +2,20 @@
 
 import json
 import os
+import sys
+from collections import Counter
 
 import jsonschema
 import pytest
 
-from graphflow import cli, errors
+from graphflow import cli, errors, immersion
 from graphflow.app import (BUILTIN_SCENARIOS, CLASSIFICATION_SCHEMA, CSV_COLUMNS,
                            VERIFICATION_SCHEMA, builtin_config, load_config, run_identities,
                            run_scenario)
 from graphflow.cli import main as cli_main
 from graphflow.errors import ConfigurationError
+from graphflow.geometry import ChartManifold
+from graphflow.immersion import GraphMapField
 
 
 # -- configuration -----------------------------------------------------------
@@ -36,7 +40,8 @@ def test_unknown_section_rejected(tmp_path):
 
 def test_unknown_key_rejected(tmp_path):
     for text in ("[scenario]\nname = torus_projection\nbogus = 1\n",
-                 "[scenario]\nname = torus_projection\n[flow]\ndiam_tol = 1e-3\n"):
+                 "[scenario]\nname = torus_projection\n[flow]\ndiam_tol = 1e-3\n",
+                 "[scenario]\nname = torus_projection\n[grid]\nn_phi = 8\n"):
         path = _write(tmp_path, text)
         with pytest.raises(ConfigurationError, match="unknown key"):
             load_config(path)
@@ -170,7 +175,9 @@ def test_tsui_wang_small_run(tmp_path):
 
 
 def test_tsui_wang_classifier_reads_h_tol(tmp_path):
-    # converges at max|H| = 6.8e-4: minimal under [flow] h_tol = 1e-3
+    # converges at max|H| = 6.8e-4: minimal under [flow] h_tol = 1e-3; the rank
+    # and totally-geodesic thresholds follow h_tol too (they were fixed at 1e-4,
+    # so max|A| = 4.8e-4 made this near-constant limit Inconclusive)
     cfg = builtin_config("tsui_wang_s2", {
         ("grid", "nodes"): 32, ("flow", "t_end"): 20.0, ("flow", "h_tol"): 1e-3,
         ("flow", "record_every"): 5000, ("verify", "residuals"): False,
@@ -178,7 +185,49 @@ def test_tsui_wang_classifier_reads_h_tol(tmp_path):
     out = str(tmp_path / "tsui")
     assert run_scenario(cfg, out_dir=out).status == "Converged"
     classification = json.loads(_read(out, "classification.json"))
-    assert classification["class"] == "Inconclusive"  # max|A| = 4.8e-4 is above 1e-4
+    assert classification["class"] == "Constant"
+
+
+@pytest.mark.parametrize("monitored", [True, False])
+def test_tsui_wang_lifts_each_record_once(tmp_path, monkeypatch, monitored):
+    # a run with R records and S stencils lifts each record once and, with the
+    # monitors on, the two stencil neighbours of each stencil; one field
+    # geometry per record serves its max |A|^2, the monitors and the
+    # classifier; the M side of the lifts is computed once per run
+    calls = Counter()
+    init, frame = GraphMapField.__init__, immersion.build_svd_frame
+    chart = {name: getattr(ChartManifold, name) for name in ("metric_many", "christoffels_many")}
+
+    def counted_init(self, *args):
+        calls["GraphMapField"] += 1
+        init(self, *args)
+
+    def counted_frame(sample):  # one SVD frame per field_geometry evaluation
+        calls["field_geometry"] += 1
+        return frame(sample)
+
+    def counted_chart(name):
+        def wrapper(self, pts):
+            calls[f"{name} in {sys._getframe(1).f_code.co_name}"] += 1
+            return chart[name](self, pts)
+        return wrapper
+
+    for name in chart:
+        monkeypatch.setattr(ChartManifold, name, counted_chart(name))
+    monkeypatch.setattr(GraphMapField, "__init__", counted_init)
+    monkeypatch.setattr(immersion, "build_svd_frame", counted_frame)
+    cfg = builtin_config("tsui_wang_s2", {
+        ("grid", "nodes"): 32, ("flow", "t_end"): 0.2, ("flow", "record_every"): 40,
+        ("verify", "residuals"): monitored, ("verify", "inequalities"): monitored})
+    out = str(tmp_path / "tsui")
+    run_scenario(cfg, out_dir=out)
+    records = len(_read(out, "time_series.csv").splitlines()) - 1
+    verification = json.loads(_read(out, "verification.json"))
+    stencils = len(verification["residual_p"]["checkpoints"]) if monitored else 0
+    assert records >= 3 and (stencils >= 2 or not monitored)
+    assert (calls["GraphMapField"], calls["field_geometry"]) == (records + 2 * stencils, records)
+    assert {k: n for k, n in calls.items() if k.endswith("_m_field")} == {
+        "metric_many in g_m_field": 1, "christoffels_many in gamma_m_field": 1}
 
 
 def test_identity_edge_scenario_rejected(tmp_path):

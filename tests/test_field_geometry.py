@@ -26,7 +26,7 @@ GEOMETRY_FIELDS = ("g", "g_inv", "a_xi", "a_eta", "h_xi", "h_eta", "a_sq", "h_sq
 
 def _tsui_field(nodes):
     eq = EquivariantFlow(nodes, lambda th: 0.8 * np.sin(th))
-    return eq.expand_field(eq.h, n_phi=8)
+    return eq.expand_field(eq.h)
 
 
 def _torus_projection_field():

@@ -43,7 +43,7 @@ def test_h2_field_matches_point_geometry():
     worst = {}
     for n in (32, 64):
         eq = EquivariantFlow(n, lambda th: 0.8 * np.sin(th))
-        fld = eq.expand_field(eq.h, n_phi=8)
+        fld = eq.expand_field(eq.h)
         h2 = h2_field(fld)
         worst[n] = max(abs(h2[i, 0] - point_geometry(fld, (i, 0)).h_sq)
                        for i in (n // 4, n // 2, 3 * n // 4))
@@ -115,7 +115,7 @@ def test_equivariant_rejects_non_area_decreasing_profile():
 
 def test_equivariant_rhs_matches_generic_operator():
     eq = EquivariantFlow(48, lambda th: 0.8 * np.sin(th))
-    fld = eq.expand_field(eq.h, n_phi=8)
+    fld = eq.expand_field(eq.h)
     v2 = nonparametric_rhs(fld)
     v1 = eq.rhs(eq.h)
     assert np.abs(v2[:, 0, 0] - v1).max() < 1e-10   # colatitude component
@@ -143,14 +143,21 @@ def test_equivariant_convergence_status():
 
 def test_equivariant_triples_are_consistent():
     eq = EquivariantFlow(32, lambda th: 0.8 * np.sin(th))
-    run = eq.run(t_end=0.2, record_every=30, capture_triples=True)
-    assert run.triples
-    for (t, dtp, dtn, hp, hc, hn) in run.triples:
+    run = eq.run(t_end=0.2, record_every=30)
+    assert [s.t for s in run.states] == [r.t for r in run.records]
+    stencils = [(s.h, s.stencil) for s in run.states if s.stencil]
+    assert stencils
+    for hc, (dtp, dtn, hp, hn) in stencils:
         assert dtp > 0 and dtn > 0
         assert hp.shape == hc.shape == hn.shape == (32,)
         # one step of the scheme from the captured predecessor reproduces h_now
         k2 = eq.rhs(hp + 0.5 * dtp * eq.rhs(hp))
         assert np.abs(hp + dtp * k2 - hc).max() < 1e-12
+        # and one step from h_now reproduces the captured successor
+        k2 = eq.rhs(hc + 0.5 * dtn * eq.rhs(hc))
+        assert np.abs(hc + dtn * k2 - hn).max() < 1e-12
+    # the start and the end have no step on both sides
+    assert run.states[0].stencil is None and run.states[-1].stencil is None
 
 
 def test_euler_and_rk2_agree_to_first_order():

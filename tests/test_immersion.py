@@ -152,7 +152,7 @@ def test_identity_map_flat_geometry():
 
 def test_w_norm_and_theta_nonnegative():
     eq = EquivariantFlow(32, lambda th: 0.8 * np.sin(th))
-    fld = eq.expand_field(eq.h, n_phi=8)
+    fld = eq.expand_field(eq.h)
     pg = point_geometry(fld, (16, 0))
     assert pg.h_sq > 0
     assert 0.0 <= w_norm_sq(pg) <= pg.h_sq + 1e-15
@@ -163,7 +163,7 @@ def test_p_gradient_identity_converges():
     errs = []
     for n in (32, 64):
         eq = EquivariantFlow(n, lambda th: 0.8 * np.sin(th))
-        fld = eq.expand_field(eq.h, n_phi=8)
+        fld = eq.expand_field(eq.h)
         errs.append(p_gradient_check(fld, (n // 2, 0)).max())
     assert errs[1] < errs[0]
     assert errs[1] < 1e-2
@@ -171,7 +171,7 @@ def test_p_gradient_identity_converges():
 
 def test_expanded_field_matches_reduction():
     eq = EquivariantFlow(48, lambda th: 0.8 * np.sin(th))
-    fld = eq.expand_field(eq.h, n_phi=8)
+    fld = eq.expand_field(eq.h)
     lam2, mu2 = fld.singular_value_fields()
     lam1, mu1 = eq.singular_values(eq.h)
     assert np.abs(lam2[:, 0] - lam1).max() < 1e-10

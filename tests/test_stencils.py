@@ -21,9 +21,11 @@ from graphflow.immersion import GraphMapField, _stencil_offsets
 
 
 def _tsui(n_phi, amplitude=0.8):
+    # the lift f(theta, phi) = (h(theta), phi) at any azimuthal width
     eq = EquivariantFlow(32, lambda th: amplitude * np.sin(th))
-    fld = eq.expand_field(eq.h, n_phi=n_phi)
-    return fld.M, fld.N, fld.shape, fld.f
+    phi = np.arange(n_phi) * 2 * math.pi / n_phi
+    f = np.stack(np.broadcast_arrays(eq.h[:, None], phi), axis=-1)
+    return eq.M, eq.N, (32, n_phi), f
 
 
 def _torus_projection():

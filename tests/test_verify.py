@@ -91,16 +91,18 @@ def test_residual_p_refines_second_order():
     vals = {}
     for J, cadence in ((32, 60), (64, 240)):
         eq = EquivariantFlow(J, lambda th: 0.8 * np.sin(th))
-        run = eq.run(t_end=0.25, record_every=cadence, capture_triples=True)
-        rows = residual_p_evolution(eq.expand_triples(run, n_phi=8), margin=4)
+        run = eq.run(t_end=0.25, record_every=cadence)
+        triples = [eq.stencil_fields(s) for s in run.states if s.stencil]
+        rows = residual_p_evolution(triples, margin=4)
         vals[J] = rows[0]["l2"]
     assert 3.0 < vals[32] / vals[64] < 5.0
 
 
 def test_inequalities_hold_on_equivariant_run():
     eq = EquivariantFlow(32, lambda th: 0.8 * np.sin(th))
-    run = eq.run(t_end=0.25, record_every=60, capture_triples=True)
-    res = check_H_and_theta_inequalities(eq.expand_triples(run, n_phi=8), eps1=0.0, margin=4)
+    run = eq.run(t_end=0.25, record_every=60)
+    triples = [eq.stencil_fields(s) for s in run.states if s.stencil]
+    res = check_H_and_theta_inequalities(triples, eps1=0.0, margin=4)
     assert res["pass"]
     assert res["checkpoints"]
     for cp in res["checkpoints"]:
