@@ -33,7 +33,7 @@ from .geometry import (WarpedSurface, builtin_warp, curvature_conditions_report,
 from .immersion import GraphMapField, field_geometry
 from .verify import (BoundConstants, check_H_and_theta_inequalities, check_decay_bounds,
                      check_volume_budget, compute_bound_constants, decay_rates,
-                     residual_p_evolution)
+                     inequality_section, residual_p_evolution)
 
 CSV_COLUMNS = [
     "t", "min_p", "max_lambda", "max_mu", "max_H2", "max_A2", "max_theta",
@@ -356,8 +356,8 @@ def _evolve_tsui_wang(cfg: ScenarioConfig, m_manifold, n_manifold, report) -> Ev
     if residuals:
         sections["residual_p"] = {"checkpoints": residuals}
     if checkpoints:
-        checks.append(all(cp["pass"] for cp in checkpoints))
-        sections["inequalities"] = {"pass": checks[-1], "checkpoints": checkpoints}
+        sections["inequalities"] = inequality_section(checkpoints)
+        checks.append(sections["inequalities"]["pass"])
     diam = diameter_series([(r.t, r.diameter) for r in run.records], eps0=eps0)
     sections["diameter"] = {k: (v.tolist() if isinstance(v, np.ndarray) else v)
                             for k, v in diam.items()}

@@ -23,7 +23,8 @@ UNTESTED_NOTE = (
 )
 
 
-TOL_PER_H_TOL = 100  # a singular value or |A| above 100 h_tol is nonzero
+TOL_PER_H_TOL = 100  # a singular value or |A| above 100 h_tol is nonzero ...
+TOL_CAP = 1e-2       # ... and so is one above 1e-2, whatever h_tol: both are O(1)
 SV_VAR_TOL = 1e-3   # spatial standard deviation allowed for "constant"
 FLAT_TOL = 1e-6     # |sigma_N| on the image for the rank-2 case
 
@@ -70,7 +71,7 @@ def classify_from_observables(status: str, max_h: float, max_a: float,
     mu_mean, mu_std = float(mu.mean()), float(mu.std())
     sig_max = None if sigma_n_values is None else float(np.abs(sigma_n_values).max())
 
-    tol = TOL_PER_H_TOL * h_tol
+    tol = min(TOL_PER_H_TOL * h_tol, TOL_CAP)
     rank = int(lam_mean > tol) + int(mu_mean > tol)
 
     def report(klass, contradiction=False, extra_notes=()):

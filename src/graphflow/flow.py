@@ -175,8 +175,6 @@ class EquivariantRun:
     states: list           # RecordedState, aligned 1:1 with records
     dissipation: float
     status: str
-    t_final: float
-    h_final: np.ndarray
 
 
 class EquivariantFlow:
@@ -311,7 +309,7 @@ class EquivariantFlow:
         records.append(self.observables(h, t))
         states.append(RecordedState(t, h))
         return EquivariantRun(records=records, states=states, dissipation=dissipation,
-                              status=status, t_final=t, h_final=h)
+                              status=status)
 
     def expand_field(self, h: np.ndarray) -> GraphMapField:
         """Lift a profile to the 2D field f(theta, phi) = (h(theta), phi) on

@@ -236,7 +236,12 @@ def check_H_and_theta_inequalities(triples: Sequence, eps1: float, margin: int =
             "worst_w_excess": None if n_eval == 0 else worst_w,
             "pass": cp_ok,
         })
-    return {"pass": all(cp["pass"] for cp in checkpoints), "checkpoints": checkpoints}
+    return inequality_section(checkpoints)
+
+
+def inequality_section(checkpoints: Sequence) -> dict:
+    """The inequality verdict over checkpoints: pass iff each checkpoint passes."""
+    return {"pass": all(cp["pass"] for cp in checkpoints), "checkpoints": list(checkpoints)}
 
 
 # ---------------------------------------------------------------------------

@@ -198,20 +198,20 @@ def test_criterion_5_decay_bounds():
     _verdict(5, "decay bounds", ok,
              f"worst margins p {worst['p']:.2e}, |df|^2 {worst['df2']:.2e}, "
              f"|H|^2 {worst['h2']:.2e}; {eq.J} nodes, run {elapsed:.1f}s "
-             f"({len(run.records)} checkpoints to t = {run.t_final:.2f})")
+             f"({len(run.records)} checkpoints to t = {run.states[-1].t:.2f})")
 
 
 def test_criterion_6_convergence_to_constant():
     eq, run = _tsui_convergence_run()
     last = run.records[-1]
     max_h = math.sqrt(last.max_h2)
-    final = eq.expand_field(run.h_final)
+    final = eq.expand_field(run.states[-1].h)
     rep = classify_limit(final, run.status, ricci_positive=True)
     diam = diameter_series([(r.t, r.diameter) for r in run.records], eps0=0.25)
-    ok = (run.status == "Converged" and run.t_final <= 20.0 and max_h < 1e-6
+    ok = (run.status == "Converged" and run.states[-1].t <= 20.0 and max_h < 1e-6
           and last.diameter < 1e-3 and rep.klass == "Constant" and diam["pass"])
     _verdict(6, "convergence to constant", ok,
-             f"t_final {run.t_final:.2f}, max|H| {max_h:.2e}, diameter "
+             f"t_final {run.states[-1].t:.2f}, max|H| {max_h:.2e}, diameter "
              f"{last.diameter:.2e}, class {rep.klass}, log-slope "
              f"{diam.get('log_slope', float('nan')):.3f} <= {diam.get('required_slope', float('nan')):.3f}")
 

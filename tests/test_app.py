@@ -188,6 +188,17 @@ def test_tsui_wang_classifier_reads_h_tol(tmp_path):
     assert classification["class"] == "Constant"
 
 
+@pytest.mark.parametrize("name, h_tol, klass", [("torus_projection", 1e-2, "Rank2Flat"),
+                                                  ("cylinder_waist", 2e-2, "Rank1Geodesic")])
+def test_loose_h_tol_keeps_unit_singular_values_nonzero(tmp_path, name, h_tol, klass):
+    # singular values of 0.5 and 1 are O(1) at any h_tol: a threshold of
+    # 100 h_tol alone would call them zero here and report Constant
+    cfg = builtin_config(name, {("flow", "h_tol"): h_tol, ("flow", "record_every"): 2000})
+    out = str(tmp_path / name)
+    run_scenario(cfg, out_dir=out)
+    assert json.loads(_read(out, "classification.json"))["class"] == klass
+
+
 @pytest.mark.parametrize("monitored", [True, False])
 def test_tsui_wang_lifts_each_record_once(tmp_path, monkeypatch, monitored):
     # a run with R records and S stencils lifts each record once and, with the

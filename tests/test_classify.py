@@ -88,3 +88,11 @@ def test_tolerances_dataclass():
     rep = classify_from_observables("Converged", 1e-4, 1e-9, np.zeros(4), np.zeros(4),
                                     np.zeros(4), h_tol=1e-3)
     assert rep.klass == "Constant"  # looser h tolerance admits this limit
+
+
+def test_tolerance_capped_below_unit_singular_values():
+    # at h_tol = 1e-2, 100 h_tol = 1 would call the singular values 0.5 of a
+    # flat projection zero; the threshold stops at 1e-2
+    rep = classify_from_observables("Stationary", 0.0, 0.0, np.full(4, 0.5), np.full(4, 0.5),
+                                    np.zeros(4), h_tol=1e-2)
+    assert rep.rank == 2 and rep.klass == "Rank2Flat"

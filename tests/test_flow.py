@@ -137,8 +137,8 @@ def test_equivariant_convergence_status():
     eq = EquivariantFlow(48, lambda th: 0.8 * np.sin(th))
     run = eq.run(t_end=20.0, record_every=500)
     assert run.status == "Converged"
-    assert run.t_final < 20.0
-    assert np.abs(run.h_final).max() < 1e-4
+    assert run.states[-1].t < 20.0
+    assert np.abs(run.states[-1].h).max() < 1e-4
 
 
 def test_equivariant_triples_are_consistent():
@@ -165,7 +165,7 @@ def test_euler_and_rk2_agree_to_first_order():
     eq2 = EquivariantFlow(32, lambda th: 0.5 * np.sin(th))
     r1 = eq1.run(t_end=0.05, record_every=10**6, integrator="Euler")
     r2 = eq2.run(t_end=0.05, record_every=10**6, integrator="RK2")
-    assert np.abs(r1.h_final - r2.h_final).max() < 1e-4
+    assert np.abs(r1.states[-1].h - r2.states[-1].h).max() < 1e-4
 
 
 # -- circle drift ------------------------------------------------------------
