@@ -51,7 +51,7 @@ def p_residual(J: int, amplitude: float, base_cadence: int = 60) -> float:
     cadence = base_cadence * (J // 32) ** 2 if J >= 32 else base_cadence
     run = eq.run(t_end=0.3, record_every=max(cadence, 1))
     triples = [eq.stencil_fields(s) for s in run.states if s.stencil]
-    rows = residual_p_evolution(triples, margin=4)
+    rows = residual_p_evolution(triples)
     return rows[0]["l2"] if rows else float("nan")
 
 

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import configparser
 import datetime
+import functools
 import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -25,12 +26,12 @@ from . import __version__
 from .errors import ConfigurationError, NotAreaDecreasingError, SolverAbort
 from .barrier import certify_convexity, containment_monitor, diameter_series, waist_tube_barrier
 from .classify import classify_from_observables, classify_limit
-from .flow import (EquivariantFlow, FlowParams, FlowRecord, FlowState, drift_velocity,
-                   h2_field, reduce_circle_drift, step)
+from .flow import (DRIFT_DT, EquivariantFlow, FlowParams, FlowRecord, FlowState, h2_field,
+                   reduce_circle_drift, step)
 from .frames import DifferentialSample, singular_values
 from .geometry import (WarpedSurface, builtin_warp, curvature_conditions_report,
                        flat_torus, hopf_map, product_s1_s2, round_sphere, s3_hopf_chart)
-from .immersion import GraphMapField, field_geometry
+from .immersion import SEAM_MARGIN, GraphMapField, field_geometry
 from .verify import (BoundConstants, check_H_and_theta_inequalities, check_decay_bounds,
                      check_volume_budget, compute_bound_constants, decay_rates,
                      inequality_section, residual_p_evolution)
@@ -42,7 +43,7 @@ CSV_COLUMNS = [
 ]
 
 # section -> key -> (parser, default[, bound]); None default means scenario-dependent.
-# A bound is (check of the value and all values, what a valid value is).
+# A bound is (check of the value, what a valid value is).
 _SCHEMA = {
     "scenario": {
         "name": (str, None),
@@ -51,34 +52,23 @@ _SCHEMA = {
     },
     "grid": {
         "nodes": (int, 256,         # 1D profile resolution; needs interior nodes
-                  (lambda v, vals: v > 2 * vals[("verify", "margin")],
-                   "must exceed 2 * [verify] margin")),
+                  (lambda v: v > 2 * SEAM_MARGIN,
+                   f"must exceed {2 * SEAM_MARGIN}, twice the seam margin")),
         "shape": (str, "8,8,8"),    # full-grid scenarios
     },
     "flow": {
-        "cfl": (float, 0.4, (lambda v, vals: 0 < v <= 1, "must lie in (0, 1]")),
-        "t_end": (float, 5.0, (lambda v, vals: v > 0, "must be positive")),
-        "record_every": (int, 400, (lambda v, vals: v >= 1, "must be at least 1")),
+        "cfl": (float, 0.4, (lambda v: 0 < v <= 1, "must lie in (0, 1]")),
+        "t_end": (float, 5.0, (lambda v: v > 0, "must be positive")),
+        "record_every": (int, 400, (lambda v: v >= 1, "must be at least 1")),
         "h_tol": (float, 1e-6),
-        "integrator": (str, "RK2", (lambda v, vals: v in ("RK2", "Euler"),
-                                    "must be RK2 or Euler")),
-        "ode_dt": (float, 1e-3),
     },
     "initial": {
         "amplitude": (float, 0.8),
         "z0": (float, 0.0),
-        "r": (float, 0.5),
     },
     "verify": {
-        "decay_bounds": (lambda s: s.lower() == "true", True),
         "residuals": (lambda s: s.lower() == "true", True),
         "inequalities": (lambda s: s.lower() == "true", True),
-        "margin": (int, 4),
-    },
-    "barrier": {
-        "kind": (str, "none", (lambda v, vals: v in ("none", "waist_tube"),
-                               "must be none or waist_tube")),
-        "level": (float, 1.0),
     },
 }
 
@@ -92,14 +82,6 @@ class ScenarioConfig:
 
     def get(self, section: str, key: str):
         return self.values[(section, key)]
-
-    def flow_params(self) -> FlowParams:
-        return FlowParams(
-            cfl=self.get("flow", "cfl"), t_end=self.get("flow", "t_end"),
-            record_every=self.get("flow", "record_every"),
-            h_tol=self.get("flow", "h_tol"),
-            integrator=self.get("flow", "integrator"),
-        )
 
     def canonical_text(self) -> str:
         lines = []
@@ -167,7 +149,7 @@ def _validate(parser: configparser.ConfigParser,
     for section, keys in _SCHEMA.items():
         for key, (_, _, *bound) in keys.items():
             value = values[(section, key)]
-            if bound and not bound[0][0](value, values):
+            if bound and not bound[0][0](value):
                 raise ConfigurationError(f"[{section}] {key} = {value!r} {bound[0][1]}")
     return ScenarioConfig(name=name, seed=values[("scenario", "seed")],
                           output_dir=values[("scenario", "output_dir")], values=values)
@@ -270,7 +252,7 @@ class Evolution:
 class Scenario:
     """A builtin scenario: its manifolds, its config defaults and its evolve step."""
 
-    manifolds: Callable   # cfg -> (M, N)
+    manifolds: Callable   # () -> (M, N)
     evolve: Callable      # (cfg, M, N, curvature report) -> Evolution
     defaults: dict = field(default_factory=dict)  # (section, key) -> value
 
@@ -281,11 +263,11 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> RunManif
     os.makedirs(out, exist_ok=True)
     t_start = datetime.datetime.now(datetime.timezone.utc).isoformat()
     scenario = SCENARIOS[cfg.name]
-    m_manifold, n_manifold = scenario.manifolds(cfg)
+    m_manifold, n_manifold = scenario.manifolds()
     report = curvature_conditions_report(m_manifold, n_manifold, seed=cfg.seed)
     ev = scenario.evolve(cfg, m_manifold, n_manifold, report)
 
-    verification = {"curvature_conditions": report.as_dict(), "constants": None, **ev.sections}
+    verification = {"curvature_conditions": asdict(report), "constants": None, **ev.sections}
     checks = list(ev.checks)
     constants = None
     if ev.dissipation is not None:
@@ -294,11 +276,10 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> RunManif
                                             sup_sigma_n=report.sup_sigma_n)
         verification["constants"] = {k: getattr(constants, k) for k in (
             "rho0", "c0", "c1", "eps0", "eps1", "a0", "a0_reconstructed")}
-        if cfg.get("verify", "decay_bounds"):
-            decay = check_decay_bounds(ev.records, constants, h_grid=ev.h_grid,
-                                       condition_a=report.cond_a)
-            verification["decay_bounds"] = decay
-            checks.append(decay.get("pass", True))
+        decay = check_decay_bounds(ev.records, constants, h_grid=ev.h_grid,
+                                   condition_a=report.cond_a)
+        verification["decay_bounds"] = decay
+        checks.append(decay.get("pass", True))
         budget = check_volume_budget(rec0.volume, ev.records[-1].volume, ev.dissipation)
         verification["volume_budget"] = budget
         checks.append(budget["pass"])
@@ -329,27 +310,25 @@ def _evolve_tsui_wang(cfg: ScenarioConfig, m_manifold, n_manifold, report) -> Ev
     eq = EquivariantFlow(cfg.get("grid", "nodes"), lambda th: amp * np.sin(th),
                          kappa=1.0, cfl=cfg.get("flow", "cfl"))
     run = eq.run(cfg.get("flow", "t_end"), record_every=cfg.get("flow", "record_every"),
-                 h_tol=cfg.get("flow", "h_tol"), integrator=cfg.get("flow", "integrator"))
+                 h_tol=cfg.get("flow", "h_tol"))
     if run.status == "Aborted":
         raise SolverAbort("equivariant run aborted")
     eps0, eps1 = decay_rates(report.min_ric, report.sup_sigma_n)
-    margin = cfg.get("verify", "margin")
     residuals_on = cfg.get("verify", "residuals")
     inequalities_on = cfg.get("verify", "inequalities")
     residuals, checkpoints = [], []
     for rec, state in zip(run.records, run.states):  # one lift per recorded state
         fld = eq.expand_field(state.h)
-        rec.max_a2 = float(field_geometry(fld).a_sq[fld.interior_mask(margin)].max(initial=0.0))
+        rec.max_a2 = float(field_geometry(fld).a_sq[fld.interior_mask()].max(initial=0.0))
         if state.stencil is None or not (residuals_on or inequalities_on):
             continue
         triple = [eq.stencil_fields(state, fld)]  # lifts only the stencil neighbours
         if residuals_on:
-            (row,) = residual_p_evolution(triple, margin=margin)
+            (row,) = residual_p_evolution(triple)
             rec.residual_l2, rec.residual_linf = row["l2"], row["linf"]
             residuals.append(row)
         if inequalities_on:
-            checkpoints += check_H_and_theta_inequalities(triple, eps1=eps1,
-                                                          margin=margin)["checkpoints"]
+            checkpoints += check_H_and_theta_inequalities(triple, eps1=eps1)["checkpoints"]
 
     sections: dict = {"barrier": None}
     checks = []
@@ -362,54 +341,45 @@ def _evolve_tsui_wang(cfg: ScenarioConfig, m_manifold, n_manifold, report) -> Ev
     sections["diameter"] = {k: (v.tolist() if isinstance(v, np.ndarray) else v)
                             for k, v in diam.items()}
     rep = classify_limit(fld, run.status, h_tol=cfg.get("flow", "h_tol"),  # the last lift
-                         ricci_positive=report.min_ric > 0, margin=margin)
+                         ricci_positive=report.min_ric > 0)
     return Evolution(run.records, run.status, rep.as_dict(), sections, checks,
                      dissipation=run.dissipation, h_grid=eq.dtheta)
 
 
-def _evolve_cylinder(cfg: ScenarioConfig, m_manifold, n_manifold, report) -> Evolution:
-    dt = cfg.get("flow", "ode_dt")
-    run = reduce_circle_drift(n_manifold, cfg.get("initial", "z0"), cfg.get("flow", "t_end"),
-                              dt=dt)
-    idx = list(range(0, len(run.t), cfg.get("flow", "record_every")))
-    if idx[-1] != len(run.t) - 1:
-        idx.append(len(run.t) - 1)
+def _evolve_cylinder(cfg: ScenarioConfig, m_manifold, n_manifold, report,
+                     waist_level: Optional[float] = None) -> Evolution:
+    """The symmetric circle on a warped cylinder: it drifts, or, given a waist
+    level, converges to the waist inside the waist-tube barrier of that level."""
+    run = reduce_circle_drift(n_manifold, cfg.get("initial", "z0"), cfg.get("flow", "t_end"))
+    idx = sorted({*range(0, len(run.t), cfg.get("flow", "record_every")), len(run.t) - 1})
     records = []
     for i in idx:  # observables of the symmetric circle: |A| = |H| = |Phi|
-        z = float(run.z[i])
-        w = float(n_manifold.warp.w(z))
-        phi = drift_velocity(n_manifold, z)
+        w, h2 = float(run.w[i]), float(run.h2[i])
         p = 2.0 / (1.0 + w * w)
-        h2 = phi * phi
         records.append(FlowRecord(
             t=float(run.t[i]), min_p=p, max_lambda=w, max_mu=0.0, max_df2=w**2, max_h2=h2,
-            max_a2=h2, max_theta=h2 / p, volume=8 * math.pi**2 * math.sqrt(1 + w * w),
+            max_a2=h2, max_theta=h2 / p, volume=float(run.volume[i]),
             diameter=math.pi * w))  # chart half-circumference proxy
 
-    final_z = float(run.z[-1])
-    final_h2 = drift_velocity(n_manifold, final_z) ** 2
-    if cfg.name == "cylinder_waist":
-        status = "Converged" if final_h2 < cfg.get("flow", "h_tol") ** 2 else "Finished"
-    else:
+    final_h2 = float(run.h2[-1])
+    sections: dict = {"barrier": None}
+    checks = []
+    if waist_level is None:
         monotone = bool(np.all(np.diff(run.z) > 0))
         vol_dec = bool(np.all(np.diff(run.volume) < 0))
         status = "Drifting" if (monotone and vol_dec) else "Finished"
-
-    sections: dict = {"barrier": None}
-    checks = []
-    if cfg.get("barrier", "kind") == "waist_tube":
-        level = cfg.get("barrier", "level")
-        bar = waist_tube_barrier(level)
-        sample_s = np.linspace(0, 2 * math.pi, 8, endpoint=False)
-        zs = np.linspace(-math.sqrt(level) * 0.99, math.sqrt(level) * 0.99, 9)
-        pts = [np.array([s, 1.0, 2.0, sv, zv]) for s in sample_s[:2] for sv in (0.5, 2.0)
+    else:
+        status = "Converged" if final_h2 < cfg.get("flow", "h_tol") ** 2 else "Finished"
+        bar = waist_tube_barrier(waist_level)
+        zs = np.linspace(-math.sqrt(waist_level) * 0.99, math.sqrt(waist_level) * 0.99, 9)
+        pts = [np.array([s, 1.0, 2.0, sv, zv]) for s in (0.0, math.pi / 4) for sv in (0.5, 2.0)
                for zv in zs]
         cert = certify_convexity(bar, m_manifold, n_manifold, pts, m=m_manifold.dim)
         cps = [(float(run.t[i]), [np.array([0.0, 1.0, 2.0, 0.0, float(run.z[i])])])
                for i in idx]
         contain = containment_monitor(cps, bar)
         sections["barrier"] = {
-            "kind": "waist_tube", "level": level,
+            "kind": "waist_tube", "level": waist_level,
             "certificate": {"verdict": cert.verdict, "worst_value": cert.worst_value,
                             "n_samples": cert.n_samples, "m": cert.m,
                             "note": "sampled audit, not a proof"},
@@ -417,16 +387,14 @@ def _evolve_cylinder(cfg: ScenarioConfig, m_manifold, n_manifold, report) -> Evo
         }
         checks.append(cert.verdict and contain["pass"])
 
-    lam_final = float(n_manifold.warp.w(final_z))
-    sig_final = n_manifold.gauss_curvature(final_z)
     rep = classify_from_observables(
         status, math.sqrt(final_h2),
         max_a=math.sqrt(final_h2),  # |A| = |H| on the circle reduction
-        lam=np.full(8, lam_final), mu=np.zeros(8),
-        sigma_n_values=np.full(8, sig_final), h_tol=cfg.get("flow", "h_tol"),
-        ricci_positive=report.min_ric > 0)
+        lam=np.full(8, float(run.w[-1])), mu=np.zeros(8),
+        sigma_n_values=np.full(8, n_manifold.gauss_curvature(float(run.z[-1]))),
+        h_tol=cfg.get("flow", "h_tol"), ricci_positive=report.min_ric > 0)
     return Evolution(records, status, rep.as_dict(), sections, checks,
-                     dissipation=run.dissipation, h_grid=dt)
+                     dissipation=run.dissipation, h_grid=DRIFT_DT)
 
 
 def _evolve_torus_projection(cfg: ScenarioConfig, m_manifold, n_manifold, report) -> Evolution:
@@ -438,15 +406,21 @@ def _evolve_torus_projection(cfg: ScenarioConfig, m_manifold, n_manifold, report
     if field0.min_p() <= 0:
         raise NotAreaDecreasingError(f"initial min p = {field0.min_p():.3e}")
     state = FlowState(field=field0, min_p=field0.min_p())
-    params = cfg.flow_params()
+    params = FlowParams(cfl=cfg.get("flow", "cfl"), t_end=cfg.get("flow", "t_end"),
+                        h_tol=cfg.get("flow", "h_tol"))
+    every = cfg.get("flow", "record_every")
     drift_max = 0.0
-    snapshots = [state]
+    snapshots = [state]  # every record_every-th step and the last
     while state.status == "Running" and state.t < params.t_end - 1e-14:
         prev_f = state.field.f
         state = step(state, params)
         drift_max = max(drift_max, float(np.abs(state.field.f - prev_f).max()))
+        if state.step_count % every == 0:
+            snapshots.append(state)
+    if snapshots[-1] is not state:
         snapshots.append(state)
-    diam = cfg.get("initial", "r") * math.sqrt(2) * math.pi
+    # the image is all of N, a flat square torus: its diameter is half the chart diagonal
+    diam = math.pi * math.sqrt(2 * n_manifold.metric_at(np.zeros(2))[0, 0])
     records = []
     for st in snapshots:
         lam, mu = st.field.singular_value_fields()
@@ -477,7 +451,8 @@ def _evolve_hopf_pointwise(cfg: ScenarioConfig, m_manifold, n_manifold, report) 
     xi = np.arange(n) * 2 * math.pi / n
     x = np.stack(np.meshgrid(eta, xi, xi[:max(1, n // 2)], indexing="ij"), axis=-1)
     x = x.reshape(-1, 3)
-    sample = DifferentialSample(df=np.broadcast_to(_hopf_differential(), x.shape[:1] + (3, 2)),
+    df = np.array([[2.0, 0.0], [0.0, -1.0], [0.0, 1.0]])  # of (eta, xi1, xi2) -> (2 eta, xi2 - xi1)
+    sample = DifferentialSample(df=np.broadcast_to(df, x.shape[:1] + (3, 2)),
                                 g_m=m_manifold.metric_many(x),
                                 g_n=n_manifold.metric_many(hopf_map(x.T).T))
     lam, mu = singular_values(sample)
@@ -488,11 +463,6 @@ def _evolve_hopf_pointwise(cfg: ScenarioConfig, m_manifold, n_manifold, report) 
     pointwise = {"samples": len(x), "max_deviation_from_2": worst, "pass": worst <= 1e-10}
     return Evolution([record], "Pointwise", {"class": None, "notes": ["no flow in this scenario"]},
                      {"pointwise": pointwise}, [pointwise["pass"]])
-
-
-def _hopf_differential() -> np.ndarray:
-    # chart differential of (eta, xi1, xi2) -> (2 eta, xi2 - xi1)
-    return np.array([[2.0, 0.0], [0.0, -1.0], [0.0, 1.0]])
 
 
 def _evolve_identity_edge(cfg: ScenarioConfig, m_manifold, n_manifold, report) -> Evolution:
@@ -506,27 +476,26 @@ def _evolve_identity_edge(cfg: ScenarioConfig, m_manifold, n_manifold, report) -
 
 
 def _warped_cylinder(warp: str):
-    return lambda cfg: (product_s1_s2(), WarpedSurface(builtin_warp(warp)))
+    return lambda: (product_s1_s2(), WarpedSurface(builtin_warp(warp)))
 
 
 SCENARIOS = {
     "tsui_wang_s2": Scenario(
-        lambda cfg: (round_sphere(2), round_sphere(2, curvature=1.0)), _evolve_tsui_wang,
+        lambda: (round_sphere(2), round_sphere(2, curvature=1.0)), _evolve_tsui_wang,
         {("flow", "t_end"): 5.0, ("initial", "amplitude"): 0.8}),
     "cylinder_drift": Scenario(
         _warped_cylinder("exp_neg"), _evolve_cylinder,
         {("initial", "z0"): 0.0, ("flow", "t_end"): 5.0}),
     "cylinder_waist": Scenario(
-        _warped_cylinder("cosh"), _evolve_cylinder,
-        {("initial", "z0"): 0.5, ("flow", "t_end"): 30.0,
-         ("barrier", "kind"): "waist_tube", ("barrier", "level"): 1.0}),
+        _warped_cylinder("cosh"), functools.partial(_evolve_cylinder, waist_level=1.0),
+        {("initial", "z0"): 0.5, ("flow", "t_end"): 30.0}),
     "torus_projection": Scenario(
-        lambda cfg: (flat_torus(3), flat_torus(2, scale=cfg.get("initial", "r"))),
+        lambda: (flat_torus(3), flat_torus(2, scale=0.5)),
         _evolve_torus_projection, {("flow", "t_end"): 0.05, ("flow", "record_every"): 1}),
     "hopf_pointwise": Scenario(
-        lambda cfg: (s3_hopf_chart(), round_sphere(2)), _evolve_hopf_pointwise),
+        lambda: (s3_hopf_chart(), round_sphere(2)), _evolve_hopf_pointwise),
     "torus_identity_edge": Scenario(
-        lambda cfg: (flat_torus(2), flat_torus(2)), _evolve_identity_edge),
+        lambda: (flat_torus(2), flat_torus(2)), _evolve_identity_edge),
 }
 
 BUILTIN_SCENARIOS = tuple(SCENARIOS)

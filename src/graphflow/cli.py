@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import jsonschema
 
@@ -64,9 +65,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_check_curvature(args) -> int:
     cfg = load_config(args.config)
-    m_manifold, n_manifold = SCENARIOS[cfg.name].manifolds(cfg)
+    m_manifold, n_manifold = SCENARIOS[cfg.name].manifolds()
     report = curvature_conditions_report(m_manifold, n_manifold, seed=cfg.seed)
-    print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
+    print(json.dumps(asdict(report), indent=2, sort_keys=True))
     return EXIT_PASS if (report.cond_a and report.cond_b and report.cond_c) \
         else EXIT_VERIFICATION_FAILURE
 

@@ -2,8 +2,9 @@
 
 A manifold is described by a single product-of-intervals chart together with a
 callable returning the metric in chart components.  Curvature is obtained from
-the metric by differentiation: complex-step where the metric callable accepts
-complex input (machine precision), fourth-order central differences otherwise.
+the metric by complex-step differentiation (machine precision): the
+Christoffel callable, or the metric callable of a chart without one, must
+accept complex chart points.
 
 Sign convention, used everywhere in the package: the sectional curvature of a
 plane is sigma(v ^ w) = R(v, w, w, v) / |v ^ w|^2, so the round unit sphere has
@@ -27,7 +28,6 @@ from .errors import (
 )
 
 _COMPLEX_STEP = 1e-30
-_FD_STEP = 1e-2
 
 
 @dataclass(frozen=True)
@@ -54,11 +54,12 @@ class Axis:
 class ChartManifold:
     """Riemannian manifold given by a global coordinate chart.
 
-    ``metric_at`` maps chart points (..., m) to symmetric positive-definite
-    matrices (..., m, m), real or complex.  ``christoffels_at`` may be
-    supplied analytically, with the same batch convention; otherwise
-    Christoffel symbols are obtained point by point by differentiating the
-    metric.
+    ``metric_at`` maps chart points (..., m), real or complex, to symmetric
+    positive-definite matrices (..., m, m) of the same dtype.
+    ``christoffels_at`` may be supplied analytically, with the same batch and
+    dtype convention; otherwise Christoffel symbols are obtained point by
+    point by complex-step differentiation of the metric, and curvature, which
+    differentiates them once more, is unavailable.
     """
 
     def __init__(
@@ -126,25 +127,11 @@ class ChartManifold:
         x = self.wrap(x)
         m = self.dim
         out = np.empty((m, m, m))
-        try:
-            for a in range(m):
-                xc = x.astype(complex)
-                xc[a] += 1j * _COMPLEX_STEP
-                out[a] = np.imag(np.asarray(self._metric_at(xc))) / _COMPLEX_STEP
-            return out
-        except (TypeError, ValueError):
-            pass
         for a in range(m):
-            out[a] = _central4(lambda t: np.asarray(self._metric_at(self._bump(x, a, t))))
+            xc = x.astype(complex)
+            xc[a] += 1j * _COMPLEX_STEP
+            out[a] = np.imag(np.asarray(self._metric_at(xc))) / _COMPLEX_STEP
         return out
-
-    def _bump(self, x, a, t):
-        y = x.copy()
-        y[a] += t
-        ax = self.axes[a]
-        if ax.periodic:
-            y[a] = ax.lo + (y[a] - ax.lo) % ax.length
-        return y
 
     def christoffels_many(self, pts) -> np.ndarray:
         """Gamma^k_{ij} at a batch of points, (..., m) -> (..., m, m, m), first index upper."""
@@ -167,24 +154,14 @@ class ChartManifold:
         """d_a Gamma^k_{ij}, shape (m, m, m, m), first index derivative axis."""
         x = self.wrap(x)
         m = self.dim
+        if self._christoffels_at is None:  # a complex step cannot differentiate a complex step
+            raise ConfigurationError(f"{self.name}: curvature needs analytic Christoffel symbols")
         out = np.empty((m, m, m, m))
-        if self._christoffels_at is not None:
-            try:
-                for a in range(m):
-                    xc = x.astype(complex)
-                    xc[a] += 1j * _COMPLEX_STEP
-                    out[a] = np.imag(np.asarray(self._christoffels_at(xc))) / _COMPLEX_STEP
-                return out
-            except (TypeError, ValueError):
-                pass
         for a in range(m):
-            out[a] = _central4(lambda t: self.christoffels_at(self._bump(x, a, t)))
+            xc = x.astype(complex)
+            xc[a] += 1j * _COMPLEX_STEP
+            out[a] = np.imag(np.asarray(self._christoffels_at(xc))) / _COMPLEX_STEP
         return out
-
-
-def _central4(f: Callable[[float], np.ndarray], h: float = _FD_STEP) -> np.ndarray:
-    """Fourth-order central first derivative of f at 0."""
-    return (-f(2 * h) + 8 * f(h) - 8 * f(-h) + f(-2 * h)) / (12 * h)
 
 
 # ---------------------------------------------------------------------------
@@ -473,22 +450,6 @@ class CurvatureReport:
     seed: int
     trace_ineq_2b: bool = True
     trace_ineq_3: bool = True
-
-    def as_dict(self) -> dict:
-        return {
-            "min_ric": self.min_ric,
-            "min_bric": self.min_bric,
-            "sup_sigma_n": self.sup_sigma_n,
-            "cond_a": self.cond_a,
-            "cond_b": self.cond_b,
-            "cond_c": self.cond_c,
-            "exact": self.exact,
-            "point_count": self.point_count,
-            "frame_count": self.frame_count,
-            "seed": self.seed,
-            "trace_ineq_2b": self.trace_ineq_2b,
-            "trace_ineq_3": self.trace_ineq_3,
-        }
 
 
 def gauss_curvature_at(n_manifold: ChartManifold, y):

@@ -26,6 +26,8 @@ from .frames import (DifferentialSample, SVDFrame, build_svd_frame, p_batch, qua
                      singular_values_batch)
 from .geometry import ChartManifold
 
+SEAM_MARGIN = 4  # nodes next to a reflect seam that ``interior_mask`` leaves out
+
 
 def _swap(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2)
@@ -290,7 +292,7 @@ class GraphMapField:
     def volume(self) -> float:
         return float(np.sum(self.volume_density()) * np.prod(self.h))
 
-    def interior_mask(self, margin: int = 4) -> np.ndarray:
+    def interior_mask(self, margin: int = SEAM_MARGIN) -> np.ndarray:
         """True away from reflect seams (periodic axes are seam-free)."""
         mask = np.ones(self.shape, dtype=bool)
         for a, ax in enumerate(self.M.axes):

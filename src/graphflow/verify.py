@@ -19,7 +19,8 @@ from .errors import NotAreaDecreasingError
 from .flow import h2_field, tangential_vector_field
 from .frames import quad_form
 from .geometry import curvature_package, gauss_curvature_at, sectional
-from .immersion import GraphMapField, field_geometry, quantity_Q, quantity_R_vw, w_norm_sq
+from .immersion import (SEAM_MARGIN, GraphMapField, field_geometry, quantity_Q, quantity_R_vw,
+                        w_norm_sq)
 
 
 @dataclass
@@ -151,7 +152,7 @@ def _material(field: GraphMapField, prev, now, nxt, dtp, dtn):
 # Evolution residual of p
 
 
-def residual_p_evolution(triples: Sequence, margin: int = 4) -> list:
+def residual_p_evolution(triples: Sequence, margin: int = SEAM_MARGIN) -> list:
     """Residual norms of the evolution identity for p at each checkpoint.
 
     ``triples``: (t, dt_prev, dt_next, field_prev, field_now, field_next) with
@@ -191,7 +192,7 @@ def residual_p_evolution(triples: Sequence, margin: int = 4) -> list:
 # Mean curvature and Theta inequalities
 
 
-def check_H_and_theta_inequalities(triples: Sequence, eps1: float, margin: int = 4,
+def check_H_and_theta_inequalities(triples: Sequence, eps1: float, margin: int = SEAM_MARGIN,
                                    delta: float = 1e-8) -> dict:
     """Slack of the differential inequalities for |H|^2 and Theta = |H|^2/p.
 

@@ -39,11 +39,16 @@ def test_unknown_section_rejected(tmp_path):
 
 
 def test_unknown_key_rejected(tmp_path):
-    for text in ("[scenario]\nname = torus_projection\nbogus = 1\n",
-                 "[scenario]\nname = torus_projection\n[flow]\ndiam_tol = 1e-3\n",
-                 "[scenario]\nname = torus_projection\n[grid]\nn_phi = 8\n"):
-        path = _write(tmp_path, text)
-        with pytest.raises(ConfigurationError, match="unknown key"):
+    cases = [("scenario", "bogus", "1"), ("flow", "diam_tol", "1e-3"), ("grid", "n_phi", "8"),
+             # removed keys whose value now has one owner in the code
+             ("flow", "integrator", "RK2"), ("flow", "ode_dt", "0.001"), ("initial", "r", "0.5"),
+             ("verify", "decay_bounds", "True"), ("verify", "margin", "4"),
+             ("barrier", "kind", "waist_tube"), ("barrier", "level", "1.0")]
+    for section, key, value in cases:
+        header = "" if section == "scenario" else f"[{section}]\n"
+        path = _write(tmp_path, f"[scenario]\nname = torus_projection\n{header}{key} = {value}\n")
+        says = "unknown config section \\[barrier\\]" if section == "barrier" else "unknown key"
+        with pytest.raises(ConfigurationError, match=says):
             load_config(path)
 
 
@@ -76,10 +81,10 @@ def test_builtin_defaults():
     cfg = builtin_config("cylinder_waist")
     assert cfg.get("initial", "z0") == 0.5
     assert cfg.get("flow", "t_end") == 30.0
-    assert cfg.get("barrier", "kind") == "waist_tube"
     cfg = builtin_config("tsui_wang_s2")
     assert cfg.get("initial", "amplitude") == 0.8
-    assert cfg.get("barrier", "kind") == "none"
+    assert {section for section, _ in cfg.values} == {
+        "scenario", "grid", "flow", "initial", "verify"}  # the waist barrier is no config
 
 
 def test_config_hash_stable_and_sensitive():
@@ -103,7 +108,7 @@ def _read(out, name):
 
 
 def test_torus_projection_run(tmp_path):
-    cfg = builtin_config("torus_projection")
+    cfg = builtin_config("torus_projection", {("flow", "t_end"): 0.3, ("flow", "record_every"): 3})
     out = str(tmp_path / "run")
     manifest = run_scenario(cfg, out_dir=out)
     assert manifest.status == "Stationary"
@@ -122,6 +127,12 @@ def test_torus_projection_run(tmp_path):
     man = json.loads(_read(out, "manifest.json"))
     assert man["config_hash"] == cfg.config_hash()
     assert sorted(man["files"]) == sorted(EXPECTED_FILES)
+    # every third step and the last are recorded
+    every_step = str(tmp_path / "every_step")
+    run_scenario(builtin_config("torus_projection", {("flow", "t_end"): 0.3}), out_dir=every_step)
+    rows = _read(every_step, "time_series.csv").splitlines()[1:]
+    assert len(rows) == 9  # steps 0 to 8
+    assert _read(out, "time_series.csv").splitlines()[1:] == rows[::3] + rows[-1:]
 
 
 def test_runs_byte_reproduce(tmp_path):
@@ -302,8 +313,9 @@ def test_cli_rejects_out_of_range_values(tmp_path, capsys, section, key, value):
 
 
 @pytest.mark.parametrize("section,key,value,says", [
-    ("barrier", "kind", "wasit_tube", "[barrier] kind"),  # ran without the barrier: PASS
-    ("flow", "integrator", "RK9", "[flow] integrator"),
+    # the waist barrier and the integrator are no longer config keys
+    ("barrier", "kind", "wasit_tube", "unknown config section [barrier]"),
+    ("flow", "integrator", "RK9", "unknown key 'integrator'"),
     ("initial", "z0", "2.0", "not inside the sublevel set"),  # was a ValueError traceback
 ], ids=["kind", "integrator", "z0"])
 def test_cli_rejects_bad_waist_settings(tmp_path, capsys, section, key, value, says):

@@ -1,6 +1,7 @@
 """Charts, metrics, Christoffel symbols, curvature tensors, and condition reports."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -71,6 +72,14 @@ def test_numeric_christoffels_fallback(s1xs2, rng):
     numeric = ChartManifold("numeric_s1xs2", s1xs2.axes, s1xs2._metric_at)
     pts = _chart_points(s1xs2, rng, (5,))
     assert np.abs(numeric.christoffels_many(pts) - s1xs2.christoffels_many(pts)).max() < 1e-8
+
+
+def test_numeric_christoffels_give_no_curvature(s1xs2):
+    # curvature differentiates the Christoffel symbols, and a complex step
+    # cannot differentiate the complex step that made them
+    numeric = ChartManifold("numeric_s1xs2", s1xs2.axes, s1xs2._metric_at)
+    with pytest.raises(ConfigurationError, match="analytic Christoffel"):
+        curvature_package(numeric, [0.1, 1.0, 2.0])
 
 
 # -- curvature ---------------------------------------------------------------
@@ -226,7 +235,7 @@ def test_report_rejects_bad_sampling(sphere3, sphere2):
 
 
 def test_report_as_dict_roundtrip(sphere3, sphere2):
-    d = curvature_conditions_report(sphere3, sphere2).as_dict()
+    d = asdict(curvature_conditions_report(sphere3, sphere2))
     for key in ("min_ric", "min_bric", "sup_sigma_n", "cond_a", "cond_b", "cond_c",
                 "exact", "seed", "trace_ineq_2b", "trace_ineq_3"):
         assert key in d
