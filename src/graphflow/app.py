@@ -42,6 +42,11 @@ CSV_COLUMNS = [
     "residual_p_L2", "residual_p_Linf",
 ]
 
+
+def _boolean(text: str) -> bool:  # 1/yes/true/on or 0/no/false/off, any case; else KeyError
+    return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+
+
 # section -> key -> (parser, default[, bound]); None default means scenario-dependent.
 # A bound is (check of the value, what a valid value is).
 _SCHEMA = {
@@ -67,8 +72,8 @@ _SCHEMA = {
         "z0": (float, 0.0),
     },
     "verify": {
-        "residuals": (lambda s: s.lower() == "true", True),
-        "inequalities": (lambda s: s.lower() == "true", True),
+        "residuals": (_boolean, True),
+        "inequalities": (_boolean, True),
     },
 }
 
@@ -139,7 +144,7 @@ def _validate(parser: configparser.ConfigParser,
                 raw = parser.get(section, key)
                 try:
                     values[(section, key)] = parse(raw)
-                except ValueError as exc:
+                except (ValueError, KeyError) as exc:
                     raise ConfigurationError(
                         f"invalid value for [{section}] {key}: {raw!r}") from exc
             else:
@@ -185,6 +190,22 @@ CLASSIFICATION_SCHEMA = {
         "class": {"type": ["string", "null"]},
     },
 }
+
+_VALIDATORS: dict = {}  # id(schema) -> its validator, metaschema-checked once per process
+
+
+def validate(instance, schema: dict, path: Optional[str] = None) -> None:
+    """``jsonschema.validate``, with each schema checked once per process; a failure
+    of the file at ``path`` is a ConfigurationError naming the file and the JSON path."""
+    validator = _VALIDATORS.get(id(schema))
+    if validator is None:
+        cls = jsonschema.validators.validator_for(schema)
+        cls.check_schema(schema)
+        validator = _VALIDATORS[id(schema)] = cls(schema)
+    error = jsonschema.exceptions.best_match(validator.iter_errors(instance))
+    if error is not None:
+        raise error if path is None else ConfigurationError(
+            f"{path}: {error.json_path}: {error.message}")
 
 
 @dataclass
@@ -284,9 +305,9 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> RunManif
         verification["volume_budget"] = budget
         checks.append(budget["pass"])
     verification.update(overall_pass=all(checks), schema_version=1, scenario=cfg.name)
-    jsonschema.validate(verification, VERIFICATION_SCHEMA)
+    validate(verification, VERIFICATION_SCHEMA)
     classification = {**ev.classification, "schema_version": 1, "scenario": cfg.name}
-    jsonschema.validate(classification, CLASSIFICATION_SCHEMA)
+    validate(classification, CLASSIFICATION_SCHEMA)
 
     with open(os.path.join(out, "config.ini"), "w") as fh:
         fh.write(cfg.canonical_text())

@@ -13,10 +13,8 @@ import os
 import sys
 from dataclasses import asdict
 
-import jsonschema
-
 from .app import (CLASSIFICATION_SCHEMA, SCENARIOS, VERIFICATION_SCHEMA, load_config,
-                  run_identities, run_scenario)
+                  run_identities, run_scenario, validate)
 from .errors import (ConfigurationError, DegenerateMetricError, DegeneratePlaneError,
                      DomainError, FrameError, GraphflowError, NotAreaDecreasingError,
                      SolverAbort)
@@ -83,16 +81,21 @@ def _cmd_run(args) -> int:
     return EXIT_PASS if ok else EXIT_VERIFICATION_FAILURE
 
 
-def _read_json(path: str) -> dict:
+def _read_json(run_dir: str, name: str, schema: dict) -> dict:
+    path = os.path.join(run_dir, name)
     if not os.path.exists(path):
         raise ConfigurationError(f"missing file: {path}")
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            instance = json.load(fh)
+        except ValueError as exc:  # malformed JSON, or not text at all
+            raise ConfigurationError(f"{path}: invalid JSON: {exc}") from exc
+    validate(instance, schema, path)
+    return instance
 
 
 def _cmd_verify(args) -> int:
-    verification = _read_json(os.path.join(args.run_dir, "verification.json"))
-    jsonschema.validate(verification, VERIFICATION_SCHEMA)
+    verification = _read_json(args.run_dir, "verification.json", VERIFICATION_SCHEMA)
     checks = []
     for key in ("decay_bounds", "residual_p", "inequalities", "volume_budget",
                 "barrier", "pointwise", "stationarity"):
@@ -111,8 +114,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    classification = _read_json(os.path.join(args.run_dir, "classification.json"))
-    jsonschema.validate(classification, CLASSIFICATION_SCHEMA)
+    classification = _read_json(args.run_dir, "classification.json", CLASSIFICATION_SCHEMA)
     print(json.dumps(classification, indent=2, sort_keys=True))
     return EXIT_PASS
 

@@ -194,6 +194,11 @@ class EquivariantFlow:
         self.cfl = float(cfl)
         self.dtheta = np.pi / self.J
         self.theta = (np.arange(self.J) + 0.5) * self.dtheta
+        self._sin_t = np.sin(self.theta)  # here to _dtheta2: theta-only factors, computed once
+        self._sin_cos_t = self._sin_t * np.cos(self.theta)
+        self._sin2_t = self._sin_t**2
+        self._two_dtheta = 2 * self.dtheta
+        self._dtheta2 = self.dtheta**2
         self.h = np.asarray(h0(self.theta) if callable(h0) else h0, dtype=float).copy()
         if self.h.shape != (self.J,):
             raise ValueError("profile length must match node count")
@@ -201,46 +206,35 @@ class EquivariantFlow:
         self.N = round_sphere(2, curvature=self.kappa)
         self._template: Optional[GraphMapField] = None  # the first lift
 
-    def _ghosted(self, h: np.ndarray) -> np.ndarray:
-        out = np.empty(self.J + 2)
-        out[1:-1] = h
-        out[0] = -h[0]
-        out[-1] = -h[-1]
-        return out
-
-    def derivatives(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        g = self._ghosted(h)
-        d1 = (g[2:] - g[:-2]) / (2 * self.dtheta)
-        d2 = (g[2:] - 2 * g[1:-1] + g[:-2]) / self.dtheta**2
-        return d1, d2
-
-    def rhs(self, h: np.ndarray) -> np.ndarray:
-        d1, d2 = self.derivatives(h)
-        return self._rhs_from(h, d1, d2)
-
-    def _rhs_from(self, h: np.ndarray, d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
-        num = np.sin(self.theta) * np.cos(self.theta) * d1 - np.sin(h) * np.cos(h)
-        den = np.sin(self.theta) ** 2 + self.r2 * np.sin(h) ** 2
-        return d2 / (1 + self.r2 * d1**2) + num / den
+    def rhs(self, h: np.ndarray, metric: bool = False):
+        """dh/dt of the profile h; with ``metric`` the tuple (dh/dt, h', sin h, g11, g22),
+        g11 = 1 + r^2 h'^2 and g22 = sin^2(theta) + r^2 sin^2(h), for the step,
+        the CFL bound, the dissipation and the observables to share."""
+        g = np.empty(self.J + 2)  # h with its odd mirror ghosts
+        g[1:-1] = h
+        g[0] = -h[0]
+        g[-1] = -h[-1]
+        d1 = (g[2:] - g[:-2]) / self._two_dtheta
+        d2 = (g[2:] - 2 * g[1:-1] + g[:-2]) / self._dtheta2
+        sin_h = np.sin(h)
+        g11 = 1 + self.r2 * d1**2
+        g22 = self._sin2_t + self.r2 * sin_h**2
+        v = d2 / g11 + (self._sin_cos_t * d1 - sin_h * np.cos(h)) / g22
+        return (v, d1, sin_h, g11, g22) if metric else v
 
     def singular_values(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        d1, _ = self.derivatives(h)
+        _, d1, sin_h, _, _ = self.rhs(h, metric=True)
         r = np.sqrt(self.r2)
-        a = r * np.abs(d1)
-        b = r * np.abs(np.sin(h)) / np.sin(self.theta)
+        a, b = r * np.abs(d1), r * np.abs(sin_h) / self._sin_t
         return np.maximum(a, b), np.minimum(a, b)
 
     def observables(self, h: np.ndarray, t: float = np.nan) -> FlowRecord:
-        d1, _ = self.derivatives(h)
-        v = self.rhs(h)
-        h2 = self.r2 * v**2 / (1 + self.r2 * d1**2)
+        v, _, _, g11, g22 = self.rhs(h, metric=True)
+        h2 = self.r2 * v**2 / g11
         lam, mu = self.singular_values(h)
         p = p_batch(lam, mu)
-        g11 = 1 + self.r2 * d1**2
-        g22 = np.sin(self.theta) ** 2 + self.r2 * np.sin(h) ** 2
         vol = 2 * np.pi * float(np.sum(np.sqrt(g11 * g22)) * self.dtheta)
-        r = np.sqrt(self.r2)
-        diam = r * min(np.pi, 2 * float(np.abs(h).max()))
+        diam = np.sqrt(self.r2) * min(np.pi, 2 * float(np.abs(h).max()))
         pos = p > 0  # Theta only where p > 0; a record with min p <= 0 aborts the run
         return FlowRecord(
             t=t, min_p=float(p.min()), max_lambda=float(lam.max()),
@@ -265,7 +259,6 @@ class EquivariantFlow:
         streak = 0
         step_i = 0
         prev_h = prev_dt = None
-        sin_t = np.sin(self.theta)
         quad_w = 2 * np.pi * self.dtheta
         while t < t_end - 1e-14:
             at_record = step_i % record_every == 0
@@ -276,26 +269,19 @@ class EquivariantFlow:
                 if rec.min_p <= 0:
                     status = "Aborted"
                     break
-            d1, d2 = self.derivatives(h)
-            k1 = self._rhs_from(h, d1, d2)
-            g11 = 1 + self.r2 * d1**2
+            k1, _, _, g11, g22 = self.rhs(h, metric=True)
             h2_now = self.r2 * k1**2 / g11
-            if h2_now.max() < h_tol**2:
-                streak += 1
-            else:
-                streak = 0
+            streak = streak + 1 if h2_now.max() < h_tol**2 else 0
             if streak >= CONVERGENCE_STREAK:
                 status = "Converged"
                 break
-            dt = min(self.cfl * self.dtheta**2 * g11.min() / 2, t_end - t)
-            g22 = sin_t**2 + self.r2 * np.sin(h) ** 2
-            dissipation += dt * quad_w * float(np.sum(h2_now * np.sqrt(g11 * g22)))
+            dt = min(self.cfl * self._dtheta2 * float(g11.min()) / 2, t_end - t)
+            dissipation += dt * quad_w * float((h2_now * np.sqrt(g11 * g22)).sum())
             if integrator == "Euler":
                 h_new = h + dt * k1
             else:
-                k2 = self.rhs(h + 0.5 * dt * k1)
-                h_new = h + dt * k2
-            if not np.all(np.isfinite(h_new)):
+                h_new = h + dt * self.rhs(h + 0.5 * dt * k1)
+            if not np.isfinite(h_new).all():
                 status = "Aborted"
                 break
             if at_record and step_i > 0:
@@ -359,16 +345,17 @@ def reduce_circle_drift(surface: WarpedSurface, z0: float, t_end: float,
     n = int(np.ceil(t_end / dt))
     t = np.empty(n + 1)
     z = np.empty(n + 1)
-    t[0], z[0] = 0.0, float(z0)
-    for i in range(n):
-        step_dt = min(dt, t_end - t[i])
-        zi = z[i]
-        k1 = drift_velocity(surface, zi)
-        k2 = drift_velocity(surface, zi + 0.5 * step_dt * k1)
-        k3 = drift_velocity(surface, zi + 0.5 * step_dt * k2)
-        k4 = drift_velocity(surface, zi + step_dt * k3)
-        z[i + 1] = zi + step_dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t[i + 1] = t[i] + step_dt
+    ti, zi = 0.0, float(z0)  # the state and the stages are Python floats
+    t[0], z[0] = ti, zi
+    for i in range(1, n + 1):
+        step_dt = min(dt, t_end - ti)
+        k1 = float(drift_velocity(surface, zi))
+        k2 = float(drift_velocity(surface, zi + 0.5 * step_dt * k1))
+        k3 = float(drift_velocity(surface, zi + 0.5 * step_dt * k2))
+        k4 = float(drift_velocity(surface, zi + step_dt * k3))
+        zi += step_dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        ti += step_dt
+        t[i], z[i] = ti, zi
     w = surface.warp.w(z)
     h2 = drift_velocity(surface, z) ** 2
     volume = 8 * np.pi**2 * np.sqrt(1 + w**2)

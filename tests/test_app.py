@@ -2,16 +2,17 @@
 
 import json
 import os
+import shutil
 import sys
 from collections import Counter
 
 import jsonschema
 import pytest
 
-from graphflow import cli, errors, immersion
+from graphflow import app, cli, errors, immersion
 from graphflow.app import (BUILTIN_SCENARIOS, CLASSIFICATION_SCHEMA, CSV_COLUMNS,
                            VERIFICATION_SCHEMA, builtin_config, load_config, run_identities,
-                           run_scenario)
+                           run_scenario, validate)
 from graphflow.cli import main as cli_main
 from graphflow.errors import ConfigurationError
 from graphflow.geometry import ChartManifold
@@ -68,6 +69,29 @@ def test_invalid_value_rejected(tmp_path):
     path = _write(tmp_path, "[scenario]\nname = torus_projection\n[flow]\ncfl = fast\n")
     with pytest.raises(ConfigurationError, match="invalid value"):
         load_config(path)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("True", True), ("true", True), ("yes", True), ("1", True), ("On", True),
+    ("False", False), ("NO", False), ("0", False), ("off", False),
+])
+def test_verify_switches_take_every_boolean_spelling(tmp_path, text, value):
+    path = _write(tmp_path, "[scenario]\nname = tsui_wang_s2\n"
+                            f"[verify]\nresiduals = {text}\ninequalities = {text}\n")
+    cfg = load_config(path)
+    assert cfg.get("verify", "residuals") is value and cfg.get("verify", "inequalities") is value
+    assert f"residuals = {value}\n" in cfg.canonical_text()  # the hash sees True/False only
+
+
+@pytest.mark.parametrize("key", ["residuals", "inequalities"])
+@pytest.mark.parametrize("text", ["maybe", "2", ""])
+def test_verify_switch_rejects_non_boolean(tmp_path, capsys, key, text):
+    path = _write(tmp_path, f"[scenario]\nname = tsui_wang_s2\n[verify]\n{key} = {text}\n")
+    with pytest.raises(ConfigurationError, match=f"invalid value for \\[verify\\] {key}"):
+        load_config(path)
+    assert cli_main(["check-curvature", path]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"invalid value for [verify] {key}" in err
 
 
 def test_invalid_integrator_rejected(tmp_path):
@@ -264,6 +288,35 @@ def test_builtin_scenarios_listed():
         "hopf_pointwise", "torus_identity_edge"}
 
 
+def test_validate_raises_what_jsonschema_raises():
+    bad = {"schema_version": 2, "scenario": 3, "class": 4}
+    with pytest.raises(jsonschema.ValidationError) as ours:
+        validate(bad, CLASSIFICATION_SCHEMA)
+    with pytest.raises(jsonschema.ValidationError) as theirs:
+        jsonschema.validate(bad, CLASSIFICATION_SCHEMA)
+    assert (ours.value.message, ours.value.json_path) == (theirs.value.message,
+                                                          theirs.value.json_path)
+    validate(bad | {"schema_version": 1, "scenario": "s", "class": None}, CLASSIFICATION_SCHEMA)
+
+
+def test_schemas_are_checked_once_per_process(monkeypatch, tmp_path):
+    checked = Counter()
+    cls = jsonschema.validators.validator_for(VERIFICATION_SCHEMA)
+    check_schema = cls.check_schema
+
+    def counted(schema, *args, **kwargs):
+        checked[id(schema)] += 1
+        return check_schema(schema, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "check_schema", counted)
+    monkeypatch.setattr(app, "_VALIDATORS", {})  # as in a fresh process
+    for i in range(2):
+        run_scenario(builtin_config("hopf_pointwise"), out_dir=str(tmp_path / f"run{i}"))
+    for i in range(2):
+        assert cli_main(["verify", str(tmp_path / f"run{i}")]) == 0
+    assert checked == {id(VERIFICATION_SCHEMA): 1, id(CLASSIFICATION_SCHEMA): 1}
+
+
 # -- identity suite ----------------------------------------------------------
 
 
@@ -348,3 +401,34 @@ def test_cli_exit_code_of_every_error(monkeypatch, capsys, error):
     assert cli.main(["classify", "some_run"]) == want
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.endswith("first line second line\n")
+
+
+GOLDEN_WAIST = os.path.join(os.path.dirname(__file__), "golden", "cylinder_waist")
+
+
+@pytest.mark.parametrize("command, name, key, value", [
+    ("verify", "verification.json", "overall_pass", "yes"),
+    ("classify", "classification.json", "class", 4),
+])
+def test_cli_reports_schema_invalid_artifact(tmp_path, capsys, command, name, key, value):
+    run_dir = shutil.copytree(GOLDEN_WAIST, tmp_path / "run")
+    path = run_dir / name
+    path.write_text(json.dumps(json.loads(path.read_text()) | {key: value}))
+    assert cli_main([command, str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error: ")
+    assert f"{path}: $.{key}: " in err
+
+
+@pytest.mark.parametrize("command, name", [
+    ("verify", "verification.json"),
+    ("classify", "classification.json"),
+])
+def test_cli_reports_malformed_artifact(tmp_path, capsys, command, name):
+    run_dir = shutil.copytree(GOLDEN_WAIST, tmp_path / "run")
+    path = run_dir / name
+    path.write_text('{"schema_version": 1,\n')
+    assert cli_main([command, str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error: ")
+    assert f"{path}: invalid JSON: " in err and "line 2 column 1" in err

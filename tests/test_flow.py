@@ -122,6 +122,28 @@ def test_equivariant_rhs_matches_generic_operator():
     assert np.abs(v2[:, 0, 1]).max() < 1e-10        # azimuthal component vanishes
 
 
+@pytest.mark.parametrize("integrator, stages", [("RK2", 2), ("Euler", 1)])
+def test_equivariant_step_evaluates_rhs_once_per_stage(monkeypatch, integrator, stages):
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(EquivariantFlow, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("rhs", "observables", "singular_values"):
+        monkeypatch.setattr(EquivariantFlow, name, counted(name))
+    eq = EquivariantFlow(32, lambda th: 0.8 * np.sin(th))
+    run = eq.run(t_end=1e-4, record_every=10**6, integrator=integrator)  # one clamped step
+    assert run.states[-1].t == 1e-4 and len(run.records) == 2
+    # observables: the start check, step 0 and the end; each reads the kernel
+    # once itself and once through singular_values
+    assert calls == {"observables": 3, "singular_values": 3, "rhs": 2 * 3 + stages}
+
+
 def test_equivariant_decay_and_monotonicity():
     eq = EquivariantFlow(64, lambda th: 0.8 * np.sin(th))
     run = eq.run(t_end=1.0, record_every=100)

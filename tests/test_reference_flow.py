@@ -1,0 +1,57 @@
+"""The fused profile kernel and the Python-float drift loop against the loops
+they replaced (``tests/reference_flow.py``): every number bit for bit."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+import reference_flow
+from graphflow.flow import EquivariantFlow, reduce_circle_drift
+from graphflow.geometry import WarpedSurface, builtin_warp
+
+
+def _assert_same_run(new, old):
+    assert new.status == old.status
+    assert new.dissipation == old.dissipation
+    assert new.records == old.records
+    assert len(new.states) == len(old.states)
+    for a, b in zip(new.states, old.states):
+        assert a.t == b.t and np.array_equal(a.h, b.h)
+        assert (a.stencil is None) == (b.stencil is None)
+        if a.stencil is not None:
+            assert a.stencil[:2] == b.stencil[:2]
+            assert all(np.array_equal(x, y) for x, y in zip(a.stencil[2:], b.stencil[2:]))
+
+
+@pytest.mark.parametrize("integrator", ["RK2", "Euler"])
+@pytest.mark.parametrize("nodes, t_end, record_every, status", [
+    (32, 20.0, 500, "Converged"),
+    (64, 1.0, 100, "Finished"),
+    (256, 0.05, 40, "Finished"),
+])
+def test_equivariant_run_is_bit_identical(nodes, t_end, record_every, status, integrator):
+    def h0(th):
+        return 0.8 * np.sin(th)
+    new = EquivariantFlow(nodes, h0).run(t_end, record_every=record_every,
+                                          integrator=integrator)
+    old = reference_flow.EquivariantFlow(nodes, h0).run(t_end, record_every=record_every,
+                                                        integrator=integrator)
+    assert new.status == status
+    assert sum(s.stencil is not None for s in new.states) >= 1
+    _assert_same_run(new, old)
+
+
+@pytest.mark.parametrize("warp, z0, t_end", [
+    ("cosh", 0.5, 30.0),
+    ("exp_neg", 0.0, 5.0),
+    ("cosh", 0.5, 1.2345),   # not a multiple of DRIFT_DT: the last step is clamped
+])
+def test_circle_drift_is_bit_identical(warp, z0, t_end):
+    surface = WarpedSurface(builtin_warp(warp))
+    new = reduce_circle_drift(surface, z0, t_end)
+    old = reference_flow.reduce_circle_drift(surface, z0, t_end)
+    for name in ("t", "z", "w", "h2", "volume"):
+        assert np.array_equal(getattr(new, name), getattr(old, name)), name
+    assert new.dissipation == old.dissipation
+    assert new.t[-1] == old.t[-1] and new.t[-1] == pytest.approx(t_end, abs=1e-12)
