@@ -13,7 +13,7 @@ import os
 import sys
 import time
 
-from graphflow.app import BUILTIN_SCENARIOS, builtin_config, run_scenario
+from graphflow.app import BUILTIN_SCENARIOS, SCENARIOS, builtin_config, run_scenario
 from graphflow.errors import ConfigurationError
 
 DEFAULT = [s for s in BUILTIN_SCENARIOS if s != "torus_identity_edge"]
@@ -25,17 +25,19 @@ def main(argv=None) -> int:
     parser.add_argument("--out-root", default="runs")
     parser.add_argument("--nodes", type=int, default=None,
                         help="override the 1D resolution of tsui_wang_s2")
-    parser.add_argument("--t-end", type=float, default=None)
+    parser.add_argument("--t-end", type=float, default=None,
+                        help="override the end time of the scenarios that flow")
     args = parser.parse_args(argv)
 
+    given = {("grid", "nodes"): args.nodes, ("flow", "t_end"): args.t_end}
     names = args.scenarios or DEFAULT
     failures = 0
     for name in names:
-        overrides = {}
-        if args.nodes is not None:
-            overrides[("grid", "nodes")] = args.nodes
-        if args.t_end is not None:
-            overrides[("flow", "t_end")] = args.t_end
+        # each override goes only to a scenario that reads its key; an unknown name
+        # is rejected by builtin_config below
+        reads = SCENARIOS[name].settings if name in SCENARIOS else {}
+        overrides = {key: value for key, value in given.items()
+                     if value is not None and key in reads}
         out = os.path.join(args.out_root, name)
         t0 = time.perf_counter()
         try:

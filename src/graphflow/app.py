@@ -1,10 +1,11 @@
 """Scenario catalog, configuration, run recording, and report emission.
 
-Config files are flat key/value INI text with section headers.  Unknown keys
-are rejected; builtin scenarios fill defaults.  A run emits a time-series CSV
-with a fixed column schema, verification and classification JSON (schema
-validated), a manifest listing every file, and a log with wall-clock times
-(kept out of the JSON so re-runs byte-reproduce all CSV/JSON outputs).
+Config files are flat key/value INI text with section headers.  Each builtin
+scenario names the keys it reads, with their defaults; any other key is
+rejected.  A run emits a time-series CSV with a fixed column schema,
+verification and classification JSON (schema validated), a manifest listing
+every file, and a log with wall-clock times (kept out of the JSON so re-runs
+byte-reproduce all CSV/JSON outputs).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import configparser
 import datetime
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -47,35 +49,28 @@ def _boolean(text: str) -> bool:  # 1/yes/true/on or 0/no/false/off, any case; e
     return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
 
 
-# section -> key -> (parser, default[, bound]); None default means scenario-dependent.
-# A bound is (check of the value, what a valid value is).
+# section -> key -> (parser[, bound]); a bound is (check of the value, what a valid
+# value is).  Which keys outside [scenario] a scenario reads, and their defaults,
+# is its entry in SCENARIOS.
 _SCHEMA = {
-    "scenario": {
-        "name": (str, None),
-        "seed": (int, 0),
-        "output_dir": (str, "runs"),
-    },
+    "scenario": {"name": (str,), "seed": (int,), "output_dir": (str,)},
     "grid": {
-        "nodes": (int, 256,         # 1D profile resolution; needs interior nodes
-                  (lambda v: v > 2 * SEAM_MARGIN,
-                   f"must exceed {2 * SEAM_MARGIN}, twice the seam margin")),
-        "shape": (str, "8,8,8"),    # full-grid scenarios
+        "nodes": (int, (lambda v: v > 2 * SEAM_MARGIN,  # tsui_wang_s2 profile resolution
+                        f"must exceed {2 * SEAM_MARGIN}, twice the seam margin")),
+        "shape": (str, (lambda v: all(s.strip().isdecimal() and int(s) >= 3  # two ±1 neighbours
+                                      for s in v.split(",")),
+                        "must be comma-separated integers, each at least 3")),
     },
     "flow": {
-        "cfl": (float, 0.4, (lambda v: 0 < v <= 1, "must lie in (0, 1]")),
-        "t_end": (float, 5.0, (lambda v: v > 0, "must be positive")),
-        "record_every": (int, 400, (lambda v: v >= 1, "must be at least 1")),
-        "h_tol": (float, 1e-6),
+        "cfl": (float, (lambda v: 0 < v <= 1, "must lie in (0, 1]")),
+        "t_end": (float, (lambda v: v > 0, "must be positive")),
+        "record_every": (int, (lambda v: v >= 1, "must be at least 1")),
+        "h_tol": (float,),
     },
-    "initial": {
-        "amplitude": (float, 0.8),
-        "z0": (float, 0.0),
-    },
-    "verify": {
-        "residuals": (_boolean, True),
-        "inequalities": (_boolean, True),
-    },
+    "initial": {"amplitude": (float,), "z0": (float,)},
+    "verify": {"residuals": (_boolean,), "inequalities": (_boolean,)},
 }
+_SCENARIO_DEFAULTS = {("scenario", "seed"): 0, ("scenario", "output_dir"): "runs"}
 
 
 @dataclass
@@ -83,18 +78,16 @@ class ScenarioConfig:
     name: str
     seed: int
     output_dir: str
-    values: dict  # (section, key) -> parsed value
+    values: dict  # (section, key) -> parsed value: [scenario] and the scenario's settings
 
     def get(self, section: str, key: str):
         return self.values[(section, key)]
 
     def canonical_text(self) -> str:
         lines = []
-        for section in sorted(_SCHEMA):
-            lines.append(f"[{section}]")
-            for key in sorted(_SCHEMA[section]):
-                lines.append(f"{key} = {self.values[(section, key)]}")
-            lines.append("")
+        for section, items in itertools.groupby(sorted(self.values.items()),
+                                                key=lambda item: item[0][0]):
+            lines += [f"[{section}]", *(f"{key} = {value}" for (_, key), value in items), ""]
         return "\n".join(lines)
 
     def config_hash(self) -> str:
@@ -102,7 +95,7 @@ class ScenarioConfig:
 
 
 def load_config(path: str) -> ScenarioConfig:
-    """Parse and validate a config file; fill scenario defaults; reject unknowns."""
+    """Parse and validate a config file; fill scenario defaults; reject unread keys."""
     if not os.path.exists(path):
         raise ConfigurationError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
@@ -127,35 +120,29 @@ def _validate(parser: configparser.ConfigParser,
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigurationError(f"unknown config section [{section}]")
-        for key in parser[section]:
-            if key not in _SCHEMA[section]:
-                raise ConfigurationError(f"unknown key '{key}' in section [{section}]")
     if not parser.has_option("scenario", "name"):
         raise ConfigurationError("missing required key 'name' in section [scenario]")
     name = parser.get("scenario", "name")
     if name not in BUILTIN_SCENARIOS:
         raise ConfigurationError(
             f"unknown scenario '{name}' (builtins: {', '.join(BUILTIN_SCENARIOS)})")
-    values = {}
-    defaults = SCENARIOS[name].defaults
-    for section, keys in _SCHEMA.items():
-        for key, (parse, default, *_) in keys.items():
-            if parser.has_option(section, key):
-                raw = parser.get(section, key)
-                try:
-                    values[(section, key)] = parse(raw)
-                except (ValueError, KeyError) as exc:
-                    raise ConfigurationError(
-                        f"invalid value for [{section}] {key}: {raw!r}") from exc
-            else:
-                values[(section, key)] = defaults.get((section, key), default)
-    values[("scenario", "name")] = name
+    values = {("scenario", "name"): name, **_SCENARIO_DEFAULTS, **SCENARIOS[name].settings}
+    given = {(section, key): parser.get(section, key)
+             for section in parser.sections() for key in parser[section]}
+    for section, key in [*given, *(overrides or {})]:
+        if (section, key) not in values:
+            raise ConfigurationError(f"unknown key '{key}' in section [{section}]: "
+                                     f"scenario '{name}' does not read it")
+    for (section, key), raw in given.items():
+        try:
+            values[(section, key)] = _SCHEMA[section][key][0](raw)
+        except (ValueError, KeyError) as exc:
+            raise ConfigurationError(f"invalid value for [{section}] {key}: {raw!r}") from exc
     values.update(overrides or {})
-    for section, keys in _SCHEMA.items():
-        for key, (_, _, *bound) in keys.items():
-            value = values[(section, key)]
-            if bound and not bound[0][0](value):
-                raise ConfigurationError(f"[{section}] {key} = {value!r} {bound[0][1]}")
+    for (section, key), value in values.items():
+        _, *bound = _SCHEMA[section][key]
+        if bound and not bound[0][0](value):
+            raise ConfigurationError(f"[{section}] {key} = {value!r} {bound[0][1]}")
     return ScenarioConfig(name=name, seed=values[("scenario", "seed")],
                           output_dir=values[("scenario", "output_dir")], values=values)
 
@@ -271,11 +258,11 @@ class Evolution:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A builtin scenario: its manifolds, its config defaults and its evolve step."""
+    """A builtin scenario: its manifolds, its evolve step and the settings that step reads."""
 
     manifolds: Callable   # () -> (M, N)
     evolve: Callable      # (cfg, M, N, curvature report) -> Evolution
-    defaults: dict = field(default_factory=dict)  # (section, key) -> value
+    settings: dict = field(default_factory=dict)  # (section, key) -> default; no other key
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> RunManifest:
@@ -430,12 +417,14 @@ def _evolve_torus_projection(cfg: ScenarioConfig, m_manifold, n_manifold, report
     params = FlowParams(cfl=cfg.get("flow", "cfl"), t_end=cfg.get("flow", "t_end"),
                         h_tol=cfg.get("flow", "h_tol"))
     every = cfg.get("flow", "record_every")
+    periods = np.array([ax.length for ax in n_manifold.axes])  # N = T^2: every axis wraps
     drift_max = 0.0
     snapshots = [state]  # every record_every-th step and the last
     while state.status == "Running" and state.t < params.t_end - 1e-14:
         prev_f = state.field.f
         state = step(state, params)
-        drift_max = max(drift_max, float(np.abs(state.field.f - prev_f).max()))
+        move = state.field.f - prev_f  # a node wrapped from 0 to 2 pi has not moved
+        drift_max = max(drift_max, float(np.abs(move - periods * np.round(move / periods)).max()))
         if state.step_count % every == 0:
             snapshots.append(state)
     if snapshots[-1] is not state:
@@ -466,8 +455,11 @@ def _evolve_torus_projection(cfg: ScenarioConfig, m_manifold, n_manifold, report
                      dissipation=snapshots[-1].dissipation, h_grid=float(field0.h.max()))
 
 
+HOPF_NODES = 13  # per axis of the (eta, xi1, xi2) sample grid: 13 x 13 x 6 = 1014 samples
+
+
 def _evolve_hopf_pointwise(cfg: ScenarioConfig, m_manifold, n_manifold, report) -> Evolution:
-    n = max(13, int(round(cfg.get("grid", "nodes") ** (1 / 3))))
+    n = HOPF_NODES
     eta = (np.arange(n) + 0.5) * (math.pi / 2) / n
     xi = np.arange(n) * 2 * math.pi / n
     x = np.stack(np.meshgrid(eta, xi, xi[:max(1, n // 2)], indexing="ij"), axis=-1)
@@ -503,16 +495,21 @@ def _warped_cylinder(warp: str):
 SCENARIOS = {
     "tsui_wang_s2": Scenario(
         lambda: (round_sphere(2), round_sphere(2, curvature=1.0)), _evolve_tsui_wang,
-        {("flow", "t_end"): 5.0, ("initial", "amplitude"): 0.8}),
+        {("grid", "nodes"): 256, ("flow", "cfl"): 0.4, ("flow", "t_end"): 5.0,
+         ("flow", "record_every"): 400, ("flow", "h_tol"): 1e-6, ("initial", "amplitude"): 0.8,
+         ("verify", "residuals"): True, ("verify", "inequalities"): True}),
     "cylinder_drift": Scenario(
         _warped_cylinder("exp_neg"), _evolve_cylinder,
-        {("initial", "z0"): 0.0, ("flow", "t_end"): 5.0}),
+        {("flow", "t_end"): 5.0, ("flow", "record_every"): 400, ("flow", "h_tol"): 1e-6,
+         ("initial", "z0"): 0.0}),
     "cylinder_waist": Scenario(
         _warped_cylinder("cosh"), functools.partial(_evolve_cylinder, waist_level=1.0),
-        {("initial", "z0"): 0.5, ("flow", "t_end"): 30.0}),
+        {("flow", "t_end"): 30.0, ("flow", "record_every"): 400, ("flow", "h_tol"): 1e-6,
+         ("initial", "z0"): 0.5}),
     "torus_projection": Scenario(
-        lambda: (flat_torus(3), flat_torus(2, scale=0.5)),
-        _evolve_torus_projection, {("flow", "t_end"): 0.05, ("flow", "record_every"): 1}),
+        lambda: (flat_torus(3), flat_torus(2, scale=0.5)), _evolve_torus_projection,
+        {("grid", "shape"): "8,8,8", ("flow", "cfl"): 0.4, ("flow", "t_end"): 0.05,
+         ("flow", "record_every"): 1, ("flow", "h_tol"): 1e-6, ("verify", "residuals"): True}),
     "hopf_pointwise": Scenario(
         lambda: (s3_hopf_chart(), round_sphere(2)), _evolve_hopf_pointwise),
     "torus_identity_edge": Scenario(

@@ -1,7 +1,9 @@
 """Configuration handling, scenario runs, artifact schemas, and the CLI."""
 
+import contextlib
 import json
 import os
+import re
 import shutil
 import sys
 from collections import Counter
@@ -51,6 +53,8 @@ def test_unknown_key_rejected(tmp_path):
         says = "unknown config section \\[barrier\\]" if section == "barrier" else "unknown key"
         with pytest.raises(ConfigurationError, match=says):
             load_config(path)
+        with pytest.raises(ConfigurationError, match="unknown key"):  # was dropped unread
+            builtin_config("torus_projection", {(section, key): value})
 
 
 def test_missing_name_rejected(tmp_path):
@@ -111,6 +115,44 @@ def test_builtin_defaults():
         "scenario", "grid", "flow", "initial", "verify"}  # the waist barrier is no config
 
 
+@pytest.mark.parametrize("name, section, key, value", [
+    ("cylinder_drift", "initial", "amplitude", "5.0"),  # wrote the artifacts of 0.8, new hash
+    ("hopf_pointwise", "grid", "nodes", "256"),
+    ("torus_projection", "verify", "inequalities", "True"),
+    ("tsui_wang_s2", "grid", "shape", "4,4,4"),
+])
+def test_unread_key_rejected(tmp_path, capsys, name, section, key, value):
+    says = f"unknown key '{key}' in section [{section}]: scenario '{name}' does not read it"
+    cfg_path = _write(tmp_path, f"[scenario]\nname = {name}\n[{section}]\n{key} = {value}\n")
+    assert cli_main(["run", cfg_path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and says in err
+    with pytest.raises(ConfigurationError, match=re.escape(says)):
+        builtin_config(name, {(section, key): value})
+    with pytest.raises(KeyError):
+        builtin_config(name).get(section, key)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+def test_each_scenario_reads_exactly_its_settings(tmp_path, monkeypatch, name):
+    read = set()
+    get = app.ScenarioConfig.get
+
+    def recorded(self, section, key):
+        read.add((section, key))
+        return get(self, section, key)
+
+    monkeypatch.setattr(app.ScenarioConfig, "get", recorded)
+    small = {"tsui_wang_s2": {("grid", "nodes"): 32, ("flow", "t_end"): 0.05},
+             "torus_projection": {("grid", "shape"): "4,4,4"}}
+    cfg = builtin_config(name, small.get(name))
+    with contextlib.suppress(ConfigurationError):  # torus_identity_edge is rejected
+        run_scenario(cfg, out_dir=str(tmp_path / name))
+    assert read == set(app.SCENARIOS[name].settings)
+    assert set(cfg.values) == read | {("scenario", "name"), ("scenario", "seed"),
+                                      ("scenario", "output_dir")}
+
+
 def test_config_hash_stable_and_sensitive():
     a = builtin_config("torus_projection")
     b = builtin_config("torus_projection")
@@ -168,6 +210,16 @@ def test_runs_byte_reproduce(tmp_path):
                  "classification.json", "manifest.json"):  # run.log holds timestamps
         assert _read(outs[0], name) == _read(outs[1], name)
     assert cfg.config_hash() in _read(outs[0], "manifest.json")
+
+
+@pytest.mark.parametrize("shape", ["3,4,4", "4,3,4"])
+def test_torus_projection_odd_grid_is_stationary(tmp_path, shape):
+    # a roundoff-sized velocity wraps a node at 0 to 2 pi: that is no drift
+    cfg_path = _write(tmp_path, f"[scenario]\nname = torus_projection\n[grid]\nshape = {shape}\n")
+    out = str(tmp_path / "run")
+    assert cli_main(["run", cfg_path, "--out", out]) == 0
+    stationarity = json.loads(_read(out, "verification.json"))["stationarity"]
+    assert stationarity["pass"] and stationarity["max_step_drift"] <= 1e-12
 
 
 def test_hopf_pointwise_run(tmp_path):
@@ -355,14 +407,18 @@ def test_cli_run_and_inspect(tmp_path, capsys):
     ("grid", "nodes", "2"),          # no interior node: a ValueError traceback
     ("flow", "t_end", "-1"),         # an empty run that printed PASS
     ("flow", "cfl", "5"),            # escaped the equivariant path unchecked
+    ("grid", "shape", "a,4,4"),      # a ValueError traceback
+    ("grid", "shape", "0,4,4"),      # a ZeroDivisionError traceback
+    ("grid", "shape", "2,4,4"),      # df = 0 along axis 0: it flowed and failed its budget
 ])
 def test_cli_rejects_out_of_range_values(tmp_path, capsys, section, key, value):
-    cfg_path = _write(tmp_path, f"[scenario]\nname = tsui_wang_s2\n[{section}]\n{key} = {value}\n")
+    name = "torus_projection" if key == "shape" else "tsui_wang_s2"  # the scenario reading it
+    cfg_path = _write(tmp_path, f"[scenario]\nname = {name}\n[{section}]\n{key} = {value}\n")
     assert cli_main(["run", cfg_path, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"[{section}] {key}" in err
     with pytest.raises(ConfigurationError):
-        builtin_config("tsui_wang_s2", {(section, key): float(value)})
+        builtin_config(name, {(section, key): app._SCHEMA[section][key][0](value)})
 
 
 @pytest.mark.parametrize("section,key,value,says", [

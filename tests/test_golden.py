@@ -9,13 +9,14 @@ After a change that is meant to move the artifacts, regenerate them with
 and review the diff of ``tests/golden/``.
 """
 
+import json
 import os
 import shutil
 import tempfile
 
 import pytest
 
-from graphflow.app import builtin_config, run_scenario
+from graphflow.app import builtin_config, load_config, run_scenario
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -44,6 +45,17 @@ def test_artifacts_match_golden(name, tmp_path):
     for fname in FILES:
         assert _read(os.path.join(out, fname)) == \
             _read(os.path.join(GOLDEN_DIR, name, fname)), f"{name}/{fname}"
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_golden_config_reproduces_its_run(name):
+    # a run's config.ini loads as a config, lists only the scenario's settings
+    # and carries the hash of the run's manifest
+    path = os.path.join(GOLDEN_DIR, name, "config.ini")
+    cfg = load_config(path)
+    assert cfg.canonical_text().encode() == _read(path)
+    with open(os.path.join(GOLDEN_DIR, name, "manifest.json")) as fh:
+        assert cfg.config_hash() == json.load(fh)["config_hash"]
 
 
 if __name__ == "__main__":

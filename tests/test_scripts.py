@@ -15,16 +15,20 @@ def _load(name):
     return module
 
 
-# tiny arguments per script; None stands for the test's temporary directory
+# tiny arguments per case; a case is named by its script, then an optional
+# "-label"; None stands for the test's temporary directory
 ARGV = {
     "drift_vs_waist": ["--t-end", "0.01"],
     "refinement_study": ["--levels", "16", "32"],
     "run_scenarios": ["cylinder_drift", "--out-root", None],
+    # each override reaches only the scenarios that read its key
+    "run_scenarios-overrides": ["tsui_wang_s2", "cylinder_drift", "hopf_pointwise",
+                                "--nodes", "32", "--t-end", "0.05", "--out-root", None],
 }
 
 
 @pytest.mark.parametrize("name", sorted(ARGV))
 def test_script_runs(tmp_path, capsys, name):
     argv = [str(tmp_path) if a is None else a for a in ARGV[name]]
-    assert _load(name).main(argv) == 0
+    assert _load(name.split("-")[0]).main(argv) == 0
     assert capsys.readouterr().out
