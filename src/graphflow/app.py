@@ -30,7 +30,7 @@ from .barrier import certify_convexity, containment_monitor, diameter_series, wa
 from .classify import classify_from_observables, classify_limit
 from .flow import (DRIFT_DT, EquivariantFlow, FlowParams, FlowRecord, FlowState, h2_field,
                    reduce_circle_drift, step)
-from .frames import DifferentialSample, singular_values
+from .frames import singular_values_batch
 from .geometry import (WarpedSurface, builtin_warp, curvature_conditions_report,
                        flat_torus, hopf_map, product_s1_s2, round_sphere, s3_hopf_chart)
 from .immersion import SEAM_MARGIN, GraphMapField, field_geometry
@@ -57,9 +57,11 @@ _SCHEMA = {
     "grid": {
         "nodes": (int, (lambda v: v > 2 * SEAM_MARGIN,  # tsui_wang_s2 profile resolution
                         f"must exceed {2 * SEAM_MARGIN}, twice the seam margin")),
-        "shape": (str, (lambda v: all(s.strip().isdecimal() and int(s) >= 3  # two ±1 neighbours
-                                      for s in v.split(",")),
-                        "must be comma-separated integers, each at least 3")),
+        # read by torus_projection only, whose M = T^3 has 3 axes
+        "shape": (str, (lambda v: len(v.split(",")) == 3 and all(
+                            s.strip().isdecimal() and int(s) >= 3  # two ±1 neighbours
+                            for s in v.split(",")),
+                        "must be 3 comma-separated integers, one per axis of M, each at least 3")),
     },
     "flow": {
         "cfl": (float, (lambda v: 0 < v <= 1, "must lie in (0, 1]")),
@@ -316,7 +318,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> RunManif
 def _evolve_tsui_wang(cfg: ScenarioConfig, m_manifold, n_manifold, report) -> Evolution:
     amp = cfg.get("initial", "amplitude")
     eq = EquivariantFlow(cfg.get("grid", "nodes"), lambda th: amp * np.sin(th),
-                         kappa=1.0, cfl=cfg.get("flow", "cfl"))
+                         cfl=cfg.get("flow", "cfl"))
     run = eq.run(cfg.get("flow", "t_end"), record_every=cfg.get("flow", "record_every"),
                  h_tol=cfg.get("flow", "h_tol"))
     if run.status == "Aborted":
@@ -465,10 +467,8 @@ def _evolve_hopf_pointwise(cfg: ScenarioConfig, m_manifold, n_manifold, report) 
     x = np.stack(np.meshgrid(eta, xi, xi[:max(1, n // 2)], indexing="ij"), axis=-1)
     x = x.reshape(-1, 3)
     df = np.array([[2.0, 0.0], [0.0, -1.0], [0.0, 1.0]])  # of (eta, xi1, xi2) -> (2 eta, xi2 - xi1)
-    sample = DifferentialSample(df=np.broadcast_to(df, x.shape[:1] + (3, 2)),
-                                g_m=m_manifold.metric_many(x),
-                                g_n=n_manifold.metric_many(hopf_map(x.T).T))
-    lam, mu = singular_values(sample)
+    lam, mu = singular_values_batch(m_manifold.metric_many(x),
+                                    n_manifold.metric_many(hopf_map(x.T).T), df)
     worst = float(max(np.abs(lam - 2.0).max(), np.abs(mu - 2.0).max()))
     nan = float("nan")
     record = FlowRecord(t=0.0, min_p=-1.2, max_lambda=2.0, max_mu=2.0, max_df2=nan,
@@ -532,7 +532,7 @@ def run_identities(samples: int = 10_000, seed: int = 0) -> dict:
     import time
     from types import SimpleNamespace
 
-    from .frames import build_svd_frame, quad_form
+    from .frames import DifferentialSample, build_svd_frame, quad_form
     from .immersion import quantity_R_vw, w_norm_sq
 
     def worst_dev(a, target):

@@ -18,6 +18,8 @@ import scipy.linalg
 from .errors import ConfigurationError
 from .geometry import ChartManifold
 
+DIAMETER_SLOPE_TOL = 0.05  # slack of the fitted log-diameter slope over -eps0/2
+
 
 @dataclass
 class BarrierFunction:
@@ -132,12 +134,12 @@ def containment_monitor(checkpoints: Sequence, barrier: BarrierFunction) -> dict
     return {"pass": contained, "level": barrier.level, "rows": rows}
 
 
-def diameter_series(pairs: Sequence, eps0: Optional[float] = None,
-                    slope_tol: float = 0.05) -> dict:
+def diameter_series(pairs: Sequence, eps0: Optional[float] = None) -> dict:
     """Per-checkpoint image diameter plus a log-slope decay fit.
 
     ``pairs``: iterable of (t, diameter).  When eps0 > 0 the fit over the final
-    half of the run is compared with the predicted slope -eps0/2.
+    half of the run is compared with the predicted slope -eps0/2, within
+    DIAMETER_SLOPE_TOL.
     """
     t = np.array([p[0] for p in pairs], dtype=float)
     d = np.array([p[1] for p in pairs], dtype=float)
@@ -149,8 +151,8 @@ def diameter_series(pairs: Sequence, eps0: Optional[float] = None,
         if sel.sum() >= 2:
             slope = float(np.polyfit(t[sel], np.log(d[sel]), 1)[0])
             out["log_slope"] = slope
-            out["required_slope"] = -eps0 / 2 + slope_tol
-            out["pass"] = slope <= -eps0 / 2 + slope_tol
+            out["required_slope"] = -eps0 / 2 + DIAMETER_SLOPE_TOL
+            out["pass"] = slope <= -eps0 / 2 + DIAMETER_SLOPE_TOL
     return out
 
 

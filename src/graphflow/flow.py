@@ -178,19 +178,17 @@ class EquivariantRun:
 
 
 class EquivariantFlow:
-    """Rotationally symmetric flow S^2 -> S^2(kappa): f(theta, phi) = (h(theta), phi).
+    """Rotationally symmetric flow between unit spheres: f(theta, phi) = (h(theta), phi).
 
     The profile satisfies
-      dh/dt = h'' / (1 + r^2 h'^2)
-            + (sin(theta)cos(theta) h' - sin(h)cos(h)) / (sin^2(theta) + r^2 sin^2(h))
-    with r^2 = 1/kappa, on offset nodes theta_j = (j + 1/2) pi / J with odd
-    mirror ghosts (h(-theta) = -h(theta), h(pi + s) = -h(pi - s)).
+      dh/dt = h'' / (1 + h'^2)
+            + (sin(theta)cos(theta) h' - sin(h)cos(h)) / (sin^2(theta) + sin^2(h))
+    on offset nodes theta_j = (j + 1/2) pi / J with odd mirror ghosts
+    (h(-theta) = -h(theta), h(pi + s) = -h(pi - s)).
     """
 
-    def __init__(self, n_nodes: int, h0, kappa: float = 1.0, cfl: float = 0.4):
+    def __init__(self, n_nodes: int, h0, cfl: float = 0.4):
         self.J = int(n_nodes)
-        self.kappa = float(kappa)
-        self.r2 = 1.0 / self.kappa
         self.cfl = float(cfl)
         self.dtheta = np.pi / self.J
         self.theta = (np.arange(self.J) + 0.5) * self.dtheta
@@ -203,12 +201,12 @@ class EquivariantFlow:
         if self.h.shape != (self.J,):
             raise ValueError("profile length must match node count")
         self.M = round_sphere(2)
-        self.N = round_sphere(2, curvature=self.kappa)
+        self.N = round_sphere(2)
         self._template: Optional[GraphMapField] = None  # the first lift
 
     def rhs(self, h: np.ndarray, metric: bool = False):
         """dh/dt of the profile h; with ``metric`` the tuple (dh/dt, h', sin h, g11, g22),
-        g11 = 1 + r^2 h'^2 and g22 = sin^2(theta) + r^2 sin^2(h), for the step,
+        g11 = 1 + h'^2 and g22 = sin^2(theta) + sin^2(h), for the step,
         the CFL bound, the dissipation and the observables to share."""
         g = np.empty(self.J + 2)  # h with its odd mirror ghosts
         g[1:-1] = h
@@ -217,24 +215,23 @@ class EquivariantFlow:
         d1 = (g[2:] - g[:-2]) / self._two_dtheta
         d2 = (g[2:] - 2 * g[1:-1] + g[:-2]) / self._dtheta2
         sin_h = np.sin(h)
-        g11 = 1 + self.r2 * d1**2
-        g22 = self._sin2_t + self.r2 * sin_h**2
+        g11 = 1 + d1**2
+        g22 = self._sin2_t + sin_h**2
         v = d2 / g11 + (self._sin_cos_t * d1 - sin_h * np.cos(h)) / g22
         return (v, d1, sin_h, g11, g22) if metric else v
 
     def singular_values(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         _, d1, sin_h, _, _ = self.rhs(h, metric=True)
-        r = np.sqrt(self.r2)
-        a, b = r * np.abs(d1), r * np.abs(sin_h) / self._sin_t
+        a, b = np.abs(d1), np.abs(sin_h) / self._sin_t
         return np.maximum(a, b), np.minimum(a, b)
 
     def observables(self, h: np.ndarray, t: float = np.nan) -> FlowRecord:
         v, _, _, g11, g22 = self.rhs(h, metric=True)
-        h2 = self.r2 * v**2 / g11
+        h2 = v**2 / g11
         lam, mu = self.singular_values(h)
         p = p_batch(lam, mu)
         vol = 2 * np.pi * float(np.sum(np.sqrt(g11 * g22)) * self.dtheta)
-        diam = np.sqrt(self.r2) * min(np.pi, 2 * float(np.abs(h).max()))
+        diam = min(np.pi, 2 * float(np.abs(h).max()))
         pos = p > 0  # Theta only where p > 0; a record with min p <= 0 aborts the run
         return FlowRecord(
             t=t, min_p=float(p.min()), max_lambda=float(lam.max()),
@@ -270,7 +267,7 @@ class EquivariantFlow:
                     status = "Aborted"
                     break
             k1, _, _, g11, g22 = self.rhs(h, metric=True)
-            h2_now = self.r2 * k1**2 / g11
+            h2_now = k1**2 / g11
             streak = streak + 1 if h2_now.max() < h_tol**2 else 0
             if streak >= CONVERGENCE_STREAK:
                 status = "Converged"

@@ -66,12 +66,6 @@ def _first_nonzero_positive(rows: np.ndarray) -> np.ndarray:
     return np.where(lead < 0, -rows, rows)
 
 
-def singular_values(sample: DifferentialSample) -> tuple[np.ndarray, np.ndarray]:
-    """The two possibly nonzero singular values of df, largest first."""
-    sv = np.linalg.svd(_whiten(sample)[2], compute_uv=False)
-    return sv[..., 0], sv[..., 1]
-
-
 def build_svd_frame(sample: DifferentialSample) -> SVDFrame:
     """Construct the full adapted frame at every point of a batch.
 

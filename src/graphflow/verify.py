@@ -22,6 +22,9 @@ from .geometry import curvature_package, gauss_curvature_at, sectional
 from .immersion import (SEAM_MARGIN, GraphMapField, field_geometry, quantity_Q, quantity_R_vw,
                         w_norm_sq)
 
+H_FLOOR = 1e-8         # the inequalities are evaluated only where |H| exceeds it
+VOLUME_REL_TOL = 0.02  # relative tolerance of the volume budget
+
 
 @dataclass
 class BoundConstants:
@@ -125,10 +128,9 @@ def _curvature_inputs(field: GraphMapField, mask: np.ndarray, alpha: np.ndarray)
         ricci = r * field.g_m_field()[mask]
     else:
         coords = field.coords()[mask]
-        tensors = [curvature_package(m_manifold, x) for x in coords]
-        ricci = np.reshape([ct.ricci for ct in tensors], (len(tensors),) + alpha.shape[-2:])
-        sig_m = np.array([sectional(m_manifold, x, a[0], a[1], ct)
-                          for x, a, ct in zip(coords, alpha, tensors)])
+        ct = curvature_package(m_manifold, coords)
+        ricci = ct.ricci
+        sig_m = sectional(m_manifold, coords, alpha[:, 0], alpha[:, 1], ct)
         ric11 = quad_form(alpha[:, 0], ricci, alpha[:, 0])
         ric22 = quad_form(alpha[:, 1], ricci, alpha[:, 1])
     return ric11, ric22, sig_m, gauss_curvature_at(field.N, field.f[mask]), ricci
@@ -192,11 +194,11 @@ def residual_p_evolution(triples: Sequence, margin: int = SEAM_MARGIN) -> list:
 # Mean curvature and Theta inequalities
 
 
-def check_H_and_theta_inequalities(triples: Sequence, eps1: float, margin: int = SEAM_MARGIN,
-                                   delta: float = 1e-8) -> dict:
+def check_H_and_theta_inequalities(triples: Sequence, eps1: float,
+                                   margin: int = SEAM_MARGIN) -> dict:
     """Slack of the differential inequalities for |H|^2 and Theta = |H|^2/p.
 
-    Evaluated only where |H| > delta.  Also audits |w|^2 <= |H|^2 pointwise.
+    Evaluated only where |H| > H_FLOOR.  Also audits |w|^2 <= |H|^2 pointwise.
     Pass iff every slack >= -(1e-6 + 10 (h^2 + dt)).
     """
     checkpoints = []
@@ -217,7 +219,7 @@ def check_H_and_theta_inequalities(triples: Sequence, eps1: float, margin: int =
         h_grid = float(f_now.h.max())
         tol = 1e-6 + 10 * (h_grid**2 + max(dtp, dtn))
         geo = field_geometry(f_now)
-        mask = f_now.interior_mask(margin) & (geo.h_sq > delta**2)
+        mask = f_now.interior_mask(margin) & (geo.h_sq > H_FLOOR**2)
         pg = geo[mask]
         n_eval = int(mask.sum())
         ric11, ric22, sig_m, sig_n, ricci = _curvature_inputs(f_now, mask, pg.frame.alpha)
@@ -249,9 +251,9 @@ def inequality_section(checkpoints: Sequence) -> dict:
 # Volume budget
 
 
-def check_volume_budget(volume_start: float, volume_end: float, dissipation: float,
-                        rel_tol: float = 0.02) -> dict:
-    """|Delta volume - integral of |H|^2 dmu dt| as a relative discrepancy."""
+def check_volume_budget(volume_start: float, volume_end: float, dissipation: float) -> dict:
+    """|Delta volume - integral of |H|^2 dmu dt| as a relative discrepancy; pass
+    within VOLUME_REL_TOL."""
     drop = volume_start - volume_end
     scale = max(abs(drop), abs(dissipation))
     if scale < 1e-12:  # nothing moved (stationary run): trivially balanced
@@ -259,4 +261,4 @@ def check_volume_budget(volume_start: float, volume_end: float, dissipation: flo
                 "relative_error": 0.0, "pass": True}
     rel = abs(drop - dissipation) / scale
     return {"volume_drop": drop, "dissipation": dissipation,
-            "relative_error": rel, "pass": rel <= rel_tol}
+            "relative_error": rel, "pass": rel <= VOLUME_REL_TOL}

@@ -1,19 +1,26 @@
 """Reference implementation of the pointwise graph geometry: the scalar
 ``build_svd_frame`` and ``point_geometry`` as they were before the batched
-field geometry replaced them, and the per-offset stencils of ``GraphMapField``
-as they were before the ghost-padded grid replaced them, kept verbatim as test
-oracles.
+field geometry replaced them, the per-offset stencils of ``GraphMapField``
+as they were before the ghost-padded grid replaced them, and the per-point
+curvature layer (chart derivatives, curvature tensors, BRic sampling, the
+sampled curvature report and the monitors' curvature inputs) as it was before
+the batched curvature tensors replaced it, kept verbatim as test oracles.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
 
-from graphflow.errors import ConfigurationError
-from graphflow.frames import DifferentialSample
+from graphflow.errors import (ConfigurationError, DegenerateMetricError, DegeneratePlaneError,
+                              FrameError)
+from graphflow.frames import DifferentialSample, quad_form
+from graphflow.geometry import (_COMPLEX_STEP, ChartManifold, CurvatureReport, WarpedSurface,
+                                _sample_points)
 from graphflow.immersion import GraphMapField
 
 
@@ -310,3 +317,320 @@ class LoopStencilField(GraphMapField):
         gam = self.gamma_induced_field()
         hess = d2 - np.einsum("...kij,...k->...ij", gam, du)
         return np.einsum("...ij,...ij->...", ginv, hess)
+
+
+# ---------------------------------------------------------------------------
+# The per-point curvature layer
+
+
+class LoopCurvatureChart(ChartManifold):
+    """``ChartManifold`` with the per-point chart derivatives it had before the
+    batched curvature tensors: ``inverse_metric_at``, ``_dmetric``,
+    ``_dchristoffels`` and the list comprehension of ``christoffels_many``."""
+
+    @classmethod
+    def of(cls, manifold: ChartManifold) -> "LoopCurvatureChart":
+        return cls(manifold.name, manifold.axes, manifold._metric_at, manifold._christoffels_at,
+                   manifold.constant_curvature, manifold.is_product_s1xs2)
+
+    def inverse_metric_at(self, x) -> np.ndarray:
+        g = self.metric_at(x)
+        try:
+            w = np.linalg.eigvalsh(g)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover
+            raise DegenerateMetricError(str(exc)) from exc
+        if w.min() <= 0:
+            raise DegenerateMetricError(
+                f"{self.name}: metric not positive definite at {x} (eigs {w})"
+            )
+        return np.linalg.inv(g)
+
+    def _dmetric(self, x) -> np.ndarray:
+        """d_a g_ij, shape (m, m, m), first index is the derivative axis."""
+        x = self.wrap(x)
+        m = self.dim
+        out = np.empty((m, m, m))
+        for a in range(m):
+            xc = x.astype(complex)
+            xc[a] += 1j * _COMPLEX_STEP
+            out[a] = np.imag(np.asarray(self._metric_at(xc))) / _COMPLEX_STEP
+        return out
+
+    def christoffels_many(self, pts) -> np.ndarray:
+        """Gamma^k_{ij} at a batch of points, (..., m) -> (..., m, m, m), first index upper."""
+        x = self.wrap(pts)
+        if self._christoffels_at is not None:
+            return np.asarray(self._christoffels_at(x))
+        flat = [self._christoffels_from_metric(y) for y in x.reshape(-1, self.dim)]
+        return np.reshape(flat, x.shape + (self.dim, self.dim))
+
+    christoffels_at = christoffels_many  # one point is a batch of shape ()
+
+    def _christoffels_from_metric(self, x) -> np.ndarray:
+        ginv = self.inverse_metric_at(x)
+        dg = self._dmetric(x)  # axes (derivative, i, j)
+        # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
+        comb = dg.transpose(0, 1, 2) + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
+        return 0.5 * np.einsum("kl,ijl->kij", ginv, comb)
+
+    def _dchristoffels(self, x) -> np.ndarray:
+        """d_a Gamma^k_{ij}, shape (m, m, m, m), first index derivative axis."""
+        x = self.wrap(x)
+        m = self.dim
+        if self._christoffels_at is None:  # a complex step cannot differentiate a complex step
+            raise ConfigurationError(f"{self.name}: curvature needs analytic Christoffel symbols")
+        out = np.empty((m, m, m, m))
+        for a in range(m):
+            xc = x.astype(complex)
+            xc[a] += 1j * _COMPLEX_STEP
+            out[a] = np.imag(np.asarray(self._christoffels_at(xc))) / _COMPLEX_STEP
+        return out
+
+
+@dataclass
+class CurvatureTensors:
+    """Chart-component curvature data at a single point."""
+
+    g: np.ndarray           # g_{ij}
+    gamma: np.ndarray       # Gamma^k_{ij}
+    riemann: np.ndarray     # R_{ijkl} = <R(d_i, d_j) d_k, d_l>
+    ricci: np.ndarray
+    scalar: float
+
+
+def curvature_package(manifold: LoopCurvatureChart, x) -> CurvatureTensors:
+    """All curvature tensors of the chart metric at ``x``."""
+    x = manifold.wrap(x)
+    g = manifold.metric_at(x)
+    ginv = manifold.inverse_metric_at(x)
+    gamma = manifold.christoffels_at(x)
+    dgamma = manifold._dchristoffels(x)
+    # R^l_{kij} = d_i Gamma^l_{jk} - d_j Gamma^l_{ik}
+    #           + Gamma^l_{ip} Gamma^p_{jk} - Gamma^l_{jp} Gamma^p_{ik}
+    r_up = (
+        np.einsum("iljk->lkij", dgamma)
+        - np.einsum("jlik->lkij", dgamma)
+        + np.einsum("lip,pjk->lkij", gamma, gamma)
+        - np.einsum("ljp,pik->lkij", gamma, gamma)
+    )
+    riemann = np.einsum("lm,mkij->ijkl", g, r_up)
+    ricci = np.einsum("il,ijkl->jk", ginv, riemann)
+    scalar = float(np.einsum("jk,jk->", ginv, ricci))
+    return CurvatureTensors(g=g, gamma=gamma, riemann=riemann, ricci=ricci, scalar=scalar)
+
+
+def sectional(manifold: LoopCurvatureChart, x, v, w,
+              tensors: Optional[CurvatureTensors] = None) -> float:
+    """Sectional curvature of the plane spanned by v and w."""
+    v = np.asarray(v, dtype=float)
+    w = np.asarray(w, dtype=float)
+    ct = tensors if tensors is not None else curvature_package(manifold, x)
+    g = ct.g
+    gram = (v @ g @ v) * (w @ g @ w) - (v @ g @ w) ** 2
+    if gram < 1e-14 * max(1.0, float(v @ g @ v) * float(w @ g @ w)):
+        raise DegeneratePlaneError("vectors do not span a plane")
+    num = float(np.einsum("ijkl,i,j,k,l->", ct.riemann, v, w, w, v))
+    return num / gram
+
+
+def bi_ricci(manifold: LoopCurvatureChart, x, v, w,
+             tensors: Optional[CurvatureTensors] = None) -> float:
+    """BRic(v, w) = Ric(v, v) + Ric(w, w) - sigma(v ^ w) for orthonormal v, w."""
+    v = np.asarray(v, dtype=float)
+    w = np.asarray(w, dtype=float)
+    ct = tensors if tensors is not None else curvature_package(manifold, x)
+    g = ct.g
+    if (
+        abs(v @ g @ v - 1.0) > 1e-8
+        or abs(w @ g @ w - 1.0) > 1e-8
+        or abs(v @ g @ w) > 1e-8
+    ):
+        raise FrameError("bi_ricci requires g-orthonormal vectors")
+    ric_v = float(v @ ct.ricci @ v)
+    ric_w = float(w @ ct.ricci @ w)
+    return ric_v + ric_w - sectional(manifold, x, v, w, tensors=ct)
+
+
+def gauss_curvature_at(n_manifold: LoopCurvatureChart, y):
+    """Gauss curvature of a 2-dimensional manifold at chart points (..., 2).
+
+    A float where the surface declares a constant curvature; otherwise an
+    array over the points.
+    """
+    if n_manifold.dim != 2:
+        raise ConfigurationError("gauss_curvature_at expects a surface")
+    if n_manifold.constant_curvature is not None:
+        return float(n_manifold.constant_curvature)
+    y = np.asarray(y, dtype=float)
+    if isinstance(n_manifold, WarpedSurface):
+        return n_manifold.gauss_curvature(y[..., 1])
+    flat = [sectional(n_manifold, x, [1.0, 0.0], [0.0, 1.0]) for x in y.reshape(-1, 2)]
+    return np.reshape(flat, y.shape[:-1])
+
+
+def sup_sigma_of(n_manifold: LoopCurvatureChart, samples: int = 400) -> float:
+    if isinstance(n_manifold, WarpedSurface):
+        return n_manifold.sup_gauss_curvature()
+    if n_manifold.constant_curvature is not None:
+        return n_manifold.constant_curvature
+    pts = _sample_points(n_manifold, samples, np.random.default_rng(0))
+    return float(np.max(gauss_curvature_at(n_manifold, pts)))
+
+
+def _orthonormalize(g: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Gram-Schmidt the rows of ``vecs`` with respect to metric ``g``."""
+    out = []
+    for v in vecs:
+        for u in out:
+            v = v - (u @ g @ v) * u
+        norm = math.sqrt(max(v @ g @ v, 0.0))
+        if norm < 1e-12:
+            raise FrameError("degenerate frame sample")
+        out.append(v / norm)
+    return np.asarray(out)
+
+
+def min_bric_sampled(
+    manifold: LoopCurvatureChart,
+    points: np.ndarray,
+    frames_per_point: int,
+    rng: np.random.Generator,
+    descent_steps: int = 20,
+) -> float:
+    """Monte-Carlo lower-bound estimate of min BRic over 2-frames.
+
+    Random orthonormal pairs at each sample point followed by a short
+    keep-if-better local rotation descent.  An audit estimate, not a
+    certificate.
+    """
+    best = math.inf
+    m = manifold.dim
+    for x in points:
+        ct = curvature_package(manifold, x)
+        local_best = math.inf
+        local_pair = None
+        for _ in range(frames_per_point):
+            pair = _orthonormalize(ct.g, rng.standard_normal((2, m)))
+            val = bi_ricci(manifold, x, *pair, tensors=ct)
+            if val < local_best:
+                local_best, local_pair = val, pair
+        # local rotation descent around the best sampled pair
+        step = 0.3
+        for _ in range(descent_steps):
+            cand = local_pair + step * rng.standard_normal((2, m))
+            try:
+                cand = _orthonormalize(ct.g, cand)
+            except FrameError:
+                continue
+            val = bi_ricci(manifold, x, *cand, tensors=ct)
+            if val < local_best:
+                local_best, local_pair = val, cand
+            else:
+                step *= 0.8
+        best = min(best, local_best)
+    return best
+
+
+def curvature_conditions_report(
+    m_manifold: LoopCurvatureChart,
+    n_manifold: LoopCurvatureChart,
+    point_samples: int = 64,
+    frame_samples: int = 64,
+    seed: int = 0,
+) -> CurvatureReport:
+    """Evaluate the curvature conditions relating M and N.
+
+    Exact closed forms are used when both manifolds declare constant curvature
+    (and for the S^1 x S^2 product); otherwise minima are sampled.  Its Ricci
+    minimum reads only the lower triangle of the non-symmetric g^{-1} Ric, so
+    it is right only where g is diagonal.
+    """
+    if point_samples <= 0 or frame_samples <= 0:
+        raise ConfigurationError("sampling parameters must be positive")
+    m = m_manifold.dim
+    sup_sn = sup_sigma_of(n_manifold)
+    exact = False
+
+    if m_manifold.constant_curvature is not None:
+        sm = m_manifold.constant_curvature
+        min_ric = (m - 1) * sm
+        min_bric = (2 * m - 3) * sm
+        exact = True
+        points_used, frames_used = 0, 0
+    elif m_manifold.is_product_s1xs2:
+        # Ricci eigenvalues are (0, 1, 1); the bi-Ricci minimum over all
+        # orthonormal pairs equals the sphere curvature.
+        min_ric = 0.0
+        min_bric = 1.0
+        exact = True
+        points_used, frames_used = 0, 0
+    else:
+        rng = np.random.default_rng(seed)
+        pts = _sample_points(m_manifold, point_samples, rng)
+        ric_min = math.inf
+        for x in pts:
+            ct = curvature_package(m_manifold, x)
+            vals = np.linalg.eigvalsh(np.linalg.solve(ct.g, ct.ricci))
+            ric_min = min(ric_min, float(vals.min()))
+        min_ric = ric_min
+        min_bric = min_bric_sampled(m_manifold, pts, frame_samples, rng)
+        points_used, frames_used = point_samples, frame_samples
+
+    cond_a = min_bric >= sup_sn - 1e-12
+    cond_b = min_ric >= -1e-12
+    cond_c = min_ric >= sup_sn - 1e-12
+
+    # trace consequences of condition (A), checked on samples (or exactly)
+    ineq_2b = ineq_3 = True
+    if cond_a:
+        if exact and m_manifold.constant_curvature is not None:
+            sm = m_manifold.constant_curvature
+            scal = m * (m - 1) * sm
+            ineq_2b = (m - 3) * min_ric + scal >= (m - 1) * sup_sn - 1e-10
+            ineq_3 = scal >= m * (m - 1) / (2 * m - 3) * sup_sn - 1e-10
+        elif not exact:
+            rng2 = np.random.default_rng(seed + 1)
+            for x in _sample_points(m_manifold, min(point_samples, 16), rng2):
+                ct = curvature_package(m_manifold, x)
+                vals = np.linalg.eigvalsh(np.linalg.solve(ct.g, ct.ricci))
+                if (m - 3) * vals.min() + ct.scalar < (m - 1) * sup_sn - 1e-8:
+                    ineq_2b = False
+                if ct.scalar < m * (m - 1) / (2 * m - 3) * sup_sn - 1e-8:
+                    ineq_3 = False
+
+    return CurvatureReport(
+        min_ric=float(min_ric),
+        min_bric=float(min_bric),
+        sup_sigma_n=float(sup_sn),
+        cond_a=bool(cond_a),
+        cond_b=bool(cond_b),
+        cond_c=bool(cond_c),
+        exact=exact,
+        point_count=points_used,
+        frame_count=frames_used,
+        seed=seed,
+        trace_ineq_2b=bool(ineq_2b),
+        trace_ineq_3=bool(ineq_3),
+    )
+
+
+def curvature_inputs(field: GraphMapField, mask: np.ndarray, alpha: np.ndarray):
+    """``verify._curvature_inputs``: Ric_M(alpha1, alpha1), Ric_M(alpha2, alpha2),
+    sigma_M(alpha1 ^ alpha2), sigma_N and Ric_M at the nodes of ``mask``, one
+    curvature package per node; M is read through its per-point chart."""
+    m_manifold = LoopCurvatureChart.of(field.M)
+    if m_manifold.constant_curvature is not None:
+        k = float(m_manifold.constant_curvature)
+        r = (m_manifold.dim - 1) * k
+        ric11 = ric22 = r
+        sig_m = k
+        ricci = r * field.g_m_field()[mask]
+    else:
+        coords = field.coords()[mask]
+        tensors = [curvature_package(m_manifold, x) for x in coords]
+        ricci = np.reshape([ct.ricci for ct in tensors], (len(tensors),) + alpha.shape[-2:])
+        sig_m = np.array([sectional(m_manifold, x, a[0], a[1], ct)
+                          for x, a, ct in zip(coords, alpha, tensors)])
+        ric11 = quad_form(alpha[:, 0], ricci, alpha[:, 0])
+        ric22 = quad_form(alpha[:, 1], ricci, alpha[:, 1])
+    return ric11, ric22, sig_m, gauss_curvature_at(field.N, field.f[mask]), ricci

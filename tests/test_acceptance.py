@@ -18,7 +18,7 @@ from graphflow.barrier import (brute_force_m_trace, certify_convexity, containme
 from graphflow.classify import classify_from_observables, classify_limit
 from graphflow.flow import (EquivariantFlow, FlowParams, FlowState, drift_velocity,
                             reduce_circle_drift, step)
-from graphflow.frames import DifferentialSample, singular_values
+from graphflow.frames import singular_values_batch
 from graphflow.geometry import (WarpedSurface, builtin_warp, curvature_conditions_report,
                                 flat_torus, hopf_map, product_s1_s2, round_sphere,
                                 s3_hopf_chart)
@@ -110,9 +110,7 @@ def test_criterion_2_hopf_singular_values():
         for x1 in xi:
             for x2 in xi[: n // 2]:
                 x = np.array([e, x1, x2])
-                sample = DifferentialSample(df=df, g_m=s3.metric_at(x),
-                                            g_n=s2.metric_at(hopf_map(x)))
-                lam, mu = singular_values(sample)
+                lam, mu = singular_values_batch(s3.metric_at(x), s2.metric_at(hopf_map(x)), df)
                 worst = max(worst, abs(lam - 2.0), abs(mu - 2.0))
                 count += 1
     ok = count >= 1000 and worst <= 1e-10

@@ -410,6 +410,8 @@ def test_cli_run_and_inspect(tmp_path, capsys):
     ("grid", "shape", "a,4,4"),      # a ValueError traceback
     ("grid", "shape", "0,4,4"),      # a ZeroDivisionError traceback
     ("grid", "shape", "2,4,4"),      # df = 0 along axis 0: it flowed and failed its budget
+    ("grid", "shape", "4,4"),        # 'grid shape must match dim M': no key, no axis count
+    ("grid", "shape", "4,4,4,4"),
 ])
 def test_cli_rejects_out_of_range_values(tmp_path, capsys, section, key, value):
     name = "torus_projection" if key == "shape" else "tsui_wang_s2"  # the scenario reading it

@@ -229,11 +229,6 @@ def test_report_condition_a_failure(sphere2):
     assert rep.cond_b
 
 
-def test_report_rejects_bad_sampling(sphere3, sphere2):
-    with pytest.raises(ConfigurationError):
-        curvature_conditions_report(sphere3, sphere2, point_samples=0)
-
-
 def test_report_as_dict_roundtrip(sphere3, sphere2):
     d = asdict(curvature_conditions_report(sphere3, sphere2))
     for key in ("min_ric", "min_bric", "sup_sigma_n", "cond_a", "cond_b", "cond_c",
