@@ -62,10 +62,14 @@ class GraphMapField:
         self.N = n_manifold
         self.shape = tuple(int(n) for n in shape)
         if len(self.shape) != m_manifold.dim:
-            raise ConfigurationError("grid shape must match dim M")
-        for ax in m_manifold.axes:
+            raise ConfigurationError(
+                f"grid shape {self.shape} must match dim M = {m_manifold.dim}")
+        for a, (ax, n) in enumerate(zip(m_manifold.axes, self.shape)):
             if not (ax.periodic or ax.reflect):
                 raise ConfigurationError("grid axes must be periodic or reflect (compact charts)")
+            if ax.periodic and n < 3:  # both centred-difference neighbours would be one node
+                raise ConfigurationError(
+                    f"periodic grid axis {a} has {n} nodes; it needs at least 3")
         self.h = np.array([ax.length / n for ax, n in zip(m_manifold.axes, self.shape)])
         # ghost roll of the partner axis at each reflect seam, in partner nodes
         self._seam_roll = [0] * m_manifold.dim

@@ -1,8 +1,9 @@
 """Reference implementation of the two reduced flows: ``EquivariantFlow``
 (its stencil, right-hand side, observables and ``run`` step loop) and the
-``reduce_circle_drift`` RK4 loop as they were before the fused profile kernel
-and the Python-float drift loop replaced them, kept verbatim as test oracles
-(the profile's 2D lift, which the oracle tests do not use, is left out).
+``reduce_circle_drift`` RK4 loop, stepping at the sample spacing, as they were
+before the fused profile kernel and the Python-float drift loop (since replaced
+by the coarse-step drift) replaced them, kept verbatim as test oracles (the
+profile's 2D lift, which the oracle tests do not use, is left out).
 """
 
 from __future__ import annotations

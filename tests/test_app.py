@@ -5,6 +5,7 @@ import json
 import os
 import re
 import shutil
+import subprocess
 import sys
 from collections import Counter
 
@@ -400,6 +401,26 @@ def test_cli_run_and_inspect(tmp_path, capsys):
     assert "overall: PASS" in captured
     assert cli_main(["classify", out]) == 0
     assert cli_main(["check-curvature", cfg_path]) == 0
+
+
+def test_cli_run_does_not_import_scipy_integrate(tmp_path):
+    # scipy.integrate pulls in scipy.optimize, sparse, special, spatial and fft:
+    # +22 MB peak RSS and about 0.3 s of import per process, which the catalog
+    # benchmark's peak_rss_mb and setup_s bounds cannot absorb.  A solver
+    # that needs solve_ivp must find a scipy-free route, or fail here first.
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text("[scenario]\nname = cylinder_waist\n[flow]\nt_end = 0.5\n")
+    code = ("import sys\n"
+            "from graphflow.cli import main\n"
+            f"code = main(['run', {str(cfg_path)!r}, '--out', {str(tmp_path / 'out')!r}])\n"
+            "assert code == 0, code\n"
+            "assert 'scipy.integrate' not in sys.modules\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("section,key,value", [

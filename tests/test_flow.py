@@ -220,3 +220,16 @@ def test_drift_budget_identity(funnel_cylinder):
     run = reduce_circle_drift(funnel_cylinder, 0.0, 5.0, dt=1e-3)
     drop = run.volume[0] - run.volume[-1]
     assert abs(drop - run.dissipation) / drop < 1e-4
+
+
+@pytest.mark.parametrize("warp, z0, t_end", [("cosh", 0.5, 30.0), ("exp_neg", 0.0, 5.0)])
+def test_drift_matches_an_independent_solver(warp, z0, t_end):
+    # DOP853 (order 8, its own dense output) at rtol 1e-13 is the truth on the
+    # sample grid; the RK4 loop at the sample spacing had the same accuracy
+    from scipy.integrate import solve_ivp
+    surface = WarpedSurface(builtin_warp(warp))
+    run = reduce_circle_drift(surface, z0, t_end)
+    sol = solve_ivp(lambda t, z: drift_velocity(surface, z), (0.0, t_end), [z0],
+                    method="DOP853", rtol=1e-13, atol=1e-16, dense_output=True)
+    assert sol.success
+    assert np.max(np.abs(run.z - sol.sol(run.t)[0])) <= 5e-13

@@ -36,10 +36,21 @@ def _constant_sphere_field(n=24):
 
 def test_shape_validation():
     m = flat_torus(2)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match=r"grid shape \(8,\) must match dim M = 2"):
         GraphMapField(m, flat_torus(2), (8,), np.zeros((8, 2)))
     with pytest.raises(ConfigurationError):
         GraphMapField(m, flat_torus(2), (8, 8), np.zeros((8, 7, 2)))
+
+
+@pytest.mark.parametrize("shape", [(8, 2), (8, 1)])
+def test_periodic_axis_needs_three_nodes(shape):
+    # on 2 nodes both centred-difference neighbours of a node are the other
+    # node, so every derivative along that axis would be 0
+    m = flat_torus(2)
+    xg, yg = np.meshgrid(*[np.arange(n) * 2 * math.pi / n for n in shape], indexing="ij")
+    with pytest.raises(ConfigurationError, match="periodic grid axis 1 has"):
+        GraphMapField(m, flat_torus(2), shape, np.stack([xg, yg], axis=-1))
+    GraphMapField(m, flat_torus(2), (8, 3), np.zeros((8, 3, 2)))  # 3 nodes are enough
 
 
 def test_noncompact_axis_rejected():

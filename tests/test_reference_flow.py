@@ -1,5 +1,6 @@
-"""The fused profile kernel and the Python-float drift loop against the loops
-they replaced (``tests/reference_flow.py``): every number bit for bit."""
+"""The fused profile kernel and the coarse-step drift against the loops they
+replaced (``tests/reference_flow.py``): the profile bit for bit, the drift on
+the same sample times and within 1e-12."""
 
 from __future__ import annotations
 
@@ -45,13 +46,22 @@ def test_equivariant_run_is_bit_identical(nodes, t_end, record_every, status, in
 @pytest.mark.parametrize("warp, z0, t_end", [
     ("cosh", 0.5, 30.0),
     ("exp_neg", 0.0, 5.0),
-    ("cosh", 0.5, 1.2345),   # not a multiple of DRIFT_DT: the last step is clamped
+    ("cosh", 0.5, 1.2345),   # not a multiple of DRIFT_DT: the last sample step is clamped
+    ("cosh", 0.5, 0.003),    # shorter than one DRIFT_STEP
+    ("exp_neg", 0.0, 7.0007),  # neither a multiple of DRIFT_DT nor of DRIFT_STEP
+    ("exp_neg", 0.0, 8.002),   # the sum of DRIFT_DT overshoots: the last sample step is < 0
+    ("cosh", 0.5, 0.555),      # t_end / DRIFT_STEP rounds up past 111: no empty last step
 ])
-def test_circle_drift_is_bit_identical(warp, z0, t_end):
+def test_circle_drift_agrees_with_the_rk4_loop(warp, z0, t_end):
+    # RK4 at DRIFT_STEP with Hermite samples against RK4 at the sample spacing:
+    # the same sample times, values within 1e-12 relative to max(1, |value|)
     surface = WarpedSurface(builtin_warp(warp))
     new = reduce_circle_drift(surface, z0, t_end)
     old = reference_flow.reduce_circle_drift(surface, z0, t_end)
-    for name in ("t", "z", "w", "h2", "volume"):
-        assert np.array_equal(getattr(new, name), getattr(old, name)), name
-    assert new.dissipation == old.dissipation
-    assert new.t[-1] == old.t[-1] and new.t[-1] == pytest.approx(t_end, abs=1e-12)
+    assert np.array_equal(new.t, old.t)
+    assert new.z[0] == z0
+    for name in ("z", "w", "h2", "volume"):
+        a, b = getattr(new, name), getattr(old, name)
+        assert np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))) <= 1e-12, name
+    assert new.dissipation == pytest.approx(old.dissipation, rel=1e-12)
+    assert new.t[-1] == pytest.approx(t_end, abs=1e-12)
