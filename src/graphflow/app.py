@@ -165,7 +165,9 @@ VERIFICATION_SCHEMA = {
         "residual_p": {"type": ["object", "null"]},
         "inequalities": {"type": ["object", "null"]},
         "volume_budget": {"type": ["object", "null"]},
-        "barrier": {"type": ["object", "null"]},
+        "barrier": {"type": ["object", "null"], "properties": {
+            "certificate": {"type": "object", "properties": {"verdict": {"type": "boolean"}}},
+            "containment": {"type": "object", "properties": {"pass": {"type": "boolean"}}}}},
         "pointwise": {"type": ["object", "null"]},
     },
 }
@@ -382,12 +384,12 @@ def _evolve_cylinder(cfg: ScenarioConfig, m_manifold, n_manifold, report,
         status = "Converged" if final_h2 < cfg.get("flow", "h_tol") ** 2 else "Finished"
         bar = waist_tube_barrier(waist_level)
         zs = np.linspace(-math.sqrt(waist_level) * 0.99, math.sqrt(waist_level) * 0.99, 9)
-        pts = [np.array([s, 1.0, 2.0, sv, zv]) for s in (0.0, math.pi / 4) for sv in (0.5, 2.0)
-               for zv in zs]
+        pts = np.stack(np.meshgrid([0.0, math.pi / 4], [1.0], [2.0], [0.5, 2.0], zs,
+                                   indexing="ij"), axis=-1)  # 36 audit points
         cert = certify_convexity(bar, m_manifold, n_manifold, pts, m=m_manifold.dim)
-        cps = [(float(run.t[i]), [np.array([0.0, 1.0, 2.0, 0.0, float(run.z[i])])])
-               for i in idx]
-        contain = containment_monitor(cps, bar)
+        # the graph at each checkpoint, as one point (0, 1, 2, 0, z)
+        circle = np.stack(np.broadcast_arrays(0.0, 1.0, 2.0, 0.0, run.z[idx]), axis=-1)
+        contain = containment_monitor(zip(run.t[idx], circle[:, None]), bar)
         sections["barrier"] = {
             "kind": "waist_tube", "level": waist_level,
             "certificate": {"verdict": cert.verdict, "worst_value": cert.worst_value,

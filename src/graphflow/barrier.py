@@ -5,17 +5,19 @@ m-convexity of phi at a point is the nonnegativity of the minimal trace of the
 covariant Hessian over orthonormal m-frames, which equals the sum of the m
 smallest generalized Hessian eigenvalues — computed exactly, no frame search.
 Sublevel certification samples the region; it is an audit, not a proof.
+Barrier, Hessian and certificate take product chart points y of shape (..., d);
+a single point is a batch of shape ().
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConfigurationError
+from .frames import generalized_eigvalsh
 from .geometry import ChartManifold
 
 DIAMETER_SLOPE_TOL = 0.05  # slack of the fitted log-diameter slope over -eps0/2
@@ -23,13 +25,13 @@ DIAMETER_SLOPE_TOL = 0.05  # slack of the fitted log-diameter slope over -eps0/2
 
 @dataclass
 class BarrierFunction:
-    """Scalar barrier on product chart points y = (x_M, y_N)."""
+    """Scalar barrier on product chart points y = (x_M, y_N), (..., d)."""
 
     name: str
-    phi: Callable[[np.ndarray], float]
+    phi: Callable[[np.ndarray], np.ndarray]    # (..., d) -> (...)
     level: float
-    grad: Callable[[np.ndarray], np.ndarray]
-    hess: Callable[[np.ndarray], np.ndarray]  # chart second derivatives
+    grad: Callable[[np.ndarray], np.ndarray]   # (..., d) -> (..., d)
+    hess: Callable[[np.ndarray], np.ndarray]   # chart second derivatives, (..., d, d)
 
 
 @dataclass
@@ -44,18 +46,18 @@ class ConvexityCertificate:
 def product_metric(m_manifold: ChartManifold, n_manifold: ChartManifold, y) -> np.ndarray:
     m = m_manifold.dim
     y = np.asarray(y, dtype=float)
-    g = np.zeros((m + n_manifold.dim,) * 2)
-    g[:m, :m] = m_manifold.metric_at(y[:m])
-    g[m:, m:] = n_manifold.metric_at(y[m:])
+    g = np.zeros(y.shape + y.shape[-1:])
+    g[..., :m, :m] = m_manifold.metric_many(y[..., :m])
+    g[..., m:, m:] = n_manifold.metric_many(y[..., m:])
     return g
 
 
 def product_christoffels(m_manifold: ChartManifold, n_manifold: ChartManifold, y) -> np.ndarray:
-    m, n = m_manifold.dim, n_manifold.dim
+    m = m_manifold.dim
     y = np.asarray(y, dtype=float)
-    gam = np.zeros((m + n,) * 3)
-    gam[:m, :m, :m] = m_manifold.christoffels_at(y[:m])
-    gam[m:, m:, m:] = n_manifold.christoffels_at(y[m:])
+    gam = np.zeros(y.shape + y.shape[-1:] * 2)
+    gam[..., :m, :m, :m] = m_manifold.christoffels_many(y[..., :m])
+    gam[..., m:, m:, m:] = n_manifold.christoffels_many(y[..., m:])
     return gam
 
 
@@ -64,74 +66,47 @@ def covariant_hessian(barrier: BarrierFunction, m_manifold: ChartManifold,
     """D^2 phi = d^2 phi - Gamma^k d_k phi w.r.t. the product connection."""
     y = np.asarray(y, dtype=float)
     gam = product_christoffels(m_manifold, n_manifold, y)
-    return barrier.hess(y) - np.einsum("kij,k->ij", gam, np.asarray(barrier.grad(y), dtype=float))
+    return barrier.hess(y) - np.einsum("...kij,...k->...ij", gam, barrier.grad(y))
 
 
 def m_convexity_at(barrier: BarrierFunction, m_manifold: ChartManifold,
-                   n_manifold: ChartManifold, y, m: int) -> float:
-    """Sum of the m smallest eigenvalues of the metric Hessian of phi at y."""
+                   n_manifold: ChartManifold, y, m: int) -> np.ndarray:
+    """Sum of the m smallest eigenvalues of the metric Hessian of phi at y, (...)."""
     d2 = covariant_hessian(barrier, m_manifold, n_manifold, y)
     g = product_metric(m_manifold, n_manifold, y)
-    ev = scipy.linalg.eigh(d2, g, eigvals_only=True)
-    return float(np.sum(ev[:m]))
-
-
-def brute_force_m_trace(d2: np.ndarray, g: np.ndarray, m: int, n_frames: int,
-                        rng: np.random.Generator) -> float:
-    """Minimum over random g-orthonormal m-frames of the Hessian trace."""
-    dim = g.shape[0]
-    best = np.inf
-    for _ in range(n_frames):
-        v = rng.standard_normal((dim, m))
-        # g-orthonormalize the columns
-        for k in range(m):
-            for j in range(k):
-                v[:, k] -= (v[:, j] @ g @ v[:, k]) * v[:, j]
-            v[:, k] /= np.sqrt(v[:, k] @ g @ v[:, k])
-        best = min(best, float(np.einsum("ik,ij,jk->", v, d2, v)))
-    return best
+    return np.sum(generalized_eigvalsh(d2, g)[..., :m], axis=-1)
 
 
 def certify_convexity(barrier: BarrierFunction, m_manifold: ChartManifold,
-                      n_manifold: ChartManifold, points: Sequence, m: int) -> ConvexityCertificate:
-    """Audit m-convexity of phi over sample points inside the sublevel set."""
-    worst_val = np.inf
-    worst_pt = None
-    count = 0
-    for y in points:
-        y = np.asarray(y, dtype=float)
-        if barrier.phi(y) >= barrier.level:
-            continue
-        count += 1
-        val = m_convexity_at(barrier, m_manifold, n_manifold, y, m)
-        if val < worst_val:
-            worst_val, worst_pt = val, y
-    return ConvexityCertificate(
-        verdict=bool(count > 0 and worst_val >= -1e-12),
-        worst_point=worst_pt, worst_value=float(worst_val) if count else float("nan"),
-        n_samples=count, m=m,
-    )
+                      n_manifold: ChartManifold, points, m: int) -> ConvexityCertificate:
+    """Audit m-convexity of phi over the sample points (..., d) inside the sublevel set."""
+    y = np.asarray(points, dtype=float)
+    y = y.reshape(-1, y.shape[-1])
+    y = y[barrier.phi(y) < barrier.level]
+    if not len(y):
+        return ConvexityCertificate(False, None, float("nan"), 0, m)
+    vals = m_convexity_at(barrier, m_manifold, n_manifold, y, m)
+    worst = int(np.argmin(vals))
+    return ConvexityCertificate(verdict=bool(vals[worst] >= -1e-12), worst_point=y[worst],
+                                worst_value=float(vals[worst]), n_samples=len(y), m=m)
 
 
-def containment_monitor(checkpoints: Sequence, barrier: BarrierFunction) -> dict:
+def containment_monitor(checkpoints: Iterable, barrier: BarrierFunction) -> dict:
     """Max phi over the graph at each checkpoint, versus the level c.
 
-    ``checkpoints``: iterable of (t, points) with product-chart point arrays.
+    ``checkpoints``: iterable of (t, points) with product-chart points (..., d).
     Requires the initial maximum to lie strictly below the level.
     """
     rows = []
-    contained = True
     for i, (t, pts) in enumerate(checkpoints):
-        vals = np.array([barrier.phi(np.asarray(y, dtype=float)) for y in pts])
-        mx = float(vals.max())
+        mx = float(np.max(barrier.phi(np.asarray(pts, dtype=float))))
         if i == 0 and mx >= barrier.level:
             raise ConfigurationError(
                 f"initial datum not inside the sublevel set (max phi = {mx:.6g} >= c = {barrier.level:.6g})"
             )
-        ok = mx < barrier.level
-        contained = contained and ok
-        rows.append({"t": float(t), "max_phi": mx, "margin": barrier.level - mx, "pass": ok})
-    return {"pass": contained, "level": barrier.level, "rows": rows}
+        rows.append({"t": float(t), "max_phi": mx, "margin": barrier.level - mx,
+                     "pass": mx < barrier.level})
+    return {"pass": all(r["pass"] for r in rows), "level": barrier.level, "rows": rows}
 
 
 def diameter_series(pairs: Sequence, eps0: Optional[float] = None) -> dict:
@@ -164,14 +139,16 @@ def waist_tube_barrier(level: float) -> BarrierFunction:
     """phi = z^2 on a warped cylinder target: squared distance to the z = 0 circle."""
 
     def phi(y):
-        return float(y[-1] ** 2)
+        return y[..., -1] ** 2
 
     def grad(y):
-        g = np.zeros(len(y)); g[-1] = 2 * y[-1]
+        g = np.zeros(y.shape)
+        g[..., -1] = 2 * y[..., -1]
         return g
 
     def hess(y):
-        h = np.zeros((len(y), len(y))); h[-1, -1] = 2.0
+        h = np.zeros(y.shape + y.shape[-1:])
+        h[..., -1, -1] = 2.0
         return h
 
     return BarrierFunction("squared_distance_to_waist_geodesic", phi, level, grad, hess)

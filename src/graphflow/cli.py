@@ -103,6 +103,10 @@ def _cmd_verify(args) -> int:
         if section is None:
             continue
         verdict = section.get("pass")
+        if key == "barrier" and verdict is None:  # its two verdicts, as overall_pass reads them
+            parts = (section.get("certificate", {}).get("verdict"),
+                     section.get("containment", {}).get("pass"))
+            verdict = None if None in parts else all(parts)
         if verdict is None:
             continue
         checks.append((key, bool(verdict)))

@@ -106,17 +106,22 @@ def build_svd_frame(sample: DifferentialSample) -> SVDFrame:
     )
 
 
+def generalized_eigvalsh(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the symmetric a with respect to the positive definite g,
+    ascending: those of L^{-1} a L^{-T}, where L L^T = g.
+
+    a, g: (..., k, k) -> (..., k); a single matrix is a batch of shape ().
+    """
+    inv_l = np.linalg.inv(np.linalg.cholesky(g))
+    return np.linalg.eigvalsh(inv_l @ a @ _t(inv_l))
+
+
 def singular_values_batch(g_m: np.ndarray, g_n: np.ndarray, df: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized singular values over a batch of points.
 
     g_m: (..., m, m), g_n: (..., 2, 2), df: (..., m, 2).
     """
-    pullback = df @ g_n @ _t(df)
-    lm = np.linalg.cholesky(g_m)
-    inv_lm = np.linalg.inv(lm)
-    c = inv_lm @ pullback @ np.swapaxes(inv_lm, -1, -2)
-    ev = np.linalg.eigvalsh(c)
-    ev = np.clip(ev, 0.0, None)
+    ev = np.clip(generalized_eigvalsh(df @ g_n @ _t(df), g_m), 0.0, None)
     lam = np.sqrt(ev[..., -1])
     mu = np.sqrt(ev[..., -2])
     return lam, mu

@@ -26,7 +26,7 @@ from .errors import (
     DomainError,
     FrameError,
 )
-from .frames import quad_form
+from .frames import generalized_eigvalsh, quad_form
 
 _COMPLEX_STEP = 1e-30
 # sample sizes of the curvature estimates of charts without closed forms
@@ -223,14 +223,6 @@ def bi_ricci(manifold: ChartManifold, x, v, w,
         raise FrameError("bi_ricci requires g-orthonormal vectors")
     return (quad_form(v, ct.ricci, v) + quad_form(w, ct.ricci, w)
             - sectional(manifold, x, v, w, tensors=ct))
-
-
-def _ricci_eigenvalues(tensors: CurvatureTensors) -> np.ndarray:
-    """Eigenvalues of Ric with respect to g, ascending, (..., m): those of the
-    symmetric L^{-1} Ric L^{-T}, where L L^T = g."""
-    lm = np.linalg.cholesky(tensors.g)
-    half = np.linalg.solve(lm, tensors.ricci)                   # L^{-1} Ric
-    return np.linalg.eigvalsh(np.linalg.solve(lm, np.swapaxes(half, -1, -2)))
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +559,7 @@ def curvature_conditions_report(m_manifold: ChartManifold, n_manifold: ChartMani
         rng = np.random.default_rng(seed)
         pts = _sample_points(m_manifold, POINT_SAMPLES, rng)
         ct = curvature_package(m_manifold, pts)
-        ric_mins, scals = _ricci_eigenvalues(ct)[:, 0], ct.scalar
+        ric_mins, scals = generalized_eigvalsh(ct.ricci, ct.g)[:, 0], ct.scalar
         min_bric = min_bric_sampled(m_manifold, pts, rng)
         exact = False
         points_used, frames_used = POINT_SAMPLES, FRAME_SAMPLES

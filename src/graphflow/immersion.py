@@ -336,7 +336,7 @@ class PointGeometry:
     """Induced metric, second fundamental form, and frame over a batch of nodes.
 
     ``field_geometry`` fills it with arrays over the grid (leading axes the
-    grid shape); ``point_geometry`` indexes one node out of it.
+    grid shape); indexing it with a node gives the geometry at that node.
     """
 
     g: np.ndarray
@@ -395,11 +395,6 @@ def field_geometry(field: GraphMapField) -> PointGeometry:
     )
 
 
-def point_geometry(field: GraphMapField, node) -> PointGeometry:
-    """Full second-order geometry of the graph at a grid node."""
-    return field_geometry(field)[tuple(int(i) for i in node)]
-
-
 # ---------------------------------------------------------------------------
 # Derived curvature quantities (elementwise over a batch or at one node)
 
@@ -447,14 +442,3 @@ def w_norm_sq(pg: PointGeometry):
     return (lam**2 * pg.h_eta**2 + mu**2 * pg.h_xi**2 + lam**2 * mu**2 * pg.h_sq) / (
         (1 + lam**2) * (1 + mu**2)
     )
-
-
-def p_gradient_check(field: GraphMapField, node) -> np.ndarray:
-    """|discrete grad_{e_k} p - (2 A^xi_{1k} T11 + 2 A^eta_{2k} T22)| per k."""
-    idx = tuple(int(i) for i in node)
-    pg = point_geometry(field, idx)
-    dp = field.grad_field(field.p_field())[idx]
-    fr = pg.frame
-    lhs = fr.e @ dp
-    rhs = 2 * pg.a_xi[0] * fr.t11 + 2 * pg.a_eta[1] * fr.t22
-    return np.abs(lhs - rhs)

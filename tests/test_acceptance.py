@@ -11,10 +11,11 @@ import time
 import numpy as np
 import scipy.linalg
 
+import reference_barrier
 from graphflow.app import run_identities
-from graphflow.barrier import (brute_force_m_trace, certify_convexity, containment_monitor,
-                               covariant_hessian, diameter_series, m_convexity_at,
-                               product_metric, waist_tube_barrier)
+from graphflow.barrier import (certify_convexity, containment_monitor, covariant_hessian,
+                               diameter_series, m_convexity_at, product_metric,
+                               waist_tube_barrier)
 from graphflow.classify import classify_from_observables, classify_limit
 from graphflow.flow import (EquivariantFlow, FlowParams, FlowState, drift_velocity,
                             reduce_circle_drift, step)
@@ -22,7 +23,7 @@ from graphflow.frames import singular_values_batch
 from graphflow.geometry import (WarpedSurface, builtin_warp, curvature_conditions_report,
                                 flat_torus, hopf_map, product_s1_s2, round_sphere,
                                 s3_hopf_chart)
-from graphflow.immersion import GraphMapField, point_geometry
+from graphflow.immersion import GraphMapField, field_geometry
 from graphflow.verify import (check_volume_budget, compute_bound_constants,
                               residual_p_evolution)
 
@@ -140,7 +141,7 @@ def test_criterion_3_nonparametric_consistency():
             if not (0.5 <= eq.theta[i] <= math.pi - 0.5):
                 continue
             idx = (i, 0)
-            pg = point_geometry(fld, idx)
+            pg = field_geometry(fld)[idx]
             vec = np.zeros(m + 2)
             vec[m] = v_exact(eq.theta[i])
             gp = np.zeros((m + 2, m + 2))
@@ -260,7 +261,7 @@ def test_criterion_8_barrier_containment():
         d2 = covariant_hessian(bar, m_man, waist, y)
         g = product_metric(m_man, waist, y)
         oracle = m_convexity_at(bar, m_man, waist, y, 3)
-        brute = brute_force_m_trace(d2, g, 3, n_frames=1000, rng=rng)
+        brute = reference_barrier.brute_force_m_trace(d2, g, 3, n_frames=1000, rng=rng)
         brute_ok = brute_ok and brute >= oracle - 1e-10
         # the generalized eigenvector frame attains the oracle value
         ev, vecs = scipy.linalg.eigh(d2, g)

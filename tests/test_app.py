@@ -408,11 +408,17 @@ def test_cli_run_does_not_import_scipy_integrate(tmp_path):
     # +22 MB peak RSS and about 0.3 s of import per process, which the catalog
     # benchmark's peak_rss_mb and setup_s bounds cannot absorb.  A solver
     # that needs solve_ivp must find a scipy-free route, or fail here first.
+    # scipy.linalg alone costs 0.32-0.36 s and 22-28 MB, so the package runs with no
+    # scipy at all: any scipy import below raises ImportError.
     cfg_path = tmp_path / "cfg.ini"
     cfg_path.write_text("[scenario]\nname = cylinder_waist\n[flow]\nt_end = 0.5\n")
+    out = str(tmp_path / "out")
     code = ("import sys\n"
+            "sys.modules['scipy'] = None\n"
             "from graphflow.cli import main\n"
-            f"code = main(['run', {str(cfg_path)!r}, '--out', {str(tmp_path / 'out')!r}])\n"
+            f"code = main(['run', {str(cfg_path)!r}, '--out', {out!r}])\n"
+            "assert code == 0, code\n"
+            f"code = main(['verify', {out!r}])\n"
             "assert code == 0, code\n"
             "assert 'scipy.integrate' not in sys.modules\n")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -511,3 +517,34 @@ def test_cli_reports_malformed_artifact(tmp_path, capsys, command, name):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("config error: ")
     assert f"{path}: invalid JSON: " in err and "line 2 column 1" in err
+
+
+def test_verify_prints_the_barrier_verdict(capsys):
+    # the barrier section has no top-level pass; its verdict is the convexity
+    # certificate and the containment, the two halves that feed overall_pass
+    assert cli_main(["verify", GOLDEN_WAIST]) == 0
+    assert "barrier: PASS\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("part, key", [("certificate", "verdict"), ("containment", "pass")])
+def test_verify_prints_a_failed_barrier_half(tmp_path, capsys, part, key):
+    run_dir = shutil.copytree(GOLDEN_WAIST, tmp_path / "run")
+    path = run_dir / "verification.json"
+    verification = json.loads(path.read_text())
+    verification["barrier"][part][key] = False
+    verification["overall_pass"] = False
+    path.write_text(json.dumps(verification))
+    assert cli_main(["verify", str(run_dir)]) == 1
+    out = capsys.readouterr().out
+    assert "barrier: FAIL\n" in out and "overall: FAIL\n" in out
+
+
+def test_verify_rejects_a_barrier_verdict_that_is_not_boolean(tmp_path, capsys):
+    run_dir = shutil.copytree(GOLDEN_WAIST, tmp_path / "run")
+    path = run_dir / "verification.json"
+    verification = json.loads(path.read_text())
+    verification["barrier"]["certificate"] = "PASS"
+    path.write_text(json.dumps(verification))
+    assert cli_main(["verify", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{path}: $.barrier.certificate: " in err

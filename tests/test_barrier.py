@@ -1,15 +1,24 @@
-"""Barrier functions: covariant Hessians, m-convexity, containment, diameter decay."""
+"""Barrier functions: covariant Hessians, m-convexity, containment, diameter decay.
+
+``reference_barrier`` keeps the per-point barrier layer (``scipy.linalg.eigh``)
+that the batched one replaced; the batched layer is checked against it.
+"""
 
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from graphflow.barrier import (BarrierFunction, brute_force_m_trace, certify_convexity,
-                               containment_monitor, covariant_hessian, diameter_series,
-                               m_convexity_at, product_christoffels, product_metric,
-                               waist_tube_barrier)
+import reference_barrier as ref
+from graphflow import app
+from graphflow.barrier import (BarrierFunction, certify_convexity, containment_monitor,
+                               covariant_hessian, diameter_series, m_convexity_at,
+                               product_christoffels, product_metric, waist_tube_barrier)
 from graphflow.errors import ConfigurationError
+from graphflow.frames import generalized_eigvalsh
+
+ORACLE_RTOL = 1e-12  # relative to the largest magnitude compared
 
 
 def test_product_metric_blocks(s1xs2, waist_cylinder):
@@ -42,12 +51,17 @@ def test_m_convexity_oracle_vs_brute_force(s1xs2, waist_cylinder, rng):
     g = product_metric(s1xs2, waist_cylinder, y)
     for m in (2, 3, 4, 5):
         exact = m_convexity_at(bar, s1xs2, waist_cylinder, y, m)
-        brute = brute_force_m_trace(d2, g, m, n_frames=300, rng=rng)
+        brute = ref.brute_force_m_trace(d2, g, m, n_frames=300, rng=rng)
         assert brute >= exact - 1e-10  # random frames never undercut the oracle
     # m-traces are monotone in m only after sorting; sanity: m=5 is the full trace
-    import scipy.linalg
     ev = scipy.linalg.eigh(d2, g, eigvals_only=True)
     assert m_convexity_at(bar, s1xs2, waist_cylinder, y, 5) == pytest.approx(float(ev.sum()))
+
+
+def _concave(bar):
+    """The negated barrier: a sublevel set on which phi is m-concave."""
+    return BarrierFunction("concave", lambda y: -bar.phi(y), 10.0,
+                           lambda y: -bar.grad(y), lambda y: -bar.hess(y))
 
 
 def test_certify_convexity_verdicts(s1xs2, waist_cylinder):
@@ -57,10 +71,82 @@ def test_certify_convexity_verdicts(s1xs2, waist_cylinder):
     cert = certify_convexity(bar, s1xs2, waist_cylinder, pts, m=3)
     assert cert.verdict and cert.n_samples == len(pts)
     # a concave barrier fails: the negated waist tube
-    bad = BarrierFunction("concave", lambda y: -bar.phi(y), 10.0,
-                          lambda y: -bar.grad(y), lambda y: -bar.hess(y))
-    cert = certify_convexity(bad, s1xs2, waist_cylinder, pts, m=3)
+    cert = certify_convexity(_concave(bar), s1xs2, waist_cylinder, pts, m=3)
     assert not cert.verdict
+
+
+@pytest.fixture(scope="module")
+def waist_audit_points(tmp_path_factory):
+    """The sample points that a cylinder_waist run hands to certify_convexity."""
+    seen = []
+
+    def recorded(barrier, m_manifold, n_manifold, points, m):
+        seen.append(np.array(points))
+        return certify_convexity(barrier, m_manifold, n_manifold, points, m)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(app, "certify_convexity", recorded)
+        app.run_scenario(app.builtin_config("cylinder_waist", {("flow", "t_end"): 0.5}),
+                         out_dir=str(tmp_path_factory.mktemp("waist")))
+    (points,) = seen
+    return points.reshape(-1, points.shape[-1])
+
+
+@pytest.mark.parametrize("concave", [False, True])
+def test_batched_barrier_matches_per_point_oracle(s1xs2, waist_cylinder, waist_audit_points,
+                                                  concave):
+    assert waist_audit_points.shape == (36, 5)
+    bar, oracle_bar = waist_tube_barrier(1.0), ref.waist_tube_barrier(1.0)
+    if concave:
+        bar, oracle_bar = _concave(bar), _concave(oracle_bar)
+    pts = waist_audit_points
+    got_d2 = covariant_hessian(bar, s1xs2, waist_cylinder, pts)
+    got_g = product_metric(s1xs2, waist_cylinder, pts)
+    for y, d2, g in zip(pts, got_d2, got_g):
+        want_d2 = ref.covariant_hessian(oracle_bar, s1xs2, waist_cylinder, y)
+        np.testing.assert_allclose(d2, want_d2, rtol=0, atol=ORACLE_RTOL * np.abs(want_d2).max())
+        np.testing.assert_array_equal(g, ref.product_metric(s1xs2, waist_cylinder, y))
+    for m in (2, 3, 4, 5):
+        got = m_convexity_at(bar, s1xs2, waist_cylinder, pts, m)
+        want = np.array([ref.m_convexity_at(oracle_bar, s1xs2, waist_cylinder, y, m)
+                         for y in pts])
+        np.testing.assert_allclose(got, want, rtol=ORACLE_RTOL,
+                                   atol=ORACLE_RTOL * np.abs(want).max())
+        # a single point is a batch of shape ()
+        single = [m_convexity_at(bar, s1xs2, waist_cylinder, y, m) for y in pts]
+        assert all(np.shape(v) == () for v in single)
+        np.testing.assert_allclose(single, got, rtol=ORACLE_RTOL,
+                                   atol=ORACLE_RTOL * np.abs(want).max())
+    got = certify_convexity(bar, s1xs2, waist_cylinder, pts, m=3)
+    want = ref.certify_convexity(oracle_bar, s1xs2, waist_cylinder, pts, m=3)
+    assert (got.verdict, got.n_samples, got.m) == (want.verdict, want.n_samples, want.m)
+    assert got.verdict is (not concave)
+    assert got.worst_value == pytest.approx(want.worst_value, rel=ORACLE_RTOL, abs=1e-15)
+    np.testing.assert_array_equal(got.worst_point, want.worst_point)
+
+
+def test_certify_convexity_outside_the_sublevel_set(s1xs2, waist_cylinder):
+    # no sample inside the sublevel set: no verdict can be drawn from the audit
+    pts = np.array([[0.0, 1.0, 2.0, 0.5, z] for z in (1.5, -2.0)])
+    cert = certify_convexity(waist_tube_barrier(1.0), s1xs2, waist_cylinder, pts, m=3)
+    oracle = ref.certify_convexity(ref.waist_tube_barrier(1.0), s1xs2, waist_cylinder, pts, m=3)
+    for c in (cert, oracle):
+        assert not c.verdict and c.n_samples == 0 and c.worst_point is None
+        assert math.isnan(c.worst_value)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_generalized_eigvalsh_matches_scipy(k):
+    rng = np.random.default_rng(k)
+    a = rng.standard_normal((64, k, k))
+    a = a + np.swapaxes(a, -1, -2)
+    b = rng.standard_normal((64, k, k))
+    g = b @ np.swapaxes(b, -1, -2) + 0.1 * np.eye(k)  # SPD, condition number below 1e4
+    got = generalized_eigvalsh(a, g)
+    want = np.array([scipy.linalg.eigh(ai, gi, eigvals_only=True) for ai, gi in zip(a, g)])
+    scale = np.abs(want).max(axis=-1, keepdims=True)
+    assert np.all(np.abs(got - want) <= ORACLE_RTOL * scale)
+    assert generalized_eigvalsh(a[0], g[0]).shape == (k,)
 
 
 def test_containment_monitor():
@@ -75,6 +161,11 @@ def test_containment_monitor():
     assert not res["pass"]
     with pytest.raises(ConfigurationError):
         containment_monitor([(0.0, [np.array([0.0, 0.0, 0.0, 0.0, 2.0])])], bar)
+    # a checkpoint is one point array, (..., d): its max phi over every point
+    ring = np.zeros((3, 4, 5))
+    ring[..., -1] = np.linspace(-0.9, 0.6, 12).reshape(3, 4)
+    (row,) = containment_monitor([(0.5, ring)], bar)["rows"]
+    assert row["max_phi"] == 0.9 ** 2 and row["margin"] == 1.0 - 0.9 ** 2
 
 
 def test_diameter_series_slope():

@@ -15,7 +15,7 @@ import reference_geometry as ref
 from graphflow.flow import EquivariantFlow
 from graphflow.frames import DifferentialSample, build_svd_frame
 from graphflow.geometry import WarpedSurface, builtin_warp, flat_torus, product_s1_s2
-from graphflow.immersion import GraphMapField, field_geometry, point_geometry
+from graphflow.immersion import GraphMapField, field_geometry
 
 TOL = 1e-12
 FRAME_FIELDS = ("lam", "mu", "alpha", "beta", "e", "xi", "eta", "s_diag", "sperp_diag",
@@ -62,7 +62,7 @@ def test_field_geometry_matches_pointwise_oracle(name):
     assert geo.h_sq.shape == field.shape
     for node in np.ndindex(field.shape):
         want = ref.point_geometry(field, node)
-        got = point_geometry(field, node)
+        got = geo[node]
         for key in GEOMETRY_FIELDS:
             assert np.abs(getattr(got, key) - getattr(want, key)).max() <= TOL, (node, key)
         for key in FRAME_FIELDS:

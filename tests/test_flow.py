@@ -12,7 +12,7 @@ from graphflow.flow import (EquivariantFlow, FlowParams, FlowState, cfl_dt, drif
                             h2_field, nonparametric_rhs, reduce_circle_drift, step,
                             tangential_vector_field)
 from graphflow.geometry import WarpedSurface, builtin_warp, flat_torus, product_s1_s2
-from graphflow.immersion import GraphMapField, point_geometry
+from graphflow.immersion import GraphMapField, field_geometry
 
 
 def _stationary_torus_field(n=16, scale=0.5):
@@ -44,8 +44,8 @@ def test_h2_field_matches_point_geometry():
     for n in (32, 64):
         eq = EquivariantFlow(n, lambda th: 0.8 * np.sin(th))
         fld = eq.expand_field(eq.h)
-        h2 = h2_field(fld)
-        worst[n] = max(abs(h2[i, 0] - point_geometry(fld, (i, 0)).h_sq)
+        h2, pointwise = h2_field(fld), field_geometry(fld).h_sq
+        worst[n] = max(abs(h2[i, 0] - pointwise[i, 0])
                        for i in (n // 4, n // 2, 3 * n // 4))
     assert worst[32] < 1e-3
     assert worst[64] < worst[32] / 3.0
@@ -100,7 +100,7 @@ def test_grid_step_does_its_work_once(monkeypatch):
         "metric_many": 1, "christoffels_many": 1,     # M side once per grid
         "covariant_d2f": 1 + 2 * k,                    # RHS: the start, then 2 per step
         "eigvalsh in induced_g_eigvals": 1 + 2 * k,    # one eigensolve per field, no det
-        "eigvalsh in singular_values_batch": 1 + k,    # p of the start and of each end
+        "eigvalsh in generalized_eigvalsh": 1 + k,     # p of the start and of each end
     }
 
 

@@ -8,7 +8,7 @@ import pytest
 from graphflow.errors import ConfigurationError
 from graphflow.flow import EquivariantFlow
 from graphflow.geometry import flat_torus, round_sphere
-from graphflow.immersion import GraphMapField, p_gradient_check, point_geometry, w_norm_sq
+from graphflow.immersion import GraphMapField, field_geometry, w_norm_sq
 
 
 def _torus_field(n=32, scale=0.5, perturb=0.0):
@@ -142,20 +142,20 @@ def test_interior_mask():
 
 def test_constant_map_is_totally_geodesic():
     f = _constant_sphere_field()
-    pg = point_geometry(f, (12, 5))
+    pg = field_geometry(f)[12, 5]
     assert pg.a_sq < 1e-20
     assert pg.h_sq < 1e-20
     assert pg.frame.p == pytest.approx(2.0)
     # the tangency audit carries the O(h^2) error of the discrete Christoffel
     # symbols of the induced metric; it must shrink under refinement
-    res_fine = point_geometry(_constant_sphere_field(48), (24, 5)).tangency_residual
+    res_fine = field_geometry(_constant_sphere_field(48)).tangency_residual[24, 5]
     assert pg.tangency_residual < 1e-2
     assert res_fine < pg.tangency_residual / 3.0
 
 
 def test_identity_map_flat_geometry():
     f = _torus_field(16, scale=0.5)
-    pg = point_geometry(f, (3, 7))
+    pg = field_geometry(f)[3, 7]
     assert pg.a_sq < 1e-24
     assert pg.h_sq < 1e-24
     assert np.allclose(pg.g, 1.25 * np.eye(2))
@@ -164,10 +164,20 @@ def test_identity_map_flat_geometry():
 def test_w_norm_and_theta_nonnegative():
     eq = EquivariantFlow(32, lambda th: 0.8 * np.sin(th))
     fld = eq.expand_field(eq.h)
-    pg = point_geometry(fld, (16, 0))
+    pg = field_geometry(fld)[16, 0]
     assert pg.h_sq > 0
     assert 0.0 <= w_norm_sq(pg) <= pg.h_sq + 1e-15
     assert pg.frame.p > 0  # so Theta = |H|^2 / p > 0
+
+
+def _p_gradient_check(field: GraphMapField, node) -> np.ndarray:
+    """|discrete grad_{e_k} p - (2 A^xi_{1k} T11 + 2 A^eta_{2k} T22)| per k."""
+    pg = field_geometry(field)[node]
+    dp = field.grad_field(field.p_field())[node]
+    fr = pg.frame
+    lhs = fr.e @ dp
+    rhs = 2 * pg.a_xi[0] * fr.t11 + 2 * pg.a_eta[1] * fr.t22
+    return np.abs(lhs - rhs)
 
 
 def test_p_gradient_identity_converges():
@@ -175,7 +185,7 @@ def test_p_gradient_identity_converges():
     for n in (32, 64):
         eq = EquivariantFlow(n, lambda th: 0.8 * np.sin(th))
         fld = eq.expand_field(eq.h)
-        errs.append(p_gradient_check(fld, (n // 2, 0)).max())
+        errs.append(_p_gradient_check(fld, (n // 2, 0)).max())
     assert errs[1] < errs[0]
     assert errs[1] < 1e-2
 
