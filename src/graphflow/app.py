@@ -258,6 +258,7 @@ class Evolution:
     checks: list          # verdicts of those sections; all feed overall_pass
     dissipation: Optional[float] = None  # None: no flow, so no constants, bounds or budget
     h_grid: float = 0.0   # spacing behind the decay-bound tolerance
+    counters: dict = field(default_factory=dict)  # run.log lines under status: steps, dt range
 
 
 @dataclass(frozen=True)
@@ -314,6 +315,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> RunManif
     t_end = datetime.datetime.now(datetime.timezone.utc).isoformat()
     with open(os.path.join(out, "run.log"), "w") as fh:
         fh.write(f"scenario: {cfg.name}\nstart: {t_start}\nend: {t_end}\nstatus: {ev.status}\n")
+        fh.writelines(f"{key}: {value}\n" for key, value in ev.counters.items())
     return manifest
 
 
@@ -355,7 +357,8 @@ def _evolve_tsui_wang(cfg: ScenarioConfig, m_manifold, n_manifold, report) -> Ev
     rep = classify_limit(fld, run.status, h_tol=cfg.get("flow", "h_tol"),  # the last lift
                          ricci_positive=report.min_ric > 0)
     return Evolution(run.records, run.status, rep.as_dict(), sections, checks,
-                     dissipation=run.dissipation, h_grid=eq.dtheta)
+                     dissipation=run.dissipation, h_grid=eq.dtheta,
+                     counters={"steps": run.steps, "dt_min": run.dt_min, "dt_max": run.dt_max})
 
 
 def _evolve_cylinder(cfg: ScenarioConfig, m_manifold, n_manifold, report,

@@ -176,6 +176,9 @@ class EquivariantRun:
     states: list           # RecordedState, aligned 1:1 with records
     dissipation: float
     status: str
+    steps: int = 0         # steps taken, and the range of their dt (nan without a step)
+    dt_min: float = float("nan")
+    dt_max: float = float("nan")
 
 
 class EquivariantFlow:
@@ -205,21 +208,56 @@ class EquivariantFlow:
         self.N = round_sphere(2)
         self._template: Optional[GraphMapField] = None  # the first lift
 
+    def _stage_kernel(self, b: np.ndarray, ws: np.ndarray):
+        """The profile's dh/dt, bound to a ghost-padded buffer b (length J + 2,
+        the profile in b[1:-1]) and a workspace ws of shape (7, J).  Each call
+        of the returned function fills the odd mirror ghosts of b, evaluates
+        the right-hand side without allocating, and returns the views
+        (dh/dt, h', sin h, g11, g22) of ws, which the next call of any kernel
+        bound to ws overwrites."""
+        J = self.J
+        h, g_plus, g_minus = b[1:-1], b[2:], b[:-2]
+        ghost_src, ghost_dst = b[1:J + 1:max(J - 1, 1)], b[::J + 1]  # nodes 1, J -> 0, J + 1
+        d1, v, sin_h, sin_cos_h, g11, g22, tmp = ws
+        two_dtheta, dtheta2, sin2_t, sin_cos_t = (self._two_dtheta, self._dtheta2,
+                                                  self._sin2_t, self._sin_cos_t)
+        out = (v, d1, sin_h, g11, g22)
+        # the kernel's time is numpy's per-call cost: ufuncs are locals, and
+        # each writes into its last positional argument
+        neg, sub, add, div, mul, sq, sin, cos = (np.negative, np.subtract, np.add, np.divide,
+                                                 np.multiply, np.square, np.sin, np.cos)
+
+        def stage():
+            neg(ghost_src, ghost_dst)
+            sub(g_plus, g_minus, d1)
+            div(d1, two_dtheta, d1)
+            add(h, h, v)  # d2 = ((g+ - 2g) + g-) / dtheta^2
+            sub(g_plus, v, v)
+            add(v, g_minus, v)
+            div(v, dtheta2, v)
+            sin(h, sin_h)
+            cos(h, sin_cos_h)
+            mul(sin_h, sin_cos_h, sin_cos_h)
+            sq(d1, g11)
+            add(g11, 1.0, g11)
+            sq(sin_h, g22)
+            add(sin2_t, g22, g22)
+            div(v, g11, v)  # v = d2 / g11 + (sin cos(theta) h' - sin h cos h) / g22
+            mul(sin_cos_t, d1, tmp)
+            sub(tmp, sin_cos_h, tmp)
+            div(tmp, g22, tmp)
+            add(v, tmp, v)
+            return out
+        return stage
+
     def rhs(self, h: np.ndarray, metric: bool = False):
         """dh/dt of the profile h; with ``metric`` the tuple (dh/dt, h', sin h, g11, g22),
-        g11 = 1 + h'^2 and g22 = sin^2(theta) + sin^2(h), for the step,
-        the CFL bound, the dissipation and the observables to share."""
-        g = np.empty(self.J + 2)  # h with its odd mirror ghosts
-        g[1:-1] = h
-        g[0] = -h[0]
-        g[-1] = -h[-1]
-        d1 = (g[2:] - g[:-2]) / self._two_dtheta
-        d2 = (g[2:] - 2 * g[1:-1] + g[:-2]) / self._dtheta2
-        sin_h = np.sin(h)
-        g11 = 1 + d1**2
-        g22 = self._sin2_t + sin_h**2
-        v = d2 / g11 + (self._sin_cos_t * d1 - sin_h * np.cos(h)) / g22
-        return (v, d1, sin_h, g11, g22) if metric else v
+        g11 = 1 + h'^2 and g22 = sin^2(theta) + sin^2(h), for the observables
+        to share.  The stage kernel of ``run`` on fresh arrays of its own."""
+        b = np.empty(self.J + 2)
+        b[1:-1] = h
+        out = self._stage_kernel(b, np.empty((7, self.J)))()
+        return out if metric else out[0]
 
     def singular_values(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         _, d1, sin_h, _, _ = self.rhs(h, metric=True)
@@ -241,11 +279,20 @@ class EquivariantFlow:
             volume=vol, diameter=diam,
         )
 
-    def run(self, t_end: float, record_every: int = 50, h_tol: float = 1e-6,
-            integrator: str = "RK2") -> EquivariantRun:
-        """Integrate the profile, recording every ``record_every`` steps and at
-        the end; a recorded state keeps the steps around it for time stencils."""
-        h = self.h.copy()
+    def run(self, t_end: float, record_every: int = 50, h_tol: float = 1e-6) -> EquivariantRun:
+        """Integrate the profile by explicit RK2 steps, recording every
+        ``record_every`` steps and at the end; a recorded state keeps the steps
+        around it for time stencils.  The state and the next one live in two
+        ghost-padded buffers that swap roles each step, the half step in a
+        third; a recorded profile is a copy."""
+        J = self.J
+        bufs = np.empty((3, J + 2))
+        ws = np.empty((7, J))  # the stage kernels' workspace, shared
+        h, h_next, h_half = (b[1:-1] for b in bufs)
+        stage, stage_next, stage_half = (self._stage_kernel(b, ws) for b in bufs)
+        h2, area = np.empty((2, J))
+        finite = np.empty(J, dtype=bool)
+        h[:] = self.h
         t = 0.0
         rec0 = self.observables(h)
         if rec0.min_p <= 0:
@@ -257,43 +304,65 @@ class EquivariantFlow:
         streak = 0
         step_i = 0
         prev_h = prev_dt = None
+        dt_min, dt_max = np.inf, 0.0
         quad_w = 2 * np.pi * self.dtheta
+        cfl_dtheta2 = self.cfl * self._dtheta2
+        h_tol2 = h_tol**2
+        add, mul, div, sq, sqrt, isfinite = (np.add, np.multiply, np.divide, np.square,
+                                             np.sqrt, np.isfinite)
+        amax, amin, total, every = (np.maximum.reduce, np.minimum.reduce, np.add.reduce,
+                                    np.logical_and.reduce)
         while t < t_end - 1e-14:
             at_record = step_i % record_every == 0
             if at_record:
-                rec = self.observables(h, t)
+                h_rec = h.copy()
+                rec = self.observables(h_rec, t)
                 records.append(rec)
-                states.append(RecordedState(t, h))
+                states.append(RecordedState(t, h_rec))
                 if rec.min_p <= 0:
                     status = "Aborted"
                     break
-            k1, _, _, g11, g22 = self.rhs(h, metric=True)
-            h2_now = k1**2 / g11
-            streak = streak + 1 if h2_now.max() < h_tol**2 else 0
+                if step_i > 0:
+                    prev_h = h_next.copy()  # the state before, until this step overwrites it
+            k1, _, _, g11, g22 = stage()
+            sq(k1, h2)
+            div(h2, g11, h2)  # |H|^2 per node
+            streak = streak + 1 if amax(h2) < h_tol2 else 0
             if streak >= CONVERGENCE_STREAK:
                 status = "Converged"
                 break
-            dt = min(self.cfl * self._dtheta2 * float(g11.min()) / 2, t_end - t)
-            dissipation += dt * quad_w * float((h2_now * np.sqrt(g11 * g22)).sum())
-            if integrator == "Euler":
-                h_new = h + dt * k1
-            else:
-                h_new = h + dt * self.rhs(h + 0.5 * dt * k1)
-            if not np.isfinite(h_new).all():
+            dt = min(cfl_dtheta2 * float(amin(g11)) / 2, t_end - t)
+            mul(g11, g22, area)
+            sqrt(area, area)
+            mul(h2, area, area)
+            dissipation += dt * quad_w * float(total(area))
+            mul(k1, 0.5 * dt, h_half)
+            add(h, h_half, h_half)
+            k2 = stage_half()[0]
+            mul(k2, dt, h_next)
+            add(h, h_next, h_next)
+            if not every(isfinite(h_next, finite)):
                 status = "Aborted"
                 break
             if at_record and step_i > 0:
-                states[-1].stencil = (prev_dt, dt, prev_h, h_new)
-            prev_h, prev_dt = h, dt
-            h = h_new
+                states[-1].stencil = (prev_dt, dt, prev_h, h_next.copy())
+            if dt < dt_min:
+                dt_min = dt
+            if dt > dt_max:
+                dt_max = dt
+            prev_dt = dt
+            (h, stage), (h_next, stage_next) = (h_next, stage_next), (h, stage)
             t += dt
             step_i += 1
         if status == "Running":
             status = "Finished"
-        records.append(self.observables(h, t))
-        states.append(RecordedState(t, h))
+        if not step_i:
+            dt_min = dt_max = np.nan
+        h_end = h.copy()
+        records.append(self.observables(h_end, t))
+        states.append(RecordedState(t, h_end))
         return EquivariantRun(records=records, states=states, dissipation=dissipation,
-                              status=status)
+                              status=status, steps=step_i, dt_min=dt_min, dt_max=dt_max)
 
     def expand_field(self, h: np.ndarray) -> GraphMapField:
         """Lift a profile to the 2D field f(theta, phi) = (h(theta), phi) on
@@ -340,7 +409,9 @@ class DriftRun:
 def _sample_times(t_end: float, dt: float) -> np.ndarray:
     """The running sum t_{i+1} = t_i + min(dt, t_end - t_i), i < ceil(t_end / dt),
     bit for bit: a cumulative sum of dt up to the first clamped step, and the
-    recurrence from there (one step, or a few where the sum overshoots)."""
+    recurrence from there (one step, or a few where the sum overshoots).
+    Where the sum reaches t_end a step early, the trailing steps of 0 or less
+    are dropped, so the samples increase strictly."""
     n = max(int(np.ceil(t_end / dt)), 0)
     t = np.zeros(n + 1)
     np.cumsum(np.full(n, dt), out=t[1:])
@@ -348,7 +419,9 @@ def _sample_times(t_end: float, dt: float) -> np.ndarray:
     if n and t_end - t[k] < dt:
         for i in range(k, n):
             t[i + 1] = t[i] + min(dt, t_end - t[i])
-    return t
+    while n and t[n] <= t[n - 1]:
+        n -= 1
+    return t[:n + 1]
 
 
 def reduce_circle_drift(surface: WarpedSurface, z0: float, t_end: float,

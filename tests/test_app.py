@@ -2,6 +2,7 @@
 
 import contextlib
 import json
+import math
 import os
 import re
 import shutil
@@ -260,6 +261,34 @@ def test_tsui_wang_small_run(tmp_path):
     assert verification["inequalities"]["pass"]
     rows = _read(out, "time_series.csv").splitlines()[1:]
     assert len(rows) >= 2
+
+
+def test_tsui_wang_run_log_reports_steps_and_dt_range(tmp_path):
+    cfg = builtin_config("tsui_wang_s2", {
+        ("grid", "nodes"): 32, ("flow", "t_end"): 0.2, ("flow", "record_every"): 80})
+    out = str(tmp_path / "tsui")
+    run_scenario(cfg, out_dir=out)
+    lines = _read(out, "run.log").splitlines()
+    keys = [line.split(": ", 1)[0] for line in lines]
+    assert keys == ["scenario", "start", "end", "status", "steps", "dt_min", "dt_max"]
+    log = dict(line.split(": ", 1) for line in lines)
+    assert log["status"] == "Finished" and int(log["steps"]) == 104
+    dt_min, dt_max = float(log["dt_min"]), float(log["dt_max"])
+    assert 0 < dt_min < dt_max <= 0.4 * (math.pi / 32) ** 2
+    # the other scenarios report no step counters
+    run_scenario(builtin_config("cylinder_drift"), out_dir=str(tmp_path / "drift"))
+    assert _read(str(tmp_path / "drift"), "run.log").splitlines()[-1] == "status: Drifting"
+
+
+def test_drift_run_ending_a_sample_early_still_drifts(tmp_path):
+    # at t_end = 8.002 the sum of the sample spacing reaches t_end a step
+    # early; a repeated last sample made z look non-monotone ("Finished")
+    cfg_path = _write(tmp_path, "[scenario]\nname = cylinder_drift\n[flow]\nt_end = 8.002\n")
+    out = str(tmp_path / "drift")
+    assert cli_main(["run", cfg_path, "--out", out]) == 0
+    assert json.loads(_read(out, "manifest.json"))["status"] == "Drifting"
+    t = [float(row.split(",")[0]) for row in _read(out, "time_series.csv").splitlines()[1:]]
+    assert t[-1] == pytest.approx(8.002, abs=1e-12) and t == sorted(set(t))
 
 
 def test_tsui_wang_classifier_reads_h_tol(tmp_path):

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from graphflow.errors import NotAreaDecreasingError, SolverAbort
-from graphflow.flow import (EquivariantFlow, FlowParams, FlowState, cfl_dt, drift_velocity,
-                            h2_field, nonparametric_rhs, reduce_circle_drift, step,
-                            tangential_vector_field)
+from graphflow.flow import (DRIFT_DT, EquivariantFlow, FlowParams, FlowState, _sample_times,
+                            cfl_dt, drift_velocity, h2_field, nonparametric_rhs,
+                            reduce_circle_drift, step, tangential_vector_field)
 from graphflow.geometry import WarpedSurface, builtin_warp, flat_torus, product_s1_s2
 from graphflow.immersion import GraphMapField, field_geometry
 
@@ -122,7 +122,7 @@ def test_equivariant_rhs_matches_generic_operator():
     assert np.abs(v2[:, 0, 1]).max() < 1e-10        # azimuthal component vanishes
 
 
-@pytest.mark.parametrize("integrator, stages", [("RK2", 2), ("Euler", 1)])
+@pytest.mark.parametrize("integrator, stages", [("RK2", 2)])  # the profile's scheme
 def test_equivariant_step_evaluates_rhs_once_per_stage(monkeypatch, integrator, stages):
     calls = Counter()
 
@@ -134,14 +134,27 @@ def test_equivariant_step_evaluates_rhs_once_per_stage(monkeypatch, integrator, 
             return fn(*args, **kwargs)
         return wrapper
 
+    kernel = EquivariantFlow._stage_kernel
+
+    def counted_kernel(self, b, ws):
+        stage = kernel(self, b, ws)
+
+        def counted_stage():
+            calls["stage"] += 1
+            return stage()
+        return counted_stage
+
     for name in ("rhs", "observables", "singular_values"):
         monkeypatch.setattr(EquivariantFlow, name, counted(name))
+    monkeypatch.setattr(EquivariantFlow, "_stage_kernel", counted_kernel)
     eq = EquivariantFlow(32, lambda th: 0.8 * np.sin(th))
-    run = eq.run(t_end=1e-4, record_every=10**6, integrator=integrator)  # one clamped step
-    assert run.states[-1].t == 1e-4 and len(run.records) == 2
-    # observables: the start check, step 0 and the end; each reads the kernel
-    # once itself and once through singular_values
-    assert calls == {"observables": 3, "singular_values": 3, "rhs": 2 * 3 + stages}
+    run = eq.run(t_end=1e-4, record_every=10**6)  # one clamped step
+    assert run.states[-1].t == 1e-4 and len(run.records) == 2 and run.steps == 1
+    # observables: the start check, step 0 and the end; each reads rhs once
+    # itself and once through singular_values, and rhs runs the stage kernel
+    # once; the step runs it once per stage
+    assert calls == {"observables": 3, "singular_values": 3, "rhs": 2 * 3,
+                     "stage": 2 * 3 + stages}
 
 
 def test_equivariant_decay_and_monotonicity():
@@ -182,12 +195,34 @@ def test_equivariant_triples_are_consistent():
     assert run.states[0].stencil is None and run.states[-1].stencil is None
 
 
-def test_euler_and_rk2_agree_to_first_order():
-    eq1 = EquivariantFlow(32, lambda th: 0.5 * np.sin(th))
-    eq2 = EquivariantFlow(32, lambda th: 0.5 * np.sin(th))
-    r1 = eq1.run(t_end=0.05, record_every=10**6, integrator="Euler")
-    r2 = eq2.run(t_end=0.05, record_every=10**6, integrator="RK2")
-    assert np.abs(r1.states[-1].h - r2.states[-1].h).max() < 1e-4
+def test_equivariant_recorded_arrays_share_no_memory():
+    # the step loop reuses three buffers: every recorded profile and stencil
+    # neighbour is a copy of its own
+    eq = EquivariantFlow(32, lambda th: 0.8 * np.sin(th))
+    run = eq.run(t_end=0.2, record_every=1)
+    arrays = [eq.h]
+    for state in run.states:
+        arrays.append(state.h)
+        if state.stencil is not None:
+            arrays += state.stencil[2:]
+    assert len(arrays) == 1 + (run.steps + 1) + 2 * (run.steps - 1)  # stencils: not the ends
+    for i, a in enumerate(arrays):
+        assert a.base is None  # no view of a buffer of the run
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+    # every stencil neighbour is the recorded profile of the step before or after
+    for prev, now, nxt in zip(run.states, run.states[1:], run.states[2:]):
+        assert np.array_equal(now.stencil[2], prev.h) and np.array_equal(now.stencil[3], nxt.h)
+
+
+def test_equivariant_run_counts_its_steps():
+    eq = EquivariantFlow(32, lambda th: 0.8 * np.sin(th))
+    run = eq.run(t_end=0.2, record_every=30)
+    # the dt range covers every step: the clamped last one is the shortest
+    dts = [dt for s in run.states if s.stencil for dt in s.stencil[:2]]
+    assert run.steps == 104 and run.dt_min <= min(dts) and run.dt_max >= max(dts)
+    assert 0 < run.dt_min < run.dt_max <= 0.4 * eq.dtheta**2
+    still = eq.run(t_end=0.0)
+    assert still.steps == 0 and np.isnan(still.dt_min) and np.isnan(still.dt_max)
 
 
 # -- circle drift ------------------------------------------------------------
@@ -220,6 +255,16 @@ def test_drift_budget_identity(funnel_cylinder):
     run = reduce_circle_drift(funnel_cylinder, 0.0, 5.0, dt=1e-3)
     drop = run.volume[0] - run.volume[-1]
     assert abs(drop - run.dissipation) / drop < 1e-4
+
+
+def test_drift_sample_times_increase_strictly():
+    # at 28 of these t_end (8.002, 8.005, ...) the sum of dt reaches t_end a
+    # step early; the sample grid then ends there instead of repeating it
+    for k in range(1, 12001):
+        t_end = k / 1000
+        t = _sample_times(t_end, DRIFT_DT)
+        assert np.all(np.diff(t) > 0), t_end
+        assert t[0] == 0.0 and abs(t[-1] - t_end) <= 1e-11, t_end
 
 
 @pytest.mark.parametrize("warp, z0, t_end", [("cosh", 0.5, 30.0), ("exp_neg", 0.0, 5.0)])
