@@ -31,7 +31,7 @@ from .classify import classify_from_observables, classify_limit
 from .flow import (DRIFT_DT, EquivariantFlow, FlowParams, FlowRecord, FlowState, h2_field,
                    reduce_circle_drift, step)
 from .frames import singular_values_batch
-from .geometry import (WarpedSurface, builtin_warp, curvature_conditions_report,
+from .geometry import (WARP_Z_MAX, WarpedSurface, builtin_warp, curvature_conditions_report,
                        flat_torus, hopf_map, product_s1_s2, round_sphere, s3_hopf_chart)
 from .immersion import SEAM_MARGIN, GraphMapField, field_geometry
 from .verify import (BoundConstants, check_H_and_theta_inequalities, check_decay_bounds,
@@ -67,9 +67,14 @@ _SCHEMA = {
         "cfl": (float, (lambda v: 0 < v <= 1, "must lie in (0, 1]")),
         "t_end": (float, (lambda v: v > 0, "must be positive")),
         "record_every": (int, (lambda v: v >= 1, "must be at least 1")),
-        "h_tol": (float,),
+        "h_tol": (float, (lambda v: 0 < v <= 1, "must lie in (0, 1]")),
     },
-    "initial": {"amplitude": (float,), "z0": (float,)},
+    "initial": {
+        "amplitude": (float, (lambda v: abs(v) <= math.pi,  # amplitude * sin(theta) is an angle
+                              "must lie in [-pi, pi]")),
+        "z0": (float, (lambda v: abs(v) <= WARP_Z_MAX,  # also keeps cosh/exp finite
+                       f"must lie in [-{WARP_Z_MAX:g}, {WARP_Z_MAX:g}], the cylinder's chart")),
+    },
     "verify": {"residuals": (_boolean,), "inequalities": (_boolean,)},
 }
 _SCENARIO_DEFAULTS = {("scenario", "seed"): 0, ("scenario", "output_dir"): "runs"}
@@ -100,18 +105,18 @@ def load_config(path: str) -> ScenarioConfig:
     """Parse and validate a config file; fill scenario defaults; reject unread keys."""
     if not os.path.exists(path):
         raise ConfigurationError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # flat text: '%' is literal
     try:
         with open(path) as fh:
             parser.read_file(fh)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"config parse error: {exc}") from exc
     return _validate(parser)
 
 
 def builtin_config(name: str, overrides: Optional[dict] = None) -> ScenarioConfig:
     """A fully defaulted config for a builtin scenario (overrides: (sec,key)->val)."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     parser.add_section("scenario")
     parser.set("scenario", "name", name)
     return _validate(parser, overrides)
@@ -152,6 +157,7 @@ def _validate(parser: configparser.ConfigParser,
 # ---------------------------------------------------------------------------
 # JSON schemas
 
+_SECTION = {"type": ["object", "null"], "properties": {"pass": {"type": "boolean"}}}
 VERIFICATION_SCHEMA = {
     "type": "object",
     "required": ["schema_version", "scenario", "overall_pass", "curvature_conditions"],
@@ -161,14 +167,15 @@ VERIFICATION_SCHEMA = {
         "overall_pass": {"type": "boolean"},
         "constants": {"type": ["object", "null"]},
         "curvature_conditions": {"type": "object"},
-        "decay_bounds": {"type": ["object", "null"]},
-        "residual_p": {"type": ["object", "null"]},
-        "inequalities": {"type": ["object", "null"]},
-        "volume_budget": {"type": ["object", "null"]},
+        "decay_bounds": _SECTION,
+        "residual_p": _SECTION,
+        "inequalities": _SECTION,
+        "volume_budget": _SECTION,
         "barrier": {"type": ["object", "null"], "properties": {
             "certificate": {"type": "object", "properties": {"verdict": {"type": "boolean"}}},
             "containment": {"type": "object", "properties": {"pass": {"type": "boolean"}}}}},
-        "pointwise": {"type": ["object", "null"]},
+        "pointwise": _SECTION,
+        "stationarity": _SECTION,
     },
 }
 
@@ -206,6 +213,7 @@ class RunManifest:
     status: str
     files: list
     out_dir: str
+    overall_pass: bool  # the verdict written to verification.json; not in manifest.json
 
     def as_dict(self) -> dict:
         return {"config_hash": self.config_hash, "version": self.version,
@@ -220,10 +228,22 @@ def _json_default(o):
     raise TypeError(f"not JSON serializable: {type(o)}")
 
 
-def _write_json(path: str, payload: dict) -> None:
+def _replace_file(path: str, text: str) -> None:
+    """Write ``text`` as a new file at ``path``, removing any file there first.
+
+    A rerun thus never truncates an artifact in place (ext4 flushes a file
+    replaced by truncation on close, 140-300 us each) and never writes through
+    a hard link into an earlier run's copy of it."""
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
+        fh.write(text)
+
+
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n"
 
 
 def _csv_row(rec: FlowRecord, constants: Optional[BoundConstants]) -> tuple:
@@ -235,12 +255,9 @@ def _csv_row(rec: FlowRecord, constants: Optional[BoundConstants]) -> tuple:
             rec.max_theta, rec.volume, rec.diameter, *bounds, rec.residual_l2, rec.residual_linf)
 
 
-def _write_csv(path: str, rows: list) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.12g}" if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
+def _csv_text(rows: list) -> str:
+    return "".join(",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row) + "\n"
+                   for row in [CSV_COLUMNS, *rows])
 
 
 # ---------------------------------------------------------------------------
@@ -301,21 +318,22 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> RunManif
     classification = {**ev.classification, "schema_version": 1, "scenario": cfg.name}
     validate(classification, CLASSIFICATION_SCHEMA)
 
-    with open(os.path.join(out, "config.ini"), "w") as fh:
-        fh.write(cfg.canonical_text())
-    _write_csv(os.path.join(out, "time_series.csv"),
-               [_csv_row(rec, constants) for rec in ev.records])
-    _write_json(os.path.join(out, "verification.json"), verification)
-    _write_json(os.path.join(out, "classification.json"), classification)
-    files = ["config.ini", "time_series.csv", "verification.json", "classification.json"]
+    texts = {
+        "config.ini": cfg.canonical_text(),
+        "time_series.csv": _csv_text([_csv_row(rec, constants) for rec in ev.records]),
+        "verification.json": _json_text(verification),
+        "classification.json": _json_text(classification),
+    }
     manifest = RunManifest(config_hash=cfg.config_hash(), version=__version__,
-                           status=ev.status, files=files + ["manifest.json", "run.log"],
-                           out_dir=out)
-    _write_json(os.path.join(out, "manifest.json"), manifest.as_dict())
+                           status=ev.status, files=[*texts, "manifest.json", "run.log"],
+                           out_dir=out, overall_pass=verification["overall_pass"])
+    texts["manifest.json"] = _json_text(manifest.as_dict())
+    for name, text in texts.items():
+        _replace_file(os.path.join(out, name), text)
     t_end = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    with open(os.path.join(out, "run.log"), "w") as fh:
-        fh.write(f"scenario: {cfg.name}\nstart: {t_start}\nend: {t_end}\nstatus: {ev.status}\n")
-        fh.writelines(f"{key}: {value}\n" for key, value in ev.counters.items())
+    _replace_file(os.path.join(out, "run.log"),
+                  f"scenario: {cfg.name}\nstart: {t_start}\nend: {t_end}\nstatus: {ev.status}\n"
+                  + "".join(f"{key}: {value}\n" for key, value in ev.counters.items()))
     return manifest
 
 
@@ -528,6 +546,30 @@ BUILTIN_SCENARIOS = tuple(SCENARIOS)
 # Randomized algebraic identity suite
 
 
+def _identity_samples(samples: int, seed: int) -> dict:
+    """m -> (g_m, g_n, df, h_xi, h_eta, ric), each stacked over the samples of dim m.
+
+    Each sample is drawn in one fixed order: m, a, b, df and its scale, h_xi
+    and h_eta, then the raw Ricci matrix r.  The metrics a a^T + m I and
+    b b^T + 2 I and the symmetric (r + r^T) / 2 are then formed per batch."""
+    rng = np.random.default_rng(seed)
+    drawn: dict = {}
+    for _ in range(samples):
+        m = int(rng.integers(2, 6))
+        a = rng.standard_normal((m, m))
+        b = rng.standard_normal((2, 2))
+        df = rng.standard_normal((m, 2)) * rng.uniform(0.0, 1.5)
+        h_xi, h_eta = rng.standard_normal(2)
+        drawn.setdefault(m, []).append((a, b, df, h_xi, h_eta, rng.standard_normal((m, m))))
+    batches = {}
+    for m, rows in drawn.items():
+        a, b, df, h_xi, h_eta, r = (np.array(col) for col in zip(*rows))
+        batches[m] = (a @ np.swapaxes(a, -1, -2) + m * np.eye(m),
+                      b @ np.swapaxes(b, -1, -2) + 2 * np.eye(2), df, h_xi, h_eta,
+                      (r + np.swapaxes(r, -1, -2)) / 2)
+    return batches
+
+
 def run_identities(samples: int = 10_000, seed: int = 0) -> dict:
     """Max absolute errors of the frame/scalar identities over random samples.
 
@@ -543,23 +585,11 @@ def run_identities(samples: int = 10_000, seed: int = 0) -> dict:
     def worst_dev(a, target):
         return np.abs(a - target).max(axis=tuple(range(1, a.ndim)))
 
-    rng = np.random.default_rng(seed)
     t0 = time.perf_counter()
-    drawn: dict = {}
-    for _ in range(samples):
-        m = int(rng.integers(2, 6))
-        a = rng.standard_normal((m, m))
-        b = rng.standard_normal((2, 2))
-        df = rng.standard_normal((m, 2)) * rng.uniform(0.0, 1.5)
-        h_xi, h_eta = rng.standard_normal(2)
-        ric_raw = rng.standard_normal((m, m))
-        drawn.setdefault(m, []).append((a @ a.T + m * np.eye(m), b @ b.T + 2 * np.eye(2), df,
-                                        h_xi, h_eta, (ric_raw + ric_raw.T) / 2))
     errs = {k: 0.0 for k in (
         "s2_plus_t2", "s_diag_oracle", "t_oracle", "frame_orthonormality",
         "normal_frame", "tangency", "p_formula", "est2", "w_norm", "ric_vw")}
-    for m, rows in drawn.items():
-        g_m, g_n, df, h_xi, h_eta, ric = (np.array(col) for col in zip(*rows))
+    for m, (g_m, g_n, df, h_xi, h_eta, ric) in _identity_samples(samples, seed).items():
         dft = np.swapaxes(df, -1, -2)
         fr = build_svd_frame(DifferentialSample(df=df, g_m=g_m, g_n=g_n))
         sv = np.stack([fr.lam, fr.mu], axis=-1)
@@ -586,7 +616,7 @@ def run_identities(samples: int = 10_000, seed: int = 0) -> dict:
         found["t_oracle"] = np.abs(t - (-2 * s12 / (1 + s12 * s12))).max(axis=-1)
 
         g_ind = g_m + df @ g_n @ dft
-        gp = np.zeros((len(rows), m + 2, m + 2))
+        gp = np.zeros((len(g_m), m + 2, m + 2))
         gp[:, :m, :m] = g_m
         gp[:, m:, m:] = g_n
         dfe = np.concatenate([fr.e, fr.e @ df], axis=-1)

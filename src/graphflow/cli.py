@@ -1,13 +1,15 @@
 """Command-line interface.
 
 Subcommands: check-curvature, run, verify, classify, identities.
-Exit codes: 0 pass, 1 verification failure, 2 usage/config error, 3 solver abort
+Exit codes: 0 pass, 1 verification failure, 2 usage/config error (also a config,
+run directory or artifact path that cannot be read or written), 3 solver abort
 or any other package error (``ERROR_EXITS``).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -25,7 +27,7 @@ EXIT_VERIFICATION_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_SOLVER_ABORT = 3
 
-# exit code and message prefix of each package error; exit 1 is kept for a FAIL verdict
+# exit code and message prefix of each package or file error; exit 1 is kept for a FAIL verdict
 ERROR_EXITS = {
     ConfigurationError: (EXIT_CONFIG_ERROR, "config error"),
     NotAreaDecreasingError: (EXIT_CONFIG_ERROR, "config error"),
@@ -35,9 +37,11 @@ ERROR_EXITS = {
     DegeneratePlaneError: (EXIT_SOLVER_ABORT, "degenerate plane"),
     FrameError: (EXIT_SOLVER_ABORT, "frame error"),
     GraphflowError: (EXIT_SOLVER_ABORT, "error"),
+    OSError: (EXIT_CONFIG_ERROR, "file error"),  # e.g. a directory where a file should be
 }
 
 
+@functools.cache  # one parser per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="graphflow")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -73,12 +77,9 @@ def _cmd_check_curvature(args) -> int:
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
     manifest = run_scenario(cfg, out_dir=args.out)
-    with open(os.path.join(manifest.out_dir, "verification.json")) as fh:
-        verification = json.load(fh)
     print(f"run complete: {manifest.out_dir} (status {manifest.status})")
-    ok = bool(verification.get("overall_pass", False))
-    print(f"verification: {'PASS' if ok else 'FAIL'}")
-    return EXIT_PASS if ok else EXIT_VERIFICATION_FAILURE
+    print(f"verification: {'PASS' if manifest.overall_pass else 'FAIL'}")
+    return EXIT_PASS if manifest.overall_pass else EXIT_VERIFICATION_FAILURE
 
 
 def _read_json(run_dir: str, name: str, schema: dict) -> dict:
@@ -124,6 +125,9 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_identities(args) -> int:
+    if args.samples < 1 or args.seed < 0:  # no sample is no evidence; rng seeds are >= 0
+        raise ConfigurationError(f"identities needs --samples >= 1 and --seed >= 0, "
+                                 f"got {args.samples} and {args.seed}")
     report = run_identities(samples=args.samples, seed=args.seed)
     for name, err in sorted(report["max_errors"].items()):
         print(f"{name}: {err:.3e}")
@@ -134,8 +138,7 @@ def _cmd_identities(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     handlers = {
         "check-curvature": _cmd_check_curvature,
         "run": _cmd_run,
@@ -145,7 +148,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except GraphflowError as exc:
+    except (GraphflowError, OSError) as exc:
         code, label = next(ERROR_EXITS[c] for c in type(exc).__mro__ if c in ERROR_EXITS)
         message = " ".join(str(exc).split())  # one line, whatever the message holds
         print(f"{label}: {message}", file=sys.stderr)

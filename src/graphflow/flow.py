@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NotAreaDecreasingError, SolverAbort
 from .frames import p_batch, quad_form
-from .geometry import WarpedSurface, round_sphere
+from .geometry import Warp, WarpedSurface, round_sphere
 from .immersion import GraphMapField, field_cached
 
 CONVERGENCE_STREAK = 100  # consecutive steps with max|H| below tolerance
@@ -389,11 +389,17 @@ class EquivariantFlow:
 # Circle drift on a warped cylinder
 
 
-def drift_velocity(surface: WarpedSurface, z: float) -> float:
-    """Phi(z) = -w(z) w'(z) / (1 + w(z)^2): the z-velocity of the symmetric circle."""
-    w = surface.warp.w(z)
-    dw = surface.warp.dw(z)
+def drift_phi(warp: Warp, z):
+    """Phi(z) = -w(z) w'(z) / (1 + w(z)^2), in the namespace ``warp`` is bound to:
+    numpy over arrays, or ``math`` on Python floats (``warp.scalar``)."""
+    w = warp.w(z)
+    dw = warp.dw(z)
     return -w * dw / (1 + w * w)
+
+
+def drift_velocity(surface: WarpedSurface, z: float) -> float:
+    """Phi(z): the z-velocity of the symmetric circle, elementwise over arrays."""
+    return drift_phi(surface.warp, z)
 
 
 @dataclass
@@ -437,16 +443,18 @@ def reduce_circle_drift(surface: WarpedSurface, z0: float, t_end: float,
         m -= 1
     zs = np.empty(m + 1)  # z and Phi(z) at the step ends
     fs = np.empty(m + 1)
-    zi = float(z0)  # the state and the stages are Python floats
-    k1 = float(drift_velocity(surface, zi))
+    # the state and the stages are Python floats, Phi in the scalar warp binding
+    warp = surface.warp.scalar or surface.warp
+    zi = float(z0)
+    k1 = drift_phi(warp, zi)
     zs[0], fs[0] = zi, k1
     for i in range(1, m + 1):
         h = DRIFT_STEP if i < m else t_end - (m - 1) * DRIFT_STEP
-        k2 = float(drift_velocity(surface, zi + 0.5 * h * k1))
-        k3 = float(drift_velocity(surface, zi + 0.5 * h * k2))
-        k4 = float(drift_velocity(surface, zi + h * k3))
+        k2 = drift_phi(warp, zi + 0.5 * h * k1)
+        k3 = drift_phi(warp, zi + 0.5 * h * k2)
+        k4 = drift_phi(warp, zi + h * k3)
         zi += h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        k1 = float(drift_velocity(surface, zi))
+        k1 = drift_phi(warp, zi)
         zs[i], fs[i] = zi, k1
     t = _sample_times(t_end, dt)
     z = np.empty_like(t)

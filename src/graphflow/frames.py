@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DegenerateMetricError
+
 
 @dataclass
 class DifferentialSample:
@@ -47,10 +49,18 @@ def _t(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2)
 
 
+def _cholesky(g: np.ndarray) -> np.ndarray:
+    """The lower Cholesky factors of the metrics g (..., k, k)."""
+    try:
+        return np.linalg.cholesky(g)
+    except np.linalg.LinAlgError as exc:  # e.g. a chart metric at its polar seam
+        raise DegenerateMetricError(f"metric not positive definite: {exc}") from exc
+
+
 def _whiten(sample: DifferentialSample):
     """(L_M, R_N, R_N df^T L_M^{-T}) where L L^T = g_M and R^T R = g_N; d is (..., 2, m)."""
-    lm = np.linalg.cholesky(sample.g_m)
-    rn = _t(np.linalg.cholesky(sample.g_n))
+    lm = _cholesky(sample.g_m)
+    rn = _t(_cholesky(sample.g_n))
     return lm, rn, _t(np.linalg.solve(lm, sample.df @ _t(rn)))
 
 
@@ -112,7 +122,7 @@ def generalized_eigvalsh(a: np.ndarray, g: np.ndarray) -> np.ndarray:
 
     a, g: (..., k, k) -> (..., k); a single matrix is a batch of shape ().
     """
-    inv_l = np.linalg.inv(np.linalg.cholesky(g))
+    inv_l = np.linalg.inv(_cholesky(g))
     return np.linalg.eigvalsh(inv_l @ a @ _t(inv_l))
 
 

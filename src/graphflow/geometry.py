@@ -35,6 +35,7 @@ FRAME_SAMPLES = 64   # random orthonormal 2-frames per point, before the descent
 DESCENT_STEPS = 20   # keep-if-better rotation steps per point
 SIGMA_SAMPLES = 400  # chart points of a sampled sup sigma_N
 WARP_SAMPLES = 2001  # heights of the sup of a warped surface's Gauss curvature
+WARP_Z_MAX = 6.0  # a warped surface's chart is z in [-WARP_Z_MAX, WARP_Z_MAX]
 
 
 @dataclass(frozen=True)
@@ -231,20 +232,32 @@ def bi_ricci(manifold: ChartManifold, x, v, w,
 
 @dataclass(frozen=True)
 class Warp:
-    """Warp function with its first two derivatives."""
+    """Warp function with its first two derivatives, elementwise over arrays.
+
+    ``scalar``, where given, is the same warp bound to ``math`` for loops over
+    Python floats: about 5x cheaper per call than numpy on a float, and equal
+    to the array binding up to the last bits of the library functions."""
 
     name: str
     w: Callable[[float], float]
     dw: Callable[[float], float]
     d2w: Callable[[float], float]
+    scalar: Optional["Warp"] = None
+
+
+# name -> (w, w', w'') in the math namespace ``xp`` (numpy or math): one formula
+# per warp, bound twice by builtin_warp
+_BUILTIN_WARPS = {
+    "cosh": lambda xp: (xp.cosh, xp.sinh, xp.cosh),
+    "exp_neg": lambda xp: (lambda z: xp.exp(-z), lambda z: -xp.exp(-z), lambda z: xp.exp(-z)),
+}
 
 
 def builtin_warp(name: str) -> Warp:
-    if name == "cosh":
-        return Warp("cosh", np.cosh, np.sinh, np.cosh)
-    if name == "exp_neg":
-        return Warp("exp_neg", lambda z: np.exp(-z), lambda z: -np.exp(-z), lambda z: np.exp(-z))
-    raise ConfigurationError(f"unknown warp {name!r}")
+    if name not in _BUILTIN_WARPS:
+        raise ConfigurationError(f"unknown warp {name!r}")
+    formulas = _BUILTIN_WARPS[name]
+    return Warp(name, *formulas(np), scalar=Warp(name, *formulas(math)))
 
 
 class WarpedSurface(ChartManifold):
@@ -253,7 +266,7 @@ class WarpedSurface(ChartManifold):
 
     def __init__(self, warp: Warp):
         self.warp = warp
-        axes = [Axis(0.0, 2 * math.pi, periodic=True), Axis(-6.0, 6.0)]
+        axes = [Axis(0.0, 2 * math.pi, periodic=True), Axis(-WARP_Z_MAX, WARP_Z_MAX)]
 
         def metric(x):
             wz = warp.w(x[..., 1])

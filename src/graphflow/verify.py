@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import NotAreaDecreasingError
+from .errors import ConfigurationError, NotAreaDecreasingError
 from .flow import h2_field, tangential_vector_field
 from .frames import quad_form
 from .geometry import curvature_package, gauss_curvature_at, sectional
@@ -68,6 +68,9 @@ def compute_bound_constants(min_p0: float, max_theta0: float, min_ric: float,
     """Constants from the initial state and the ambient curvature extremes."""
     if min_p0 <= 0:
         raise NotAreaDecreasingError(f"initial min p = {min_p0:.3e} is not positive")
+    if not min_p0 < 2:  # p = 2 only where df = 0, and then c0 below is not finite
+        raise ConfigurationError(f"initial min p = {min_p0!r}: the initial map is constant "
+                                 "to working precision, so the decay bounds are undefined")
     rho0 = float(min_p0)
     c0 = rho0 / math.sqrt(4.0 - rho0**2)
     c1 = 2.0 / c0

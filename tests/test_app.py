@@ -11,6 +11,7 @@ import sys
 from collections import Counter
 
 import jsonschema
+import numpy as np
 import pytest
 
 from graphflow import app, cli, errors, immersion
@@ -412,11 +413,52 @@ def test_run_identities_small():
         assert set(report["max_errors"]) >= {"s2_plus_t2", "t_oracle", "ric_vw", "w_norm"}
 
 
+def test_identity_algebra_batched_per_dimension():
+    # the metrics and the symmetric Ricci matrix, formed per batch of one m,
+    # match forming them per sample from the same draws in the same order
+    batches = app._identity_samples(200, 5)
+    rng = np.random.default_rng(5)
+    seen = Counter()
+    for _ in range(200):
+        m = int(rng.integers(2, 6))
+        a = rng.standard_normal((m, m))
+        b = rng.standard_normal((2, 2))
+        df = rng.standard_normal((m, 2)) * rng.uniform(0.0, 1.5)
+        h_xi, h_eta = rng.standard_normal(2)
+        r = rng.standard_normal((m, m))
+        g_m, g_n, df_b, h_xi_b, h_eta_b, ric = (col[seen[m]] for col in batches[m])
+        seen[m] += 1
+        for got, want in ((g_m, a @ a.T + m * np.eye(m)), (g_n, b @ b.T + 2 * np.eye(2)),
+                          (ric, (r + r.T) / 2)):
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        assert np.array_equal(df_b, df) and (h_xi_b, h_eta_b) == (h_xi, h_eta)
+    assert sum(seen.values()) == 200 and all(len(batches[m][0]) == k for m, k in seen.items())
+
+
 # -- CLI ---------------------------------------------------------------------
 
 
-def test_cli_identities():
+def test_cli_identities(capsys):
     assert cli_main(["identities", "--samples", "200"]) == 0
+    # no samples printed PASS; a negative seed was a ValueError traceback
+    for argv in (["--samples", "0"], ["--samples", "-5"], ["--samples", "3", "--seed", "-1"]):
+        assert cli_main(["identities", *argv]) == 2
+    assert capsys.readouterr().err.count("config error: identities needs") == 3
+
+
+def test_cli_keeps_its_exit_codes_with_one_parser(tmp_path, capsys):
+    # main builds its argument parser once per process; the parses share it
+    cfg_path = _write(tmp_path, "[scenario]\nname = hopf_pointwise\n")
+    out = str(tmp_path / "out")
+    for _ in range(2):
+        assert cli_main(["run", cfg_path, "--out", out]) == 0
+        assert cli_main(["verify", out]) == 0
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["run", cfg_path, "--bogus"])
+        assert exc.value.code == 2
+        assert cli_main(["verify", str(tmp_path / "missing")]) == 2
+    assert cli._build_parser() is cli._build_parser()
+    assert "verification: PASS" in capsys.readouterr().out
 
 
 def test_cli_run_and_inspect(tmp_path, capsys):
@@ -468,15 +510,37 @@ def test_cli_run_does_not_import_scipy_integrate(tmp_path):
     ("grid", "shape", "2,4,4"),      # df = 0 along axis 0: it flowed and failed its budget
     ("grid", "shape", "4,4"),        # 'grid shape must match dim M': no key, no axis count
     ("grid", "shape", "4,4,4,4"),
+    ("initial", "z0", "711"),        # cosh overflows: an OverflowError traceback
+    ("initial", "z0", "nan"),
+    ("initial", "amplitude", "inf"),  # RuntimeWarnings, then NaN observables
+    ("flow", "h_tol", "1e200"),      # h_tol ** 2 overflows: an OverflowError traceback
+    ("flow", "h_tol", "-1"),
 ])
 def test_cli_rejects_out_of_range_values(tmp_path, capsys, section, key, value):
-    name = "torus_projection" if key == "shape" else "tsui_wang_s2"  # the scenario reading it
+    # the scenario reading the key
+    name = {"shape": "torus_projection", "z0": "cylinder_drift"}.get(key, "tsui_wang_s2")
     cfg_path = _write(tmp_path, f"[scenario]\nname = {name}\n[{section}]\n{key} = {value}\n")
     assert cli_main(["run", cfg_path, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"[{section}] {key}" in err
     with pytest.raises(ConfigurationError):
         builtin_config(name, {(section, key): app._SCHEMA[section][key][0](value)})
+
+
+@pytest.mark.parametrize("text, says", [
+    # each was a traceback: ZeroDivisionError in the bound constants at min p = 2,
+    # LinAlgError in the frame of a map onto the pole, InterpolationSyntaxError
+    ("[scenario]\nname = tsui_wang_s2\n[grid]\nnodes = 9\n[flow]\nt_end = 0.01\n"
+     "[initial]\namplitude = 1e-30\n", "config error: initial min p = 2.0"),
+    ("[scenario]\nname = tsui_wang_s2\n[grid]\nnodes = 9\n[flow]\nt_end = 0.01\n"
+     "[initial]\namplitude = 0\n", "degenerate metric: "),
+    ("[scenario]\nname =% cylinder_drift\n", "config error: unknown scenario '% cylinder_drift'"),
+], ids=["constant", "pole", "percent"])
+def test_cli_rejects_degenerate_input(tmp_path, capsys, text, says):
+    cfg_path = _write(tmp_path, text)
+    assert cli_main(["run", cfg_path, "--out", str(tmp_path / "o")]) in {2, 3}
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(says)
 
 
 @pytest.mark.parametrize("section,key,value,says", [

@@ -9,7 +9,7 @@ import pytest
 
 from graphflow.errors import NotAreaDecreasingError, SolverAbort
 from graphflow.flow import (DRIFT_DT, EquivariantFlow, FlowParams, FlowState, _sample_times,
-                            cfl_dt, drift_velocity, h2_field, nonparametric_rhs,
+                            cfl_dt, drift_phi, drift_velocity, h2_field, nonparametric_rhs,
                             reduce_circle_drift, step, tangential_vector_field)
 from graphflow.geometry import WarpedSurface, builtin_warp, flat_torus, product_s1_s2
 from graphflow.immersion import GraphMapField, field_geometry
@@ -235,6 +235,19 @@ def test_drift_velocity_signs(waist_cylinder, funnel_cylinder):
     assert drift_velocity(waist_cylinder, -0.5) > 0
     # funnel (w = e^{-z}): the circle escapes toward larger z
     assert drift_velocity(funnel_cylinder, 0.0) > 0
+
+
+@pytest.mark.parametrize("warp", ["cosh", "exp_neg"])
+def test_drift_phi_on_floats_matches_the_array_warp(warp):
+    # the RK4 stages evaluate Phi with math on Python floats, the samples with
+    # numpy on arrays: one formula per warp, equal up to the libraries' last
+    # bits, here within 4 ulp of 1 relative (4 eps |Phi|)
+    surface = WarpedSurface(builtin_warp(warp))
+    z = np.linspace(-6.0, 6.0, 20_001)
+    on_arrays = drift_velocity(surface, z)
+    on_floats = np.array([drift_phi(surface.warp.scalar, zi) for zi in z.tolist()])
+    assert all(type(drift_phi(surface.warp.scalar, zi)) is float for zi in (-6.0, 0.3, 6.0))
+    assert np.all(np.abs(on_floats - on_arrays) <= 4 * np.finfo(float).eps * np.abs(on_arrays))
 
 
 def test_waist_run_converges(waist_cylinder):

@@ -17,6 +17,7 @@ import tempfile
 import pytest
 
 from graphflow.app import builtin_config, load_config, run_scenario
+from graphflow.cli import main as cli_main
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -45,6 +46,29 @@ def test_artifacts_match_golden(name, tmp_path):
     for fname in FILES:
         assert _read(os.path.join(out, fname)) == \
             _read(os.path.join(GOLDEN_DIR, name, fname)), f"{name}/{fname}"
+
+
+def test_rerun_into_a_run_directory_gives_golden_bytes(tmp_path):
+    # a rerun replaces every artifact, and a file hard-linked to an artifact
+    # of the earlier run keeps that run's bytes
+    golden = os.path.join(GOLDEN_DIR, "cylinder_waist")
+    out, snapshot = str(tmp_path / "run"), tmp_path / "snapshot"
+    short = str(tmp_path / "short.ini")
+    with open(short, "w") as fh:
+        fh.write("[scenario]\nname = cylinder_waist\n[flow]\nt_end = 1.0\n")
+    assert cli_main(["run", short, "--out", out]) == 0
+    snapshot.mkdir()
+    old = {}
+    for fname in FILES:
+        os.link(os.path.join(out, fname), snapshot / fname)
+        old[fname] = _read(snapshot / fname)
+    for _ in range(2):
+        assert cli_main(["run", os.path.join(golden, "config.ini"), "--out", out]) == 0
+        for fname in FILES:
+            assert _read(os.path.join(out, fname)) == _read(os.path.join(golden, fname)), fname
+    for fname in FILES:
+        assert _read(snapshot / fname) == old[fname], fname
+    assert old["time_series.csv"] != _read(os.path.join(golden, "time_series.csv"))
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
