@@ -49,23 +49,31 @@ def _boolean(text: str) -> bool:  # 1/yes/true/on or 0/no/false/off, any case; e
     return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
 
 
+# Upper bounds that keep a run's arrays allocatable: the circle drift holds
+# t_end / DRIFT_DT samples, a grid flow one tensor per node.
+T_END_MAX = 1e3
+NODES_MAX = 4096
+AXIS_NODES_MAX = 32
+
 # section -> key -> (parser[, bound]); a bound is (check of the value, what a valid
 # value is).  Which keys outside [scenario] a scenario reads, and their defaults,
 # is its entry in SCENARIOS.
 _SCHEMA = {
     "scenario": {"name": (str,), "seed": (int,), "output_dir": (str,)},
     "grid": {
-        "nodes": (int, (lambda v: v > 2 * SEAM_MARGIN,  # tsui_wang_s2 profile resolution
-                        f"must exceed {2 * SEAM_MARGIN}, twice the seam margin")),
+        "nodes": (int, (lambda v: 2 * SEAM_MARGIN < v <= NODES_MAX,  # tsui_wang_s2 profile
+                        f"must exceed {2 * SEAM_MARGIN}, twice the seam margin, "
+                        f"and be at most {NODES_MAX}")),
         # read by torus_projection only, whose M = T^3 has 3 axes
         "shape": (str, (lambda v: len(v.split(",")) == 3 and all(
-                            s.strip().isdecimal() and int(s) >= 3  # two ±1 neighbours
-                            for s in v.split(",")),
-                        "must be 3 comma-separated integers, one per axis of M, each at least 3")),
+                            s.strip().isdecimal() and 3 <= int(s) <= AXIS_NODES_MAX
+                            for s in v.split(",")),  # at least two ±1 neighbours
+                        "must be 3 comma-separated integers, one per axis of M, "
+                        f"each from 3 to {AXIS_NODES_MAX}")),
     },
     "flow": {
         "cfl": (float, (lambda v: 0 < v <= 1, "must lie in (0, 1]")),
-        "t_end": (float, (lambda v: v > 0, "must be positive")),
+        "t_end": (float, (lambda v: 0 < v <= T_END_MAX, f"must lie in (0, {T_END_MAX:g}]")),
         "record_every": (int, (lambda v: v >= 1, "must be at least 1")),
         "h_tol": (float, (lambda v: 0 < v <= 1, "must lie in (0, 1]")),
     },

@@ -13,9 +13,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NotAreaDecreasingError, SolverAbort
+from .errors import ConfigurationError, NotAreaDecreasingError, SolverAbort
 from .frames import p_batch, quad_form
-from .geometry import Warp, WarpedSurface, round_sphere
+from .geometry import Warp, WarpBinding, WarpedSurface, round_sphere
 from .immersion import GraphMapField, field_cached
 
 CONVERGENCE_STREAK = 100  # consecutive steps with max|H| below tolerance
@@ -297,6 +297,9 @@ class EquivariantFlow:
         rec0 = self.observables(h)
         if rec0.min_p <= 0:
             raise NotAreaDecreasingError(f"initial profile has min p = {rec0.min_p:.3e}")
+        if not rec0.min_p < 2:  # p = 2 only where the differential vanishes
+            raise ConfigurationError(f"initial profile has min p = {rec0.min_p!r}: the initial "
+                                     "map is constant to working precision")
         records: list = []
         states: list = []
         dissipation = 0.0
@@ -389,17 +392,13 @@ class EquivariantFlow:
 # Circle drift on a warped cylinder
 
 
-def drift_phi(warp: Warp, z):
-    """Phi(z) = -w(z) w'(z) / (1 + w(z)^2), in the namespace ``warp`` is bound to:
-    numpy over arrays, or ``math`` on Python floats (``warp.scalar``)."""
+def drift_velocity(warp: Warp | WarpBinding, z):
+    """Phi(z) = -w(z) w'(z) / (1 + w(z)^2), the z-velocity of the symmetric
+    circle: elementwise over arrays with a ``Warp``, on Python floats with its
+    ``math`` binding ``warp.scalar``."""
     w = warp.w(z)
     dw = warp.dw(z)
     return -w * dw / (1 + w * w)
-
-
-def drift_velocity(surface: WarpedSurface, z: float) -> float:
-    """Phi(z): the z-velocity of the symmetric circle, elementwise over arrays."""
-    return drift_phi(surface.warp, z)
 
 
 @dataclass
@@ -443,18 +442,18 @@ def reduce_circle_drift(surface: WarpedSurface, z0: float, t_end: float,
         m -= 1
     zs = np.empty(m + 1)  # z and Phi(z) at the step ends
     fs = np.empty(m + 1)
-    # the state and the stages are Python floats, Phi in the scalar warp binding
-    warp = surface.warp.scalar or surface.warp
+    # the state and the stages are Python floats, Phi in the math binding
+    warp = surface.warp.scalar
     zi = float(z0)
-    k1 = drift_phi(warp, zi)
+    k1 = drift_velocity(warp, zi)
     zs[0], fs[0] = zi, k1
     for i in range(1, m + 1):
         h = DRIFT_STEP if i < m else t_end - (m - 1) * DRIFT_STEP
-        k2 = drift_phi(warp, zi + 0.5 * h * k1)
-        k3 = drift_phi(warp, zi + 0.5 * h * k2)
-        k4 = drift_phi(warp, zi + h * k3)
+        k2 = drift_velocity(warp, zi + 0.5 * h * k1)
+        k3 = drift_velocity(warp, zi + 0.5 * h * k2)
+        k4 = drift_velocity(warp, zi + h * k3)
         zi += h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        k1 = drift_phi(warp, zi)
+        k1 = drift_velocity(warp, zi)
         zs[i], fs[i] = zi, k1
     t = _sample_times(t_end, dt)
     z = np.empty_like(t)
@@ -477,7 +476,7 @@ def reduce_circle_drift(surface: WarpedSurface, z0: float, t_end: float,
         zt *= s
         zt += zs[j]
     w = surface.warp.w(z)
-    h2 = drift_velocity(surface, z) ** 2
+    h2 = drift_velocity(surface.warp, z) ** 2
     volume = 8 * np.pi**2 * np.sqrt(1 + w**2)
     # the budget identity d(vol)/dt = -int |H|^2 dmu is exact for this
     # reduction; trapezoid in t

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from types import ModuleType
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -230,23 +231,30 @@ def bi_ricci(manifold: ChartManifold, x, v, w,
 # Warped product surfaces
 
 
-@dataclass(frozen=True)
-class Warp:
-    """Warp function with its first two derivatives, elementwise over arrays.
+class WarpBinding(NamedTuple):
+    """A warp function and its first two derivatives in one math namespace."""
 
-    ``scalar``, where given, is the same warp bound to ``math`` for loops over
-    Python floats: about 5x cheaper per call than numpy on a float, and equal
-    to the array binding up to the last bits of the library functions."""
-
-    name: str
     w: Callable[[float], float]
     dw: Callable[[float], float]
     d2w: Callable[[float], float]
-    scalar: Optional["Warp"] = None
 
 
-# name -> (w, w', w'') in the math namespace ``xp`` (numpy or math): one formula
-# per warp, bound twice by builtin_warp
+class Warp:
+    """Warp function with its first two derivatives, written once over the math
+    namespace ``xp``: ``formulas(xp)`` is (w, w', w'').
+
+    ``w``, ``dw`` and ``d2w`` bind the formula to numpy, elementwise over arrays.
+    ``scalar`` binds it to ``math`` for loops over Python floats: about 5x cheaper
+    per call than numpy on a float, and equal to the array binding up to the last
+    bits of the library functions."""
+
+    def __init__(self, name: str, formulas: Callable[[ModuleType], tuple]):
+        self.name = name
+        self.w, self.dw, self.d2w = formulas(np)
+        self.scalar = WarpBinding(*formulas(math))
+
+
+# name -> (w, w', w'') in the math namespace ``xp`` (numpy or math)
 _BUILTIN_WARPS = {
     "cosh": lambda xp: (xp.cosh, xp.sinh, xp.cosh),
     "exp_neg": lambda xp: (lambda z: xp.exp(-z), lambda z: -xp.exp(-z), lambda z: xp.exp(-z)),
@@ -256,8 +264,7 @@ _BUILTIN_WARPS = {
 def builtin_warp(name: str) -> Warp:
     if name not in _BUILTIN_WARPS:
         raise ConfigurationError(f"unknown warp {name!r}")
-    formulas = _BUILTIN_WARPS[name]
-    return Warp(name, *formulas(np), scalar=Warp(name, *formulas(math)))
+    return Warp(name, _BUILTIN_WARPS[name])
 
 
 class WarpedSurface(ChartManifold):

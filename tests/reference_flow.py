@@ -159,14 +159,14 @@ def reduce_circle_drift(surface: WarpedSurface, z0: float, t_end: float,
     for i in range(n):
         step_dt = min(dt, t_end - t[i])
         zi = z[i]
-        k1 = drift_velocity(surface, zi)
-        k2 = drift_velocity(surface, zi + 0.5 * step_dt * k1)
-        k3 = drift_velocity(surface, zi + 0.5 * step_dt * k2)
-        k4 = drift_velocity(surface, zi + step_dt * k3)
+        k1 = drift_velocity(surface.warp, zi)
+        k2 = drift_velocity(surface.warp, zi + 0.5 * step_dt * k1)
+        k3 = drift_velocity(surface.warp, zi + 0.5 * step_dt * k2)
+        k4 = drift_velocity(surface.warp, zi + step_dt * k3)
         z[i + 1] = zi + step_dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         t[i + 1] = t[i] + step_dt
     w = surface.warp.w(z)
-    h2 = drift_velocity(surface, z) ** 2
+    h2 = drift_velocity(surface.warp, z) ** 2
     volume = 8 * np.pi**2 * np.sqrt(1 + w**2)
     # the budget identity d(vol)/dt = -int |H|^2 dmu is exact for this
     # reduction; trapezoid in t

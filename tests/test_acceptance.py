@@ -223,7 +223,7 @@ def test_criterion_7_drift_vs_waist_dichotomy():
                  and bool(np.all(np.diff(frun.volume) < 0)))
     z_final = float(wrun.z[-1])
     lam_final = float(waist.warp.w(z_final))
-    h_final = abs(drift_velocity(waist, z_final))
+    h_final = abs(drift_velocity(waist.warp, z_final))
     rep = classify_from_observables(
         "Converged", h_final, h_final, np.full(8, lam_final), np.zeros(8),
         np.full(8, waist.gauss_curvature(z_final)), ricci_positive=False)

@@ -504,6 +504,10 @@ def test_cli_run_does_not_import_scipy_integrate(tmp_path):
     ("flow", "record_every", "0"),   # was a ZeroDivisionError traceback
     ("grid", "nodes", "2"),          # no interior node: a ValueError traceback
     ("flow", "t_end", "-1"),         # an empty run that printed PASS
+    ("flow", "t_end", "inf"),        # the drift's step count: an OverflowError traceback
+    ("flow", "t_end", "1e300"),      # the drift's arrays: a ValueError traceback
+    ("grid", "nodes", "1000000000"),
+    ("grid", "shape", "4,4,1000"),
     ("flow", "cfl", "5"),            # escaped the equivariant path unchecked
     ("grid", "shape", "a,4,4"),      # a ValueError traceback
     ("grid", "shape", "0,4,4"),      # a ZeroDivisionError traceback
@@ -529,16 +533,17 @@ def test_cli_rejects_out_of_range_values(tmp_path, capsys, section, key, value):
 
 @pytest.mark.parametrize("text, says", [
     # each was a traceback: ZeroDivisionError in the bound constants at min p = 2,
-    # LinAlgError in the frame of a map onto the pole, InterpolationSyntaxError
+    # LinAlgError in the frame of a map onto the pole, InterpolationSyntaxError.
+    # A map constant to working precision is refused before the first step.
     ("[scenario]\nname = tsui_wang_s2\n[grid]\nnodes = 9\n[flow]\nt_end = 0.01\n"
-     "[initial]\namplitude = 1e-30\n", "config error: initial min p = 2.0"),
+     "[initial]\namplitude = 1e-30\n", "config error: initial profile has min p = 2.0: "),
     ("[scenario]\nname = tsui_wang_s2\n[grid]\nnodes = 9\n[flow]\nt_end = 0.01\n"
-     "[initial]\namplitude = 0\n", "degenerate metric: "),
+     "[initial]\namplitude = 0\n", "config error: initial profile has min p = 2.0: "),
     ("[scenario]\nname =% cylinder_drift\n", "config error: unknown scenario '% cylinder_drift'"),
 ], ids=["constant", "pole", "percent"])
 def test_cli_rejects_degenerate_input(tmp_path, capsys, text, says):
     cfg_path = _write(tmp_path, text)
-    assert cli_main(["run", cfg_path, "--out", str(tmp_path / "o")]) in {2, 3}
+    assert cli_main(["run", cfg_path, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(says)
 

@@ -4,8 +4,10 @@ Whatever the config text, run directory or argument list, ``main`` returns an
 exit code in {0, 1, 2, 3} and raises nothing; argparse's ``SystemExit(2)``
 counts as exit 2.  Valid configs are kept to short runs (t_end <= 0.05,
 cfl >= 0.1, at most 16 profile nodes, at most 4 grid nodes per axis), so the
-fuzz stays a few seconds of the suite; a mangled config that still loads as
-a longer run is only checked with ``check-curvature``.
+fuzz stays a few seconds of the suite.  A mangled config, or a short one with
+any number in one value, is run when it loads as a short run, must exit 2 from
+``run`` when it does not load or loads with t_end above the bound, and is
+only checked with ``check-curvature`` when it loads as a longer run.
 """
 
 import configparser
@@ -16,12 +18,13 @@ import math
 import os
 import shutil
 import tempfile
+from typing import Optional
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from graphflow import cli
-from graphflow.app import SCENARIOS, load_config
+from graphflow.app import SCENARIOS, T_END_MAX, load_config
 from graphflow.errors import GraphflowError
 from graphflow.geometry import WARP_Z_MAX
 
@@ -60,15 +63,21 @@ VALUES = {  # (section, key) -> values inside the schema, kept to short runs
     ("verify", "inequalities"): _boolean,
 }
 ALWAYS = {("grid", "nodes"), ("grid", "shape"), ("flow", "t_end")}  # defaults are long runs
+NUMBERS = (st.sampled_from(["inf", "-inf", "nan", "1e300", "-1e300"]) | st.floats().map(repr)
+           | st.integers().map(str))
 
 
 @st.composite
-def short_configs(draw) -> str:
+def short_configs(draw, wild=False) -> str:
+    """A valid short config; with ``wild``, one of its values is any number."""
     name = draw(st.sampled_from(sorted(SCENARIOS)))
+    keys = [k for k in SCENARIOS[name].settings if k in ALWAYS or draw(st.booleans())]
+    values = {k: draw(VALUES[k]) for k in keys}
+    if wild and keys:
+        values[draw(st.sampled_from(keys))] = draw(NUMBERS)
     sections = {"scenario": [f"name = {name}", f"seed = {draw(st.integers())}"]}
-    for section, key in SCENARIOS[name].settings:
-        if (section, key) in ALWAYS or draw(st.booleans()):
-            sections.setdefault(section, []).append(f"{key} = {draw(VALUES[section, key])}")
+    for (section, key), value in values.items():
+        sections.setdefault(section, []).append(f"{key} = {value}")
     return "".join(f"[{s}]\n" + "".join(f"{line}\n" for line in lines)
                    for s, lines in sections.items())
 
@@ -84,16 +93,22 @@ def mangled_configs(draw) -> bytes:
     return data
 
 
-def _is_short(path: str) -> bool:
+def _run_codes(path: str) -> Optional[set]:
+    """The exit codes ``run`` may give on the config file, or None where it
+    loads as a longer run inside the bounds, which the fuzz does not run."""
     try:
         cfg = load_config(path)
     except GraphflowError:
-        return True  # rejected before any flow runs
+        return {2}  # rejected before any flow runs
+    t_end = cfg.values.get(("flow", "t_end"), 0.0)
+    if not t_end <= T_END_MAX:  # loaded beyond the bound: run must still refuse it
+        return {2}
     shape = cfg.values.get(("grid", "shape"), "4")
-    return (cfg.values.get(("flow", "t_end"), 0.0) <= SHORT_T_END
-            and cfg.values.get(("flow", "cfl"), 1.0) >= 0.1
+    if (t_end <= SHORT_T_END and cfg.values.get(("flow", "cfl"), 1.0) >= 0.1
             and cfg.values.get(("grid", "nodes"), 0) <= 16
-            and max(int(n) for n in shape.split(",")) <= 4)
+            and max(int(n) for n in shape.split(",")) <= 4):
+        return EXIT_CODES
+    return None
 
 
 @FUZZ
@@ -114,13 +129,24 @@ def test_cli_on_valid_short_configs(text):
 @FUZZ
 @given(data=mangled_configs() | st.binary(max_size=64))
 def test_cli_on_mangled_config_text(data):
+    _check_config_file(data)
+
+
+@FUZZ
+@given(text=short_configs(wild=True))
+def test_cli_on_any_number_in_a_value(text):
+    _check_config_file(text.encode())
+
+
+def _check_config_file(data: bytes):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cfg.ini")
         with open(path, "wb") as fh:
             fh.write(data)
         _main(["check-curvature", path])
-        if _is_short(path):
-            _main(["run", path, "--out", os.path.join(tmp, "out")])
+        codes = _run_codes(path)
+        if codes is not None:
+            assert _main(["run", path, "--out", os.path.join(tmp, "out")]) in codes
 
 
 # -- mangled run directories -------------------------------------------------

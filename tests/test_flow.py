@@ -9,7 +9,7 @@ import pytest
 
 from graphflow.errors import NotAreaDecreasingError, SolverAbort
 from graphflow.flow import (DRIFT_DT, EquivariantFlow, FlowParams, FlowState, _sample_times,
-                            cfl_dt, drift_phi, drift_velocity, h2_field, nonparametric_rhs,
+                            cfl_dt, drift_velocity, h2_field, nonparametric_rhs,
                             reduce_circle_drift, step, tangential_vector_field)
 from graphflow.geometry import WarpedSurface, builtin_warp, flat_torus, product_s1_s2
 from graphflow.immersion import GraphMapField, field_geometry
@@ -230,11 +230,11 @@ def test_equivariant_run_counts_its_steps():
 
 def test_drift_velocity_signs(waist_cylinder, funnel_cylinder):
     # waist: z = 0 is a stable closed geodesic, velocity points toward it
-    assert drift_velocity(waist_cylinder, 0.0) == pytest.approx(0.0)
-    assert drift_velocity(waist_cylinder, 0.5) < 0
-    assert drift_velocity(waist_cylinder, -0.5) > 0
+    assert drift_velocity(waist_cylinder.warp, 0.0) == pytest.approx(0.0)
+    assert drift_velocity(waist_cylinder.warp, 0.5) < 0
+    assert drift_velocity(waist_cylinder.warp, -0.5) > 0
     # funnel (w = e^{-z}): the circle escapes toward larger z
-    assert drift_velocity(funnel_cylinder, 0.0) > 0
+    assert drift_velocity(funnel_cylinder.warp, 0.0) > 0
 
 
 @pytest.mark.parametrize("warp", ["cosh", "exp_neg"])
@@ -244,9 +244,9 @@ def test_drift_phi_on_floats_matches_the_array_warp(warp):
     # bits, here within 4 ulp of 1 relative (4 eps |Phi|)
     surface = WarpedSurface(builtin_warp(warp))
     z = np.linspace(-6.0, 6.0, 20_001)
-    on_arrays = drift_velocity(surface, z)
-    on_floats = np.array([drift_phi(surface.warp.scalar, zi) for zi in z.tolist()])
-    assert all(type(drift_phi(surface.warp.scalar, zi)) is float for zi in (-6.0, 0.3, 6.0))
+    on_arrays = drift_velocity(surface.warp, z)
+    on_floats = np.array([drift_velocity(surface.warp.scalar, zi) for zi in z.tolist()])
+    assert all(type(drift_velocity(surface.warp.scalar, zi)) is float for zi in (-6.0, 0.3, 6.0))
     assert np.all(np.abs(on_floats - on_arrays) <= 4 * np.finfo(float).eps * np.abs(on_arrays))
 
 
@@ -287,7 +287,7 @@ def test_drift_matches_an_independent_solver(warp, z0, t_end):
     from scipy.integrate import solve_ivp
     surface = WarpedSurface(builtin_warp(warp))
     run = reduce_circle_drift(surface, z0, t_end)
-    sol = solve_ivp(lambda t, z: drift_velocity(surface, z), (0.0, t_end), [z0],
+    sol = solve_ivp(lambda t, z: drift_velocity(surface.warp, z), (0.0, t_end), [z0],
                     method="DOP853", rtol=1e-13, atol=1e-16, dense_output=True)
     assert sol.success
     assert np.max(np.abs(run.z - sol.sol(run.t)[0])) <= 5e-13

@@ -137,7 +137,7 @@ def test_builtin_warp_unknown():
 
 
 def test_warp_must_stay_positive():
-    sin = Warp("sin", np.sin, np.cos, lambda z: -np.sin(z))
+    sin = Warp("sin", lambda xp: (xp.sin, xp.cos, lambda z: -xp.sin(z)))
     with pytest.raises(ConfigurationError):
         WarpedSurface(sin)  # vanishes inside the z-range
 
