@@ -29,7 +29,7 @@ def grid_trajectory(warp_name, z0, t_end, shape):
     f0 = np.stack([mesh[0], np.full(shape, z0)], axis=-1)
     field = GraphMapField(m_man, n_man, shape, f0)
     st = FlowState(field=field, min_p=field.min_p())
-    params = FlowParams(cfl=0.4, t_end=t_end, integrator="RK2")
+    params = FlowParams(t_end=t_end)
     ts, zs = [0.0], [z0]
     while st.t < t_end - 1e-12 and st.status == "Running":
         st = step(st, params)

@@ -78,8 +78,10 @@ def m_convexity_at(barrier: BarrierFunction, m_manifold: ChartManifold,
 
 
 def certify_convexity(barrier: BarrierFunction, m_manifold: ChartManifold,
-                      n_manifold: ChartManifold, points, m: int) -> ConvexityCertificate:
-    """Audit m-convexity of phi over the sample points (..., d) inside the sublevel set."""
+                      n_manifold: ChartManifold, points) -> ConvexityCertificate:
+    """Audit m-convexity of phi, m = dim M, over the sample points (..., d) inside
+    the sublevel set."""
+    m = m_manifold.dim
     y = np.asarray(points, dtype=float)
     y = y.reshape(-1, y.shape[-1])
     y = y[barrier.phi(y) < barrier.level]

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .geometry import gauss_curvature_at
-from .immersion import SEAM_MARGIN, GraphMapField, field_geometry
+from .immersion import GraphMapField, field_geometry
 
 UNTESTED_NOTE = (
     "Euler-characteristic and local-product-structure properties of the limit "
@@ -107,10 +107,9 @@ def classify_from_observables(status: str, max_h: float, max_a: float,
 
 
 def classify_limit(field: GraphMapField, status: str, h_tol: float = 1e-6,
-                   ricci_positive: Optional[bool] = None,
-                   margin: int = SEAM_MARGIN) -> LimitReport:
+                   ricci_positive: Optional[bool] = None) -> LimitReport:
     """Classify a final grid state; evidence from interior nodes."""
-    mask = field.interior_mask(margin)
+    mask = field.interior_mask()
     lam, mu = field.singular_value_fields()
     geo = field_geometry(field)
     max_h = float(np.sqrt(geo.h_sq[mask]).max(initial=0.0))

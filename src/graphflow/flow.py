@@ -18,6 +18,7 @@ from .frames import p_batch, quad_form
 from .geometry import Warp, WarpBinding, WarpedSurface, round_sphere
 from .immersion import GraphMapField, field_cached
 
+CFL = 0.4  # Courant factor of the explicit steps (``cfl_dt``, ``EquivariantFlow.run``)
 CONVERGENCE_STREAK = 100  # consecutive steps with max|H| below tolerance
 PHI_WIDTH = 8  # azimuthal nodes of the 2D lift of an equivariant profile
 DRIFT_DT = 1e-3  # sample spacing of the circle-drift reduction
@@ -26,16 +27,16 @@ DRIFT_STEP = 5e-3  # its RK4 step
 
 @dataclass
 class FlowParams:
-    cfl: float = 0.4
+    cfl: float = CFL
     t_end: float = 1.0
     h_tol: float = 1e-6
-    integrator: str = "RK2"  # or "Euler"
+    integrator: str = "RK2"  # the only scheme
 
     def __post_init__(self):
         if not (0 < self.cfl <= 1):
             raise ValueError("cfl must be in (0, 1]")
-        if self.integrator not in ("RK2", "Euler"):
-            raise ValueError("integrator must be RK2 or Euler")
+        if self.integrator != "RK2":
+            raise ValueError("integrator must be RK2")
 
 
 @dataclass
@@ -88,7 +89,7 @@ def cfl_dt(field: GraphMapField, params: FlowParams) -> float:
 
 
 def step(state: FlowState, params: FlowParams) -> FlowState:
-    """Advance one explicit step; updates status, min p, and the volume budget.
+    """Advance one explicit RK2 step; updates status, min p, and the volume budget.
 
     The RHS and |H|^2 are cached on each field, so the end of one step hands
     them to the start of the next.
@@ -99,15 +100,8 @@ def step(state: FlowState, params: FlowParams) -> FlowState:
     dt = cfl_dt(field, params)
     v = nonparametric_rhs(field)
     dissipated = float(np.sum(h2_field(field) * field.volume_density()) * np.prod(field.h)) * dt
-
-    if params.integrator == "Euler":
-        f_new = field.f + dt * v
-    else:
-        half = field.with_values(field.f + 0.5 * dt * v)
-        v_mid = nonparametric_rhs(half)
-        f_new = field.f + dt * v_mid
-
-    new_field = field.with_values(f_new)
+    half = field.with_values(field.f + 0.5 * dt * v)
+    new_field = field.with_values(field.f + dt * nonparametric_rhs(half))
     nxt = FlowState(
         field=new_field,
         t=state.t + dt,
@@ -191,9 +185,8 @@ class EquivariantFlow:
     (h(-theta) = -h(theta), h(pi + s) = -h(pi - s)).
     """
 
-    def __init__(self, n_nodes: int, h0, cfl: float = 0.4):
+    def __init__(self, n_nodes: int, h0):
         self.J = int(n_nodes)
-        self.cfl = float(cfl)
         self.dtheta = np.pi / self.J
         self.theta = (np.arange(self.J) + 0.5) * self.dtheta
         self._sin_t = np.sin(self.theta)  # here to _dtheta2: theta-only factors, computed once
@@ -250,24 +243,25 @@ class EquivariantFlow:
             return out
         return stage
 
-    def rhs(self, h: np.ndarray, metric: bool = False):
-        """dh/dt of the profile h; with ``metric`` the tuple (dh/dt, h', sin h, g11, g22),
-        g11 = 1 + h'^2 and g22 = sin^2(theta) + sin^2(h), for the observables
-        to share.  The stage kernel of ``run`` on fresh arrays of its own."""
+    def rhs(self, h: np.ndarray) -> tuple:
+        """(dh/dt, h', sin h, g11, g22) of the profile h, g11 = 1 + h'^2 and
+        g22 = sin^2(theta) + sin^2(h), for the observables to share.  The stage
+        kernel of ``run`` on fresh arrays of its own."""
         b = np.empty(self.J + 2)
         b[1:-1] = h
-        out = self._stage_kernel(b, np.empty((7, self.J)))()
-        return out if metric else out[0]
+        return self._stage_kernel(b, np.empty((7, self.J)))()
 
-    def singular_values(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        _, d1, sin_h, _, _ = self.rhs(h, metric=True)
-        a, b = np.abs(d1), np.abs(sin_h) / self._sin_t
+    def singular_values(self, k: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """(lambda, mu) of a profile from its tuple ``k = rhs(h)``: |h'| and
+        |sin h| / sin(theta), ordered."""
+        a, b = np.abs(k[1]), np.abs(k[2]) / self._sin_t
         return np.maximum(a, b), np.minimum(a, b)
 
     def observables(self, h: np.ndarray, t: float = np.nan) -> FlowRecord:
-        v, _, _, g11, g22 = self.rhs(h, metric=True)
+        k = self.rhs(h)
+        v, _, _, g11, g22 = k
         h2 = v**2 / g11
-        lam, mu = self.singular_values(h)
+        lam, mu = self.singular_values(k)
         p = p_batch(lam, mu)
         vol = 2 * np.pi * float(np.sum(np.sqrt(g11 * g22)) * self.dtheta)
         diam = min(np.pi, 2 * float(np.abs(h).max()))
@@ -309,7 +303,7 @@ class EquivariantFlow:
         prev_h = prev_dt = None
         dt_min, dt_max = np.inf, 0.0
         quad_w = 2 * np.pi * self.dtheta
-        cfl_dtheta2 = self.cfl * self._dtheta2
+        cfl_dtheta2 = CFL * self._dtheta2
         h_tol2 = h_tol**2
         add, mul, div, sq, sqrt, isfinite = (np.add, np.multiply, np.divide, np.square,
                                              np.sqrt, np.isfinite)

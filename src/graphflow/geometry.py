@@ -108,14 +108,13 @@ class ChartManifold:
     # -- metric ------------------------------------------------------------
 
     def metric_many(self, pts) -> np.ndarray:
-        """Metric at a batch of points, shape (..., m) -> (..., m, m)."""
+        """Metric at a batch of points, shape (..., m) -> (..., m, m); one point
+        is a batch of shape ()."""
         x = self.wrap(pts)
         g = np.asarray(self._metric_at(x))
         if not np.allclose(g, np.swapaxes(g, -1, -2), atol=1e-12):
             raise DegenerateMetricError(f"{self.name}: metric not symmetric")
         return g
-
-    metric_at = metric_many  # one point is a batch of shape ()
 
     def inverse_metric(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
         """g^{-1} of the metrics g (..., m, m) at the chart points x (..., m)."""
@@ -140,13 +139,12 @@ class ChartManifold:
         return np.stack(parts, axis=x.ndim - 1)
 
     def christoffels_many(self, pts) -> np.ndarray:
-        """Gamma^k_{ij} at a batch of points, (..., m) -> (..., m, m, m), first index upper."""
+        """Gamma^k_{ij} at a batch of points, (..., m) -> (..., m, m, m), first index
+        upper; one point is a batch of shape ()."""
         x = self.wrap(pts)
         if self._christoffels_at is not None:
             return np.asarray(self._christoffels_at(x))
         return self._christoffels_from_metric(x)
-
-    christoffels_at = christoffels_many  # one point is a batch of shape ()
 
     def _christoffels_from_metric(self, pts) -> np.ndarray:
         x = self.wrap(pts)

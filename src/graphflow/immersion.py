@@ -296,13 +296,14 @@ class GraphMapField:
     def volume(self) -> float:
         return float(np.sum(self.volume_density()) * np.prod(self.h))
 
-    def interior_mask(self, margin: int = SEAM_MARGIN) -> np.ndarray:
-        """True away from reflect seams (periodic axes are seam-free)."""
+    def interior_mask(self) -> np.ndarray:
+        """True more than SEAM_MARGIN nodes away from reflect seams (periodic axes
+        are seam-free)."""
         mask = np.ones(self.shape, dtype=bool)
         for a, ax in enumerate(self.M.axes):
             if ax.reflect:
                 idx = np.arange(self.shape[a])
-                keep = (idx >= margin) & (idx < self.shape[a] - margin)
+                keep = (idx >= SEAM_MARGIN) & (idx < self.shape[a] - SEAM_MARGIN)
                 sl = [None] * self.M.dim
                 sl[a] = slice(None)
                 mask &= keep[tuple(sl)]

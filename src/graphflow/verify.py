@@ -19,8 +19,7 @@ from .errors import ConfigurationError, NotAreaDecreasingError
 from .flow import h2_field, tangential_vector_field
 from .frames import quad_form
 from .geometry import curvature_package, gauss_curvature_at, sectional
-from .immersion import (SEAM_MARGIN, GraphMapField, field_geometry, quantity_Q, quantity_R_vw,
-                        w_norm_sq)
+from .immersion import GraphMapField, field_geometry, quantity_Q, quantity_R_vw, w_norm_sq
 
 H_FLOOR = 1e-8         # the inequalities are evaluated only where |H| exceeds it
 VOLUME_REL_TOL = 0.02  # relative tolerance of the volume budget
@@ -157,7 +156,7 @@ def _material(field: GraphMapField, prev, now, nxt, dtp, dtn):
 # Evolution residual of p
 
 
-def residual_p_evolution(triples: Sequence, margin: int = SEAM_MARGIN) -> list:
+def residual_p_evolution(triples: Sequence) -> list:
     """Residual norms of the evolution identity for p at each checkpoint.
 
     ``triples``: (t, dt_prev, dt_next, field_prev, field_now, field_next) with
@@ -172,7 +171,7 @@ def residual_p_evolution(triples: Sequence, margin: int = SEAM_MARGIN) -> list:
             raise NotAreaDecreasingError("p <= 0 inside residual evaluation")
         lhs = _material(f_now, p_prev, p_now, p_next, dtp, dtn)
         gradp_sq = f_now.grad_norm_sq(p_now)
-        mask = f_now.interior_mask(margin)
+        mask = f_now.interior_mask()
         pg = field_geometry(f_now)[mask]
         fr = pg.frame
         p = fr.p
@@ -197,8 +196,7 @@ def residual_p_evolution(triples: Sequence, margin: int = SEAM_MARGIN) -> list:
 # Mean curvature and Theta inequalities
 
 
-def check_H_and_theta_inequalities(triples: Sequence, eps1: float,
-                                   margin: int = SEAM_MARGIN) -> dict:
+def check_H_and_theta_inequalities(triples: Sequence, eps1: float) -> dict:
     """Slack of the differential inequalities for |H|^2 and Theta = |H|^2/p.
 
     Evaluated only where |H| > H_FLOOR.  Also audits |w|^2 <= |H|^2 pointwise.
@@ -222,7 +220,7 @@ def check_H_and_theta_inequalities(triples: Sequence, eps1: float,
         h_grid = float(f_now.h.max())
         tol = 1e-6 + 10 * (h_grid**2 + max(dtp, dtn))
         geo = field_geometry(f_now)
-        mask = f_now.interior_mask(margin) & (geo.h_sq > H_FLOOR**2)
+        mask = f_now.interior_mask() & (geo.h_sq > H_FLOOR**2)
         pg = geo[mask]
         n_eval = int(mask.sum())
         ric11, ric22, sig_m, sig_n, ricci = _curvature_inputs(f_now, mask, pg.frame.alpha)

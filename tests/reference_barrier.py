@@ -21,8 +21,8 @@ def product_metric(m_manifold: ChartManifold, n_manifold: ChartManifold, y) -> n
     m = m_manifold.dim
     y = np.asarray(y, dtype=float)
     g = np.zeros((m + n_manifold.dim,) * 2)
-    g[:m, :m] = m_manifold.metric_at(y[:m])
-    g[m:, m:] = n_manifold.metric_at(y[m:])
+    g[:m, :m] = m_manifold.metric_many(y[:m])
+    g[m:, m:] = n_manifold.metric_many(y[m:])
     return g
 
 
@@ -30,8 +30,8 @@ def product_christoffels(m_manifold: ChartManifold, n_manifold: ChartManifold, y
     m, n = m_manifold.dim, n_manifold.dim
     y = np.asarray(y, dtype=float)
     gam = np.zeros((m + n,) * 3)
-    gam[:m, :m, :m] = m_manifold.christoffels_at(y[:m])
-    gam[m:, m:, m:] = n_manifold.christoffels_at(y[m:])
+    gam[:m, :m, :m] = m_manifold.christoffels_many(y[:m])
+    gam[m:, m:, m:] = n_manifold.christoffels_many(y[m:])
     return gam
 
 

@@ -334,7 +334,7 @@ class LoopCurvatureChart(ChartManifold):
                    manifold.constant_curvature, manifold.is_product_s1xs2)
 
     def inverse_metric_at(self, x) -> np.ndarray:
-        g = self.metric_at(x)
+        g = self.metric_many(x)
         try:
             w = np.linalg.eigvalsh(g)
         except np.linalg.LinAlgError as exc:  # pragma: no cover
@@ -363,8 +363,6 @@ class LoopCurvatureChart(ChartManifold):
             return np.asarray(self._christoffels_at(x))
         flat = [self._christoffels_from_metric(y) for y in x.reshape(-1, self.dim)]
         return np.reshape(flat, x.shape + (self.dim, self.dim))
-
-    christoffels_at = christoffels_many  # one point is a batch of shape ()
 
     def _christoffels_from_metric(self, x) -> np.ndarray:
         ginv = self.inverse_metric_at(x)
@@ -401,9 +399,9 @@ class CurvatureTensors:
 def curvature_package(manifold: LoopCurvatureChart, x) -> CurvatureTensors:
     """All curvature tensors of the chart metric at ``x``."""
     x = manifold.wrap(x)
-    g = manifold.metric_at(x)
+    g = manifold.metric_many(x)
     ginv = manifold.inverse_metric_at(x)
-    gamma = manifold.christoffels_at(x)
+    gamma = manifold.christoffels_many(x)
     dgamma = manifold._dchristoffels(x)
     # R^l_{kij} = d_i Gamma^l_{jk} - d_j Gamma^l_{ik}
     #           + Gamma^l_{ip} Gamma^p_{jk} - Gamma^l_{jp} Gamma^p_{ik}

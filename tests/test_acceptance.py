@@ -78,7 +78,7 @@ def _grid_drift_trajectory(warp_name, z0, t_end=5.0):
     mesh = np.meshgrid(*coords, indexing="ij")
     f0 = np.stack([mesh[0], np.full(shape, z0)], axis=-1)
     field = GraphMapField(m_man, n_man, shape, f0)
-    params = FlowParams(cfl=0.4, t_end=t_end, integrator="RK2")
+    params = FlowParams(t_end=t_end)
     st = FlowState(field=field, min_p=field.min_p())
     ts, zs = [0.0], [z0]
     while st.t < t_end - 1e-12 and st.status == "Running":
@@ -111,7 +111,7 @@ def test_criterion_2_hopf_singular_values():
         for x1 in xi:
             for x2 in xi[: n // 2]:
                 x = np.array([e, x1, x2])
-                lam, mu = singular_values_batch(s3.metric_at(x), s2.metric_at(hopf_map(x)), df)
+                lam, mu = singular_values_batch(s3.metric_many(x), s2.metric_many(hopf_map(x)), df)
                 worst = max(worst, abs(lam - 2.0), abs(mu - 2.0))
                 count += 1
     ok = count >= 1000 and worst <= 1e-10
@@ -163,7 +163,7 @@ def test_criterion_4_p_evolution_residual():
         eq = EquivariantFlow(J, _profile)
         run = eq.run(t_end=0.3, record_every=cadence)
         triples = [eq.stencil_fields(s) for s in run.states if s.stencil]
-        rows = residual_p_evolution(triples, margin=4)
+        rows = residual_p_evolution(triples)
         l2[J] = [r["l2"] for r in rows]
     n = min(len(l2[32]), len(l2[64]))
     ratios = [l2[32][k] / l2[64][k] for k in range(n)]
@@ -173,8 +173,7 @@ def test_criterion_4_p_evolution_residual():
     xg, yg = np.meshgrid(xs, xs, indexing="ij")
     stationary = GraphMapField(flat_torus(2), flat_torus(2, scale=0.5),
                                (m, m), np.stack([xg, yg], -1))
-    stat = residual_p_evolution([(0.0, 1.0, 1.0, stationary, stationary, stationary)],
-                                margin=0)[0]["linf"]
+    stat = residual_p_evolution([(0.0, 1.0, 1.0, stationary, stationary, stationary)])[0]["linf"]
     ok = bool(ratios) and all(3.0 <= r <= 5.0 for r in ratios) and stat <= 1e-10
     _verdict(4, "evolution residual of p", ok,
              "L2 ratios " + ", ".join(f"{r:.2f}" for r in ratios)
@@ -254,7 +253,7 @@ def test_criterion_8_barrier_containment():
     rng = np.random.default_rng(0)
     pts = [np.array([0.1, 1.3, 0.7, sv, zv])
            for sv in (0.5, 2.0) for zv in np.linspace(-0.9, 0.9, 5)]
-    cert = certify_convexity(bar, m_man, waist, pts, m=3)
+    cert = certify_convexity(bar, m_man, waist, pts)
     worst_gap = 0.0
     brute_ok = True
     for y in pts:

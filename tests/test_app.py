@@ -1,6 +1,7 @@
 """Configuration handling, scenario runs, artifact schemas, and the CLI."""
 
 import contextlib
+import glob
 import json
 import math
 import os
@@ -49,7 +50,9 @@ def test_unknown_key_rejected(tmp_path):
              # removed keys whose value now has one owner in the code
              ("flow", "integrator", "RK2"), ("flow", "ode_dt", "0.001"), ("initial", "r", "0.5"),
              ("verify", "decay_bounds", "True"), ("verify", "margin", "4"),
-             ("barrier", "kind", "waist_tube"), ("barrier", "level", "1.0")]
+             ("barrier", "kind", "waist_tube"), ("barrier", "level", "1.0"),
+             # the Courant factor is flow.CFL; the stationary residual always runs
+             ("flow", "cfl", "5"), ("flow", "cfl", "0.4"), ("verify", "residuals", "True")]
     for section, key, value in cases:
         header = "" if section == "scenario" else f"[{section}]\n"
         path = _write(tmp_path, f"[scenario]\nname = torus_projection\n{header}{key} = {value}\n")
@@ -61,7 +64,7 @@ def test_unknown_key_rejected(tmp_path):
 
 
 def test_missing_name_rejected(tmp_path):
-    path = _write(tmp_path, "[flow]\ncfl = 0.4\n")
+    path = _write(tmp_path, "[flow]\nt_end = 1.0\n")
     with pytest.raises(ConfigurationError, match="missing required key"):
         load_config(path)
 
@@ -73,7 +76,7 @@ def test_unknown_scenario_rejected(tmp_path):
 
 
 def test_invalid_value_rejected(tmp_path):
-    path = _write(tmp_path, "[scenario]\nname = torus_projection\n[flow]\ncfl = fast\n")
+    path = _write(tmp_path, "[scenario]\nname = torus_projection\n[flow]\nt_end = fast\n")
     with pytest.raises(ConfigurationError, match="invalid value"):
         load_config(path)
 
@@ -160,7 +163,7 @@ def test_config_hash_stable_and_sensitive():
     a = builtin_config("torus_projection")
     b = builtin_config("torus_projection")
     assert a.config_hash() == b.config_hash()
-    c = builtin_config("torus_projection", {("flow", "cfl"): 0.3})
+    c = builtin_config("torus_projection", {("flow", "t_end"): 0.03})
     assert a.config_hash() != c.config_hash()
 
 
@@ -480,17 +483,26 @@ def test_cli_run_does_not_import_scipy_integrate(tmp_path):
     # benchmark's peak_rss_mb and setup_s bounds cannot absorb.  A solver
     # that needs solve_ivp must find a scipy-free route, or fail here first.
     # scipy.linalg alone costs 0.32-0.36 s and 22-28 MB, so the package runs with no
-    # scipy at all: any scipy import below raises ImportError.
-    cfg_path = tmp_path / "cfg.ini"
-    cfg_path.write_text("[scenario]\nname = cylinder_waist\n[flow]\nt_end = 0.5\n")
-    out = str(tmp_path / "out")
-    code = ("import sys\n"
+    # scipy at all: any scipy import below raises ImportError.  One process runs
+    # and verifies every golden config (the profile, its monitors, the grid
+    # stepper, the drift, the barrier and the Hopf samples) and reproduces its
+    # artifacts.
+    golden = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "golden", "*")))
+    assert len(golden) == 5
+    code = ("import os, sys\n"
             "sys.modules['scipy'] = None\n"
             "from graphflow.cli import main\n"
-            f"code = main(['run', {str(cfg_path)!r}, '--out', {out!r}])\n"
-            "assert code == 0, code\n"
-            f"code = main(['verify', {out!r}])\n"
-            "assert code == 0, code\n"
+            f"for run in {golden!r}:\n"
+            f"    out = os.path.join({str(tmp_path)!r}, os.path.basename(run))\n"
+            "    code = main(['run', os.path.join(run, 'config.ini'), '--out', out])\n"
+            "    assert code == 0, (run, code)\n"
+            "    code = main(['verify', out])\n"
+            "    assert code == 0, (run, code)\n"
+            "    for name in ('config.ini', 'time_series.csv', 'verification.json',\n"
+            "                 'classification.json', 'manifest.json'):\n"
+            "        with open(os.path.join(out, name), 'rb') as a, \\\n"
+            "                open(os.path.join(run, name), 'rb') as b:\n"
+            "            assert a.read() == b.read(), (run, name)\n"
             "assert 'scipy.integrate' not in sys.modules\n")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -508,7 +520,6 @@ def test_cli_run_does_not_import_scipy_integrate(tmp_path):
     ("flow", "t_end", "1e300"),      # the drift's arrays: a ValueError traceback
     ("grid", "nodes", "1000000000"),
     ("grid", "shape", "4,4,1000"),
-    ("flow", "cfl", "5"),            # escaped the equivariant path unchecked
     ("grid", "shape", "a,4,4"),      # a ValueError traceback
     ("grid", "shape", "0,4,4"),      # a ZeroDivisionError traceback
     ("grid", "shape", "2,4,4"),      # df = 0 along axis 0: it flowed and failed its budget
@@ -519,6 +530,7 @@ def test_cli_run_does_not_import_scipy_integrate(tmp_path):
     ("initial", "amplitude", "inf"),  # RuntimeWarnings, then NaN observables
     ("flow", "h_tol", "1e200"),      # h_tol ** 2 overflows: an OverflowError traceback
     ("flow", "h_tol", "-1"),
+    ("flow", "cfl", "5"),            # the Courant factor is flow.CFL: no value of cfl is read
 ])
 def test_cli_rejects_out_of_range_values(tmp_path, capsys, section, key, value):
     # the scenario reading the key
@@ -526,9 +538,12 @@ def test_cli_rejects_out_of_range_values(tmp_path, capsys, section, key, value):
     cfg_path = _write(tmp_path, f"[scenario]\nname = {name}\n[{section}]\n{key} = {value}\n")
     assert cli_main(["run", cfg_path, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and f"[{section}] {key}" in err
+    known = key in app._SCHEMA[section]
+    says = f"[{section}] {key}" if known else f"unknown key '{key}' in section [{section}]"
+    assert err.count("\n") == 1 and says in err
     with pytest.raises(ConfigurationError):
-        builtin_config(name, {(section, key): app._SCHEMA[section][key][0](value)})
+        builtin_config(name, {(section, key):
+                              app._SCHEMA[section][key][0](value) if known else value})
 
 
 @pytest.mark.parametrize("text, says", [
@@ -540,7 +555,10 @@ def test_cli_rejects_out_of_range_values(tmp_path, capsys, section, key, value):
     ("[scenario]\nname = tsui_wang_s2\n[grid]\nnodes = 9\n[flow]\nt_end = 0.01\n"
      "[initial]\namplitude = 0\n", "config error: initial profile has min p = 2.0: "),
     ("[scenario]\nname =% cylinder_drift\n", "config error: unknown scenario '% cylinder_drift'"),
-], ids=["constant", "pole", "percent"])
+    # a Courant factor of 1e-6 took a 0.01 s flow 8.6 s; the factor is no key now
+    ("[scenario]\nname = tsui_wang_s2\n[grid]\nnodes = 9\n[flow]\nt_end = 0.01\ncfl = 1e-6\n",
+     "config error: unknown key 'cfl' in section [flow]: "),
+], ids=["constant", "pole", "percent", "cfl"])
 def test_cli_rejects_degenerate_input(tmp_path, capsys, text, says):
     cfg_path = _write(tmp_path, text)
     assert cli_main(["run", cfg_path, "--out", str(tmp_path / "o")]) == 2

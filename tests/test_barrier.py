@@ -24,8 +24,8 @@ ORACLE_RTOL = 1e-12  # relative to the largest magnitude compared
 def test_product_metric_blocks(s1xs2, waist_cylinder):
     y = np.array([0.3, 1.2, 2.0, 0.5, 0.4])
     g = product_metric(s1xs2, waist_cylinder, y)
-    assert np.allclose(g[:3, :3], s1xs2.metric_at(y[:3]))
-    assert np.allclose(g[3:, 3:], waist_cylinder.metric_at(y[3:]))
+    assert np.allclose(g[:3, :3], s1xs2.metric_many(y[:3]))
+    assert np.allclose(g[3:, 3:], waist_cylinder.metric_many(y[3:]))
     assert np.abs(g[:3, 3:]).max() == 0.0
     gam = product_christoffels(s1xs2, waist_cylinder, y)
     assert np.abs(gam[:3, 3:, :]).max() == 0.0
@@ -68,10 +68,10 @@ def test_certify_convexity_verdicts(s1xs2, waist_cylinder):
     bar = waist_tube_barrier(1.0)
     pts = [np.array([0.0, 1.2, 2.0, sv, zv])
            for sv in (0.5, 2.0) for zv in np.linspace(-0.9, 0.9, 7)]
-    cert = certify_convexity(bar, s1xs2, waist_cylinder, pts, m=3)
+    cert = certify_convexity(bar, s1xs2, waist_cylinder, pts)
     assert cert.verdict and cert.n_samples == len(pts)
     # a concave barrier fails: the negated waist tube
-    cert = certify_convexity(_concave(bar), s1xs2, waist_cylinder, pts, m=3)
+    cert = certify_convexity(_concave(bar), s1xs2, waist_cylinder, pts)
     assert not cert.verdict
 
 
@@ -80,9 +80,9 @@ def waist_audit_points(tmp_path_factory):
     """The sample points that a cylinder_waist run hands to certify_convexity."""
     seen = []
 
-    def recorded(barrier, m_manifold, n_manifold, points, m):
+    def recorded(barrier, m_manifold, n_manifold, points):
         seen.append(np.array(points))
-        return certify_convexity(barrier, m_manifold, n_manifold, points, m)
+        return certify_convexity(barrier, m_manifold, n_manifold, points)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(app, "certify_convexity", recorded)
@@ -117,7 +117,7 @@ def test_batched_barrier_matches_per_point_oracle(s1xs2, waist_cylinder, waist_a
         assert all(np.shape(v) == () for v in single)
         np.testing.assert_allclose(single, got, rtol=ORACLE_RTOL,
                                    atol=ORACLE_RTOL * np.abs(want).max())
-    got = certify_convexity(bar, s1xs2, waist_cylinder, pts, m=3)
+    got = certify_convexity(bar, s1xs2, waist_cylinder, pts)
     want = ref.certify_convexity(oracle_bar, s1xs2, waist_cylinder, pts, m=3)
     assert (got.verdict, got.n_samples, got.m) == (want.verdict, want.n_samples, want.m)
     assert got.verdict is (not concave)
@@ -128,7 +128,7 @@ def test_batched_barrier_matches_per_point_oracle(s1xs2, waist_cylinder, waist_a
 def test_certify_convexity_outside_the_sublevel_set(s1xs2, waist_cylinder):
     # no sample inside the sublevel set: no verdict can be drawn from the audit
     pts = np.array([[0.0, 1.0, 2.0, 0.5, z] for z in (1.5, -2.0)])
-    cert = certify_convexity(waist_tube_barrier(1.0), s1xs2, waist_cylinder, pts, m=3)
+    cert = certify_convexity(waist_tube_barrier(1.0), s1xs2, waist_cylinder, pts)
     oracle = ref.certify_convexity(ref.waist_tube_barrier(1.0), s1xs2, waist_cylinder, pts, m=3)
     for c in (cert, oracle):
         assert not c.verdict and c.n_samples == 0 and c.worst_point is None

@@ -79,7 +79,7 @@ def test_classify_limit_rank2_projection():
     xg, yg = np.meshgrid(xs, xs, indexing="ij")
     field = GraphMapField(flat_torus(2), flat_torus(2, scale=0.5), (n, n),
                           np.stack([xg, yg], -1))
-    rep = classify_limit(field, "Stationary", margin=0)
+    rep = classify_limit(field, "Stationary")
     assert rep.klass == "Rank2Flat"
     assert rep.rank == 2
 

@@ -2,9 +2,9 @@
 
 Whatever the config text, run directory or argument list, ``main`` returns an
 exit code in {0, 1, 2, 3} and raises nothing; argparse's ``SystemExit(2)``
-counts as exit 2.  Valid configs are kept to short runs (t_end <= 0.05,
-cfl >= 0.1, at most 16 profile nodes, at most 4 grid nodes per axis), so the
-fuzz stays a few seconds of the suite.  A mangled config, or a short one with
+counts as exit 2.  Valid configs are kept to short runs (t_end <= 0.05, at
+most 16 profile nodes, at most 4 grid nodes per axis), so the fuzz stays a few
+seconds of the suite.  A mangled config, or a short one with
 any number in one value, is run when it loads as a short run, must exit 2 from
 ``run`` when it does not load or loads with t_end above the bound, and is
 only checked with ``check-curvature`` when it loads as a longer run.
@@ -53,7 +53,6 @@ VALUES = {  # (section, key) -> values inside the schema, kept to short runs
     ("grid", "nodes"): st.integers(9, 16).map(str),
     ("grid", "shape"): st.lists(st.integers(3, 4), min_size=3, max_size=3).map(
         lambda v: ",".join(map(str, v))),
-    ("flow", "cfl"): st.floats(0.1, 1.0).map(repr),  # steps grow as 1 / cfl
     ("flow", "t_end"): st.floats(0.0, SHORT_T_END, exclude_min=True).map(repr),
     ("flow", "record_every"): st.integers(1, 1000).map(str),
     ("flow", "h_tol"): st.floats(0.0, 1.0, exclude_min=True).map(repr),
@@ -104,8 +103,7 @@ def _run_codes(path: str) -> Optional[set]:
     if not t_end <= T_END_MAX:  # loaded beyond the bound: run must still refuse it
         return {2}
     shape = cfg.values.get(("grid", "shape"), "4")
-    if (t_end <= SHORT_T_END and cfg.values.get(("flow", "cfl"), 1.0) >= 0.1
-            and cfg.values.get(("grid", "nodes"), 0) <= 16
+    if (t_end <= SHORT_T_END and cfg.values.get(("grid", "nodes"), 0) <= 16
             and max(int(n) for n in shape.split(",")) <= 4):
         return EXIT_CODES
     return None

@@ -28,8 +28,8 @@ def test_non_periodic_out_of_range_raises(waist_cylinder):
 
 def test_flat_torus_scale_metric():
     t = flat_torus(2, scale=0.5)
-    assert np.allclose(t.metric_at([0.1, 0.2]), 0.25 * np.eye(2))
-    assert np.allclose(t.christoffels_at([0.1, 0.2]), 0.0)
+    assert np.allclose(t.metric_many([0.1, 0.2]), 0.25 * np.eye(2))
+    assert np.allclose(t.christoffels_many([0.1, 0.2]), 0.0)
 
 
 # -- Christoffel symbols: analytic vs finite differences of the metric -------
@@ -43,7 +43,7 @@ def test_flat_torus_scale_metric():
 ])
 def test_christoffels_match_metric_derivatives(man, pt, request):
     manifold = request.getfixturevalue(man)
-    analytic = manifold.christoffels_at(pt)
+    analytic = manifold.christoffels_many(pt)
     fd = manifold._christoffels_from_metric(np.asarray(pt, dtype=float))
     assert np.abs(analytic - fd).max() < 1e-8
 
@@ -63,7 +63,7 @@ def test_batched_chart_matches_pointwise(man, request, rng):
     gam = manifold.christoffels_many(pts)
     assert g.shape == (3, 4, m, m) and gam.shape == (3, 4, m, m, m)
     for idx in np.ndindex(3, 4):
-        assert np.array_equal(g[idx], manifold.metric_at(pts[idx]))
+        assert np.array_equal(g[idx], manifold.metric_many(pts[idx]))
         fd = manifold._christoffels_from_metric(pts[idx])
         assert np.abs(gam[idx] - fd).max() < 1e-8
 
@@ -106,14 +106,14 @@ def test_flat_torus_curvature_vanishes(torus3):
 def test_sphere3_ricci(sphere3):
     x = np.array([1.3, 1.1, 0.4])
     ct = curvature_package(sphere3, x)
-    g = sphere3.metric_at(x)
+    g = sphere3.metric_many(x)
     # Ric = (m - 1) sigma g on a space form
     assert np.abs(ct.ricci - 2.0 * g).max() < 1e-6
 
 
 def test_bi_ricci_space_form(sphere3):
     x = np.array([1.2, 0.9, 0.5])
-    g = sphere3.metric_at(x)
+    g = sphere3.metric_many(x)
     v = np.array([1.0, 0.0, 0.0]) / math.sqrt(g[0, 0])
     w = np.array([0.0, 1.0, 0.0]) / math.sqrt(g[1, 1])
     val = bi_ricci(sphere3, x, v, w)

@@ -130,9 +130,9 @@ def test_volume_of_identity_graph():
 
 def test_interior_mask():
     f = _torus_field(16)
-    assert f.interior_mask(4).all()  # fully periodic: no seam
+    assert f.interior_mask().all()  # fully periodic: no seam
     s = _constant_sphere_field(16)
-    mask = s.interior_mask(4)
+    mask = s.interior_mask()
     assert not mask[0].any() and not mask[-1].any()
     assert mask[8].all()
 
@@ -194,6 +194,6 @@ def test_expanded_field_matches_reduction():
     eq = EquivariantFlow(48, lambda th: 0.8 * np.sin(th))
     fld = eq.expand_field(eq.h)
     lam2, mu2 = fld.singular_value_fields()
-    lam1, mu1 = eq.singular_values(eq.h)
+    lam1, mu1 = eq.singular_values(eq.rhs(eq.h))
     assert np.abs(lam2[:, 0] - lam1).max() < 1e-10
     assert np.abs(mu2[:, 0] - mu1).max() < 1e-10

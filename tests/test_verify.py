@@ -83,7 +83,7 @@ def test_stationary_residual_is_tiny():
     xs = np.arange(n) * 2 * math.pi / n
     xg, yg = np.meshgrid(xs, xs, indexing="ij")
     field = GraphMapField(m, flat_torus(2, scale=0.5), (n, n), np.stack([xg, yg], -1))
-    rows = residual_p_evolution([(0.0, 1.0, 1.0, field, field, field)], margin=0)
+    rows = residual_p_evolution([(0.0, 1.0, 1.0, field, field, field)])
     assert rows[0]["linf"] <= 1e-10
 
 
@@ -93,7 +93,7 @@ def test_residual_p_refines_second_order():
         eq = EquivariantFlow(J, lambda th: 0.8 * np.sin(th))
         run = eq.run(t_end=0.25, record_every=cadence)
         triples = [eq.stencil_fields(s) for s in run.states if s.stencil]
-        rows = residual_p_evolution(triples, margin=4)
+        rows = residual_p_evolution(triples)
         vals[J] = rows[0]["l2"]
     assert 3.0 < vals[32] / vals[64] < 5.0
 
@@ -102,7 +102,7 @@ def test_inequalities_hold_on_equivariant_run():
     eq = EquivariantFlow(32, lambda th: 0.8 * np.sin(th))
     run = eq.run(t_end=0.25, record_every=60)
     triples = [eq.stencil_fields(s) for s in run.states if s.stencil]
-    res = check_H_and_theta_inequalities(triples, eps1=0.0, margin=4)
+    res = check_H_and_theta_inequalities(triples, eps1=0.0)
     assert res["pass"]
     assert res["checkpoints"]
     for cp in res["checkpoints"]:
