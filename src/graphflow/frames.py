@@ -126,14 +126,31 @@ def generalized_eigvalsh(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(inv_l @ a @ _t(inv_l))
 
 
+def singular_value_invariants(g_m_inv: np.ndarray, g_n: np.ndarray, df: np.ndarray):
+    """(lambda, mu, tr K, det K) over a batch of points, where the 2x2 matrix
+    K = df^T g_M^{-1} df g_N has the eigenvalues lambda^2 >= mu^2.
+
+    g_m_inv: (..., m, m), g_n: (..., 2, 2), df: (..., m, 2).  The discriminant
+    is ((a - d)/2)^2 + bc, not (tr/2)^2 - det: the latter cancels to roundoff
+    where lambda = mu, and its square root turns that into an error of
+    sqrt(eps) in lambda.
+    """
+    k = _t(df) @ g_m_inv @ df @ g_n
+    a, b, c, d = k[..., 0, 0], k[..., 0, 1], k[..., 1, 0], k[..., 1, 1]
+    tr = a + d
+    root = np.sqrt(np.maximum(((a - d) / 2) ** 2 + b * c, 0.0))
+    lam = np.sqrt(tr / 2 + root)
+    mu = np.sqrt(np.maximum(tr / 2 - root, 0.0))
+    return lam, mu, tr, a * d - b * c
+
+
 def singular_values_batch(g_m: np.ndarray, g_n: np.ndarray, df: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized singular values over a batch of points.
 
-    g_m: (..., m, m), g_n: (..., 2, 2), df: (..., m, 2).
+    g_m: (..., m, m), positive definite; g_n: (..., 2, 2), df: (..., m, 2).
     """
-    ev = np.clip(generalized_eigvalsh(df @ g_n @ _t(df), g_m), 0.0, None)
-    lam = np.sqrt(ev[..., -1])
-    mu = np.sqrt(ev[..., -2])
+    inv_l = np.linalg.inv(_cholesky(g_m))
+    lam, mu, _, _ = singular_value_invariants(_t(inv_l) @ inv_l, g_n, df)
     return lam, mu
 
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigurationError, SolverAbort
-from .frames import (DifferentialSample, SVDFrame, build_svd_frame, p_batch, quad_form,
-                     singular_values_batch)
+from .frames import (DifferentialSample, SVDFrame, build_svd_frame, quad_form,
+                     singular_value_invariants)
 from .geometry import ChartManifold
 
 SEAM_MARGIN = 4  # nodes next to a reflect seam that ``interior_mask`` leaves out
@@ -43,10 +43,16 @@ def field_cached(fn):
     return once
 
 
+@functools.cache
+def _axis_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs a < b of M axes, as index arrays (a, b)."""
+    return np.triu_indices(m, 1)
+
+
 def _stencil_offsets(m: int) -> np.ndarray:
     """Grid steps per M axis: +e_a, then -e_a, then ++, +-, -+, -- of each pair a < b."""
     eye = np.eye(m, dtype=int)
-    corners = [s * eye[a] + t * eye[b] for a, b in zip(*np.triu_indices(m, 1))
+    corners = [s * eye[a] + t * eye[b] for a, b in zip(*_axis_pairs(m))
                for s in (1, -1) for t in (1, -1)]
     return np.array([*eye, *-eye, *corners])
 
@@ -55,7 +61,7 @@ class GraphMapField:
     """Discrete map f: M -> N sampled on a structured chart grid of M."""
 
     # M-side fields, equal for every field on the same grid
-    GRID_FIELDS = ("coords", "_stencil_index", "g_m_field", "gamma_m_field")
+    GRID_FIELDS = ("coords", "_stencil_index", "g_m_field", "g_m_inv_field", "gamma_m_field")
 
     def __init__(self, m_manifold: ChartManifold, n_manifold: ChartManifold, shape, f_values):
         self.M = m_manifold
@@ -162,7 +168,7 @@ class GraphMapField:
         view = np.moveaxis(out, (m, m + 1), (0, 1))       # (a, b, grid, ...) into out
         diag = np.arange(m)
         view[diag, diag] = (nb[:m] - 2 * centre + nb[m:2 * m]) / self.h.reshape((m,) + ones) ** 2
-        a, b = np.triu_indices(m, 1)
+        a, b = _axis_pairs(m)
         pp, pm, mp, mm = (nb[2 * m + k::4] for k in range(4))
         mixed = (pp - pm - mp + mm) / (4 * self.h[a] * self.h[b]).reshape((len(a),) + ones)
         view[a, b] = mixed
@@ -216,6 +222,10 @@ class GraphMapField:
     @field_cached
     def g_m_field(self) -> np.ndarray:
         return self.M.metric_many(self.coords())
+
+    @field_cached
+    def g_m_inv_field(self) -> np.ndarray:
+        return self.M.inverse_metric(self.coords(), self.g_m_field())
 
     @field_cached
     def gamma_m_field(self) -> np.ndarray:
@@ -283,12 +293,18 @@ class GraphMapField:
     # -- scalar helpers --------------------------------------------------------
 
     @field_cached
-    def singular_value_fields(self) -> tuple[np.ndarray, np.ndarray]:
-        return singular_values_batch(self.g_m_field(), self.g_n_field(), self.df_field())
+    def _singular_value_invariants(self) -> tuple[np.ndarray, ...]:
+        """(lambda, mu, tr K, det K) per node; see ``frames.singular_value_invariants``."""
+        return singular_value_invariants(self.g_m_inv_field(), self.g_n_field(), self.df_field())
 
+    def singular_value_fields(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._singular_value_invariants()[:2]
+
+    @field_cached
     def p_field(self) -> np.ndarray:
-        lam, mu = self.singular_value_fields()
-        return p_batch(lam, mu)
+        """p = 2(1 - lambda^2 mu^2)/((1 + lambda^2)(1 + mu^2)) per node, from tr K and det K."""
+        _, _, tr, det = self._singular_value_invariants()
+        return 2.0 * (1.0 - det) / (1.0 + tr + det)
 
     def min_p(self) -> float:
         return float(self.p_field().min())

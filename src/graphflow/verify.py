@@ -19,7 +19,8 @@ from .errors import ConfigurationError, NotAreaDecreasingError
 from .flow import h2_field, tangential_vector_field
 from .frames import quad_form
 from .geometry import curvature_package, gauss_curvature_at, sectional
-from .immersion import GraphMapField, field_geometry, quantity_Q, quantity_R_vw, w_norm_sq
+from .immersion import (SEAM_MARGIN, GraphMapField, field_geometry, quantity_Q, quantity_R_vw,
+                        w_norm_sq)
 
 H_FLOOR = 1e-8         # the inequalities are evaluated only where |H| exceeds it
 VOLUME_REL_TOL = 0.02  # relative tolerance of the volume budget
@@ -138,6 +139,18 @@ def _curvature_inputs(field: GraphMapField, mask: np.ndarray, alpha: np.ndarray)
     return ric11, ric22, sig_m, gauss_curvature_at(field.N, field.f[mask]), ricci
 
 
+def _interior_mask(field: GraphMapField) -> np.ndarray:
+    """The nodes a monitor evaluates; a grid with none is refused, since a
+    check over no node would read as a pass."""
+    mask = field.interior_mask()
+    if not mask.any():
+        raise ConfigurationError(
+            f"grid shape {field.shape} has no interior node: the monitors leave out "
+            f"{SEAM_MARGIN} nodes at each reflect seam, so a reflect axis needs at least "
+            f"{2 * SEAM_MARGIN + 1} nodes")
+    return mask
+
+
 def _time_derivative(prev, now, nxt, dtp, dtn):
     """Second-order derivative at the middle of three unequally spaced samples."""
     return (dtp**2 * nxt - dtn**2 * prev + (dtn**2 - dtp**2) * now) / (
@@ -166,12 +179,12 @@ def residual_p_evolution(triples: Sequence) -> list:
     """
     out = []
     for (t, dtp, dtn, f_prev, f_now, f_next) in triples:
+        mask = _interior_mask(f_now)
         p_prev, p_now, p_next = (f.p_field() for f in (f_prev, f_now, f_next))
         if p_now.min() <= 0:
             raise NotAreaDecreasingError("p <= 0 inside residual evaluation")
         lhs = _material(f_now, p_prev, p_now, p_next, dtp, dtn)
         gradp_sq = f_now.grad_norm_sq(p_now)
-        mask = f_now.interior_mask()
         pg = field_geometry(f_now)[mask]
         fr = pg.frame
         p = fr.p
@@ -199,11 +212,13 @@ def residual_p_evolution(triples: Sequence) -> list:
 def check_H_and_theta_inequalities(triples: Sequence, eps1: float) -> dict:
     """Slack of the differential inequalities for |H|^2 and Theta = |H|^2/p.
 
-    Evaluated only where |H| > H_FLOOR.  Also audits |w|^2 <= |H|^2 pointwise.
+    Evaluated only at interior nodes where |H| > H_FLOOR (none above the
+    floor is a pass).  Also audits |w|^2 <= |H|^2 pointwise.
     Pass iff every slack >= -(1e-6 + 10 (h^2 + dt)).
     """
     checkpoints = []
     for (t, dtp, dtn, f_prev, f_now, f_next) in triples:
+        interior = _interior_mask(f_now)
         h2_prev, h2_now, h2_next = (h2_field(f) for f in (f_prev, f_now, f_next))
         p_prev, p_now, p_next = (f.p_field() for f in (f_prev, f_now, f_next))
         th_prev, th_now, th_next = h2_prev / p_prev, h2_now / p_now, h2_next / p_next
@@ -220,7 +235,7 @@ def check_H_and_theta_inequalities(triples: Sequence, eps1: float) -> dict:
         h_grid = float(f_now.h.max())
         tol = 1e-6 + 10 * (h_grid**2 + max(dtp, dtn))
         geo = field_geometry(f_now)
-        mask = f_now.interior_mask() & (geo.h_sq > H_FLOOR**2)
+        mask = interior & (geo.h_sq > H_FLOOR**2)
         pg = geo[mask]
         n_eval = int(mask.sum())
         ric11, ric22, sig_m, sig_n, ricci = _curvature_inputs(f_now, mask, pg.frame.alpha)

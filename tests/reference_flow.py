@@ -2,8 +2,10 @@
 (its stencil, right-hand side, observables and ``run`` step loop) and the
 ``reduce_circle_drift`` RK4 loop, stepping at the sample spacing, as they were
 before the fused profile kernel and the Python-float drift loop (since replaced
-by the coarse-step drift) replaced them, kept verbatim as test oracles (the
-profile's 2D lift, which the oracle tests do not use, is left out).
+by the coarse-step drift) replaced them, kept verbatim as test oracles. Left
+out: the profile's 2D lift, which the oracle tests do not use, and the target
+curvature, Courant factor and Euler scheme, which no test set (at unit
+curvature the dropped factor 1/kappa = 1.0 was exact).
 """
 
 from __future__ import annotations
@@ -11,27 +13,24 @@ from __future__ import annotations
 import numpy as np
 
 from graphflow.errors import NotAreaDecreasingError
-from graphflow.flow import (CONVERGENCE_STREAK, DRIFT_DT, DriftRun, EquivariantRun, FlowRecord,
-                            RecordedState, drift_velocity)
+from graphflow.flow import (CFL, CONVERGENCE_STREAK, DRIFT_DT, DriftRun, EquivariantRun,
+                            FlowRecord, RecordedState, drift_velocity)
 from graphflow.frames import p_batch
 from graphflow.geometry import WarpedSurface
 
 
 class EquivariantFlow:
-    """Rotationally symmetric flow S^2 -> S^2(kappa): f(theta, phi) = (h(theta), phi).
+    """Rotationally symmetric flow S^2 -> S^2: f(theta, phi) = (h(theta), phi).
 
     The profile satisfies
-      dh/dt = h'' / (1 + r^2 h'^2)
-            + (sin(theta)cos(theta) h' - sin(h)cos(h)) / (sin^2(theta) + r^2 sin^2(h))
-    with r^2 = 1/kappa, on offset nodes theta_j = (j + 1/2) pi / J with odd
+      dh/dt = h'' / (1 + h'^2)
+            + (sin(theta)cos(theta) h' - sin(h)cos(h)) / (sin^2(theta) + sin^2(h))
+    on offset nodes theta_j = (j + 1/2) pi / J with odd
     mirror ghosts (h(-theta) = -h(theta), h(pi + s) = -h(pi - s)).
     """
 
-    def __init__(self, n_nodes: int, h0, kappa: float = 1.0, cfl: float = 0.4):
+    def __init__(self, n_nodes: int, h0):
         self.J = int(n_nodes)
-        self.kappa = float(kappa)
-        self.r2 = 1.0 / self.kappa
-        self.cfl = float(cfl)
         self.dtheta = np.pi / self.J
         self.theta = (np.arange(self.J) + 0.5) * self.dtheta
         self.h = np.asarray(h0(self.theta) if callable(h0) else h0, dtype=float).copy()
@@ -57,27 +56,25 @@ class EquivariantFlow:
 
     def _rhs_from(self, h: np.ndarray, d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
         num = np.sin(self.theta) * np.cos(self.theta) * d1 - np.sin(h) * np.cos(h)
-        den = np.sin(self.theta) ** 2 + self.r2 * np.sin(h) ** 2
-        return d2 / (1 + self.r2 * d1**2) + num / den
+        den = np.sin(self.theta) ** 2 + np.sin(h) ** 2
+        return d2 / (1 + d1**2) + num / den
 
     def singular_values(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         d1, _ = self.derivatives(h)
-        r = np.sqrt(self.r2)
-        a = r * np.abs(d1)
-        b = r * np.abs(np.sin(h)) / np.sin(self.theta)
+        a = np.abs(d1)
+        b = np.abs(np.sin(h)) / np.sin(self.theta)
         return np.maximum(a, b), np.minimum(a, b)
 
     def observables(self, h: np.ndarray, t: float = np.nan) -> FlowRecord:
         d1, _ = self.derivatives(h)
         v = self.rhs(h)
-        h2 = self.r2 * v**2 / (1 + self.r2 * d1**2)
+        h2 = v**2 / (1 + d1**2)
         lam, mu = self.singular_values(h)
         p = p_batch(lam, mu)
-        g11 = 1 + self.r2 * d1**2
-        g22 = np.sin(self.theta) ** 2 + self.r2 * np.sin(h) ** 2
+        g11 = 1 + d1**2
+        g22 = np.sin(self.theta) ** 2 + np.sin(h) ** 2
         vol = 2 * np.pi * float(np.sum(np.sqrt(g11 * g22)) * self.dtheta)
-        r = np.sqrt(self.r2)
-        diam = r * min(np.pi, 2 * float(np.abs(h).max()))
+        diam = min(np.pi, 2 * float(np.abs(h).max()))
         pos = p > 0  # Theta only where p > 0; a record with min p <= 0 aborts the run
         return FlowRecord(
             t=t, min_p=float(p.min()), max_lambda=float(lam.max()),
@@ -86,8 +83,7 @@ class EquivariantFlow:
             volume=vol, diameter=diam,
         )
 
-    def run(self, t_end: float, record_every: int = 50, h_tol: float = 1e-6,
-            integrator: str = "RK2") -> EquivariantRun:
+    def run(self, t_end: float, record_every: int = 50, h_tol: float = 1e-6) -> EquivariantRun:
         """Integrate the profile, recording every ``record_every`` steps and at
         the end; a recorded state keeps the steps around it for time stencils."""
         h = self.h.copy()
@@ -115,8 +111,8 @@ class EquivariantFlow:
                     break
             d1, d2 = self.derivatives(h)
             k1 = self._rhs_from(h, d1, d2)
-            g11 = 1 + self.r2 * d1**2
-            h2_now = self.r2 * k1**2 / g11
+            g11 = 1 + d1**2
+            h2_now = k1**2 / g11
             if h2_now.max() < h_tol**2:
                 streak += 1
             else:
@@ -124,14 +120,11 @@ class EquivariantFlow:
             if streak >= CONVERGENCE_STREAK:
                 status = "Converged"
                 break
-            dt = min(self.cfl * self.dtheta**2 * g11.min() / 2, t_end - t)
-            g22 = sin_t**2 + self.r2 * np.sin(h) ** 2
+            dt = min(CFL * self.dtheta**2 * g11.min() / 2, t_end - t)
+            g22 = sin_t**2 + np.sin(h) ** 2
             dissipation += dt * quad_w * float(np.sum(h2_now * np.sqrt(g11 * g22)))
-            if integrator == "Euler":
-                h_new = h + dt * k1
-            else:
-                k2 = self.rhs(h + 0.5 * dt * k1)
-                h_new = h + dt * k2
+            k2 = self.rhs(h + 0.5 * dt * k1)
+            h_new = h + dt * k2
             if not np.all(np.isfinite(h_new)):
                 status = "Aborted"
                 break

@@ -1,7 +1,9 @@
 """Reference implementation of the pointwise graph geometry: the scalar
 ``build_svd_frame`` and ``point_geometry`` as they were before the batched
-field geometry replaced them, the per-offset stencils of ``GraphMapField``
-as they were before the ghost-padded grid replaced them, and the per-point
+field geometry replaced them, the singular values as an m x m generalized
+eigenproblem as they were before the 2x2 invariants replaced them, the
+per-offset stencils of ``GraphMapField`` as they were before the
+ghost-padded grid replaced them, and the per-point
 curvature layer (chart derivatives, curvature tensors, BRic sampling, the
 sampled curvature report and the monitors' curvature inputs) as it was before
 the batched curvature tensors replaced it, kept verbatim as test oracles.
@@ -117,6 +119,15 @@ def build_svd_frame(sample: DifferentialSample) -> SVDFrame:
         lam=lam, mu=mu, alpha=alpha, beta=beta, e=e, xi=xi, eta=eta,
         s_diag=s_diag, sperp_diag=sperp_diag, t11=t11, t22=t22, p=p,
     )
+
+
+def singular_values_batch(g_m: np.ndarray, g_n: np.ndarray, df: np.ndarray):
+    """lambda >= mu over a batch: the two largest eigenvalues of df g_N df^T with
+    respect to g_M (an inverse Cholesky factor, then ``eigvalsh``)."""
+    inv_l = np.linalg.inv(np.linalg.cholesky(g_m))
+    a = df @ g_n @ np.swapaxes(df, -1, -2)
+    ev = np.clip(np.linalg.eigvalsh(inv_l @ a @ np.swapaxes(inv_l, -1, -2)), 0.0, None)
+    return np.sqrt(ev[..., -1]), np.sqrt(ev[..., -2])
 
 
 @dataclass

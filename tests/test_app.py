@@ -328,7 +328,8 @@ def test_tsui_wang_lifts_each_record_once(tmp_path, monkeypatch, monitored):
     # classifier; the M side of the lifts is computed once per run
     calls = Counter()
     init, frame = GraphMapField.__init__, immersion.build_svd_frame
-    chart = {name: getattr(ChartManifold, name) for name in ("metric_many", "christoffels_many")}
+    chart = {name: getattr(ChartManifold, name)
+             for name in ("metric_many", "inverse_metric", "christoffels_many")}
 
     def counted_init(self, *args):
         calls["GraphMapField"] += 1
@@ -339,9 +340,9 @@ def test_tsui_wang_lifts_each_record_once(tmp_path, monkeypatch, monitored):
         return frame(sample)
 
     def counted_chart(name):
-        def wrapper(self, pts):
+        def wrapper(self, *args):
             calls[f"{name} in {sys._getframe(1).f_code.co_name}"] += 1
-            return chart[name](self, pts)
+            return chart[name](self, *args)
         return wrapper
 
     for name in chart:
@@ -358,8 +359,9 @@ def test_tsui_wang_lifts_each_record_once(tmp_path, monkeypatch, monitored):
     stencils = len(verification["residual_p"]["checkpoints"]) if monitored else 0
     assert records >= 3 and (stencils >= 2 or not monitored)
     assert (calls["GraphMapField"], calls["field_geometry"]) == (records + 2 * stencils, records)
-    assert {k: n for k, n in calls.items() if k.endswith("_m_field")} == {
-        "metric_many in g_m_field": 1, "christoffels_many in gamma_m_field": 1}
+    assert {k: n for k, n in calls.items() if k.endswith(("_m_field", "_m_inv_field"))} == {
+        "metric_many in g_m_field": 1, "inverse_metric in g_m_inv_field": 1,
+        "christoffels_many in gamma_m_field": 1}
 
 
 def test_identity_edge_scenario_rejected(tmp_path):

@@ -86,7 +86,7 @@ def test_grid_step_does_its_work_once(monkeypatch):
         calls["eigvalsh in " + sys._getframe(1).f_code.co_name] += 1
         return eigvalsh(a)
 
-    for name in ("metric_many", "christoffels_many"):
+    for name in ("metric_many", "inverse_metric", "christoffels_many"):
         monkeypatch.setattr(m_manifold, name, counted(name, getattr(m_manifold, name)))
     monkeypatch.setattr(GraphMapField, "covariant_d2f",
                         counted("covariant_d2f", GraphMapField.covariant_d2f))
@@ -96,11 +96,12 @@ def test_grid_step_does_its_work_once(monkeypatch):
     for _ in range(k):
         state = step(state, FlowParams(t_end=1.0))
     assert state.status == "Running" and state.step_count == k
+    # p comes from the 2x2 invariants of df^T g_M^{-1} df g_N: no eigensolve
     assert calls == {
-        "metric_many": 1, "christoffels_many": 1,     # M side once per grid
+        "metric_many": 1, "inverse_metric": 1, "christoffels_many": 1,  # M side once per grid
+        "eigvalsh in inverse_metric": 1,               # its positive-definiteness check
         "covariant_d2f": 1 + 2 * k,                    # RHS: the start, then 2 per step
         "eigvalsh in induced_g_eigvals": 1 + 2 * k,    # one eigensolve per field, no det
-        "eigvalsh in generalized_eigvalsh": 1 + k,     # p of the start and of each end
     }
 
 

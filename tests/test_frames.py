@@ -1,10 +1,16 @@
 """Singular values and adapted frames: property-based checks."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphflow.frames import DifferentialSample, build_svd_frame, p_batch, singular_values_batch
+import reference_geometry
+from graphflow.errors import DegenerateMetricError
+from graphflow.frames import (DifferentialSample, build_svd_frame, p_batch,
+                              singular_value_invariants, singular_values_batch)
+from graphflow.geometry import hopf_map, round_sphere, s3_hopf_chart
 
 
 def _random_sample(rng, m):
@@ -62,9 +68,11 @@ def test_scalar_identities(seed, m):
     assert -2.0 - 1e-12 <= fr.p <= 2.0 + 1e-12
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10_000), m=st.integers(2, 5))
 def test_batch_matches_pointwise(seed, m):
+    # the 2x2 invariants against the SVD of the whitened df and against the
+    # m x m generalized eigensolve they replaced
     rng = np.random.default_rng(seed)
     samples = [_random_sample(rng, m) for _ in range(4)]
     g_m = np.stack([s.g_m for s in samples])
@@ -72,10 +80,15 @@ def test_batch_matches_pointwise(seed, m):
     df = np.stack([s.df for s in samples])
     lam_b, mu_b = singular_values_batch(g_m, g_n, df)
     for k, s in enumerate(samples):
-        fr = build_svd_frame(s)  # the SVD of the whitened df
-        lam, mu = fr.lam, fr.mu
-        assert abs(lam - lam_b[k]) < 1e-9
-        assert abs(mu - mu_b[k]) < 1e-9
+        fr = build_svd_frame(s)
+        assert abs(fr.lam - lam_b[k]) <= 1e-12
+        assert abs(fr.mu - mu_b[k]) <= 1e-12
+    lam_ref, mu_ref = reference_geometry.singular_values_batch(g_m, g_n, df)
+    assert np.abs(lam_b - lam_ref).max() <= 1e-12
+    assert np.abs(mu_b - mu_ref).max() <= 1e-12
+    _, _, tr, det = singular_value_invariants(np.linalg.inv(g_m), g_n, df)
+    assert np.abs(tr - (lam_ref**2 + mu_ref**2)).max() <= 1e-12 * tr.max()
+    assert np.abs(det - (lam_ref * mu_ref)**2).max() <= 1e-12 * tr.max() ** 2
     p = p_batch(lam_b, mu_b)
     assert p.shape == (4,)
 
@@ -91,3 +104,42 @@ def test_constant_map_frame():
     fr = build_svd_frame(s)
     assert fr.lam == 0.0 and fr.mu == 0.0
     assert fr.p == pytest.approx(2.0)
+    lam, mu, tr, det = singular_value_invariants(np.eye(3), np.eye(2), s.df)
+    assert (lam, mu, tr, det) == (0.0, 0.0, 0.0, 0.0)
+
+
+def _hopf_samples():
+    # the hopf_pointwise scenario: d(Hopf) has lambda = mu = 2 in these charts
+    n = 13
+    eta = (np.arange(n) + 0.5) * (math.pi / 2) / n
+    xi = np.arange(n) * 2 * math.pi / n
+    x = np.stack(np.meshgrid(eta, xi, xi[:n // 2], indexing="ij"), axis=-1).reshape(-1, 3)
+    df = np.array([[2.0, 0.0], [0.0, -1.0], [0.0, 1.0]])
+    return s3_hopf_chart().metric_many(x), round_sphere(2).metric_many(hopf_map(x.T).T), df
+
+
+def test_conformal_singular_values_are_exact():
+    g_m, g_n, df = _hopf_samples()
+    lam, mu = singular_values_batch(g_m, g_n, df)
+    assert lam.shape == (1014,)
+    assert max(np.abs(lam - 2.0).max(), np.abs(mu - 2.0).max()) <= 1e-10
+    # the naive discriminant (tr/2)^2 - det cancels to roundoff at lambda = mu,
+    # and its square root turns that into an error of about sqrt(eps)
+    _, _, tr, det = singular_value_invariants(np.linalg.inv(g_m), g_n, df)
+    naive = np.sqrt(tr / 2 + np.sqrt(np.maximum((tr / 2) ** 2 - det, 0.0)))
+    assert np.abs(naive - 2.0).max() > 1e-10
+
+
+def test_rank_one_differential():
+    rng = np.random.default_rng(3)
+    s = _random_sample(rng, 3)
+    rank1 = s.df.copy()
+    rank1[:, 1] = 0.0  # df maps into the first coordinate direction of N only
+    lam, mu = singular_values_batch(s.g_m, s.g_n, rank1)
+    fr = build_svd_frame(DifferentialSample(df=rank1, g_m=s.g_m, g_n=s.g_n))
+    assert mu == 0.0 and lam > 0 and abs(lam - fr.lam) <= 1e-12
+
+
+def test_singular_values_refuse_a_metric_that_is_not_positive_definite():
+    with pytest.raises(DegenerateMetricError, match="not positive definite"):
+        singular_values_batch(np.diag([1.0, -1.0, 1.0]), np.eye(2), np.ones((3, 2)))

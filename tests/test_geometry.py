@@ -5,9 +5,10 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from graphflow.errors import ConfigurationError, DomainError
-from graphflow.geometry import (ChartManifold, Warp, WarpedSurface, bi_ricci, builtin_warp,
+from graphflow.errors import ConfigurationError, DegenerateMetricError, DomainError
+from graphflow.geometry import (Axis, ChartManifold, Warp, WarpedSurface, bi_ricci, builtin_warp,
                                 curvature_package, curvature_conditions_report, flat_torus,
                                 gauss_curvature_at, hopf_map, round_sphere, s3_hopf_chart,
                                 sectional, sup_sigma_of)
@@ -24,6 +25,32 @@ def test_periodic_wrap(torus2):
 def test_non_periodic_out_of_range_raises(waist_cylinder):
     with pytest.raises(DomainError):
         waist_cylinder.wrap([0.0, 100.0])
+
+
+def _chart_with_metric(g):
+    """A 2-torus chart whose metric is the fixed matrix g at every point."""
+    g = np.array(g, dtype=float)
+    return ChartManifold("fixed", [Axis(0.0, 2 * math.pi, periodic=True)] * 2,
+                         metric_at=lambda x: np.broadcast_to(g, x.shape[:-1] + (2, 2)))
+
+
+@pytest.mark.parametrize("g", [[[1.0, 1e-3], [0.0, 1.0]], [[np.nan, 0.0], [0.0, 1.0]],
+                               [[1.0, np.nan], [np.nan, 1.0]]])
+def test_metric_many_refuses_a_non_symmetric_or_nan_metric(g):
+    with pytest.raises(DegenerateMetricError, match="metric not symmetric"):
+        _chart_with_metric(g).metric_many(np.zeros((3, 2)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(b=st.floats(-10.0, 10.0), d=st.floats(-1e-4, 1e-4))
+def test_metric_symmetry_tolerance_is_that_of_allclose(b, d):
+    g = np.array([[2.0 + abs(b), b], [b + d, 2.0 + abs(b)]])
+    chart = _chart_with_metric(g)
+    if np.allclose(g, g.T, atol=1e-12):
+        assert np.array_equal(chart.metric_many(np.zeros(2)), g)
+    else:
+        with pytest.raises(DegenerateMetricError):
+            chart.metric_many(np.zeros(2))
 
 
 def test_flat_torus_scale_metric():

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from graphflow.errors import NotAreaDecreasingError
-from graphflow.flow import EquivariantFlow, FlowRecord
-from graphflow.geometry import flat_torus
+from graphflow.errors import ConfigurationError, NotAreaDecreasingError
+from graphflow.flow import EquivariantFlow, FlowParams, FlowRecord, FlowState, step
+from graphflow.geometry import WarpedSurface, builtin_warp, flat_torus, product_s1_s2
 from graphflow.immersion import GraphMapField
 from graphflow.verify import (_time_derivative, check_H_and_theta_inequalities, check_decay_bounds,
                               check_volume_budget, compute_bound_constants, residual_p_evolution)
@@ -107,6 +107,45 @@ def test_inequalities_hold_on_equivariant_run():
     assert res["checkpoints"]
     for cp in res["checkpoints"]:
         assert cp["worst_w_excess"] <= 1e-12  # |w|^2 <= |H|^2 pointwise
+
+
+def _s1s2_triple(shape):
+    # the circle z = 0.5 on the cosh cylinder, then two RK2 steps: one time stencil
+    m_manifold, surface = product_s1_s2(), WarpedSurface(builtin_warp("cosh"))
+    x = GraphMapField(m_manifold, surface, shape, np.zeros(shape + (2,))).coords()
+    field = GraphMapField(m_manifold, surface, shape,
+                          np.stack([x[..., 0], np.full(shape, 0.5)], axis=-1))
+    states = [FlowState(field=field, min_p=field.min_p())]
+    for _ in range(2):
+        states.append(step(states[-1], FlowParams(t_end=1.0)))
+    s0, s1, s2 = states
+    return (s1.t, s1.t - s0.t, s2.t - s1.t, s0.field, s1.field, s2.field)
+
+
+def test_monitors_refuse_a_grid_without_interior_nodes():
+    # 8 theta nodes are all within SEAM_MARGIN of a pole: no node to check
+    triple = _s1s2_triple((4, 8, 4))
+    assert not triple[4].interior_mask().any()
+    with pytest.raises(ConfigurationError, match=r"grid shape \(4, 8, 4\) has no interior node"):
+        residual_p_evolution([triple])
+    with pytest.raises(ConfigurationError, match=r"grid shape \(4, 8, 4\) has no interior node"):
+        check_H_and_theta_inequalities([triple], eps1=0.0)
+    # 10 theta nodes leave two interior rings
+    triple = _s1s2_triple((4, 10, 4))
+    assert residual_p_evolution([triple])[0]["nodes"] == 4 * 2 * 4
+    assert check_H_and_theta_inequalities([triple], eps1=0.0)["checkpoints"][0]["nodes"] > 0
+
+
+def test_inequalities_pass_where_no_node_is_above_the_h_floor():
+    # a linear map between flat tori is minimal: every node is interior, none
+    # has |H| above the floor, and the check passes over no node
+    n = 8
+    xs = np.arange(n) * 2 * math.pi / n
+    xg, yg = np.meshgrid(xs, xs, indexing="ij")
+    field = GraphMapField(flat_torus(2), flat_torus(2, scale=0.5), (n, n), np.stack([xg, yg], -1))
+    assert field.interior_mask().all()
+    res = check_H_and_theta_inequalities([(0.0, 1.0, 1.0, field, field, field)], eps1=0.0)
+    assert res["pass"] and res["checkpoints"][0]["nodes"] == 0
 
 
 def test_volume_budget():
