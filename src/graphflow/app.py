@@ -18,6 +18,7 @@ import itertools
 import json
 import math
 import os
+import time
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
@@ -30,10 +31,10 @@ from .barrier import certify_convexity, containment_monitor, diameter_series, wa
 from .classify import classify_from_observables, classify_limit
 from .flow import (DRIFT_DT, EquivariantFlow, FlowParams, FlowRecord, FlowState, h2_field,
                    reduce_circle_drift, step)
-from .frames import singular_values_batch
+from .frames import build_svd_frame, quad_form, singular_value_invariants
 from .geometry import (WARP_Z_MAX, WarpedSurface, builtin_warp, curvature_conditions_report,
                        flat_torus, hopf_map, product_s1_s2, round_sphere, s3_hopf_chart)
-from .immersion import SEAM_MARGIN, GraphMapField, field_geometry
+from .immersion import SEAM_MARGIN, GraphMapField, field_geometry, quantity_R_vw, w_norm_sq
 from .verify import (BoundConstants, check_H_and_theta_inequalities, check_decay_bounds,
                      check_volume_budget, compute_bound_constants, decay_rates,
                      inequality_section, residual_p_evolution)
@@ -493,8 +494,9 @@ def _evolve_hopf_pointwise(cfg: ScenarioConfig, m_manifold, n_manifold, report) 
     x = np.stack(np.meshgrid(eta, xi, xi[:max(1, n // 2)], indexing="ij"), axis=-1)
     x = x.reshape(-1, 3)
     df = np.array([[2.0, 0.0], [0.0, -1.0], [0.0, 1.0]])  # of (eta, xi1, xi2) -> (2 eta, xi2 - xi1)
-    lam, mu = singular_values_batch(m_manifold.metric_many(x),
-                                    n_manifold.metric_many(hopf_map(x.T).T), df)
+    g_m = m_manifold.metric_many(x)
+    lam, mu, _, _ = singular_value_invariants(m_manifold.inverse_metric(x, g_m),
+                                              n_manifold.metric_many(hopf_map(x.T).T), df)
     worst = float(max(np.abs(lam - 2.0).max(), np.abs(mu - 2.0).max()))
     nan = float("nan")
     record = FlowRecord(t=0.0, min_p=-1.2, max_lambda=2.0, max_mu=2.0, max_df2=nan,
@@ -552,21 +554,22 @@ BUILTIN_SCENARIOS = tuple(SCENARIOS)
 def _identity_samples(samples: int, seed: int) -> dict:
     """m -> (g_m, g_n, df, h_xi, h_eta, ric), each stacked over the samples of dim m.
 
-    Each sample is drawn in one fixed order: m, a, b, df and its scale, h_xi
-    and h_eta, then the raw Ricci matrix r.  The metrics a a^T + m I and
-    b b^T + 2 I and the symmetric (r + r^T) / 2 are then formed per batch."""
+    The dimension of every sample is drawn first.  Then, for m = 2, ..., 5 in
+    turn, one block per quantity over the samples of that dimension: a, b, df
+    and its scale, h_xi and h_eta, then the raw Ricci matrix r.  The metrics
+    are a a^T + m I and b b^T + 2 I, the Ricci matrix (r + r^T) / 2."""
     rng = np.random.default_rng(seed)
-    drawn: dict = {}
-    for _ in range(samples):
-        m = int(rng.integers(2, 6))
-        a = rng.standard_normal((m, m))
-        b = rng.standard_normal((2, 2))
-        df = rng.standard_normal((m, 2)) * rng.uniform(0.0, 1.5)
-        h_xi, h_eta = rng.standard_normal(2)
-        drawn.setdefault(m, []).append((a, b, df, h_xi, h_eta, rng.standard_normal((m, m))))
+    dims = rng.integers(2, 6, samples)
     batches = {}
-    for m, rows in drawn.items():
-        a, b, df, h_xi, h_eta, r = (np.array(col) for col in zip(*rows))
+    for m in range(2, 6):
+        n = int(np.count_nonzero(dims == m))
+        if not n:
+            continue
+        a = rng.standard_normal((n, m, m))
+        b = rng.standard_normal((n, 2, 2))
+        df = rng.standard_normal((n, m, 2)) * rng.uniform(0.0, 1.5, (n, 1, 1))
+        h_xi, h_eta = rng.standard_normal((2, n))
+        r = rng.standard_normal((n, m, m))
         batches[m] = (a @ np.swapaxes(a, -1, -2) + m * np.eye(m),
                       b @ np.swapaxes(b, -1, -2) + 2 * np.eye(2), df, h_xi, h_eta,
                       (r + np.swapaxes(r, -1, -2)) / 2)
@@ -576,15 +579,8 @@ def _identity_samples(samples: int, seed: int) -> dict:
 def run_identities(samples: int = 10_000, seed: int = 0) -> dict:
     """Max absolute errors of the frame/scalar identities over random samples.
 
-    Every sample is drawn first, in one fixed order per sample; the samples
-    of each dimension m are then evaluated as one batch.
+    The samples of each dimension m are drawn and evaluated as one batch.
     """
-    import time
-    from types import SimpleNamespace
-
-    from .frames import DifferentialSample, build_svd_frame, quad_form
-    from .immersion import quantity_R_vw, w_norm_sq
-
     def worst_dev(a, target):
         return np.abs(a - target).max(axis=tuple(range(1, a.ndim)))
 
@@ -594,7 +590,7 @@ def run_identities(samples: int = 10_000, seed: int = 0) -> dict:
         "normal_frame", "tangency", "p_formula", "est2", "w_norm", "ric_vw")}
     for m, (g_m, g_n, df, h_xi, h_eta, ric) in _identity_samples(samples, seed).items():
         dft = np.swapaxes(df, -1, -2)
-        fr = build_svd_frame(DifferentialSample(df=df, g_m=g_m, g_n=g_n))
+        fr = build_svd_frame(df, g_m, g_n)
         sv = np.stack([fr.lam, fr.mu], axis=-1)
         found = {
             "s2_plus_t2": np.maximum(abs(fr.s_diag[:, 0] ** 2 + fr.t11 ** 2 - 1),
@@ -640,12 +636,12 @@ def run_identities(samples: int = 10_000, seed: int = 0) -> dict:
         found["est2"] = np.where(lam * mu < 1, np.maximum(np.maximum(0.0, lo - mid), mid - hi),
                                  0.0)
 
-        pg = SimpleNamespace(frame=fr, h_xi=h_xi, h_eta=h_eta, h_sq=h_xi**2 + h_eta**2)
-        _, v, w = quantity_R_vw(pg, ric, 0.0, 0.0)
-        found["w_norm"] = abs(quad_form(w, g_m, w) - w_norm_sq(pg))
+        _, v, w = quantity_R_vw(fr, h_xi, h_eta, ric, 0.0, 0.0)
+        found["w_norm"] = abs(quad_form(w, g_m, w) - w_norm_sq(fr, h_xi, h_eta))
         lhs = quad_form(v, ric, v) + quad_form(w, ric, w)
         rhs = (lam**2 / (1 + lam**2) * quad_form(fr.alpha[:, 0], ric, fr.alpha[:, 0])
-               + mu**2 / (1 + mu**2) * quad_form(fr.alpha[:, 1], ric, fr.alpha[:, 1])) * pg.h_sq
+               + mu**2 / (1 + mu**2) * quad_form(fr.alpha[:, 1], ric, fr.alpha[:, 1])
+               ) * (h_xi**2 + h_eta**2)
         found["ric_vw"] = abs(lhs - rhs)
         for key, vals in found.items():
             errs[key] = max(errs[key], float(vals.max()))

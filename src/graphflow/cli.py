@@ -27,6 +27,9 @@ EXIT_VERIFICATION_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_SOLVER_ABORT = 3
 
+# about 1.3 KB of peak memory per sample, all allocated up front: 1.3 GB at the bound
+IDENTITY_SAMPLES_MAX = 1_000_000
+
 # exit code and message prefix of each package or file error; exit 1 is kept for a FAIL verdict
 ERROR_EXITS = {
     ConfigurationError: (EXIT_CONFIG_ERROR, "config error"),
@@ -125,9 +128,10 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_identities(args) -> int:
-    if args.samples < 1 or args.seed < 0:  # no sample is no evidence; rng seeds are >= 0
-        raise ConfigurationError(f"identities needs --samples >= 1 and --seed >= 0, "
-                                 f"got {args.samples} and {args.seed}")
+    # no sample is no evidence; rng seeds are >= 0
+    if not 1 <= args.samples <= IDENTITY_SAMPLES_MAX or args.seed < 0:
+        raise ConfigurationError(f"identities needs 1 <= --samples <= {IDENTITY_SAMPLES_MAX} "
+                                 f"and --seed >= 0, got {args.samples} and {args.seed}")
     report = run_identities(samples=args.samples, seed=args.seed)
     for name, err in sorted(report["max_errors"].items()):
         print(f"{name}: {err:.3e}")

@@ -406,21 +406,9 @@ class DriftRun:
 
 
 def _sample_times(t_end: float, dt: float) -> np.ndarray:
-    """The running sum t_{i+1} = t_i + min(dt, t_end - t_i), i < ceil(t_end / dt),
-    bit for bit: a cumulative sum of dt up to the first clamped step, and the
-    recurrence from there (one step, or a few where the sum overshoots).
-    Where the sum reaches t_end a step early, the trailing steps of 0 or less
-    are dropped, so the samples increase strictly."""
-    n = max(int(np.ceil(t_end / dt)), 0)
-    t = np.zeros(n + 1)
-    np.cumsum(np.full(n, dt), out=t[1:])
-    k = int(np.argmax(t_end - t[:n] < dt)) if n else 0
-    if n and t_end - t[k] < dt:
-        for i in range(k, n):
-            t[i + 1] = t[i] + min(dt, t_end - t[i])
-    while n and t[n] <= t[n - 1]:
-        n -= 1
-    return t[:n + 1]
+    """0, dt, 2 dt, ... below t_end, then t_end itself: strictly increasing."""
+    t = np.arange(max(int(np.ceil(t_end / dt)), 0)) * dt
+    return np.append(t[t < t_end], t_end)
 
 
 def reduce_circle_drift(surface: WarpedSurface, z0: float, t_end: float,

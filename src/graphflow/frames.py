@@ -16,18 +16,6 @@ from .errors import DegenerateMetricError
 
 
 @dataclass
-class DifferentialSample:
-    """df together with the metrics at a batch of points (batch shape ``...``).
-
-    A single point is a batch of shape ().
-    """
-
-    df: np.ndarray    # (..., m, 2): df^alpha_i = d_i f^alpha, rows indexed by M axes
-    g_m: np.ndarray   # (..., m, m)
-    g_n: np.ndarray   # (..., 2, 2)
-
-
-@dataclass
 class SVDFrame:
     """Adapted frames and derived scalars over a batch of points (dim M >= 2)."""
 
@@ -39,7 +27,6 @@ class SVDFrame:
     xi: np.ndarray           # (..., m + 2): product-chart components
     eta: np.ndarray          # (..., m + 2)
     s_diag: np.ndarray       # (..., m)
-    sperp_diag: np.ndarray   # (..., 2)
     t11: np.ndarray          # (...)
     t22: np.ndarray          # (...)
     p: np.ndarray            # (...)
@@ -57,11 +44,11 @@ def _cholesky(g: np.ndarray) -> np.ndarray:
         raise DegenerateMetricError(f"metric not positive definite: {exc}") from exc
 
 
-def _whiten(sample: DifferentialSample):
+def _whiten(df: np.ndarray, g_m: np.ndarray, g_n: np.ndarray):
     """(L_M, R_N, R_N df^T L_M^{-T}) where L L^T = g_M and R^T R = g_N; d is (..., 2, m)."""
-    lm = _cholesky(sample.g_m)
-    rn = _t(_cholesky(sample.g_n))
-    return lm, rn, _t(np.linalg.solve(lm, sample.df @ _t(rn)))
+    lm = _cholesky(g_m)
+    rn = _t(_cholesky(g_n))
+    return lm, rn, _t(np.linalg.solve(lm, df @ _t(rn)))
 
 
 def quad_form(u: np.ndarray, a: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -76,8 +63,11 @@ def _first_nonzero_positive(rows: np.ndarray) -> np.ndarray:
     return np.where(lead < 0, -rows, rows)
 
 
-def build_svd_frame(sample: DifferentialSample) -> SVDFrame:
+def build_svd_frame(df: np.ndarray, g_m: np.ndarray, g_n: np.ndarray) -> SVDFrame:
     """Construct the full adapted frame at every point of a batch.
+
+    df: (..., m, 2), df^alpha_i = d_i f^alpha with rows indexed by M axes;
+    g_m: (..., m, m); g_n: (..., 2, 2).  A single point is a batch of shape ().
 
     Deterministic: numpy's SVD ordering plus a sign fix making the first
     nonzero component of each whitened right-singular vector positive.  The
@@ -85,17 +75,16 @@ def build_svd_frame(sample: DifferentialSample) -> SVDFrame:
     nonzero so that df(alpha_1) = lam beta_1 holds exactly; where it vanishes
     they are the sign-fixed whitened left-singular vectors.
     """
-    lm, rn, d = _whiten(sample)
+    lm, rn, d = _whiten(df, g_m, g_n)
     u, sv, vt = np.linalg.svd(d, full_matrices=True)
     lam, mu = sv[..., 0], sv[..., 1]
     alpha = _t(np.linalg.solve(_t(lm), _t(_first_nonzero_positive(vt))))
 
     nonzero = sv[..., None] > 1e-13
-    mapped = (alpha[..., :2, :] @ sample.df) / np.where(nonzero, sv[..., None], 1.0)
+    mapped = (alpha[..., :2, :] @ df) / np.where(nonzero, sv[..., None], 1.0)
     chart_axis = _t(np.linalg.solve(rn, _t(_first_nonzero_positive(_t(u)))))
     beta = np.where(nonzero, mapped, chart_axis)
     # re-orthonormalize beta against g_N (exact for clean input, guards roundoff)
-    g_n = sample.g_n
     b0 = beta[..., 0, :] / np.sqrt(quad_form(beta[..., 0, :], g_n, beta[..., 0, :]))[..., None]
     b1 = beta[..., 1, :] - quad_form(b0, g_n, beta[..., 1, :])[..., None] * b0
     b1 = b1 / np.sqrt(quad_form(b1, g_n, b1))[..., None]
@@ -111,8 +100,8 @@ def build_svd_frame(sample: DifferentialSample) -> SVDFrame:
     t = -2.0 * sv / (1.0 + sv * sv)
     return SVDFrame(
         lam=lam, mu=mu, alpha=alpha, beta=beta, e=e, xi=normals[..., 0, :],
-        eta=normals[..., 1, :], s_diag=s_diag, sperp_diag=-s_diag[..., :2],
-        t11=t[..., 0], t22=t[..., 1], p=s_diag[..., 0] + s_diag[..., 1],
+        eta=normals[..., 1, :], s_diag=s_diag, t11=t[..., 0], t22=t[..., 1],
+        p=s_diag[..., 0] + s_diag[..., 1],
     )
 
 
@@ -142,16 +131,6 @@ def singular_value_invariants(g_m_inv: np.ndarray, g_n: np.ndarray, df: np.ndarr
     lam = np.sqrt(tr / 2 + root)
     mu = np.sqrt(np.maximum(tr / 2 - root, 0.0))
     return lam, mu, tr, a * d - b * c
-
-
-def singular_values_batch(g_m: np.ndarray, g_n: np.ndarray, df: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized singular values over a batch of points.
-
-    g_m: (..., m, m), positive definite; g_n: (..., 2, 2), df: (..., m, 2).
-    """
-    inv_l = np.linalg.inv(_cholesky(g_m))
-    lam, mu, _, _ = singular_value_invariants(_t(inv_l) @ inv_l, g_n, df)
-    return lam, mu
 
 
 def p_batch(lam: np.ndarray, mu: np.ndarray) -> np.ndarray:

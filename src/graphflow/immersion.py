@@ -22,8 +22,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigurationError, SolverAbort
-from .frames import (DifferentialSample, SVDFrame, build_svd_frame, quad_form,
-                     singular_value_invariants)
+from .frames import SVDFrame, build_svd_frame, quad_form, singular_value_invariants
 from .geometry import ChartManifold
 
 SEAM_MARGIN = 4  # nodes next to a reflect seam that ``interior_mask`` leaves out
@@ -383,7 +382,7 @@ def field_geometry(field: GraphMapField) -> PointGeometry:
     g_m = field.g_m_field()
     g_n = field.g_n_field()
     gam_g = field.gamma_induced_field()                        # (..., k, i, j)
-    frame = build_svd_frame(DifferentialSample(df=df, g_m=g_m, g_n=g_n))
+    frame = build_svd_frame(df, g_m, g_n)
     e = frame.e                                                # rows e_i, chart comps
 
     # A(d_a, d_b) in product-chart components c (M part, N part), then in the e-basis
@@ -416,13 +415,12 @@ def field_geometry(field: GraphMapField) -> PointGeometry:
 # Derived curvature quantities (elementwise over a batch or at one node)
 
 
-def quantity_Q(pg: PointGeometry, ric_a1, ric_a2, sigma_m12, sigma_n):
+def quantity_Q(frame: SVDFrame, ric_a1, ric_a2, sigma_m12, sigma_n):
     """First-order curvature source in the evolution of p."""
-    fr = pg.frame
-    p = fr.p
+    p = frame.p
     if np.any(p <= 0):
         raise ValueError("quantity_Q requires p > 0")
-    lam2, mu2 = fr.lam**2, fr.mu**2
+    lam2, mu2 = frame.lam**2, frame.mu**2
     den = (1 + lam2) * (1 + mu2)
     bric = ric_a1 + ric_a2 - sigma_m12
     return (
@@ -432,30 +430,29 @@ def quantity_Q(pg: PointGeometry, ric_a1, ric_a2, sigma_m12, sigma_n):
     )
 
 
-def quantity_R_vw(pg: PointGeometry, ricci: np.ndarray, sigma_m12, sigma_n):
+def quantity_R_vw(frame: SVDFrame, h_xi, h_eta, ricci: np.ndarray, sigma_m12, sigma_n):
     """Curvature term in the evolution of |H|^2 and the vectors v, w."""
-    fr = pg.frame
-    lam, mu = fr.lam, fr.mu
+    lam, mu = frame.lam, frame.mu
+    h_sq = h_xi**2 + h_eta**2
     den = (1 + lam**2) * (1 + mu**2)
-    a1, a2 = fr.alpha[..., 0, :], fr.alpha[..., 1, :]
+    a1, a2 = frame.alpha[..., 0, :], frame.alpha[..., 1, :]
     r1, r2 = np.sqrt(1 + lam**2), np.sqrt(1 + mu**2)
-    v = (lam * pg.h_xi / r1)[..., None] * a1 + (mu * pg.h_eta / r2)[..., None] * a2
-    w = (-lam * pg.h_eta / r1)[..., None] * a1 + (mu * pg.h_xi / r2)[..., None] * a2
+    v = (lam * h_xi / r1)[..., None] * a1 + (mu * h_eta / r2)[..., None] * a2
+    w = (-lam * h_eta / r1)[..., None] * a1 + (mu * h_xi / r2)[..., None] * a2
     ric_a1 = quad_form(a1, ricci, a1)
     ric_a2 = quad_form(a2, ricci, a2)
     bric = ric_a1 + ric_a2 - sigma_m12
     r = (
-        2 * lam**2 * mu**2 * pg.h_sq / den * (bric - sigma_n)
+        2 * lam**2 * mu**2 * h_sq / den * (bric - sigma_n)
         + 2 * quad_form(v, ricci, v)
-        - 2 * lam**2 * mu**2 * pg.h_sq / den * (ric_a1 + ric_a2)
-        + 2 * sigma_n * w_norm_sq(pg)
+        - 2 * lam**2 * mu**2 * h_sq / den * (ric_a1 + ric_a2)
+        + 2 * sigma_n * w_norm_sq(frame, h_xi, h_eta)
     )
     return r, v, w
 
 
-def w_norm_sq(pg: PointGeometry):
-    fr = pg.frame
-    lam, mu = fr.lam, fr.mu
-    return (lam**2 * pg.h_eta**2 + mu**2 * pg.h_xi**2 + lam**2 * mu**2 * pg.h_sq) / (
+def w_norm_sq(frame: SVDFrame, h_xi, h_eta):
+    lam, mu = frame.lam, frame.mu
+    return (lam**2 * h_eta**2 + mu**2 * h_xi**2 + lam**2 * mu**2 * (h_xi**2 + h_eta**2)) / (
         (1 + lam**2) * (1 + mu**2)
     )

@@ -193,7 +193,7 @@ def residual_p_evolution(triples: Sequence) -> list:
         cross = 4 * np.sum((pg.a_xi[:, 0] * fr.t22[:, None] + pg.a_eta[:, 1] * fr.t11[:, None])
                            ** 2, axis=-1)
         ric11, ric22, sig_m, sig_n, _ = _curvature_inputs(f_now, mask, fr.alpha)
-        q = quantity_Q(pg, ric11, ric22, sig_m, sig_n)
+        q = quantity_Q(fr, ric11, ric22, sig_m, sig_n)
         rhs = 2 * p * pg.a_sq + high + (cross - gradp_sq[mask]) / (2 * p) + q
         res = lhs[mask] - rhs
         out.append({
@@ -239,11 +239,11 @@ def check_H_and_theta_inequalities(triples: Sequence, eps1: float) -> dict:
         pg = geo[mask]
         n_eval = int(mask.sum())
         ric11, ric22, sig_m, sig_n, ricci = _curvature_inputs(f_now, mask, pg.frame.alpha)
-        r_term, _, _ = quantity_R_vw(pg, ricci, sig_m, sig_n)
+        r_term, _, _ = quantity_R_vw(pg.frame, pg.h_xi, pg.h_eta, ricci, sig_m, sig_n)
         slack_h = -2 * grad_habs_sq[mask] + 2 * pg.a_sq * pg.h_sq + r_term - lhs_h[mask]
         theta = pg.h_sq / pg.frame.p
         slack_th = inner_th_p[mask] / pg.frame.p + 2 * max(0.0, eps1) * theta - lhs_th[mask]
-        w_excess = w_norm_sq(pg) - pg.h_sq
+        w_excess = w_norm_sq(pg.frame, pg.h_xi, pg.h_eta) - pg.h_sq
         worst_h, worst_th, worst_w = (float(slack_h.min(initial=np.inf)),
                                       float(slack_th.min(initial=np.inf)),
                                       float(w_excess.max(initial=-np.inf)))

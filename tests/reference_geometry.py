@@ -20,7 +20,7 @@ import scipy.linalg
 
 from graphflow.errors import (ConfigurationError, DegenerateMetricError, DegeneratePlaneError,
                               FrameError)
-from graphflow.frames import DifferentialSample, quad_form
+from graphflow.frames import quad_form
 from graphflow.geometry import (_COMPLEX_STEP, ChartManifold, CurvatureReport, WarpedSurface,
                                 _sample_points)
 from graphflow.immersion import GraphMapField
@@ -38,17 +38,16 @@ class SVDFrame:
     xi: np.ndarray           # (m + 2,): product-chart components
     eta: np.ndarray          # (m + 2,)
     s_diag: np.ndarray       # (m,)
-    sperp_diag: np.ndarray   # (2,)
     t11: float
     t22: float
     p: float
 
 
-def _whitened(sample: DifferentialSample) -> np.ndarray:
+def _whitened(df: np.ndarray, g_m: np.ndarray, g_n: np.ndarray) -> np.ndarray:
     """R_N df L_M^{-T} where L L^T = g_M and R^T R = g_N (2 x m)."""
-    lm = np.linalg.cholesky(sample.g_m)
-    rn = scipy.linalg.cholesky(sample.g_n, lower=False)
-    dfn = rn @ sample.df.T            # (2, m) in whitened target coordinates
+    lm = np.linalg.cholesky(g_m)
+    rn = scipy.linalg.cholesky(g_n, lower=False)
+    dfn = rn @ df.T            # (2, m) in whitened target coordinates
     return scipy.linalg.solve_triangular(lm, dfn.T, lower=True).T
 
 
@@ -62,7 +61,7 @@ def _sign_fix(vecs: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_svd_frame(sample: DifferentialSample) -> SVDFrame:
+def build_svd_frame(df: np.ndarray, g_m: np.ndarray, g_n: np.ndarray) -> SVDFrame:
     """Construct the full adapted frame at a point.
 
     Deterministic: numpy's SVD ordering plus a sign fix making the first
@@ -70,10 +69,10 @@ def build_svd_frame(sample: DifferentialSample) -> SVDFrame:
     beta vectors are re-derived from df alpha_i where the singular value is
     nonzero so that df(alpha_1) = lam beta_1 holds exactly.
     """
-    m = sample.df.shape[0]
-    lm = np.linalg.cholesky(sample.g_m)
-    rn = scipy.linalg.cholesky(sample.g_n, lower=False)
-    d = _whitened(sample)                       # (2, m)
+    m = df.shape[0]
+    lm = np.linalg.cholesky(g_m)
+    rn = scipy.linalg.cholesky(g_n, lower=False)
+    d = _whitened(df, g_m, g_n)                 # (2, m)
     u, sv, vt = np.linalg.svd(d, full_matrices=True)
     lam = float(sv[0]) if len(sv) > 0 else 0.0
     mu = float(sv[1]) if len(sv) > 1 else 0.0
@@ -84,15 +83,15 @@ def build_svd_frame(sample: DifferentialSample) -> SVDFrame:
     beta = np.empty((2, 2))
     for a, s in enumerate((lam, mu)):
         if s > 1e-13:
-            beta[a] = (sample.df.T @ alpha[a]) / s
+            beta[a] = (df.T @ alpha[a]) / s
         else:
             # rank-deficient direction: whitened chart axis, sign-fixed
             ua = _sign_fix(u.T)[a]
             beta[a] = np.linalg.solve(rn, ua)
     # re-orthonormalize beta against g_N (exact for clean input, guards roundoff)
-    b0 = beta[0] / np.sqrt(beta[0] @ sample.g_n @ beta[0])
-    b1 = beta[1] - (b0 @ sample.g_n @ beta[1]) * b0
-    b1 = b1 / np.sqrt(b1 @ sample.g_n @ b1)
+    b0 = beta[0] / np.sqrt(beta[0] @ g_n @ beta[0])
+    b1 = beta[1] - (b0 @ g_n @ beta[1]) * b0
+    b1 = b1 / np.sqrt(b1 @ g_n @ b1)
     beta = np.vstack([b0, b1])
 
     e = alpha.copy()
@@ -110,14 +109,13 @@ def build_svd_frame(sample: DifferentialSample) -> SVDFrame:
     s_diag[0] = (1.0 - lam * lam) / (1.0 + lam * lam)
     if m > 1:
         s_diag[1] = (1.0 - mu * mu) / (1.0 + mu * mu)
-    sperp_diag = np.array([-s_diag[0], -s_diag[1] if m > 1 else -1.0])
     t11 = -2.0 * lam / (1.0 + lam * lam)
     t22 = -2.0 * mu / (1.0 + mu * mu)
     p = float(s_diag[0] + (s_diag[1] if m > 1 else 1.0))
 
     return SVDFrame(
         lam=lam, mu=mu, alpha=alpha, beta=beta, e=e, xi=xi, eta=eta,
-        s_diag=s_diag, sperp_diag=sperp_diag, t11=t11, t22=t22, p=p,
+        s_diag=s_diag, t11=t11, t22=t22, p=p,
     )
 
 
@@ -167,7 +165,7 @@ def point_geometry(field: GraphMapField, node) -> PointGeometry:
     g = field.induced_g_field()[idx]
     g_inv = field.induced_g_inv_field()[idx]
 
-    frame = build_svd_frame(DifferentialSample(df=df, g_m=g_m, g_n=g_n))
+    frame = build_svd_frame(df, g_m, g_n)
 
     # A(d_i, d_j) in product-chart components (M part, N part)
     a_m = gam_m - gam_g                                        # (k, i, j)

@@ -19,7 +19,7 @@ from graphflow.barrier import (certify_convexity, containment_monitor, covariant
 from graphflow.classify import classify_from_observables, classify_limit
 from graphflow.flow import (EquivariantFlow, FlowParams, FlowState, drift_velocity,
                             reduce_circle_drift, step)
-from graphflow.frames import singular_values_batch
+from graphflow.frames import singular_value_invariants
 from graphflow.geometry import (WarpedSurface, builtin_warp, curvature_conditions_report,
                                 flat_torus, hopf_map, product_s1_s2, round_sphere,
                                 s3_hopf_chart)
@@ -111,7 +111,8 @@ def test_criterion_2_hopf_singular_values():
         for x1 in xi:
             for x2 in xi[: n // 2]:
                 x = np.array([e, x1, x2])
-                lam, mu = singular_values_batch(s3.metric_many(x), s2.metric_many(hopf_map(x)), df)
+                g_m_inv = s3.inverse_metric(x, s3.metric_many(x))
+                lam, mu, _, _ = singular_value_invariants(g_m_inv, s2.metric_many(hopf_map(x)), df)
                 worst = max(worst, abs(lam - 2.0), abs(mu - 2.0))
                 count += 1
     ok = count >= 1000 and worst <= 1e-10

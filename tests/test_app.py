@@ -21,6 +21,7 @@ from graphflow.app import (BUILTIN_SCENARIOS, CLASSIFICATION_SCHEMA, CSV_COLUMNS
                            run_scenario, validate)
 from graphflow.cli import main as cli_main
 from graphflow.errors import ConfigurationError
+from graphflow.frames import build_svd_frame
 from graphflow.geometry import ChartManifold
 from graphflow.immersion import GraphMapField
 
@@ -335,9 +336,9 @@ def test_tsui_wang_lifts_each_record_once(tmp_path, monkeypatch, monitored):
         calls["GraphMapField"] += 1
         init(self, *args)
 
-    def counted_frame(sample):  # one SVD frame per field_geometry evaluation
+    def counted_frame(*args):  # one SVD frame per field_geometry evaluation
         calls["field_geometry"] += 1
-        return frame(sample)
+        return frame(*args)
 
     def counted_chart(name):
         def wrapper(self, *args):
@@ -409,9 +410,12 @@ def test_schemas_are_checked_once_per_process(monkeypatch, tmp_path):
 
 
 def test_run_identities_small():
-    # seed 34 reaches mu = 2.6e-6 at its last sample: the t oracle must keep
-    # 1e-10 for a tiny singular value
-    for samples, seed in ((300, 7), (218, 34)):
+    # seed 1772 reaches mu = 8.8e-7 among its 300 samples: the t oracle must
+    # keep 1e-10 for a tiny singular value
+    tiny = min(build_svd_frame(df, g_m, g_n).mu.min()
+               for g_m, g_n, df, *_ in app._identity_samples(300, 1772).values())
+    assert tiny < 1e-6
+    for samples, seed in ((300, 7), (300, 1772)):
         report = run_identities(samples=samples, seed=seed)
         assert report["pass"]
         assert report["max_error"] <= 1e-10
@@ -419,25 +423,30 @@ def test_run_identities_small():
 
 
 def test_identity_algebra_batched_per_dimension():
-    # the metrics and the symmetric Ricci matrix, formed per batch of one m,
-    # match forming them per sample from the same draws in the same order
+    # the dimensions come first, then one block per quantity for m = 2..5; the
+    # metrics and the symmetric Ricci matrix, formed per batch, match forming
+    # them per sample from the same draws
     batches = app._identity_samples(200, 5)
     rng = np.random.default_rng(5)
-    seen = Counter()
-    for _ in range(200):
-        m = int(rng.integers(2, 6))
-        a = rng.standard_normal((m, m))
-        b = rng.standard_normal((2, 2))
-        df = rng.standard_normal((m, 2)) * rng.uniform(0.0, 1.5)
-        h_xi, h_eta = rng.standard_normal(2)
-        r = rng.standard_normal((m, m))
-        g_m, g_n, df_b, h_xi_b, h_eta_b, ric = (col[seen[m]] for col in batches[m])
-        seen[m] += 1
-        for got, want in ((g_m, a @ a.T + m * np.eye(m)), (g_n, b @ b.T + 2 * np.eye(2)),
-                          (ric, (r + r.T) / 2)):
-            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-        assert np.array_equal(df_b, df) and (h_xi_b, h_eta_b) == (h_xi, h_eta)
-    assert sum(seen.values()) == 200 and all(len(batches[m][0]) == k for m, k in seen.items())
+    dims = rng.integers(2, 6, 200)
+    assert sorted(batches) == sorted(set(dims.tolist()))
+    for m in range(2, 6):
+        n = int((dims == m).sum())
+        if n == 0:
+            continue
+        a, b = rng.standard_normal((n, m, m)), rng.standard_normal((n, 2, 2))
+        df = rng.standard_normal((n, m, 2)) * rng.uniform(0.0, 1.5, (n, 1, 1))
+        h_xi, h_eta = rng.standard_normal((2, n))
+        r = rng.standard_normal((n, m, m))
+        g_m, g_n, df_b, h_xi_b, h_eta_b, ric = batches[m]
+        assert len(g_m) == n
+        for k in range(n):
+            for got, want in ((g_m[k], a[k] @ a[k].T + m * np.eye(m)),
+                              (g_n[k], b[k] @ b[k].T + 2 * np.eye(2)),
+                              (ric[k], (r[k] + r[k].T) / 2)):
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        assert np.array_equal(df_b, df)
+        assert np.array_equal(h_xi_b, h_xi) and np.array_equal(h_eta_b, h_eta)
 
 
 # -- CLI ---------------------------------------------------------------------
@@ -446,9 +455,11 @@ def test_identity_algebra_batched_per_dimension():
 def test_cli_identities(capsys):
     assert cli_main(["identities", "--samples", "200"]) == 0
     # no samples printed PASS; a negative seed was a ValueError traceback
-    for argv in (["--samples", "0"], ["--samples", "-5"], ["--samples", "3", "--seed", "-1"]):
+    # --samples is bounded: every sample is allocated up front, 1.3 KB each
+    for argv in (["--samples", "0"], ["--samples", "-5"], ["--samples", "3", "--seed", "-1"],
+                 ["--samples", "1000001"]):
         assert cli_main(["identities", *argv]) == 2
-    assert capsys.readouterr().err.count("config error: identities needs") == 3
+    assert capsys.readouterr().err.count("config error: identities needs") == 4
 
 
 def test_cli_keeps_its_exit_codes_with_one_parser(tmp_path, capsys):

@@ -13,13 +13,12 @@ from hypothesis import given, settings, strategies as st
 
 import reference_geometry as ref
 from graphflow.flow import EquivariantFlow
-from graphflow.frames import DifferentialSample, build_svd_frame
+from graphflow.frames import build_svd_frame
 from graphflow.geometry import WarpedSurface, builtin_warp, flat_torus, product_s1_s2
 from graphflow.immersion import GraphMapField, field_geometry
 
 TOL = 1e-12
-FRAME_FIELDS = ("lam", "mu", "alpha", "beta", "e", "xi", "eta", "s_diag", "sperp_diag",
-                "t11", "t22", "p")
+FRAME_FIELDS = ("lam", "mu", "alpha", "beta", "e", "xi", "eta", "s_diag", "t11", "t22", "p")
 GEOMETRY_FIELDS = ("g", "g_inv", "a_xi", "a_eta", "h_xi", "h_eta", "a_sq", "h_sq",
                    "tangency_residual", "a_vectors")
 
@@ -93,9 +92,9 @@ def _samples(draw):
 def test_batched_frame_matches_pointwise_oracle(batch):
     m, samples = batch
     df, g_m, g_n = (np.array(col) for col in zip(*samples))
-    frame = build_svd_frame(DifferentialSample(df=df, g_m=g_m, g_n=g_n))
+    frame = build_svd_frame(df, g_m, g_n)
     for k, (dfk, gmk, gnk) in enumerate(samples):
-        want = ref.build_svd_frame(DifferentialSample(df=dfk, g_m=gmk, g_n=gnk))
+        want = ref.build_svd_frame(dfk, gmk, gnk)
         null_noise = m > 2 and want.mu <= 1e-13 and np.any(dfk)
         for key in FRAME_FIELDS:
             got, exp = getattr(frame, key)[k], getattr(want, key)

@@ -270,8 +270,8 @@ def test_drift_budget_identity(funnel_cylinder):
 
 
 def test_drift_sample_times_increase_strictly():
-    # at 28 of these t_end (8.002, 8.005, ...) the sum of dt reaches t_end a
-    # step early; the sample grid then ends there instead of repeating it
+    # at 40 of these t_end, (n - 1) dt with n = ceil(t_end / dt) rounds to t_end
+    # or above; the sample grid then ends at t_end instead of repeating it
     for k in range(1, 12001):
         t_end = k / 1000
         t = _sample_times(t_end, DRIFT_DT)

@@ -41,6 +41,13 @@ def test_metric_many_refuses_a_non_symmetric_or_nan_metric(g):
         _chart_with_metric(g).metric_many(np.zeros((3, 2)))
 
 
+def test_inverse_metric_refuses_a_metric_that_is_not_positive_definite():
+    chart = _chart_with_metric([[1.0, 0.0], [0.0, -1.0]])
+    x = np.zeros((3, 2))
+    with pytest.raises(DegenerateMetricError, match="not positive definite"):
+        chart.inverse_metric(x, chart.metric_many(x))
+
+
 @settings(max_examples=100, deadline=None)
 @given(b=st.floats(-10.0, 10.0), d=st.floats(-1e-4, 1e-4))
 def test_metric_symmetry_tolerance_is_that_of_allclose(b, d):

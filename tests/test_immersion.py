@@ -166,7 +166,7 @@ def test_w_norm_and_theta_nonnegative():
     fld = eq.expand_field(eq.h)
     pg = field_geometry(fld)[16, 0]
     assert pg.h_sq > 0
-    assert 0.0 <= w_norm_sq(pg) <= pg.h_sq + 1e-15
+    assert 0.0 <= w_norm_sq(pg.frame, pg.h_xi, pg.h_eta) <= pg.h_sq + 1e-15
     assert pg.frame.p > 0  # so Theta = |H|^2 / p > 0
 
 
