@@ -358,7 +358,7 @@ def _evolve_tsui_wang(cfg: ScenarioConfig, m_manifold, n_manifold, report) -> Ev
     residuals, checkpoints = [], []
     for rec, state in zip(run.records, run.states):  # one lift per recorded state
         fld = eq.expand_field(state.h)
-        rec.max_a2 = float(field_geometry(fld).a_sq[fld.interior_mask()].max(initial=0.0))
+        rec.max_a2 = float(field_geometry(fld).a_sq[fld.interior_mask()].max())
         if state.stencil is None or not (residuals_on or inequalities_on):
             continue
         triple = [eq.stencil_fields(state, fld)]  # lifts only the stencil neighbours
@@ -376,12 +376,10 @@ def _evolve_tsui_wang(cfg: ScenarioConfig, m_manifold, n_manifold, report) -> Ev
     if checkpoints:
         sections["inequalities"] = inequality_section(checkpoints)
         checks.append(sections["inequalities"]["pass"])
-    diam = diameter_series([(r.t, r.diameter) for r in run.records], eps0=eps0)
-    sections["diameter"] = {k: (v.tolist() if isinstance(v, np.ndarray) else v)
-                            for k, v in diam.items()}
+    sections["diameter"] = diameter_series([(r.t, r.diameter) for r in run.records], eps0=eps0)
     rep = classify_limit(fld, run.status, h_tol=cfg.get("flow", "h_tol"),  # the last lift
                          ricci_positive=report.min_ric > 0)
-    return Evolution(run.records, run.status, rep.as_dict(), sections, checks,
+    return Evolution(run.records, run.status, rep, sections, checks,
                      dissipation=run.dissipation, h_grid=eq.dtheta,
                      counters={"steps": run.steps, "dt_min": run.dt_min, "dt_max": run.dt_max})
 
@@ -433,7 +431,7 @@ def _evolve_cylinder(cfg: ScenarioConfig, m_manifold, n_manifold, report,
         lam=np.full(8, float(run.w[-1])), mu=np.zeros(8),
         sigma_n_values=np.full(8, n_manifold.gauss_curvature(float(run.z[-1]))),
         h_tol=cfg.get("flow", "h_tol"), ricci_positive=report.min_ric > 0)
-    return Evolution(records, status, rep.as_dict(), sections, checks,
+    return Evolution(records, status, rep, sections, checks,
                      dissipation=run.dissipation, h_grid=DRIFT_DT)
 
 
@@ -479,7 +477,7 @@ def _evolve_torus_projection(cfg: ScenarioConfig, m_manifold, n_manifold, report
                       "residual_p": {"checkpoints": res}}
     rep = classify_limit(snapshots[-1].field, "Stationary", h_tol=cfg.get("flow", "h_tol"),
                          ricci_positive=report.min_ric > 0)
-    return Evolution(records, "Stationary", rep.as_dict(), sections,
+    return Evolution(records, "Stationary", rep, sections,
                      [stationary, res[0]["linf"] <= 1e-10],
                      dissipation=snapshots[-1].dissipation, h_grid=float(field0.h.max()))
 
@@ -523,7 +521,7 @@ def _warped_cylinder(warp: str):
 SCENARIOS = {
     "tsui_wang_s2": Scenario(
         lambda: (round_sphere(2), round_sphere(2, curvature=1.0)), _evolve_tsui_wang,
-        {("grid", "nodes"): 256, ("flow", "t_end"): 5.0, ("flow", "record_every"): 400,
+        {("grid", "nodes"): 256, ("flow", "t_end"): 8.0, ("flow", "record_every"): 400,
          ("flow", "h_tol"): 1e-6, ("initial", "amplitude"): 0.8, ("verify", "residuals"): True,
          ("verify", "inequalities"): True}),
     "cylinder_drift": Scenario(

@@ -9,8 +9,7 @@ observable on a chart grid and are reported as untested metadata.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -29,42 +28,15 @@ SV_VAR_TOL = 1e-3   # spatial standard deviation allowed for "constant"
 FLAT_TOL = 1e-6     # |sigma_N| on the image for the rank-2 case
 
 
-@dataclass
-class LimitReport:
-    klass: str                 # Constant | Rank1Geodesic | Rank2Flat | NotMinimal | Inconclusive
-    max_h: float
-    max_a: float
-    rank: int
-    lambda_mean: float
-    lambda_std: float
-    mu_mean: float
-    mu_std: float
-    sigma_n_max_abs: Optional[float]
-    contradiction_with_positive_ricci: bool = False
-    notes: Sequence[str] = dfield(default_factory=lambda: [UNTESTED_NOTE])
-
-    def as_dict(self) -> dict:
-        return {
-            "class": self.klass,
-            "evidence": {
-                "max_H": self.max_h,
-                "max_A": self.max_a,
-                "rank_estimate": self.rank,
-                "lambda": {"mean": self.lambda_mean, "std": self.lambda_std},
-                "mu": {"mean": self.mu_mean, "std": self.mu_std},
-                "sigma_N_max_abs_on_image": self.sigma_n_max_abs,
-            },
-            "contradiction_with_positive_ricci": self.contradiction_with_positive_ricci,
-            "notes": list(self.notes),
-        }
-
-
 def classify_from_observables(status: str, max_h: float, max_a: float,
                               lam: np.ndarray, mu: np.ndarray,
                               sigma_n_values: Optional[np.ndarray],
                               h_tol: float = 1e-6,
-                              ricci_positive: Optional[bool] = None) -> LimitReport:
-    """Sort a limit by its evidence; minimal means a converged status and max|H| < h_tol."""
+                              ricci_positive: Optional[bool] = None) -> dict:
+    """Sort a limit by its evidence; minimal means a converged status and max|H| < h_tol.
+
+    Returns the ``classification.json`` dict: class, evidence, the
+    positive-Ricci contradiction flag and notes."""
     lam = np.asarray(lam, dtype=float)
     mu = np.asarray(mu, dtype=float)
     lam_mean, lam_std = float(lam.mean()), float(lam.std())
@@ -74,14 +46,16 @@ def classify_from_observables(status: str, max_h: float, max_a: float,
     tol = min(TOL_PER_H_TOL * h_tol, TOL_CAP)
     rank = int(lam_mean > tol) + int(mu_mean > tol)
 
+    evidence = {
+        "max_H": float(max_h), "max_A": float(max_a), "rank_estimate": rank,
+        "lambda": {"mean": lam_mean, "std": lam_std}, "mu": {"mean": mu_mean, "std": mu_std},
+        "sigma_N_max_abs_on_image": sig_max,
+    }
+
     def report(klass, contradiction=False, extra_notes=()):
-        return LimitReport(
-            klass=klass, max_h=float(max_h), max_a=float(max_a), rank=rank,
-            lambda_mean=lam_mean, lambda_std=lam_std, mu_mean=mu_mean, mu_std=mu_std,
-            sigma_n_max_abs=sig_max,
-            contradiction_with_positive_ricci=contradiction,
-            notes=[UNTESTED_NOTE, *extra_notes],
-        )
+        return {"class": klass, "evidence": evidence,
+                "contradiction_with_positive_ricci": contradiction,
+                "notes": [UNTESTED_NOTE, *extra_notes]}
 
     converged = status in ("Converged", "Stationary") and max_h < h_tol
     if not converged:
@@ -107,13 +81,13 @@ def classify_from_observables(status: str, max_h: float, max_a: float,
 
 
 def classify_limit(field: GraphMapField, status: str, h_tol: float = 1e-6,
-                   ricci_positive: Optional[bool] = None) -> LimitReport:
+                   ricci_positive: Optional[bool] = None) -> dict:
     """Classify a final grid state; evidence from interior nodes."""
     mask = field.interior_mask()
     lam, mu = field.singular_value_fields()
     geo = field_geometry(field)
-    max_h = float(np.sqrt(geo.h_sq[mask]).max(initial=0.0))
-    max_a = float(np.sqrt(geo.a_sq[mask]).max(initial=0.0))
+    max_h = float(np.sqrt(geo.h_sq[mask]).max())
+    max_a = float(np.sqrt(geo.a_sq[mask]).max())
     sig = np.broadcast_to(gauss_curvature_at(field.N, field.f[mask]), lam[mask].shape)
     return classify_from_observables(status, max_h, max_a, lam[mask], mu[mask], sig,
                                      h_tol, ricci_positive)

@@ -450,13 +450,7 @@ def reduce_circle_drift(surface: WarpedSurface, z0: float, t_end: float,
         c2 = dz - hf - c3
         j = np.minimum(np.searchsorted(ends, t[1:], side="right") - 1, m - 1)
         s = (t[1:] - ends[j]) / widths[j]
-        zt = z[1:]
-        np.multiply(c3[j], s, out=zt)
-        zt += c2[j]
-        zt *= s
-        zt += hf[j]
-        zt *= s
-        zt += zs[j]
+        z[1:] = zs[j] + s * (hf[j] + s * (c2[j] + s * c3[j]))
     w = surface.warp.w(z)
     h2 = drift_velocity(surface.warp, z) ** 2
     volume = 8 * np.pi**2 * np.sqrt(1 + w**2)

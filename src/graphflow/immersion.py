@@ -313,7 +313,8 @@ class GraphMapField:
 
     def interior_mask(self) -> np.ndarray:
         """True more than SEAM_MARGIN nodes away from reflect seams (periodic axes
-        are seam-free)."""
+        are seam-free).  A grid with no such node is refused, since a check over
+        no node would read as a pass."""
         mask = np.ones(self.shape, dtype=bool)
         for a, ax in enumerate(self.M.axes):
             if ax.reflect:
@@ -322,6 +323,11 @@ class GraphMapField:
                 sl = [None] * self.M.dim
                 sl[a] = slice(None)
                 mask &= keep[tuple(sl)]
+        if not mask.any():
+            raise ConfigurationError(
+                f"grid shape {self.shape} has no interior node: the monitors leave out "
+                f"{SEAM_MARGIN} nodes at each reflect seam, so a reflect axis needs at least "
+                f"{2 * SEAM_MARGIN + 1} nodes")
         return mask
 
     # -- scalar calculus on the graph -----------------------------------------
@@ -349,14 +355,12 @@ class GraphMapField:
 
 @dataclass
 class PointGeometry:
-    """Induced metric, second fundamental form, and frame over a batch of nodes.
+    """Second fundamental form, mean curvature and frame over a batch of nodes.
 
     ``field_geometry`` fills it with arrays over the grid (leading axes the
     grid shape); indexing it with a node gives the geometry at that node.
     """
 
-    g: np.ndarray
-    g_inv: np.ndarray
     a_xi: np.ndarray      # (..., m, m) second fundamental form w.r.t. xi, e-basis
     a_eta: np.ndarray
     h_xi: np.ndarray      # (...)
@@ -405,8 +409,7 @@ def field_geometry(field: GraphMapField) -> PointGeometry:
     dfe_low = np.concatenate([e @ g_m, e @ df @ g_n], axis=-1)  # rows of dF(e_k), lowered
     tang = a_vectors.reshape(df.shape[:-2] + (m * m, m + 2)) @ _swap(dfe_low)
     return PointGeometry(
-        g=field.induced_g_field(), g_inv=field.induced_g_inv_field(), a_xi=a_xi,
-        a_eta=a_eta, h_xi=h_xi, h_eta=h_eta, a_sq=a_sq, h_sq=h_xi**2 + h_eta**2,
+        a_xi=a_xi, a_eta=a_eta, h_xi=h_xi, h_eta=h_eta, a_sq=a_sq, h_sq=h_xi**2 + h_eta**2,
         frame=frame, tangency_residual=np.abs(tang).max(axis=(-2, -1)), a_vectors=a_vectors,
     )
 

@@ -19,8 +19,7 @@ from .errors import ConfigurationError, NotAreaDecreasingError
 from .flow import h2_field, tangential_vector_field
 from .frames import quad_form
 from .geometry import curvature_package, gauss_curvature_at, sectional
-from .immersion import (SEAM_MARGIN, GraphMapField, field_geometry, quantity_Q, quantity_R_vw,
-                        w_norm_sq)
+from .immersion import GraphMapField, field_geometry, quantity_Q, quantity_R_vw, w_norm_sq
 
 H_FLOOR = 1e-8         # the inequalities are evaluated only where |H| exceeds it
 VOLUME_REL_TOL = 0.02  # relative tolerance of the volume budget
@@ -139,18 +138,6 @@ def _curvature_inputs(field: GraphMapField, mask: np.ndarray, alpha: np.ndarray)
     return ric11, ric22, sig_m, gauss_curvature_at(field.N, field.f[mask]), ricci
 
 
-def _interior_mask(field: GraphMapField) -> np.ndarray:
-    """The nodes a monitor evaluates; a grid with none is refused, since a
-    check over no node would read as a pass."""
-    mask = field.interior_mask()
-    if not mask.any():
-        raise ConfigurationError(
-            f"grid shape {field.shape} has no interior node: the monitors leave out "
-            f"{SEAM_MARGIN} nodes at each reflect seam, so a reflect axis needs at least "
-            f"{2 * SEAM_MARGIN + 1} nodes")
-    return mask
-
-
 def _time_derivative(prev, now, nxt, dtp, dtn):
     """Second-order derivative at the middle of three unequally spaced samples."""
     return (dtp**2 * nxt - dtn**2 * prev + (dtn**2 - dtp**2) * now) / (
@@ -179,7 +166,7 @@ def residual_p_evolution(triples: Sequence) -> list:
     """
     out = []
     for (t, dtp, dtn, f_prev, f_now, f_next) in triples:
-        mask = _interior_mask(f_now)
+        mask = f_now.interior_mask()
         p_prev, p_now, p_next = (f.p_field() for f in (f_prev, f_now, f_next))
         if p_now.min() <= 0:
             raise NotAreaDecreasingError("p <= 0 inside residual evaluation")
@@ -218,7 +205,7 @@ def check_H_and_theta_inequalities(triples: Sequence, eps1: float) -> dict:
     """
     checkpoints = []
     for (t, dtp, dtn, f_prev, f_now, f_next) in triples:
-        interior = _interior_mask(f_now)
+        interior = f_now.interior_mask()
         h2_prev, h2_now, h2_next = (h2_field(f) for f in (f_prev, f_now, f_next))
         p_prev, p_now, p_next = (f.p_field() for f in (f_prev, f_now, f_next))
         th_prev, th_now, th_next = h2_prev / p_prev, h2_now / p_now, h2_next / p_next

@@ -208,10 +208,10 @@ def test_criterion_6_convergence_to_constant():
     rep = classify_limit(final, run.status, ricci_positive=True)
     diam = diameter_series([(r.t, r.diameter) for r in run.records], eps0=0.25)
     ok = (run.status == "Converged" and run.states[-1].t <= 20.0 and max_h < 1e-6
-          and last.diameter < 1e-3 and rep.klass == "Constant" and diam["pass"])
+          and last.diameter < 1e-3 and rep["class"] == "Constant" and diam["pass"])
     _verdict(6, "convergence to constant", ok,
              f"t_final {run.states[-1].t:.2f}, max|H| {max_h:.2e}, diameter "
-             f"{last.diameter:.2e}, class {rep.klass}, log-slope "
+             f"{last.diameter:.2e}, class {rep['class']}, log-slope "
              f"{diam.get('log_slope', float('nan')):.3f} <= {diam.get('required_slope', float('nan')):.3f}")
 
 
@@ -227,7 +227,7 @@ def test_criterion_7_drift_vs_waist_dichotomy():
     rep = classify_from_observables(
         "Converged", h_final, h_final, np.full(8, lam_final), np.zeros(8),
         np.full(8, waist.gauss_curvature(z_final)), ricci_positive=False)
-    waist_ok = abs(z_final) < 1e-4 and rep.klass == "Rank1Geodesic"
+    waist_ok = abs(z_final) < 1e-4 and rep["class"] == "Rank1Geodesic"
 
     sups = {}
     for name, z0, ode in (("exp_neg", 0.0, frun), ("cosh", 0.5, wrun)):
@@ -237,7 +237,7 @@ def test_criterion_7_drift_vs_waist_dichotomy():
     ok = funnel_ok and waist_ok and grid_ok
     _verdict(7, "drift vs waist dichotomy", ok,
              f"funnel monotone {funnel_ok}; waist |z(30)| = {abs(z_final):.2e}, "
-             f"class {rep.klass}; grid-vs-ODE sup norms "
+             f"class {rep['class']}; grid-vs-ODE sup norms "
              f"funnel {sups['exp_neg']:.2e}, waist {sups['cosh']:.2e}")
 
 

@@ -118,6 +118,7 @@ def test_builtin_defaults():
     assert cfg.get("flow", "t_end") == 30.0
     cfg = builtin_config("tsui_wang_s2")
     assert cfg.get("initial", "amplitude") == 0.8
+    assert cfg.get("flow", "t_end") == 8.0  # long enough to end Converged/Constant
     assert {section for section, _ in cfg.values} == {
         "scenario", "grid", "flow", "initial", "verify"}  # the waist barrier is no config
 

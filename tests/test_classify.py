@@ -3,8 +3,11 @@
 import math
 
 import numpy as np
+import pytest
 
 from graphflow.classify import classify_from_observables, classify_limit
+from graphflow.errors import ConfigurationError
+from graphflow.flow import EquivariantFlow
 from graphflow.geometry import flat_torus, round_sphere
 from graphflow.immersion import GraphMapField
 
@@ -18,47 +21,47 @@ def _obs(status="Converged", max_h=1e-9, max_a=1e-9, lam=0.0, mu=0.0,
 
 def test_constant_limit():
     rep = _obs(lam=0.0, mu=0.0)
-    assert rep.klass == "Constant" and rep.rank == 0
-    assert not rep.contradiction_with_positive_ricci
+    assert rep["class"] == "Constant" and rep["evidence"]["rank_estimate"] == 0
+    assert not rep["contradiction_with_positive_ricci"]
 
 
 def test_rank1_geodesic_limit():
     rep = _obs(lam=1.0, mu=0.0, sigma=-1.0)
-    assert rep.klass == "Rank1Geodesic" and rep.rank == 1
+    assert rep["class"] == "Rank1Geodesic" and rep["evidence"]["rank_estimate"] == 1
 
 
 def test_rank1_contradiction_flag():
     # a nonconstant minimal limit under positive Ricci is flagged
     rep = _obs(lam=1.0, mu=0.0, ricci_positive=True)
-    assert rep.klass == "Rank1Geodesic"
-    assert rep.contradiction_with_positive_ricci
+    assert rep["class"] == "Rank1Geodesic"
+    assert rep["contradiction_with_positive_ricci"]
 
 
 def test_rank2_flat_limit():
     rep = _obs(lam=0.5, mu=0.5, sigma=0.0)
-    assert rep.klass == "Rank2Flat" and rep.rank == 2
+    assert rep["class"] == "Rank2Flat" and rep["evidence"]["rank_estimate"] == 2
 
 
 def test_rank2_nonflat_is_inconclusive():
     rep = _obs(lam=0.5, mu=0.5, sigma=1.0)
-    assert rep.klass == "Inconclusive"
+    assert rep["class"] == "Inconclusive"
 
 
 def test_not_minimal():
     rep = _obs(max_h=1e-3)
-    assert rep.klass == "NotMinimal"
+    assert rep["class"] == "NotMinimal"
     rep = classify_from_observables("Aborted", 1e-9, 1e-9, np.zeros(4), np.zeros(4), None)
-    assert rep.klass == "NotMinimal"
+    assert rep["class"] == "NotMinimal"
 
 
 def test_varying_singular_values_inconclusive():
     lam = np.linspace(0.0, 0.5, 8)
     rep = classify_from_observables("Converged", 1e-9, 1e-9, lam, np.zeros(8), np.zeros(8))
-    assert rep.klass == "Inconclusive"
+    assert rep["class"] == "Inconclusive"
 
 
 def test_report_dict_shape():
-    d = _obs().as_dict()
+    d = _obs()
     assert d["class"] == "Constant"
     assert "evidence" in d and "rank_estimate" in d["evidence"]
     assert d["notes"]  # untested topological properties are disclosed
@@ -70,7 +73,7 @@ def test_classify_limit_constant_field():
     f[..., 0], f[..., 1] = 1.0, 2.0
     field = GraphMapField(round_sphere(2), round_sphere(2), (n, n), f)
     rep = classify_limit(field, "Converged", ricci_positive=True)
-    assert rep.klass == "Constant"
+    assert rep["class"] == "Constant"
 
 
 def test_classify_limit_rank2_projection():
@@ -80,14 +83,14 @@ def test_classify_limit_rank2_projection():
     field = GraphMapField(flat_torus(2), flat_torus(2, scale=0.5), (n, n),
                           np.stack([xg, yg], -1))
     rep = classify_limit(field, "Stationary")
-    assert rep.klass == "Rank2Flat"
-    assert rep.rank == 2
+    assert rep["class"] == "Rank2Flat"
+    assert rep["evidence"]["rank_estimate"] == 2
 
 
 def test_tolerances_dataclass():
     rep = classify_from_observables("Converged", 1e-4, 1e-9, np.zeros(4), np.zeros(4),
                                     np.zeros(4), h_tol=1e-3)
-    assert rep.klass == "Constant"  # looser h tolerance admits this limit
+    assert rep["class"] == "Constant"  # looser h tolerance admits this limit
 
 
 def test_tolerance_capped_below_unit_singular_values():
@@ -95,4 +98,13 @@ def test_tolerance_capped_below_unit_singular_values():
     # flat projection zero; the threshold stops at 1e-2
     rep = classify_from_observables("Stationary", 0.0, 0.0, np.full(4, 0.5), np.full(4, 0.5),
                                     np.zeros(4), h_tol=1e-2)
-    assert rep.rank == 2 and rep.klass == "Rank2Flat"
+    assert rep["evidence"]["rank_estimate"] == 2 and rep["class"] == "Rank2Flat"
+
+
+def test_classify_limit_refuses_a_lift_without_interior_nodes():
+    # 8 theta nodes are all within SEAM_MARGIN of a pole: no evidence to classify
+    eq = EquivariantFlow(8, lambda th: 0.8 * np.sin(th))
+    field = eq.expand_field(eq.h)
+    with pytest.raises(ConfigurationError,
+                       match=rf"^grid shape \(8, {field.shape[1]}\) has no interior node[^\n]*$"):
+        classify_limit(field, "Converged")

@@ -19,8 +19,8 @@ from graphflow.immersion import GraphMapField, field_geometry
 
 TOL = 1e-12
 FRAME_FIELDS = ("lam", "mu", "alpha", "beta", "e", "xi", "eta", "s_diag", "t11", "t22", "p")
-GEOMETRY_FIELDS = ("g", "g_inv", "a_xi", "a_eta", "h_xi", "h_eta", "a_sq", "h_sq",
-                   "tangency_residual", "a_vectors")
+GEOMETRY_FIELDS = ("a_xi", "a_eta", "h_xi", "h_eta", "a_sq", "h_sq", "tangency_residual",
+                   "a_vectors")
 
 
 def _tsui_field(nodes):

@@ -158,7 +158,7 @@ def test_identity_map_flat_geometry():
     pg = field_geometry(f)[3, 7]
     assert pg.a_sq < 1e-24
     assert pg.h_sq < 1e-24
-    assert np.allclose(pg.g, 1.25 * np.eye(2))
+    assert np.allclose(f.induced_g_field()[3, 7], 1.25 * np.eye(2))
 
 
 def test_w_norm_and_theta_nonnegative():

@@ -7,10 +7,12 @@ import pytest
 
 from graphflow.errors import ConfigurationError, NotAreaDecreasingError
 from graphflow.flow import EquivariantFlow, FlowParams, FlowRecord, FlowState, step
-from graphflow.geometry import WarpedSurface, builtin_warp, flat_torus, product_s1_s2
+from graphflow.geometry import (Warp, WarpedSurface, builtin_warp, curvature_conditions_report,
+                                flat_torus, product_s1_s2)
 from graphflow.immersion import GraphMapField
 from graphflow.verify import (_time_derivative, check_H_and_theta_inequalities, check_decay_bounds,
-                              check_volume_budget, compute_bound_constants, residual_p_evolution)
+                              check_volume_budget, compute_bound_constants, decay_rates,
+                              residual_p_evolution)
 
 
 def test_bound_constants_formulas():
@@ -125,7 +127,8 @@ def _s1s2_triple(shape):
 def test_monitors_refuse_a_grid_without_interior_nodes():
     # 8 theta nodes are all within SEAM_MARGIN of a pole: no node to check
     triple = _s1s2_triple((4, 8, 4))
-    assert not triple[4].interior_mask().any()
+    with pytest.raises(ConfigurationError, match=r"grid shape \(4, 8, 4\) has no interior node"):
+        triple[4].interior_mask()
     with pytest.raises(ConfigurationError, match=r"grid shape \(4, 8, 4\) has no interior node"):
         residual_p_evolution([triple])
     with pytest.raises(ConfigurationError, match=r"grid shape \(4, 8, 4\) has no interior node"):
@@ -134,6 +137,45 @@ def test_monitors_refuse_a_grid_without_interior_nodes():
     triple = _s1s2_triple((4, 10, 4))
     assert residual_p_evolution([triple])[0]["nodes"] == 4 * 2 * 4
     assert check_H_and_theta_inequalities([triple], eps1=0.0)["checkpoints"][0]["nodes"] > 0
+
+
+def test_monitors_in_the_bi_ricci_regime():
+    # N: the warp w = 2 + cos z, whose Gauss curvature cos z / (2 + cos z) peaks
+    # at 1/3.  On S^1 x S^2, min BRic = 1 >= sup sigma_N = 1/3 > 0 = min Ric:
+    # the paper's case, where the area-decreasing property is preserved but
+    # convergence is not promised, and sec_M = 0 < sigma_N on the S^1 planes
+    warp = Warp("two_plus_cos", lambda xp: (lambda z: 2 + xp.cos(z), lambda z: -xp.sin(z),
+                                            lambda z: -xp.cos(z)))
+    m_manifold, surface = product_s1_s2(), WarpedSurface(warp)
+    report = curvature_conditions_report(m_manifold, surface)
+    assert report.cond_a and report.cond_b and not report.cond_c
+    assert report.min_bric == 1.0 and report.min_ric == 0.0
+    assert report.sup_sigma_n == pytest.approx(1 / 3)
+
+    # a graph with no symmetry: every mixed derivative is live
+    shape = (4, 12, 4)
+    x = GraphMapField(m_manifold, surface, shape, np.zeros(shape + (2,))).coords()
+    s, th, ph = x[..., 0], x[..., 1], x[..., 2]
+    f = np.stack([s + 0.02 * np.sin(th) * np.cos(ph), 0.5 + 0.02 * np.cos(s + ph)], axis=-1)
+    field = GraphMapField(m_manifold, surface, shape, f)
+    states = [FlowState(field=field, min_p=field.min_p())]
+    params = FlowParams(t_end=0.05)
+    while states[-1].t < params.t_end:
+        states.append(step(states[-1], params))
+    assert states[-1].status == "Running"
+    min_p = np.array([st.min_p for st in states])
+    assert min_p[0] > 0 and np.all(np.diff(min_p) >= 0)  # preserved and never falling
+
+    s0, s1, s2 = states[-3:]
+    triple = (s1.t, s1.t - s0.t, s2.t - s1.t, s0.field, s1.field, s2.field)
+    (res,) = residual_p_evolution([triple])
+    assert res["nodes"] == 64 and res["l2"] < 1e-3
+    _, eps1 = decay_rates(report.min_ric, report.sup_sigma_n)
+    (cp,) = check_H_and_theta_inequalities([triple], eps1=eps1)["checkpoints"]
+    # the slacks themselves, not ``pass``: its tolerance here is about 25
+    assert cp["nodes"] == 64
+    assert cp["worst_slack_h"] >= 0 and cp["worst_slack_theta"] >= 0
+    assert cp["worst_w_excess"] <= 1e-12
 
 
 def test_inequalities_pass_where_no_node_is_above_the_h_floor():
