@@ -165,7 +165,13 @@ def _validate(parser: configparser.ConfigParser,
 # ---------------------------------------------------------------------------
 # JSON schemas
 
+# the sections of verification.json that may carry a verdict, in `graphflow verify` order
+VERDICT_SECTIONS = ("decay_bounds", "residual_p", "inequalities", "volume_budget", "barrier",
+                    "pointwise", "stationarity")
 _SECTION = {"type": ["object", "null"], "properties": {"pass": {"type": "boolean"}}}
+_BARRIER = {"type": ["object", "null"], "properties": {
+    "certificate": {"type": "object", "properties": {"verdict": {"type": "boolean"}}},
+    "containment": {"type": "object", "properties": {"pass": {"type": "boolean"}}}}}
 VERIFICATION_SCHEMA = {
     "type": "object",
     "required": ["schema_version", "scenario", "overall_pass", "curvature_conditions"],
@@ -175,17 +181,28 @@ VERIFICATION_SCHEMA = {
         "overall_pass": {"type": "boolean"},
         "constants": {"type": ["object", "null"]},
         "curvature_conditions": {"type": "object"},
-        "decay_bounds": _SECTION,
-        "residual_p": _SECTION,
-        "inequalities": _SECTION,
-        "volume_budget": _SECTION,
-        "barrier": {"type": ["object", "null"], "properties": {
-            "certificate": {"type": "object", "properties": {"verdict": {"type": "boolean"}}},
-            "containment": {"type": "object", "properties": {"pass": {"type": "boolean"}}}}},
-        "pointwise": _SECTION,
-        "stationarity": _SECTION,
+        **{name: _BARRIER if name == "barrier" else _SECTION for name in VERDICT_SECTIONS},
     },
 }
+
+
+def verdicts(verification: dict) -> dict:
+    """Section -> verdict of each of VERDICT_SECTIONS that carries one: its ``pass``, or for
+    the barrier its certificate and its containment together.  overall_pass and `graphflow
+    verify` both read this; decay bounds that do not apply and the tsui residual carry none."""
+    found = {}
+    for name in VERDICT_SECTIONS:
+        section = verification.get(name) or {}
+        if name == "barrier" and section:
+            parts = (section.get("certificate", {}).get("verdict"),
+                     section.get("containment", {}).get("pass"))
+            verdict = None if None in parts else all(parts)
+        else:
+            verdict = section.get("pass")
+        if verdict is not None:
+            found[name] = verdict
+    return found
+
 
 CLASSIFICATION_SCHEMA = {
     "type": "object",
@@ -280,8 +297,10 @@ class Evolution:
     status: str
     classification: dict
     sections: dict        # the scenario's own verification sections
-    checks: list          # verdicts of those sections; all feed overall_pass
     dissipation: Optional[float] = None  # None: no flow, so no constants, bounds or budget
+    # verdicts with no section key, fed to overall_pass: only the torus residual's linf <=
+    # 1e-10.  ROADMAP item 1 gives that section a pass key and deletes this field.
+    checks: list = field(default_factory=list)
     h_grid: float = 0.0   # spacing behind the decay-bound tolerance
     counters: dict = field(default_factory=dict)  # run.log lines under status: steps, dt range
 
@@ -298,7 +317,6 @@ class Scenario:
 def run_scenario(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> RunManifest:
     """Execute a scenario end to end and write all artifacts."""
     out = out_dir or os.path.join(cfg.output_dir, cfg.name)
-    os.makedirs(out, exist_ok=True)
     t_start = datetime.datetime.now(datetime.timezone.utc).isoformat()
     scenario = SCENARIOS[cfg.name]
     m_manifold, n_manifold = scenario.manifolds()
@@ -306,7 +324,6 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> RunManif
     ev = scenario.evolve(cfg, m_manifold, n_manifold, report)
 
     verification = {"curvature_conditions": asdict(report), "constants": None, **ev.sections}
-    checks = list(ev.checks)
     constants = None
     if ev.dissipation is not None:
         rec0 = ev.records[0]
@@ -314,14 +331,12 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> RunManif
                                             sup_sigma_n=report.sup_sigma_n)
         verification["constants"] = {k: getattr(constants, k) for k in (
             "rho0", "c0", "c1", "eps0", "eps1", "a0", "a0_reconstructed")}
-        decay = check_decay_bounds(ev.records, constants, h_grid=ev.h_grid,
-                                   condition_a=report.cond_a)
-        verification["decay_bounds"] = decay
-        checks.append(decay.get("pass", True))
-        budget = check_volume_budget(rec0.volume, ev.records[-1].volume, ev.dissipation)
-        verification["volume_budget"] = budget
-        checks.append(budget["pass"])
-    verification.update(overall_pass=all(checks), schema_version=1, scenario=cfg.name)
+        verification["decay_bounds"] = check_decay_bounds(
+            ev.records, constants, h_grid=ev.h_grid, condition_a=report.cond_a)
+        verification["volume_budget"] = check_volume_budget(
+            rec0.volume, ev.records[-1].volume, ev.dissipation)
+    verification.update(overall_pass=all(verdicts(verification).values()) and all(ev.checks),
+                        schema_version=1, scenario=cfg.name)
     validate(verification, VERIFICATION_SCHEMA)
     classification = {**ev.classification, "schema_version": 1, "scenario": cfg.name}
     validate(classification, CLASSIFICATION_SCHEMA)
@@ -336,6 +351,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> RunManif
                            status=ev.status, files=[*texts, "manifest.json", "run.log"],
                            out_dir=out, overall_pass=verification["overall_pass"])
     texts["manifest.json"] = _json_text(manifest.as_dict())
+    os.makedirs(out, exist_ok=True)  # only now: a rejected run leaves no directory behind
     for name, text in texts.items():
         _replace_file(os.path.join(out, name), text)
     t_end = datetime.datetime.now(datetime.timezone.utc).isoformat()
@@ -370,16 +386,14 @@ def _evolve_tsui_wang(cfg: ScenarioConfig, m_manifold, n_manifold, report) -> Ev
             checkpoints += check_H_and_theta_inequalities(triple, eps1=eps1)["checkpoints"]
 
     sections: dict = {"barrier": None}
-    checks = []
     if residuals:
         sections["residual_p"] = {"checkpoints": residuals}
     if checkpoints:
         sections["inequalities"] = inequality_section(checkpoints)
-        checks.append(sections["inequalities"]["pass"])
     sections["diameter"] = diameter_series([(r.t, r.diameter) for r in run.records], eps0=eps0)
     rep = classify_limit(fld, run.status, h_tol=cfg.get("flow", "h_tol"),  # the last lift
                          ricci_positive=report.min_ric > 0)
-    return Evolution(run.records, run.status, rep, sections, checks,
+    return Evolution(run.records, run.status, rep, sections,
                      dissipation=run.dissipation, h_grid=eq.dtheta,
                      counters={"steps": run.steps, "dt_min": run.dt_min, "dt_max": run.dt_max})
 
@@ -401,7 +415,6 @@ def _evolve_cylinder(cfg: ScenarioConfig, m_manifold, n_manifold, report,
 
     final_h2 = float(run.h2[-1])
     sections: dict = {"barrier": None}
-    checks = []
     if waist_level is None:
         monotone = bool(np.all(np.diff(run.z) > 0))
         vol_dec = bool(np.all(np.diff(run.volume) < 0))
@@ -423,7 +436,6 @@ def _evolve_cylinder(cfg: ScenarioConfig, m_manifold, n_manifold, report,
                             "note": "sampled audit, not a proof"},
             "containment": contain,
         }
-        checks.append(cert.verdict and contain["pass"])
 
     rep = classify_from_observables(
         status, math.sqrt(final_h2),
@@ -431,7 +443,7 @@ def _evolve_cylinder(cfg: ScenarioConfig, m_manifold, n_manifold, report,
         lam=np.full(8, float(run.w[-1])), mu=np.zeros(8),
         sigma_n_values=np.full(8, n_manifold.gauss_curvature(float(run.z[-1]))),
         h_tol=cfg.get("flow", "h_tol"), ricci_positive=report.min_ric > 0)
-    return Evolution(records, status, rep, sections, checks,
+    return Evolution(records, status, rep, sections,
                      dissipation=run.dissipation, h_grid=DRIFT_DT)
 
 
@@ -471,15 +483,14 @@ def _evolve_torus_projection(cfg: ScenarioConfig, m_manifold, n_manifold, report
             max_h2=float(h2.max()), max_a2=float(h2.max()), max_theta=float((h2 / p).max()),
             volume=st.field.volume(), diameter=diam))
 
-    stationary = drift_max <= 1e-12
     res = residual_p_evolution([(0.0, 1.0, 1.0, field0, field0, field0)])
-    sections: dict = {"stationarity": {"max_step_drift": drift_max, "pass": stationary},
+    sections: dict = {"stationarity": {"max_step_drift": drift_max, "pass": drift_max <= 1e-12},
                       "residual_p": {"checkpoints": res}}
     rep = classify_limit(snapshots[-1].field, "Stationary", h_tol=cfg.get("flow", "h_tol"),
                          ricci_positive=report.min_ric > 0)
     return Evolution(records, "Stationary", rep, sections,
-                     [stationary, res[0]["linf"] <= 1e-10],
-                     dissipation=snapshots[-1].dissipation, h_grid=float(field0.h.max()))
+                     dissipation=snapshots[-1].dissipation, h_grid=float(field0.h.max()),
+                     checks=[res[0]["linf"] <= 1e-10])
 
 
 HOPF_NODES = 13  # per axis of the (eta, xi1, xi2) sample grid: 13 x 13 x 6 = 1014 samples
@@ -501,7 +512,7 @@ def _evolve_hopf_pointwise(cfg: ScenarioConfig, m_manifold, n_manifold, report) 
                         max_h2=nan, max_theta=nan, volume=nan, diameter=nan)
     pointwise = {"samples": len(x), "max_deviation_from_2": worst, "pass": worst <= 1e-10}
     return Evolution([record], "Pointwise", {"class": None, "notes": ["no flow in this scenario"]},
-                     {"pointwise": pointwise}, [pointwise["pass"]])
+                     {"pointwise": pointwise})
 
 
 def _evolve_identity_edge(cfg: ScenarioConfig, m_manifold, n_manifold, report) -> Evolution:

@@ -16,7 +16,7 @@ import sys
 from dataclasses import asdict
 
 from .app import (CLASSIFICATION_SCHEMA, SCENARIOS, VERIFICATION_SCHEMA, load_config,
-                  run_identities, run_scenario, validate)
+                  run_identities, run_scenario, validate, verdicts)
 from .errors import (ConfigurationError, DegenerateMetricError, DegeneratePlaneError,
                      DomainError, FrameError, GraphflowError, NotAreaDecreasingError,
                      SolverAbort)
@@ -100,23 +100,10 @@ def _read_json(run_dir: str, name: str, schema: dict) -> dict:
 
 def _cmd_verify(args) -> int:
     verification = _read_json(args.run_dir, "verification.json", VERIFICATION_SCHEMA)
-    checks = []
-    for key in ("decay_bounds", "residual_p", "inequalities", "volume_budget",
-                "barrier", "pointwise", "stationarity"):
-        section = verification.get(key)
-        if section is None:
-            continue
-        verdict = section.get("pass")
-        if key == "barrier" and verdict is None:  # its two verdicts, as overall_pass reads them
-            parts = (section.get("certificate", {}).get("verdict"),
-                     section.get("containment", {}).get("pass"))
-            verdict = None if None in parts else all(parts)
-        if verdict is None:
-            continue
-        checks.append((key, bool(verdict)))
-    for key, verdict in checks:
+    found = verdicts(verification)
+    for key, verdict in found.items():
         print(f"{key}: {'PASS' if verdict else 'FAIL'}")
-    ok = bool(verification.get("overall_pass", False))
+    ok = verification["overall_pass"] and all(found.values())  # a FAIL line fails the run
     print(f"overall: {'PASS' if ok else 'FAIL'}")
     return EXIT_PASS if ok else EXIT_VERIFICATION_FAILURE
 

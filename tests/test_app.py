@@ -603,6 +603,18 @@ def test_cli_config_error_exit_code(tmp_path):
     assert cli_main(["verify", str(tmp_path / "not_a_run")]) == 2
 
 
+@pytest.mark.parametrize("name, extra", [
+    ("torus_identity_edge", ""),                     # not strictly area decreasing
+    ("cylinder_waist", "[initial]\nz0 = 1.5\n"),  # outside the waist tube z^2 < 1
+], ids=["edge", "outside_tube"])
+def test_rejected_run_leaves_no_directory(tmp_path, name, extra):
+    # the run directory was made before the scenario ran, and stayed behind empty
+    cfg_path = _write(tmp_path, f"[scenario]\nname = {name}\n{extra}")
+    out = tmp_path / "out"
+    assert cli_main(["run", cfg_path, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("error", [errors.GraphflowError, *errors.GraphflowError.__subclasses__()],
                          ids=lambda cls: cls.__name__)
 def test_cli_exit_code_of_every_error(monkeypatch, capsys, error):
@@ -667,6 +679,19 @@ def test_verify_prints_a_failed_barrier_half(tmp_path, capsys, part, key):
     assert cli_main(["verify", str(run_dir)]) == 1
     out = capsys.readouterr().out
     assert "barrier: FAIL\n" in out and "overall: FAIL\n" in out
+
+
+def test_verify_fails_a_file_whose_verdict_line_fails(tmp_path, capsys):
+    # overall_pass still reads true, but a FAIL line fails the run (verify used to exit 0)
+    run_dir = shutil.copytree(GOLDEN_WAIST, tmp_path / "run")
+    path = run_dir / "verification.json"
+    verification = json.loads(path.read_text())
+    verification["volume_budget"]["pass"] = False
+    assert verification["overall_pass"] is True
+    path.write_text(json.dumps(verification))
+    assert cli_main(["verify", str(run_dir)]) == 1
+    out = capsys.readouterr().out
+    assert "volume_budget: FAIL\n" in out and "overall: FAIL\n" in out
 
 
 def test_verify_rejects_a_barrier_verdict_that_is_not_boolean(tmp_path, capsys):

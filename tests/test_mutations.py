@@ -2,7 +2,9 @@
 
 A test runs a small scenario twice, as it is and with one known defect
 monkeypatched into the program, and asserts that the clean run passes while
-the defect turns its section, and so ``overall_pass``, to FAIL.  The
+the defect turns its section, and so ``overall_pass``, to FAIL.  It reads each
+run back through ``graphflow verify`` too, which must exit 1 on the broken run
+and print FAIL on the line of the broken section.  The
 inequality slacks and the diameter fit are left out: the former's tolerance
 (6-25 on these grids) cannot fail, and the latter does not feed
 ``overall_pass``.
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 
 from graphflow import app, verify
-from graphflow.app import builtin_config, run_identities, run_scenario
+from graphflow.app import builtin_config, run_identities, run_scenario, verdicts
 from graphflow.cli import main as cli_main
 
 
@@ -82,23 +84,25 @@ def _circle_leaves_the_tube(monkeypatch):
     monkeypatch.setattr(app, "reduce_circle_drift", drift)
 
 
-# (scenario, overrides, defect, whether the verification passes the verdict)
+# (scenario, overrides, defect, whether the verification passes the verdict, the section
+# whose `graphflow verify` line the defect turns to FAIL, or None for a verdict with no key)
 CASES = {
     "volume_budget": ("cylinder_drift", {("flow", "t_end"): 1.0}, _scaled_dissipation,
-                      lambda v: v["volume_budget"]["pass"]),
+                      lambda v: v["volume_budget"]["pass"], "volume_budget"),
     "decay_bounds": ("cylinder_drift", {("flow", "t_end"): 1.0}, _tight_p_bound,
-                     lambda v: v["decay_bounds"]["pass"]),
-    "pointwise": ("hopf_pointwise", {}, _hopf_df_off, lambda v: v["pointwise"]["pass"]),
+                     lambda v: v["decay_bounds"]["pass"], "decay_bounds"),
+    "pointwise": ("hopf_pointwise", {}, _hopf_df_off, lambda v: v["pointwise"]["pass"],
+                  "pointwise"),
     "stationarity": ("torus_projection", {("grid", "shape"): "4,4,4"}, _torus_node_moves,
-                     lambda v: v["stationarity"]["pass"]),
+                     lambda v: v["stationarity"]["pass"], "stationarity"),
     # the torus residual feeds overall_pass through its linf, with no pass key
     "torus_residual_p": ("torus_projection", {("grid", "shape"): "4,4,4"},
                          _curvature_source_off,
-                         lambda v: v["residual_p"]["checkpoints"][0]["linf"] <= 1e-10),
+                         lambda v: v["residual_p"]["checkpoints"][0]["linf"] <= 1e-10, None),
     "barrier_certificate": ("cylinder_waist", {("flow", "t_end"): 2.0}, _barrier_hessian_flipped,
-                            lambda v: v["barrier"]["certificate"]["verdict"]),
+                            lambda v: v["barrier"]["certificate"]["verdict"], "barrier"),
     "barrier_containment": ("cylinder_waist", {("flow", "t_end"): 2.0}, _circle_leaves_the_tube,
-                            lambda v: v["barrier"]["containment"]["pass"]),
+                            lambda v: v["barrier"]["containment"]["pass"], "barrier"),
 }
 
 
@@ -110,15 +114,34 @@ def _verification(name, overrides, out):
     return verification
 
 
+def _verify_lines(out, capsys):
+    """The exit code and printed lines of `graphflow verify` on a run directory."""
+    capsys.readouterr()
+    code = cli_main(["verify", str(out)])
+    return code, capsys.readouterr().out.splitlines()
+
+
+def _verdict_lines(verification):
+    return [f"{key}: {'PASS' if ok else 'FAIL'}" for key, ok in verdicts(verification).items()]
+
+
 @pytest.mark.parametrize("verdict", sorted(CASES))
-def test_injected_defect_fails_its_verdict(tmp_path, monkeypatch, verdict):
-    name, overrides, defect, passes = CASES[verdict]
+def test_injected_defect_fails_its_verdict(tmp_path, monkeypatch, capsys, verdict):
+    name, overrides, defect, passes, section = CASES[verdict]
     clean = _verification(name, overrides, tmp_path / "clean")
     assert passes(clean) and clean["overall_pass"]
+    assert _verify_lines(tmp_path / "clean", capsys) == (0, [*_verdict_lines(clean),
+                                                            "overall: PASS"])
     defect(monkeypatch)
     broken = _verification(name, overrides, tmp_path / "broken")
     assert not passes(broken)
     assert broken["overall_pass"] is False
+    code, lines = _verify_lines(tmp_path / "broken", capsys)
+    assert code == 1 and lines == [*_verdict_lines(broken), "overall: FAIL"]
+    if section is None:  # no line of its own: only overall shows it
+        assert all(line.endswith(": PASS") for line in lines[:-1])
+    else:
+        assert f"{section}: FAIL" in lines
 
 
 def test_injected_defect_fails_the_identities(monkeypatch, capsys):
