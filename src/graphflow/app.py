@@ -169,9 +169,10 @@ def _validate(parser: configparser.ConfigParser,
 VERDICT_SECTIONS = ("decay_bounds", "residual_p", "inequalities", "volume_budget", "barrier",
                     "pointwise", "stationarity")
 _SECTION = {"type": ["object", "null"], "properties": {"pass": {"type": "boolean"}}}
-_BARRIER = {"type": ["object", "null"], "properties": {
-    "certificate": {"type": "object", "properties": {"verdict": {"type": "boolean"}}},
-    "containment": {"type": "object", "properties": {"pass": {"type": "boolean"}}}}}
+_BARRIER = {"type": ["object", "null"], "required": ["certificate", "containment"],
+            "properties": {half: {"type": "object", "required": [key],
+                                  "properties": {key: {"type": "boolean"}}}
+                           for half, key in (("certificate", "verdict"), ("containment", "pass"))}}
 VERIFICATION_SCHEMA = {
     "type": "object",
     "required": ["schema_version", "scenario", "overall_pass", "curvature_conditions"],
@@ -193,10 +194,8 @@ def verdicts(verification: dict) -> dict:
     found = {}
     for name in VERDICT_SECTIONS:
         section = verification.get(name) or {}
-        if name == "barrier" and section:
-            parts = (section.get("certificate", {}).get("verdict"),
-                     section.get("containment", {}).get("pass"))
-            verdict = None if None in parts else all(parts)
+        if name == "barrier" and section:  # the schema requires both halves
+            verdict = bool(section["certificate"]["verdict"] and section["containment"]["pass"])
         else:
             verdict = section.get("pass")
         if verdict is not None:

@@ -681,6 +681,30 @@ def test_verify_prints_a_failed_barrier_half(tmp_path, capsys, part, key):
     assert "barrier: FAIL\n" in out and "overall: FAIL\n" in out
 
 
+@pytest.mark.parametrize("keys, where", [
+    (("certificate",), "$.barrier"),
+    (("containment",), "$.barrier"),
+    (("certificate", "verdict"), "$.barrier.certificate"),
+    (("containment", "pass"), "$.barrier.containment"),
+])
+def test_verify_rejects_a_barrier_without_its_verdict(tmp_path, capsys, keys, where):
+    # a barrier that lacks a half has no verdict; it used to print no barrier
+    # line and `overall: PASS`
+    run_dir = shutil.copytree(GOLDEN_WAIST, tmp_path / "run")
+    path = run_dir / "verification.json"
+    verification = json.loads(path.read_text())
+    section = verification["barrier"]
+    for key in keys[:-1]:
+        section = section[key]
+    del section[keys[-1]]
+    path.write_text(json.dumps(verification))
+    assert cli_main(["verify", str(run_dir)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("config error: ")
+    assert f"{path}: {where}: '{keys[-1]}' is a required property" in err
+
+
 def test_verify_fails_a_file_whose_verdict_line_fails(tmp_path, capsys):
     # overall_pass still reads true, but a FAIL line fails the run (verify used to exit 0)
     run_dir = shutil.copytree(GOLDEN_WAIST, tmp_path / "run")

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from graphflow.errors import NotAreaDecreasingError, SolverAbort
-from graphflow.flow import (DRIFT_DT, EquivariantFlow, FlowParams, FlowState, _sample_times,
-                            cfl_dt, drift_velocity, h2_field, nonparametric_rhs,
-                            reduce_circle_drift, step, tangential_vector_field)
+import graphflow.flow
+from graphflow.flow import (_AB8, _AM9, ADAMS_STEP, DRIFT_DT, DRIFT_STEP, EquivariantFlow,
+                            FlowParams, FlowState, _adams_dense, _sample_times, cfl_dt,
+                            drift_velocity, h2_field, nonparametric_rhs, reduce_circle_drift,
+                            step, tangential_vector_field)
 from graphflow.geometry import WarpedSurface, builtin_warp, flat_torus, product_s1_s2
 from graphflow.immersion import GraphMapField, field_geometry
 
@@ -279,7 +281,15 @@ def test_drift_sample_times_increase_strictly():
         assert t[0] == 0.0 and abs(t[-1] - t_end) <= 1e-11, t_end
 
 
-@pytest.mark.parametrize("warp, z0, t_end", [("cosh", 0.5, 30.0), ("exp_neg", 0.0, 5.0)])
+@pytest.mark.parametrize("warp, z0, t_end", [
+    ("cosh", 0.5, 30.0),
+    ("exp_neg", 0.0, 5.0),
+    ("cosh", 0.5, 0.2345),     # the RK4 start only, its last step clamped at t_end
+    ("cosh", 0.5, 0.555),      # the hand-over at 7 ADAMS_STEP, four Adams steps and part of one
+    ("cosh", 0.5, 1.2345),     # the last Adams step ends past t_end
+    ("exp_neg", 0.0, 7.0007),  # t_end 7e-4 past a step end: a short fraction of the last step
+    ("exp_neg", 0.0, 8.002),   # the sum of DRIFT_DT overshoots t_end
+])
 def test_drift_matches_an_independent_solver(warp, z0, t_end):
     # DOP853 (order 8, its own dense output) at rtol 1e-13 is the truth on the
     # sample grid; the RK4 loop at the sample spacing had the same accuracy
@@ -290,3 +300,52 @@ def test_drift_matches_an_independent_solver(warp, z0, t_end):
                     method="DOP853", rtol=1e-13, atol=1e-16, dense_output=True)
     assert sol.success
     assert np.max(np.abs(run.z - sol.sol(run.t)[0])) <= 5e-13
+
+
+def test_drift_work_per_default_waist_run(monkeypatch):
+    # 4 Phi per RK4 starter step and 1 at t = 0, 2 per Adams step (PECE), and one
+    # call on the sample array; RK4 at DRIFT_STEP alone made 24,002
+    calls = Counter()
+
+    def counted(warp, z):
+        calls[type(z) is float] += 1
+        return drift_velocity(warp, z)
+
+    monkeypatch.setattr(graphflow.flow, "drift_velocity", counted)
+    run = reduce_circle_drift(WarpedSurface(builtin_warp("cosh")), 0.5, 30.0)
+    starter = round(7 * ADAMS_STEP / DRIFT_STEP)
+    adams = round((30.0 - 7 * ADAMS_STEP) / ADAMS_STEP)
+    assert (starter, adams) == (70, 593)
+    assert calls == {True: 4 * starter + 1 + 2 * adams, False: 1}
+    assert sum(calls.values()) == 1468 and len(run.t) == 30001
+
+
+def test_adams_weights_are_exact_on_polynomials():
+    # in integers: the predictor (nodes 0, -1, ..., -7) integrates u^q over [0, 1]
+    # exactly for q < 8, the corrector (nodes 1, 0, ..., -7) for q < 9
+    for q in range(8):
+        assert (q + 1) * sum(b * (-k) ** q for k, b in enumerate(_AB8)) == 120960, q
+    for q in range(9):
+        assert (q + 1) * sum(b * (1 - k) ** q for k, b in enumerate(_AM9)) == 3628800, q
+    # the dense weights integrate them over [0, theta]; at theta = 1 they are the corrector
+    theta = np.append(np.arange(1, 51) / 50, [0.0123, 0.777])
+    dense = _adams_dense() @ np.power.outer(theta, np.arange(1, 10)).T
+    nodes = np.arange(1.0, -8.0, -1.0)
+    for q in range(9):
+        scale = np.abs(nodes ** q) @ np.abs(dense)
+        assert np.all(np.abs(nodes ** q @ dense - theta ** (q + 1) / (q + 1)) <= 1e-15 * scale), q
+    assert np.abs(dense[:, 49] - np.array(_AM9) / 3628800).max() <= 1e-15
+
+
+@pytest.mark.parametrize("dt", [3e-3, 0.07, 0.1])
+def test_drift_rejects_a_sample_spacing_that_does_not_divide_the_adams_step(dt, waist_cylinder):
+    with pytest.raises(ValueError, match="does not divide ADAMS_STEP"):
+        reduce_circle_drift(waist_cylinder, 0.5, 1.0, dt=dt)
+
+
+def test_drift_samples_at_a_coarser_spacing_that_divides_the_adams_step(waist_cylinder):
+    # dt = 5e-3 uses a (9, 10) dense table: the same trajectory on every fifth sample
+    fine = reduce_circle_drift(waist_cylinder, 0.5, 2.0)
+    coarse = reduce_circle_drift(waist_cylinder, 0.5, 2.0, dt=5e-3)
+    assert len(coarse.t) == 401 and np.array_equal(coarse.t, fine.t[::5])
+    assert np.abs(coarse.z - fine.z[::5]).max() <= 1e-15
