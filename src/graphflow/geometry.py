@@ -20,21 +20,10 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    DegenerateMetricError,
-    DegeneratePlaneError,
-    DomainError,
-    FrameError,
-)
-from .frames import generalized_eigvalsh, quad_form
+from .errors import ConfigurationError, DegenerateMetricError, DegeneratePlaneError, DomainError
+from .frames import quad_form
 
 _COMPLEX_STEP = 1e-30
-# sample sizes of the curvature estimates of charts without closed forms
-POINT_SAMPLES = 64   # chart points of a sampled curvature report
-FRAME_SAMPLES = 64   # random orthonormal 2-frames per point, before the descent
-DESCENT_STEPS = 20   # keep-if-better rotation steps per point
-SIGMA_SAMPLES = 400  # chart points of a sampled sup sigma_N
 WARP_SAMPLES = 2001  # heights of the sup of a warped surface's Gauss curvature
 WARP_Z_MAX = 6.0  # a warped surface's chart is z in [-WARP_Z_MAX, WARP_Z_MAX]
 
@@ -208,22 +197,6 @@ def sectional(manifold: ChartManifold, x, v, w,
     if np.any(gram < 1e-14 * np.maximum(1.0, vv * ww)):
         raise DegeneratePlaneError("vectors do not span a plane")
     return np.einsum("...ijkl,...i,...j,...k,...l->...", ct.riemann, v, w, w, v) / gram
-
-
-def bi_ricci(manifold: ChartManifold, x, v, w,
-             tensors: Optional[CurvatureTensors] = None) -> np.ndarray:
-    """BRic(v, w) = Ric(v, v) + Ric(w, w) - sigma(v ^ w) for g-orthonormal v, w (..., m)."""
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    ct = tensors if tensors is not None else curvature_package(manifold, x)
-    if (
-        np.any(np.abs(quad_form(v, ct.g, v) - 1.0) > 1e-8)
-        or np.any(np.abs(quad_form(w, ct.g, w) - 1.0) > 1e-8)
-        or np.any(np.abs(quad_form(v, ct.g, w)) > 1e-8)
-    ):
-        raise FrameError("bi_ricci requires g-orthonormal vectors")
-    return (quad_form(v, ct.ricci, v) + quad_form(w, ct.ricci, w)
-            - sectional(manifold, x, v, w, tensors=ct))
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +423,11 @@ def hopf_map(x) -> np.ndarray:
 
 @dataclass
 class CurvatureReport:
-    """Sampled curvature-condition summary for a pair (M, N)."""
+    """Closed-form curvature conditions of a pair (M, N).
+
+    ``exact``, ``point_count`` and ``frame_count`` never vary: every report is
+    closed-form and samples nothing.  They stay, with the echoed ``seed``, to
+    keep the shape of the ``curvature_conditions`` artifact section."""
 
     min_ric: float
     min_bric: float
@@ -458,12 +435,12 @@ class CurvatureReport:
     cond_a: bool
     cond_b: bool
     cond_c: bool
-    exact: bool
-    point_count: int
-    frame_count: int
+    trace_ineq_2b: bool
+    trace_ineq_3: bool
     seed: int
-    trace_ineq_2b: bool = True
-    trace_ineq_3: bool = True
+    exact: bool = True
+    point_count: int = 0
+    frame_count: int = 0
 
 
 def gauss_curvature_at(n_manifold: ChartManifold, y):
@@ -483,127 +460,50 @@ def gauss_curvature_at(n_manifold: ChartManifold, y):
 
 
 def sup_sigma_of(n_manifold: ChartManifold) -> float:
+    """sup sigma_N: a declared constant curvature, or a warped surface's sup over heights."""
     if isinstance(n_manifold, WarpedSurface):
         return n_manifold.sup_gauss_curvature()
     if n_manifold.constant_curvature is not None:
         return n_manifold.constant_curvature
-    pts = _sample_points(n_manifold, SIGMA_SAMPLES, np.random.default_rng(0))
-    return float(np.max(gauss_curvature_at(n_manifold, pts)))
-
-
-def _sample_points(manifold: ChartManifold, count: int, rng: np.random.Generator) -> np.ndarray:
-    pts = np.empty((count, manifold.dim))
-    for a, ax in enumerate(manifold.axes):
-        if ax.periodic:
-            pts[:, a] = rng.uniform(ax.lo, ax.hi, size=count)
-        else:
-            margin = 0.05 * ax.length
-            pts[:, a] = rng.uniform(ax.lo + margin, ax.hi - margin, size=count)
-    return pts
-
-
-def _orthonormalize(g: np.ndarray, pairs: np.ndarray):
-    """Gram-Schmidt each pair of rows (..., 2, m) with respect to the metric g (..., m, m).
-
-    Returns the pairs and where both vectors kept a norm of at least 1e-12; a
-    degenerate pair comes back as it was given.
-    """
-    v, w = pairs[..., 0, :], pairs[..., 1, :]
-    nv = np.sqrt(np.maximum(quad_form(v, g, v), 0.0))
-    ok = nv >= 1e-12
-    v = v / np.where(ok, nv, 1.0)[..., None]
-    w = w - quad_form(v, g, w)[..., None] * v
-    nw = np.sqrt(np.maximum(quad_form(w, g, w), 0.0))
-    ok &= nw >= 1e-12
-    w = w / np.where(ok, nw, 1.0)[..., None]
-    return np.where(ok[..., None, None], np.stack([v, w], axis=-2), pairs), ok
-
-
-def min_bric_sampled(manifold: ChartManifold, points: np.ndarray,
-                     rng: np.random.Generator) -> float:
-    """Monte-Carlo lower-bound estimate of min BRic over 2-frames.
-
-    FRAME_SAMPLES random orthonormal pairs at each sample point (n, m), then
-    DESCENT_STEPS of a keep-if-better local rotation descent per point.  An
-    audit estimate, not a certificate.  Each point draws its normal samples in
-    one block, so the stream is the one a loop over the points would draw.
-    """
-    n, m = points.shape
-    ct = curvature_package(manifold, points)
-    draws = rng.standard_normal((n, FRAME_SAMPLES + DESCENT_STEPS, 2, m))
-    wide = CurvatureTensors(**{k: v[:, None] for k, v in vars(ct).items()})  # (n, 1, ...)
-    pairs, ok = _orthonormalize(wide.g, draws[:, :FRAME_SAMPLES])
-    if not ok.all():
-        raise FrameError("degenerate frame sample")
-    vals = bi_ricci(manifold, points[:, None], pairs[..., 0, :], pairs[..., 1, :], wide)
-    first = np.argmin(vals, axis=1)  # the first of equal minima, as a loop keeping '<' would
-    best = vals[np.arange(n), first]
-    pair = pairs[np.arange(n), first]
-    # local rotation descent around the best sampled pair of each point
-    step = np.full(n, 0.3)
-    for k in range(DESCENT_STEPS):
-        cand, ok = _orthonormalize(ct.g, pair + step[:, None, None] * draws[:, FRAME_SAMPLES + k])
-        cand = np.where(ok[:, None, None], cand, pair)  # a degenerate candidate: skip its point
-        val = bi_ricci(manifold, points, cand[:, 0], cand[:, 1], ct)
-        better = ok & (val < best)
-        best = np.where(better, val, best)
-        pair = np.where(better[:, None, None], cand, pair)
-        step = np.where(ok & ~better, 0.8 * step, step)
-    return float(best.min())
+    raise ConfigurationError(f"{n_manifold.name}: no closed-form sup sigma_N "
+                             "(N must have a constant curvature or be a warped surface)")
 
 
 def curvature_conditions_report(m_manifold: ChartManifold, n_manifold: ChartManifold,
                                 seed: int = 0) -> CurvatureReport:
-    """Evaluate the curvature conditions relating M and N.
+    """Conditions (A) BRic_M >= sup sigma_N, (B) Ric_M >= 0 and (C) Ric_M >= sup sigma_N,
+    with the trace consequences (2b) and (3) of (A), all in closed form.
 
-    Exact closed forms are used when M declares a constant curvature (and for
-    the S^1 x S^2 product); otherwise minima are sampled at POINT_SAMPLES
-    chart points.  The trace consequences of condition (A) are checked on the
-    same per-sample (min Ric, scal) pairs.
+    M has a constant curvature k (min Ric = (m-1)k, min BRic = (2m-3)k, scal =
+    m(m-1)k) or is the S^1 x S^2 product (Ricci eigenvalues (0, 1, 1), scal 2,
+    min BRic 1, the sphere's curvature); N as in ``sup_sigma_of``.  Any other
+    pair raises ``ConfigurationError``.  Nothing is drawn: ``seed`` is only
+    echoed into the report.
     """
     m = m_manifold.dim
     sup_sn = sup_sigma_of(n_manifold)
-    exact = True
-    points_used, frames_used = 0, 0
     if m_manifold.constant_curvature is not None:
-        sm = m_manifold.constant_curvature
-        ric_mins, scals = np.array([(m - 1) * sm]), np.array([m * (m - 1) * sm])
-        min_bric = (2 * m - 3) * sm
+        k = m_manifold.constant_curvature
+        min_ric, min_bric, scal = (m - 1) * k, (2 * m - 3) * k, m * (m - 1) * k
     elif m_manifold.is_product_s1xs2:
-        # Ricci eigenvalues are (0, 1, 1); the bi-Ricci minimum over all
-        # orthonormal pairs equals the sphere curvature.
-        ric_mins, scals = np.array([0.0]), np.array([2.0])
-        min_bric = 1.0
+        min_ric, min_bric, scal = 0.0, 1.0, 2.0
     else:
-        rng = np.random.default_rng(seed)
-        pts = _sample_points(m_manifold, POINT_SAMPLES, rng)
-        ct = curvature_package(m_manifold, pts)
-        ric_mins, scals = generalized_eigvalsh(ct.ricci, ct.g)[:, 0], ct.scalar
-        min_bric = min_bric_sampled(m_manifold, pts, rng)
-        exact = False
-        points_used, frames_used = POINT_SAMPLES, FRAME_SAMPLES
-    min_ric = float(ric_mins.min())
+        raise ConfigurationError(f"{m_manifold.name}: no closed-form curvature conditions "
+                                 "(M must have a constant curvature or be S^1 x S^2)")
 
     cond_a = min_bric >= sup_sn - 1e-12
-    cond_b = min_ric >= -1e-12
-    cond_c = min_ric >= sup_sn - 1e-12
-    # trace consequences of condition (A), at every sample
     ineq_2b = ineq_3 = True
     if cond_a:
-        ineq_2b = np.all((m - 3) * ric_mins + scals >= (m - 1) * sup_sn - 1e-10)
-        ineq_3 = np.all(scals >= m * (m - 1) / (2 * m - 3) * sup_sn - 1e-10)
-
+        ineq_2b = (m - 3) * min_ric + scal >= (m - 1) * sup_sn - 1e-10
+        ineq_3 = scal >= m * (m - 1) / (2 * m - 3) * sup_sn - 1e-10
     return CurvatureReport(
-        min_ric=min_ric,
+        min_ric=float(min_ric),
         min_bric=float(min_bric),
         sup_sigma_n=float(sup_sn),
         cond_a=bool(cond_a),
-        cond_b=bool(cond_b),
-        cond_c=bool(cond_c),
-        exact=exact,
-        point_count=points_used,
-        frame_count=frames_used,
-        seed=seed,
+        cond_b=bool(min_ric >= -1e-12),
+        cond_c=bool(min_ric >= sup_sn - 1e-12),
         trace_ineq_2b=bool(ineq_2b),
         trace_ineq_3=bool(ineq_3),
+        seed=seed,
     )

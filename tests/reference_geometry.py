@@ -4,9 +4,10 @@ field geometry replaced them, the singular values as an m x m generalized
 eigenproblem as they were before the 2x2 invariants replaced them, the
 per-offset stencils of ``GraphMapField`` as they were before the
 ghost-padded grid replaced them, and the per-point
-curvature layer (chart derivatives, curvature tensors, BRic sampling, the
-sampled curvature report and the monitors' curvature inputs) as it was before
-the batched curvature tensors replaced it, kept verbatim as test oracles.
+curvature layer (chart derivatives, curvature tensors, sectional and bi-Ricci
+curvature, Gram-Schmidt of frames and the monitors' curvature inputs) as it
+was before the batched curvature tensors replaced it, kept verbatim as test
+oracles; ``bi_ricci`` is also the oracle of the closed-form curvature report.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ import scipy.linalg
 from graphflow.errors import (ConfigurationError, DegenerateMetricError, DegeneratePlaneError,
                               FrameError)
 from graphflow.frames import quad_form
-from graphflow.geometry import (_COMPLEX_STEP, ChartManifold, CurvatureReport, WarpedSurface,
-                                _sample_points)
+from graphflow.geometry import _COMPLEX_STEP, ChartManifold, WarpedSurface
 from graphflow.immersion import GraphMapField
 
 
@@ -340,7 +340,7 @@ class LoopCurvatureChart(ChartManifold):
     @classmethod
     def of(cls, manifold: ChartManifold) -> "LoopCurvatureChart":
         return cls(manifold.name, manifold.axes, manifold._metric_at, manifold._christoffels_at,
-                   manifold.constant_curvature, manifold.is_product_s1xs2)
+                   manifold.constant_curvature)
 
     def inverse_metric_at(self, x) -> np.ndarray:
         g = self.metric_many(x)
@@ -475,15 +475,6 @@ def gauss_curvature_at(n_manifold: LoopCurvatureChart, y):
     return np.reshape(flat, y.shape[:-1])
 
 
-def sup_sigma_of(n_manifold: LoopCurvatureChart, samples: int = 400) -> float:
-    if isinstance(n_manifold, WarpedSurface):
-        return n_manifold.sup_gauss_curvature()
-    if n_manifold.constant_curvature is not None:
-        return n_manifold.constant_curvature
-    pts = _sample_points(n_manifold, samples, np.random.default_rng(0))
-    return float(np.max(gauss_curvature_at(n_manifold, pts)))
-
-
 def _orthonormalize(g: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """Gram-Schmidt the rows of ``vecs`` with respect to metric ``g``."""
     out = []
@@ -495,130 +486,6 @@ def _orthonormalize(g: np.ndarray, vecs: np.ndarray) -> np.ndarray:
             raise FrameError("degenerate frame sample")
         out.append(v / norm)
     return np.asarray(out)
-
-
-def min_bric_sampled(
-    manifold: LoopCurvatureChart,
-    points: np.ndarray,
-    frames_per_point: int,
-    rng: np.random.Generator,
-    descent_steps: int = 20,
-) -> float:
-    """Monte-Carlo lower-bound estimate of min BRic over 2-frames.
-
-    Random orthonormal pairs at each sample point followed by a short
-    keep-if-better local rotation descent.  An audit estimate, not a
-    certificate.
-    """
-    best = math.inf
-    m = manifold.dim
-    for x in points:
-        ct = curvature_package(manifold, x)
-        local_best = math.inf
-        local_pair = None
-        for _ in range(frames_per_point):
-            pair = _orthonormalize(ct.g, rng.standard_normal((2, m)))
-            val = bi_ricci(manifold, x, *pair, tensors=ct)
-            if val < local_best:
-                local_best, local_pair = val, pair
-        # local rotation descent around the best sampled pair
-        step = 0.3
-        for _ in range(descent_steps):
-            cand = local_pair + step * rng.standard_normal((2, m))
-            try:
-                cand = _orthonormalize(ct.g, cand)
-            except FrameError:
-                continue
-            val = bi_ricci(manifold, x, *cand, tensors=ct)
-            if val < local_best:
-                local_best, local_pair = val, cand
-            else:
-                step *= 0.8
-        best = min(best, local_best)
-    return best
-
-
-def curvature_conditions_report(
-    m_manifold: LoopCurvatureChart,
-    n_manifold: LoopCurvatureChart,
-    point_samples: int = 64,
-    frame_samples: int = 64,
-    seed: int = 0,
-) -> CurvatureReport:
-    """Evaluate the curvature conditions relating M and N.
-
-    Exact closed forms are used when both manifolds declare constant curvature
-    (and for the S^1 x S^2 product); otherwise minima are sampled.  Its Ricci
-    minimum reads only the lower triangle of the non-symmetric g^{-1} Ric, so
-    it is right only where g is diagonal.
-    """
-    if point_samples <= 0 or frame_samples <= 0:
-        raise ConfigurationError("sampling parameters must be positive")
-    m = m_manifold.dim
-    sup_sn = sup_sigma_of(n_manifold)
-    exact = False
-
-    if m_manifold.constant_curvature is not None:
-        sm = m_manifold.constant_curvature
-        min_ric = (m - 1) * sm
-        min_bric = (2 * m - 3) * sm
-        exact = True
-        points_used, frames_used = 0, 0
-    elif m_manifold.is_product_s1xs2:
-        # Ricci eigenvalues are (0, 1, 1); the bi-Ricci minimum over all
-        # orthonormal pairs equals the sphere curvature.
-        min_ric = 0.0
-        min_bric = 1.0
-        exact = True
-        points_used, frames_used = 0, 0
-    else:
-        rng = np.random.default_rng(seed)
-        pts = _sample_points(m_manifold, point_samples, rng)
-        ric_min = math.inf
-        for x in pts:
-            ct = curvature_package(m_manifold, x)
-            vals = np.linalg.eigvalsh(np.linalg.solve(ct.g, ct.ricci))
-            ric_min = min(ric_min, float(vals.min()))
-        min_ric = ric_min
-        min_bric = min_bric_sampled(m_manifold, pts, frame_samples, rng)
-        points_used, frames_used = point_samples, frame_samples
-
-    cond_a = min_bric >= sup_sn - 1e-12
-    cond_b = min_ric >= -1e-12
-    cond_c = min_ric >= sup_sn - 1e-12
-
-    # trace consequences of condition (A), checked on samples (or exactly)
-    ineq_2b = ineq_3 = True
-    if cond_a:
-        if exact and m_manifold.constant_curvature is not None:
-            sm = m_manifold.constant_curvature
-            scal = m * (m - 1) * sm
-            ineq_2b = (m - 3) * min_ric + scal >= (m - 1) * sup_sn - 1e-10
-            ineq_3 = scal >= m * (m - 1) / (2 * m - 3) * sup_sn - 1e-10
-        elif not exact:
-            rng2 = np.random.default_rng(seed + 1)
-            for x in _sample_points(m_manifold, min(point_samples, 16), rng2):
-                ct = curvature_package(m_manifold, x)
-                vals = np.linalg.eigvalsh(np.linalg.solve(ct.g, ct.ricci))
-                if (m - 3) * vals.min() + ct.scalar < (m - 1) * sup_sn - 1e-8:
-                    ineq_2b = False
-                if ct.scalar < m * (m - 1) / (2 * m - 3) * sup_sn - 1e-8:
-                    ineq_3 = False
-
-    return CurvatureReport(
-        min_ric=float(min_ric),
-        min_bric=float(min_bric),
-        sup_sigma_n=float(sup_sn),
-        cond_a=bool(cond_a),
-        cond_b=bool(cond_b),
-        cond_c=bool(cond_c),
-        exact=exact,
-        point_count=points_used,
-        frame_count=frames_used,
-        seed=seed,
-        trace_ineq_2b=bool(ineq_2b),
-        trace_ineq_3=bool(ineq_3),
-    )
 
 
 def curvature_inputs(field: GraphMapField, mask: np.ndarray, alpha: np.ndarray):

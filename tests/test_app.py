@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 
 import jsonschema
 import numpy as np
@@ -601,6 +602,27 @@ def test_cli_config_error_exit_code(tmp_path):
     assert cli_main(["run", cfg_path, "--out", str(tmp_path / "o")]) == 2
     assert cli_main(["run", str(tmp_path / "missing.ini")]) == 2
     assert cli_main(["verify", str(tmp_path / "not_a_run")]) == 2
+
+
+@pytest.mark.parametrize("command", ["check-curvature", "run"])
+def test_cli_refuses_a_chart_without_closed_form_curvature(tmp_path, capsys, monkeypatch,
+                                                           command):
+    # hopf_pointwise with its S^3 chart stripped of the constant-curvature flag
+    hopf = app.SCENARIOS["hopf_pointwise"]
+
+    def manifolds():
+        m_manifold, n_manifold = hopf.manifolds()
+        return ChartManifold("s3_unflagged", m_manifold.axes, m_manifold._metric_at,
+                             m_manifold._christoffels_at), n_manifold
+
+    monkeypatch.setitem(app.SCENARIOS, "hopf_pointwise", replace(hopf, manifolds=manifolds))
+    cfg_path = _write(tmp_path, "[scenario]\nname = hopf_pointwise\n")
+    out = tmp_path / "out"
+    assert cli_main([command, cfg_path, *(["--out", str(out)] if command == "run" else [])]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: s3_unflagged: no closed-form curvature conditions")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name, extra", [

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_geometry as ref
 from graphflow.errors import ConfigurationError, DegenerateMetricError, DomainError
-from graphflow.geometry import (Axis, ChartManifold, Warp, WarpedSurface, bi_ricci, builtin_warp,
+from graphflow.geometry import (Axis, ChartManifold, Warp, WarpedSurface, builtin_warp,
                                 curvature_package, curvature_conditions_report, flat_torus,
                                 gauss_curvature_at, hopf_map, round_sphere, s3_hopf_chart,
                                 sectional, sup_sigma_of)
@@ -150,7 +151,7 @@ def test_bi_ricci_space_form(sphere3):
     g = sphere3.metric_many(x)
     v = np.array([1.0, 0.0, 0.0]) / math.sqrt(g[0, 0])
     w = np.array([0.0, 1.0, 0.0]) / math.sqrt(g[1, 1])
-    val = bi_ricci(sphere3, x, v, w)
+    val = ref.bi_ricci(ref.LoopCurvatureChart.of(sphere3), x, v, w)
     # BRic = (2m - 3) sigma = 3 on the unit 3-sphere
     assert abs(val - 3.0) < 1e-6
 
@@ -186,10 +187,11 @@ def test_gauss_curvature_at_dispatch(sphere2, waist_cylinder):
 def test_sup_sigma(waist_cylinder, torus2):
     assert abs(sup_sigma_of(waist_cylinder) + 1.0) < 1e-12
     assert sup_sigma_of(torus2) == 0.0
-    # a sphere without its constant-curvature flag is sampled
+    # a sphere without its constant-curvature flag has no closed form
     s = round_sphere(2, curvature=2.0)
-    unflagged = ChartManifold("sphere_sampled", s.axes, s._metric_at, s._christoffels_at)
-    assert abs(sup_sigma_of(unflagged) - 2.0) < 1e-12
+    unflagged = ChartManifold("sphere_unflagged", s.axes, s._metric_at, s._christoffels_at)
+    with pytest.raises(ConfigurationError, match="sphere_unflagged: no closed-form sup sigma_N"):
+        sup_sigma_of(unflagged)
 
 
 # -- the Hopf map ------------------------------------------------------------
@@ -229,24 +231,17 @@ def test_report_product_pair(s1xs2, waist_cylinder):
     assert rep.cond_a and rep.cond_b and rep.cond_c
 
 
-def test_report_sampled_branch(s1xs2, waist_cylinder):
-    # S^1 x S^2 without its product flag takes the sampled branch; its minima
-    # must reach the closed form of the flagged report
-    unflagged = ChartManifold("s1_x_s2_sampled", s1xs2.axes, s1xs2._metric_at,
+def test_report_refuses_a_chart_without_a_closed_form(s1xs2, waist_cylinder):
+    # S^1 x S^2 without its product flag, and the cosh cylinder (K = -1) as the
+    # source of a map into the round sphere: neither declares a closed form
+    unflagged = ChartManifold("s1_x_s2_unflagged", s1xs2.axes, s1xs2._metric_at,
                               s1xs2._christoffels_at)
-    rep = curvature_conditions_report(unflagged, waist_cylinder)
-    assert not rep.exact
-    assert rep.point_count == 64 and rep.frame_count == 64
-    assert abs(rep.min_ric) <= 1e-12
-    assert abs(rep.min_bric - 1.0) <= 1e-12
-    assert rep.cond_a and rep.cond_b and rep.cond_c
-    assert rep.trace_ineq_2b and rep.trace_ineq_3
-    # the cosh cylinder (K = -1) as the source of a map into the round sphere
-    rep = curvature_conditions_report(waist_cylinder, round_sphere(2))
-    assert not rep.exact
-    assert abs(rep.min_ric + 1.0) <= 1e-12
-    assert abs(rep.min_bric + 1.0) <= 1e-12
-    assert not (rep.cond_a or rep.cond_b or rep.cond_c)
+    for m_manifold, n_manifold in ((unflagged, waist_cylinder), (waist_cylinder, round_sphere(2))):
+        with pytest.raises(ConfigurationError) as info:
+            curvature_conditions_report(m_manifold, n_manifold)
+        message = str(info.value)
+        assert "\n" not in message
+        assert message.startswith(f"{m_manifold.name}: no closed-form curvature conditions")
 
 
 def test_report_flat_pair(torus3, torus2):

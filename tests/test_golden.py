@@ -13,11 +13,14 @@ import json
 import os
 import shutil
 import tempfile
+from dataclasses import asdict
 
+import numpy as np
 import pytest
 
-from graphflow.app import builtin_config, load_config, run_scenario
+from graphflow.app import SCENARIOS, builtin_config, load_config, run_scenario
 from graphflow.cli import main as cli_main
+from graphflow.geometry import curvature_conditions_report
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -80,6 +83,23 @@ def test_golden_config_reproduces_its_run(name):
     assert cfg.canonical_text().encode() == _read(path)
     with open(os.path.join(GOLDEN_DIR, name, "manifest.json")) as fh:
         assert cfg.config_hash() == json.load(fh)["config_hash"]
+
+
+def test_curvature_reports_draw_no_random_number(monkeypatch):
+    # every builtin pair (M, N) has a closed form, so its report draws nothing,
+    # and it is the curvature_conditions section of the scenario's golden run
+    def no_rng(*args, **kwargs):
+        raise AssertionError("the curvature report drew a random number")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    for name, scenario in SCENARIOS.items():
+        golden = os.path.join(GOLDEN_DIR, name)
+        # torus_identity_edge is rejected before it writes a run, so it has no golden
+        seed = load_config(os.path.join(golden, "config.ini")).seed if name in CONFIGS else 0
+        report = asdict(curvature_conditions_report(*scenario.manifolds(), seed=seed))
+        if name in CONFIGS:
+            with open(os.path.join(golden, "verification.json")) as fh:
+                assert report == json.load(fh)["curvature_conditions"], name
 
 
 if __name__ == "__main__":
