@@ -4,11 +4,10 @@ strictly area decreasing maps into surfaces."""
 __version__ = "0.1.0"
 
 from .errors import (ConfigurationError, DegenerateMetricError, DegeneratePlaneError,
-                     DomainError, FrameError, GraphflowError, NotAreaDecreasingError,
-                     SolverAbort)
+                     DomainError, GraphflowError, NotAreaDecreasingError, SolverAbort)
 
 __all__ = [
     "__version__",
     "GraphflowError", "DomainError", "DegenerateMetricError", "DegeneratePlaneError",
-    "FrameError", "ConfigurationError", "NotAreaDecreasingError", "SolverAbort",
+    "ConfigurationError", "NotAreaDecreasingError", "SolverAbort",
 ]

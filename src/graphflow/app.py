@@ -479,7 +479,8 @@ def _evolve_torus_projection(cfg: ScenarioConfig, m_manifold, n_manifold, report
         records.append(FlowRecord(
             t=st.t, min_p=float(p.min()), max_lambda=float(lam.max()),
             max_mu=float(mu.max()), max_df2=float((lam**2 + mu**2).max()),
-            max_h2=float(h2.max()), max_a2=float(h2.max()), max_theta=float((h2 / p).max()),
+            max_h2=float(h2.max()), max_a2=float(field_geometry(st.field).a_sq.max()),
+            max_theta=float((h2 / p).max()),
             volume=st.field.volume(), diameter=diam))
 
     res = residual_p_evolution([(0.0, 1.0, 1.0, field0, field0, field0)])

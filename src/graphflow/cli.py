@@ -18,8 +18,7 @@ from dataclasses import asdict
 from .app import (CLASSIFICATION_SCHEMA, SCENARIOS, VERIFICATION_SCHEMA, load_config,
                   run_identities, run_scenario, validate, verdicts)
 from .errors import (ConfigurationError, DegenerateMetricError, DegeneratePlaneError,
-                     DomainError, FrameError, GraphflowError, NotAreaDecreasingError,
-                     SolverAbort)
+                     DomainError, GraphflowError, NotAreaDecreasingError, SolverAbort)
 from .geometry import curvature_conditions_report
 
 EXIT_PASS = 0
@@ -38,7 +37,6 @@ ERROR_EXITS = {
     DomainError: (EXIT_SOLVER_ABORT, "domain error"),
     DegenerateMetricError: (EXIT_SOLVER_ABORT, "degenerate metric"),
     DegeneratePlaneError: (EXIT_SOLVER_ABORT, "degenerate plane"),
-    FrameError: (EXIT_SOLVER_ABORT, "frame error"),
     GraphflowError: (EXIT_SOLVER_ABORT, "error"),
     OSError: (EXIT_CONFIG_ERROR, "file error"),  # e.g. a directory where a file should be
 }

@@ -17,10 +17,6 @@ class DegeneratePlaneError(GraphflowError):
     """Two vectors do not span a 2-plane within tolerance."""
 
 
-class FrameError(GraphflowError):
-    """Vectors handed to a frame-based operation are not orthonormal."""
-
-
 class ConfigurationError(GraphflowError):
     """A scenario configuration is missing, malformed, or inconsistent."""
 

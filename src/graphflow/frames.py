@@ -44,6 +44,18 @@ def _cholesky(g: np.ndarray) -> np.ndarray:
         raise DegenerateMetricError(f"metric not positive definite: {exc}") from exc
 
 
+def positive_definite(g: np.ndarray) -> bool:
+    """True when every matrix of the batch g (..., k, k) is finite and has a Cholesky
+    factor.  The finiteness test is needed: ``cholesky`` returns NaN on NaN input."""
+    if not np.isfinite(g).all():
+        return False
+    try:
+        np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _whiten(df: np.ndarray, g_m: np.ndarray, g_n: np.ndarray):
     """(L_M, R_N, R_N df^T L_M^{-T}) where L L^T = g_M and R^T R = g_N; d is (..., 2, m)."""
     lm = _cholesky(g_m)
@@ -82,8 +94,11 @@ def build_svd_frame(df: np.ndarray, g_m: np.ndarray, g_n: np.ndarray) -> SVDFram
 
     nonzero = sv[..., None] > 1e-13
     mapped = (alpha[..., :2, :] @ df) / np.where(nonzero, sv[..., None], 1.0)
-    chart_axis = _t(np.linalg.solve(rn, _t(_first_nonzero_positive(_t(u)))))
-    beta = np.where(nonzero, mapped, chart_axis)
+    if nonzero.all():
+        beta = mapped
+    else:
+        chart_axis = _t(np.linalg.solve(rn, _t(_first_nonzero_positive(_t(u)))))
+        beta = np.where(nonzero, mapped, chart_axis)
     # re-orthonormalize beta against g_N (exact for clean input, guards roundoff)
     b0 = beta[..., 0, :] / np.sqrt(quad_form(beta[..., 0, :], g_n, beta[..., 0, :]))[..., None]
     b1 = beta[..., 1, :] - quad_form(b0, g_n, beta[..., 1, :])[..., None] * b0

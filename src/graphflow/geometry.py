@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateMetricError, DegeneratePlaneError, DomainError
-from .frames import quad_form
+from .frames import positive_definite, quad_form
 
 _COMPLEX_STEP = 1e-30
 WARP_SAMPLES = 2001  # heights of the sup of a warped surface's Gauss curvature
@@ -108,12 +108,12 @@ class ChartManifold:
 
     def inverse_metric(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
         """g^{-1} of the metrics g (..., m, m) at the chart points x (..., m)."""
-        w = np.linalg.eigvalsh(g)
-        bad = w.min(axis=-1, initial=np.inf) <= 0
-        if np.any(bad):
-            raise DegenerateMetricError(
-                f"{self.name}: metric not positive definite at {x[bad][0]} (eigs {w[bad][0]})"
-            )
+        if not positive_definite(g):
+            # the eigenvalues only word the error: the lowest, NaN first
+            w = np.linalg.eigvalsh(g).reshape(-1, g.shape[-1])
+            i = np.argmin(np.nan_to_num(w.min(axis=-1), nan=-np.inf))
+            raise DegenerateMetricError(f"{self.name}: metric not positive definite at "
+                                        f"{np.reshape(x, (-1, x.shape[-1]))[i]} (eigs {w[i]})")
         return np.linalg.inv(g)
 
     # -- derivatives of chart fields ----------------------------------------

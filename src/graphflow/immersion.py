@@ -22,10 +22,12 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigurationError, SolverAbort
-from .frames import SVDFrame, build_svd_frame, quad_form, singular_value_invariants
+from .frames import (SVDFrame, build_svd_frame, positive_definite, quad_form,
+                     singular_value_invariants)
 from .geometry import ChartManifold
 
 SEAM_MARGIN = 4  # nodes next to a reflect seam that ``interior_mask`` leaves out
+CORRUPTED_METRIC = "induced metric not positive definite (corrupted state)"
 
 
 def _swap(a: np.ndarray) -> np.ndarray:
@@ -187,14 +189,24 @@ class GraphMapField:
                 def perdist(d):
                     return np.abs((d + lq / 2) % lq - lq / 2)
 
+                # the mirror can only be closer where the partner coordinate is
+                # more than half the seam shift s from the centre's: for o and c
+                # on one side of a pivot p, |2p - o - c| >= |o - c|, and
+                # perdist(x + s) >= perdist(s) - perdist(x)
+                centre = np.broadcast_to(self.f, out.shape)
+                far = perdist(out[..., q] - centre[..., q]) > perdist(ax.partner_shift) / 2
+                if not far.any():
+                    continue
+                o, c = out[far], centre[far]
                 for pivot in (ax.lo, ax.hi):
-                    alt_b = 2 * pivot - out[..., b]
-                    alt_q = out[..., q] + ax.partner_shift
-                    d_cur = np.abs(out[..., b] - self.f[..., b]) + perdist(out[..., q] - self.f[..., q])
-                    d_alt = np.abs(alt_b - self.f[..., b]) + perdist(alt_q - self.f[..., q])
+                    alt_b = 2 * pivot - o[:, b]
+                    alt_q = o[:, q] + ax.partner_shift
+                    d_cur = np.abs(o[:, b] - c[:, b]) + perdist(o[:, q] - c[:, q])
+                    d_alt = np.abs(alt_b - c[:, b]) + perdist(alt_q - c[:, q])
                     take = d_alt < d_cur
-                    out[..., b] = np.where(take, alt_b, out[..., b])
-                    out[..., q] = np.where(take, alt_q, out[..., q])
+                    o[take, b] = alt_b[take]
+                    o[take, q] = alt_q[take]
+                out[far] = o
         for b, ax in enumerate(self.N.axes):
             if ax.periodic:
                 d = out[..., b] - self.f[..., b]
@@ -248,13 +260,17 @@ class GraphMapField:
         """Eigenvalues of the induced metric per node, ascending; all must be positive."""
         ev = np.linalg.eigvalsh(self.induced_g_field())
         if ev.min() <= 0 or not np.all(np.isfinite(ev)):
-            raise SolverAbort("induced metric not positive definite (corrupted state)")
+            raise SolverAbort(CORRUPTED_METRIC)
         return ev
 
     @field_cached
     def induced_g_inv_field(self) -> np.ndarray:
-        self.induced_g_eigvals()
-        return np.linalg.inv(self.induced_g_field())
+        """The inverse induced metric; cached eigenvalues serve as its positivity
+        check, else a Cholesky factorisation does (no eigensolve)."""
+        g = self.induced_g_field()
+        if "induced_g_eigvals" not in self._cache and not positive_definite(g):
+            raise SolverAbort(CORRUPTED_METRIC)
+        return np.linalg.inv(g)
 
     def volume_density(self) -> np.ndarray:
         """sqrt(det g) per node, from the eigenvalues of the induced metric."""
@@ -368,7 +384,6 @@ class PointGeometry:
     a_sq: np.ndarray      # |A|^2
     h_sq: np.ndarray      # |H|^2
     frame: SVDFrame
-    tangency_residual: np.ndarray
     a_vectors: np.ndarray  # (..., m, m, m+2) A(e_i, e_j) in product-chart components
 
     def __getitem__(self, idx) -> "PointGeometry":
@@ -405,12 +420,9 @@ def field_geometry(field: GraphMapField) -> PointGeometry:
     h_xi = np.trace(a_xi, axis1=-2, axis2=-1)
     h_eta = np.trace(a_eta, axis1=-2, axis2=-1)
     a_sq = np.sum(a_xi**2, axis=(-2, -1)) + np.sum(a_eta**2, axis=(-2, -1))
-
-    dfe_low = np.concatenate([e @ g_m, e @ df @ g_n], axis=-1)  # rows of dF(e_k), lowered
-    tang = a_vectors.reshape(df.shape[:-2] + (m * m, m + 2)) @ _swap(dfe_low)
     return PointGeometry(
         a_xi=a_xi, a_eta=a_eta, h_xi=h_xi, h_eta=h_eta, a_sq=a_sq, h_sq=h_xi**2 + h_eta**2,
-        frame=frame, tangency_residual=np.abs(tang).max(axis=(-2, -1)), a_vectors=a_vectors,
+        frame=frame, a_vectors=a_vectors,
     )
 
 

@@ -19,11 +19,14 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from graphflow.errors import (ConfigurationError, DegenerateMetricError, DegeneratePlaneError,
-                              FrameError)
+from graphflow.errors import ConfigurationError, DegenerateMetricError, DegeneratePlaneError
 from graphflow.frames import quad_form
 from graphflow.geometry import _COMPLEX_STEP, ChartManifold, WarpedSurface
 from graphflow.immersion import GraphMapField
+
+
+class FrameError(ValueError):
+    """Vectors handed to a frame-based oracle are not orthonormal."""
 
 
 @dataclass
@@ -190,21 +193,37 @@ def point_geometry(field: GraphMapField, node) -> PointGeometry:
     a_sq = float(np.sum(a_xi**2) + np.sum(a_eta**2))
     h_sq = h_xi**2 + h_eta**2
 
-    dfe = np.concatenate([e, (df.T @ e.T).T], axis=-1)         # rows dF(e_i)
-    tang = np.einsum("ijc,cd,kd->ijk", a_e, gp, dfe)
-    tangency = float(np.abs(tang).max())
-
     return PointGeometry(
         g=g, g_inv=g_inv, a_xi=a_xi, a_eta=a_eta, h_xi=h_xi, h_eta=h_eta,
-        a_sq=a_sq, h_sq=h_sq, frame=frame, tangency_residual=tangency,
+        a_sq=a_sq, h_sq=h_sq, frame=frame, tangency_residual=_tangency(a_e, e, df, gp),
         a_vectors=a_e,
     )
+
+
+def _tangency(a_e: np.ndarray, e: np.ndarray, df: np.ndarray, gp: np.ndarray) -> float:
+    """max |<A(e_i, e_j), dF(e_k)>| over i, j, k, in the product metric ``gp``."""
+    dfe = np.concatenate([e, (df.T @ e.T).T], axis=-1)         # rows dF(e_i)
+    tang = np.einsum("ijc,cd,kd->ijk", a_e, gp, dfe)
+    return float(np.abs(tang).max())
+
+
+def tangency_residual(field: GraphMapField, geo, node) -> float:
+    """The tangency audit of ``immersion.field_geometry``'s record ``geo`` at a
+    node: A is normal, so only the discretization error remains."""
+    idx = _node_slices(node)
+    m = field.M.dim
+    gp = np.zeros((m + 2, m + 2))
+    gp[:m, :m] = field.g_m_field()[idx]
+    gp[m:, m:] = field.g_n_field()[idx]
+    return _tangency(geo.a_vectors[idx], geo.frame.e[idx], field.df_field()[idx], gp)
 
 
 class LoopStencilField(GraphMapField):
     """``GraphMapField`` with the stencils it had before the ghost-padded grid:
     ``shift``, ``neighbor_f`` and one neighbour array per offset and axis,
-    kept verbatim as a test oracle for the padded slices.
+    kept verbatim as a test oracle for the padded slices; and ``unwrap_target``
+    as it was before it ran its mirror test only on far partner values, which
+    tests every value at both pivots.
     """
 
     def shift(self, arr: np.ndarray, axis: int, step: int) -> np.ndarray:
@@ -240,6 +259,33 @@ class LoopStencilField(GraphMapField):
             roll_axis = partner if partner < axis else partner - 1
             ghost = np.roll(ghost, -idx_roll, axis=roll_axis)
         out[tuple(sl)] = ghost
+        return out
+
+    def unwrap_target(self, vals: np.ndarray) -> np.ndarray:
+        out = vals.copy()
+        # polar seams of N: a ghost value may sit on the other chart sheet;
+        # pick the representation (mirror + partner shift) closest to the
+        # center value so stencil differences see a continuous chart function
+        for b, ax in enumerate(self.N.axes):
+            if ax.reflect and ax.partner_axis is not None:
+                q = ax.partner_axis
+                lq = self.N.axes[q].length
+
+                def perdist(d):
+                    return np.abs((d + lq / 2) % lq - lq / 2)
+
+                for pivot in (ax.lo, ax.hi):
+                    alt_b = 2 * pivot - out[..., b]
+                    alt_q = out[..., q] + ax.partner_shift
+                    d_cur = np.abs(out[..., b] - self.f[..., b]) + perdist(out[..., q] - self.f[..., q])
+                    d_alt = np.abs(alt_b - self.f[..., b]) + perdist(alt_q - self.f[..., q])
+                    take = d_alt < d_cur
+                    out[..., b] = np.where(take, alt_b, out[..., b])
+                    out[..., q] = np.where(take, alt_q, out[..., q])
+        for b, ax in enumerate(self.N.axes):
+            if ax.periodic:
+                d = out[..., b] - self.f[..., b]
+                out[..., b] = self.f[..., b] + (d + ax.length / 2) % ax.length - ax.length / 2
         return out
 
     def neighbor_f(self, shifts) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Configuration handling, scenario runs, artifact schemas, and the CLI."""
 
 import contextlib
+import csv
 import glob
+import io
 import json
 import math
 import os
@@ -22,6 +24,7 @@ from graphflow.app import (BUILTIN_SCENARIOS, CLASSIFICATION_SCHEMA, CSV_COLUMNS
                            run_scenario, validate)
 from graphflow.cli import main as cli_main
 from graphflow.errors import ConfigurationError
+from graphflow.flow import h2_field
 from graphflow.frames import build_svd_frame
 from graphflow.geometry import ChartManifold
 from graphflow.immersion import GraphMapField
@@ -328,9 +331,10 @@ def test_tsui_wang_lifts_each_record_once(tmp_path, monkeypatch, monitored):
     # a run with R records and S stencils lifts each record once and, with the
     # monitors on, the two stencil neighbours of each stencil; one field
     # geometry per record serves its max |A|^2, the monitors and the
-    # classifier; the M side of the lifts is computed once per run
+    # classifier; the M side of the lifts is computed once per run; the lifts
+    # check their induced metric by Cholesky and nothing reads its eigenvalues
     calls = Counter()
-    init, frame = GraphMapField.__init__, immersion.build_svd_frame
+    init, frame, eigvalsh = GraphMapField.__init__, immersion.build_svd_frame, np.linalg.eigvalsh
     chart = {name: getattr(ChartManifold, name)
              for name in ("metric_many", "inverse_metric", "christoffels_many")}
 
@@ -348,9 +352,14 @@ def test_tsui_wang_lifts_each_record_once(tmp_path, monkeypatch, monitored):
             return chart[name](self, *args)
         return wrapper
 
+    def counted_eigvalsh(a):
+        calls["eigvalsh"] += 1
+        return eigvalsh(a)
+
     for name in chart:
         monkeypatch.setattr(ChartManifold, name, counted_chart(name))
     monkeypatch.setattr(GraphMapField, "__init__", counted_init)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
     monkeypatch.setattr(immersion, "build_svd_frame", counted_frame)
     cfg = builtin_config("tsui_wang_s2", {
         ("grid", "nodes"): 32, ("flow", "t_end"): 0.2, ("flow", "record_every"): 40,
@@ -365,6 +374,19 @@ def test_tsui_wang_lifts_each_record_once(tmp_path, monkeypatch, monitored):
     assert {k: n for k, n in calls.items() if k.endswith(("_m_field", "_m_inv_field"))} == {
         "metric_many in g_m_field": 1, "inverse_metric in g_m_inv_field": 1,
         "christoffels_many in gamma_m_field": 1}
+    assert calls["eigvalsh"] == 0
+
+
+def test_torus_projection_reads_max_a2_from_the_second_fundamental_form(tmp_path, monkeypatch):
+    # max_A2 is |A|^2, not |H|^2: an |H|^2 read as 1 leaves it at 0 on the
+    # totally geodesic projection
+    monkeypatch.setattr(app, "h2_field", lambda field: h2_field(field) + 1.0)
+    cfg = builtin_config("torus_projection", {("grid", "shape"): "4,4,4"})
+    out = str(tmp_path / "torus")
+    run_scenario(cfg, out_dir=out)
+    rows = list(csv.DictReader(io.StringIO(_read(out, "time_series.csv"))))
+    assert rows and all(float(r["max_H2"]) == 1.0 for r in rows)
+    assert all(float(r["max_A2"]) == 0.0 for r in rows)
 
 
 def test_identity_edge_scenario_rejected(tmp_path):

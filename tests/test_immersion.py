@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from graphflow.errors import ConfigurationError
+import reference_geometry as ref
+from graphflow.errors import ConfigurationError, SolverAbort
 from graphflow.flow import EquivariantFlow
 from graphflow.geometry import flat_torus, round_sphere
 from graphflow.immersion import GraphMapField, field_geometry, w_norm_sq
@@ -137,6 +138,20 @@ def test_interior_mask():
     assert mask[8].all()
 
 
+@pytest.mark.parametrize("corruption", ["nan", "inf", "indefinite"])
+def test_corrupted_induced_metric_aborts(corruption):
+    # a g_N value as a blown-up state would carry it; df has no zero entry at
+    # the node, so the inf reaches g without an inf * 0
+    fld = _torus_field(8, perturb=0.1)
+    g_n = fld.g_n_field().copy()
+    g_n[3, 4] = {"nan": np.nan, "inf": np.diag([np.inf, 1.0]),
+                 "indefinite": np.diag([1.0, -50.0])}[corruption]
+    fld._cache["g_n_field"] = g_n
+    with pytest.raises(SolverAbort,
+                       match=r"^induced metric not positive definite \(corrupted state\)$"):
+        fld.induced_g_inv_field()
+
+
 # -- pointwise geometry ------------------------------------------------------
 
 
@@ -148,9 +163,11 @@ def test_constant_map_is_totally_geodesic():
     assert pg.frame.p == pytest.approx(2.0)
     # the tangency audit carries the O(h^2) error of the discrete Christoffel
     # symbols of the induced metric; it must shrink under refinement
-    res_fine = field_geometry(_constant_sphere_field(48)).tangency_residual[24, 5]
-    assert pg.tangency_residual < 1e-2
-    assert res_fine < pg.tangency_residual / 3.0
+    res = ref.tangency_residual(f, field_geometry(f), (12, 5))
+    fine = _constant_sphere_field(48)
+    res_fine = ref.tangency_residual(fine, field_geometry(fine), (24, 5))
+    assert res < 1e-2
+    assert res_fine < res / 3.0
 
 
 def test_identity_map_flat_geometry():

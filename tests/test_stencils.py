@@ -1,9 +1,9 @@
 """Ghost-padded stencils against the per-offset loop stencils they replaced.
 
-``reference_geometry.LoopStencilField`` keeps ``shift``, ``neighbor_f`` and
-the per-offset ``df_field``, ``d2f_field``, ``gamma_induced_field``,
-``grad_field`` and ``laplace_beltrami``; the padded slices must reproduce
-them bit for bit.
+``reference_geometry.LoopStencilField`` keeps ``shift``, ``neighbor_f``,
+``unwrap_target`` (its mirror test on every value) and the per-offset
+``df_field``, ``d2f_field``, ``gamma_induced_field``, ``grad_field`` and
+``laplace_beltrami``; the padded slices must reproduce them bit for bit.
 """
 
 import math
@@ -44,7 +44,24 @@ def _s1xs2_to_cosh(shape=(4, 4, 4), amp=0.3):
     return m, n, shape, f
 
 
+def _tilted_sphere(shape=(24, 8), tilt=0.7):
+    # the identity of S^2 followed by a rotation by ``tilt`` about the x-axis:
+    # the image passes near N's pole at interior nodes, where neighbour
+    # azimuths lie 90-135 degrees apart and the mirror is the closer value
+    m, n = round_sphere(2), round_sphere(2)
+    x = GraphMapField(m, n, shape, np.zeros(shape + (2,))).coords()
+    th, ph = x[..., 0], x[..., 1]
+    c, s = math.cos(tilt), math.sin(tilt)
+    y = np.sin(th) * np.sin(ph)
+    z = np.cos(th)
+    u = np.stack([np.sin(th) * np.cos(ph), c * y - s * z, s * y + c * z], axis=-1)
+    f = np.stack([np.arccos(np.clip(u[..., 2], -1.0, 1.0)),
+                  np.arctan2(u[..., 1], u[..., 0]) % (2 * math.pi)], axis=-1)
+    return m, n, shape, f
+
+
 CASES = {
+    "tilted_sphere_24x8": _tilted_sphere,
     "tsui_32x8": lambda: _tsui(8),
     "tsui_32x4": lambda: _tsui(4),
     "torus_projection_4x4x4": _torus_projection,
@@ -83,6 +100,25 @@ def test_padded_stencils_match_loop_stencils_on_perturbed_fields(seed, amp, case
     else:
         m, n, shape, f = _s1xs2_to_cosh(amp=0.1)
     _assert_same_stencils(m, n, shape, f + amp * rng.uniform(-1.0, 1.0, f.shape))
+
+
+def test_tilted_sphere_takes_the_mirror_at_far_partner_values():
+    # the case above must keep values where only the mirror test of the
+    # oracle, not the partner-distance pre-test, decides: partner distance in
+    # (s/2, 3s/4] at interior nodes, and the mirror taken
+    m, n, shape, f = _tilted_sphere()
+    old = ref.LoopStencilField(m, n, shape, f)
+    interior = old.interior_mask()
+    decided = 0
+    for off in _stencil_offsets(m.dim):
+        shifts = [(a, int(s)) for a, s in enumerate(off) if s]
+        raw = f
+        for a, step in shifts:
+            raw = old.shift(raw, a, step)
+        mirrored = old.neighbor_f(shifts)[..., 0] != raw[..., 0]
+        dist = np.abs((raw[..., 1] - f[..., 1] + math.pi) % (2 * math.pi) - math.pi)
+        decided += np.sum(mirrored & interior & (dist > math.pi / 2) & (dist <= 0.75 * math.pi))
+    assert decided >= 8
 
 
 def test_partner_axis_must_come_later():
