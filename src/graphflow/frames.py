@@ -50,8 +50,8 @@ def positive_definite(g: np.ndarray) -> bool:
     if not np.isfinite(g).all():
         return False
     try:
-        np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
+        _cholesky(g)
+    except DegenerateMetricError:
         return False
     return True
 

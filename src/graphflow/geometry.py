@@ -109,11 +109,13 @@ class ChartManifold:
     def inverse_metric(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
         """g^{-1} of the metrics g (..., m, m) at the chart points x (..., m)."""
         if not positive_definite(g):
-            # the eigenvalues only word the error: the lowest, NaN first
-            w = np.linalg.eigvalsh(g).reshape(-1, g.shape[-1])
-            i = np.argmin(np.nan_to_num(w.min(axis=-1), nan=-np.inf))
-            raise DegenerateMetricError(f"{self.name}: metric not positive definite at "
-                                        f"{np.reshape(x, (-1, x.shape[-1]))[i]} (eigs {w[i]})")
+            w = np.linalg.eigvalsh(g)  # only to word the error
+            bad = ~(w.min(axis=-1, initial=np.inf) > 0)  # NaN counts as bad
+            if not bad.any():  # Cholesky fails where eigvalsh reads a roundoff-positive
+                bad = w.min(axis=-1) == w.min()
+            raise DegenerateMetricError(
+                f"{self.name}: metric not positive definite at {x[bad][0]} (eigs {w[bad][0]})"
+            )
         return np.linalg.inv(g)
 
     # -- derivatives of chart fields ----------------------------------------

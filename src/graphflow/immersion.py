@@ -265,10 +265,10 @@ class GraphMapField:
 
     @field_cached
     def induced_g_inv_field(self) -> np.ndarray:
-        """The inverse induced metric; cached eigenvalues serve as its positivity
-        check, else a Cholesky factorisation does (no eigensolve)."""
+        """The inverse induced metric, checked positive definite by a Cholesky
+        factorisation (no eigensolve)."""
         g = self.induced_g_field()
-        if "induced_g_eigvals" not in self._cache and not positive_definite(g):
+        if not positive_definite(g):
             raise SolverAbort(CORRUPTED_METRIC)
         return np.linalg.inv(g)
 

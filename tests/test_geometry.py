@@ -49,6 +49,15 @@ def test_inverse_metric_refuses_a_metric_that_is_not_positive_definite():
         chart.inverse_metric(x, chart.metric_many(x))
 
 
+def test_inverse_metric_names_the_point_where_only_cholesky_fails():
+    """A singular metric whose eigvalsh reads a roundoff-positive 3.5e-18."""
+    chart = _chart_with_metric([[3.0, 0.3], [0.3, 0.03]])
+    for x in (np.zeros((3, 2)), np.zeros(2)):
+        with pytest.raises(DegenerateMetricError,
+                           match=r"not positive definite at \[0\. 0\.\] \(eigs"):
+            chart.inverse_metric(x, chart.metric_many(x))
+
+
 @settings(max_examples=100, deadline=None)
 @given(b=st.floats(-10.0, 10.0), d=st.floats(-1e-4, 1e-4))
 def test_metric_symmetry_tolerance_is_that_of_allclose(b, d):
