@@ -23,6 +23,7 @@ from .immersion import GraphMapField, field_cached
 CFL = 0.4  # Courant factor of the explicit steps (``cfl_dt``, ``EquivariantFlow.run``)
 CONVERGENCE_STREAK = 100  # consecutive steps with max|H| below tolerance
 PHI_WIDTH = 8  # azimuthal nodes of the 2D lift of an equivariant profile
+DISSIPATION_BLOCK = 256  # profile steps per batched dissipation sum
 DRIFT_DT = 1e-3  # sample spacing of the circle-drift reduction
 DRIFT_STEP = 5e-3  # the RK4 step of its starter
 ADAMS_STEP = 0.05  # its Adams-Bashforth-Moulton step, 50 DRIFT_DT
@@ -196,11 +197,10 @@ class EquivariantFlow:
         self.J = int(n_nodes)
         self.dtheta = np.pi / self.J
         self.theta = (np.arange(self.J) + 0.5) * self.dtheta
-        self._sin_t = np.sin(self.theta)  # here to _dtheta2: theta-only factors, computed once
+        self._sin_t = np.sin(self.theta)  # here to _g_add: theta-only factors, computed once
         self._sin_cos_t = self._sin_t * np.cos(self.theta)
-        self._sin2_t = self._sin_t**2
-        self._two_dtheta = 2 * self.dtheta
-        self._dtheta2 = self.dtheta**2
+        self._spacing = np.repeat([[self.dtheta**2], [2 * self.dtheta]], self.J, axis=1)
+        self._g_add = np.array([np.ones(self.J), self._sin_t**2])
         self.h = np.asarray(h0(self.theta) if callable(h0) else h0, dtype=float).copy()
         if self.h.shape != (self.J,):
             raise ValueError("profile length must match node count")
@@ -214,13 +214,15 @@ class EquivariantFlow:
         of the returned function fills the odd mirror ghosts of b, evaluates
         the right-hand side without allocating, and returns the views
         (dh/dt, h', sin h, g11, g22) of ws, which the next call of any kernel
-        bound to ws overwrites."""
+        bound to ws overwrites.  ws holds (dh/dt, h', sin h, g11, g22, tmp, sin h cos h):
+        (dh/dt, h'), (h', sin h) and (g11, g22) are contiguous (2, J) views, one call each.
+        Their constants are full (2, J) arrays: a broadcast (2, 1) column doubles a call's cost."""
         J = self.J
         h, g_plus, g_minus = b[1:-1], b[2:], b[:-2]
         ghost_src, ghost_dst = b[1:J + 1:max(J - 1, 1)], b[::J + 1]  # nodes 1, J -> 0, J + 1
-        d1, v, sin_h, sin_cos_h, g11, g22, tmp = ws
-        two_dtheta, dtheta2, sin2_t, sin_cos_t = (self._two_dtheta, self._dtheta2,
-                                                  self._sin2_t, self._sin_cos_t)
+        v, d1, sin_h, g11, g22, tmp, sin_cos_h = ws
+        v_d1, d1_sin_h, g = ws[0:2], ws[1:3], ws[3:5]
+        spacing, g_add, sin_cos_t = self._spacing, self._g_add, self._sin_cos_t
         out = (v, d1, sin_h, g11, g22)
         # the kernel's time is numpy's per-call cost: ufuncs are locals, and
         # each writes into its last positional argument
@@ -230,18 +232,15 @@ class EquivariantFlow:
         def stage():
             neg(ghost_src, ghost_dst)
             sub(g_plus, g_minus, d1)
-            div(d1, two_dtheta, d1)
-            add(h, h, v)  # d2 = ((g+ - 2g) + g-) / dtheta^2
+            add(h, h, v)  # d2 = ((g+ - 2g) + g-) / dtheta^2, h' = (g+ - g-) / (2 dtheta)
             sub(g_plus, v, v)
             add(v, g_minus, v)
-            div(v, dtheta2, v)
+            div(v_d1, spacing, v_d1)
             sin(h, sin_h)
             cos(h, sin_cos_h)
             mul(sin_h, sin_cos_h, sin_cos_h)
-            sq(d1, g11)
-            add(g11, 1.0, g11)
-            sq(sin_h, g22)
-            add(sin2_t, g22, g22)
+            sq(d1_sin_h, g)  # g11 = h'^2 + 1, g22 = sin^2(h) + sin^2(theta)
+            add(g, g_add, g)
             div(v, g11, v)  # v = d2 / g11 + (sin cos(theta) h' - sin h cos h) / g22
             mul(sin_cos_t, d1, tmp)
             sub(tmp, sin_cos_h, tmp)
@@ -285,13 +284,17 @@ class EquivariantFlow:
         ``record_every`` steps and at the end; a recorded state keeps the steps
         around it for time stencils.  The state and the next one live in two
         ghost-padded buffers that swap roles each step, the half step in a
-        third; a recorded profile is a copy."""
+        third; a recorded profile is a copy.  Each step's |H|^2, g11 g22 and dt fill a row of
+        a block of DISSIPATION_BLOCK steps; one sqrt, product and row sum per full block and at
+        the end give the terms dt * quad_w * sum(|H|^2 sqrt(g11 g22)), added in step order."""
         J = self.J
         bufs = np.empty((3, J + 2))
         ws = np.empty((7, J))  # the stage kernels' workspace, shared
         h, h_next, h_half = (b[1:-1] for b in bufs)
         stage, stage_next, stage_half = (self._stage_kernel(b, ws) for b in bufs)
-        h2, area = np.empty((2, J))
+        block = np.empty((2, DISSIPATION_BLOCK, J))
+        rows = list(zip(*block))  # (|H|^2, g11 g22) of one step
+        dts, filled = np.empty(DISSIPATION_BLOCK), 0
         finite = np.empty(J, dtype=bool)
         h[:] = self.h
         t = 0.0
@@ -310,12 +313,19 @@ class EquivariantFlow:
         prev_h = prev_dt = None
         dt_min, dt_max = np.inf, 0.0
         quad_w = 2 * np.pi * self.dtheta
-        cfl_dtheta2 = CFL * self._dtheta2
+        cfl_dtheta2 = CFL * self.dtheta**2
         h_tol2 = h_tol**2
         add, mul, div, sq, sqrt, isfinite = (np.add, np.multiply, np.divide, np.square,
                                              np.sqrt, np.isfinite)
         amax, amin, total, every = (np.maximum.reduce, np.minimum.reduce, np.add.reduce,
                                     np.logical_and.reduce)
+
+        def settle(dissipation: float, n: int) -> float:
+            h2s, areas = block[:, :n]
+            mul(h2s, sqrt(areas, areas), areas)
+            for term in (dts[:n] * quad_w * total(areas, axis=1)).tolist():
+                dissipation += term
+            return dissipation
         while t < t_end - 1e-14:
             at_record = step_i % record_every == 0
             if at_record:
@@ -329,6 +339,7 @@ class EquivariantFlow:
                 if step_i > 0:
                     prev_h = h_next.copy()  # the state before, until this step overwrites it
             k1, _, _, g11, g22 = stage()
+            h2, area = rows[filled]
             sq(k1, h2)
             div(h2, g11, h2)  # |H|^2 per node
             streak = streak + 1 if amax(h2) < h_tol2 else 0
@@ -337,9 +348,10 @@ class EquivariantFlow:
                 break
             dt = min(cfl_dtheta2 * float(amin(g11)) / 2, t_end - t)
             mul(g11, g22, area)
-            sqrt(area, area)
-            mul(h2, area, area)
-            dissipation += dt * quad_w * float(total(area))
+            dts[filled] = dt
+            filled += 1
+            if filled == DISSIPATION_BLOCK:
+                dissipation, filled = settle(dissipation, filled), 0
             mul(k1, 0.5 * dt, h_half)
             add(h, h_half, h_half)
             k2 = stage_half()[0]
@@ -358,6 +370,7 @@ class EquivariantFlow:
             (h, stage), (h_next, stage_next) = (h_next, stage_next), (h, stage)
             t += dt
             step_i += 1
+        dissipation = settle(dissipation, filled)
         if status == "Running":
             status = "Finished"
         if not step_i:
@@ -393,13 +406,15 @@ class EquivariantFlow:
 # Circle drift on a warped cylinder
 
 
+def _phi(w, dw):  # Phi from w and w' at one z: the formula of drift_velocity
+    return -w * dw / (1 + w * w)
+
+
 def drift_velocity(warp: Warp | WarpBinding, z):
     """Phi(z) = -w(z) w'(z) / (1 + w(z)^2), the z-velocity of the symmetric
     circle: elementwise over arrays with a ``Warp``, on Python floats with its
     ``math`` binding ``warp.scalar``."""
-    w = warp.w(z)
-    dw = warp.dw(z)
-    return -w * dw / (1 + w * w)
+    return _phi(warp.w(z), warp.dw(z))
 
 
 @dataclass
@@ -490,7 +505,7 @@ def reduce_circle_drift(surface: WarpedSurface, z0: float, t_end: float,
         z[ns:-1] = (zn[:, None] + fw @ b[:, :-1]).ravel()[:len(t) - ns - 1]
         z[-1] = zn[-1] + fw[-1] @ b[:, -1]
     w = surface.warp.w(z)
-    h2 = drift_velocity(surface.warp, z) ** 2
+    h2 = _phi(w, surface.warp.dw(z)) ** 2
     volume = 8 * np.pi**2 * np.sqrt(1 + w**2)
     # the budget identity d(vol)/dt = -int |H|^2 dmu is exact for this
     # reduction; trapezoid in t

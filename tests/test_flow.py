@@ -303,8 +303,9 @@ def test_drift_matches_an_independent_solver(warp, z0, t_end):
 
 
 def test_drift_work_per_default_waist_run(monkeypatch):
-    # 4 Phi per RK4 starter step and 1 at t = 0, 2 per Adams step (PECE), and one
-    # call on the sample array; RK4 at DRIFT_STEP alone made 24,002
+    # 4 Phi per RK4 starter step and 1 at t = 0, 2 per Adams step (PECE), all on
+    # floats; on the sample array w and w' once each, w shared by Phi and the
+    # volume; RK4 at DRIFT_STEP alone made 24,002 Phi calls
     calls = Counter()
 
     def counted(warp, z):
@@ -312,12 +313,18 @@ def test_drift_work_per_default_waist_run(monkeypatch):
         return drift_velocity(warp, z)
 
     monkeypatch.setattr(graphflow.flow, "drift_velocity", counted)
-    run = reduce_circle_drift(WarpedSurface(builtin_warp("cosh")), 0.5, 30.0)
+    surface = WarpedSurface(builtin_warp("cosh"))
+    for name in ("w", "dw"):
+        def on_arrays(z, fn=getattr(surface.warp, name), name=name):
+            calls[name] += 1
+            return fn(z)
+        monkeypatch.setattr(surface.warp, name, on_arrays)
+    run = reduce_circle_drift(surface, 0.5, 30.0)
     starter = round(7 * ADAMS_STEP / DRIFT_STEP)
     adams = round((30.0 - 7 * ADAMS_STEP) / ADAMS_STEP)
     assert (starter, adams) == (70, 593)
-    assert calls == {True: 4 * starter + 1 + 2 * adams, False: 1}
-    assert sum(calls.values()) == 1468 and len(run.t) == 30001
+    assert calls == {True: 4 * starter + 1 + 2 * adams, "w": 1, "dw": 1}
+    assert calls[True] == 1467 and len(run.t) == 30001
 
 
 def test_adams_weights_are_exact_on_polynomials():

@@ -4,21 +4,33 @@ the same sample times up to the oracle's rounding and within 1e-12."""
 
 from __future__ import annotations
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
+import graphflow.flow
 import reference_flow
-from graphflow.flow import DRIFT_DT, EquivariantFlow, reduce_circle_drift
+from graphflow.flow import DISSIPATION_BLOCK, DRIFT_DT, EquivariantFlow, reduce_circle_drift
 from graphflow.geometry import WarpedSurface, builtin_warp
+
+
+def _h0(th):
+    return 0.8 * np.sin(th)
+
+
+def _same(a, b) -> bool:
+    # equal values, NaN equal to NaN: an aborted run can end on NaN
+    return np.array_equal(a, b, equal_nan=True)
 
 
 def _assert_same_run(new, old):
     assert new.status == old.status
-    assert new.dissipation == old.dissipation
-    assert new.records == old.records
+    assert _same(new.dissipation, old.dissipation)
+    assert _same([astuple(r) for r in new.records], [astuple(r) for r in old.records])
     assert len(new.states) == len(old.states)
     for a, b in zip(new.states, old.states):
-        assert a.t == b.t and np.array_equal(a.h, b.h)
+        assert a.t == b.t and _same(a.h, b.h)
         assert (a.stencil is None) == (b.stencil is None)
         if a.stencil is not None:
             assert a.stencil[:2] == b.stencil[:2]
@@ -37,6 +49,48 @@ def test_equivariant_run_is_bit_identical(nodes, t_end, record_every, status):
     old = reference_flow.EquivariantFlow(nodes, h0).run(t_end, record_every=record_every)
     assert new.status == status
     assert sum(s.stencil is not None for s in new.states) >= 1
+    _assert_same_run(new, old)
+
+
+@pytest.fixture(scope="module")
+def step_times():
+    """t after each step of the J = 32 profile: a run that records every step."""
+    return [s.t for s in EquivariantFlow(32, _h0).run(6.5, record_every=1).states]
+
+
+B = DISSIPATION_BLOCK
+
+
+@pytest.mark.parametrize("steps", [1, 9, B - 1, B, B + 1, 2 * B, 3 * B + 1, 12 * B + 7])
+def test_equivariant_run_ends_anywhere_in_a_dissipation_block(step_times, steps):
+    # the dissipation is summed by blocks of steps: a run that ends inside
+    # one block, one step before, on and after a block's end, or after many
+    # blocks adds the same terms in the same order as the oracle's loop
+    t_end = (step_times[steps - 1] + step_times[steps]) / 2  # the last step is clamped
+    new = EquivariantFlow(32, _h0).run(t_end, record_every=100)
+    old = reference_flow.EquivariantFlow(32, _h0).run(t_end, record_every=100)
+    assert new.status == "Finished" and new.steps == steps
+    _assert_same_run(new, old)
+
+
+@pytest.mark.parametrize("cfl, nodes, t_end, record_every, steps", [
+    (2.0, 32, 5.0, 1, 5),          # a record with min p <= 0
+    (1.5, 8, 1e300, 10**9, 125),   # a step to a non-finite profile
+])
+def test_equivariant_run_aborts_like_the_oracle(monkeypatch, cfl, nodes, t_end, record_every,
+                                                 steps):
+    # both loops read CFL at run time; past the stable step the profile blows up
+    monkeypatch.setattr(graphflow.flow, "CFL", cfl)
+    monkeypatch.setattr(reference_flow, "CFL", cfl)
+    with np.errstate(all="ignore"):
+        new = EquivariantFlow(nodes, _h0).run(t_end, record_every=record_every)
+        old = reference_flow.EquivariantFlow(nodes, _h0).run(t_end, record_every=record_every)
+    assert new.status == "Aborted" and new.steps == steps
+    if record_every == 1:  # the record at the last step aborted: the end repeats it
+        assert new.records[-2].min_p <= 0 < new.records[-3].min_p
+        assert np.isfinite(new.dissipation)
+    else:  # the aborted step's own dissipation term is in the sum
+        assert len(new.records) == 2 and np.isnan(new.dissipation) and np.isnan(old.dissipation)
     _assert_same_run(new, old)
 
 
