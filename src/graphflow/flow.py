@@ -100,7 +100,8 @@ def step(state: FlowState, params: FlowParams) -> FlowState:
     """Advance one explicit RK2 step; updates status, min p, and the volume budget.
 
     The RHS and |H|^2 are cached on each field, so the end of one step hands
-    them to the start of the next.
+    them to the start of the next.  The midpoint and end values are checked finite
+    before a chart sees them; an aborted step keeps the field it started from.
     """
     if state.status != "Running":
         raise SolverAbort(f"step called on non-running state ({state.status})")
@@ -108,26 +109,23 @@ def step(state: FlowState, params: FlowParams) -> FlowState:
     dt = cfl_dt(field, params)
     v = nonparametric_rhs(field)
     dissipated = float(np.sum(h2_field(field) * field.volume_density()) * np.prod(field.h)) * dt
-    half = field.with_values(field.f + 0.5 * dt * v)
-    new_field = field.with_values(field.f + dt * nonparametric_rhs(half))
-    nxt = FlowState(
-        field=new_field,
-        t=state.t + dt,
-        step_count=state.step_count + 1,
-        dissipation=state.dissipation + dissipated,
-        low_h_streak=state.low_h_streak,
-    )
-    p_now = new_field.p_field()
-    nxt.min_p = float(p_now.min())
-    if not np.all(np.isfinite(new_field.f)):
+    nxt = FlowState(field=field, t=state.t + dt, step_count=state.step_count + 1,
+                    dissipation=state.dissipation + dissipated,
+                    low_h_streak=state.low_h_streak, min_p=state.min_p)
+    f = field.f + 0.5 * dt * v
+    if np.all(np.isfinite(f)):
+        f = field.f + dt * nonparametric_rhs(field.with_values(f))
+    if not np.all(np.isfinite(f)):
         nxt.status = "Aborted"
         nxt.diagnostic = "non-finite map values (CFL violation or blow-up)"
         return nxt
+    nxt.field = field.with_values(f)
+    nxt.min_p = nxt.field.min_p()
     if nxt.min_p <= 0:
         nxt.status = "Aborted"
         nxt.diagnostic = f"area-decreasing condition lost: min p = {nxt.min_p:.3e}"
         return nxt
-    nxt.max_h2 = float(h2_field(new_field).max())
+    nxt.max_h2 = float(h2_field(nxt.field).max())
     if nxt.max_h2 < params.h_tol**2:
         nxt.low_h_streak += 1
     else:

@@ -89,7 +89,7 @@ class ChartManifold:
             inside = (ax.lo - 1e-12 <= x[..., a]) & (x[..., a] <= ax.hi + 1e-12)
             if not np.all(inside):
                 raise DomainError(
-                    f"{self.name}: coordinate {x[..., a][~inside].flat[0]!r} outside "
+                    f"{self.name}: coordinate {float(x[..., a][~inside].flat[0])} outside "
                     f"axis {a} range [{ax.lo}, {ax.hi}]"
                 )
         return x
@@ -98,8 +98,10 @@ class ChartManifold:
 
     def metric_many(self, pts) -> np.ndarray:
         """Metric at a batch of points, shape (..., m) -> (..., m, m); one point
-        is a batch of shape ()."""
-        x = self.wrap(pts)
+        is a batch of shape ().  ``_metric`` takes points already ``wrap``-ped."""
+        return self._metric(self.wrap(pts))
+
+    def _metric(self, x: np.ndarray) -> np.ndarray:
         g = np.asarray(self._metric_at(x))
         gt = np.swapaxes(g, -1, -2)  # np.allclose(g, gt, atol=1e-12) without its set-up
         if not (np.abs(g - gt) <= 1e-12 + 1e-5 * np.abs(gt)).all():
@@ -132,8 +134,11 @@ class ChartManifold:
 
     def christoffels_many(self, pts) -> np.ndarray:
         """Gamma^k_{ij} at a batch of points, (..., m) -> (..., m, m, m), first index
-        upper; one point is a batch of shape ()."""
-        x = self.wrap(pts)
+        upper; one point is a batch of shape ().  ``_christoffels`` takes points
+        already ``wrap``-ped."""
+        return self._christoffels(self.wrap(pts))
+
+    def _christoffels(self, x: np.ndarray) -> np.ndarray:
         if self._christoffels_at is not None:
             return np.asarray(self._christoffels_at(x))
         return self._christoffels_from_metric(x)

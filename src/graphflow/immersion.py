@@ -31,7 +31,7 @@ CORRUPTED_METRIC = "induced metric not positive definite (corrupted state)"
 
 
 def _swap(a: np.ndarray) -> np.ndarray:
-    return np.swapaxes(a, -1, -2)
+    return a.swapaxes(-1, -2)
 
 
 def field_cached(fn):
@@ -89,8 +89,11 @@ class GraphMapField:
                 self._seam_roll[a] = int(round(ax.partner_shift / hp))
                 if abs(self._seam_roll[a] * hp - ax.partner_shift) > 1e-9:
                     raise ConfigurationError("partner axis resolution must divide the seam shift")
+        self._set_values(f_values)
+
+    def _set_values(self, f_values) -> None:
         f = np.asarray(f_values, dtype=float)
-        if f.shape != self.shape + (n_manifold.dim,):
+        if f.shape != self.shape + (self.N.dim,):
             raise ConfigurationError(f"f-values shape {f.shape} incompatible with grid {self.shape}")
         self.f = self._wrap_target(f)
         self._cache: dict = {}
@@ -126,8 +129,10 @@ class GraphMapField:
         return f
 
     def with_values(self, f_values) -> "GraphMapField":
-        """A field on the same grid; it shares this field's M-side fields."""
-        new = GraphMapField(self.M, self.N, self.shape, f_values)
+        """A field on the same grid, sharing this field's checked grid and M-side fields."""
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__)
+        new._set_values(f_values)
         new._cache.update({k: getattr(self, k)() for k in self.GRID_FIELDS})
         return new
 
@@ -152,13 +157,14 @@ class GraphMapField:
         leading axes."""
         m = self.M.dim
         idx = self._stencil_index() if mixed else self._stencil_index()[:2 * m]
-        return arr.reshape((-1,) + arr.shape[m:])[idx]
+        return np.take(arr.reshape((-1,) + arr.shape[m:]), idx, axis=0)
 
     def _first(self, nb: np.ndarray) -> np.ndarray:
         """Central first differences d_a from stacked neighbours, (grid, m, ...)."""
         m = self.M.dim
         h = self.h.reshape((m,) + (1,) * (nb.ndim - 1))
-        return np.ascontiguousarray(np.moveaxis((nb[:m] - nb[m:2 * m]) / (2 * h), 0, m))
+        axes = (*range(1, m + 1), 0, *range(m + 1, nb.ndim))  # the offset axis after the grid
+        return np.ascontiguousarray(((nb[:m] - nb[m:2 * m]) / (2 * h)).transpose(axes))
 
     def _second(self, nb: np.ndarray, centre: np.ndarray) -> np.ndarray:
         """Second differences d2_ab (9-point mixed stencil) from stacked neighbours,
@@ -166,7 +172,7 @@ class GraphMapField:
         m = self.M.dim
         ones = (1,) * (nb.ndim - 1)
         out = np.empty(self.shape + (m, m) + centre.shape[m:])
-        view = np.moveaxis(out, (m, m + 1), (0, 1))       # (a, b, grid, ...) into out
+        view = out.transpose(m, m + 1, *range(m), *range(m + 2, out.ndim))  # (a, b, grid, ...)
         diag = np.arange(m)
         view[diag, diag] = (nb[:m] - 2 * centre + nb[m:2 * m]) / self.h.reshape((m,) + ones) ** 2
         a, b = _axis_pairs(m)
@@ -208,9 +214,10 @@ class GraphMapField:
                     o[take, q] = alt_q[take]
                 out[far] = o
         for b, ax in enumerate(self.N.axes):
-            if ax.periodic:
-                d = out[..., b] - self.f[..., b]
-                out[..., b] = self.f[..., b] + (d + ax.length / 2) % ax.length - ax.length / 2
+            if ax.periodic:  # y % length is y itself for y in [0, length)
+                y = out[..., b] - self.f[..., b] + ax.length / 2
+                np.remainder(y, ax.length, out=y, where=(y < 0) | (y >= ax.length))
+                out[..., b] = self.f[..., b] + y - ax.length / 2
         return out
 
     # -- differential fields --------------------------------------------------
@@ -243,12 +250,16 @@ class GraphMapField:
         return self.M.christoffels_many(self.coords())
 
     @field_cached
+    def _n_points(self) -> np.ndarray:  # f wrapped and checked by the N chart, for g_N and Gamma_N
+        return self.N.wrap(self.f)
+
+    @field_cached
     def g_n_field(self) -> np.ndarray:
-        return self.N.metric_many(self.f)
+        return self.N._metric(self._n_points())
 
     @field_cached
     def gamma_n_field(self) -> np.ndarray:
-        return self.N.christoffels_many(self.f)
+        return self.N._christoffels(self._n_points())
 
     @field_cached
     def induced_g_field(self) -> np.ndarray:

@@ -2,9 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from graphflow.geometry import (WarpedSurface, builtin_warp, flat_torus, product_s1_s2,
                                 round_sphere)
+
+# ``--hypothesis-profile=ci``: the default settings, random draws included, and
+# a failing draw prints its @reproduce_failure blob.  It replaces hypothesis'
+# own "ci" profile, which derandomizes, so CI draws what a local run draws.
+settings.register_profile("ci", parent=settings.get_profile("default"), print_blob=True)
 
 
 @pytest.fixture

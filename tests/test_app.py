@@ -332,15 +332,21 @@ def test_tsui_wang_lifts_each_record_once(tmp_path, monkeypatch, monitored):
     # monitors on, the two stencil neighbours of each stencil; one field
     # geometry per record serves its max |A|^2, the monitors and the
     # classifier; the M side of the lifts is computed once per run; the lifts
-    # check their induced metric by Cholesky and nothing reads its eigenvalues
+    # check their induced metric by Cholesky and nothing reads its eigenvalues;
+    # every field sets its values once, and only the first lift validates the grid
     calls = Counter()
     init, frame, eigvalsh = GraphMapField.__init__, immersion.build_svd_frame, np.linalg.eigvalsh
+    set_values = GraphMapField._set_values
     chart = {name: getattr(ChartManifold, name)
              for name in ("metric_many", "inverse_metric", "christoffels_many")}
 
     def counted_init(self, *args):
-        calls["GraphMapField"] += 1
+        calls["grid"] += 1
         init(self, *args)
+
+    def counted_set_values(self, *args):
+        calls["GraphMapField"] += 1
+        set_values(self, *args)
 
     def counted_frame(*args):  # one SVD frame per field_geometry evaluation
         calls["field_geometry"] += 1
@@ -359,6 +365,7 @@ def test_tsui_wang_lifts_each_record_once(tmp_path, monkeypatch, monitored):
     for name in chart:
         monkeypatch.setattr(ChartManifold, name, counted_chart(name))
     monkeypatch.setattr(GraphMapField, "__init__", counted_init)
+    monkeypatch.setattr(GraphMapField, "_set_values", counted_set_values)
     monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
     monkeypatch.setattr(immersion, "build_svd_frame", counted_frame)
     cfg = builtin_config("tsui_wang_s2", {
@@ -371,6 +378,7 @@ def test_tsui_wang_lifts_each_record_once(tmp_path, monkeypatch, monitored):
     stencils = len(verification["residual_p"]["checkpoints"]) if monitored else 0
     assert records >= 3 and (stencils >= 2 or not monitored)
     assert (calls["GraphMapField"], calls["field_geometry"]) == (records + 2 * stencils, records)
+    assert calls["grid"] == 1
     assert {k: n for k, n in calls.items() if k.endswith(("_m_field", "_m_inv_field"))} == {
         "metric_many in g_m_field": 1, "inverse_metric in g_m_inv_field": 1,
         "christoffels_many in gamma_m_field": 1}

@@ -1,5 +1,6 @@
 """Time integration: nonparametric velocity, equivariant and drift reductions."""
 
+import functools
 import math
 import sys
 from collections import Counter
@@ -14,7 +15,7 @@ from graphflow.flow import (_AB8, _AM9, ADAMS_STEP, DRIFT_DT, DRIFT_STEP, Equiva
                             drift_velocity, h2_field, nonparametric_rhs, reduce_circle_drift,
                             step, tangential_vector_field)
 from graphflow.geometry import WarpedSurface, builtin_warp, flat_torus, product_s1_s2
-from graphflow.immersion import GraphMapField, field_geometry
+from graphflow.immersion import GraphMapField, field_cached, field_geometry
 
 
 def _stationary_torus_field(n=16, scale=0.5):
@@ -66,17 +67,23 @@ def test_step_keeps_stationary_map_fixed():
         step(bad, params)
 
 
+def _s1xs2_to_cosh_field():
+    m_manifold, surface, shape = product_s1_s2(), WarpedSurface(builtin_warp("cosh")), (4, 4, 4)
+    x = GraphMapField(m_manifold, surface, shape, np.zeros(shape + (2,))).coords()
+    return GraphMapField(m_manifold, surface, shape,
+                         np.stack([x[..., 0], np.full(shape, 0.5)], axis=-1))
+
+
 def test_grid_step_does_its_work_once(monkeypatch):
     # k RK2 steps on S^1 x S^2 -> cosh cylinder make 1 + 2k fields (the start,
     # then a midpoint and an end per step)
     k = 3
-    m_manifold, surface, shape = product_s1_s2(), WarpedSurface(builtin_warp("cosh")), (4, 4, 4)
-    x = GraphMapField(m_manifold, surface, shape, np.zeros(shape + (2,))).coords()
-    field = GraphMapField(m_manifold, surface, shape,
-                          np.stack([x[..., 0], np.full(shape, 0.5)], axis=-1))
+    field = _s1xs2_to_cosh_field()
+    m_manifold, surface = field.M, field.N
     calls = Counter()
 
     def counted(name, fn):
+        @functools.wraps(fn)
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return fn(*args, **kwargs)
@@ -90,6 +97,10 @@ def test_grid_step_does_its_work_once(monkeypatch):
 
     for name in ("metric_many", "inverse_metric", "christoffels_many"):
         monkeypatch.setattr(m_manifold, name, counted(name, getattr(m_manifold, name)))
+    monkeypatch.setattr(surface, "wrap", counted("N wrap", surface.wrap))
+    # the grid's stencil index is built when the first field gathers neighbours
+    monkeypatch.setattr(GraphMapField, "_stencil_index", field_cached(
+        counted("_stencil_index", GraphMapField._stencil_index.__wrapped__)))
     monkeypatch.setattr(GraphMapField, "covariant_d2f",
                         counted("covariant_d2f", GraphMapField.covariant_d2f))
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh_by_caller)
@@ -102,9 +113,42 @@ def test_grid_step_does_its_work_once(monkeypatch):
     # metrics check positive definiteness by Cholesky: no eigensolve there
     assert calls == {
         "metric_many": 1, "inverse_metric": 1, "christoffels_many": 1,  # M side once per grid
+        "_stencil_index": 1,                           # grid bookkeeping once per grid
+        "N wrap": 1 + 2 * k,                           # one N-chart wrap per field for g_N, Gamma_N
         "covariant_d2f": 1 + 2 * k,                    # RHS: the start, then 2 per step
         "eigvalsh in induced_g_eigvals": k,            # cfl_dt and the volume of each state
     }                                                  # stepped from; none on a half field
+
+
+NON_FINITE = "non-finite map values (CFL violation or blow-up)"
+
+
+@pytest.mark.parametrize("target", ["warped_cylinder", "flat_torus"])
+@pytest.mark.parametrize("stage", ["midpoint", "end"])
+def test_step_aborts_on_non_finite_values(monkeypatch, target, stage):
+    # An infinite RHS at the start makes the midpoint infinite, one at the
+    # midpoint the end.  The chart refuses an infinite coordinate (the cosh
+    # cylinder's bounded z axis raises DomainError, a periodic wrap of inf
+    # warns), so step must see it before any field evaluates it.
+    if target == "warped_cylinder":
+        field = _s1xs2_to_cosh_field()
+    else:
+        m, shape = flat_torus(3), (4, 4, 4)
+        x = GraphMapField(m, flat_torus(2), shape, np.zeros(shape + (2,))).coords()
+        field = GraphMapField(m, flat_torus(2, scale=0.5), shape, x[..., :2])
+    params = FlowParams(t_end=1.0)
+    state = step(FlowState(field=field, min_p=field.min_p()), params)  # caches the RHS and |H|^2
+    assert state.status == "Running"
+    rhs = graphflow.flow.nonparametric_rhs
+
+    def blown(fld):
+        v = rhs(fld)
+        return np.full_like(v, np.inf) if (fld is state.field) == (stage == "midpoint") else v
+
+    monkeypatch.setattr(graphflow.flow, "nonparametric_rhs", blown)
+    nxt = step(state, params)
+    assert (nxt.status, nxt.diagnostic, nxt.step_count) == ("Aborted", NON_FINITE, 2)
+    assert nxt.t > state.t and nxt.field is state.field  # the last finite field is kept
 
 
 # -- equivariant reduction ---------------------------------------------------

@@ -28,6 +28,16 @@ def test_non_periodic_out_of_range_raises(waist_cylinder):
         waist_cylinder.wrap([0.0, 100.0])
 
 
+@pytest.mark.parametrize("z, shown", [(-np.inf, "-inf"), (np.nan, "nan"), (7.25, "7.25")])
+def test_out_of_range_message_prints_a_plain_float(waist_cylinder, z, shown):
+    # the first offending coordinate as a Python float, not as numpy's repr
+    # np.float64(...)
+    with pytest.raises(DomainError) as err:
+        waist_cylinder.wrap([[1.0, 0.5], [0.0, z]])
+    assert str(err.value) == (
+        f"warped_cylinder[cosh]: coordinate {shown} outside axis 1 range [-6.0, 6.0]")
+
+
 def _chart_with_metric(g):
     """A 2-torus chart whose metric is the fixed matrix g at every point."""
     g = np.array(g, dtype=float)

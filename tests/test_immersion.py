@@ -1,14 +1,15 @@
 """Discrete graph maps: derivatives, induced metric, pointwise geometry."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import reference_geometry as ref
 from graphflow.errors import ConfigurationError, SolverAbort
-from graphflow.flow import EquivariantFlow
-from graphflow.geometry import flat_torus, round_sphere
+from graphflow.flow import EquivariantFlow, h2_field, nonparametric_rhs
+from graphflow.geometry import WarpedSurface, builtin_warp, flat_torus, product_s1_s2, round_sphere
 from graphflow.immersion import GraphMapField, field_geometry, w_norm_sq
 
 
@@ -127,6 +128,56 @@ def test_volume_of_identity_graph():
     f = _torus_field(16, scale=0.5)
     # det(g) = (5/4)^2 over the (2 pi)^2 torus
     assert f.volume() == pytest.approx(1.25 * (2 * math.pi) ** 2)
+
+
+def _s1xs2_to_cosh_start():
+    m, n, shape = product_s1_s2(), WarpedSurface(builtin_warp("cosh")), (4, 4, 4)
+    x = GraphMapField(m, n, shape, np.zeros(shape + (2,))).coords()
+    first = GraphMapField(m, n, shape, np.stack([x[..., 0], np.full(shape, 0.5)], axis=-1))
+    # the azimuth crosses its seam at some nodes, so the periodic folds run
+    values = np.stack([x[..., 0] + 0.4 * np.sin(x[..., 2]),
+                       0.5 + 0.2 * np.cos(x[..., 1]) * np.sin(x[..., 0])], axis=-1)
+    return first, values
+
+
+def _tsui_lift_start():
+    # N is the round sphere: values pushed past its poles fold across the
+    # polar seam, shifting the azimuth
+    eq = EquivariantFlow(32, lambda th: 0.8 * np.sin(th))
+    first = eq.expand_field(eq.h)
+    x = first.coords()
+    values = first.f + np.stack([0.3 * np.cos(x[..., 0]), 0.1 * np.sin(x[..., 1])], axis=-1)
+    values[:2, :, 0] += math.pi - 0.05  # past the other pole at some nodes
+    assert (values[..., 0] < 0).any() and (values[..., 0] > math.pi).any()
+    return first, values
+
+
+@pytest.mark.parametrize("start", [_s1xs2_to_cosh_start, _tsui_lift_start])
+def test_with_values_matches_a_fresh_field(start):
+    # with_values reuses the grid that the first field validated; a field made
+    # that way must be bit for bit the field that the constructor makes
+    first, values = start()
+    first.p_field(), first.induced_g_inv_field()  # the first field has its fields cached
+    light = first.with_values(values)
+    fresh = GraphMapField(first.M, first.N, first.shape, values)
+    readers = {
+        "f": lambda fld: fld.f, "df": GraphMapField.df_field, "d2f": GraphMapField.d2f_field,
+        "g_n": GraphMapField.g_n_field, "gamma_n": GraphMapField.gamma_n_field,
+        "induced_g": GraphMapField.induced_g_field,
+        "induced_g_inv": GraphMapField.induced_g_inv_field, "p": GraphMapField.p_field,
+        "rhs": nonparametric_rhs, "h2": h2_field,
+    }
+    for name, read in readers.items():
+        assert np.array_equal(read(light), read(fresh)), name
+    geo_light, geo_fresh = field_geometry(light), field_geometry(fresh)
+    for rec_light, rec_fresh in ((geo_light, geo_fresh), (geo_light.frame, geo_fresh.frame)):
+        for f in fields(rec_light):
+            if f.name != "frame":
+                assert np.array_equal(getattr(rec_light, f.name), getattr(rec_fresh, f.name)), f.name
+    with pytest.raises(ConfigurationError, match="incompatible with grid"):
+        first.with_values(values[..., :1])
+    with pytest.raises(ConfigurationError, match="incompatible with grid"):
+        first.with_values(values[:-1])
 
 
 def test_interior_mask():

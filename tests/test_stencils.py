@@ -121,6 +121,22 @@ def test_tilted_sphere_takes_the_mirror_at_far_partner_values():
     assert decided >= 8
 
 
+@pytest.mark.parametrize("centre", [0.0, 0.3, 2 * math.pi - 1e-9])
+def test_periodic_fold_matches_the_remainder_at_its_edges(centre):
+    # unwrap_target folds only where (value - centre) + L/2 leaves [0, L), since
+    # % is the identity inside; at the edges of that interval, and far out,
+    # it must give the bits of the remainder over every value
+    m, n = flat_torus(2), flat_torus(2)
+    f = np.full((3, 3, 2), centre)
+    half = math.pi
+    edges = [-half, half, 3 * half, -3 * half, 0.0, -0.0, 1e-300, 40 * half + 0.1, -40 * half, np.nan]
+    d = np.array(edges + [np.nextafter(e, s) for e in edges for s in (-np.inf, np.inf)])
+    vals = (centre + d)[:, None, None, None] + np.zeros((1, 3, 3, 2))
+    new = GraphMapField(m, n, (3, 3), f).unwrap_target(vals)
+    old = ref.LoopStencilField(m, n, (3, 3), f).unwrap_target(vals)
+    assert np.array_equal(new, old, equal_nan=True)
+
+
 def test_partner_axis_must_come_later():
     m = ChartManifold("flipped_sphere", [
         Axis(0.0, 2 * math.pi, periodic=True),
