@@ -23,7 +23,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-import jsonschema
 
 from . import __version__
 from .errors import ConfigurationError, NotAreaDecreasingError, SolverAbort
@@ -213,21 +212,36 @@ CLASSIFICATION_SCHEMA = {
     },
 }
 
-_VALIDATORS: dict = {}  # id(schema) -> its validator, metaschema-checked once per process
+_JSON_TYPES = {"object": dict, "string": str, "boolean": bool, "null": type(None)}
+
+
+def _schema_errors(instance, schema: dict, at: tuple = ()):
+    """(path, preferred, message) of each defect, in jsonschema's order; an error is
+    preferred unless its instance matches its schema's type."""
+    types = [schema["type"]] if isinstance(schema.get("type"), str) else schema.get("type", ())
+    typed = isinstance(instance, tuple(_JSON_TYPES[name] for name in types))
+    for keyword, value in schema.items():  # jsonschema checks the keywords in this order
+        if keyword == "type" and not typed:
+            yield at, True, f"{instance!r} is not of type {', '.join(map(repr, types))}"
+        elif keyword == "const" and (isinstance(instance, bool) != isinstance(value, bool)
+                                     or instance != value):  # 1.0 is 1, True is not
+            yield at, not typed, f"{value!r} was expected"
+        elif keyword == "required" and isinstance(instance, dict):
+            yield from ((at, not typed, f"{key!r} is a required property")
+                        for key in value if key not in instance)
+        elif keyword == "properties" and isinstance(instance, dict):
+            for key, sub in value.items():
+                if key in instance:
+                    yield from _schema_errors(instance[key], sub, (*at, key))
 
 
 def validate(instance, schema: dict, path: Optional[str] = None) -> None:
-    """``jsonschema.validate``, with each schema checked once per process; a failure
-    of the file at ``path`` is a ConfigurationError naming the file and the JSON path."""
-    validator = _VALIDATORS.get(id(schema))
-    if validator is None:
-        cls = jsonschema.validators.validator_for(schema)
-        cls.check_schema(schema)
-        validator = _VALIDATORS[id(schema)] = cls(schema)
-    error = jsonschema.exceptions.best_match(validator.iter_errors(instance))
-    if error is not None:
-        raise error if path is None else ConfigurationError(
-            f"{path}: {error.json_path}: {error.message}")
+    """Raise jsonschema's best_match: the shallowest defect, then the greatest path, then a
+    preferred one; a ConfigurationError naming the file at ``path``, else a ValueError."""
+    best = max(_schema_errors(instance, schema), key=lambda e: (-len(e[0]), *e[:2]), default=None)
+    if best is not None:
+        message = "$" + "".join(f".{key}" for key in best[0]) + f": {best[2]}"
+        raise ValueError(message) if path is None else ConfigurationError(f"{path}: {message}")
 
 
 @dataclass
@@ -321,6 +335,9 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> RunManif
     m_manifold, n_manifold = scenario.manifolds()
     report = curvature_conditions_report(m_manifold, n_manifold, seed=cfg.seed)
     ev = scenario.evolve(cfg, m_manifold, n_manifold, report)
+    if ev.dissipation is not None and not ev.records[-1].t > ev.records[0].t:
+        raise ConfigurationError(f"[flow] t_end = {cfg.get('flow', 't_end')!r}: the flow takes "
+                                 "no step, so there is nothing to verify")
 
     verification = {"curvature_conditions": asdict(report), "constants": None, **ev.sections}
     constants = None
@@ -370,6 +387,11 @@ def _evolve_tsui_wang(cfg: ScenarioConfig, m_manifold, n_manifold, report) -> Ev
     eps0, eps1 = decay_rates(report.min_ric, report.sup_sigma_n)
     residuals_on = cfg.get("verify", "residuals")
     inequalities_on = cfg.get("verify", "inequalities")
+    if (residuals_on or inequalities_on) and all(st.stencil is None for st in run.states):
+        raise ConfigurationError(
+            "[verify] residuals and inequalities need a recorded state with a step on each "
+            f"side: the flow took {run.steps} steps with [flow] record_every = "
+            f"{cfg.get('flow', 'record_every')}")
     residuals, checkpoints = [], []
     for rec, state in zip(run.records, run.states):  # one lift per recorded state
         fld = eq.expand_field(state.h)

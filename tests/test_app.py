@@ -409,33 +409,99 @@ def test_builtin_scenarios_listed():
         "hopf_pointwise", "torus_identity_edge"}
 
 
-def test_validate_raises_what_jsonschema_raises():
+def test_validate_raises_what_jsonschema_raises(tmp_path):
+    # three defects at one depth: best_match reports the one at the greatest path
     bad = {"schema_version": 2, "scenario": 3, "class": 4}
-    with pytest.raises(jsonschema.ValidationError) as ours:
+    best = jsonschema.exceptions.best_match(
+        jsonschema.validators.validator_for(CLASSIFICATION_SCHEMA)(CLASSIFICATION_SCHEMA)
+        .iter_errors(bad))
+    assert (best.json_path, best.message) == ("$.schema_version", "1 was expected")
+    with pytest.raises(ValueError) as ours:  # the run's own output
         validate(bad, CLASSIFICATION_SCHEMA)
-    with pytest.raises(jsonschema.ValidationError) as theirs:
-        jsonschema.validate(bad, CLASSIFICATION_SCHEMA)
-    assert (ours.value.message, ours.value.json_path) == (theirs.value.message,
-                                                          theirs.value.json_path)
+    assert str(ours.value) == f"{best.json_path}: {best.message}"
+    path = str(tmp_path / "classification.json")
+    with pytest.raises(ConfigurationError) as ours:  # a file read back
+        validate(bad, CLASSIFICATION_SCHEMA, path)
+    assert str(ours.value) == f"{path}: {best.json_path}: {best.message}"
     validate(bad | {"schema_version": 1, "scenario": "s", "class": None}, CLASSIFICATION_SCHEMA)
 
 
-def test_schemas_are_checked_once_per_process(monkeypatch, tmp_path):
-    checked = Counter()
-    cls = jsonschema.validators.validator_for(VERIFICATION_SCHEMA)
-    check_schema = cls.check_schema
+def _schema_parts(schema):
+    """Every subschema of ``schema``, itself included."""
+    yield schema
+    for sub in schema.get("properties", {}).values():
+        yield from _schema_parts(sub)
 
-    def counted(schema, *args, **kwargs):
-        checked[id(schema)] += 1
-        return check_schema(schema, *args, **kwargs)
 
-    monkeypatch.setattr(cls, "check_schema", counted)
-    monkeypatch.setattr(app, "_VALIDATORS", {})  # as in a fresh process
-    for i in range(2):
-        run_scenario(builtin_config("hopf_pointwise"), out_dir=str(tmp_path / f"run{i}"))
-    for i in range(2):
-        assert cli_main(["verify", str(tmp_path / f"run{i}")]) == 0
-    assert checked == {id(VERIFICATION_SCHEMA): 1, id(CLASSIFICATION_SCHEMA): 1}
+@pytest.mark.parametrize("schema", [VERIFICATION_SCHEMA, CLASSIFICATION_SCHEMA],
+                         ids=["verification", "classification"])
+def test_schemas_use_only_what_validate_checks(schema):
+    # validate implements type, const, required and properties, and four type names; a
+    # schema that grew an enum or an items would be checked by nothing
+    jsonschema.validators.validator_for(schema).check_schema(schema)
+    for part in _schema_parts(schema):
+        assert set(part) <= {"type", "const", "required", "properties"}, part
+        types = part.get("type", [])
+        assert set([types] if isinstance(types, str) else types) <= set(app._JSON_TYPES), part
+        # validate writes a JSON path as $.a.b, the form of a plain property name
+        for key in part.get("properties", {}):
+            assert re.fullmatch("[a-zA-Z][a-zA-Z0-9_]*", key), key
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+ARTIFACT_SCHEMAS = {"verification.json": VERIFICATION_SCHEMA,
+                    "classification.json": CLASSIFICATION_SCHEMA}
+# each replaces one value of a golden artifact, or the whole document
+MUTANT_VALUES = [None, 0, 1, 1.0, True, False, "x", [], {}, math.nan]
+
+
+def _slots(doc):
+    """(container, key) of every value inside ``doc``, outermost first."""
+    items = (doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list)
+             else ())
+    for key, value in items:
+        yield doc, key
+        yield from _slots(value)
+
+
+@pytest.mark.parametrize("name", ARTIFACT_SCHEMAS)
+@pytest.mark.parametrize("run", sorted(os.listdir(GOLDEN)))
+def test_validate_matches_jsonschema_on_every_single_defect(run, name):
+    # every value of the artifact deleted, or replaced by each of MUTANT_VALUES, and the
+    # whole document replaced: validate raises the path and message of jsonschema's
+    # best_match, and nothing when jsonschema finds nothing
+    path = os.path.join(GOLDEN, run, name)
+    schema = ARTIFACT_SCHEMAS[name]
+    oracle = jsonschema.validators.validator_for(schema)(schema)
+    with open(path) as fh:
+        golden = json.load(fh)
+
+    def agree(doc) -> int:
+        best = jsonschema.exceptions.best_match(oracle.iter_errors(doc))
+        if best is None:
+            validate(doc, schema, path)
+            return 0
+        with pytest.raises(ConfigurationError) as ours:
+            validate(doc, schema, path)
+        assert str(ours.value) == f"{path}: {best.json_path}: {best.message}"
+        return 1
+
+    assert agree(golden) == 0
+    defects = sum(agree(value) for value in MUTANT_VALUES)
+    for container, key in list(_slots(golden)):
+        kept = list(container.items()) if isinstance(container, dict) else list(container)
+        for value in MUTANT_VALUES:
+            container[key] = value
+            defects += agree(golden)
+        del container[key]
+        defects += agree(golden)
+        container.clear()  # back as it was, in its order
+        if isinstance(container, dict):
+            container.update(kept)
+        else:
+            container.extend(kept)
+    assert agree(golden) == 0
+    assert defects > len(MUTANT_VALUES)
 
 
 # -- identity suite ----------------------------------------------------------
@@ -528,14 +594,16 @@ def test_cli_run_does_not_import_scipy_integrate(tmp_path):
     # benchmark's peak_rss_mb and setup_s bounds cannot absorb.  A solver
     # that needs solve_ivp must find a scipy-free route, or fail here first.
     # scipy.linalg alone costs 0.32-0.36 s and 22-28 MB, so the package runs with no
-    # scipy at all: any scipy import below raises ImportError.  One process runs
-    # and verifies every golden config (the profile, its monitors, the grid
-    # stepper, the drift, the barrier and the Hopf samples) and reproduces its
+    # scipy at all: any scipy import below raises ImportError.  jsonschema is a test
+    # oracle only (validate checks the artifact schemas itself), so it is blocked too.
+    # One process runs and verifies every golden config (the profile, its monitors, the
+    # grid stepper, the drift, the barrier and the Hopf samples) and reproduces its
     # artifacts.
     golden = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "golden", "*")))
     assert len(golden) == 5
     code = ("import os, sys\n"
             "sys.modules['scipy'] = None\n"
+            "sys.modules['jsonschema'] = None\n"
             "from graphflow.cli import main\n"
             f"for run in {golden!r}:\n"
             f"    out = os.path.join({str(tmp_path)!r}, os.path.basename(run))\n"
@@ -609,6 +677,50 @@ def test_cli_rejects_degenerate_input(tmp_path, capsys, text, says):
     assert cli_main(["run", cfg_path, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(says)
+
+
+@pytest.mark.parametrize("name", ["torus_projection", "tsui_wang_s2"])
+def test_cli_refuses_a_flow_that_takes_no_step(tmp_path, capsys, name):
+    # at t_end = 1e-15 both flows stop before their first step and wrote one CSV row at
+    # t = 0; the torus read its stationarity, decay bounds and volume budget PASS over no step
+    text = f"[scenario]\nname = {name}\n[flow]\nt_end = 1e-15\n"
+    if name == "tsui_wang_s2":  # with a monitor on, the monitors' refusal comes first
+        text += "[verify]\nresiduals = off\ninequalities = off\n"
+    out = tmp_path / "o"
+    assert cli_main(["run", _write(tmp_path, text), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error: [flow] t_end = 1e-15: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["cylinder_drift", "cylinder_waist"])
+def test_cylinder_at_a_tiny_t_end_still_integrates(tmp_path, name):
+    cfg = builtin_config(name, {("flow", "t_end"): 1e-15})
+    out = str(tmp_path / name)
+    assert run_scenario(cfg, out_dir=out).overall_pass
+    t = [float(row.split(",")[0]) for row in _read(out, "time_series.csv").splitlines()[1:]]
+    assert t == [0.0, 1e-15]
+
+
+@pytest.mark.parametrize("residuals, inequalities", [
+    ("on", "on"), ("on", "off"), ("off", "on"), ("off", "off")])
+def test_tsui_monitors_refused_without_a_checkpoint(tmp_path, capsys, residuals, inequalities):
+    # the default grid takes 333 steps to t_end = 0.01, fewer than record_every = 400: no
+    # recorded state has a step on both sides, so a monitor that is on is evaluated nowhere
+    # (residual_p and inequalities used to go missing from a PASS verification.json)
+    out = tmp_path / "o"
+    text = ("[scenario]\nname = tsui_wang_s2\n[flow]\nt_end = 0.01\n"
+            f"[verify]\nresiduals = {residuals}\ninequalities = {inequalities}\n")
+    code = cli_main(["run", _write(tmp_path, text), "--out", str(out)])
+    err = capsys.readouterr().err
+    if "on" in (residuals, inequalities):
+        assert code == 2 and err.count("\n") == 1 and not out.exists()
+        assert err.startswith("config error: [verify] residuals and inequalities need ")
+        assert "333 steps with [flow] record_every = 400" in err
+    else:
+        assert code == 0
+        assert not {"residual_p", "inequalities"} & set(json.loads(
+            _read(str(out), "verification.json")))
 
 
 @pytest.mark.parametrize("section,key,value,says", [

@@ -23,7 +23,7 @@ ARGV = {
     "run_scenarios": ["cylinder_drift", "--out-root", None],
     # each override reaches only the scenarios that read its key
     "run_scenarios-overrides": ["tsui_wang_s2", "cylinder_drift", "hopf_pointwise",
-                                "--nodes", "32", "--t-end", "0.05", "--out-root", None],
+                                "--nodes", "32", "--t-end", "1.0", "--out-root", None],
 }
 
 
