@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateMetricError, DegeneratePlaneError, DomainError
-from .frames import positive_definite, quad_form
+from .frames import pd_inverse, quad_form
 
 _COMPLEX_STEP = 1e-30
 WARP_SAMPLES = 2001  # heights of the sup of a warped surface's Gauss curvature
@@ -110,15 +110,16 @@ class ChartManifold:
 
     def inverse_metric(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
         """g^{-1} of the metrics g (..., m, m) at the chart points x (..., m)."""
-        if not positive_definite(g):
+        ginv = pd_inverse(g)
+        if ginv is None:
             w = np.linalg.eigvalsh(g)  # only to word the error
             bad = ~(w.min(axis=-1, initial=np.inf) > 0)  # NaN counts as bad
-            if not bad.any():  # Cholesky fails where eigvalsh reads a roundoff-positive
+            if not bad.any():  # the factorisation fails where eigvalsh reads a roundoff-positive
                 bad = w.min(axis=-1) == w.min()
             raise DegenerateMetricError(
                 f"{self.name}: metric not positive definite at {x[bad][0]} (eigs {w[bad][0]})"
             )
-        return np.linalg.inv(g)
+        return ginv
 
     # -- derivatives of chart fields ----------------------------------------
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigurationError, SolverAbort
-from .frames import (SVDFrame, build_svd_frame, positive_definite, quad_form,
+from .frames import (SVDFrame, build_svd_frame, pd_inverse, quad_form,
                      singular_value_invariants)
 from .geometry import ChartManifold
 
@@ -263,8 +263,11 @@ class GraphMapField:
 
     @field_cached
     def induced_g_field(self) -> np.ndarray:
+        """g_M + df g_N df^T per node.  A corrupted state reads NaN here without a
+        warning (an inf of g_N meets a zero of df); its readers refuse it."""
         df = self.df_field()
-        return self.g_m_field() + df @ self.g_n_field() @ _swap(df)
+        with np.errstate(invalid="ignore"):
+            return self.g_m_field() + df @ self.g_n_field() @ _swap(df)
 
     @field_cached
     def induced_g_eigvals(self) -> np.ndarray:
@@ -276,12 +279,12 @@ class GraphMapField:
 
     @field_cached
     def induced_g_inv_field(self) -> np.ndarray:
-        """The inverse induced metric, checked positive definite by a Cholesky
-        factorisation (no eigensolve)."""
-        g = self.induced_g_field()
-        if not positive_definite(g):
+        """The inverse induced metric, checked finite and positive definite (no
+        eigensolve); see ``frames.pd_inverse``."""
+        ginv = pd_inverse(self.induced_g_field())
+        if ginv is None:
             raise SolverAbort(CORRUPTED_METRIC)
-        return np.linalg.inv(g)
+        return ginv
 
     def volume_density(self) -> np.ndarray:
         """sqrt(det g) per node, from the eigenvalues of the induced metric."""

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_geometry as ref
-from graphflow.flow import EquivariantFlow
+from graphflow.flow import EquivariantFlow, h2_field
 from graphflow.frames import build_svd_frame
 from graphflow.geometry import WarpedSurface, builtin_warp, flat_torus, product_s1_s2
 from graphflow.immersion import GraphMapField, field_geometry
@@ -108,3 +108,68 @@ def test_batched_frame_matches_pointwise_oracle(batch):
                 assert np.abs(proj).max() <= TOL
                 continue
             assert np.abs(got - exp).max() <= TOL, (k, key)
+
+
+# exactly degenerate m = 2 samples: with metrics k I the whitening only scales
+# df, so the whitened differential keeps the exact structure drawn here
+DEGENERATE = {
+    "conformal": lambda x, y: [[x, -y], [y, x]],        # lam = mu > 0, a rotation
+    "anticonformal": lambda x, y: [[x, y], [y, -x]],    # lam = mu > 0, a reflection
+    "rank_one_row": lambda x, y: [[x, y], [0.0, 0.0]],  # mu = 0, kernel a chart axis of M
+    "rank_one_col": lambda x, y: [[x, 0.0], [y, 0.0]],  # mu = 0, image a chart axis of N
+    "zero": lambda x, y: [[0.0, 0.0], [0.0, 0.0]],      # lam = mu = 0
+}
+
+
+def _tangency(frame, df, g_m, g_n):
+    """max |<(e_i, df^T e_i), nu>| over the normals nu = xi, eta in the product metric."""
+    gp = np.zeros((4, 4))
+    gp[:2, :2], gp[2:, 2:] = g_m, g_n
+    dfe = np.concatenate([frame.e, frame.e @ df], axis=-1)
+    return np.abs(dfe @ gp @ np.stack([frame.xi, frame.eta], axis=-1)).max()
+
+
+@pytest.mark.parametrize("kind", sorted(DEGENERATE))
+def test_batched_frame_on_exactly_degenerate_samples(kind):
+    rng = np.random.default_rng(sorted(DEGENERATE).index(kind))
+    samples = [(np.array(DEGENERATE[kind](*rng.standard_normal(2))),
+                rng.uniform(0.5, 3.0) * np.eye(2), rng.uniform(0.5, 3.0) * np.eye(2))
+               for _ in range(8)]
+    df, g_m, g_n = (np.array(col) for col in zip(*samples))
+    frame = build_svd_frame(df, g_m, g_n)
+    if kind.startswith("rank_one"):
+        assert (frame.mu == 0.0).all()
+    else:
+        assert np.array_equal(frame.lam, frame.mu)
+    for k, (dfk, gmk, gnk) in enumerate(samples):
+        want = ref.build_svd_frame(dfk, gmk, gnk)
+        got = ref.SVDFrame(**{key: getattr(frame, key)[k] for key in FRAME_FIELDS})
+        for key in ("lam", "mu", "p", "s_diag", "t11", "t22"):
+            assert np.abs(getattr(got, key) - getattr(want, key)).max() <= TOL, (k, key)
+        assert np.abs(got.beta @ gnk @ got.beta.T - np.eye(2)).max() <= TOL, k
+        assert abs(_tangency(got, dfk, gmk, gnk) - _tangency(want, dfk, gmk, gnk)) <= TOL, k
+        if kind.startswith("rank_one"):
+            keys = ("alpha", "beta", "e", "xi", "eta")
+        else:
+            # lam = mu: any g_M-orthonormal basis is singular, and arctan2 picks
+            # another than the SVD; compare the span (the g_M-orthogonal projector)
+            keys = ()
+            for key in ("alpha", "e"):
+                g, w = getattr(got, key), getattr(want, key)
+                assert np.abs((g.T @ g - w.T @ w) @ gmk).max() <= TOL, (k, key)
+        for key in keys:
+            assert np.abs(getattr(got, key) - getattr(want, key)).max() <= TOL, (k, key)
+
+
+def test_tsui_lift_calls_no_lapack(monkeypatch):
+    # every matrix of an m = 2 lift is 2 x 2, and all of them have closed forms
+    field = _tsui_field(32)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK called on a tsui lift")
+
+    for name in ("svd", "solve", "inv", "cholesky"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    geo = field_geometry(field)
+    assert np.isfinite(geo.a_sq).all() and np.isfinite(geo.frame.p).all()
+    assert np.isfinite(field.p_field()).all() and np.isfinite(h2_field(field)).all()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_geometry
-from graphflow.frames import build_svd_frame, p_batch, singular_value_invariants
+from graphflow.frames import build_svd_frame, p_batch, pd_inverse, singular_value_invariants
 from graphflow.geometry import hopf_map, round_sphere, s3_hopf_chart
 
 
@@ -138,3 +138,21 @@ def test_rank_one_differential():
     lam, mu = _singular_values(g_m, g_n, df)
     fr = build_svd_frame(df, g_m, g_n)
     assert mu == 0.0 and lam > 0 and abs(lam - fr.lam) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_pd_inverse_matches_inv_and_refuses_what_cholesky_refuses(k):
+    rng = np.random.default_rng(k)
+    a = rng.standard_normal((200, k, k))
+    g = a @ np.swapaxes(a, -1, -2) + 0.1 * np.eye(k)
+    ginv = pd_inverse(g)
+    assert np.abs(ginv @ g - np.eye(k)).max() <= 1e-11
+    assert np.abs(ginv - np.linalg.inv(g)).max() <= 1e-11 * np.abs(ginv).max()
+    diag = np.diag(rng.uniform(0.1, 3.0, k))
+    assert np.array_equal(pd_inverse(diag), np.linalg.inv(diag))  # 1/a and 1/d exactly
+    for bad in (np.nan, np.inf, -1.0, 0.0):
+        h = g.copy()
+        h[17, -1, -1] = bad
+        assert pd_inverse(h) is None, bad
+    # positive definite, but a Cholesky factorisation reads its Schur complement as 0
+    assert pd_inverse(np.array([[3.0, 0.3], [0.3, 0.03]])) is None

@@ -189,13 +189,16 @@ def test_interior_mask():
     assert mask[8].all()
 
 
-@pytest.mark.parametrize("corruption", ["nan", "inf", "indefinite"])
+@pytest.mark.parametrize("corruption", ["nan", "inf", "inf_times_zero", "indefinite"])
 def test_corrupted_induced_metric_aborts(corruption):
-    # a g_N value as a blown-up state would carry it; df has no zero entry at
-    # the node, so the inf reaches g without an inf * 0
-    fld = _torus_field(8, perturb=0.1)
+    # a g_N value as a blown-up state would carry it.  On the perturbed torus df
+    # has no zero entry at the node, so the inf reaches g without an inf * 0; on
+    # the identity torus df is diagonal, so df g_N df^T meets inf * 0 and reads
+    # NaN, which must end in the same one line and raise no warning
+    fld = _torus_field(8, perturb=0.0 if corruption == "inf_times_zero" else 0.1)
     g_n = fld.g_n_field().copy()
     g_n[3, 4] = {"nan": np.nan, "inf": np.diag([np.inf, 1.0]),
+                 "inf_times_zero": np.diag([np.inf, 1.0]),
                  "indefinite": np.diag([1.0, -50.0])}[corruption]
     fld._cache["g_n_field"] = g_n
     with pytest.raises(SolverAbort,
