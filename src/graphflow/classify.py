@@ -13,7 +13,6 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import gauss_curvature_at
 from .immersion import GraphMapField, field_geometry
 
 UNTESTED_NOTE = (
@@ -88,6 +87,6 @@ def classify_limit(field: GraphMapField, status: str, h_tol: float = 1e-6,
     geo = field_geometry(field)
     max_h = float(np.sqrt(geo.h_sq[mask]).max())
     max_a = float(np.sqrt(geo.a_sq[mask]).max())
-    sig = np.broadcast_to(gauss_curvature_at(field.N, field.f[mask]), lam[mask].shape)
+    sig = np.broadcast_to(field.N.gauss_curvature_at(field.f[mask]), lam[mask].shape)
     return classify_from_observables(status, max_h, max_a, lam[mask], mu[mask], sig,
                                      h_tol, ricci_positive)

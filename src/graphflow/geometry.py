@@ -1,10 +1,10 @@
 """Chart-based Riemannian manifolds and curvature machinery.
 
-A manifold is described by a single product-of-intervals chart together with a
-callable returning the metric in chart components.  Curvature is obtained from
-the metric by complex-step differentiation (machine precision): the
-Christoffel callable, or the metric callable of a chart without one, must
-accept complex chart points.
+A manifold is described by a single product-of-intervals chart together with
+callables returning the metric and its Christoffel symbols in chart
+components, and the curvature it knows in closed form.  The curvature tensors
+differentiate the analytic Christoffel symbols by a complex step (machine
+precision), so the Christoffel callable must accept complex chart points.
 
 Sign convention, used everywhere in the package: the sectional curvature of a
 plane is sigma(v ^ w) = R(v, w, w, v) / |v ^ w|^2, so the round unit sphere has
@@ -52,12 +52,11 @@ class Axis:
 class ChartManifold:
     """Riemannian manifold given by a global coordinate chart.
 
-    ``metric_at`` maps chart points (..., m), real or complex, to symmetric
-    positive-definite matrices (..., m, m) of the same dtype.
-    ``christoffels_at`` may be supplied analytically, with the same batch and
-    dtype convention; otherwise Christoffel symbols are obtained by
-    complex-step differentiation of the metric, and curvature, which
-    differentiates them once more, is unavailable.
+    ``metric_at`` and ``christoffels_at`` map chart points (..., m), real or
+    complex, to the metric (..., m, m) and its analytic Christoffel symbols
+    (..., m, m, m), first index upper, of the same dtype.  A chart states the
+    curvature it knows in closed form: ``constant_curvature`` k, and
+    ``ricci_extremes`` (min Ric, min BRic, scal), which k implies.
     """
 
     def __init__(
@@ -65,17 +64,19 @@ class ChartManifold:
         name: str,
         axes: Sequence[Axis],
         metric_at: Callable[[np.ndarray], np.ndarray],
-        christoffels_at: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+        christoffels_at: Callable[[np.ndarray], np.ndarray],
         constant_curvature: Optional[float] = None,
-        is_product_s1xs2: bool = False,
+        ricci_extremes: Optional[tuple[float, float, float]] = None,
     ):
         self.name = name
         self.axes = tuple(axes)
-        self.dim = len(self.axes)
+        self.dim = m = len(self.axes)
         self._metric_at = metric_at
         self._christoffels_at = christoffels_at
-        self.constant_curvature = constant_curvature
-        self.is_product_s1xs2 = is_product_s1xs2
+        self.constant_curvature = k = constant_curvature
+        if ricci_extremes is None and k is not None:
+            ricci_extremes = ((m - 1) * k, (2 * m - 3) * k, m * (m - 1) * k)
+        self.ricci_extremes = ricci_extremes
 
     # -- chart bookkeeping -------------------------------------------------
 
@@ -135,22 +136,27 @@ class ChartManifold:
 
     def christoffels_many(self, pts) -> np.ndarray:
         """Gamma^k_{ij} at a batch of points, (..., m) -> (..., m, m, m), first index
-        upper; one point is a batch of shape ().  ``_christoffels`` takes points
-        already ``wrap``-ped."""
-        return self._christoffels(self.wrap(pts))
+        upper; one point is a batch of shape ()."""
+        return np.asarray(self._christoffels_at(self.wrap(pts)))
 
-    def _christoffels(self, x: np.ndarray) -> np.ndarray:
-        if self._christoffels_at is not None:
-            return np.asarray(self._christoffels_at(x))
-        return self._christoffels_from_metric(x)
+    # -- closed-form curvature -----------------------------------------------
 
-    def _christoffels_from_metric(self, pts) -> np.ndarray:
-        x = self.wrap(pts)
-        ginv = self.inverse_metric(x, self.metric_many(x))
-        dg = self._complex_step(self._metric_at, x)  # axes (..., derivative, i, j)
-        # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
-        comb = dg + np.einsum("...jil->...ijl", dg) - np.einsum("...lij->...ijl", dg)
-        return 0.5 * np.einsum("...kl,...ijl->...kij", ginv, comb)
+    def gauss_curvature_at(self, y):
+        """Gauss curvature of a surface at chart points (..., 2): a float where it
+        declares a constant curvature, otherwise the sectional curvature of the
+        coordinate plane, an array over the points."""
+        if self.dim != 2:
+            raise ConfigurationError("gauss_curvature_at expects a surface")
+        if self.constant_curvature is not None:
+            return float(self.constant_curvature)
+        return sectional(self, np.asarray(y, dtype=float), [1.0, 0.0], [0.0, 1.0])
+
+    def sup_gauss_curvature(self) -> float:
+        """sup sigma_N in closed form: the declared constant curvature."""
+        if self.constant_curvature is None:
+            raise ConfigurationError(f"{self.name}: no closed-form sup sigma_N "
+                                     "(N must have a constant curvature or be a warped surface)")
+        return self.constant_curvature
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +179,6 @@ class CurvatureTensors:
 
 def curvature_package(manifold: ChartManifold, x) -> CurvatureTensors:
     """All curvature tensors of the chart metric at chart points ``x`` (..., m)."""
-    if manifold._christoffels_at is None:  # a complex step cannot differentiate a complex step
-        raise ConfigurationError(f"{manifold.name}: curvature needs analytic Christoffel symbols")
     x = manifold.wrap(x)
     g = manifold.metric_many(x)
     ginv = manifold.inverse_metric(x, g)
@@ -286,6 +290,9 @@ class WarpedSurface(ChartManifold):
         """-w''(z)/w(z), elementwise over an array of heights."""
         return -self.warp.d2w(z) / self.warp.w(z)
 
+    def gauss_curvature_at(self, y):
+        return self.gauss_curvature(np.asarray(y, dtype=float)[..., 1])
+
     def sup_gauss_curvature(self) -> float:
         lo, hi = self.axes[1].lo, self.axes[1].hi
         return float(np.max(self.gauss_curvature(np.linspace(lo, hi, WARP_SAMPLES))))
@@ -380,7 +387,7 @@ def product_s1_s2() -> ChartManifold:
         axes=axes,
         metric_at=metric,
         christoffels_at=christoffels,
-        is_product_s1xs2=True,
+        ricci_extremes=(0.0, 1.0, 2.0),  # Ricci eigenvalues (0, 1, 1); BRic = scal/2 as m = 3
     )
 
 
@@ -451,53 +458,21 @@ class CurvatureReport:
     frame_count: int = 0
 
 
-def gauss_curvature_at(n_manifold: ChartManifold, y):
-    """Gauss curvature of a 2-dimensional manifold at chart points (..., 2).
-
-    A float where the surface declares a constant curvature; otherwise an
-    array over the points.
-    """
-    if n_manifold.dim != 2:
-        raise ConfigurationError("gauss_curvature_at expects a surface")
-    if n_manifold.constant_curvature is not None:
-        return float(n_manifold.constant_curvature)
-    y = np.asarray(y, dtype=float)
-    if isinstance(n_manifold, WarpedSurface):
-        return n_manifold.gauss_curvature(y[..., 1])
-    return sectional(n_manifold, y, [1.0, 0.0], [0.0, 1.0])
-
-
-def sup_sigma_of(n_manifold: ChartManifold) -> float:
-    """sup sigma_N: a declared constant curvature, or a warped surface's sup over heights."""
-    if isinstance(n_manifold, WarpedSurface):
-        return n_manifold.sup_gauss_curvature()
-    if n_manifold.constant_curvature is not None:
-        return n_manifold.constant_curvature
-    raise ConfigurationError(f"{n_manifold.name}: no closed-form sup sigma_N "
-                             "(N must have a constant curvature or be a warped surface)")
-
-
 def curvature_conditions_report(m_manifold: ChartManifold, n_manifold: ChartManifold,
                                 seed: int = 0) -> CurvatureReport:
     """Conditions (A) BRic_M >= sup sigma_N, (B) Ric_M >= 0 and (C) Ric_M >= sup sigma_N,
     with the trace consequences (2b) and (3) of (A), all in closed form.
 
-    M has a constant curvature k (min Ric = (m-1)k, min BRic = (2m-3)k, scal =
-    m(m-1)k) or is the S^1 x S^2 product (Ricci eigenvalues (0, 1, 1), scal 2,
-    min BRic 1, the sphere's curvature); N as in ``sup_sigma_of``.  Any other
-    pair raises ``ConfigurationError``.  Nothing is drawn: ``seed`` is only
-    echoed into the report.
+    M supplies its ``ricci_extremes`` and N its ``sup_gauss_curvature``; a chart
+    that declares neither raises ``ConfigurationError``.  Nothing is drawn:
+    ``seed`` is only echoed into the report.
     """
     m = m_manifold.dim
-    sup_sn = sup_sigma_of(n_manifold)
-    if m_manifold.constant_curvature is not None:
-        k = m_manifold.constant_curvature
-        min_ric, min_bric, scal = (m - 1) * k, (2 * m - 3) * k, m * (m - 1) * k
-    elif m_manifold.is_product_s1xs2:
-        min_ric, min_bric, scal = 0.0, 1.0, 2.0
-    else:
+    sup_sn = n_manifold.sup_gauss_curvature()
+    if m_manifold.ricci_extremes is None:
         raise ConfigurationError(f"{m_manifold.name}: no closed-form curvature conditions "
                                  "(M must have a constant curvature or be S^1 x S^2)")
+    min_ric, min_bric, scal = m_manifold.ricci_extremes
 
     cond_a = min_bric >= sup_sn - 1e-12
     ineq_2b = ineq_3 = True

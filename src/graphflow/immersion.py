@@ -259,7 +259,7 @@ class GraphMapField:
 
     @field_cached
     def gamma_n_field(self) -> np.ndarray:
-        return self.N._christoffels(self._n_points())
+        return np.asarray(self.N._christoffels_at(self._n_points()))
 
     @field_cached
     def induced_g_field(self) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConfigurationError, NotAreaDecreasingError
 from .flow import h2_field, tangential_vector_field
 from .frames import quad_form
-from .geometry import curvature_package, gauss_curvature_at, sectional
+from .geometry import curvature_package, sectional
 from .immersion import GraphMapField, field_geometry, quantity_Q, quantity_R_vw, w_norm_sq
 
 H_FLOOR = 1e-8         # the inequalities are evaluated only where |H| exceeds it
@@ -135,7 +135,7 @@ def _curvature_inputs(field: GraphMapField, mask: np.ndarray, alpha: np.ndarray)
         sig_m = sectional(m_manifold, coords, alpha[:, 0], alpha[:, 1], ct)
         ric11 = quad_form(alpha[:, 0], ricci, alpha[:, 0])
         ric22 = quad_form(alpha[:, 1], ricci, alpha[:, 1])
-    return ric11, ric22, sig_m, gauss_curvature_at(field.N, field.f[mask]), ricci
+    return ric11, ric22, sig_m, field.N.gauss_curvature_at(field.f[mask]), ricci
 
 
 def _time_derivative(prev, now, nxt, dtp, dtn):

@@ -15,10 +15,10 @@ import pytest
 import reference_geometry as ref
 from graphflow.errors import ConfigurationError
 from graphflow.frames import generalized_eigvalsh
-from graphflow.geometry import (Axis, ChartManifold, WarpedSurface, builtin_warp,
-                                curvature_conditions_report, curvature_package, flat_torus,
-                                gauss_curvature_at, product_s1_s2, round_sphere, s3_hopf_chart,
-                                sectional)
+from graphflow.geometry import (WARP_SAMPLES, WARP_Z_MAX, Axis, ChartManifold, Warp,
+                                WarpedSurface, builtin_warp, curvature_conditions_report,
+                                curvature_package, flat_torus, product_s1_s2, round_sphere,
+                                s3_hopf_chart, sectional)
 from graphflow.immersion import GraphMapField, field_geometry
 from graphflow.verify import _curvature_inputs
 
@@ -30,6 +30,12 @@ def _unflagged(manifold):
     """The same chart without its closed-form curvature flags."""
     return ChartManifold(f"{manifold.name}_unflagged", manifold.axes, manifold._metric_at,
                          manifold._christoffels_at)
+
+
+def _numeric(manifold):
+    """The same metric with the oracle's Christoffel symbols: complex-step
+    derivatives of the metric, one point at a time."""
+    return ref.LoopCurvatureChart("numeric", manifold.axes, manifold._metric_at, None)
 
 
 MANIFOLDS = {
@@ -66,9 +72,7 @@ def test_batched_curvature_matches_pointwise_oracle(name, rng):
     pairs = np.array([ref._orthonormalize(ct.g[idx], raw[idx]) for idx in np.ndindex(4, 8)])
     pairs = pairs.reshape(raw.shape)
     sig = sectional(manifold, pts, pairs[..., 0, :], pairs[..., 1, :], ct)
-    numeric = ChartManifold("numeric", manifold.axes, manifold._metric_at)
-    gam_numeric = numeric.christoffels_many(pts)
-    _close(gam_numeric, ref.LoopCurvatureChart.of(numeric).christoffels_many(pts))
+    _close(ct.gamma, _numeric(manifold).christoffels_many(pts))
     for idx in np.ndindex(4, 8):
         old = ref.curvature_package(loop, pts[idx])
         for key in TENSOR_FIELDS:
@@ -76,7 +80,7 @@ def test_batched_curvature_matches_pointwise_oracle(name, rng):
         _close(sig[idx], ref.sectional(loop, pts[idx], *pairs[idx], tensors=old))
     if m == 2:  # the general branch of the Gauss curvature, closed forms aside
         plain = _unflagged(manifold)
-        _close(gauss_curvature_at(plain, pts),
+        _close(plain.gauss_curvature_at(pts),
                ref.gauss_curvature_at(ref.LoopCurvatureChart.of(plain), pts))
 
 
@@ -118,10 +122,9 @@ def test_bi_ricci_is_half_the_scalar_curvature(name, rng):
     # search over frames
     manifold = BRIC_CHARTS[name]()
     loop = ref.LoopCurvatureChart.of(manifold)
-    numeric = ChartManifold("numeric", manifold.axes, manifold._metric_at)
     pts = _chart_points(manifold, rng, (200,))
     # the hand-written Christoffel symbols of the warped T^3 are those of its metric
-    _close(manifold.christoffels_many(pts), numeric.christoffels_many(pts))
+    _close(manifold.christoffels_many(pts), _numeric(manifold).christoffels_many(pts))
     scal = curvature_package(manifold, pts).scalar
     for x, s, raw in zip(pts, scal, rng.standard_normal((200, 2, manifold.dim))):
         old = ref.curvature_package(loop, x)
@@ -141,24 +144,42 @@ CLOSED_FORM_CHARTS = {
 
 @pytest.mark.parametrize("name", sorted(CLOSED_FORM_CHARTS))
 def test_closed_form_report_matches_the_curvature_tensors(name, rng):
-    # constant curvature k: min Ric = (m-1)k, BRic = (2m-3)k in every frame,
-    # scal = m(m-1)k; S^1 x S^2: Ricci eigenvalues (0, 1, 1), scal 2, BRic = scal/2 = 1
+    # each chart declares (min Ric, min BRic, scal), and the report reads them.
+    # Every chart here is homogeneous, and BRic is the same in every frame (a
+    # constant curvature, or m <= 3), so one point and any frame attain them
     manifold = CLOSED_FORM_CHARTS[name]()
-    m, k = manifold.dim, manifold.constant_curvature
-    if k is None:
-        ric, scal, bric = [0.0, 1.0, 1.0], 2.0, 1.0
-    else:
-        ric, scal, bric = [(m - 1) * k] * m, m * (m - 1) * k, (2 * m - 3) * k
+    min_ric, min_bric, scal = manifold.ricci_extremes
     rep = curvature_conditions_report(manifold, round_sphere(2))
-    assert (rep.min_ric, rep.min_bric) == (ric[0], bric)
+    assert (rep.min_ric, rep.min_bric) == (min_ric, min_bric)
     x = _chart_points(manifold, rng, ())
     ct = curvature_package(manifold, x)
-    _close(generalized_eigvalsh(ct.ricci, ct.g), ric)
+    _close(generalized_eigvalsh(ct.ricci, ct.g)[0], min_ric)
     _close(ct.scalar, scal)
     loop = ref.LoopCurvatureChart.of(manifold)
     old = ref.curvature_package(loop, x)
-    for raw in rng.standard_normal((20, 2, m)):
-        _close(ref.bi_ricci(loop, x, *ref._orthonormalize(old.g, raw), tensors=old), bric)
+    for raw in rng.standard_normal((20, 2, manifold.dim)):
+        _close(ref.bi_ricci(loop, x, *ref._orthonormalize(old.g, raw), tensors=old), min_bric)
+
+
+WARPS = {
+    "cosh": lambda: builtin_warp("cosh"),
+    "exp_neg": lambda: builtin_warp("exp_neg"),
+    # K = cos z / (2 + cos z) varies with the height, with its sup 1/3 at z = 0
+    "two_plus_cos": lambda: Warp("two_plus_cos", lambda xp: (
+        lambda z: 2.0 + xp.cos(z), lambda z: -xp.sin(z), lambda z: -xp.cos(z))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WARPS))
+def test_warped_surface_curvature_matches_the_curvature_tensors(name, rng):
+    # sigma_N = -w''/w and its sup over WARP_SAMPLES heights, against the
+    # sectional curvature of the coordinate plane from the curvature tensors
+    surface = WarpedSurface(WARPS[name]())
+    zs = np.linspace(-WARP_Z_MAX, WARP_Z_MAX, WARP_SAMPLES)
+    pts = np.stack([rng.uniform(0.0, 2 * math.pi, zs.shape), zs], axis=-1)
+    sig = sectional(surface, pts, [1.0, 0.0], [0.0, 1.0])
+    _close(surface.gauss_curvature_at(pts), sig)
+    _close(surface.sup_gauss_curvature(), sig.max())
 
 
 def test_curvature_inputs_match_pointwise_oracle():

@@ -11,8 +11,7 @@ import reference_geometry as ref
 from graphflow.errors import ConfigurationError, DegenerateMetricError, DomainError
 from graphflow.geometry import (Axis, ChartManifold, Warp, WarpedSurface, builtin_warp,
                                 curvature_package, curvature_conditions_report, flat_torus,
-                                gauss_curvature_at, hopf_map, round_sphere, s3_hopf_chart,
-                                sectional, sup_sigma_of)
+                                hopf_map, round_sphere, s3_hopf_chart, sectional)
 
 
 # -- chart bookkeeping -------------------------------------------------------
@@ -42,7 +41,8 @@ def _chart_with_metric(g):
     """A 2-torus chart whose metric is the fixed matrix g at every point."""
     g = np.array(g, dtype=float)
     return ChartManifold("fixed", [Axis(0.0, 2 * math.pi, periodic=True)] * 2,
-                         metric_at=lambda x: np.broadcast_to(g, x.shape[:-1] + (2, 2)))
+                         metric_at=lambda x: np.broadcast_to(g, x.shape[:-1] + (2, 2)),
+                         christoffels_at=lambda x: np.zeros(x.shape + (2, 2)))
 
 
 @pytest.mark.parametrize("g", [[[1.0, 1e-3], [0.0, 1.0]], [[np.nan, 0.0], [0.0, 1.0]],
@@ -89,6 +89,11 @@ def test_flat_torus_scale_metric():
 # -- Christoffel symbols: analytic vs finite differences of the metric -------
 
 
+def _numeric_christoffels(manifold, pt):
+    """The oracle: Christoffel symbols from complex-step derivatives of the metric."""
+    return ref.LoopCurvatureChart.of(manifold)._christoffels_from_metric(pt)
+
+
 @pytest.mark.parametrize("man,pt", [
     ("sphere2", [1.1, 0.7]),
     ("sphere3", [1.0, 0.8, 2.0]),
@@ -98,7 +103,7 @@ def test_flat_torus_scale_metric():
 def test_christoffels_match_metric_derivatives(man, pt, request):
     manifold = request.getfixturevalue(man)
     analytic = manifold.christoffels_many(pt)
-    fd = manifold._christoffels_from_metric(np.asarray(pt, dtype=float))
+    fd = _numeric_christoffels(manifold, np.asarray(pt, dtype=float))
     assert np.abs(analytic - fd).max() < 1e-8
 
 
@@ -118,22 +123,8 @@ def test_batched_chart_matches_pointwise(man, request, rng):
     assert g.shape == (3, 4, m, m) and gam.shape == (3, 4, m, m, m)
     for idx in np.ndindex(3, 4):
         assert np.array_equal(g[idx], manifold.metric_many(pts[idx]))
-        fd = manifold._christoffels_from_metric(pts[idx])
+        fd = _numeric_christoffels(manifold, pts[idx])
         assert np.abs(gam[idx] - fd).max() < 1e-8
-
-
-def test_numeric_christoffels_fallback(s1xs2, rng):
-    numeric = ChartManifold("numeric_s1xs2", s1xs2.axes, s1xs2._metric_at)
-    pts = _chart_points(s1xs2, rng, (5,))
-    assert np.abs(numeric.christoffels_many(pts) - s1xs2.christoffels_many(pts)).max() < 1e-8
-
-
-def test_numeric_christoffels_give_no_curvature(s1xs2):
-    # curvature differentiates the Christoffel symbols, and a complex step
-    # cannot differentiate the complex step that made them
-    numeric = ChartManifold("numeric_s1xs2", s1xs2.axes, s1xs2._metric_at)
-    with pytest.raises(ConfigurationError, match="analytic Christoffel"):
-        curvature_package(numeric, [0.1, 1.0, 2.0])
 
 
 # -- curvature ---------------------------------------------------------------
@@ -197,20 +188,20 @@ def test_warp_must_stay_positive():
 
 
 def test_gauss_curvature_at_dispatch(sphere2, waist_cylinder):
-    assert gauss_curvature_at(sphere2, [1.0, 0.2]) == 1.0
-    assert abs(gauss_curvature_at(waist_cylinder, [0.1, 0.3]) + 1.0) < 1e-12
+    assert sphere2.gauss_curvature_at([1.0, 0.2]) == 1.0
+    assert abs(waist_cylinder.gauss_curvature_at([0.1, 0.3]) + 1.0) < 1e-12
     with pytest.raises(ConfigurationError):
-        gauss_curvature_at(round_sphere(3), [1.0, 1.0, 1.0])
+        round_sphere(3).gauss_curvature_at([1.0, 1.0, 1.0])
 
 
 def test_sup_sigma(waist_cylinder, torus2):
-    assert abs(sup_sigma_of(waist_cylinder) + 1.0) < 1e-12
-    assert sup_sigma_of(torus2) == 0.0
+    assert abs(waist_cylinder.sup_gauss_curvature() + 1.0) < 1e-12
+    assert torus2.sup_gauss_curvature() == 0.0
     # a sphere without its constant-curvature flag has no closed form
     s = round_sphere(2, curvature=2.0)
     unflagged = ChartManifold("sphere_unflagged", s.axes, s._metric_at, s._christoffels_at)
     with pytest.raises(ConfigurationError, match="sphere_unflagged: no closed-form sup sigma_N"):
-        sup_sigma_of(unflagged)
+        unflagged.sup_gauss_curvature()
 
 
 # -- the Hopf map ------------------------------------------------------------
