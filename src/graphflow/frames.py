@@ -100,6 +100,10 @@ def pd_inverse(g: np.ndarray) -> np.ndarray | None:
     return out
 
 
+def _det2(a: np.ndarray) -> np.ndarray:
+    return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+
+
 def _tri_solve(t: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
     """x with t x = b for triangular t (..., k, k) and b (..., k, n) on the same batch
     axes; 2 x 2 ones by substitution in closed form, larger ones by ``solve``."""
@@ -222,14 +226,19 @@ def singular_value_invariants(g_m_inv: np.ndarray, g_n: np.ndarray, df: np.ndarr
     g_m_inv: (..., m, m), g_n: (..., 2, 2), df: (..., m, 2).  The discriminant
     is ((a - d)/2)^2 + bc, not (tr/2)^2 - det: the latter cancels to roundoff
     where lambda = mu, and its square root turns that into an error of
-    sqrt(eps) in lambda.
+    sqrt(eps) in lambda.  mu^2 = tr/2 - root cancels where mu << lambda, with
+    an error of about eps lambda^2 / mu in mu; for m = 2 mu is
+    sqrt(det K) / lambda = |det df| sqrt(det g_M^{-1} det g_N) / lambda instead.
     """
     k = _t(df) @ g_m_inv @ df @ g_n
     a, b, c, d = k[..., 0, 0], k[..., 0, 1], k[..., 1, 0], k[..., 1, 1]
     tr = a + d
     root = np.sqrt(np.maximum(((a - d) / 2) ** 2 + b * c, 0.0))
     lam = np.sqrt(tr / 2 + root)
-    mu = np.sqrt(np.maximum(tr / 2 - root, 0.0))
+    if df.shape[-2] == 2:  # lambda = 0 only where df = 0, and then mu = 0
+        mu = np.abs(_det2(df)) * np.sqrt(_det2(g_m_inv) * _det2(g_n)) / np.where(lam > 0, lam, 1.0)
+    else:
+        mu = np.sqrt(np.maximum(tr / 2 - root, 0.0))
     return lam, mu, tr, a * d - b * c
 
 

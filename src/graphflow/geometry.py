@@ -441,8 +441,11 @@ class CurvatureReport:
     """Closed-form curvature conditions of a pair (M, N).
 
     ``exact``, ``point_count`` and ``frame_count`` never vary: every report is
-    closed-form and samples nothing.  They stay, with the echoed ``seed``, to
-    keep the shape of the ``curvature_conditions`` artifact section."""
+    closed-form and samples nothing.  ``trace_ineq_2b`` and ``trace_ineq_3``
+    follow from ``cond_a`` for every chart the package declares, so they cannot
+    read false.  All five stay, with the echoed ``seed``, to keep the shape of
+    the ``curvature_conditions`` artifact section that the goldens and the
+    benchmark reference pin."""
 
     min_ric: float
     min_bric: float

@@ -1,13 +1,12 @@
 """Reference implementation of the pointwise graph geometry: the scalar
 ``build_svd_frame`` and ``point_geometry`` as they were before the batched
-field geometry replaced them, the singular values as an m x m generalized
-eigenproblem as they were before the 2x2 invariants replaced them, the
-per-offset stencils of ``GraphMapField`` as they were before the
-ghost-padded grid replaced them, and the per-point
-curvature layer (chart derivatives, curvature tensors, sectional and bi-Ricci
-curvature, Gram-Schmidt of frames and the monitors' curvature inputs) as it
-was before the batched curvature tensors replaced it, kept verbatim as test
-oracles; ``bi_ricci`` is also the oracle of the closed-form curvature report.
+field geometry replaced them, the singular values as the SVD of the whitened
+differential, the per-offset stencils of ``GraphMapField`` as they were before
+the ghost-padded grid replaced them, and the per-point curvature layer (chart
+derivatives, curvature tensors, sectional and bi-Ricci curvature, Gram-Schmidt
+of frames and the monitors' curvature inputs) as it was before the batched
+curvature tensors replaced it, kept verbatim as test oracles; ``bi_ricci`` is
+also the oracle of the closed-form curvature report.
 """
 
 from __future__ import annotations
@@ -123,12 +122,13 @@ def build_svd_frame(df: np.ndarray, g_m: np.ndarray, g_n: np.ndarray) -> SVDFram
 
 
 def singular_values_batch(g_m: np.ndarray, g_n: np.ndarray, df: np.ndarray):
-    """lambda >= mu over a batch: the two largest eigenvalues of df g_N df^T with
-    respect to g_M (an inverse Cholesky factor, then ``eigvalsh``)."""
-    inv_l = np.linalg.inv(np.linalg.cholesky(g_m))
-    a = df @ g_n @ np.swapaxes(df, -1, -2)
-    ev = np.clip(np.linalg.eigvalsh(inv_l @ a @ np.swapaxes(inv_l, -1, -2)), 0.0, None)
-    return np.sqrt(ev[..., -1]), np.sqrt(ev[..., -2])
+    """lambda >= mu over a batch: the singular values of the whitened df
+    L_M^{-1} df L_N, where L_M L_M^T = g_M and L_N L_N^T = g_N.  The square roots
+    of the eigenvalues of the m x m pull-back would lose about eps lambda^2 / mu
+    in mu, as tr/2 - root does in ``frames.singular_value_invariants``."""
+    d = np.linalg.solve(np.linalg.cholesky(g_m), df @ np.linalg.cholesky(g_n))
+    sv = np.linalg.svd(d, compute_uv=False)
+    return sv[..., 0], sv[..., 1]
 
 
 @dataclass

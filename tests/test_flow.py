@@ -8,14 +8,17 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from graphflow.classify import classify_limit
 from graphflow.errors import NotAreaDecreasingError, SolverAbort
 import graphflow.flow
 from graphflow.flow import (_AB8, _AM9, ADAMS_STEP, DRIFT_DT, DRIFT_STEP, EquivariantFlow,
-                            FlowParams, FlowState, _adams_dense, _sample_times, cfl_dt,
-                            drift_velocity, h2_field, nonparametric_rhs, reduce_circle_drift,
-                            step, tangential_vector_field)
-from graphflow.geometry import WarpedSurface, builtin_warp, flat_torus, product_s1_s2
+                            FlowParams, FlowRecord, FlowState, _adams_dense, _sample_times,
+                            cfl_dt, drift_velocity, h2_field, nonparametric_rhs,
+                            reduce_circle_drift, step, tangential_vector_field)
+from graphflow.geometry import (WarpedSurface, builtin_warp, curvature_conditions_report,
+                                flat_torus, product_s1_s2)
 from graphflow.immersion import GraphMapField, field_cached, field_geometry
+from graphflow.verify import check_decay_bounds, compute_bound_constants
 
 
 def _stationary_torus_field(n=16, scale=0.5):
@@ -65,6 +68,46 @@ def test_step_keeps_stationary_map_fixed():
     with pytest.raises(SolverAbort):
         bad = FlowState(field=f, status="Aborted")
         step(bad, params)
+
+
+def _flow_record(state):
+    lam, mu = state.field.singular_value_fields()
+    h2, p = h2_field(state.field), state.field.p_field()
+    return FlowRecord(t=state.t, min_p=float(p.min()), max_lambda=float(lam.max()),
+                      max_mu=float(mu.max()), max_df2=float((lam**2 + mu**2).max()),
+                      max_h2=float(h2.max()), max_theta=float((h2 / p).max()),
+                      volume=state.field.volume(), diameter=0.0)
+
+
+def test_grid_flow_converges_to_a_rank2_flat_limit():
+    # T^3 -> T^2(scale 0.5) from a moving start: Ric_M = sigma_N = 0, so (A), (B)
+    # and (C) hold with eps0 = eps1 = 0, min p cannot fall, and the limit is a
+    # totally geodesic rank-2 map onto the flat torus
+    m, n, shape = flat_torus(3), flat_torus(2, scale=0.5), (8, 8, 8)
+    x = GraphMapField(m, n, shape, np.zeros(shape + (2,))).coords()
+    f0 = np.stack([x[..., 0] + 0.1 * np.sin(x[..., 1] + x[..., 2]),
+                   x[..., 1] + 0.1 * np.cos(x[..., 0])], axis=-1)
+    report = curvature_conditions_report(m, n)
+    assert report.cond_a and report.cond_b and report.cond_c
+    field = GraphMapField(m, n, shape, f0)
+    state, params = FlowState(field=field, min_p=field.min_p()), FlowParams(t_end=100.0)
+    records = [_flow_record(state)]
+    while state.status == "Running" and state.t < params.t_end:
+        state = step(state, params)
+        records.append(_flow_record(state))
+    assert state.status == "Converged"
+    assert np.all(np.diff([r.min_p for r in records]) >= 0)
+    constants = compute_bound_constants(records[0].min_p, records[0].max_theta,
+                                        report.min_ric, report.sup_sigma_n)
+    assert (constants.eps0, constants.eps1) == (0.0, 0.0)
+    bounds = check_decay_bounds(records, constants, h_grid=float(field.h.max()))
+    assert bounds["pass"]
+    # the grid slack tol = 1e-6 + 10 h^2 (6.2 here) is not needed: the bounds
+    # hold to roundoff
+    assert min(bounds["worst_margins"].values()) >= bounds["tol"] - 1e-12
+    klass = classify_limit(state.field, state.status, h_tol=params.h_tol,
+                           ricci_positive=report.min_ric > 0)["class"]
+    assert klass == "Rank2Flat"
 
 
 def _s1xs2_to_cosh_field():

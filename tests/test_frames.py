@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference_geometry
 from graphflow.frames import build_svd_frame, p_batch, pd_inverse, singular_value_invariants
@@ -73,9 +73,18 @@ def test_scalar_identities(seed, m):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10_000), m=st.integers(2, 5))
+# draws with mu << lambda, where tr/2 - root loses up to 3.6e-12 in mu
+@example(seed=3705, m=2)
+@example(seed=4240, m=2)
+@example(seed=4434, m=2)
+@example(seed=4932, m=2)
+@example(seed=6850, m=2)
+@example(seed=9527, m=2)
+@example(seed=9688, m=2)
+@example(seed=9913, m=2)
 def test_batch_matches_pointwise(seed, m):
-    # the 2x2 invariants against the SVD of the whitened df and against the
-    # m x m generalized eigensolve they replaced
+    # the 2x2 invariants against the frame's SVD and against the SVD of the
+    # whitened df, one LAPACK call for the batch
     rng = np.random.default_rng(seed)
     samples = [_random_sample(rng, m) for _ in range(4)]
     df, g_m, g_n = (np.stack(col) for col in zip(*samples))
