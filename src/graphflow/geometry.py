@@ -291,6 +291,7 @@ class WarpedSurface(ChartManifold):
         return -self.warp.d2w(z) / self.warp.w(z)
 
     def gauss_curvature_at(self, y):
+        """-w''(z)/w(z) at chart points (s, z) (..., 2), an array over the points."""
         return self.gauss_curvature(np.asarray(y, dtype=float)[..., 1])
 
     def sup_gauss_curvature(self) -> float:
