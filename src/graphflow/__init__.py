@@ -3,11 +3,11 @@ strictly area decreasing maps into surfaces."""
 
 __version__ = "0.1.0"
 
-from .errors import (ConfigurationError, DegenerateMetricError, DegeneratePlaneError,
-                     DomainError, GraphflowError, NotAreaDecreasingError, SolverAbort)
+from .errors import (ConfigurationError, DegenerateMetricError, DomainError, GraphflowError,
+                     NotAreaDecreasingError, SolverAbort)
 
 __all__ = [
     "__version__",
-    "GraphflowError", "DomainError", "DegenerateMetricError", "DegeneratePlaneError",
+    "GraphflowError", "DomainError", "DegenerateMetricError",
     "ConfigurationError", "NotAreaDecreasingError", "SolverAbort",
 ]

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .frames import generalized_eigvalsh
-from .geometry import ChartManifold
+from .geometry import ChartManifold, product
 
 DIAMETER_SLOPE_TOL = 0.05  # slack of the fitted log-diameter slope over -eps0/2
 
@@ -43,29 +43,11 @@ class ConvexityCertificate:
     m: int
 
 
-def product_metric(m_manifold: ChartManifold, n_manifold: ChartManifold, y) -> np.ndarray:
-    m = m_manifold.dim
-    y = np.asarray(y, dtype=float)
-    g = np.zeros(y.shape + y.shape[-1:])
-    g[..., :m, :m] = m_manifold.metric_many(y[..., :m])
-    g[..., m:, m:] = n_manifold.metric_many(y[..., m:])
-    return g
-
-
-def product_christoffels(m_manifold: ChartManifold, n_manifold: ChartManifold, y) -> np.ndarray:
-    m = m_manifold.dim
-    y = np.asarray(y, dtype=float)
-    gam = np.zeros(y.shape + y.shape[-1:] * 2)
-    gam[..., :m, :m, :m] = m_manifold.christoffels_many(y[..., :m])
-    gam[..., m:, m:, m:] = n_manifold.christoffels_many(y[..., m:])
-    return gam
-
-
 def covariant_hessian(barrier: BarrierFunction, m_manifold: ChartManifold,
                       n_manifold: ChartManifold, y) -> np.ndarray:
     """D^2 phi = d^2 phi - Gamma^k d_k phi w.r.t. the product connection."""
     y = np.asarray(y, dtype=float)
-    gam = product_christoffels(m_manifold, n_manifold, y)
+    gam = product(m_manifold, n_manifold).christoffels_many(y)
     return barrier.hess(y) - np.einsum("...kij,...k->...ij", gam, barrier.grad(y))
 
 
@@ -73,7 +55,7 @@ def m_convexity_at(barrier: BarrierFunction, m_manifold: ChartManifold,
                    n_manifold: ChartManifold, y, m: int) -> np.ndarray:
     """Sum of the m smallest eigenvalues of the metric Hessian of phi at y, (...)."""
     d2 = covariant_hessian(barrier, m_manifold, n_manifold, y)
-    g = product_metric(m_manifold, n_manifold, y)
+    g = product(m_manifold, n_manifold).metric_many(y)
     return np.sum(generalized_eigvalsh(d2, g)[..., :m], axis=-1)
 
 

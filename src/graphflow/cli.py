@@ -17,8 +17,8 @@ from dataclasses import asdict
 
 from .app import (CLASSIFICATION_SCHEMA, SCENARIOS, VERIFICATION_SCHEMA, load_config,
                   run_identities, run_scenario, validate, verdicts)
-from .errors import (ConfigurationError, DegenerateMetricError, DegeneratePlaneError,
-                     DomainError, GraphflowError, NotAreaDecreasingError, SolverAbort)
+from .errors import (ConfigurationError, DegenerateMetricError, DomainError, GraphflowError,
+                     NotAreaDecreasingError, SolverAbort)
 from .geometry import curvature_conditions_report
 
 EXIT_PASS = 0
@@ -36,7 +36,6 @@ ERROR_EXITS = {
     SolverAbort: (EXIT_SOLVER_ABORT, "solver abort"),
     DomainError: (EXIT_SOLVER_ABORT, "domain error"),
     DegenerateMetricError: (EXIT_SOLVER_ABORT, "degenerate metric"),
-    DegeneratePlaneError: (EXIT_SOLVER_ABORT, "degenerate plane"),
     GraphflowError: (EXIT_SOLVER_ABORT, "error"),
     OSError: (EXIT_CONFIG_ERROR, "file error"),  # e.g. a directory where a file should be
 }

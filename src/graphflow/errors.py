@@ -13,10 +13,6 @@ class DegenerateMetricError(GraphflowError):
     """A metric evaluation is not symmetric positive definite."""
 
 
-class DegeneratePlaneError(GraphflowError):
-    """Two vectors do not span a 2-plane within tolerance."""
-
-
 class ConfigurationError(GraphflowError):
     """A scenario configuration is missing, malformed, or inconsistent."""
 

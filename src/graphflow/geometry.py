@@ -1,10 +1,11 @@
-"""Chart-based Riemannian manifolds and curvature machinery.
+"""Chart-based Riemannian manifolds and their closed-form curvature.
 
 A manifold is described by a single product-of-intervals chart together with
-callables returning the metric and its Christoffel symbols in chart
-components, and the curvature it knows in closed form.  The curvature tensors
-differentiate the analytic Christoffel symbols by a complex step (machine
-precision), so the Christoffel callable must accept complex chart points.
+callables returning the metric and its analytic Christoffel symbols in chart
+components, and the curvature it knows in closed form: a constant curvature,
+or for a Riemannian product (``product``) the constant curvature of each
+factor.  Nothing here differentiates a chart field; the tests keep a numeric
+curvature tensor as the oracle of the closed forms.
 
 Sign convention, used everywhere in the package: the sectional curvature of a
 plane is sigma(v ^ w) = R(v, w, w, v) / |v ^ w|^2, so the round unit sphere has
@@ -14,16 +15,15 @@ sigma = +1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import ModuleType
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateMetricError, DegeneratePlaneError, DomainError
+from .errors import ConfigurationError, DegenerateMetricError, DomainError
 from .frames import pd_inverse, quad_form
 
-_COMPLEX_STEP = 1e-30
 WARP_SAMPLES = 2001  # heights of the sup of a warped surface's Gauss curvature
 WARP_Z_MAX = 6.0  # a warped surface's chart is z in [-WARP_Z_MAX, WARP_Z_MAX]
 
@@ -52,11 +52,13 @@ class Axis:
 class ChartManifold:
     """Riemannian manifold given by a global coordinate chart.
 
-    ``metric_at`` and ``christoffels_at`` map chart points (..., m), real or
-    complex, to the metric (..., m, m) and its analytic Christoffel symbols
-    (..., m, m, m), first index upper, of the same dtype.  A chart states the
-    curvature it knows in closed form: ``constant_curvature`` k, and
-    ``ricci_extremes`` (min Ric, min BRic, scal), which k implies.
+    ``metric_at`` and ``christoffels_at`` map chart points (..., m) to the
+    metric (..., m, m) and its analytic Christoffel symbols (..., m, m, m),
+    first index upper.  A chart states the curvature it knows in closed form:
+    ``constant_curvature`` k, or ``blocks``, the (axes, k) of each factor of a
+    Riemannian product whose factors have constant curvature k (``product``
+    builds them; k alone is the one block of all axes).  ``ricci_extremes``
+    (min Ric, min BRic, scal) follows from them.
     """
 
     def __init__(
@@ -66,7 +68,7 @@ class ChartManifold:
         metric_at: Callable[[np.ndarray], np.ndarray],
         christoffels_at: Callable[[np.ndarray], np.ndarray],
         constant_curvature: Optional[float] = None,
-        ricci_extremes: Optional[tuple[float, float, float]] = None,
+        blocks: Optional[tuple[tuple[slice, float], ...]] = None,
     ):
         self.name = name
         self.axes = tuple(axes)
@@ -74,9 +76,14 @@ class ChartManifold:
         self._metric_at = metric_at
         self._christoffels_at = christoffels_at
         self.constant_curvature = k = constant_curvature
-        if ricci_extremes is None and k is not None:
-            ricci_extremes = ((m - 1) * k, (2 * m - 3) * k, m * (m - 1) * k)
-        self.ricci_extremes = ricci_extremes
+        self.blocks = blocks if k is None else ((slice(0, m), k),)
+        self.ricci_extremes = None
+        if self.blocks is not None and (k is not None or m <= 3):
+            dims = [(s.stop - s.start, kb) for s, kb in self.blocks]
+            scal = sum(b * (b - 1) * kb for b, kb in dims)
+            # min BRic: scal/2 in every frame where m <= 3, else (2m - 3)k of a constant k
+            min_bric = scal / 2 if m <= 3 else (2 * m - 3) * k
+            self.ricci_extremes = (min((b - 1) * kb for b, kb in dims), min_bric, scal)
 
     # -- chart bookkeeping -------------------------------------------------
 
@@ -122,18 +129,6 @@ class ChartManifold:
             )
         return ginv
 
-    # -- derivatives of chart fields ----------------------------------------
-
-    def _complex_step(self, fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
-        """d_a fn at wrapped chart points x (..., m); the derivative axis a follows
-        the batch axes: (..., m) -> (..., m, *fn's value axes)."""
-        parts = []
-        for a in range(self.dim):
-            xc = x.astype(complex)
-            xc[..., a] += 1j * _COMPLEX_STEP
-            parts.append(np.imag(np.asarray(fn(xc))) / _COMPLEX_STEP)
-        return np.stack(parts, axis=x.ndim - 1)
-
     def christoffels_many(self, pts) -> np.ndarray:
         """Gamma^k_{ij} at a batch of points, (..., m) -> (..., m, m, m), first index
         upper; one point is a batch of shape ()."""
@@ -141,15 +136,28 @@ class ChartManifold:
 
     # -- closed-form curvature -----------------------------------------------
 
+    def curvature(self, g: np.ndarray, v: np.ndarray, w: np.ndarray):
+        """Ric (..., m, m) and the sectional curvature of the planes v ^ w, v and w
+        (..., m), at chart points whose metrics are g (..., m, m).  A block of b
+        axes and curvature k adds (b - 1) k times its metric to Ric, and k times
+        the squared area of the plane's projection to it to sigma."""
+        if self.blocks is None:
+            raise ConfigurationError(f"{self.name}: no closed-form curvature "
+                                     "(M must have a constant curvature or be a product of such)")
+        ric, area = np.zeros_like(g), 0.0
+        for s, k in self.blocks:
+            gs, vs, ws = g[..., s, s], v[..., s], w[..., s]
+            ric[..., s, s] = (s.stop - s.start - 1) * k * gs
+            area = area + k * (quad_form(vs, gs, vs) * quad_form(ws, gs, ws)
+                               - quad_form(vs, gs, ws) ** 2)
+        return ric, area / (quad_form(v, g, v) * quad_form(w, g, w) - quad_form(v, g, w) ** 2)
+
     def gauss_curvature_at(self, y):
-        """Gauss curvature of a surface at chart points (..., 2): a float where it
-        declares a constant curvature, otherwise the sectional curvature of the
-        coordinate plane, an array over the points."""
+        """Gauss curvature of a surface at chart points (..., 2): the declared
+        constant curvature, a float."""
         if self.dim != 2:
             raise ConfigurationError("gauss_curvature_at expects a surface")
-        if self.constant_curvature is not None:
-            return float(self.constant_curvature)
-        return sectional(self, np.asarray(y, dtype=float), [1.0, 0.0], [0.0, 1.0])
+        return float(self.sup_gauss_curvature())
 
     def sup_gauss_curvature(self) -> float:
         """sup sigma_N in closed form: the declared constant curvature."""
@@ -157,58 +165,6 @@ class ChartManifold:
             raise ConfigurationError(f"{self.name}: no closed-form sup sigma_N "
                                      "(N must have a constant curvature or be a warped surface)")
         return self.constant_curvature
-
-
-# ---------------------------------------------------------------------------
-# Curvature tensors
-
-
-@dataclass
-class CurvatureTensors:
-    """Chart-component curvature data over a batch of points (batch shape ``...``).
-
-    A single point is a batch of shape (); ``scalar`` is then a 0-d array.
-    """
-
-    g: np.ndarray           # (..., m, m): g_{ij}
-    gamma: np.ndarray       # (..., m, m, m): Gamma^k_{ij}
-    riemann: np.ndarray     # (..., m, m, m, m): R_{ijkl} = <R(d_i, d_j) d_k, d_l>
-    ricci: np.ndarray       # (..., m, m)
-    scalar: np.ndarray      # (...)
-
-
-def curvature_package(manifold: ChartManifold, x) -> CurvatureTensors:
-    """All curvature tensors of the chart metric at chart points ``x`` (..., m)."""
-    x = manifold.wrap(x)
-    g = manifold.metric_many(x)
-    ginv = manifold.inverse_metric(x, g)
-    gamma = manifold.christoffels_many(x)
-    dgamma = manifold._complex_step(manifold._christoffels_at, x)  # (..., derivative, k, i, j)
-    # R^l_{kij} = d_i Gamma^l_{jk} - d_j Gamma^l_{ik}
-    #           + Gamma^l_{ip} Gamma^p_{jk} - Gamma^l_{jp} Gamma^p_{ik}
-    r_up = (
-        np.einsum("...iljk->...lkij", dgamma)
-        - np.einsum("...jlik->...lkij", dgamma)
-        + np.einsum("...lip,...pjk->...lkij", gamma, gamma)
-        - np.einsum("...ljp,...pik->...lkij", gamma, gamma)
-    )
-    riemann = np.einsum("...lm,...mkij->...ijkl", g, r_up)
-    ricci = np.einsum("...il,...ijkl->...jk", ginv, riemann)
-    scalar = np.einsum("...jk,...jk->...", ginv, ricci)
-    return CurvatureTensors(g=g, gamma=gamma, riemann=riemann, ricci=ricci, scalar=scalar)
-
-
-def sectional(manifold: ChartManifold, x, v, w,
-              tensors: Optional[CurvatureTensors] = None) -> np.ndarray:
-    """Sectional curvature of the planes spanned by v and w (..., m) at chart points x."""
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    ct = tensors if tensors is not None else curvature_package(manifold, x)
-    vv, ww = quad_form(v, ct.g, v), quad_form(w, ct.g, w)
-    gram = vv * ww - quad_form(v, ct.g, w) ** 2
-    if np.any(gram < 1e-14 * np.maximum(1.0, vv * ww)):
-        raise DegeneratePlaneError("vectors do not span a plane")
-    return np.einsum("...ijkl,...i,...j,...k,...l->...", ct.riemann, v, w, w, v) / gram
 
 
 # ---------------------------------------------------------------------------
@@ -361,35 +317,47 @@ def round_sphere(m: int, curvature: float = 1.0) -> ChartManifold:
     )
 
 
-def product_s1_s2() -> ChartManifold:
-    """S^1 x S^2 with the standard product metric, coordinates (s, theta, phi)."""
-    axes = [
-        Axis(0.0, 2 * math.pi, periodic=True),
-        Axis(0.0, math.pi, reflect=True, partner_axis=2, partner_shift=math.pi),
-        Axis(0.0, 2 * math.pi, periodic=True),
-    ]
+def product(*charts: ChartManifold) -> ChartManifold:
+    """Riemannian product of charts, their coordinates joined in order.
+
+    The metric and Christoffel symbols are block diagonal, one block per factor,
+    from the factors' own callables.  Where every factor declares its blocks
+    (a constant curvature), so does the product; it is flat when every factor is.
+    """
+    axes, parts, blocks = [], [], []
+    for chart in charts:
+        start = len(axes)
+        axes += [ax if ax.partner_axis is None
+                 else replace(ax, partner_axis=ax.partner_axis + start) for ax in chart.axes]
+        parts.append((slice(start, len(axes)), chart))
+        blocks += [(slice(start + s.start, start + s.stop), k) for s, k in chart.blocks or ()]
 
     def metric(x):
-        g = np.zeros(x.shape + (3,), dtype=x.dtype)
-        g[..., 0, 0] = 1.0
-        g[..., 1, 1] = 1.0
-        g[..., 2, 2] = np.sin(x[..., 1]) ** 2
+        g = np.zeros(x.shape + x.shape[-1:], dtype=x.dtype)
+        for s, chart in parts:
+            g[..., s, s] = chart._metric_at(x[..., s])
         return g
 
     def christoffels(x):
-        gam = np.zeros(x.shape + (3, 3), dtype=x.dtype)
-        st, ct = np.sin(x[..., 1]), np.cos(x[..., 1])
-        gam[..., 1, 2, 2] = -st * ct
-        gam[..., 2, 1, 2] = gam[..., 2, 2, 1] = ct / st
+        gam = np.zeros(x.shape + x.shape[-1:] * 2, dtype=x.dtype)
+        for s, chart in parts:
+            gam[..., s, s, s] = chart._christoffels_at(x[..., s])
         return gam
 
+    declared = all(chart.blocks is not None for chart in charts)
     return ChartManifold(
-        name="s1_x_s2",
+        name="_x_".join(chart.name for chart in charts),
         axes=axes,
         metric_at=metric,
         christoffels_at=christoffels,
-        ricci_extremes=(0.0, 1.0, 2.0),  # Ricci eigenvalues (0, 1, 1); BRic = scal/2 as m = 3
+        constant_curvature=0.0 if all(chart.constant_curvature == 0 for chart in charts) else None,
+        blocks=tuple(blocks) if declared else None,
     )
+
+
+def product_s1_s2() -> ChartManifold:
+    """S^1 x S^2 with the standard product metric, coordinates (s, theta, phi)."""
+    return product(flat_torus(1), round_sphere(2))
 
 
 def s3_hopf_chart() -> ChartManifold:
@@ -468,14 +436,16 @@ def curvature_conditions_report(m_manifold: ChartManifold, n_manifold: ChartMani
     with the trace consequences (2b) and (3) of (A), all in closed form.
 
     M supplies its ``ricci_extremes`` and N its ``sup_gauss_curvature``; a chart
-    that declares neither raises ``ConfigurationError``.  Nothing is drawn:
+    that declares neither raises ``ConfigurationError``.  A product of dimension
+    4 or more has no declared min BRic (it depends on the frame there).  Nothing is drawn:
     ``seed`` is only echoed into the report.
     """
     m = m_manifold.dim
     sup_sn = n_manifold.sup_gauss_curvature()
     if m_manifold.ricci_extremes is None:
         raise ConfigurationError(f"{m_manifold.name}: no closed-form curvature conditions "
-                                 "(M must have a constant curvature or be S^1 x S^2)")
+                                 "(M must have a constant curvature or be a product of "
+                                 "dimension at most 3 of such)")
     min_ric, min_bric, scal = m_manifold.ricci_extremes
 
     cond_a = min_bric >= sup_sn - 1e-12

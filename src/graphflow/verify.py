@@ -18,7 +18,6 @@ import numpy as np
 from .errors import ConfigurationError, NotAreaDecreasingError
 from .flow import h2_field, tangential_vector_field
 from .frames import quad_form
-from .geometry import curvature_package, sectional
 from .immersion import GraphMapField, field_geometry, quantity_Q, quantity_R_vw, w_norm_sq
 
 H_FLOOR = 1e-8         # the inequalities are evaluated only where |H| exceeds it
@@ -119,7 +118,8 @@ def _curvature_inputs(field: GraphMapField, mask: np.ndarray, alpha: np.ndarray)
     sigma_N and Ric_M at the nodes of ``mask``; ``alpha`` holds their frames.
 
     Scalars where M or N declares a constant curvature (Ric_M is then
-    (m - 1) k g_M); otherwise arrays over the masked nodes.
+    (m - 1) k g_M); otherwise arrays over the masked nodes, from the blocks of
+    a product M.
     """
     m_manifold = field.M
     if m_manifold.constant_curvature is not None:
@@ -129,10 +129,8 @@ def _curvature_inputs(field: GraphMapField, mask: np.ndarray, alpha: np.ndarray)
         sig_m = k
         ricci = r * field.g_m_field()[mask]
     else:
-        coords = field.coords()[mask]
-        ct = curvature_package(m_manifold, coords)
-        ricci = ct.ricci
-        sig_m = sectional(m_manifold, coords, alpha[:, 0], alpha[:, 1], ct)
+        g = field.g_m_field()[mask]
+        ricci, sig_m = m_manifold.curvature(g, alpha[:, 0], alpha[:, 1])
         ric11 = quad_form(alpha[:, 0], ricci, alpha[:, 0])
         ric22 = quad_form(alpha[:, 1], ricci, alpha[:, 1])
     return ric11, ric22, sig_m, field.N.gauss_curvature_at(field.f[mask]), ricci

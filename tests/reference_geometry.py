@@ -3,10 +3,11 @@
 field geometry replaced them, the singular values as the SVD of the whitened
 differential, the per-offset stencils of ``GraphMapField`` as they were before
 the ghost-padded grid replaced them, and the per-point curvature layer (chart
-derivatives, curvature tensors, sectional and bi-Ricci curvature, Gram-Schmidt
-of frames and the monitors' curvature inputs) as it was before the batched
-curvature tensors replaced it, kept verbatim as test oracles; ``bi_ricci`` is
-also the oracle of the closed-form curvature report.
+derivatives, curvature tensors by a complex step of the Christoffel symbols,
+sectional and bi-Ricci curvature, Gram-Schmidt of frames and the monitors'
+curvature inputs), kept verbatim as test oracles.  The package computes no
+curvature tensor: this layer is the oracle of its closed forms (the blocks of
+a product chart, the curvature report and the warped surfaces).
 """
 
 from __future__ import annotations
@@ -18,14 +19,17 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from graphflow.errors import ConfigurationError, DegenerateMetricError, DegeneratePlaneError
+from graphflow.errors import ConfigurationError, DegenerateMetricError
 from graphflow.frames import quad_form
-from graphflow.geometry import _COMPLEX_STEP, ChartManifold, WarpedSurface
+from graphflow.geometry import ChartManifold, WarpedSurface
 from graphflow.immersion import GraphMapField
+
+_COMPLEX_STEP = 1e-30
 
 
 class FrameError(ValueError):
-    """Vectors handed to a frame-based oracle are not orthonormal."""
+    """Vectors handed to a frame-based oracle do not span a plane or are not
+    orthonormal."""
 
 
 @dataclass
@@ -481,7 +485,7 @@ def sectional(manifold: LoopCurvatureChart, x, v, w,
     g = ct.g
     gram = (v @ g @ v) * (w @ g @ w) - (v @ g @ w) ** 2
     if gram < 1e-14 * max(1.0, float(v @ g @ v) * float(w @ g @ w)):
-        raise DegeneratePlaneError("vectors do not span a plane")
+        raise FrameError("vectors do not span a plane")
     num = float(np.einsum("ijkl,i,j,k,l->", ct.riemann, v, w, w, v))
     return num / gram
 

@@ -14,8 +14,7 @@ import scipy.linalg
 import reference_barrier
 from graphflow.app import run_identities
 from graphflow.barrier import (certify_convexity, containment_monitor, covariant_hessian,
-                               diameter_series, m_convexity_at, product_metric,
-                               waist_tube_barrier)
+                               diameter_series, m_convexity_at, waist_tube_barrier)
 from graphflow.classify import classify_from_observables, classify_limit
 from graphflow.flow import (EquivariantFlow, FlowParams, FlowState, drift_velocity,
                             reduce_circle_drift, step)
@@ -259,7 +258,7 @@ def test_criterion_8_barrier_containment():
     brute_ok = True
     for y in pts:
         d2 = covariant_hessian(bar, m_man, waist, y)
-        g = product_metric(m_man, waist, y)
+        g = reference_barrier.product_metric(m_man, waist, y)
         oracle = m_convexity_at(bar, m_man, waist, y, 3)
         brute = reference_barrier.brute_force_m_trace(d2, g, 3, n_frames=1000, rng=rng)
         brute_ok = brute_ok and brute >= oracle - 1e-10

@@ -14,21 +14,24 @@ import reference_barrier as ref
 from graphflow import app
 from graphflow.barrier import (BarrierFunction, certify_convexity, containment_monitor,
                                covariant_hessian, diameter_series, m_convexity_at,
-                               product_christoffels, product_metric, waist_tube_barrier)
+                               waist_tube_barrier)
 from graphflow.errors import ConfigurationError
 from graphflow.frames import generalized_eigvalsh
+from graphflow.geometry import product
 
 ORACLE_RTOL = 1e-12  # relative to the largest magnitude compared
 
 
 def test_product_metric_blocks(s1xs2, waist_cylinder):
     y = np.array([0.3, 1.2, 2.0, 0.5, 0.4])
-    g = product_metric(s1xs2, waist_cylinder, y)
+    chart = product(s1xs2, waist_cylinder)
+    g = chart.metric_many(y)
     assert np.allclose(g[:3, :3], s1xs2.metric_many(y[:3]))
     assert np.allclose(g[3:, 3:], waist_cylinder.metric_many(y[3:]))
     assert np.abs(g[:3, 3:]).max() == 0.0
-    gam = product_christoffels(s1xs2, waist_cylinder, y)
+    gam = chart.christoffels_many(y)
     assert np.abs(gam[:3, 3:, :]).max() == 0.0
+    np.testing.assert_array_equal(gam, ref.product_christoffels(s1xs2, waist_cylinder, y))
 
 
 def test_waist_barrier_hessian_value(s1xs2, waist_cylinder):
@@ -48,7 +51,7 @@ def test_m_convexity_oracle_vs_brute_force(s1xs2, waist_cylinder, rng):
     bar = waist_tube_barrier(1.0)
     y = np.array([0.1, 1.4, 0.7, 1.0, 0.3])
     d2 = covariant_hessian(bar, s1xs2, waist_cylinder, y)
-    g = product_metric(s1xs2, waist_cylinder, y)
+    g = product(s1xs2, waist_cylinder).metric_many(y)
     for m in (2, 3, 4, 5):
         exact = m_convexity_at(bar, s1xs2, waist_cylinder, y, m)
         brute = ref.brute_force_m_trace(d2, g, m, n_frames=300, rng=rng)
@@ -101,7 +104,7 @@ def test_batched_barrier_matches_per_point_oracle(s1xs2, waist_cylinder, waist_a
         bar, oracle_bar = _concave(bar), _concave(oracle_bar)
     pts = waist_audit_points
     got_d2 = covariant_hessian(bar, s1xs2, waist_cylinder, pts)
-    got_g = product_metric(s1xs2, waist_cylinder, pts)
+    got_g = product(s1xs2, waist_cylinder).metric_many(pts)
     for y, d2, g in zip(pts, got_d2, got_g):
         want_d2 = ref.covariant_hessian(oracle_bar, s1xs2, waist_cylinder, y)
         np.testing.assert_allclose(d2, want_d2, rtol=0, atol=ORACLE_RTOL * np.abs(want_d2).max())

@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 import reference_geometry as ref
 from graphflow.errors import ConfigurationError, DegenerateMetricError, DomainError
 from graphflow.geometry import (Axis, ChartManifold, Warp, WarpedSurface, builtin_warp,
-                                curvature_package, curvature_conditions_report, flat_torus,
-                                hopf_map, round_sphere, s3_hopf_chart, sectional)
+                                curvature_conditions_report, flat_torus, hopf_map, round_sphere,
+                                s3_hopf_chart)
 
 
 # -- chart bookkeeping -------------------------------------------------------
@@ -130,30 +130,41 @@ def test_batched_chart_matches_pointwise(man, request, rng):
 # -- curvature ---------------------------------------------------------------
 
 
+def _sigma(manifold, x, v, w):
+    """The declared sigma(v ^ w) at one chart point, and the oracle's."""
+    x, v, w = (np.asarray(a, dtype=float) for a in (x, v, w))
+    _, sig = manifold.curvature(manifold.metric_many(x), v, w)
+    return float(sig), ref.sectional(ref.LoopCurvatureChart.of(manifold), x, v, w)
+
+
 def test_sphere_sectional_curvature(sphere2):
-    x = np.array([1.2, 0.5])
-    val = sectional(sphere2, x, [1.0, 0.0], [0.0, 1.0])
-    assert abs(val - 1.0) < 1e-7
+    for val in _sigma(sphere2, [1.2, 0.5], [1.0, 0.0], [0.0, 1.0]):
+        assert abs(val - 1.0) < 1e-7
 
 
 def test_scaled_sphere_sectional():
     s = round_sphere(2, curvature=4.0)
-    val = sectional(s, np.array([1.0, 0.3]), [1.0, 0.2], [0.1, 1.0])
-    assert abs(val - 4.0) < 1e-6
+    for val in _sigma(s, [1.0, 0.3], [1.0, 0.2], [0.1, 1.0]):
+        assert abs(val - 4.0) < 1e-6
 
 
 def test_flat_torus_curvature_vanishes(torus3):
-    ct = curvature_package(torus3, [0.1, 0.2, 0.3])
+    x = np.array([0.1, 0.2, 0.3])
+    ct = ref.curvature_package(ref.LoopCurvatureChart.of(torus3), x)
     assert np.abs(ct.riemann).max() < 1e-12
-    assert np.abs(ct.ricci).max() < 1e-12
+    ricci, _ = torus3.curvature(torus3.metric_many(x), np.eye(3)[0], np.eye(3)[1])
+    for ric in (ricci, ct.ricci):
+        assert np.abs(ric).max() < 1e-12
 
 
 def test_sphere3_ricci(sphere3):
     x = np.array([1.3, 1.1, 0.4])
-    ct = curvature_package(sphere3, x)
+    ct = ref.curvature_package(ref.LoopCurvatureChart.of(sphere3), x)
     g = sphere3.metric_many(x)
+    ricci, _ = sphere3.curvature(g, np.eye(3)[0], np.eye(3)[1])
     # Ric = (m - 1) sigma g on a space form
-    assert np.abs(ct.ricci - 2.0 * g).max() < 1e-6
+    for ric in (ricci, ct.ricci):
+        assert np.abs(ric - 2.0 * g).max() < 1e-6
 
 
 def test_bi_ricci_space_form(sphere3):
@@ -170,9 +181,9 @@ def test_warped_surface_gauss_curvature():
     surf = WarpedSurface(builtin_warp("cosh"))
     for z in (-1.0, 0.0, 0.7):
         assert abs(surf.gauss_curvature(z) + 1.0) < 1e-12
-    # cross-check against the intrinsic curvature tensor
+    # cross-check against the oracle's intrinsic curvature tensor
     x = np.array([0.2, 0.5])
-    val = sectional(surf, x, [1.0, 0.0], [0.0, 1.0])
+    val = ref.sectional(ref.LoopCurvatureChart.of(surf), x, [1.0, 0.0], [0.0, 1.0])
     assert abs(val + 1.0) < 1e-6
 
 
@@ -192,6 +203,13 @@ def test_gauss_curvature_at_dispatch(sphere2, waist_cylinder):
     assert abs(waist_cylinder.gauss_curvature_at([0.1, 0.3]) + 1.0) < 1e-12
     with pytest.raises(ConfigurationError):
         round_sphere(3).gauss_curvature_at([1.0, 1.0, 1.0])
+    # a surface that declares no curvature is refused in one line, not differentiated
+    unflagged = ChartManifold("sphere_unflagged", sphere2.axes, sphere2._metric_at,
+                              sphere2._christoffels_at)
+    with pytest.raises(ConfigurationError) as info:
+        unflagged.gauss_curvature_at([1.0, 0.2])
+    assert str(info.value) == ("sphere_unflagged: no closed-form sup sigma_N "
+                               "(N must have a constant curvature or be a warped surface)")
 
 
 def test_sup_sigma(waist_cylinder, torus2):
@@ -215,8 +233,8 @@ def test_hopf_map_range():
 
 def test_s3_chart_is_round():
     s3 = s3_hopf_chart()
-    x = np.array([0.6, 1.0, 2.0])
-    assert abs(sectional(s3, x, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]) - 1.0) < 1e-6
+    for val in _sigma(s3, [0.6, 1.0, 2.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]):
+        assert abs(val - 1.0) < 1e-6
 
 
 # -- curvature condition reports --------------------------------------------
