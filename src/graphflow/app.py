@@ -189,7 +189,8 @@ VERIFICATION_SCHEMA = {
 def verdicts(verification: dict) -> dict:
     """Section -> verdict of each of VERDICT_SECTIONS that carries one: its ``pass``, or for
     the barrier its certificate and its containment together.  overall_pass and `graphflow
-    verify` both read this; decay bounds that do not apply and the tsui residual carry none."""
+    verify` both read this; decay bounds that do not apply and the residuals carry none (the
+    torus residual is part of stationarity)."""
     found = {}
     for name in VERDICT_SECTIONS:
         section = verification.get(name) or {}
@@ -311,9 +312,6 @@ class Evolution:
     classification: dict
     sections: dict        # the scenario's own verification sections
     dissipation: Optional[float] = None  # None: no flow, so no constants, bounds or budget
-    # verdicts with no section key, fed to overall_pass: only the torus residual's linf <=
-    # 1e-10.  ROADMAP item 1 gives that section a pass key and deletes this field.
-    checks: list = field(default_factory=list)
     h_grid: float = 0.0   # spacing behind the decay-bound tolerance
     counters: dict = field(default_factory=dict)  # run.log lines under status: steps, dt range
 
@@ -351,7 +349,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> RunManif
             ev.records, constants, h_grid=ev.h_grid, condition_a=report.cond_a)
         verification["volume_budget"] = check_volume_budget(
             rec0.volume, ev.records[-1].volume, ev.dissipation)
-    verification.update(overall_pass=all(verdicts(verification).values()) and all(ev.checks),
+    verification.update(overall_pass=all(verdicts(verification).values()),
                         schema_version=1, scenario=cfg.name)
     validate(verification, VERIFICATION_SCHEMA)
     classification = {**ev.classification, "schema_version": 1, "scenario": cfg.name}
@@ -505,14 +503,15 @@ def _evolve_torus_projection(cfg: ScenarioConfig, m_manifold, n_manifold, report
             max_theta=float((h2 / p).max()),
             volume=st.field.volume(), diameter=diam))
 
+    # a stationary map neither moves nor leaves a residual in the evolution of p
     res = residual_p_evolution([(0.0, 1.0, 1.0, field0, field0, field0)])
-    sections: dict = {"stationarity": {"max_step_drift": drift_max, "pass": drift_max <= 1e-12},
+    sections: dict = {"stationarity": {"max_step_drift": drift_max,
+                                       "pass": drift_max <= 1e-12 and res[0]["linf"] <= 1e-10},
                       "residual_p": {"checkpoints": res}}
     rep = classify_limit(snapshots[-1].field, "Stationary", h_tol=cfg.get("flow", "h_tol"),
                          ricci_positive=report.min_ric > 0)
     return Evolution(records, "Stationary", rep, sections,
-                     dissipation=snapshots[-1].dissipation, h_grid=float(field0.h.max()),
-                     checks=[res[0]["linf"] <= 1e-10])
+                     dissipation=snapshots[-1].dissipation, h_grid=float(field0.h.max()))
 
 
 HOPF_NODES = 13  # per axis of the (eta, xi1, xi2) sample grid: 13 x 13 x 6 = 1014 samples

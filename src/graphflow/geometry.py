@@ -88,8 +88,18 @@ class ChartManifold:
     # -- chart bookkeeping -------------------------------------------------
 
     def wrap(self, x) -> np.ndarray:
-        """Wrap periodic coordinates of points (..., m) into range; validate the others."""
+        """Points (..., m) put in chart range.  A coordinate past either end of a reflect
+        axis is mirrored back and its partner axis turned by the seam shift; then
+        periodic coordinates wrap, and any other coordinate out of range raises."""
         x = np.array(x, dtype=float)
+        for a, ax in enumerate(self.axes):
+            if ax.reflect and ax.partner_axis is not None:
+                q = ax.partner_axis
+                for pivot, side in ((ax.lo, 1), (ax.hi, -1)):
+                    over = (x[..., a] - pivot) * side < 0
+                    if np.any(over):
+                        x[..., a] = np.where(over, 2 * pivot - x[..., a], x[..., a])
+                        x[..., q] = np.where(over, x[..., q] + ax.partner_shift, x[..., q])
         for a, ax in enumerate(self.axes):
             if ax.periodic:
                 x[..., a] = ax.lo + (x[..., a] - ax.lo) % ax.length
@@ -277,16 +287,17 @@ def round_sphere(m: int, curvature: float = 1.0) -> ChartManifold:
 
     Coordinates (theta_1, ..., theta_{m-1}, phi) with theta_i in (0, pi) and
     phi periodic.  The chart metric is the unit-sphere one divided by the
-    curvature.  For m = 2 the polar axis carries the reflection seam used by
-    grid discretizations.
+    curvature.  Only theta_{m-1} is a reflect axis: past its pole the point is
+    theta_{m-1} mirrored with phi turned by pi.  Past the pole of an outer
+    theta_i every later theta is mirrored too, which an axis seam cannot say,
+    so the outer theta_i are plain bounded axes and a grid refuses them.
     """
     if m < 2:
         raise ConfigurationError("round_sphere needs m >= 2")
     scale = 1.0 / curvature
 
-    axes = []
-    for i in range(m - 1):
-        axes.append(Axis(0.0, math.pi, reflect=True, partner_axis=m - 1, partner_shift=math.pi))
+    axes = [Axis(0.0, math.pi) for _ in range(m - 2)]
+    axes.append(Axis(0.0, math.pi, reflect=True, partner_axis=m - 1, partner_shift=math.pi))
     axes.append(Axis(0.0, 2 * math.pi, periodic=True))
 
     def diagonal(x):

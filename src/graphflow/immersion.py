@@ -73,7 +73,8 @@ class GraphMapField:
                 f"grid shape {self.shape} must match dim M = {m_manifold.dim}")
         for a, (ax, n) in enumerate(zip(m_manifold.axes, self.shape)):
             if not (ax.periodic or ax.reflect):
-                raise ConfigurationError("grid axes must be periodic or reflect (compact charts)")
+                raise ConfigurationError(f"grid axis {a} of {m_manifold.name} must be "
+                                         "periodic or reflect (compact charts)")
             if ax.periodic and n < 3:  # both centred-difference neighbours would be one node
                 raise ConfigurationError(
                     f"periodic grid axis {a} has {n} nodes; it needs at least 3")
@@ -95,7 +96,7 @@ class GraphMapField:
         f = np.asarray(f_values, dtype=float)
         if f.shape != self.shape + (self.N.dim,):
             raise ConfigurationError(f"f-values shape {f.shape} incompatible with grid {self.shape}")
-        self.f = self._wrap_target(f)
+        self.f = self.N.wrap(f)  # in N's chart range, as g_N and Gamma_N read it
         self._cache: dict = {}
 
     # -- grid bookkeeping ----------------------------------------------------
@@ -109,24 +110,6 @@ class GraphMapField:
     def coords(self) -> np.ndarray:
         grids = np.meshgrid(*[self.axis_coords(a) for a in range(self.M.dim)], indexing="ij")
         return np.stack(grids, axis=-1)
-
-    def _wrap_target(self, f: np.ndarray) -> np.ndarray:
-        f = f.copy()
-        # fold values that crossed a polar seam back into range, shifting the
-        # azimuthal partner by the seam shift
-        for b, ax in enumerate(self.N.axes):
-            if ax.reflect and ax.partner_axis is not None:
-                for pivot in (ax.lo, ax.hi):
-                    over = (f[..., b] - pivot) * (1 if pivot == ax.lo else -1) < 0
-                    if np.any(over):
-                        f[..., b] = np.where(over, 2 * pivot - f[..., b], f[..., b])
-                        f[..., ax.partner_axis] = np.where(
-                            over, f[..., ax.partner_axis] + ax.partner_shift, f[..., ax.partner_axis]
-                        )
-        for b, ax in enumerate(self.N.axes):
-            if ax.periodic:
-                f[..., b] = ax.lo + (f[..., b] - ax.lo) % ax.length
-        return f
 
     def with_values(self, f_values) -> "GraphMapField":
         """A field on the same grid, sharing this field's checked grid and M-side fields."""
@@ -250,16 +233,12 @@ class GraphMapField:
         return self.M.christoffels_many(self.coords())
 
     @field_cached
-    def _n_points(self) -> np.ndarray:  # f wrapped and checked by the N chart, for g_N and Gamma_N
-        return self.N.wrap(self.f)
-
-    @field_cached
     def g_n_field(self) -> np.ndarray:
-        return self.N._metric(self._n_points())
+        return self.N._metric(self.f)
 
     @field_cached
     def gamma_n_field(self) -> np.ndarray:
-        return np.asarray(self.N._christoffels_at(self._n_points()))
+        return np.asarray(self.N._christoffels_at(self.f))
 
     @field_cached
     def induced_g_field(self) -> np.ndarray:

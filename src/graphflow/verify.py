@@ -117,22 +117,12 @@ def _curvature_inputs(field: GraphMapField, mask: np.ndarray, alpha: np.ndarray)
     """Ric_M(alpha1, alpha1), Ric_M(alpha2, alpha2), sigma_M(alpha1 ^ alpha2),
     sigma_N and Ric_M at the nodes of ``mask``; ``alpha`` holds their frames.
 
-    Scalars where M or N declares a constant curvature (Ric_M is then
-    (m - 1) k g_M); otherwise arrays over the masked nodes, from the blocks of
-    a product M.
+    M's terms are arrays over the masked nodes, from ``ChartManifold.curvature``;
+    sigma_N is a scalar where N declares a constant curvature.
     """
-    m_manifold = field.M
-    if m_manifold.constant_curvature is not None:
-        k = float(m_manifold.constant_curvature)
-        r = (m_manifold.dim - 1) * k
-        ric11 = ric22 = r
-        sig_m = k
-        ricci = r * field.g_m_field()[mask]
-    else:
-        g = field.g_m_field()[mask]
-        ricci, sig_m = m_manifold.curvature(g, alpha[:, 0], alpha[:, 1])
-        ric11 = quad_form(alpha[:, 0], ricci, alpha[:, 0])
-        ric22 = quad_form(alpha[:, 1], ricci, alpha[:, 1])
+    ricci, sig_m = field.M.curvature(field.g_m_field()[mask], alpha[:, 0], alpha[:, 1])
+    ric11 = quad_form(alpha[:, 0], ricci, alpha[:, 0])
+    ric22 = quad_form(alpha[:, 1], ricci, alpha[:, 1])
     return ric11, ric22, sig_m, field.N.gauss_curvature_at(field.f[mask]), ricci
 
 

@@ -2,7 +2,9 @@
 ``build_svd_frame`` and ``point_geometry`` as they were before the batched
 field geometry replaced them, the singular values as the SVD of the whitened
 differential, the per-offset stencils of ``GraphMapField`` as they were before
-the ghost-padded grid replaced them, and the per-point curvature layer (chart
+the ghost-padded grid replaced them, the polar fold of a field's target values
+and the periodic wrap of the chart as they were before ``ChartManifold.wrap``
+took both, and the per-point curvature layer (chart
 derivatives, curvature tensors by a complex step of the Christoffel symbols,
 sectional and bi-Ricci curvature, Gram-Schmidt of frames and the monitors'
 curvature inputs), kept verbatim as test oracles.  The package computes no
@@ -19,7 +21,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from graphflow.errors import ConfigurationError, DegenerateMetricError
+from graphflow.errors import ConfigurationError, DegenerateMetricError, DomainError
 from graphflow.frames import quad_form
 from graphflow.geometry import ChartManifold, WarpedSurface
 from graphflow.immersion import GraphMapField
@@ -220,6 +222,41 @@ def tangency_residual(field: GraphMapField, geo, node) -> float:
     gp[:m, :m] = field.g_m_field()[idx]
     gp[m:, m:] = field.g_n_field()[idx]
     return _tangency(geo.a_vectors[idx], geo.frame.e[idx], field.df_field()[idx], gp)
+
+
+def wrap_target(n_manifold: ChartManifold, f: np.ndarray) -> np.ndarray:
+    """``GraphMapField._wrap_target``: target values folded across the polar seams
+    of N, then wrapped on its periodic axes."""
+    f = f.copy()
+    # fold values that crossed a polar seam back into range, shifting the
+    # azimuthal partner by the seam shift
+    for b, ax in enumerate(n_manifold.axes):
+        if ax.reflect and ax.partner_axis is not None:
+            for pivot in (ax.lo, ax.hi):
+                over = (f[..., b] - pivot) * (1 if pivot == ax.lo else -1) < 0
+                if np.any(over):
+                    f[..., b] = np.where(over, 2 * pivot - f[..., b], f[..., b])
+                    f[..., ax.partner_axis] = np.where(
+                        over, f[..., ax.partner_axis] + ax.partner_shift, f[..., ax.partner_axis]
+                    )
+    for b, ax in enumerate(n_manifold.axes):
+        if ax.periodic:
+            f[..., b] = ax.lo + (f[..., b] - ax.lo) % ax.length
+    return f
+
+
+def periodic_wrap(chart: ChartManifold, x) -> np.ndarray:
+    """``ChartManifold.wrap`` before it folded polar crossings: periodic
+    coordinates wrapped into range, the others validated."""
+    x = np.array(x, dtype=float)
+    for a, ax in enumerate(chart.axes):
+        if ax.periodic:
+            x[..., a] = ax.lo + (x[..., a] - ax.lo) % ax.length
+            continue
+        inside = (ax.lo - 1e-12 <= x[..., a]) & (x[..., a] <= ax.hi + 1e-12)
+        if not np.all(inside):
+            raise DomainError(f"coordinate outside axis {a} range [{ax.lo}, {ax.hi}]")
+    return x
 
 
 class LoopStencilField(GraphMapField):

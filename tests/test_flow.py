@@ -141,6 +141,7 @@ def test_grid_step_does_its_work_once(monkeypatch):
     for name in ("metric_many", "inverse_metric", "christoffels_many"):
         monkeypatch.setattr(m_manifold, name, counted(name, getattr(m_manifold, name)))
     monkeypatch.setattr(surface, "wrap", counted("N wrap", surface.wrap))
+    field = GraphMapField(m_manifold, surface, field.shape, field.f)  # counts its own wrap
     # the grid's stencil index is built when the first field gathers neighbours
     monkeypatch.setattr(GraphMapField, "_stencil_index", field_cached(
         counted("_stencil_index", GraphMapField._stencil_index.__wrapped__)))
@@ -157,7 +158,7 @@ def test_grid_step_does_its_work_once(monkeypatch):
     assert calls == {
         "metric_many": 1, "inverse_metric": 1, "christoffels_many": 1,  # M side once per grid
         "_stencil_index": 1,                           # grid bookkeeping once per grid
-        "N wrap": 1 + 2 * k,                           # one N-chart wrap per field for g_N, Gamma_N
+        "N wrap": 1 + 2 * k,                           # one N-chart wrap per field, of its f
         "covariant_d2f": 1 + 2 * k,                    # RHS: the start, then 2 per step
         "eigvalsh in induced_g_eigvals": k,            # cfl_dt and the volume of each state
     }                                                  # stepped from; none on a half field

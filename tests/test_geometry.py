@@ -37,6 +37,29 @@ def test_out_of_range_message_prints_a_plain_float(waist_cylinder, z, shown):
         f"warped_cylinder[cosh]: coordinate {shown} outside axis 1 range [-6.0, 6.0]")
 
 
+def test_sphere_wrap_is_the_old_field_fold(sphere2, rng):
+    # past either pole, exactly on a pole, several turns round phi: the chart's
+    # fold is the field's old fold followed by the old periodic wrap
+    n = 200
+    theta = np.concatenate([rng.uniform(-math.pi, 0.0, n), rng.uniform(math.pi, 2 * math.pi, n),
+                            rng.uniform(0.0, math.pi, n), np.repeat([0.0, math.pi], n // 2)])
+    phi = rng.uniform(-6 * math.pi, 6 * math.pi, theta.size)
+    x = np.stack([theta, phi], axis=-1)
+    old = ref.periodic_wrap(sphere2, ref.wrap_target(sphere2, x))
+    assert np.array_equal(sphere2.wrap(x), old)
+
+
+def test_only_the_innermost_polar_angle_folds():
+    # past theta_1's pole theta_2 is mirrored too, which a seam of theta_1 alone
+    # cannot say: the outer polar angles are plain bounded axes
+    s3 = round_sphere(3)
+    assert [(ax.reflect, ax.periodic) for ax in s3.axes] == [(False, False), (True, False),
+                                                            (False, True)]
+    with pytest.raises(DomainError, match="axis 0"):
+        s3.wrap([-0.1, 0.5, 0.0])
+    assert np.array_equal(s3.wrap([0.3, -0.5, 0.25]), [0.3, 0.5, 0.25 + math.pi])
+
+
 def _chart_with_metric(g):
     """A 2-torus chart whose metric is the fixed matrix g at every point."""
     g = np.array(g, dtype=float)

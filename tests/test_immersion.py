@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 import reference_geometry as ref
-from graphflow.errors import ConfigurationError, SolverAbort
+from graphflow.errors import ConfigurationError, DomainError, SolverAbort
 from graphflow.flow import EquivariantFlow, h2_field, nonparametric_rhs
-from graphflow.geometry import WarpedSurface, builtin_warp, flat_torus, product_s1_s2, round_sphere
+from graphflow.geometry import (WARP_Z_MAX, WarpedSurface, builtin_warp, flat_torus, product,
+                                product_s1_s2, round_sphere)
 from graphflow.immersion import GraphMapField, field_geometry, w_norm_sq
 
 
@@ -60,6 +61,29 @@ def test_noncompact_axis_rejected():
     cyl = WarpedSurface(builtin_warp("cosh"))  # z axis is neither periodic nor reflect
     with pytest.raises(ConfigurationError):
         GraphMapField(cyl, flat_torus(2), (8, 8), np.zeros((8, 8, 2)))
+
+
+def test_nested_polar_chart_refused_on_a_grid():
+    # S^3's outer polar angle has no seam a grid could mirror across
+    with pytest.raises(ConfigurationError,
+                       match="grid axis 0 of round_sphere_3 must be periodic or reflect"):
+        GraphMapField(round_sphere(3), flat_torus(2), (8, 8, 8), np.zeros((8, 8, 8, 2)))
+    # each factor of S^2 x S^2 folds across its own theta
+    shape = (8, 4, 8, 4)
+    GraphMapField(product(round_sphere(2), round_sphere(2)), flat_torus(2), shape,
+                  np.zeros(shape + (2,)))
+
+
+@pytest.mark.parametrize("z", [WARP_Z_MAX + 0.5, -WARP_Z_MAX - 0.5])
+def test_target_past_a_bounded_axis_raises_when_the_field_is_built(z):
+    cyl = WarpedSurface(builtin_warp("cosh"))
+    f = np.zeros((4, 4, 2))
+    f[1, 2, 1] = z
+    with pytest.raises(DomainError, match="outside axis 1"):
+        GraphMapField(flat_torus(2), cyl, (4, 4), f)
+    field = GraphMapField(flat_torus(2), cyl, (4, 4), np.zeros((4, 4, 2)))
+    with pytest.raises(DomainError, match="outside axis 1"):
+        field.with_values(f)
 
 
 def test_axis_coords_offset_on_reflect():

@@ -85,7 +85,7 @@ def _circle_leaves_the_tube(monkeypatch):
 
 
 # (scenario, overrides, defect, whether the verification passes the verdict, the section
-# whose `graphflow verify` line the defect turns to FAIL, or None for a verdict with no key)
+# whose `graphflow verify` line the defect turns to FAIL)
 CASES = {
     "volume_budget": ("cylinder_drift", {("flow", "t_end"): 1.0}, _scaled_dissipation,
                       lambda v: v["volume_budget"]["pass"], "volume_budget"),
@@ -95,10 +95,11 @@ CASES = {
                   "pointwise"),
     "stationarity": ("torus_projection", {("grid", "shape"): "4,4,4"}, _torus_node_moves,
                      lambda v: v["stationarity"]["pass"], "stationarity"),
-    # the torus residual feeds overall_pass through its linf, with no pass key
+    # the torus residual has no pass key: its linf is part of the stationarity verdict
     "torus_residual_p": ("torus_projection", {("grid", "shape"): "4,4,4"},
                          _curvature_source_off,
-                         lambda v: v["residual_p"]["checkpoints"][0]["linf"] <= 1e-10, None),
+                         lambda v: v["residual_p"]["checkpoints"][0]["linf"] <= 1e-10,
+                         "stationarity"),
     "barrier_certificate": ("cylinder_waist", {("flow", "t_end"): 2.0}, _barrier_hessian_flipped,
                             lambda v: v["barrier"]["certificate"]["verdict"], "barrier"),
     "barrier_containment": ("cylinder_waist", {("flow", "t_end"): 2.0}, _circle_leaves_the_tube,
@@ -138,10 +139,7 @@ def test_injected_defect_fails_its_verdict(tmp_path, monkeypatch, capsys, verdic
     assert broken["overall_pass"] is False
     code, lines = _verify_lines(tmp_path / "broken", capsys)
     assert code == 1 and lines == [*_verdict_lines(broken), "overall: FAIL"]
-    if section is None:  # no line of its own: only overall shows it
-        assert all(line.endswith(": PASS") for line in lines[:-1])
-    else:
-        assert f"{section}: FAIL" in lines
+    assert f"{section}: FAIL" in lines
 
 
 def test_injected_defect_fails_the_identities(monkeypatch, capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from graphflow.errors import ConfigurationError, NotAreaDecreasingError
 from graphflow.flow import EquivariantFlow, FlowParams, FlowRecord, FlowState, step
+from graphflow.frames import quad_form
 from graphflow.geometry import (Warp, WarpedSurface, builtin_warp, curvature_conditions_report,
                                 flat_torus, product_s1_s2)
 from graphflow.immersion import GraphMapField
@@ -176,6 +177,45 @@ def test_monitors_in_the_bi_ricci_regime():
     assert cp["nodes"] == 64
     assert cp["worst_slack_h"] >= 0 and cp["worst_slack_theta"] >= 0
     assert cp["worst_w_excess"] <= 1e-12
+
+
+def _tsui_triple():
+    # M = S^2 (k = 1): a checkpoint of the tsui_wang_s2 profile flow
+    eq = EquivariantFlow(32, lambda th: 0.8 * np.sin(th))
+    run = eq.run(t_end=0.05, record_every=20)
+    return next(eq.stencil_fields(s) for s in run.states if s.stencil)
+
+
+def _torus_triple():
+    # M = T^3 (k = 0): the torus_projection stand-in, a stationary projection
+    m_manifold, shape = flat_torus(3), (4, 4, 4)
+    x = GraphMapField(m_manifold, flat_torus(2), shape, np.zeros(shape + (2,))).coords()
+    field = GraphMapField(m_manifold, flat_torus(2, scale=0.5), shape, x[..., :2])
+    return (0.0, 1.0, 1.0, field, field, field)
+
+
+@pytest.mark.parametrize("make_triple, k", [(_tsui_triple, 1.0), (_torus_triple, 0.0)])
+def test_monitors_read_every_m_from_its_chart_curvature(monkeypatch, make_triple, k):
+    # a constant curvature is one block over all axes, so a space form takes
+    # the same path as a product: one ChartManifold.curvature call per monitor
+    triple = make_triple()
+    m_manifold = triple[4].M
+    curvature, seen = m_manifold.curvature, []
+
+    def counted(g, v, w):
+        ricci, sig_m = curvature(g, v, w)
+        seen.append((quad_form(v, ricci, v), quad_form(w, ricci, w), sig_m))
+        return ricci, sig_m
+
+    monkeypatch.setattr(m_manifold, "curvature", counted)
+    residual_p_evolution([triple])
+    assert len(seen) == 1
+    check_H_and_theta_inequalities([triple], eps1=0.0)
+    assert len(seen) == 2
+    ric11, ric22, sig_m = seen[0]  # at the residual's nodes
+    assert ric11.size == triple[4].interior_mask().sum()
+    assert np.abs(ric11 - k).max() <= 1e-15 and np.abs(ric22 - k).max() <= 1e-15
+    assert np.all(sig_m == k)
 
 
 def test_inequalities_pass_where_no_node_is_above_the_h_floor():
