@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, NotAreaDecreasingError, SolverAbort
-from .frames import p_batch, quad_form
+from .frames import matvec, p_batch, quad_form
 from .geometry import Warp, WarpBinding, WarpedSurface, round_sphere
 from .immersion import GraphMapField, field_cached
 
@@ -74,10 +74,20 @@ def nonparametric_rhs(field: GraphMapField) -> np.ndarray:
 
 @field_cached
 def tangential_vector_field(field: GraphMapField) -> np.ndarray:
-    """X^k = g^{ij}(Gamma_g - Gamma_M)^k_ij; dF(X) is the tangential part of (0, V)."""
+    """X^k = g^{ij}(Gamma_g - Gamma_M)^k_ij; dF(X) is the tangential part of (0, V).
+
+    Contracted straight from the first differences of the induced metric,
+    X^k = g^{kl}(g^{ij} d_i g_jl - 1/2 g^{ij} d_l g_ij) - g^{ij} Gamma_M^k_ij, so the
+    m^3 induced Christoffel tensor is never formed."""
+    dg = field.induced_dg_field()                              # (..., i, j, l)
     ginv = field.induced_g_inv_field()
-    diff = field.gamma_induced_field() - field.gamma_m_field()
-    return np.einsum("...ij,...kij->...k", ginv, diff)
+    m = ginv.shape[-1]
+    batch = ginv.shape[:-2]
+    flat = ginv.reshape(batch + (m * m,))                      # g^{ij}
+    div = matvec(np.swapaxes(dg.reshape(batch + (m * m, m)), -1, -2), flat)  # g^{ij} d_i g_jl
+    trace = matvec(dg.reshape(batch + (m, m * m)), flat)       # g^{ij} d_l g_ij
+    gam_m = matvec(field.gamma_m_field().reshape(batch + (m, m * m)), flat)
+    return matvec(ginv, div - 0.5 * trace) - gam_m
 
 
 @field_cached
@@ -91,7 +101,7 @@ def h2_field(field: GraphMapField) -> np.ndarray:
 
 def cfl_dt(field: GraphMapField, params: FlowParams) -> float:
     """dt = cfl * h_min^2 / (2 m Lambda), Lambda the max eigenvalue of g^{-1}."""
-    lam = 1.0 / float(field.induced_g_eigvals().min())
+    lam = 1.0 / float(field.induced_g_eigh()[0].min())
     h_min = float(field.h.min())
     return params.cfl * h_min**2 / (2 * field.M.dim * lam)
 

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateMetricError, DomainError
-from .frames import pd_inverse, quad_form
+from .frames import matvec, pd_inverse
 
 WARP_SAMPLES = 2001  # heights of the sup of a warped surface's Gauss curvature
 WARP_Z_MAX = 6.0  # a warped surface's chart is z in [-WARP_Z_MAX, WARP_Z_MAX]
@@ -150,17 +150,23 @@ class ChartManifold:
         """Ric (..., m, m) and the sectional curvature of the planes v ^ w, v and w
         (..., m), at chart points whose metrics are g (..., m, m).  A block of b
         axes and curvature k adds (b - 1) k times its metric to Ric, and k times
-        the squared area of the plane's projection to it to sigma."""
+        the squared area of the plane's projection to it to sigma.
+
+        The blocks partition the axes and g is block diagonal along them, so
+        g(v, v), g(w, w) and g(v, w) are sums over the blocks: each block forms
+        g v and g w once and takes the three inner products elementwise."""
         if self.blocks is None:
             raise ConfigurationError(f"{self.name}: no closed-form curvature "
                                      "(M must have a constant curvature or be a product of such)")
-        ric, area = np.zeros_like(g), 0.0
+        ric, area, vv, ww, vw = np.zeros_like(g), 0.0, 0.0, 0.0, 0.0
         for s, k in self.blocks:
             gs, vs, ws = g[..., s, s], v[..., s], w[..., s]
             ric[..., s, s] = (s.stop - s.start - 1) * k * gs
-            area = area + k * (quad_form(vs, gs, vs) * quad_form(ws, gs, ws)
-                               - quad_form(vs, gs, ws) ** 2)
-        return ric, area / (quad_form(v, g, v) * quad_form(w, g, w) - quad_form(v, g, w) ** 2)
+            gv, gw = matvec(gs, vs), matvec(gs, ws)
+            vv_s, ww_s, vw_s = np.vecdot(vs, gv), np.vecdot(ws, gw), np.vecdot(vs, gw)
+            area = area + k * (vv_s * ww_s - vw_s ** 2)
+            vv, ww, vw = vv + vv_s, ww + ww_s, vw + vw_s
+        return ric, area / (vv * ww - vw ** 2)
 
     def gauss_curvature_at(self, y):
         """Gauss curvature of a surface at chart points (..., 2): the declared

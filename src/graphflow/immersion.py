@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigurationError, SolverAbort
-from .frames import (SVDFrame, build_svd_frame, pd_inverse, quad_form,
+from .frames import (SVDFrame, build_svd_frame, pd_eigh, pd_inverse, quad_form,
                      singular_value_invariants)
 from .geometry import ChartManifold
 
@@ -62,7 +62,8 @@ class GraphMapField:
     """Discrete map f: M -> N sampled on a structured chart grid of M."""
 
     # M-side fields, equal for every field on the same grid
-    GRID_FIELDS = ("coords", "_stencil_index", "g_m_field", "g_m_inv_field", "gamma_m_field")
+    GRID_FIELDS = ("coords", "_stencil_index", "_interior", "g_m_field", "g_m_inv_field",
+                   "gamma_m_field")
 
     def __init__(self, m_manifold: ChartManifold, n_manifold: ChartManifold, shape, f_values):
         self.M = m_manifold
@@ -249,31 +250,44 @@ class GraphMapField:
             return self.g_m_field() + df @ self.g_n_field() @ _swap(df)
 
     @field_cached
-    def induced_g_eigvals(self) -> np.ndarray:
-        """Eigenvalues of the induced metric per node, ascending; all must be positive."""
-        ev = np.linalg.eigvalsh(self.induced_g_field())
-        if ev.min() <= 0 or not np.all(np.isfinite(ev)):
+    def induced_g_eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """(eigenvalues ascending, eigenvectors) of the induced metric per node,
+        checked finite and positive (``frames.pd_eigh``): the one decomposition
+        behind ``cfl_dt``, the volume and, when m >= 3, the inverse."""
+        eig = pd_eigh(self.induced_g_field())
+        if eig is None:
             raise SolverAbort(CORRUPTED_METRIC)
-        return ev
+        return eig
 
     @field_cached
     def induced_g_inv_field(self) -> np.ndarray:
-        """The inverse induced metric, checked finite and positive definite (no
-        eigensolve); see ``frames.pd_inverse``."""
+        """The inverse induced metric, checked finite and positive definite:
+        V diag(1/lambda) V^T from ``induced_g_eigh`` when m >= 3, and
+        ``frames.pd_inverse`` in closed form (no LAPACK routine) when m = 2."""
+        if self.M.dim > 2:
+            ev, vecs = self.induced_g_eigh()
+            # a C-ordered right factor: a matmul with a transposed view costs about
+            # twice as much at 64 nodes
+            return vecs @ np.divide(_swap(vecs), ev[..., :, None], order="C")
         ginv = pd_inverse(self.induced_g_field())
         if ginv is None:
             raise SolverAbort(CORRUPTED_METRIC)
         return ginv
 
     def volume_density(self) -> np.ndarray:
-        """sqrt(det g) per node, from the eigenvalues of the induced metric."""
-        return np.sqrt(np.prod(self.induced_g_eigvals(), axis=-1))
+        """sqrt(det g) per node, the product of the induced metric's eigenvalues."""
+        return np.sqrt(np.prod(self.induced_g_eigh()[0], axis=-1))
+
+    @field_cached
+    def induced_dg_field(self) -> np.ndarray:
+        """Central first differences d_a g_ij of the induced metric, (grid, a, i, j)."""
+        return self._first(self._neighbours(self.induced_g_field(), mixed=False))
 
     @field_cached
     def gamma_induced_field(self) -> np.ndarray:
         """Christoffels of the induced metric, finite-differenced from its field."""
         m = self.M.dim
-        dg = self._first(self._neighbours(self.induced_g_field(), mixed=False))
+        dg = self.induced_dg_field()
         ginv = self.induced_g_inv_field()
         comb = (
             dg.transpose(*range(m), m, m + 1, m + 2)
@@ -320,10 +334,9 @@ class GraphMapField:
     def volume(self) -> float:
         return float(np.sum(self.volume_density()) * np.prod(self.h))
 
-    def interior_mask(self) -> np.ndarray:
-        """True more than SEAM_MARGIN nodes away from reflect seams (periodic axes
-        are seam-free).  A grid with no such node is refused, since a check over
-        no node would read as a pass."""
+    @field_cached
+    def _interior(self) -> np.ndarray:
+        """The nodes more than SEAM_MARGIN nodes away from reflect seams, read-only."""
         mask = np.ones(self.shape, dtype=bool)
         for a, ax in enumerate(self.M.axes):
             if ax.reflect:
@@ -332,6 +345,15 @@ class GraphMapField:
                 sl = [None] * self.M.dim
                 sl[a] = slice(None)
                 mask &= keep[tuple(sl)]
+        mask.flags.writeable = False
+        return mask
+
+    def interior_mask(self) -> np.ndarray:
+        """True more than SEAM_MARGIN nodes away from reflect seams (periodic axes
+        are seam-free); a grid field, shared by every field on the grid.  A grid
+        with no such node is refused, since a check over no node would read as a
+        pass."""
+        mask = self._interior()
         if not mask.any():
             raise ConfigurationError(
                 f"grid shape {self.shape} has no interior node: the monitors leave out "
@@ -377,7 +399,6 @@ class PointGeometry:
     a_sq: np.ndarray      # |A|^2
     h_sq: np.ndarray      # |H|^2
     frame: SVDFrame
-    a_vectors: np.ndarray  # (..., m, m, m+2) A(e_i, e_j) in product-chart components
 
     def __getitem__(self, idx) -> "PointGeometry":
         """The same record restricted to ``idx`` of the batch axes (a node or a mask)."""
@@ -415,7 +436,7 @@ def field_geometry(field: GraphMapField) -> PointGeometry:
     a_sq = np.sum(a_xi**2, axis=(-2, -1)) + np.sum(a_eta**2, axis=(-2, -1))
     return PointGeometry(
         a_xi=a_xi, a_eta=a_eta, h_xi=h_xi, h_eta=h_eta, a_sq=a_sq, h_sq=h_xi**2 + h_eta**2,
-        frame=frame, a_vectors=a_vectors,
+        frame=frame,
     )
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NotAreaDecreasingError
 from .flow import h2_field, tangential_vector_field
-from .frames import quad_form
+from .frames import matvec, quad_form
 from .immersion import GraphMapField, field_geometry, quantity_Q, quantity_R_vw, w_norm_sq
 
 H_FLOOR = 1e-8         # the inequalities are evaluated only where |H| exceeds it
@@ -118,11 +118,12 @@ def _curvature_inputs(field: GraphMapField, mask: np.ndarray, alpha: np.ndarray)
     sigma_N and Ric_M at the nodes of ``mask``; ``alpha`` holds their frames.
 
     M's terms are arrays over the masked nodes, from ``ChartManifold.curvature``;
-    sigma_N is a scalar where N declares a constant curvature.
+    sigma_N is a scalar where N declares a constant curvature.  Ric alpha_i is
+    formed once per i and dotted with alpha_i elementwise.
     """
     ricci, sig_m = field.M.curvature(field.g_m_field()[mask], alpha[:, 0], alpha[:, 1])
-    ric11 = quad_form(alpha[:, 0], ricci, alpha[:, 0])
-    ric22 = quad_form(alpha[:, 1], ricci, alpha[:, 1])
+    pair = alpha[:, :2]                                        # rows alpha_1, alpha_2
+    ric11, ric22 = np.vecdot(pair, matvec(ricci[:, None], pair)).T
     return ric11, ric22, sig_m, field.N.gauss_curvature_at(field.f[mask]), ricci
 
 

@@ -1,6 +1,8 @@
 """Reference implementation of the pointwise graph geometry: the scalar
 ``build_svd_frame`` and ``point_geometry`` as they were before the batched
-field geometry replaced them, the singular values as the SVD of the whitened
+field geometry replaced them (which builds the vectors A(e_i, e_j), the
+batched one only their normal components), the tangential field X over the
+full induced Christoffel tensor, the singular values as the SVD of the whitened
 differential, the per-offset stencils of ``GraphMapField`` as they were before
 the ghost-padded grid replaced them, the polar fold of a field's target values
 and the periodic wrap of the chart as they were before ``ChartManifold.wrap``
@@ -158,39 +160,42 @@ def _node_slices(node):
     return tuple(int(i) for i in node)
 
 
-def point_geometry(field: GraphMapField, node) -> PointGeometry:
-    """Full second-order geometry of the graph at a grid node."""
-    idx = _node_slices(node)
-    m = field.M.dim
-    x = field.coords()[idx]
-    fx = field.f[idx]
+def _a_vectors(field: GraphMapField, idx, e: np.ndarray) -> np.ndarray:
+    """A(e_i, e_j) at a node in product-chart components (M part, N part),
+    (m, m, m+2), for the rows e_i of ``e``."""
     df = field.df_field()[idx]
-    d2f = field.d2f_field()[idx]
-    g_m = field.g_m_field()[idx]
-    g_n = field.g_n_field()[idx]
-    gam_m = field.gamma_m_field()[idx]
     gam_n = field.gamma_n_field()[idx]
     gam_g = field.gamma_induced_field()[idx]
-    g = field.induced_g_field()[idx]
-    g_inv = field.induced_g_inv_field()[idx]
-
-    frame = build_svd_frame(df, g_m, g_n)
-
-    # A(d_i, d_j) in product-chart components (M part, N part)
-    a_m = gam_m - gam_g                                        # (k, i, j)
+    a_m = field.gamma_m_field()[idx] - gam_g                  # (k, i, j)
     a_n = (
-        d2f
+        field.d2f_field()[idx]
         + np.einsum("abc,ib,jc->ija", gam_n, df, df)
         - np.einsum("kij,ka->ija", gam_g, df)
     )                                                          # (i, j, alpha)
     a_coord = np.concatenate([a_m.transpose(1, 2, 0), a_n], axis=-1)  # (i, j, m+2)
+    return np.einsum("ia,jb,abc->ijc", e, e, a_coord)
 
-    e = frame.e                                                # rows e_i, chart comps
-    a_e = np.einsum("ia,jb,abc->ijc", e, e, a_coord)           # e-basis
 
+def _product_metric(field: GraphMapField, idx) -> np.ndarray:
+    m = field.M.dim
     gp = np.zeros((m + 2, m + 2))
-    gp[:m, :m] = g_m
-    gp[m:, m:] = g_n
+    gp[:m, :m] = field.g_m_field()[idx]
+    gp[m:, m:] = field.g_n_field()[idx]
+    return gp
+
+
+def point_geometry(field: GraphMapField, node) -> PointGeometry:
+    """Full second-order geometry of the graph at a grid node."""
+    idx = _node_slices(node)
+    df = field.df_field()[idx]
+    g = field.induced_g_field()[idx]
+    g_inv = field.induced_g_inv_field()[idx]
+
+    frame = build_svd_frame(df, field.g_m_field()[idx], field.g_n_field()[idx])
+    e = frame.e                                                # rows e_i, chart comps
+    a_e = _a_vectors(field, idx, e)                            # e-basis
+
+    gp = _product_metric(field, idx)
     a_xi = a_e @ gp @ frame.xi
     a_eta = a_e @ gp @ frame.eta
 
@@ -214,14 +219,22 @@ def _tangency(a_e: np.ndarray, e: np.ndarray, df: np.ndarray, gp: np.ndarray) ->
 
 
 def tangency_residual(field: GraphMapField, geo, node) -> float:
-    """The tangency audit of ``immersion.field_geometry``'s record ``geo`` at a
-    node: A is normal, so only the discretization error remains."""
+    """The tangency audit of the frame of ``immersion.field_geometry``'s record
+    ``geo`` at a node, A(e_i, e_j) built here: A is normal, so only the
+    discretization error remains."""
     idx = _node_slices(node)
-    m = field.M.dim
-    gp = np.zeros((m + 2, m + 2))
-    gp[:m, :m] = field.g_m_field()[idx]
-    gp[m:, m:] = field.g_n_field()[idx]
-    return _tangency(geo.a_vectors[idx], geo.frame.e[idx], field.df_field()[idx], gp)
+    e = geo.frame.e[idx]
+    return _tangency(_a_vectors(field, idx, e), e, field.df_field()[idx],
+                     _product_metric(field, idx))
+
+
+def tangential_vector_field(field: GraphMapField) -> np.ndarray:
+    """``flow.tangential_vector_field`` as it was before it contracted the first
+    differences of the induced metric directly: X^k = g^{ij}(Gamma_g - Gamma_M)^k_ij
+    over the full induced Christoffel tensor."""
+    ginv = field.induced_g_inv_field()
+    diff = field.gamma_induced_field() - field.gamma_m_field()
+    return np.einsum("...ij,...kij->...k", ginv, diff)
 
 
 def wrap_target(n_manifold: ChartManifold, f: np.ndarray) -> np.ndarray:

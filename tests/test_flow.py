@@ -8,6 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import reference_geometry as ref
 from graphflow.classify import classify_limit
 from graphflow.errors import NotAreaDecreasingError, SolverAbort
 import graphflow.flow
@@ -117,6 +118,31 @@ def _s1xs2_to_cosh_field():
                          np.stack([x[..., 0], np.full(shape, 0.5)], axis=-1))
 
 
+def _tangential_oracle_fields():
+    s1xs2, cosh = product_s1_s2(), WarpedSurface(builtin_warp("cosh"))
+    x = GraphMapField(s1xs2, cosh, (4, 4, 4), np.zeros((4, 4, 4, 2))).coords()
+    yield GraphMapField(s1xs2, cosh, (4, 4, 4), np.stack(
+        [x[..., 0] + 0.3 * np.sin(x[..., 2]), 0.5 + 0.2 * np.cos(x[..., 1]) * np.sin(x[..., 0])],
+        axis=-1))
+    t3, t2 = flat_torus(3), flat_torus(2, scale=0.5)
+    x = GraphMapField(t3, t2, (8, 8, 8), np.zeros((8, 8, 8, 2))).coords()
+    yield GraphMapField(t3, t2, (8, 8, 8), np.stack(
+        [x[..., 0] + 0.2 * np.sin(x[..., 2]), x[..., 1] + 0.1 * np.cos(x[..., 0] - x[..., 2])],
+        axis=-1))
+    eq = EquivariantFlow(32, lambda th: 0.8 * np.sin(th))
+    yield eq.expand_field(eq.h)
+
+
+def test_tangential_field_matches_the_christoffel_oracle():
+    # X contracted from the first differences of the induced metric is the
+    # g-trace of Gamma_g - Gamma_M over the full induced Christoffel tensor
+    for field in _tangential_oracle_fields():
+        want = ref.tangential_vector_field(field)
+        got = tangential_vector_field(field)
+        assert np.abs(want).max() > 1e-2, field.M.name       # a field that moves
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), field.M.name
+
+
 def test_grid_step_does_its_work_once(monkeypatch):
     # k RK2 steps on S^1 x S^2 -> cosh cylinder make 1 + 2k fields (the start,
     # then a midpoint and an end per step)
@@ -132,11 +158,17 @@ def test_grid_step_does_its_work_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    eigvalsh = np.linalg.eigvalsh
+    # each LAPACK call is named by the nearest of these readers on its stack
+    readers = ("inverse_metric", "induced_g_eigh", "induced_g_inv_field")
 
-    def eigvalsh_by_caller(a):
-        calls["eigvalsh in " + sys._getframe(1).f_code.co_name] += 1
-        return eigvalsh(a)
+    def by_reader(name, fn):
+        def wrapper(*args, **kwargs):
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code.co_name not in readers:
+                frame = frame.f_back
+            calls[f"{name} in {frame.f_code.co_name if frame else '?'}"] += 1
+            return fn(*args, **kwargs)
+        return wrapper
 
     for name in ("metric_many", "inverse_metric", "christoffels_many"):
         monkeypatch.setattr(m_manifold, name, counted(name, getattr(m_manifold, name)))
@@ -147,21 +179,27 @@ def test_grid_step_does_its_work_once(monkeypatch):
         counted("_stencil_index", GraphMapField._stencil_index.__wrapped__)))
     monkeypatch.setattr(GraphMapField, "covariant_d2f",
                         counted("covariant_d2f", GraphMapField.covariant_d2f))
-    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh_by_caller)
+    monkeypatch.setattr(GraphMapField, "gamma_induced_field",
+                        counted("gamma_induced_field", GraphMapField.gamma_induced_field))
+    for name in ("eigh", "eigvalsh", "cholesky", "inv"):
+        monkeypatch.setattr(np.linalg, name, by_reader(name, getattr(np.linalg, name)))
     monkeypatch.setattr(np.linalg, "det", counted("det", np.linalg.det))
     state = FlowState(field=field, min_p=field.min_p())
     for _ in range(k):
         state = step(state, FlowParams(t_end=1.0))
     assert state.status == "Running" and state.step_count == k
-    # p comes from the 2x2 invariants of df^T g_M^{-1} df g_N, and the inverse
-    # metrics check positive definiteness by Cholesky: no eigensolve there
+    # p comes from the 2x2 invariants of df^T g_M^{-1} df g_N: no eigensolve there.
+    # The induced metric of each field is decomposed once, by eigh, for its
+    # inverse, cfl_dt and the volume; X is contracted from its first differences,
+    # so no field builds the induced Christoffel tensor
     assert calls == {
         "metric_many": 1, "inverse_metric": 1, "christoffels_many": 1,  # M side once per grid
+        "cholesky in inverse_metric": 1, "inv in inverse_metric": 1,  # g_M^{-1}, 3 x 3
         "_stencil_index": 1,                           # grid bookkeeping once per grid
         "N wrap": 1 + 2 * k,                           # one N-chart wrap per field, of its f
         "covariant_d2f": 1 + 2 * k,                    # RHS: the start, then 2 per step
-        "eigvalsh in induced_g_eigvals": k,            # cfl_dt and the volume of each state
-    }                                                  # stepped from; none on a half field
+        "eigh in induced_g_eigh": 1 + 2 * k,           # one per field
+    }
 
 
 NON_FINITE = "non-finite map values (CFL violation or blow-up)"

@@ -211,23 +211,51 @@ def test_interior_mask():
     mask = s.interior_mask()
     assert not mask[0].any() and not mask[-1].any()
     assert mask[8].all()
+    # a grid field: every field on the grid reads the one read-only mask
+    assert s.with_values(s.f).interior_mask() is mask and not mask.flags.writeable
+    narrow = _constant_sphere_field(8)  # 4 + 4 seam nodes leave none
+    for fld in (narrow, narrow.with_values(narrow.f)):
+        with pytest.raises(ConfigurationError, match=r"^grid shape \(8, 8\) has no interior node"):
+            fld.interior_mask()
+
+
+def _torus3_field(perturb=0.1):
+    m, target = flat_torus(3), flat_torus(2, scale=0.5)
+    x = GraphMapField(m, target, (4, 4, 4), np.zeros((4, 4, 4, 2))).coords()
+    return GraphMapField(m, target, (4, 4, 4), x[..., :2] + perturb * np.stack(
+        [np.sin(x[..., 2]), np.cos(x[..., 0])], axis=-1))
 
 
 @pytest.mark.parametrize("corruption", ["nan", "inf", "inf_times_zero", "indefinite"])
 def test_corrupted_induced_metric_aborts(corruption):
     # a g_N value as a blown-up state would carry it.  On the perturbed torus df
     # has no zero entry at the node, so the inf reaches g without an inf * 0; on
-    # the identity torus df is diagonal, so df g_N df^T meets inf * 0 and reads
-    # NaN, which must end in the same one line and raise no warning
-    fld = _torus_field(8, perturb=0.0 if corruption == "inf_times_zero" else 0.1)
-    g_n = fld.g_n_field().copy()
-    g_n[3, 4] = {"nan": np.nan, "inf": np.diag([np.inf, 1.0]),
-                 "inf_times_zero": np.diag([np.inf, 1.0]),
-                 "indefinite": np.diag([1.0, -50.0])}[corruption]
-    fld._cache["g_n_field"] = g_n
-    with pytest.raises(SolverAbort,
-                       match=r"^induced metric not positive definite \(corrupted state\)$"):
-        fld.induced_g_inv_field()
+    # the identity torus (projection) df has zero entries, so df g_N df^T meets
+    # inf * 0 and reads NaN, which must end in the same one line and raise no
+    # warning.  The m = 3 field decomposes g by eigh, which raises its own error
+    # on some NaN input and passes other NaN on quietly; the m = 2 one inverts g
+    # in closed form
+    perturb = 0.0 if corruption == "inf_times_zero" else 0.1
+    for fld, node in ((_torus_field(8, perturb=perturb), (3, 4)),
+                      (_torus3_field(perturb), (1, 2, 3))):
+        g_n = fld.g_n_field().copy()
+        g_n[node] = {"nan": np.nan, "inf": np.diag([np.inf, 1.0]),
+                     "inf_times_zero": np.diag([np.inf, 1.0]),
+                     "indefinite": np.diag([1.0, -50.0])}[corruption]
+        fld._cache["g_n_field"] = g_n
+        for read in (GraphMapField.induced_g_inv_field, GraphMapField.volume_density):
+            with pytest.raises(SolverAbort,
+                               match=r"^induced metric not positive definite \(corrupted state\)$"):
+                read(fld)
+
+
+def test_induced_metric_of_an_m3_field_from_one_eigendecomposition():
+    fld = _torus3_field()
+    g = fld.induced_g_field()
+    scale = np.abs(np.linalg.inv(g)).max()
+    assert np.abs(fld.induced_g_inv_field() - np.linalg.inv(g)).max() <= 1e-14 * scale
+    ev = fld.induced_g_eigh()[0]
+    assert np.abs(ev - np.linalg.eigvalsh(g)).max() <= 1e-14 * ev.max()
 
 
 # -- pointwise geometry ------------------------------------------------------
