@@ -127,34 +127,6 @@ def _tri_solve(t: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
     return x
 
 
-def _svd(d: np.ndarray):
-    """(u, sv, vt) with d = u diag(sv) vt, sv descending, for d (..., 2, m).
-
-    A 2 x 2 d is split into a rotation part E I + H J and a reflection part
-    F K + G L, with J the quarter turn, K = diag(1, -1) and L the swap of the two
-    axes.  With Q = |(E, H)| and R = |(F, G)|, d = Rot(phi) diag(Q + R, Q - R)
-    Rot(theta), where phi + theta and phi - theta are the polar angles of (E, H)
-    and (F, G) (Blinn, "Consider the lowly 2x2 matrix", 1996).  Where Q or R
-    vanishes (a conformal, anticonformal or zero d) ``arctan2`` picks the basis;
-    a zero d gives u = vt = I, as ``svd`` does.  Wider d go to ``svd``.
-    """
-    if d.shape[-1] != 2:
-        return np.linalg.svd(d, full_matrices=True)
-    a, b, c, e = d[..., 0, 0], d[..., 0, 1], d[..., 1, 0], d[..., 1, 1]
-    # + 0.0 turns a signed zero into +0, so that arctan2(0, -0) does not read pi
-    big_e, big_f = (a + e) / 2 + 0.0, (a - e) / 2 + 0.0
-    big_g, big_h = (b + c) / 2 + 0.0, (c - b) / 2 + 0.0
-    q, r = np.hypot(big_e, big_h), np.hypot(big_f, big_g)
-    rot_sum, rot_diff = np.arctan2(big_h, big_e), np.arctan2(big_g, big_f)
-    phi, theta = (rot_sum + rot_diff) / 2, (rot_sum - rot_diff) / 2
-    sign = np.where(q < r, -1.0, 1.0)                  # q - r < 0 flips u's second column
-    cp, sp, ct, st = np.cos(phi), np.sin(phi), np.cos(theta), np.sin(theta)
-    u = np.stack([np.stack([cp, -sign * sp], axis=-1),
-                  np.stack([sp, sign * cp], axis=-1)], axis=-2)
-    vt = np.stack([np.stack([ct, -st], axis=-1), np.stack([st, ct], axis=-1)], axis=-2)
-    return u, np.stack([q + r, np.abs(q - r)], axis=-1), vt
-
-
 def _whiten(df: np.ndarray, g_m: np.ndarray, g_n: np.ndarray):
     """(L_M, R_N, R_N df^T L_M^{-T}) where L L^T = g_M and R^T R = g_N; d is (..., 2, m)."""
     lm = _cholesky(g_m)
@@ -180,21 +152,120 @@ def _first_nonzero_positive(rows: np.ndarray) -> np.ndarray:
     return np.where(lead < 0, -rows, rows)
 
 
+def _sign_fixed(x0, x1):
+    """Rows (x0, x1) flipped so that their first component above 1e-13 in magnitude
+    is positive (``_first_nonzero_positive`` on component arrays)."""
+    sign = np.where(np.where(np.abs(x0) > 1e-13, x0, x1) < 0, -1.0, 1.0)
+    return sign * x0, sign * x1
+
+
+def _quad_form2(u0, u1, g, v0, v1):
+    """u^T g v for 2-vectors given by their components and g (..., 2, 2), row by row
+    as ``quad_form`` sums."""
+    return ((u0 * g[..., 0, 0] + u1 * g[..., 1, 0]) * v0
+            + (u0 * g[..., 0, 1] + u1 * g[..., 1, 1]) * v1)
+
+
+def _frame2(df: np.ndarray, g_m: np.ndarray, g_n: np.ndarray) -> SVDFrame:
+    """``build_svd_frame`` for m = 2 on per-node component arrays, each step in the
+    order of the stacked construction: the Cholesky factors and the whitened df; the
+    SVD in closed form and its sign fix; alpha, beta and beta's re-orthonormalisation;
+    e, xi, eta, S, T and p.  A stacked matmul sums its two products with one rounding
+    fewer (a fused multiply-add), so a component whose two products are both nonzero
+    can differ from the stacked one in its last bit; on a diagonal df and diagonal
+    metrics, as in an equivariant lift, at most the entries of size ~1e-15 do.
+
+    The whitened d = (a, b; c, e) is split into a rotation part E I + H J and a
+    reflection part F K + G L, with J the quarter turn, K = diag(1, -1) and L the
+    swap of the two axes.  With Q = |(E, H)| and R = |(F, G)|, d = Rot(phi)
+    diag(Q + R, Q - R) Rot(theta), where phi + theta and phi - theta are the polar
+    angles of (E, H) and (F, G) (Blinn, "Consider the lowly 2x2 matrix", 1996).
+    Where Q or R vanishes (a conformal, anticonformal or zero d) ``arctan2`` picks
+    the basis; a zero d gives u = vt = I, as ``svd`` does.
+    """
+    chol_m, chol_n = _cholesky2(g_m), _cholesky2(g_n)
+    if chol_m is None or chol_n is None:
+        raise DegenerateMetricError("metric not positive definite: a <= 0 or ad - bc <= 0")
+    l00, l10, l11 = chol_m[0], chol_m[1], np.sqrt(chol_m[2])   # L_M L_M^T = g_M
+    n00, n10, n11 = chol_n[0], chol_n[1], np.sqrt(chol_n[2])   # R_N = (n00, n10; 0, n11)
+    f00, f01, f10, f11 = df[..., 0, 0], df[..., 0, 1], df[..., 1, 0], df[..., 1, 1]
+    # d = R_N df^T L_M^{-T}: the rows of df R_N^T, solved forward through L_M
+    a = (f00 * n00 + f01 * n10) / l00
+    c = f01 * n11 / l00
+    b = (f10 * n00 + f11 * n10 - l10 * a) / l11
+    e = (f11 * n11 - l10 * c) / l11
+
+    # + 0.0 turns a signed zero into +0, so that arctan2(0, -0) does not read pi
+    big_e, big_f = (a + e) / 2 + 0.0, (a - e) / 2 + 0.0
+    big_g, big_h = (b + c) / 2 + 0.0, (c - b) / 2 + 0.0
+    q, r = np.hypot(big_e, big_h), np.hypot(big_f, big_g)
+    rot_sum, rot_diff = np.arctan2(big_h, big_e), np.arctan2(big_g, big_f)
+    phi, theta = (rot_sum + rot_diff) / 2, (rot_sum - rot_diff) / 2
+    ct, st = np.cos(theta), np.sin(theta)
+    lam, mu = q + r, np.abs(q - r)
+
+    # alpha_k = L_M^{-T} v_k for the sign-fixed rows v_k of vt = (ct, -st; st, ct)
+    batch = df.shape[:-2]
+    alpha, beta = np.empty(batch + (2, 2)), np.empty(batch + (2, 2))
+    for k, (v0, v1) in enumerate((_sign_fixed(ct, -st), _sign_fixed(st, ct))):
+        alpha[..., k, 1] = a1 = v1 / l11
+        alpha[..., k, 0] = (v0 - l10 * a1) / l00
+    # beta_k = df^T alpha_k / sv_k where sv_k > 1e-13, else R_N^{-1} u_k for the
+    # sign-fixed columns u_k of u = Rot(phi) diag(1, -1 where Q < R)
+    degenerate = not (mu > 1e-13).all()        # lam >= mu, and both are NaN together
+    rows = []
+    for k, sv in enumerate((lam, mu)):
+        nonzero = sv > 1e-13
+        div = np.where(nonzero, sv, 1.0) if degenerate else sv
+        a0, a1 = alpha[..., k, 0], alpha[..., k, 1]
+        b0, b1 = (a0 * f00 + a1 * f10) / div, (a0 * f01 + a1 * f11) / div
+        if degenerate and not nonzero.all():
+            cp, sp = np.cos(phi), np.sin(phi)
+            sign = np.where(q < r, -1.0, 1.0)
+            w0, w1 = _sign_fixed(cp, sp) if k == 0 else _sign_fixed(-sign * sp, sign * cp)
+            axis1 = w1 / n11
+            b0, b1 = np.where(nonzero, b0, (w0 - n10 * axis1) / n00), np.where(nonzero, b1, axis1)
+        rows.append((b0, b1))
+    # re-orthonormalize beta against g_N (exact for clean input, guards roundoff)
+    (b00, b01), (b10, b11) = rows
+    norm = np.sqrt(_quad_form2(b00, b01, g_n, b00, b01))
+    beta[..., 0, 0] = b00 = b00 / norm
+    beta[..., 0, 1] = b01 = b01 / norm
+    proj = _quad_form2(b00, b01, g_n, b10, b11)
+    b10, b11 = b10 - proj * b00, b11 - proj * b01
+    norm = np.sqrt(_quad_form2(b10, b11, g_n, b10, b11))
+    beta[..., 1, 0], beta[..., 1, 1] = b10 / norm, b11 / norm
+
+    sv = np.stack([lam, mu], axis=-1)
+    den = 1.0 + sv * sv
+    root = np.sqrt(den)[..., None]                             # (..., 2, 1)
+    normals = np.concatenate([-sv[..., None] * alpha, beta], axis=-1) / root
+    s_diag = (1.0 - sv * sv) / den
+    t = -2.0 * sv / den
+    return SVDFrame(
+        lam=lam, mu=mu, alpha=alpha, beta=beta, e=alpha / root, xi=normals[..., 0, :],
+        eta=normals[..., 1, :], s_diag=s_diag, t11=t[..., 0], t22=t[..., 1],
+        p=s_diag[..., 0] + s_diag[..., 1],
+    )
+
+
 def build_svd_frame(df: np.ndarray, g_m: np.ndarray, g_n: np.ndarray) -> SVDFrame:
     """Construct the full adapted frame at every point of a batch.
 
     df: (..., m, 2), df^alpha_i = d_i f^alpha with rows indexed by M axes;
     g_m: (..., m, m); g_n: (..., 2, 2).  A single point is a batch of shape ().
 
-    Deterministic: descending singular values (``_svd``: closed form when
-    m = 2, numpy's SVD otherwise) plus a sign fix making the first nonzero
-    component of each whitened right-singular vector positive.  The
+    Deterministic: descending singular values (closed form on component arrays
+    when m = 2, ``_frame2``; numpy's SVD otherwise) plus a sign fix making the
+    first nonzero component of each whitened right-singular vector positive.  The
     beta vectors are re-derived from df alpha_i where the singular value is
     nonzero so that df(alpha_1) = lam beta_1 holds exactly; where it vanishes
     they are the sign-fixed whitened left-singular vectors.
     """
+    if df.shape[-2] == 2:
+        return _frame2(df, g_m, g_n)
     lm, rn, d = _whiten(df, g_m, g_n)
-    u, sv, vt = _svd(d)
+    u, sv, vt = np.linalg.svd(d, full_matrices=True)
     lam, mu = sv[..., 0], sv[..., 1]
     alpha = _t(_tri_solve(_t(lm), _t(_first_nonzero_positive(vt)), lower=False))
 

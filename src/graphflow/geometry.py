@@ -102,7 +102,12 @@ class ChartManifold:
                         x[..., q] = np.where(over, x[..., q] + ax.partner_shift, x[..., q])
         for a, ax in enumerate(self.axes):
             if ax.periodic:
-                x[..., a] = ax.lo + (x[..., a] - ax.lo) % ax.length
+                # with lo = 0, as on every periodic axis here, the remainder gives back
+                # each value in (lo, hi): only the others take it (-0 turns into +0)
+                y = x[..., a]
+                out = (y <= ax.lo) | (y >= ax.hi)
+                if out.any():
+                    y[out] = ax.lo + (y[out] - ax.lo) % ax.length
                 continue
             inside = (ax.lo - 1e-12 <= x[..., a]) & (x[..., a] <= ax.hi + 1e-12)
             if not np.all(inside):

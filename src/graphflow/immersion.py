@@ -182,12 +182,18 @@ class GraphMapField:
                 # the mirror can only be closer where the partner coordinate is
                 # more than half the seam shift s from the centre's: for o and c
                 # on one side of a pivot p, |2p - o - c| >= |o - c|, and
-                # perdist(x + s) >= perdist(s) - perdist(x)
-                centre = np.broadcast_to(self.f, out.shape)
-                far = perdist(out[..., q] - centre[..., q]) > perdist(ax.partner_shift) / 2
-                if not far.any():
+                # perdist(x + s) >= perdist(s) - perdist(x).  Values and centre lie
+                # in [0, L), so that is |gap| in (s/2, L - s/2); a relative margin
+                # of 1e-9 covers the rounding of perdist, and the mirror test
+                # below decides every value the margin admits
+                half = perdist(ax.partner_shift) / 2
+                gap = np.abs(out[..., q] - self.f[..., q])
+                far = np.flatnonzero((gap > (1 - 1e-9) * half) & (gap < (1 + 1e-9) * (lq - half)))
+                if not far.size:
                     continue
-                o, c = out[far], centre[far]
+                flat = out.reshape(-1, out.shape[-1])          # a view: out is a fresh copy
+                o = flat[far]
+                c = self.f.reshape(-1, self.f.shape[-1])[far % self.f[..., 0].size]
                 for pivot in (ax.lo, ax.hi):
                     alt_b = 2 * pivot - o[:, b]
                     alt_q = o[:, q] + ax.partner_shift
@@ -196,7 +202,7 @@ class GraphMapField:
                     take = d_alt < d_cur
                     o[take, b] = alt_b[take]
                     o[take, q] = alt_q[take]
-                out[far] = o
+                flat[far] = o
         for b, ax in enumerate(self.N.axes):
             if ax.periodic:  # y % length is y itself for y in [0, length)
                 y = out[..., b] - self.f[..., b] + ax.length / 2
@@ -245,9 +251,19 @@ class GraphMapField:
     def induced_g_field(self) -> np.ndarray:
         """g_M + df g_N df^T per node.  A corrupted state reads NaN here without a
         warning (an inf of g_N meets a zero of df); its readers refuse it."""
-        df = self.df_field()
+        df, g_m, g_n = self.df_field(), self.g_m_field(), self.g_n_field()
         with np.errstate(invalid="ignore"):
-            return self.g_m_field() + df @ self.g_n_field() @ _swap(df)
+            if self.M.dim > 2:
+                return g_m + df @ g_n @ _swap(df)
+            # m = 2 entry by entry, in the stacked product's order: P = df g_N, then
+            # P df^T, then g_M + P df^T
+            f0, f1 = df[..., :, 0], df[..., :, 1]              # columns of df
+            p0 = f0 * g_n[..., None, 0, 0] + f1 * g_n[..., None, 1, 0]
+            p1 = f0 * g_n[..., None, 0, 1] + f1 * g_n[..., None, 1, 1]
+            out = np.empty(g_m.shape)
+            for j in range(2):
+                out[..., j] = g_m[..., j] + (p0 * f0[..., j, None] + p1 * f1[..., j, None])
+            return out
 
     @field_cached
     def induced_g_eigh(self) -> tuple[np.ndarray, np.ndarray]:
@@ -369,12 +385,16 @@ class GraphMapField:
 
     def laplace_beltrami(self, u: np.ndarray) -> np.ndarray:
         """Laplacian of a scalar w.r.t. the induced metric: g^{ij}(d2_ij u - Gamma^k_ij d_k u)."""
+        return self._laplace_and_gradient(u)[0]
+
+    def _laplace_and_gradient(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(``laplace_beltrami(u)``, ``grad_field(u)``) from one gather of u's neighbours."""
         nb = self._neighbours(u)
         d2, du = self._second(nb, u), self._first(nb)
         ginv = self.induced_g_inv_field()
         gam = self.gamma_induced_field()
         hess = d2 - np.einsum("...kij,...k->...ij", gam, du)
-        return np.einsum("...ij,...ij->...", ginv, hess)
+        return np.einsum("...ij,...ij->...", ginv, hess), du
 
     def grad_norm_sq(self, u: np.ndarray) -> np.ndarray:
         du = self.grad_field(u)
@@ -418,22 +438,20 @@ def field_geometry(field: GraphMapField) -> PointGeometry:
     frame = build_svd_frame(df, g_m, g_n)
     e = frame.e                                                # rows e_i, chart comps
 
-    # A(d_a, d_b) in product-chart components c (M part, N part), then in the e-basis
-    a_coord = np.moveaxis(np.concatenate(
-        [field.gamma_m_field() - gam_g, field.covariant_d2f(gam_g)], axis=-3), -3, -1)
-    a_b = (e @ a_coord.reshape(df.shape[:-2] + (m, -1))).reshape(a_coord.shape)  # (.., i, b, c)
-    a_vectors = e[..., None, :, :] @ a_b                       # (..., i, j, c)
-
-    # lower the component index with the product metric: (g_M + g_N) blocks
-    def lowered(v):
-        return np.concatenate([(g_m @ v[..., :m, None])[..., 0],
-                               (g_n @ v[..., m:, None])[..., 0]], axis=-1)
-
-    a_xi = (a_vectors @ lowered(frame.xi)[..., None, :, None])[..., 0]
-    a_eta = (a_vectors @ lowered(frame.eta)[..., None, :, None])[..., 0]
-    h_xi = np.trace(a_xi, axis1=-2, axis2=-1)
-    h_eta = np.trace(a_eta, axis1=-2, axis2=-1)
-    a_sq = np.sum(a_xi**2, axis=(-2, -1)) + np.sum(a_eta**2, axis=(-2, -1))
+    # A(d_a, d_b) in product-chart components c (M part, N part), contracted with the
+    # normals xi and eta lowered by the product metric (g_M + g_N blocks), then in the
+    # e-basis: the vectors A(e_i, e_j) are never formed
+    a_coord = np.concatenate([field.gamma_m_field() - gam_g, field.covariant_d2f(gam_g)],
+                             axis=-3).reshape(df.shape[:-2] + (m + 2, m * m))
+    normals = np.stack([frame.xi, frame.eta], axis=-2)[..., None, :]   # (..., 2, 1, m + 2)
+    lowered = np.concatenate([np.vecdot(g_m[..., None, :, :], normals[..., :m]),
+                              np.vecdot(g_n[..., None, :, :], normals[..., m:])], axis=-1)
+    a_nu = (lowered @ a_coord).reshape(df.shape[:-2] + (2, m, m))
+    a_nu = e[..., None, :, :] @ a_nu @ _swap(e)[..., None, :, :]
+    a_xi, a_eta = a_nu[..., 0, :, :], a_nu[..., 1, :, :]
+    h_xi, h_eta = np.moveaxis(np.trace(a_nu, axis1=-2, axis2=-1), -1, 0)
+    sq = np.sum(a_nu * a_nu, axis=(-2, -1))
+    a_sq = sq[..., 0] + sq[..., 1]
     return PointGeometry(
         a_xi=a_xi, a_eta=a_eta, h_xi=h_xi, h_eta=h_eta, a_sq=a_sq, h_sq=h_xi**2 + h_eta**2,
         frame=frame,

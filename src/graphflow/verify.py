@@ -135,10 +135,12 @@ def _time_derivative(prev, now, nxt, dtp, dtn):
 
 
 def _material(field: GraphMapField, prev, now, nxt, dtp, dtn):
-    """(d/dt - X . grad - Laplace-Beltrami) of a scalar at the middle snapshot ``field``;
-    X is the tangential field of the nonparametric gauge."""
-    adv = np.einsum("...k,...k->...", tangential_vector_field(field), field.grad_field(now))
-    return _time_derivative(prev, now, nxt, dtp, dtn) - adv - field.laplace_beltrami(now)
+    """((d/dt - X . grad - Laplace-Beltrami) of a scalar at the middle snapshot ``field``,
+    the scalar's coordinate gradient there); X is the tangential field of the
+    nonparametric gauge."""
+    lap, du = field._laplace_and_gradient(now)
+    adv = np.einsum("...k,...k->...", tangential_vector_field(field), du)
+    return _time_derivative(prev, now, nxt, dtp, dtn) - adv - lap, du
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +161,8 @@ def residual_p_evolution(triples: Sequence) -> list:
         p_prev, p_now, p_next = (f.p_field() for f in (f_prev, f_now, f_next))
         if p_now.min() <= 0:
             raise NotAreaDecreasingError("p <= 0 inside residual evaluation")
-        lhs = _material(f_now, p_prev, p_now, p_next, dtp, dtn)
-        gradp_sq = f_now.grad_norm_sq(p_now)
+        lhs, dp = _material(f_now, p_prev, p_now, p_next, dtp, dtn)
+        gradp_sq = quad_form(dp, f_now.induced_g_inv_field(), dp)
         pg = field_geometry(f_now)[mask]
         fr = pg.frame
         p = fr.p
@@ -198,12 +200,11 @@ def check_H_and_theta_inequalities(triples: Sequence, eps1: float) -> dict:
         h2_prev, h2_now, h2_next = (h2_field(f) for f in (f_prev, f_now, f_next))
         p_prev, p_now, p_next = (f.p_field() for f in (f_prev, f_now, f_next))
         th_prev, th_now, th_next = h2_prev / p_prev, h2_now / p_now, h2_next / p_next
-        lhs_h = _material(f_now, h2_prev, h2_now, h2_next, dtp, dtn)
-        lhs_th = _material(f_now, th_prev, th_now, th_next, dtp, dtn)
+        lhs_h, _ = _material(f_now, h2_prev, h2_now, h2_next, dtp, dtn)
+        lhs_th, dth = _material(f_now, th_prev, th_now, th_next, dtp, dtn)
 
         hnorm = np.sqrt(np.maximum(h2_now, 0.0))
         grad_habs_sq = f_now.grad_norm_sq(hnorm)
-        dth = f_now.grad_field(th_now)
         dp = f_now.grad_field(p_now)
         ginv = f_now.induced_g_inv_field()
         inner_th_p = quad_form(dth, ginv, dp)

@@ -1,7 +1,9 @@
 """Reference implementation of the pointwise graph geometry: the scalar
 ``build_svd_frame`` and ``point_geometry`` as they were before the batched
 field geometry replaced them (which builds the vectors A(e_i, e_j), the
-batched one only their normal components), the tangential field X over the
+batched one only their normal components), the batched m = 2 frame on stacked
+(..., 2, 2) arrays as it was before the frame moved to component arrays, the
+tangential field X over the
 full induced Christoffel tensor, the singular values as the SVD of the whitened
 differential, the per-offset stencils of ``GraphMapField`` as they were before
 the ghost-padded grid replaced them, the polar fold of a field's target values
@@ -24,7 +26,8 @@ import numpy as np
 import scipy.linalg
 
 from graphflow.errors import ConfigurationError, DegenerateMetricError, DomainError
-from graphflow.frames import quad_form
+from graphflow import frames
+from graphflow.frames import (_cholesky, _first_nonzero_positive, _tri_solve, quad_form)
 from graphflow.geometry import ChartManifold, WarpedSurface
 from graphflow.immersion import GraphMapField
 
@@ -137,6 +140,74 @@ def singular_values_batch(g_m: np.ndarray, g_n: np.ndarray, df: np.ndarray):
     d = np.linalg.solve(np.linalg.cholesky(g_m), df @ np.linalg.cholesky(g_n))
     sv = np.linalg.svd(d, compute_uv=False)
     return sv[..., 0], sv[..., 1]
+
+
+def _t(a: np.ndarray) -> np.ndarray:
+    return np.swapaxes(a, -1, -2)
+
+
+def _blinn_svd(d: np.ndarray):
+    """(u, sv, vt) with d = u diag(sv) vt, sv descending, for 2 x 2 d (..., 2, 2).
+
+    d is split into a rotation part E I + H J and a reflection part F K + G L,
+    with J the quarter turn, K = diag(1, -1) and L the swap of the two axes.  With
+    Q = |(E, H)| and R = |(F, G)|, d = Rot(phi) diag(Q + R, Q - R) Rot(theta),
+    where phi + theta and phi - theta are the polar angles of (E, H) and (F, G)
+    (Blinn, "Consider the lowly 2x2 matrix", 1996).
+    """
+    a, b, c, e = d[..., 0, 0], d[..., 0, 1], d[..., 1, 0], d[..., 1, 1]
+    # + 0.0 turns a signed zero into +0, so that arctan2(0, -0) does not read pi
+    big_e, big_f = (a + e) / 2 + 0.0, (a - e) / 2 + 0.0
+    big_g, big_h = (b + c) / 2 + 0.0, (c - b) / 2 + 0.0
+    q, r = np.hypot(big_e, big_h), np.hypot(big_f, big_g)
+    rot_sum, rot_diff = np.arctan2(big_h, big_e), np.arctan2(big_g, big_f)
+    phi, theta = (rot_sum + rot_diff) / 2, (rot_sum - rot_diff) / 2
+    sign = np.where(q < r, -1.0, 1.0)                  # q - r < 0 flips u's second column
+    cp, sp, ct, st = np.cos(phi), np.sin(phi), np.cos(theta), np.sin(theta)
+    u = np.stack([np.stack([cp, -sign * sp], axis=-1),
+                  np.stack([sp, sign * cp], axis=-1)], axis=-2)
+    vt = np.stack([np.stack([ct, -st], axis=-1), np.stack([st, ct], axis=-1)], axis=-2)
+    return u, np.stack([q + r, np.abs(q - r)], axis=-1), vt
+
+
+def stacked_svd_frame(df: np.ndarray, g_m: np.ndarray, g_n: np.ndarray) -> frames.SVDFrame:
+    """The batched adapted frame of a map between surfaces, on stacked (..., 2, 2)
+    arrays: whitened df, Blinn's SVD, stacked matmuls and quadratic forms.  The
+    stacked matmuls sum two products with one rounding (a fused multiply-add), so
+    the component form agrees with it bit for bit only where one of the two
+    products vanishes."""
+    lm = _cholesky(g_m)
+    rn = _t(_cholesky(g_n))
+    d = _t(_tri_solve(lm, df @ _t(rn), lower=True))
+    u, sv, vt = _blinn_svd(d)
+    lam, mu = sv[..., 0], sv[..., 1]
+    alpha = _t(_tri_solve(_t(lm), _t(_first_nonzero_positive(vt)), lower=False))
+
+    nonzero = sv[..., None] > 1e-13
+    mapped = (alpha[..., :2, :] @ df) / np.where(nonzero, sv[..., None], 1.0)
+    if nonzero.all():
+        beta = mapped
+    else:
+        chart_axis = _t(_tri_solve(rn, _t(_first_nonzero_positive(_t(u))), lower=False))
+        beta = np.where(nonzero, mapped, chart_axis)
+    b0 = beta[..., 0, :] / np.sqrt(quad_form(beta[..., 0, :], g_n, beta[..., 0, :]))[..., None]
+    b1 = beta[..., 1, :] - quad_form(b0, g_n, beta[..., 1, :])[..., None] * b0
+    b1 = b1 / np.sqrt(quad_form(b1, g_n, b1))[..., None]
+    beta = np.stack([b0, b1], axis=-2)
+
+    root = np.sqrt(1.0 + sv * sv)[..., None]                   # (..., 2, 1)
+    e = alpha.copy()
+    e[..., :2, :] /= root
+    normals = np.concatenate([-sv[..., None] * alpha[..., :2, :], beta], axis=-1) / root
+
+    s_diag = np.ones(alpha.shape[:-1])
+    s_diag[..., :2] = (1.0 - sv * sv) / (1.0 + sv * sv)
+    tt = -2.0 * sv / (1.0 + sv * sv)
+    return frames.SVDFrame(
+        lam=lam, mu=mu, alpha=alpha, beta=beta, e=e, xi=normals[..., 0, :],
+        eta=normals[..., 1, :], s_diag=s_diag, t11=tt[..., 0], t22=tt[..., 1],
+        p=s_diag[..., 0] + s_diag[..., 1],
+    )
 
 
 @dataclass

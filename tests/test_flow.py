@@ -453,6 +453,19 @@ def test_drift_work_per_default_waist_run(monkeypatch):
     assert calls[True] == 1467 and len(run.t) == 30001
 
 
+def test_drift_post_processing_in_buffers_keeps_the_bits_of_the_expressions():
+    # Phi^2, the volume and the trapezoid are computed in place; each must equal,
+    # bit for bit, the plain expression it replaced
+    surface = WarpedSurface(builtin_warp("cosh"))
+    run = reduce_circle_drift(surface, 0.5, 30.0)
+    w = surface.warp.w(run.z)
+    h2 = (-w * surface.warp.dw(run.z) / (1 + w * w)) ** 2
+    volume = 8 * np.pi**2 * np.sqrt(1 + w**2)
+    assert np.array_equal(run.w, w)
+    assert np.array_equal(run.h2, h2) and np.array_equal(run.volume, volume)
+    assert run.dissipation == float(np.trapezoid(h2 * volume, run.t))
+
+
 def test_adams_weights_are_exact_on_polynomials():
     # in integers: the predictor (nodes 0, -1, ..., -7) integrates u^q over [0, 1]
     # exactly for q < 8, the corrector (nodes 1, 0, ..., -7) for q < 9

@@ -1,14 +1,21 @@
-"""Singular values and adapted frames: property-based checks."""
+"""Singular values and adapted frames: property-based checks, and the m = 2
+frame on component arrays against the stacked construction it replaced."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import reference_geometry
-from graphflow.frames import build_svd_frame, p_batch, pd_inverse, singular_value_invariants
+from graphflow.flow import EquivariantFlow
+from graphflow.frames import (SVDFrame, build_svd_frame, p_batch, pd_inverse,
+                              singular_value_invariants)
 from graphflow.geometry import hopf_map, round_sphere, s3_hopf_chart
+
+FRAME_FIELDS = [f.name for f in fields(SVDFrame)]
+EPS = np.finfo(float).eps
 
 
 def _random_sample(rng, m):
@@ -165,3 +172,99 @@ def test_pd_inverse_matches_inv_and_refuses_what_cholesky_refuses(k):
         assert pd_inverse(h) is None, bad
     # positive definite, but a Cholesky factorisation reads its Schur complement as 0
     assert pd_inverse(np.array([[3.0, 0.3], [0.3, 0.03]])) is None
+
+
+# -- the m = 2 frame on component arrays against the stacked oracle ------------
+
+
+def _frames(df, g_m, g_n):
+    return build_svd_frame(df, g_m, g_n), reference_geometry.stacked_svd_frame(df, g_m, g_n)
+
+
+def _ulps(got, want, scale):
+    """max |got - want| in units of eps * scale, scale broadcast against want."""
+    return float((np.abs(got - want) / (EPS * scale)).max())
+
+
+@pytest.mark.parametrize("nodes", [32, 256])  # lifts of 256 and 2,048 nodes
+def test_m2_frame_matches_the_stacked_oracle_on_tsui_lifts(nodes):
+    eq = EquivariantFlow(nodes, lambda th: 0.8 * np.sin(th))
+    run = eq.run(0.05, record_every=10)
+    for state in (run.states[0], run.states[-1]):
+        fld = eq.expand_field(state.h)
+        new, old = _frames(fld.df_field(), fld.g_m_field(), fld.g_n_field())
+        for name in FRAME_FIELDS:
+            got, want = getattr(new, name), getattr(old, name)
+            assert got.shape == want.shape, name
+            if name in ("beta", "eta"):
+                # the one exception: entries of size ~1e-15, sums of two nonzero
+                # products that the oracle's matmuls fuse, differ in their last bits
+                tiny = np.abs(want) < 1e-13
+                assert np.array_equal(got[~tiny], want[~tiny]), name
+                assert np.abs(got - want).max() <= 1e-28, name
+            else:
+                assert np.array_equal(got, want), name
+
+
+def _diagonal_metrics(rng, n):
+    return tuple(np.eye(2) * rng.uniform(0.2, 3.0, (n, 1, 2)) for _ in range(2))
+
+
+def _differentials(rng, n):
+    """df batches of each kind: zero, rank one along a chart axis or not, a tiny mu,
+    conformal, anticonformal and general."""
+    s, z = rng.uniform(0.1, 2.0, n), np.zeros(n)
+    th = rng.uniform(0.0, 2 * math.pi, n)
+    rot = np.stack([np.stack([np.cos(th), -np.sin(th)], -1),
+                    np.stack([np.sin(th), np.cos(th)], -1)], -2) * s[:, None, None]
+
+    def mat(a, b, c, d):
+        return np.stack([np.stack([a, b], -1), np.stack([c, d], -1)], -2)
+
+    return {
+        "zero": np.zeros((n, 2, 2)),
+        "rank_one_axis": mat(s, z, z, z),
+        "rank_one_cross": mat(z, s, z, z),
+        "tiny_mu": mat(s, z, z, 1e-15 * s),
+        "rank_one": rng.standard_normal((n, 2, 1)) * rng.standard_normal((n, 1, 2)),
+        "conformal": rot,
+        "anticonformal": rot * np.array([1.0, -1.0]),
+        "general": rng.standard_normal((n, 2, 2)),
+    }
+
+
+def test_m2_frame_matches_the_stacked_oracle_with_diagonal_metrics():
+    # every chart metric of the package is diagonal: then only the two-product
+    # sums of df^T alpha and of beta's quadratic forms can tell the component form
+    # from the oracle's fused matmuls, and only where df has no zero to cancel one
+    rng = np.random.default_rng(11)
+    g_m, g_n = _diagonal_metrics(rng, 400)
+    for kind, df in _differentials(rng, 400).items():
+        new, old = _frames(df, g_m, g_n)
+        if kind in ("zero", "rank_one_axis", "rank_one_cross", "tiny_mu"):
+            assert (old.mu <= 1e-13).all(), kind        # the chart-axis beta branch
+        for name in FRAME_FIELDS:
+            got, want = getattr(new, name), getattr(old, name)
+            if name in ("beta", "xi", "eta") and kind in ("rank_one", "conformal",
+                                                           "anticonformal", "general"):
+                assert _ulps(got, want, np.abs(want).max(axis=-1, keepdims=True)) <= 4, (kind,
+                                                                                         name)
+            else:
+                assert np.array_equal(got, want), (kind, name)
+
+
+def test_m2_frame_stays_within_a_few_ulps_of_the_stacked_oracle_on_any_metrics():
+    # general metrics give every sum two nonzero products: each field differs from
+    # the oracle by a few ulps of its scale (mu, and S, T and p through it, of
+    # lambda's: |Q - R| cancels where mu << lambda)
+    rng = np.random.default_rng(12)
+    a, b = rng.standard_normal((2, 400, 2, 2))
+    g_m = a @ np.swapaxes(a, -1, -2) + 2 * np.eye(2)
+    g_n = b @ np.swapaxes(b, -1, -2) + 2 * np.eye(2)
+    for kind, df in _differentials(rng, 400).items():
+        new, old = _frames(df, g_m, g_n)
+        scale = np.maximum(old.lam, 1.0)
+        for name in FRAME_FIELDS:
+            got, want = getattr(new, name), getattr(old, name)
+            row = np.abs(want).max(axis=-1, keepdims=True) if want.ndim > 1 else scale
+            assert _ulps(got, want, row) <= 32, (kind, name)

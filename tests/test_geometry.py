@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 import reference_geometry as ref
 from graphflow.errors import ConfigurationError, DegenerateMetricError, DomainError
 from graphflow.geometry import (Axis, ChartManifold, Warp, WarpedSurface, builtin_warp,
-                                curvature_conditions_report, flat_torus, hopf_map, round_sphere,
-                                s3_hopf_chart)
+                                curvature_conditions_report, flat_torus, hopf_map,
+                                product_s1_s2, round_sphere, s3_hopf_chart)
 
 
 # -- chart bookkeeping -------------------------------------------------------
@@ -47,6 +47,23 @@ def test_sphere_wrap_is_the_old_field_fold(sphere2, rng):
     x = np.stack([theta, phi], axis=-1)
     old = ref.periodic_wrap(sphere2, ref.wrap_target(sphere2, x))
     assert np.array_equal(sphere2.wrap(x), old)
+
+
+def test_periodic_wrap_at_the_ends_of_the_period_is_the_old_remainder():
+    # wrap takes the remainder only of the values outside (lo, hi); with lo = 0, as
+    # on every periodic axis of the package, that gives the old remainder's bits
+    # for every value, -0 and the ends of the period included
+    charts = [flat_torus(2), flat_torus(3, scale=0.5), round_sphere(2), round_sphere(3),
+              product_s1_s2(), s3_hopf_chart(), WarpedSurface(builtin_warp("cosh"))]
+    assert all(ax.lo == 0.0 for chart in charts for ax in chart.axes if ax.periodic)
+    torus = flat_torus(2, scale=0.5)
+    length = torus.axes[0].length
+    edges = [0.0, -0.0, 1e-300, -1e-300, length, -length, 3 * length, 7.5, -7.5, np.nan]
+    v = np.array(edges + [np.nextafter(e, s) for e in edges for s in (-np.inf, np.inf)])
+    x = np.stack([v, v[::-1]], axis=-1)
+    got, want = torus.wrap(x), ref.periodic_wrap(torus, x)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_only_the_innermost_polar_angle_folds():

@@ -3,7 +3,8 @@
 ``reference_geometry.LoopStencilField`` keeps ``shift``, ``neighbor_f``,
 ``unwrap_target`` (its mirror test on every value) and the per-offset
 ``df_field``, ``d2f_field``, ``gamma_induced_field``, ``grad_field`` and
-``laplace_beltrami``; the padded slices must reproduce them bit for bit.
+``laplace_beltrami``; the padded slices must reproduce them bit for bit,
+including where the mirror test's candidate mask is decided within an ulp.
 """
 
 import math
@@ -83,6 +84,8 @@ def _assert_same_stencils(m, n, shape, f):
     u = new.p_field()
     assert np.array_equal(new.grad_field(u), old.grad_field(u))
     assert np.array_equal(new.laplace_beltrami(u), old.laplace_beltrami(u))
+    lap, du = new._laplace_and_gradient(u)  # the monitors' one gather for both
+    assert np.array_equal(lap, old.laplace_beltrami(u)) and np.array_equal(du, old.grad_field(u))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -119,6 +122,45 @@ def test_tilted_sphere_takes_the_mirror_at_far_partner_values():
         dist = np.abs((raw[..., 1] - f[..., 1] + math.pi) % (2 * math.pi) - math.pi)
         decided += np.sum(mirrored & interior & (dist > math.pi / 2) & (dist <= 0.75 * math.pi))
     assert decided >= 8
+
+
+def _seam_masks(field):
+    """(old, new) candidate masks of the mirror test over f's neighbours: the partner
+    distance perdist(gap) > s/2 taken through a remainder, and |gap| in
+    (s/2, L - s/2) widened by a relative 1e-9, which must contain the first."""
+    lq, half = 2 * math.pi, math.pi / 2
+    gap = field._neighbours(field.f)[..., 1] - field.f[..., 1]
+    old = np.abs((gap + lq / 2) % lq - lq / 2) > half
+    new = (np.abs(gap) > (1 - 1e-9) * half) & (np.abs(gap) < (1 + 1e-9) * (lq - half))
+    assert not (old & ~new).any()
+    return old, new
+
+
+def test_seam_mask_at_half_the_seam_shift_matches_loop_stencils():
+    # azimuths a quarter turn apart, nudged by an ulp either way: partner gaps
+    # within an ulp of s/2 and of L - s/2, which the widened mask hands to the
+    # mirror test and the remainder test did not
+    m, n = round_sphere(2), round_sphere(2)
+    shape = (16, 8)
+    x = GraphMapField(m, n, shape, np.zeros(shape + (2,))).coords()
+    quarter = math.pi / 2
+    phi = np.array([0.0, np.nextafter(quarter, 0.0), math.pi, np.nextafter(3 * quarter, 7.0),
+                    0.0, quarter, np.nextafter(math.pi, 0.0), 3 * quarter])
+    f = np.stack(np.broadcast_arrays(x[..., 0], phi), axis=-1)
+    old, new = _seam_masks(GraphMapField(m, n, shape, f))
+    assert (new & ~old).sum() >= 8
+    _assert_same_stencils(m, n, shape, f)
+
+
+@pytest.mark.parametrize("tilt", [0.7, 1.3])
+def test_seam_mask_where_the_image_crosses_the_pole_matches_loop_stencils(tilt):
+    # the tilted sphere's image crosses N's pole at theta = tilt, an interior node
+    # row: there the mirror test decides
+    m, n, shape, f = _tilted_sphere(shape=(32, 16), tilt=tilt)
+    assert GraphMapField(m, n, shape, f).interior_mask()[round(tilt / (math.pi / 32))].all()
+    old, new = _seam_masks(GraphMapField(m, n, shape, f))
+    assert old.any()
+    _assert_same_stencils(m, n, shape, f)
 
 
 @pytest.mark.parametrize("centre", [0.0, 0.3, 2 * math.pi - 1e-9])
