@@ -487,6 +487,8 @@ def _evolve_torus_projection(cfg: ScenarioConfig, m_manifold, n_manifold, report
         drift_max = max(drift_max, float(np.abs(move - periods * np.round(move / periods)).max()))
         if state.step_count % every == 0:
             snapshots.append(state)
+    if state.status == "Aborted":
+        raise SolverAbort(state.diagnostic)
     if snapshots[-1] is not state:
         snapshots.append(state)
     # the image is all of N, a flat square torus: its diameter is half the chart diagonal

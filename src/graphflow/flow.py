@@ -101,9 +101,9 @@ def h2_field(field: GraphMapField) -> np.ndarray:
 
 def cfl_dt(field: GraphMapField, params: FlowParams) -> float:
     """dt = cfl * h_min^2 / (2 m Lambda), Lambda the max eigenvalue of g^{-1}."""
-    lam = 1.0 / float(field.induced_g_eigh()[0].min())
-    h_min = float(field.h.min())
-    return params.cfl * h_min**2 / (2 * field.M.dim * lam)
+    field.induced_g_inv_field()  # a corrupted g aborts here, before eigvalsh reads it
+    lam = 1.0 / float(np.linalg.eigvalsh(field.induced_g_field())[..., 0].min())
+    return params.cfl * float(field.h.min())**2 / (2 * field.M.dim * lam)
 
 
 def step(state: FlowState, params: FlowParams) -> FlowState:

@@ -70,45 +70,56 @@ def _cholesky(g: np.ndarray) -> np.ndarray:
 
 
 def pd_inverse(g: np.ndarray) -> np.ndarray | None:
-    """g^{-1} of the matrices g (..., k, k) when every one is finite and has a
-    Cholesky factor, else None (the caller words its own error); ``cholesky``
-    returns NaN on NaN input, hence the finiteness test.
+    """g^{-1} of ``_inverse_and_det``, or None (the caller words its own error)."""
+    inv_det = _inverse_and_det(g)
+    return None if inv_det is None else inv_det[0]
 
-    A 2 x 2 g = (a, b; c, d) needs a > 0 and s = d - (c / sqrt(a))^2 > 0, the test
-    that ``_cholesky2`` and ``potrf`` make, and inverts in closed form through a
-    and s, so that a diagonal g inverts to exactly 1/a and 1/d.  Larger ones are
-    factorised by ``cholesky`` and inverted by ``inv``.
-    """
+
+def _inverse_and_det(g: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(g^{-1}, det g) of the matrices g (..., k, k) by one factorisation, or None unless all are
+    finite and pass ``potrf``'s pivot test: in closed form for 2 x 2 (a > 0, s = d - c^2/a > 0)
+    and 3 x 3 (g = L diag(d) L^T, d > 0; exactly 1/g_ii if diagonal), else ``cholesky``, inv."""
     if not np.isfinite(g).all():
         return None
-    if g.shape[-1] != 2:
+    if g.shape[-1] == 2:
+        parts = _cholesky2(g)
+        if parts is None:
+            return None
+        a, inv_s = g[..., 0, 0], 1.0 / parts[2]
+        up, low = g[..., 0, 1] / a, g[..., 1, 0] / a
+        out = np.empty(g.shape)
+        out[..., 0, 0] = 1.0 / a + up * low * inv_s
+        out[..., 0, 1] = -up * inv_s
+        out[..., 1, 0] = -low * inv_s
+        out[..., 1, 1] = inv_s
+        return out, a * parts[2]
+    if g.shape[-1] != 3:
         try:
-            _cholesky(g)
+            diag = np.diagonal(_cholesky(g), axis1=-2, axis2=-1)
         except DegenerateMetricError:
             return None
-        return np.linalg.inv(g)
-    parts = _cholesky2(g)
-    if parts is None:
+        return np.linalg.inv(g), np.prod(diag, axis=-1) ** 2
+    d1, g10, g20 = g[..., 0, 0], g[..., 1, 0], g[..., 2, 0]
+    if not d1.min() > 0:
         return None
-    a, inv_s = g[..., 0, 0], 1.0 / parts[2]
-    up, low = g[..., 0, 1] / a, g[..., 1, 0] / a
+    l10, l20 = g10 / d1, g20 / d1
+    d2 = g[..., 1, 1] - l10 * g10
+    if not d2.min() > 0:
+        return None
+    s21 = g[..., 2, 1] - l20 * g10
+    m21 = s21 / -d2                             # -l21; L^{-1} = (1, 0, 0; -l10, 1, 0; m20, m21, 1)
+    d3 = g[..., 2, 2] - l20 * g20 + m21 * s21   # each pivot is at most g_ii: NaN or -inf fail
+    if not d3.min() > 0:
+        return None
+    i1, i2, m20 = 1.0 / d2, 1.0 / d3, -(l10 * m21 + l20)
     out = np.empty(g.shape)
-    out[..., 0, 0] = 1.0 / a + up * low * inv_s
-    out[..., 0, 1] = -up * inv_s
-    out[..., 1, 0] = -low * inv_s
-    out[..., 1, 1] = inv_s
-    return out
-
-
-def pd_eigh(g: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """(eigenvalues ascending, eigenvectors) of the symmetric matrices g (..., k, k)
-    when every one is finite and positive definite, else None (the caller words its
-    own error).  ``eigh`` raises on some NaN input and passes other NaN on quietly,
-    hence the finiteness test."""
-    if not np.isfinite(g).all():
-        return None
-    ev, vecs = np.linalg.eigh(g)
-    return (ev, vecs) if ev[..., 0].min() > 0 else None
+    out[..., 2, 2] = i2
+    out[..., 2, 1] = out[..., 1, 2] = u12 = m21 * i2
+    out[..., 2, 0] = out[..., 0, 2] = u02 = m20 * i2
+    out[..., 1, 1] = i1 + m21 * u12
+    out[..., 1, 0] = out[..., 0, 1] = m20 * u12 - l10 * i1
+    out[..., 0, 0] = 1.0 / d1 + l10 * l10 * i1 + m20 * u02
+    return out, d1 * d2 * d3
 
 
 def _det2(a: np.ndarray) -> np.ndarray:

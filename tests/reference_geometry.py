@@ -4,7 +4,9 @@ field geometry replaced them (which builds the vectors A(e_i, e_j), the
 batched one only their normal components), the batched m = 2 frame on stacked
 (..., 2, 2) arrays as it was before the frame moved to component arrays, the
 tangential field X over the
-full induced Christoffel tensor, the singular values as the SVD of the whitened
+full induced Christoffel tensor, the grid field's induced metric decomposed by
+``eigh`` for its inverse, sqrt(det g) and the step's lambda_min, as it was before
+the closed-form L D L^T replaced it, the singular values as the SVD of the whitened
 differential, the per-offset stencils of ``GraphMapField`` as they were before
 the ghost-padded grid replaced them, the polar fold of a field's target values
 and the periodic wrap of the chart as they were before ``ChartManifold.wrap``
@@ -25,11 +27,11 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from graphflow.errors import ConfigurationError, DegenerateMetricError, DomainError
+from graphflow.errors import ConfigurationError, DegenerateMetricError, DomainError, SolverAbort
 from graphflow import frames
 from graphflow.frames import (_cholesky, _first_nonzero_positive, _tri_solve, quad_form)
 from graphflow.geometry import ChartManifold, WarpedSurface
-from graphflow.immersion import GraphMapField
+from graphflow.immersion import CORRUPTED_METRIC, GraphMapField, field_cached
 
 _COMPLEX_STEP = 1e-30
 
@@ -306,6 +308,41 @@ def tangential_vector_field(field: GraphMapField) -> np.ndarray:
     ginv = field.induced_g_inv_field()
     diff = field.gamma_induced_field() - field.gamma_m_field()
     return np.einsum("...ij,...kij->...k", ginv, diff)
+
+
+class EighMetricField(GraphMapField):
+    """``GraphMapField`` with the induced metric decomposed once by ``eigh``: its
+    eigenvalues, checked finite and positive, give the inverse V diag(1/lambda) V^T,
+    sqrt(det g) = sqrt(prod lambda) and ``eigh_cfl_dt``'s lambda_min; M's inverse
+    metric by ``inv``."""
+
+    @field_cached
+    def induced_g_eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        g = self.induced_g_field()
+        if not np.isfinite(g).all():
+            raise SolverAbort(CORRUPTED_METRIC)
+        ev, vecs = np.linalg.eigh(g)
+        if not ev[..., 0].min() > 0:
+            raise SolverAbort(CORRUPTED_METRIC)
+        return ev, vecs
+
+    @field_cached
+    def induced_g_inv_field(self) -> np.ndarray:
+        ev, vecs = self.induced_g_eigh()
+        return vecs @ np.divide(_t(vecs), ev[..., :, None], order="C")
+
+    def volume_density(self) -> np.ndarray:
+        return np.sqrt(np.prod(self.induced_g_eigh()[0], axis=-1))
+
+    @field_cached
+    def g_m_inv_field(self) -> np.ndarray:
+        return np.linalg.inv(self.g_m_field())
+
+
+def eigh_cfl_dt(field: EighMetricField, params) -> float:
+    """``flow.cfl_dt`` with lambda_min from ``EighMetricField.induced_g_eigh``."""
+    lam = 1.0 / float(field.induced_g_eigh()[0].min())
+    return params.cfl * float(field.h.min()) ** 2 / (2 * field.M.dim * lam)
 
 
 def wrap_target(n_manifold: ChartManifold, f: np.ndarray) -> np.ndarray:

@@ -18,6 +18,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+import graphflow.flow
 from graphflow import app, cli, errors, immersion
 from graphflow.app import (BUILTIN_SCENARIOS, CLASSIFICATION_SCHEMA, CSV_COLUMNS,
                            VERIFICATION_SCHEMA, builtin_config, load_config, run_identities,
@@ -792,6 +793,26 @@ def test_cli_exit_code_of_every_error(monkeypatch, capsys, error):
     assert cli.main(["classify", "some_run"]) == want
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.endswith("first line second line\n")
+
+
+def test_aborted_torus_step_exits_as_a_solver_abort(tmp_path, monkeypatch, capsys):
+    # a non-finite RHS from the third call on aborts a step: the run exits 3 with
+    # the step's diagnostic in one line and writes no run directory, where it
+    # used to report the aborted run as Stationary with a passing stationarity
+    rhs, calls = graphflow.flow.nonparametric_rhs, Counter()
+
+    def blown(fld):
+        calls["rhs"] += 1
+        v = rhs(fld)
+        return np.full_like(v, np.inf) if calls["rhs"] >= 3 else v
+
+    monkeypatch.setattr(graphflow.flow, "nonparametric_rhs", blown)
+    cfg_path = _write(tmp_path, "[scenario]\nname = torus_projection\n[grid]\nshape = 4,4,4\n")
+    out = tmp_path / "out"
+    assert cli_main(["run", cfg_path, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "solver abort: non-finite map values (CFL violation or blow-up)\n")
+    assert calls["rhs"] >= 3 and not out.exists()
 
 
 GOLDEN_WAIST = os.path.join(os.path.dirname(__file__), "golden", "cylinder_waist")

@@ -143,6 +143,44 @@ def test_tangential_field_matches_the_christoffel_oracle():
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), field.M.name
 
 
+def _torus3_to_t2_field(n=8):
+    m, target, shape = flat_torus(3), flat_torus(2, scale=0.5), (n, n, n)
+    x = GraphMapField(m, target, shape, np.zeros(shape + (2,))).coords()
+    return GraphMapField(m, target, shape, x[..., :2] + 0.1 * np.stack(
+        [np.sin(x[..., 2]), np.cos(x[..., 0])], axis=-1))
+
+
+@pytest.mark.parametrize("make", [_s1xs2_to_cosh_field, _torus3_to_t2_field],
+                         ids=["s1xs2_cosh_4", "t3_t2_8"])
+def test_grid_step_matches_the_eigh_oracle(monkeypatch, make):
+    # one RK2 step through the closed-form L D L^T (inverse, sqrt(det g)) and
+    # eigvalsh (lambda_min) against the eigh decomposition it replaced: on S^1 x S^2
+    # the induced metric is diagonal, on T^3 it is not
+    field = make()
+    g = field.induced_g_field()
+    assert (np.abs(g[..., 0, 1]).max() > 1e-2) == (make is _torus3_to_t2_field)
+    oracle = ref.EighMetricField(field.M, field.N, field.shape, field.f)
+    params = FlowParams(t_end=1.0)
+    got = step(FlowState(field=field, min_p=field.min_p()), params)
+    monkeypatch.setattr(graphflow.flow, "cfl_dt", ref.eigh_cfl_dt)
+    want = step(FlowState(field=oracle, min_p=oracle.min_p()), params)
+    assert isinstance(want.field, ref.EighMetricField)
+    assert got.status == want.status == "Running"
+
+    def gap(a, b):  # max |a - b|; values 2 pi apart on a periodic axis of N are equal
+        d = a - b
+        for k, ax in enumerate(field.N.axes):
+            if ax.periodic:
+                d[..., k] -= ax.length * np.round(d[..., k] / ax.length)
+        return np.abs(d).max()
+
+    assert gap(want.field.f, field.f) > 1e-3
+    assert gap(got.field.f, want.field.f) <= 1e-13 * np.abs(want.field.f).max()
+    assert abs(got.t - want.t) <= 1e-13 * want.t
+    assert abs(got.dissipation - want.dissipation) <= 1e-13 * want.dissipation
+    assert abs(got.min_p - want.min_p) <= 1e-13 * want.min_p
+
+
 def test_grid_step_does_its_work_once(monkeypatch):
     # k RK2 steps on S^1 x S^2 -> cosh cylinder make 1 + 2k fields (the start,
     # then a midpoint and an end per step)
@@ -159,7 +197,7 @@ def test_grid_step_does_its_work_once(monkeypatch):
         return wrapper
 
     # each LAPACK call is named by the nearest of these readers on its stack
-    readers = ("inverse_metric", "induced_g_eigh", "induced_g_inv_field")
+    readers = ("inverse_metric", "induced_g_inv_field", "cfl_dt")
 
     def by_reader(name, fn):
         def wrapper(*args, **kwargs):
@@ -189,16 +227,17 @@ def test_grid_step_does_its_work_once(monkeypatch):
         state = step(state, FlowParams(t_end=1.0))
     assert state.status == "Running" and state.step_count == k
     # p comes from the 2x2 invariants of df^T g_M^{-1} df g_N: no eigensolve there.
-    # The induced metric of each field is decomposed once, by eigh, for its
-    # inverse, cfl_dt and the volume; X is contracted from its first differences,
-    # so no field builds the induced Christoffel tensor
+    # Every 3 x 3 metric (g_M and the induced one of each field) is factorised in
+    # closed form, once, for its inverse and the volume, with no LAPACK call; the
+    # one LAPACK call of a step is the eigvalsh of cfl_dt, on the step's base field.
+    # X is contracted from the first differences of g, so no field builds the
+    # induced Christoffel tensor
     assert calls == {
         "metric_many": 1, "inverse_metric": 1, "christoffels_many": 1,  # M side once per grid
-        "cholesky in inverse_metric": 1, "inv in inverse_metric": 1,  # g_M^{-1}, 3 x 3
         "_stencil_index": 1,                           # grid bookkeeping once per grid
         "N wrap": 1 + 2 * k,                           # one N-chart wrap per field, of its f
         "covariant_d2f": 1 + 2 * k,                    # RHS: the start, then 2 per step
-        "eigh in induced_g_eigh": 1 + 2 * k,           # one per field
+        "eigvalsh in cfl_dt": k,                       # one per step
     }
 
 

@@ -10,8 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import reference_geometry
 from graphflow.flow import EquivariantFlow
-from graphflow.frames import (SVDFrame, build_svd_frame, p_batch, pd_inverse,
-                              singular_value_invariants)
+from graphflow.frames import (SVDFrame, _inverse_and_det, build_svd_frame, p_batch,
+                              pd_inverse, singular_value_invariants)
 from graphflow.geometry import hopf_map, round_sphere, s3_hopf_chart
 
 FRAME_FIELDS = [f.name for f in fields(SVDFrame)]
@@ -172,6 +172,54 @@ def test_pd_inverse_matches_inv_and_refuses_what_cholesky_refuses(k):
         assert pd_inverse(h) is None, bad
     # positive definite, but a Cholesky factorisation reads its Schur complement as 0
     assert pd_inverse(np.array([[3.0, 0.3], [0.3, 0.03]])) is None
+
+
+@pytest.mark.parametrize("cond", [1e1, 1e2, 1e4, 1e6, 1e8])
+def test_closed_form_3x3_inverse_and_det_against_lapack(cond):
+    # the L D L^T branch on SPD matrices with eigenvalues (1, cond^-1/2, cond^-1),
+    # rotated at random and scaled: inverse and determinant within 4 eps cond of
+    # inv and det, relative (about 0.5 eps cond is what it reads)
+    rng = np.random.default_rng(int(math.log10(cond)))
+    q, _ = np.linalg.qr(rng.standard_normal((500, 3, 3)))
+    ev = np.array([1.0, cond**-0.5, 1.0 / cond]) * rng.uniform(0.5, 2.0, (500, 1))
+    g = (q * ev[:, None, :]) @ np.swapaxes(q, -1, -2)
+    g = (g + np.swapaxes(g, -1, -2)) / 2
+    ginv, det = _inverse_and_det(g)
+    want = np.linalg.inv(g)
+    scale = np.abs(want).max(axis=(-2, -1))
+    assert (np.abs(ginv - want).max(axis=(-2, -1)) <= 4 * EPS * cond * scale).all()
+    assert np.array_equal(ginv, np.swapaxes(ginv, -1, -2))
+    want_det = np.linalg.det(g)
+    assert (np.abs(det - want_det) <= 4 * EPS * cond * want_det).all()
+
+
+def _cholesky_refuses(g):
+    """True where ``cholesky`` raises or, as it does on NaN input, returns non-finite."""
+    try:
+        return not np.isfinite(np.linalg.cholesky(g)).all()
+    except np.linalg.LinAlgError:
+        return True
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "indefinite", "last_pivot_rounds_to_0"])
+def test_closed_form_3x3_refuses_what_cholesky_refuses(bad):
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((50, 3, 3))
+    g = a @ np.swapaxes(a, -1, -2) + 0.1 * np.eye(3)
+    assert pd_inverse(g) is not None and not _cholesky_refuses(g)
+    if bad == "last_pivot_rounds_to_0":
+        # L D L^T in decimals, with L unit lower triangular (l10 = l20 = 0.3,
+        # l21 = 0) and D = 1 + ((3, 0.3), (0.3, 0.03)), the 2 x 2 case of the test
+        # above: singular in decimals, while in binary eigvalsh reads its least
+        # eigenvalue as a roundoff-positive 5.1e-16 and both factorisations read
+        # the last pivot as <= 0
+        h = np.array([[1.0, 0.3, 0.3], [0.3, 3.09, 0.39], [0.3, 0.39, 0.12]])
+    else:
+        h = g.copy()
+        h[17, 1, 2] = h[17, 2, 1] = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf,
+                                     "indefinite": 50.0}[bad]
+    assert _cholesky_refuses(h)
+    assert pd_inverse(h) is None and _inverse_and_det(h) is None
 
 
 # -- the m = 2 frame on component arrays against the stacked oracle ------------

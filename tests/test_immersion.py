@@ -8,7 +8,7 @@ import pytest
 
 import reference_geometry as ref
 from graphflow.errors import ConfigurationError, DomainError, SolverAbort
-from graphflow.flow import EquivariantFlow, h2_field, nonparametric_rhs
+from graphflow.flow import EquivariantFlow, FlowParams, cfl_dt, h2_field, nonparametric_rhs
 from graphflow.geometry import (WARP_Z_MAX, WarpedSurface, builtin_warp, flat_torus, product,
                                 product_s1_s2, round_sphere)
 from graphflow.immersion import GraphMapField, field_geometry, w_norm_sq
@@ -232,9 +232,8 @@ def test_corrupted_induced_metric_aborts(corruption):
     # has no zero entry at the node, so the inf reaches g without an inf * 0; on
     # the identity torus (projection) df has zero entries, so df g_N df^T meets
     # inf * 0 and reads NaN, which must end in the same one line and raise no
-    # warning.  The m = 3 field decomposes g by eigh, which raises its own error
-    # on some NaN input and passes other NaN on quietly; the m = 2 one inverts g
-    # in closed form
+    # warning.  Both fields factorise g in closed form after a finiteness test:
+    # the 2 x 2 pivot test, like potrf's, passes NaN
     perturb = 0.0 if corruption == "inf_times_zero" else 0.1
     for fld, node in ((_torus_field(8, perturb=perturb), (3, 4)),
                       (_torus3_field(perturb), (1, 2, 3))):
@@ -249,13 +248,35 @@ def test_corrupted_induced_metric_aborts(corruption):
                 read(fld)
 
 
-def test_induced_metric_of_an_m3_field_from_one_eigendecomposition():
+def test_induced_metric_of_an_m3_field_in_closed_form():
+    # one L D L^T factorisation gives the inverse and sqrt(det g); cfl_dt reads
+    # lambda_min from eigvalsh
     fld = _torus3_field()
     g = fld.induced_g_field()
     scale = np.abs(np.linalg.inv(g)).max()
     assert np.abs(fld.induced_g_inv_field() - np.linalg.inv(g)).max() <= 1e-14 * scale
-    ev = fld.induced_g_eigh()[0]
-    assert np.abs(ev - np.linalg.eigvalsh(g)).max() <= 1e-14 * ev.max()
+    root_det = np.sqrt(np.linalg.det(g))
+    assert np.abs(fld.volume_density() - root_det).max() <= 1e-14 * root_det.max()
+    params = FlowParams()
+    lam_min = float(np.linalg.eigvalsh(g)[..., 0].min())
+    want = params.cfl * float(fld.h.min()) ** 2 / (2 * 3 * (1.0 / lam_min))
+    assert cfl_dt(fld, params) == want
+
+
+def test_induced_metric_of_an_m4_field():
+    # m >= 4 keeps cholesky + inv, with det g from the factor's diagonal: S^2 x S^2
+    # -> T^2(0.5) with every axis of M coupled to another through df
+    m = product(round_sphere(2), round_sphere(2))
+    shape = (4, 4, 4, 4)
+    x = GraphMapField(m, flat_torus(2), shape, np.zeros(shape + (2,))).coords()
+    fld = GraphMapField(m, flat_torus(2, scale=0.5), shape, np.stack(
+        [x[..., 1] + 0.3 * np.sin(x[..., 2]), x[..., 3] + 0.2 * np.cos(x[..., 0])], axis=-1))
+    g = fld.induced_g_field()
+    assert np.abs(g[..., 0, 3]).min() > 1e-2 and np.abs(g[..., 1, 2]).min() > 1e-2
+    want = np.linalg.inv(g)
+    assert np.abs(fld.induced_g_inv_field() - want).max() <= 1e-14 * np.abs(want).max()
+    root_det = np.sqrt(np.linalg.det(g))
+    assert np.abs(fld.volume_density() - root_det).max() <= 1e-14 * root_det.max()
 
 
 # -- pointwise geometry ------------------------------------------------------
