@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Compare the circle-drift ODE reduction with the full 3D graph flow.
 
-Integrates the symmetric circle on two warped cylinders — the funnel
+Follows the symmetric circle on two warped cylinders — the funnel
 (w = e^{-z}, drifting) and the waist (w = cosh z, converging to the closed
-geodesic at z = 0) — once through the exact one-dimensional reduction and once
-on a coarse S^1 x S^2 grid with the generic nonparametric stepper, and prints
-the sup-norm deviation of the two trajectories.
+geodesic at z = 0) — once through the exact one-dimensional reduction, solved
+in closed form, and once integrated on a coarse S^1 x S^2 grid with the
+generic nonparametric stepper, and prints the sup-norm deviation of the two
+trajectories.
 
 Usage: python3 scripts/drift_vs_waist.py [--t-end 5.0] [--shape 4 4 4]
 """

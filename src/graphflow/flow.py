@@ -9,15 +9,13 @@ profile h(theta, t) and the warped-cylinder circle drift z(t).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
-from operator import mul
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigurationError, NotAreaDecreasingError, SolverAbort
 from .frames import matvec, p_batch, quad_form
-from .geometry import Warp, WarpBinding, WarpedSurface, round_sphere
+from .geometry import Warp, WarpedSurface, round_sphere
 from .immersion import GraphMapField, field_cached
 
 CFL = 0.4  # Courant factor of the explicit steps (``cfl_dt``, ``EquivariantFlow.run``)
@@ -25,12 +23,6 @@ CONVERGENCE_STREAK = 100  # consecutive steps with max|H| below tolerance
 PHI_WIDTH = 8  # azimuthal nodes of the 2D lift of an equivariant profile
 DISSIPATION_BLOCK = 256  # profile steps per batched dissipation sum
 DRIFT_DT = 1e-3  # sample spacing of the circle-drift reduction
-DRIFT_STEP = 5e-3  # the RK4 step of its starter
-ADAMS_STEP = 0.05  # its Adams-Bashforth-Moulton step, 50 DRIFT_DT
-# exact Adams weights (Hairer, Norsett & Wanner, Solving ODEs I, III.1): the AB8 predictor
-# on F_n, F_{n-1}, ..., F_{n-7} over 120960, the corrector on F_{n+1}, F_n, ... over 3628800
-_AB8 = (434241, -1152169, 2183877, -2664477, 2102243, -1041723, 295767, -36799)
-_AM9 = (1070017, 4467094, -4604594, 5595358, -5033120, 3146338, -1291214, 312874, -33953)
 
 
 @dataclass
@@ -414,15 +406,11 @@ class EquivariantFlow:
 # Circle drift on a warped cylinder
 
 
-def _phi(w, dw):  # Phi from w and w' at one z: the formula of drift_velocity
-    return -w * dw / (1 + w * w)
-
-
-def drift_velocity(warp: Warp | WarpBinding, z):
+def drift_velocity(warp: Warp, z):
     """Phi(z) = -w(z) w'(z) / (1 + w(z)^2), the z-velocity of the symmetric
-    circle: elementwise over arrays with a ``Warp``, on Python floats with its
-    ``math`` binding ``warp.scalar``."""
-    return _phi(warp.w(z), warp.dw(z))
+    circle, elementwise over arrays."""
+    w = warp.w(z)
+    return -w * warp.dw(z) / (1 + w * w)
 
 
 @dataclass
@@ -441,79 +429,19 @@ def _sample_times(t_end: float, dt: float) -> np.ndarray:
     return np.append(t[t < t_end], t_end)
 
 
-@cache
-def _adams_dense() -> np.ndarray:
-    """(9, 9) coefficients of theta^1 ... theta^9 in the weights on F_{n+1}, F_n, ..., F_{n-7}
-    of (z(t_n + theta H) - z_n) / H: the integrals over [0, theta] of the Lagrange basis on
-    the corrector's nodes 1, 0, -1, ..., -7 (in steps H).  At theta = 1, the corrector."""
-    nodes = np.arange(1.0, -8.0, -1.0)
-    rest = [np.delete(nodes, k) for k in range(9)]
-    return np.array([np.polyint(np.poly(r) / np.prod(u - r))[-2::-1] for u, r in zip(nodes, rest)])
-
-
 def reduce_circle_drift(surface: WarpedSurface, z0: float, t_end: float,
                         dt: float = DRIFT_DT) -> DriftRun:
-    """Integrate dz/dt = Phi(z) on the exact circle reduction by an 8-step Adams-Bashforth-
-    Moulton pair in PECE mode at ADAMS_STEP, started by classical RK4 steps of DRIFT_STEP on
-    [0, min(t_end, 7 ADAMS_STEP)].  z is sampled every ``dt`` and at t_end: on the start from
-    the cubic Hermite interpolant of (z, Phi(z)) at the RK4 step ends, after it from the
-    corrector's interpolating polynomial, whose last step may end past t_end.  ``dt`` must
-    divide ADAMS_STEP; z agrees within 1e-12 with RK4 stepped at dt itself."""
-    r = round(ADAMS_STEP / dt)
-    if r < 1 or abs(r * dt - ADAMS_STEP) > 1e-9 * dt:
-        raise ValueError(f"drift sample spacing {dt!r} does not divide ADAMS_STEP")
+    """The exact circle reduction dz/dt = Phi(z), solved in closed form: the warp's
+    declared trajectory sampled every ``dt`` and at t_end, with z[0] = z0 exactly."""
+    trajectory = surface.warp.trajectory
+    if trajectory is None:
+        raise ConfigurationError(f"warp {surface.warp.name!r} declares no closed-form "
+                                 "circle trajectory")
     t = _sample_times(t_end, dt)
-    t0 = min(t_end, 7 * ADAMS_STEP)
-    m = max(int(np.ceil(t0 / DRIFT_STEP)), 0)
-    if m > 0 and (m - 1) * DRIFT_STEP >= t0:  # no empty last step
-        m -= 1
-    zs = np.empty(m + 1)  # z and Phi(z) at the RK4 step ends
-    fs = np.empty(m + 1)
-    # the state and the stages are Python floats, Phi in the math binding
-    warp = surface.warp.scalar
-    zi = float(z0)
-    k1 = drift_velocity(warp, zi)
-    zs[0], fs[0] = zi, k1
-    for i in range(1, m + 1):
-        h = DRIFT_STEP if i < m else t0 - (m - 1) * DRIFT_STEP
-        k2 = drift_velocity(warp, zi + 0.5 * h * k1)
-        k3 = drift_velocity(warp, zi + 0.5 * h * k2)
-        k4 = drift_velocity(warp, zi + h * k3)
-        zi += h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        k1 = drift_velocity(warp, zi)
-        zs[i], fs[i] = zi, k1
-    ns = len(t) if t0 == t_end else 7 * r + 1  # samples up to the hand-over
-    z = np.empty_like(t)
+    z = trajectory(float(z0), t)
     z[0] = z0
-    if m > 0:
-        # z(T_j + s h_j) = z_j + s (h_j f_j + s (c2_j + s c3_j)), per step j
-        ends = np.append(np.arange(m) * DRIFT_STEP, t0)
-        widths = np.diff(ends)
-        hf = widths * fs[:-1]
-        dz = np.diff(zs)
-        c3 = widths * fs[1:] + hf - 2 * dz
-        c2 = dz - hf - c3
-        j = np.minimum(np.searchsorted(ends, t[1:ns], side="right") - 1, m - 1)
-        s = (t[1:ns] - ends[j]) / widths[j]
-        z[1:ns] = zs[j] + s * (hf[j] + s * (c2[j] + s * c3[j]))
-    if ns < len(t):
-        f = fs[::round(ADAMS_STEP / DRIFT_STEP)].tolist()  # F at 0, H, ..., 7 H
-        steps = []  # z_n and Phi of the prediction, per step
-        for n in range((len(t) - ns - 1) // r + 1):
-            past = f[:-9:-1]  # F_n, F_{n-1}, ..., F_{n-7}
-            g = drift_velocity(warp, zi + ADAMS_STEP / 120960 * sum(map(mul, _AB8, past)))
-            steps.append((zi, g))
-            zi += ADAMS_STEP / 3628800 * sum(map(mul, _AM9, (g, *past)))
-            f.append(drift_velocity(warp, zi))
-        # weights at theta = 1/r, 2/r, ..., 1 for every step, then at t_end in the last
-        theta = np.append(np.arange(1, r + 1) / r, (t_end - t0) / ADAMS_STEP - n)
-        b = ADAMS_STEP * _adams_dense() @ np.power.outer(theta, np.arange(1, 10)).T
-        zn, fp = np.array(steps).T
-        fw = np.column_stack((fp, np.lib.stride_tricks.sliding_window_view(f[:-1], 8)[:, ::-1]))
-        z[ns:-1] = (zn[:, None] + fw @ b[:, :-1]).ravel()[:len(t) - ns - 1]
-        z[-1] = zn[-1] + fw[-1] @ b[:, -1]
     w = surface.warp.w(z)
-    # Phi^2, the volume and the trapezoid in place, in the order of ``_phi``, ** 2,
+    # Phi^2, the volume and the trapezoid in place, in the order of ``drift_velocity``, ** 2,
     # 8 pi^2 sqrt(1 + w^2) and ``np.trapezoid``: 1 + w^2 is Phi's denominator
     volume = np.multiply(w, w)
     volume += 1.0

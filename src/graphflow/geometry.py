@@ -16,16 +16,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from types import ModuleType
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateMetricError, DomainError
+from .errors import ConfigurationError, DegenerateMetricError, DomainError, SolverAbort
 from .frames import matvec, pd_inverse
 
 WARP_SAMPLES = 2001  # heights of the sup of a warped surface's Gauss curvature
 WARP_Z_MAX = 6.0  # a warped surface's chart is z in [-WARP_Z_MAX, WARP_Z_MAX]
+NEWTON_STEPS = 20  # bound on the Newton steps of the exp_neg circle trajectory (6 suffice)
 
 
 @dataclass(frozen=True)
@@ -192,40 +192,59 @@ class ChartManifold:
 # Warped product surfaces
 
 
-class WarpBinding(NamedTuple):
-    """A warp function and its first two derivatives in one math namespace."""
-
-    w: Callable[[float], float]
-    dw: Callable[[float], float]
-    d2w: Callable[[float], float]
-
-
 class Warp:
-    """Warp function with its first two derivatives, written once over the math
-    namespace ``xp``: ``formulas(xp)`` is (w, w', w'').
+    """Warp function w with its first two derivatives, elementwise over numpy arrays.
 
-    ``w``, ``dw`` and ``d2w`` bind the formula to numpy, elementwise over arrays.
-    ``scalar`` binds it to ``math`` for loops over Python floats: about 5x cheaper
-    per call than numpy on a float, and equal to the array binding up to the last
-    bits of the library functions."""
+    ``trajectory(z0, t)``, where declared, is the height z(t) of the symmetric circle
+    that starts at z0: the closed-form solution of dz/dt = -w w' / (1 + w^2), which
+    ``flow.reduce_circle_drift`` samples."""
 
-    def __init__(self, name: str, formulas: Callable[[ModuleType], tuple]):
+    def __init__(self, name: str, w: Callable, dw: Callable, d2w: Callable,
+                 trajectory: Optional[Callable[[float, np.ndarray], np.ndarray]] = None):
         self.name = name
-        self.w, self.dw, self.d2w = formulas(np)
-        self.scalar = WarpBinding(*formulas(math))
+        self.w, self.dw, self.d2w = w, dw, d2w
+        self.trajectory = trajectory
 
 
-# name -> (w, w', w'') in the math namespace ``xp`` (numpy or math)
+def _cosh_trajectory(z0: float, t: np.ndarray) -> np.ndarray:
+    """tanh z sinh z = tanh z0 sinh z0 e^{-t}.  With s^2 the right side, sinh(z/2) =
+    (s/2) sqrt(1 + s^2 / (sqrt(s^4 + 4) + 2)): no cancellation at the waist, and
+    e^{-t/2} stays a normal float up to t = 1,416."""
+    a = abs(z0)
+    s = np.sqrt(np.tanh(a)) * np.sqrt(np.sinh(a)) * np.exp(-0.5 * t)
+    s2 = s * s
+    return np.sign(z0) * 2 * np.arcsinh(0.5 * s * np.sqrt(1 + s2 / (np.sqrt(s2 * s2 + 4) + 2)))
+
+
+def _exp_neg_trajectory(z0: float, t: np.ndarray) -> np.ndarray:
+    """z + e^{2z}/2 = z0 + e^{2 z0}/2 + t, by Newton steps on u + e^u = 2R for u = 2z.
+    The start ln 2R (2R where 2R <= 1) lies right of the root of a convex increasing
+    function, so the iterates fall monotonically, and quadratically: a step below
+    1e-9 (1 + |u|) leaves an error below its square."""
+    r2 = 2 * (z0 + 0.5 * np.exp(2 * z0) + t)
+    u = np.where(r2 > 1, np.log(np.maximum(r2, 1.0)), r2)
+    for _ in range(NEWTON_STEPS):
+        eu = np.exp(u)
+        du = (u + eu - r2) / (1 + eu)
+        u -= du
+        if np.all(np.abs(du) <= 1e-9 * (1 + np.abs(u))):
+            return 0.5 * u
+    raise SolverAbort(f"exp_neg trajectory from z0 = {z0!r}: no convergence "
+                      f"in {NEWTON_STEPS} Newton steps")
+
+
+# name -> (w, w', w'', circle trajectory)
 _BUILTIN_WARPS = {
-    "cosh": lambda xp: (xp.cosh, xp.sinh, xp.cosh),
-    "exp_neg": lambda xp: (lambda z: xp.exp(-z), lambda z: -xp.exp(-z), lambda z: xp.exp(-z)),
+    "cosh": (np.cosh, np.sinh, np.cosh, _cosh_trajectory),
+    "exp_neg": (lambda z: np.exp(-z), lambda z: -np.exp(-z), lambda z: np.exp(-z),
+                _exp_neg_trajectory),
 }
 
 
 def builtin_warp(name: str) -> Warp:
     if name not in _BUILTIN_WARPS:
         raise ConfigurationError(f"unknown warp {name!r}")
-    return Warp(name, _BUILTIN_WARPS[name])
+    return Warp(name, *_BUILTIN_WARPS[name])
 
 
 class WarpedSurface(ChartManifold):

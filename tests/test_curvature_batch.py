@@ -215,8 +215,8 @@ WARPS = {
     "cosh": lambda: builtin_warp("cosh"),
     "exp_neg": lambda: builtin_warp("exp_neg"),
     # K = cos z / (2 + cos z) varies with the height, with its sup 1/3 at z = 0
-    "two_plus_cos": lambda: Warp("two_plus_cos", lambda xp: (
-        lambda z: 2.0 + xp.cos(z), lambda z: -xp.sin(z), lambda z: -xp.cos(z))),
+    "two_plus_cos": lambda: Warp("two_plus_cos", lambda z: 2.0 + np.cos(z),
+                                 lambda z: -np.sin(z), lambda z: -np.cos(z)),
 }
 
 

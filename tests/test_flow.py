@@ -9,14 +9,14 @@ import numpy as np
 import pytest
 
 import reference_geometry as ref
+from graphflow.app import T_END_MAX
 from graphflow.classify import classify_limit
-from graphflow.errors import NotAreaDecreasingError, SolverAbort
+from graphflow.errors import ConfigurationError, NotAreaDecreasingError, SolverAbort
 import graphflow.flow
-from graphflow.flow import (_AB8, _AM9, ADAMS_STEP, DRIFT_DT, DRIFT_STEP, EquivariantFlow,
-                            FlowParams, FlowRecord, FlowState, _adams_dense, _sample_times,
-                            cfl_dt, drift_velocity, h2_field, nonparametric_rhs,
+from graphflow.flow import (DRIFT_DT, EquivariantFlow, FlowParams, FlowRecord, FlowState,
+                            _sample_times, cfl_dt, drift_velocity, h2_field, nonparametric_rhs,
                             reduce_circle_drift, step, tangential_vector_field)
-from graphflow.geometry import (WarpedSurface, builtin_warp, curvature_conditions_report,
+from graphflow.geometry import (Warp, WarpedSurface, builtin_warp, curvature_conditions_report,
                                 flat_torus, product_s1_s2)
 from graphflow.immersion import GraphMapField, field_cached, field_geometry
 from graphflow.verify import check_decay_bounds, compute_bound_constants
@@ -403,19 +403,6 @@ def test_drift_velocity_signs(waist_cylinder, funnel_cylinder):
     assert drift_velocity(funnel_cylinder.warp, 0.0) > 0
 
 
-@pytest.mark.parametrize("warp", ["cosh", "exp_neg"])
-def test_drift_phi_on_floats_matches_the_array_warp(warp):
-    # the RK4 stages evaluate Phi with math on Python floats, the samples with
-    # numpy on arrays: one formula per warp, equal up to the libraries' last
-    # bits, here within 4 ulp of 1 relative (4 eps |Phi|)
-    surface = WarpedSurface(builtin_warp(warp))
-    z = np.linspace(-6.0, 6.0, 20_001)
-    on_arrays = drift_velocity(surface.warp, z)
-    on_floats = np.array([drift_velocity(surface.warp.scalar, zi) for zi in z.tolist()])
-    assert all(type(drift_velocity(surface.warp.scalar, zi)) is float for zi in (-6.0, 0.3, 6.0))
-    assert np.all(np.abs(on_floats - on_arrays) <= 4 * np.finfo(float).eps * np.abs(on_arrays))
-
-
 def test_waist_run_converges(waist_cylinder):
     run = reduce_circle_drift(waist_cylinder, 0.5, 10.0, dt=1e-3)
     assert abs(run.z[-1]) < abs(run.z[0])
@@ -449,15 +436,17 @@ def test_drift_sample_times_increase_strictly():
 @pytest.mark.parametrize("warp, z0, t_end", [
     ("cosh", 0.5, 30.0),
     ("exp_neg", 0.0, 5.0),
-    ("cosh", 0.5, 0.2345),     # the RK4 start only, its last step clamped at t_end
-    ("cosh", 0.5, 0.555),      # the hand-over at 7 ADAMS_STEP, four Adams steps and part of one
-    ("cosh", 0.5, 1.2345),     # the last Adams step ends past t_end
-    ("exp_neg", 0.0, 7.0007),  # t_end 7e-4 past a step end: a short fraction of the last step
+    ("cosh", 0.5, 0.2345),     # t_end between two samples
+    ("cosh", 0.5, 0.555),
+    ("cosh", 0.5, 1.2345),
+    ("exp_neg", 0.0, 7.0007),  # t_end 7e-4 past a sample: a short last sample step
     ("exp_neg", 0.0, 8.002),   # the sum of DRIFT_DT overshoots t_end
+    ("cosh", -0.7, 10.0),      # from below the waist
+    ("exp_neg", -3.0, 20.0),   # z crosses 0
 ])
 def test_drift_matches_an_independent_solver(warp, z0, t_end):
     # DOP853 (order 8, its own dense output) at rtol 1e-13 is the truth on the
-    # sample grid; the RK4 loop at the sample spacing had the same accuracy
+    # sample grid for the closed-form trajectories
     from scipy.integrate import solve_ivp
     surface = WarpedSurface(builtin_warp(warp))
     run = reduce_circle_drift(surface, z0, t_end)
@@ -467,14 +456,45 @@ def test_drift_matches_an_independent_solver(warp, z0, t_end):
     assert np.max(np.abs(run.z - sol.sol(run.t)[0])) <= 5e-13
 
 
+@pytest.mark.parametrize("z0", [-6.0, -0.5, 0.0, 0.5, 6.0])
+def test_drift_keeps_its_first_integral_to_the_longest_run(z0):
+    # the closed forms over the whole configurable range: the first integral of
+    # each warp stays constant within a few ulps of its largest term
+    eps = np.finfo(float).eps
+    run = reduce_circle_drift(WarpedSurface(builtin_warp("exp_neg")), z0, T_END_MAX, dt=0.01)
+    z, t = run.z, run.t
+    half = np.exp(2 * z) / 2
+    first = z + half - t  # z + e^{2z}/2 - t
+    assert np.all(np.abs(first - first[0]) <= 8 * eps * np.maximum.reduce([abs(z), half, t]))
+
+    run = reduce_circle_drift(WarpedSurface(builtin_warp("cosh")), z0, T_END_MAX, dt=0.01)
+    if z0 == 0.0:
+        assert np.all(run.z == 0.0)  # the waist is a fixed point
+        return
+    z, t = np.abs(run.z), run.t
+    log_tanh, log_sinh = np.log(np.tanh(z)), np.log(np.sinh(z))
+    first = log_tanh + log_sinh + t  # log tanh|z| + log sinh|z| + t
+    scale = np.maximum.reduce([abs(log_tanh), abs(log_sinh), t])
+    assert np.all(np.abs(first - first[0]) <= 8 * eps * scale)
+    # at t = T_END_MAX, |z| ~ 1e-218 to 1e-216: it has not underflowed
+    assert np.all(np.sign(run.z) == np.sign(z0))
+
+
+def test_drift_refuses_a_warp_without_a_trajectory():
+    warp = Warp("two_plus_cos", lambda z: 2 + np.cos(z), lambda z: -np.sin(z),
+                lambda z: -np.cos(z))
+    with pytest.raises(ConfigurationError) as info:
+        reduce_circle_drift(WarpedSurface(warp), 0.5, 1.0)
+    assert "two_plus_cos" in str(info.value) and "\n" not in str(info.value)
+
+
 def test_drift_work_per_default_waist_run(monkeypatch):
-    # 4 Phi per RK4 starter step and 1 at t = 0, 2 per Adams step (PECE), all on
-    # floats; on the sample array w and w' once each, w shared by Phi and the
-    # volume; RK4 at DRIFT_STEP alone made 24,002 Phi calls
+    # the trajectory is solved, not integrated: Phi is never called, and w and w'
+    # are evaluated once each on the sample array, w shared by Phi and the volume
     calls = Counter()
 
     def counted(warp, z):
-        calls[type(z) is float] += 1
+        calls["phi"] += 1
         return drift_velocity(warp, z)
 
     monkeypatch.setattr(graphflow.flow, "drift_velocity", counted)
@@ -485,11 +505,7 @@ def test_drift_work_per_default_waist_run(monkeypatch):
             return fn(z)
         monkeypatch.setattr(surface.warp, name, on_arrays)
     run = reduce_circle_drift(surface, 0.5, 30.0)
-    starter = round(7 * ADAMS_STEP / DRIFT_STEP)
-    adams = round((30.0 - 7 * ADAMS_STEP) / ADAMS_STEP)
-    assert (starter, adams) == (70, 593)
-    assert calls == {True: 4 * starter + 1 + 2 * adams, "w": 1, "dw": 1}
-    assert calls[True] == 1467 and len(run.t) == 30001
+    assert calls == {"w": 1, "dw": 1} and len(run.t) == 30001
 
 
 def test_drift_post_processing_in_buffers_keeps_the_bits_of_the_expressions():
@@ -505,32 +521,13 @@ def test_drift_post_processing_in_buffers_keeps_the_bits_of_the_expressions():
     assert run.dissipation == float(np.trapezoid(h2 * volume, run.t))
 
 
-def test_adams_weights_are_exact_on_polynomials():
-    # in integers: the predictor (nodes 0, -1, ..., -7) integrates u^q over [0, 1]
-    # exactly for q < 8, the corrector (nodes 1, 0, ..., -7) for q < 9
-    for q in range(8):
-        assert (q + 1) * sum(b * (-k) ** q for k, b in enumerate(_AB8)) == 120960, q
-    for q in range(9):
-        assert (q + 1) * sum(b * (1 - k) ** q for k, b in enumerate(_AM9)) == 3628800, q
-    # the dense weights integrate them over [0, theta]; at theta = 1 they are the corrector
-    theta = np.append(np.arange(1, 51) / 50, [0.0123, 0.777])
-    dense = _adams_dense() @ np.power.outer(theta, np.arange(1, 10)).T
-    nodes = np.arange(1.0, -8.0, -1.0)
-    for q in range(9):
-        scale = np.abs(nodes ** q) @ np.abs(dense)
-        assert np.all(np.abs(nodes ** q @ dense - theta ** (q + 1) / (q + 1)) <= 1e-15 * scale), q
-    assert np.abs(dense[:, 49] - np.array(_AM9) / 3628800).max() <= 1e-15
-
-
-@pytest.mark.parametrize("dt", [3e-3, 0.07, 0.1])
-def test_drift_rejects_a_sample_spacing_that_does_not_divide_the_adams_step(dt, waist_cylinder):
-    with pytest.raises(ValueError, match="does not divide ADAMS_STEP"):
-        reduce_circle_drift(waist_cylinder, 0.5, 1.0, dt=dt)
-
-
 def test_drift_samples_at_a_coarser_spacing_that_divides_the_adams_step(waist_cylinder):
-    # dt = 5e-3 uses a (9, 10) dense table: the same trajectory on every fifth sample
+    # dt = 5e-3: the same trajectory on every fifth sample
     fine = reduce_circle_drift(waist_cylinder, 0.5, 2.0)
     coarse = reduce_circle_drift(waist_cylinder, 0.5, 2.0, dt=5e-3)
     assert len(coarse.t) == 401 and np.array_equal(coarse.t, fine.t[::5])
     assert np.abs(coarse.z - fine.z[::5]).max() <= 1e-15
+    # any spacing samples the same trajectory, also one that is no divisor of 0.05
+    odd = reduce_circle_drift(waist_cylinder, 0.5, 2.0, dt=3e-3)
+    assert np.array_equal(odd.t, _sample_times(2.0, 3e-3))
+    assert np.array_equal(odd.z[1:], waist_cylinder.warp.trajectory(0.5, odd.t)[1:])

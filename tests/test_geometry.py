@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_geometry as ref
-from graphflow.errors import ConfigurationError, DegenerateMetricError, DomainError
+import graphflow.geometry
+from graphflow.errors import ConfigurationError, DegenerateMetricError, DomainError, SolverAbort
 from graphflow.geometry import (Axis, ChartManifold, Warp, WarpedSurface, builtin_warp,
                                 curvature_conditions_report, flat_torus, hopf_map,
                                 product_s1_s2, round_sphere, s3_hopf_chart)
@@ -233,9 +234,21 @@ def test_builtin_warp_unknown():
 
 
 def test_warp_must_stay_positive():
-    sin = Warp("sin", lambda xp: (xp.sin, xp.cos, lambda z: -xp.sin(z)))
+    sin = Warp("sin", np.sin, np.cos, lambda z: -np.sin(z))
     with pytest.raises(ConfigurationError):
         WarpedSurface(sin)  # vanishes inside the z-range
+
+
+def test_exp_neg_trajectory_raises_when_its_newton_steps_run_out(monkeypatch):
+    # from z0 = 0, the start 2R = 1 at t = 0 takes 6 steps to meet the tolerance
+    trajectory = builtin_warp("exp_neg").trajectory
+    t = np.array([0.0, 5.0])
+    monkeypatch.setattr(graphflow.geometry, "NEWTON_STEPS", 6)
+    z = trajectory(0.0, t)
+    assert np.abs(z + np.exp(2 * z) / 2 - (0.5 + t)).max() <= 4 * np.finfo(float).eps * 5.5
+    monkeypatch.setattr(graphflow.geometry, "NEWTON_STEPS", 5)
+    with pytest.raises(SolverAbort, match="no convergence in 5 Newton steps"):
+        trajectory(0.0, t)
 
 
 def test_gauss_curvature_at_dispatch(sphere2, waist_cylinder):

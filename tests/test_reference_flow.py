@@ -119,15 +119,14 @@ def test_equivariant_run_repeats_on_one_flow():
     ("cosh", 0.5, 30.0),
     ("exp_neg", 0.0, 5.0),
     ("cosh", 0.5, 1.2345),   # not a multiple of DRIFT_DT: the last sample step is clamped
-    ("cosh", 0.5, 0.003),    # shorter than one DRIFT_STEP: one RK4 step, no Adams step
-    ("exp_neg", 0.0, 7.0007),  # neither a multiple of DRIFT_DT nor of ADAMS_STEP
+    ("cosh", 0.5, 0.003),    # three samples
+    ("exp_neg", 0.0, 7.0007),  # not a multiple of DRIFT_DT: a short last sample step
     ("exp_neg", 0.0, 8.002),   # the sum of DRIFT_DT overshoots: the last sample step is < 0
-    ("cosh", 0.5, 0.555),      # past the RK4 start: the last Adams step ends past t_end
+    ("cosh", 0.5, 0.555),
 ])
 def test_circle_drift_agrees_with_the_rk4_loop(warp, z0, t_end):
-    # the Adams pair (RK4 start with Hermite samples, then the corrector's
-    # polynomial) against RK4 at the sample spacing: the same sample times,
-    # values within 1e-12 relative to max(1, |value|)
+    # the closed-form trajectories against RK4 at the sample spacing: the same
+    # sample times, values within 1e-12 relative to max(1, |value|)
     surface = WarpedSurface(builtin_warp(warp))
     new = reduce_circle_drift(surface, z0, t_end)
     old = reference_flow.reduce_circle_drift(surface, z0, t_end)

@@ -145,8 +145,8 @@ def test_monitors_in_the_bi_ricci_regime():
     # at 1/3.  On S^1 x S^2, min BRic = 1 >= sup sigma_N = 1/3 > 0 = min Ric:
     # the paper's case, where the area-decreasing property is preserved but
     # convergence is not promised, and sec_M = 0 < sigma_N on the S^1 planes
-    warp = Warp("two_plus_cos", lambda xp: (lambda z: 2 + xp.cos(z), lambda z: -xp.sin(z),
-                                            lambda z: -xp.cos(z)))
+    warp = Warp("two_plus_cos", lambda z: 2 + np.cos(z), lambda z: -np.sin(z),
+                lambda z: -np.cos(z))
     m_manifold, surface = product_s1_s2(), WarpedSurface(warp)
     report = curvature_conditions_report(m_manifold, surface)
     assert report.cond_a and report.cond_b and not report.cond_c
