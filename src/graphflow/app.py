@@ -391,18 +391,18 @@ def _evolve_tsui_wang(cfg: ScenarioConfig, m_manifold, n_manifold, report) -> Ev
             f"side: the flow took {run.steps} steps with [flow] record_every = "
             f"{cfg.get('flow', 'record_every')}")
     residuals, checkpoints = [], []
-    for rec, state in zip(run.records, run.states):  # one lift per recorded state
-        fld = eq.expand_field(state.h)
+    # one lift per recorded state, and its stencil neighbours' with a monitor on, in batches
+    lifted = eq.lift_states(run.states, stencils=residuals_on or inequalities_on)
+    for rec, (fld, triple) in zip(run.records, lifted):
         rec.max_a2 = float(field_geometry(fld).a_sq[fld.interior_mask()].max())
-        if state.stencil is None or not (residuals_on or inequalities_on):
+        if triple is None:
             continue
-        triple = [eq.stencil_fields(state, fld)]  # lifts only the stencil neighbours
         if residuals_on:
-            (row,) = residual_p_evolution(triple)
+            (row,) = residual_p_evolution([triple])
             rec.residual_l2, rec.residual_linf = row["l2"], row["linf"]
             residuals.append(row)
         if inequalities_on:
-            checkpoints += check_H_and_theta_inequalities(triple, eps1=eps1)["checkpoints"]
+            checkpoints += check_H_and_theta_inequalities([triple], eps1=eps1)["checkpoints"]
 
     sections: dict = {"barrier": None}
     if residuals:

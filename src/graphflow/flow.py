@@ -8,19 +8,22 @@ profile h(theta, t) and the warped-cylinder circle drift z(t).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+import itertools
+import operator
+from dataclasses import dataclass, fields
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, NotAreaDecreasingError, SolverAbort
 from .frames import matvec, p_batch, quad_form
 from .geometry import Warp, WarpedSurface, round_sphere
-from .immersion import GraphMapField, field_cached
+from .immersion import COLUMN_SOURCE, GraphMapField, field_cached
 
 CFL = 0.4  # Courant factor of the explicit steps (``cfl_dt``, ``EquivariantFlow.run``)
 CONVERGENCE_STREAK = 100  # consecutive steps with max|H| below tolerance
 PHI_WIDTH = 8  # azimuthal nodes of the 2D lift of an equivariant profile
+LIFT_BATCH_NODES = 2048  # theta nodes x profiles of a batch of lifts: a default lift's nodes
 DISSIPATION_BLOCK = 256  # profile steps per batched dissipation sum
 DRIFT_DT = 1e-3  # sample spacing of the circle-drift reduction
 
@@ -382,24 +385,108 @@ class EquivariantFlow:
                               status=status, steps=step_i, dt_min=dt_min, dt_max=dt_max)
 
     def expand_field(self, h: np.ndarray) -> GraphMapField:
-        """Lift a profile to the 2D field f(theta, phi) = (h(theta), phi) on
+        """Lift one profile; see ``expand_fields``."""
+        return self.expand_fields([h])[0]
+
+    def expand_fields(self, profiles: Sequence[np.ndarray]) -> list:
+        """Lift profiles to the 2D fields f(theta, phi) = (h(theta), phi) on
         PHI_WIDTH azimuthal nodes.  The first lift is the template grid: every
-        later one shares its M-side fields."""
-        f = np.empty((self.J, PHI_WIDTH, 2))
-        f[..., 0] = h[:, None]
+        later one shares its M-side fields.
+
+        A lift is invariant under phi-rotation, so its derived values are the same
+        in every column.  They are computed once for all the profiles given, on a
+        batch grid of one column per profile with the lift's spacing, whose
+        azimuthal stencil reads the node itself (exact for phi-invariant fields).
+        Each lift takes its column, broadcast read-only over its PHI_WIDTH
+        columns.  The batch's f derivatives come from the column-0 stencil of the
+        lifts themselves: the batch's own values would give d_phi f = 0."""
+        f = np.empty((len(profiles), self.J, PHI_WIDTH, 2))
+        f[..., 0] = np.asarray(profiles)[..., None]
         f[..., 1] = np.arange(PHI_WIDTH) * 2 * np.pi / PHI_WIDTH
         if self._template is None:
-            self._template = GraphMapField(self.M, self.N, f.shape[:2], f)
-            return self._template
-        return self._template.with_values(f)
+            self._template = GraphMapField(self.M, self.N, (self.J, PHI_WIDTH), f[0])
+            for name in GraphMapField.GRID_FIELDS:  # on its own grid, before it reads a batch
+                getattr(self._template, name)()
+            lifts = [self._template, *map(self._template.with_values, f[1:])]
+        else:
+            lifts = [*map(self._template.with_values, f)]
+        template, width = self._template, len(lifts)
+        batch = object.__new__(GraphMapField)
+        batch.__dict__.update(template.__dict__)
+        batch.shape = (self.J, width)
+        lifted = np.stack([lift.f for lift in lifts], axis=2)  # (J, PHI_WIDTH, width, 2)
+        batch.f = np.ascontiguousarray(lifted[:, 0])
+        index = template._stencil_index()[..., 0]               # column 0's neighbours
+        batch._cache = {"_stencil_index": index[..., None] // PHI_WIDTH * width
+                        + np.arange(width)}
+        for name in ("g_m_field", "g_m_inv_field", "gamma_m_field"):
+            g = getattr(template, name)()[:, :1]
+            batch._cache[name] = np.broadcast_to(g, batch.shape + g.shape[2:])
+        nb = batch.unwrap_target(lifted.reshape(-1, width, 2)[index])
+        batch._cache["_f_derivatives"] = (batch._first(nb), batch._second(nb, batch.f))
+        source = _LiftBatch(batch)
+        for k, lift in enumerate(lifts):
+            lift._cache[COLUMN_SOURCE] = source.reader(k)
+        return lifts
 
-    def stencil_fields(self, state: RecordedState, now: Optional[GraphMapField] = None) -> tuple:
+    def stencil_fields(self, state: RecordedState) -> tuple:
         """(t, dt_prev, dt_next, field_prev, field_now, field_next) of a state
-        with a stencil, for the time-derivative monitors; ``now`` is the
-        state's own lift when the caller has it."""
+        with a stencil, for the time-derivative monitors; the three lifts are one batch."""
         dt_prev, dt_next, h_prev, h_next = state.stencil
-        return (state.t, dt_prev, dt_next, self.expand_field(h_prev),
-                self.expand_field(state.h) if now is None else now, self.expand_field(h_next))
+        return (state.t, dt_prev, dt_next, *self.expand_fields([h_prev, state.h, h_next]))
+
+    def lift_states(self, states: Sequence[RecordedState], stencils: bool = True) -> Iterator:
+        """(lift, triple) per state: its lift and, if ``stencils`` and it has a
+        stencil, its ``stencil_fields`` tuple, else None.  The profiles are lifted
+        in order, in batches of at most LIFT_BATCH_NODES column nodes (at least one
+        profile), each batch made when its first lift is read."""
+        def lifts():
+            todo = (h for s in states for h in (
+                (s.stencil[2], s.h, s.stencil[3]) if stencils and s.stencil else (s.h,)))
+            while chunk := [*itertools.islice(todo, max(1, LIFT_BATCH_NODES // self.J))]:
+                yield from self.expand_fields(chunk)
+        lifted = lifts()
+        for s in states:
+            if stencils and s.stencil:
+                prev, now, nxt = itertools.islice(lifted, 3)
+                yield now, (s.t, s.stencil[0], s.stencil[1], prev, now, nxt)
+            else:
+                yield next(lifted), None
+
+
+class _LiftBatch:
+    """The derived values of a batch of lifts: each computed on ``grid``, one column
+    per profile, and broadcast once, read-only, over PHI_WIDTH azimuthal columns;
+    lift k reads column k.  See ``EquivariantFlow.expand_fields``."""
+
+    def __init__(self, grid: GraphMapField):
+        self.grid = grid
+        self.wide: dict = {}
+
+    def reader(self, k: int):
+        """The ``COLUMN_SOURCE`` of lift k: its value of a field-cached function."""
+        column = operator.itemgetter((slice(None), k))
+        return lambda cached: _map_arrays(column, self._wide(cached))
+
+    def _wide(self, cached):
+        if cached not in self.wide:
+            self.wide[cached] = _map_arrays(_widen, cached(self.grid))
+        return self.wide[cached]
+
+
+def _widen(a: np.ndarray) -> np.ndarray:
+    """A batch array (J, K, ...) as a read-only view (J, K, PHI_WIDTH, ...)."""
+    return np.broadcast_to(a[:, :, None], a.shape[:2] + (PHI_WIDTH,) + a.shape[2:])
+
+
+def _map_arrays(fn, value):
+    """``fn`` applied to each array of a value: an array, or a tuple or a record
+    (dataclass) of values."""
+    if isinstance(value, np.ndarray):
+        return fn(value)
+    if isinstance(value, tuple):
+        return tuple(_map_arrays(fn, v) for v in value)
+    return type(value)(**{f.name: _map_arrays(fn, getattr(value, f.name)) for f in fields(value)})
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from .geometry import ChartManifold
 
 SEAM_MARGIN = 4  # nodes next to a reflect seam that ``interior_mask`` leaves out
 CORRUPTED_METRIC = "induced metric not positive definite (corrupted state)"
+COLUMN_SOURCE = "column source"  # cache key of a field whose derived values come from elsewhere
 
 
 def _swap(a: np.ndarray) -> np.ndarray:
@@ -35,12 +36,20 @@ def _swap(a: np.ndarray) -> np.ndarray:
 
 
 def field_cached(fn):
-    """Compute ``fn(field)`` once per field; it is kept with the field's derived values."""
+    """Compute ``fn(field)`` once per field; it is kept with the field's derived values.
+
+    A field whose cache holds a ``COLUMN_SOURCE`` reader takes every such value
+    from it instead: ``reader(once)`` gives the value for this field (see
+    ``flow.EquivariantFlow.expand_fields``)."""
+    name = fn.__name__
+
     @functools.wraps(fn)
     def once(field):
-        if fn.__name__ not in field._cache:
-            field._cache[fn.__name__] = fn(field)
-        return field._cache[fn.__name__]
+        cache = field._cache
+        if name not in cache:
+            reader = cache.get(COLUMN_SOURCE)
+            cache[name] = fn(field) if reader is None else reader(once)
+        return cache[name]
     return once
 
 
@@ -309,7 +318,9 @@ class GraphMapField:
         m = self.M.dim
         batch = df.shape[:-2]
         gam_n = self.gamma_n_field()
-        gam_n_df = (gam_n.reshape(batch + (4, 2)) @ _swap(df)).reshape(batch + (2, 2, m))
+        # a C-ordered right factor, as in ``induced_g_field``: the same products, sooner
+        gam_n_df = (gam_n.reshape(batch + (4, 2)) @ np.ascontiguousarray(_swap(df))
+                    ).reshape(batch + (2, 2, m))
         gam_n_dfdf = df[..., None, :, :] @ gam_n_df                # (..., a, i, j)
         flat = self.d2f_field().reshape(batch + (m * m, 2)) \
             - _swap(gamma.reshape(batch + (m, m * m))) @ df

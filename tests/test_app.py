@@ -330,14 +330,16 @@ def test_loose_h_tol_keeps_unit_singular_values_nonzero(tmp_path, name, h_tol, k
 @pytest.mark.parametrize("monitored", [True, False])
 def test_tsui_wang_lifts_each_record_once(tmp_path, monkeypatch, monitored):
     # a run with R records and S stencils lifts each record once and, with the
-    # monitors on, the two stencil neighbours of each stencil; one field
-    # geometry per record serves its max |A|^2, the monitors and the
-    # classifier; the M side of the lifts is computed once per run; the lifts
-    # check their induced metric by Cholesky and nothing reads its eigenvalues;
-    # every field sets its values once, and only the first lift validates the grid
+    # monitors on, the two stencil neighbours of each stencil: each lift sets its
+    # values once, and only the first lift validates the grid.  The lifts are
+    # evaluated together: one batch gathers their f stencils (one unwrap_target) and
+    # builds one SVD frame, whose field geometry serves every record's max |A|^2,
+    # the monitors and the classifier.  The M side of the lifts is computed once per
+    # run; the batch checks its induced metric by Cholesky and nothing reads its
+    # eigenvalues
     calls = Counter()
     init, frame, eigvalsh = GraphMapField.__init__, immersion.build_svd_frame, np.linalg.eigvalsh
-    set_values = GraphMapField._set_values
+    set_values, unwrap = GraphMapField._set_values, GraphMapField.unwrap_target
     chart = {name: getattr(ChartManifold, name)
              for name in ("metric_many", "inverse_metric", "christoffels_many")}
 
@@ -349,8 +351,12 @@ def test_tsui_wang_lifts_each_record_once(tmp_path, monkeypatch, monitored):
         calls["GraphMapField"] += 1
         set_values(self, *args)
 
+    def counted_unwrap(self, *args):
+        calls["unwrap_target", self.shape] += 1
+        return unwrap(self, *args)
+
     def counted_frame(*args):  # one SVD frame per field_geometry evaluation
-        calls["field_geometry"] += 1
+        calls["field_geometry", args[0].shape[:2]] += 1
         return frame(*args)
 
     def counted_chart(name):
@@ -367,6 +373,7 @@ def test_tsui_wang_lifts_each_record_once(tmp_path, monkeypatch, monitored):
         monkeypatch.setattr(ChartManifold, name, counted_chart(name))
     monkeypatch.setattr(GraphMapField, "__init__", counted_init)
     monkeypatch.setattr(GraphMapField, "_set_values", counted_set_values)
+    monkeypatch.setattr(GraphMapField, "unwrap_target", counted_unwrap)
     monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
     monkeypatch.setattr(immersion, "build_svd_frame", counted_frame)
     cfg = builtin_config("tsui_wang_s2", {
@@ -378,12 +385,37 @@ def test_tsui_wang_lifts_each_record_once(tmp_path, monkeypatch, monitored):
     verification = json.loads(_read(out, "verification.json"))
     stencils = len(verification["residual_p"]["checkpoints"]) if monitored else 0
     assert records >= 3 and (stencils >= 2 or not monitored)
-    assert (calls["GraphMapField"], calls["field_geometry"]) == (records + 2 * stencils, records)
-    assert calls["grid"] == 1
-    assert {k: n for k, n in calls.items() if k.endswith(("_m_field", "_m_inv_field"))} == {
-        "metric_many in g_m_field": 1, "inverse_metric in g_m_inv_field": 1,
-        "christoffels_many in gamma_m_field": 1}
-    assert calls["eigvalsh"] == 0
+    profiles = records + 2 * stencils
+    assert profiles * 32 <= graphflow.flow.LIFT_BATCH_NODES  # one batch: a column per profile
+    assert calls.pop("GraphMapField") == profiles and calls.pop("grid") == 1
+    assert calls.pop(("unwrap_target", (32, profiles))) == 1
+    assert calls.pop(("field_geometry", (32, profiles))) == 1
+    assert calls == {"metric_many in g_m_field": 1, "inverse_metric in g_m_inv_field": 1,
+                     "christoffels_many in gamma_m_field": 1}  # and no eigvalsh
+
+
+def test_tsui_wang_artifacts_do_not_depend_on_the_lift_batches(tmp_path, monkeypatch):
+    # batches of 2 profiles split the stencil triples across batches; a column's
+    # values do not depend on the batch it is computed in
+    cfg = builtin_config("tsui_wang_s2", {
+        ("grid", "nodes"): 32, ("flow", "t_end"): 0.2, ("flow", "record_every"): 40})
+    batches, texts = [], []
+    expand = graphflow.flow.EquivariantFlow.expand_fields
+
+    def counted(self, profiles):
+        batches[-1] += 1
+        return expand(self, profiles)
+
+    monkeypatch.setattr(graphflow.flow.EquivariantFlow, "expand_fields", counted)
+    for budget in (graphflow.flow.LIFT_BATCH_NODES, 64):
+        monkeypatch.setattr(graphflow.flow, "LIFT_BATCH_NODES", budget)
+        out = str(tmp_path / str(budget))
+        batches.append(0)
+        run_scenario(cfg, out_dir=out)
+        texts.append([_read(out, name) for name in (
+            "time_series.csv", "verification.json", "classification.json")])
+    assert batches == [1, 4]  # 8 profiles: 4 records, 2 stencils
+    assert texts[0] == texts[1]
 
 
 def test_torus_projection_reads_max_a2_from_the_second_fundamental_form(tmp_path, monkeypatch):
@@ -695,7 +727,7 @@ def test_cli_refuses_a_flow_that_takes_no_step(tmp_path, capsys, name):
 
 
 @pytest.mark.parametrize("name", ["cylinder_drift", "cylinder_waist"])
-def test_cylinder_at_a_tiny_t_end_still_integrates(tmp_path, name):
+def test_cylinder_at_a_tiny_t_end_records_its_start_and_end(tmp_path, name):
     cfg = builtin_config(name, {("flow", "t_end"): 1e-15})
     out = str(tmp_path / name)
     assert run_scenario(cfg, out_dir=out).overall_pass

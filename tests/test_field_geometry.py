@@ -16,6 +16,7 @@ from graphflow.flow import EquivariantFlow, h2_field
 from graphflow.frames import build_svd_frame
 from graphflow.geometry import WarpedSurface, builtin_warp, flat_torus, product_s1_s2
 from graphflow.immersion import GraphMapField, field_geometry
+from graphflow.verify import check_H_and_theta_inequalities, residual_p_evolution
 
 TOL = 1e-12
 FRAME_FIELDS = ("lam", "mu", "alpha", "beta", "e", "xi", "eta", "s_diag", "t11", "t22", "p")
@@ -68,6 +69,55 @@ def test_field_geometry_matches_pointwise_oracle(name):
         for key in FRAME_FIELDS:
             assert np.abs(getattr(got.frame, key) - getattr(want.frame, key)).max() <= TOL, \
                 (node, key)
+
+
+def _close(got, want) -> bool:
+    """Within TOL of the size of ``want``, or of 1 for smaller values."""
+    return bool(np.abs(got - want).max() <= TOL * max(1.0, np.abs(want).max()))
+
+
+@pytest.mark.parametrize("nodes", [32, 64])
+def test_batched_lifts_match_full_width_lifts(nodes):
+    # a batch evaluates its lifts' derived values once, one column per profile; the
+    # full-width lift that the template's with_values makes evaluates all PHI_WIDTH
+    # columns.  f's differences come from the same column-0 stencil, so they are bit
+    # for bit the full lift's column 0 (its other columns round d_phi phi their own
+    # way); every other value agrees at every node, seam rows included
+    eq = EquivariantFlow(nodes, lambda th: 0.8 * np.sin(th))
+    run = eq.run(0.05, record_every=10)
+    states = run.states[:3]
+    assert states[0].t == 0 and len(states) == 3
+    readers = {"p": GraphMapField.p_field, "h2": h2_field,
+               "dg": GraphMapField.induced_dg_field,
+               "induced_g_inv": GraphMapField.induced_g_inv_field}
+    for lift in eq.expand_fields([s.h for s in states]):
+        full = eq._template.with_values(lift.f)
+        for read in (GraphMapField.df_field, GraphMapField.d2f_field):
+            assert read(lift).shape == read(full).shape
+            assert np.array_equal(read(lift)[:, 0], read(full)[:, 0])
+        for name, read in readers.items():
+            assert _close(read(lift), read(full)), name
+            assert not read(lift).flags.writeable, name
+        geo, want = field_geometry(lift), field_geometry(full)
+        for key in GEOMETRY_FIELDS:
+            assert _close(getattr(geo, key), getattr(want, key)), key
+        for key in FRAME_FIELDS:
+            assert _close(getattr(geo.frame, key), getattr(want.frame, key)), key
+    # the monitors on a batched triple and on its full-width twin.  The residual is a
+    # small difference of O(1) terms, which it can move by up to 1e-10 relative: it
+    # is compared within TOL of those terms
+    state = next(s for s in run.states if s.stencil)
+    batched = eq.stencil_fields(state)
+    full = batched[:3] + tuple(eq._template.with_values(fld.f) for fld in batched[3:])
+    (got,), (want,) = residual_p_evolution([batched]), residual_p_evolution([full])
+    assert got["nodes"] == want["nodes"] > 0
+    for key in ("l2", "linf"):
+        assert _close(got[key], want[key]), key
+    (got,), (want,) = (check_H_and_theta_inequalities([triple], eps1=0.0)["checkpoints"]
+                       for triple in (batched, full))
+    assert got["nodes"] == want["nodes"] > 0 and got["tol"] == want["tol"]
+    for key in ("worst_slack_h", "worst_slack_theta", "worst_w_excess"):
+        assert abs(got[key] - want[key]) <= TOL * abs(want[key]), key
 
 
 @st.composite

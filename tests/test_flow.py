@@ -521,7 +521,7 @@ def test_drift_post_processing_in_buffers_keeps_the_bits_of_the_expressions():
     assert run.dissipation == float(np.trapezoid(h2 * volume, run.t))
 
 
-def test_drift_samples_at_a_coarser_spacing_that_divides_the_adams_step(waist_cylinder):
+def test_drift_samples_one_trajectory_at_any_spacing(waist_cylinder):
     # dt = 5e-3: the same trajectory on every fifth sample
     fine = reduce_circle_drift(waist_cylinder, 0.5, 2.0)
     coarse = reduce_circle_drift(waist_cylinder, 0.5, 2.0, dt=5e-3)
