@@ -8,8 +8,8 @@ profile h(theta, t) and the warped-cylinder circle drift z(t).
 
 from __future__ import annotations
 
+import functools
 import itertools
-import operator
 from dataclasses import dataclass, fields
 from typing import Iterator, Optional, Sequence
 
@@ -209,7 +209,7 @@ class EquivariantFlow:
             raise ValueError("profile length must match node count")
         self.M = round_sphere(2)
         self.N = round_sphere(2)
-        self._template: Optional[GraphMapField] = None  # the first lift
+        self._lift_grid: Optional[tuple] = None  # (grid, its column-0 stencil, column fields)
 
     def _stage_kernel(self, b: np.ndarray, ws: np.ndarray):
         """The profile's dh/dt, bound to a ghost-padded buffer b (length J + 2,
@@ -390,43 +390,48 @@ class EquivariantFlow:
 
     def expand_fields(self, profiles: Sequence[np.ndarray]) -> list:
         """Lift profiles to the 2D fields f(theta, phi) = (h(theta), phi) on
-        PHI_WIDTH azimuthal nodes.  The first lift is the template grid: every
-        later one shares its M-side fields.
+        PHI_WIDTH azimuthal nodes, each given as its column at phi = 0: a (J, 1)
+        field with the lift's spacing (dtheta, 2 pi / PHI_WIDTH), an azimuthal
+        stencil that reads the node itself (exact for phi-invariant fields) and
+        ``copies`` = PHI_WIDTH, so that its node counts and volume are the lift's.
 
-        A lift is invariant under phi-rotation, so its derived values are the same
-        in every column.  They are computed once for all the profiles given, on a
-        batch grid of one column per profile with the lift's spacing, whose
-        azimuthal stencil reads the node itself (exact for phi-invariant fields).
-        Each lift takes its column, broadcast read-only over its PHI_WIDTH
-        columns.  The batch's f derivatives come from the column-0 stencil of the
-        lifts themselves: the batch's own values would give d_phi f = 0."""
-        f = np.empty((len(profiles), self.J, PHI_WIDTH, 2))
-        f[..., 0] = np.asarray(profiles)[..., None]
-        f[..., 1] = np.arange(PHI_WIDTH) * 2 * np.pi / PHI_WIDTH
-        if self._template is None:
-            self._template = GraphMapField(self.M, self.N, (self.J, PHI_WIDTH), f[0])
-            for name in GraphMapField.GRID_FIELDS:  # on its own grid, before it reads a batch
-                getattr(self._template, name)()
-            lifts = [self._template, *map(self._template.with_values, f[1:])]
-        else:
-            lifts = [*map(self._template.with_values, f)]
-        template, width = self._template, len(lifts)
+        A lift is invariant under phi-rotation, so every column carries the same
+        values.  They are computed once for all the profiles given, on a batch grid
+        of one column per profile, and each column field reads its column.  The
+        batch's f derivatives come from the column-0 stencil of the full lifts,
+        whose values are built here from the profiles: the batch's own values would
+        give d_phi f = 0."""
+        if self._lift_grid is None:  # the lift's grid: its column-0 stencil and M side
+            grid = GraphMapField(self.M, self.N, (self.J, PHI_WIDTH),
+                                 np.zeros((self.J, PHI_WIDTH, 2)))
+            index = grid._stencil_index()[..., 0]
+            column = {name: getattr(grid, name)()[:, :1] for name in GraphMapField.GRID_FIELDS
+                      if name != "_stencil_index"}
+            column["_stencil_index"] = index[..., None] // PHI_WIDTH
+            self._lift_grid = grid, index, column
+        grid, index, column = self._lift_grid
+        width = len(profiles)
+        lifted = np.empty((self.J, PHI_WIDTH, width, 2))
+        lifted[..., 0] = np.asarray(profiles).T[:, None]
+        lifted[..., 1] = (np.arange(PHI_WIDTH) * 2 * np.pi / PHI_WIDTH)[:, None]
+        lifted = self.N.wrap(lifted)
         batch = object.__new__(GraphMapField)
-        batch.__dict__.update(template.__dict__)
+        batch.__dict__.update(grid.__dict__)
         batch.shape = (self.J, width)
-        lifted = np.stack([lift.f for lift in lifts], axis=2)  # (J, PHI_WIDTH, width, 2)
         batch.f = np.ascontiguousarray(lifted[:, 0])
-        index = template._stencil_index()[..., 0]               # column 0's neighbours
-        batch._cache = {"_stencil_index": index[..., None] // PHI_WIDTH * width
-                        + np.arange(width)}
+        batch._cache = {"_stencil_index": column["_stencil_index"] * width + np.arange(width)}
         for name in ("g_m_field", "g_m_inv_field", "gamma_m_field"):
-            g = getattr(template, name)()[:, :1]
+            g = column[name]
             batch._cache[name] = np.broadcast_to(g, batch.shape + g.shape[2:])
         nb = batch.unwrap_target(lifted.reshape(-1, width, 2)[index])
         batch._cache["_f_derivatives"] = (batch._first(nb), batch._second(nb, batch.f))
-        source = _LiftBatch(batch)
-        for k, lift in enumerate(lifts):
-            lift._cache[COLUMN_SOURCE] = source.reader(k)
+        lifts = []
+        for k in range(width):
+            lift = object.__new__(GraphMapField)
+            lift.__dict__.update(batch.__dict__)
+            lift.shape, lift.f, lift.copies = (self.J, 1), batch.f[:, k:k + 1], PHI_WIDTH
+            lift._cache = {**column, COLUMN_SOURCE: functools.partial(_read_column, batch, k)}
+            lifts.append(lift)
         return lifts
 
     def stencil_fields(self, state: RecordedState) -> tuple:
@@ -454,29 +459,14 @@ class EquivariantFlow:
                 yield next(lifted), None
 
 
-class _LiftBatch:
-    """The derived values of a batch of lifts: each computed on ``grid``, one column
-    per profile, and broadcast once, read-only, over PHI_WIDTH azimuthal columns;
-    lift k reads column k.  See ``EquivariantFlow.expand_fields``."""
-
-    def __init__(self, grid: GraphMapField):
-        self.grid = grid
-        self.wide: dict = {}
-
-    def reader(self, k: int):
-        """The ``COLUMN_SOURCE`` of lift k: its value of a field-cached function."""
-        column = operator.itemgetter((slice(None), k))
-        return lambda cached: _map_arrays(column, self._wide(cached))
-
-    def _wide(self, cached):
-        if cached not in self.wide:
-            self.wide[cached] = _map_arrays(_widen, cached(self.grid))
-        return self.wide[cached]
-
-
-def _widen(a: np.ndarray) -> np.ndarray:
-    """A batch array (J, K, ...) as a read-only view (J, K, PHI_WIDTH, ...)."""
-    return np.broadcast_to(a[:, :, None], a.shape[:2] + (PHI_WIDTH,) + a.shape[2:])
+def _read_column(batch: GraphMapField, k: int, cached):
+    """The ``COLUMN_SOURCE`` of lift k of a batch (``EquivariantFlow.expand_fields``):
+    column k, read-only, of each array of a field-cached value computed on the batch."""
+    def column(a: np.ndarray) -> np.ndarray:
+        out = a[:, k:k + 1]
+        out.flags.writeable = False
+        return out
+    return _map_arrays(column, cached(batch))
 
 
 def _map_arrays(fn, value):

@@ -28,7 +28,7 @@ from .geometry import ChartManifold
 
 SEAM_MARGIN = 4  # nodes next to a reflect seam that ``interior_mask`` leaves out
 CORRUPTED_METRIC = "induced metric not positive definite (corrupted state)"
-COLUMN_SOURCE = "column source"  # cache key of a field whose derived values come from elsewhere
+COLUMN_SOURCE = "column source"  # cache key of a field whose derived values are a batch's column
 
 
 def _swap(a: np.ndarray) -> np.ndarray:
@@ -39,7 +39,8 @@ def field_cached(fn):
     """Compute ``fn(field)`` once per field; it is kept with the field's derived values.
 
     A field whose cache holds a ``COLUMN_SOURCE`` reader takes every such value
-    from it instead: ``reader(once)`` gives the value for this field (see
+    from it instead: ``reader(once)`` gives the value for this field, its column of
+    the value computed once on a batch grid (the (J, 1) lifts of
     ``flow.EquivariantFlow.expand_fields``)."""
     name = fn.__name__
 
@@ -73,6 +74,9 @@ class GraphMapField:
     # M-side fields, equal for every field on the same grid
     GRID_FIELDS = ("coords", "_stencil_index", "_interior", "g_m_field", "g_m_inv_field",
                    "gamma_m_field")
+    # nodes of the full grid that each node stands for: PHI_WIDTH on the column of an
+    # equivariant lift (``flow.EquivariantFlow.expand_fields``)
+    copies = 1
 
     def __init__(self, m_manifold: ChartManifold, n_manifold: ChartManifold, shape, f_values):
         self.M = m_manifold
@@ -122,7 +126,10 @@ class GraphMapField:
         return np.stack(grids, axis=-1)
 
     def with_values(self, f_values) -> "GraphMapField":
-        """A field on the same grid, sharing this field's checked grid and M-side fields."""
+        """A field on the same grid, sharing this field's checked grid and M-side fields.
+        A lift's column is refused: its stencil reads no azimuthal neighbour."""
+        if self.copies != 1:
+            raise ValueError("a lift's column is no grid for new values: lift the profile")
         new = object.__new__(type(self))
         new.__dict__.update(self.__dict__)
         new._set_values(f_values)
@@ -346,7 +353,7 @@ class GraphMapField:
         return float(self.p_field().min())
 
     def volume(self) -> float:
-        return float(np.sum(self.volume_density()) * np.prod(self.h))
+        return float(np.sum(self.volume_density()) * np.prod(self.h) * self.copies)
 
     @field_cached
     def _interior(self) -> np.ndarray:
@@ -383,16 +390,17 @@ class GraphMapField:
 
     def laplace_beltrami(self, u: np.ndarray) -> np.ndarray:
         """Laplacian of a scalar w.r.t. the induced metric: g^{ij}(d2_ij u - Gamma^k_ij d_k u)."""
-        return self._laplace_and_gradient(u)[0]
+        return self._laplace_and_gradient(u[..., None])[0][0]
 
     def _laplace_and_gradient(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(``laplace_beltrami(u)``, ``grad_field(u)``) from one gather of u's neighbours."""
+        """(``laplace_beltrami``, ``grad_field``) of the c scalar fields u (grid, c) from one
+        gather of their neighbours, as (c, grid) and (c, grid, m): each field's differences
+        are contiguous, so the contractions sum in the order of a single field's."""
         nb = self._neighbours(u)
-        d2, du = self._second(nb, u), self._first(nb)
-        ginv = self.induced_g_inv_field()
-        gam = self.gamma_induced_field()
-        hess = d2 - np.einsum("...kij,...k->...ij", gam, du)
-        return np.einsum("...ij,...ij->...", ginv, hess), du
+        d2, du = (np.ascontiguousarray(np.moveaxis(d, -1, 0))
+                  for d in (self._second(nb, u), self._first(nb)))
+        hess = d2 - np.einsum("...kij,...k->...ij", self.gamma_induced_field(), du)
+        return np.einsum("...ij,...ij->...", self.induced_g_inv_field(), hess), du
 
     def grad_norm_sq(self, u: np.ndarray) -> np.ndarray:
         du = self.grad_field(u)

@@ -10,7 +10,8 @@ the closed-form L D L^T replaced it, the singular values as the SVD of the white
 differential, the per-offset stencils of ``GraphMapField`` as they were before
 the ghost-padded grid replaced them, the polar fold of a field's target values
 and the periodic wrap of the chart as they were before ``ChartManifold.wrap``
-took both, and the per-point curvature layer (chart
+took both, the full-width lift of an equivariant profile as ``EquivariantFlow``
+lifted it before its lifts became one column, and the per-point curvature layer (chart
 derivatives, curvature tensors by a complex step of the Christoffel symbols,
 sectional and bi-Ricci curvature, Gram-Schmidt of frames and the monitors'
 curvature inputs), kept verbatim as test oracles.  The package computes no
@@ -29,6 +30,7 @@ import scipy.linalg
 
 from graphflow.errors import ConfigurationError, DegenerateMetricError, DomainError, SolverAbort
 from graphflow import frames
+from graphflow.flow import PHI_WIDTH
 from graphflow.frames import (_cholesky, _first_nonzero_positive, _tri_solve, quad_form)
 from graphflow.geometry import ChartManifold, WarpedSurface
 from graphflow.immersion import CORRUPTED_METRIC, GraphMapField, field_cached
@@ -291,12 +293,11 @@ def _tangency(a_e: np.ndarray, e: np.ndarray, df: np.ndarray, gp: np.ndarray) ->
     return float(np.abs(tang).max())
 
 
-def tangency_residual(field: GraphMapField, geo, node) -> float:
-    """The tangency audit of the frame of ``immersion.field_geometry``'s record
-    ``geo`` at a node, A(e_i, e_j) built here: A is normal, so only the
+def tangency_residual(field: GraphMapField, e: np.ndarray, node) -> float:
+    """The tangency audit of a frame ``e`` at a node (rows e_i, such as
+    ``immersion.field_geometry``'s), A(e_i, e_j) built here: A is normal, so only the
     discretization error remains."""
     idx = _node_slices(node)
-    e = geo.frame.e[idx]
     return _tangency(_a_vectors(field, idx, e), e, field.df_field()[idx],
                      _product_metric(field, idx))
 
@@ -308,6 +309,16 @@ def tangential_vector_field(field: GraphMapField) -> np.ndarray:
     ginv = field.induced_g_inv_field()
     diff = field.gamma_induced_field() - field.gamma_m_field()
     return np.einsum("...ij,...kij->...k", ginv, diff)
+
+
+def full_width_lift(eq, h: np.ndarray, field_type=GraphMapField) -> GraphMapField:
+    """The lift f(theta, phi) = (h(theta), phi) of a profile of the ``EquivariantFlow``
+    ``eq`` on all PHI_WIDTH azimuthal nodes, a field of ``field_type`` evaluated on its
+    own (J, PHI_WIDTH) grid: the oracle of the column lifts of ``expand_fields``."""
+    f = np.empty((eq.J, PHI_WIDTH, 2))
+    f[..., 0] = np.asarray(h)[:, None]
+    f[..., 1] = np.arange(PHI_WIDTH) * 2 * np.pi / PHI_WIDTH
+    return field_type(eq.M, eq.N, (eq.J, PHI_WIDTH), f)
 
 
 class EighMetricField(GraphMapField):

@@ -18,7 +18,9 @@ import jsonschema
 import numpy as np
 import pytest
 
+import graphflow.classify
 import graphflow.flow
+import graphflow.verify
 from graphflow import app, cli, errors, immersion
 from graphflow.app import (BUILTIN_SCENARIOS, CLASSIFICATION_SCHEMA, CSV_COLUMNS,
                            VERIFICATION_SCHEMA, builtin_config, load_config, run_identities,
@@ -330,16 +332,17 @@ def test_loose_h_tol_keeps_unit_singular_values_nonzero(tmp_path, name, h_tol, k
 @pytest.mark.parametrize("monitored", [True, False])
 def test_tsui_wang_lifts_each_record_once(tmp_path, monkeypatch, monitored):
     # a run with R records and S stencils lifts each record once and, with the
-    # monitors on, the two stencil neighbours of each stencil: each lift sets its
-    # values once, and only the first lift validates the grid.  The lifts are
-    # evaluated together: one batch gathers their f stencils (one unwrap_target) and
-    # builds one SVD frame, whose field geometry serves every record's max |A|^2,
-    # the monitors and the classifier.  The M side of the lifts is computed once per
-    # run; the batch checks its induced metric by Cholesky and nothing reads its
-    # eigenvalues
+    # monitors on, the two stencil neighbours of each stencil.  Each lift is one
+    # (J, 1) column of one batch: the run validates one (J, PHI_WIDTH) grid and sets
+    # the values of no field per record.  The batch gathers the lifts' f stencils
+    # (one unwrap_target) and builds one SVD frame, whose field geometry serves every
+    # record's max |A|^2, the monitors and the classifier, which read only columns.
+    # The M side of the lifts is computed once per run; the batch checks its induced
+    # metric by Cholesky and nothing reads its eigenvalues
     calls = Counter()
     init, frame, eigvalsh = GraphMapField.__init__, immersion.build_svd_frame, np.linalg.eigvalsh
     set_values, unwrap = GraphMapField._set_values, GraphMapField.unwrap_target
+    geometry = app.field_geometry
     chart = {name: getattr(ChartManifold, name)
              for name in ("metric_many", "inverse_metric", "christoffels_many")}
 
@@ -348,7 +351,7 @@ def test_tsui_wang_lifts_each_record_once(tmp_path, monkeypatch, monitored):
         init(self, *args)
 
     def counted_set_values(self, *args):
-        calls["GraphMapField"] += 1
+        calls["set_values", self.shape] += 1
         set_values(self, *args)
 
     def counted_unwrap(self, *args):
@@ -358,6 +361,10 @@ def test_tsui_wang_lifts_each_record_once(tmp_path, monkeypatch, monitored):
     def counted_frame(*args):  # one SVD frame per field_geometry evaluation
         calls["field_geometry", args[0].shape[:2]] += 1
         return frame(*args)
+
+    def counted_geometry(field):  # what max |A|^2, the monitors and the classifier read
+        calls["geometry read on", field.shape] += 1
+        return geometry(field)
 
     def counted_chart(name):
         def wrapper(self, *args):
@@ -376,6 +383,8 @@ def test_tsui_wang_lifts_each_record_once(tmp_path, monkeypatch, monitored):
     monkeypatch.setattr(GraphMapField, "unwrap_target", counted_unwrap)
     monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
     monkeypatch.setattr(immersion, "build_svd_frame", counted_frame)
+    for module in (app, graphflow.verify, graphflow.classify):
+        monkeypatch.setattr(module, "field_geometry", counted_geometry)
     cfg = builtin_config("tsui_wang_s2", {
         ("grid", "nodes"): 32, ("flow", "t_end"): 0.2, ("flow", "record_every"): 40,
         ("verify", "residuals"): monitored, ("verify", "inequalities"): monitored})
@@ -387,7 +396,9 @@ def test_tsui_wang_lifts_each_record_once(tmp_path, monkeypatch, monitored):
     assert records >= 3 and (stencils >= 2 or not monitored)
     profiles = records + 2 * stencils
     assert profiles * 32 <= graphflow.flow.LIFT_BATCH_NODES  # one batch: a column per profile
-    assert calls.pop("GraphMapField") == profiles and calls.pop("grid") == 1
+    assert calls.pop(("set_values", (32, graphflow.flow.PHI_WIDTH))) == 1
+    assert calls.pop("grid") == 1
+    assert calls.pop(("geometry read on", (32, 1))) == records + stencils + 1
     assert calls.pop(("unwrap_target", (32, profiles))) == 1
     assert calls.pop(("field_geometry", (32, profiles))) == 1
     assert calls == {"metric_many in g_m_field": 1, "inverse_metric in g_m_inv_field": 1,

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_geometry as ref
-from graphflow.flow import EquivariantFlow, h2_field
+from graphflow.classify import classify_limit
+from graphflow.flow import PHI_WIDTH, EquivariantFlow, h2_field
 from graphflow.frames import build_svd_frame
 from graphflow.geometry import WarpedSurface, builtin_warp, flat_torus, product_s1_s2
 from graphflow.immersion import GraphMapField, field_geometry
@@ -24,8 +25,13 @@ GEOMETRY_FIELDS = ("a_xi", "a_eta", "h_xi", "h_eta", "a_sq", "h_sq")
 
 
 def _tsui_field(nodes):
+    # the column lift, and its full-width twin on the loop stencils
     eq = EquivariantFlow(nodes, lambda th: 0.8 * np.sin(th))
-    return eq.expand_field(eq.h)
+    return eq.expand_field(eq.h), ref.full_width_lift(eq, eq.h, ref.LoopStencilField)
+
+
+def _with_loop_twin(field):
+    return field, ref.LoopStencilField(field.M, field.N, field.shape, field.f)
 
 
 def _torus_projection_field():
@@ -33,7 +39,7 @@ def _torus_projection_field():
     shape = (4, 4, 4)
     mesh = np.meshgrid(*[np.arange(k) * ax.length / k for k, ax in zip(shape, m.axes)],
                        indexing="ij")
-    return GraphMapField(m, n, shape, np.stack([mesh[0], mesh[1]], axis=-1))
+    return _with_loop_twin(GraphMapField(m, n, shape, np.stack([mesh[0], mesh[1]], axis=-1)))
 
 
 def _s1xs2_to_warped_field():
@@ -43,7 +49,7 @@ def _s1xs2_to_warped_field():
     x = GraphMapField(m, n, shape, np.zeros(shape + (2,))).coords()
     f = np.stack([x[..., 0] + 0.3 * np.sin(x[..., 2]),
                   0.5 + 0.2 * np.cos(x[..., 1]) * np.sin(x[..., 0])], axis=-1)
-    return GraphMapField(m, n, shape, f)
+    return _with_loop_twin(GraphMapField(m, n, shape, f))
 
 
 FIELDS = {
@@ -56,15 +62,18 @@ FIELDS = {
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
 def test_field_geometry_matches_pointwise_oracle(name):
-    field = FIELDS[name]()
+    # the oracle reads df, d2f and the induced fields from a twin on the same values
+    # whose stencils are the loop stencils: a field with wrong f derivatives fails here.
+    # A tsui lift is one column, which stands for every column of its full-width twin
+    field, twin = FIELDS[name]()
     geo = field_geometry(field)
     assert geo.h_sq.shape == field.shape
-    for node in np.ndindex(field.shape):
-        want = ref.point_geometry(field, node)
-        got = geo[node]
+    for node in np.ndindex(twin.shape):
+        want = ref.point_geometry(twin, node)
+        got = geo[tuple(min(i, n - 1) for i, n in zip(node, field.shape))]
         for key in GEOMETRY_FIELDS:
             assert np.abs(getattr(got, key) - getattr(want, key)).max() <= TOL, (node, key)
-        tangency = ref.tangency_residual(field, geo, node)  # A built on the batched frame
+        tangency = ref.tangency_residual(twin, got.frame.e, node)  # A on the batched frame
         assert abs(tangency - want.tangency_residual) <= TOL, node
         for key in FRAME_FIELDS:
             assert np.abs(getattr(got.frame, key) - getattr(want.frame, key)).max() <= TOL, \
@@ -78,11 +87,13 @@ def _close(got, want) -> bool:
 
 @pytest.mark.parametrize("nodes", [32, 64])
 def test_batched_lifts_match_full_width_lifts(nodes):
-    # a batch evaluates its lifts' derived values once, one column per profile; the
-    # full-width lift that the template's with_values makes evaluates all PHI_WIDTH
-    # columns.  f's differences come from the same column-0 stencil, so they are bit
-    # for bit the full lift's column 0 (its other columns round d_phi phi their own
-    # way); every other value agrees at every node, seam rows included
+    # a batch evaluates its lifts' derived values once, one column per profile, and
+    # each lift is its (J, 1) column; the full-width lift built from the same profile
+    # evaluates all PHI_WIDTH columns on its own grid.  f's differences come from the
+    # same column-0 stencil, so they are bit for bit the full lift's column 0 (its
+    # other columns round d_phi phi their own way); every other value agrees with
+    # every column at every node, seam rows included, and so do max |A|^2, the
+    # classifier's evidence and both monitors' rows, nodes and tol included
     eq = EquivariantFlow(nodes, lambda th: 0.8 * np.sin(th))
     run = eq.run(0.05, record_every=10)
     states = run.states[:3]
@@ -90,27 +101,39 @@ def test_batched_lifts_match_full_width_lifts(nodes):
     readers = {"p": GraphMapField.p_field, "h2": h2_field,
                "dg": GraphMapField.induced_dg_field,
                "induced_g_inv": GraphMapField.induced_g_inv_field}
-    for lift in eq.expand_fields([s.h for s in states]):
-        full = eq._template.with_values(lift.f)
+    for state, lift in zip(states, eq.expand_fields([s.h for s in states])):
+        full = ref.full_width_lift(eq, state.h)
+        assert lift.shape == (nodes, 1) and lift.copies == PHI_WIDTH
+        with pytest.raises(ValueError, match="lift the profile"):  # it would read d_phi f = 0
+            lift.with_values(lift.f)
+        assert np.array_equal(lift.f, full.f[:, :1]) and np.array_equal(lift.h, full.h)
         for read in (GraphMapField.df_field, GraphMapField.d2f_field):
-            assert read(lift).shape == read(full).shape
-            assert np.array_equal(read(lift)[:, 0], read(full)[:, 0])
+            assert np.array_equal(read(lift), read(full)[:, :1])
         for name, read in readers.items():
-            assert _close(read(lift), read(full)), name
+            assert read(lift).shape[1] == 1 and _close(read(lift), read(full)), name
             assert not read(lift).flags.writeable, name
         geo, want = field_geometry(lift), field_geometry(full)
         for key in GEOMETRY_FIELDS:
             assert _close(getattr(geo, key), getattr(want, key)), key
         for key in FRAME_FIELDS:
             assert _close(getattr(geo.frame, key), getattr(want.frame, key)), key
-    # the monitors on a batched triple and on its full-width twin.  The residual is a
+        assert _close(lift.volume(), full.volume())
+        assert _close(geo.a_sq[lift.interior_mask()].max(), want.a_sq[full.interior_mask()].max())
+        got_ev, want_ev = (classify_limit(fld, "Finished")["evidence"] for fld in (lift, full))
+        for key in ("max_H", "max_A", "rank_estimate", "sigma_N_max_abs_on_image"):
+            assert _close(got_ev[key], want_ev[key]), key
+        for sv in ("lambda", "mu"):
+            for key in ("mean", "std"):
+                assert _close(got_ev[sv][key], want_ev[sv][key]), (sv, key)
+    # the monitors on a column triple and on its full-width twin.  The residual is a
     # small difference of O(1) terms, which it can move by up to 1e-10 relative: it
     # is compared within TOL of those terms
     state = next(s for s in run.states if s.stencil)
     batched = eq.stencil_fields(state)
-    full = batched[:3] + tuple(eq._template.with_values(fld.f) for fld in batched[3:])
+    full = batched[:3] + tuple(ref.full_width_lift(eq, h)
+                               for h in (state.stencil[2], state.h, state.stencil[3]))
     (got,), (want,) = residual_p_evolution([batched]), residual_p_evolution([full])
-    assert got["nodes"] == want["nodes"] > 0
+    assert got["nodes"] == want["nodes"] == (nodes - 8) * PHI_WIDTH
     for key in ("l2", "linf"):
         assert _close(got[key], want[key]), key
     (got,), (want,) = (check_H_and_theta_inequalities([triple], eps1=0.0)["checkpoints"]
@@ -213,7 +236,7 @@ def test_batched_frame_on_exactly_degenerate_samples(kind):
 
 def test_tsui_lift_calls_no_lapack(monkeypatch):
     # every matrix of an m = 2 lift is 2 x 2, and all of them have closed forms
-    field = _tsui_field(32)
+    field, _ = _tsui_field(32)
 
     def refuse(*args, **kwargs):
         raise AssertionError("LAPACK called on a tsui lift")

@@ -234,24 +234,26 @@ def _ulps(got, want, scale):
     return float((np.abs(got - want) / (EPS * scale)).max())
 
 
-@pytest.mark.parametrize("nodes", [32, 256])  # lifts of 256 and 2,048 nodes
+@pytest.mark.parametrize("nodes", [32, 256])
 def test_m2_frame_matches_the_stacked_oracle_on_tsui_lifts(nodes):
+    # a lift as a run reads it, one column of 32 or 256 nodes, and its full-width
+    # twin of 256 or 2,048 nodes, whose columns round d_phi phi each their own way
     eq = EquivariantFlow(nodes, lambda th: 0.8 * np.sin(th))
     run = eq.run(0.05, record_every=10)
-    for state in (run.states[0], run.states[-1]):
-        fld = eq.expand_field(state.h)
-        new, old = _frames(fld.df_field(), fld.g_m_field(), fld.g_n_field())
-        for name in FRAME_FIELDS:
-            got, want = getattr(new, name), getattr(old, name)
-            assert got.shape == want.shape, name
-            if name in ("beta", "eta"):
-                # the one exception: entries of size ~1e-15, sums of two nonzero
-                # products that the oracle's matmuls fuse, differ in their last bits
-                tiny = np.abs(want) < 1e-13
-                assert np.array_equal(got[~tiny], want[~tiny]), name
-                assert np.abs(got - want).max() <= 1e-28, name
-            else:
-                assert np.array_equal(got, want), name
+    for h in (run.states[0].h, run.states[-1].h):
+        for fld in (eq.expand_field(h), reference_geometry.full_width_lift(eq, h)):
+            new, old = _frames(fld.df_field(), fld.g_m_field(), fld.g_n_field())
+            for name in FRAME_FIELDS:
+                got, want = getattr(new, name), getattr(old, name)
+                assert got.shape == want.shape, name
+                if name in ("beta", "eta"):
+                    # the one exception: entries of size ~1e-15, sums of two nonzero
+                    # products that the oracle's matmuls fuse, differ in their last bits
+                    tiny = np.abs(want) < 1e-13
+                    assert np.array_equal(got[~tiny], want[~tiny]), name
+                    assert np.abs(got - want).max() <= 1e-28, name
+                else:
+                    assert np.array_equal(got, want), name
 
 
 def _diagonal_metrics(rng, n):

@@ -84,8 +84,12 @@ def _assert_same_stencils(m, n, shape, f):
     u = new.p_field()
     assert np.array_equal(new.grad_field(u), old.grad_field(u))
     assert np.array_equal(new.laplace_beltrami(u), old.laplace_beltrami(u))
-    lap, du = new._laplace_and_gradient(u)  # the monitors' one gather for both
-    assert np.array_equal(lap, old.laplace_beltrami(u)) and np.array_equal(du, old.grad_field(u))
+    # the monitors' one gather for both, over scalars stacked on a trailing axis
+    stacked = np.stack([u, u * u, np.cos(u)], axis=-1)
+    lap, du = new._laplace_and_gradient(stacked)
+    for c in range(stacked.shape[-1]):
+        assert np.array_equal(lap[c], old.laplace_beltrami(stacked[..., c])), c
+        assert np.array_equal(du[c], old.grad_field(stacked[..., c])), c
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -197,7 +197,8 @@ def _torus_triple():
 @pytest.mark.parametrize("make_triple, k", [(_tsui_triple, 1.0), (_torus_triple, 0.0)])
 def test_monitors_read_every_m_from_its_chart_curvature(monkeypatch, make_triple, k):
     # a constant curvature is one block over all axes, so a space form takes
-    # the same path as a product: one ChartManifold.curvature call per monitor
+    # the same path as a product: one ChartManifold.curvature call per checkpoint,
+    # which both monitors share
     triple = make_triple()
     m_manifold = triple[4].M
     curvature, seen = m_manifold.curvature, []
@@ -211,6 +212,8 @@ def test_monitors_read_every_m_from_its_chart_curvature(monkeypatch, make_triple
     residual_p_evolution([triple])
     assert len(seen) == 1
     check_H_and_theta_inequalities([triple], eps1=0.0)
+    assert len(seen) == 1
+    residual_p_evolution([(triple[0], 2 * triple[1]) + triple[2:]])  # another checkpoint
     assert len(seen) == 2
     ric11, ric22, sig_m = seen[0]  # at the residual's nodes
     assert ric11.size == triple[4].interior_mask().sum()
