@@ -209,7 +209,6 @@ class EquivariantFlow:
             raise ValueError("profile length must match node count")
         self.M = round_sphere(2)
         self.N = round_sphere(2)
-        self._lift_grid: Optional[tuple] = None  # (grid, its column-0 stencil, column fields)
 
     def _stage_kernel(self, b: np.ndarray, ws: np.ndarray):
         """The profile's dh/dt, bound to a ghost-padded buffer b (length J + 2,
@@ -388,49 +387,49 @@ class EquivariantFlow:
         """Lift one profile; see ``expand_fields``."""
         return self.expand_fields([h])[0]
 
-    def expand_fields(self, profiles: Sequence[np.ndarray]) -> list:
-        """Lift profiles to the 2D fields f(theta, phi) = (h(theta), phi) on
-        PHI_WIDTH azimuthal nodes, each given as its column at phi = 0: a (J, 1)
-        field with the lift's spacing (dtheta, 2 pi / PHI_WIDTH), an azimuthal
-        stencil that reads the node itself (exact for phi-invariant fields) and
-        ``copies`` = PHI_WIDTH, so that its node counts and volume are the lift's.
+    @functools.cached_property
+    def _column(self) -> GraphMapField:
+        """The lifts' (J, 1) column, its grid fields computed: no (J, PHI_WIDTH) grid is built."""
+        column = object.__new__(GraphMapField)
+        column.__dict__.update(M=self.M, N=self.N, shape=(self.J, 1), copies=PHI_WIDTH, _cache={},
+                               h=np.array([self.dtheta, 2 * np.pi / PHI_WIDTH]),
+                               _seam_roll=[0, 0])  # a roll moves no node of one column
+        for name in GraphMapField.GRID_FIELDS:
+            getattr(column, name)()
+        return column
 
-        A lift is invariant under phi-rotation, so every column carries the same
-        values.  They are computed once for all the profiles given, on a batch grid
-        of one column per profile, and each column field reads its column.  The
-        batch's f derivatives come from the column-0 stencil of the full lifts,
-        whose values are built here from the profiles: the batch's own values would
-        give d_phi f = 0."""
-        if self._lift_grid is None:  # the lift's grid: its column-0 stencil and M side
-            grid = GraphMapField(self.M, self.N, (self.J, PHI_WIDTH),
-                                 np.zeros((self.J, PHI_WIDTH, 2)))
-            index = grid._stencil_index()[..., 0]
-            column = {name: getattr(grid, name)()[:, :1] for name in GraphMapField.GRID_FIELDS
-                      if name != "_stencil_index"}
-            column["_stencil_index"] = index[..., None] // PHI_WIDTH
-            self._lift_grid = grid, index, column
-        grid, index, column = self._lift_grid
-        width = len(profiles)
-        lifted = np.empty((self.J, PHI_WIDTH, width, 2))
-        lifted[..., 0] = np.asarray(profiles).T[:, None]
-        lifted[..., 1] = (np.arange(PHI_WIDTH) * 2 * np.pi / PHI_WIDTH)[:, None]
-        lifted = self.N.wrap(lifted)
+    def expand_fields(self, profiles: Sequence[np.ndarray]) -> list:
+        """Lift profiles to f(theta, phi) = (h(theta), phi) on PHI_WIDTH azimuthal
+        nodes, each given as its column at phi = 0: a (J, 1) field with the lift's
+        spacing (dtheta, 2 pi / PHI_WIDTH), an azimuthal stencil that reads the node
+        itself (exact for phi-invariant fields) and ``copies`` = PHI_WIDTH, so that its
+        node counts and volume are the lift's.  Their values are computed once, on a
+        batch grid of one column per profile, and each lift reads its column.  No
+        (J, PHI_WIDTH) grid or array is built: f's derivatives come from the profiles'
+        odd mirror stencil, as in ``rhs``, in the arithmetic of ``GraphMapField._first``
+        and ``_second``, negated where ``N.wrap`` mirrored f^theta; d_phi f = (0, 1) and
+        the other second derivatives, 0, are exact."""
+        column, width = self._column, len(profiles)
+        grid = column._cache
+        h = np.asarray(profiles, dtype=float).T                    # (J, K)
         batch = object.__new__(GraphMapField)
-        batch.__dict__.update(grid.__dict__)
-        batch.shape = (self.J, width)
-        batch.f = np.ascontiguousarray(lifted[:, 0])
-        batch._cache = {"_stencil_index": column["_stencil_index"] * width + np.arange(width)}
-        for name in ("g_m_field", "g_m_inv_field", "gamma_m_field"):
-            g = column[name]
-            batch._cache[name] = np.broadcast_to(g, batch.shape + g.shape[2:])
-        nb = batch.unwrap_target(lifted.reshape(-1, width, 2)[index])
-        batch._cache["_f_derivatives"] = (batch._first(nb), batch._second(nb, batch.f))
+        batch.__dict__.update(column.__dict__, shape=h.shape,
+                              f=self.N.wrap(np.stack([h, np.zeros(h.shape)], axis=-1)))
+        batch._cache = {name: np.broadcast_to(grid[name], h.shape + grid[name].shape[2:])
+                        for name in ("g_m_field", "g_m_inv_field", "gamma_m_field")}
+        batch._cache["_stencil_index"] = grid["_stencil_index"] * width + np.arange(width)
+        sign = np.where(batch.f[..., 1] == 0, 1.0, -1.0)  # -1 where the wrap mirrored h
+        b = np.concatenate([-h[:1], h, -h[-1:]])  # h(-theta) = -h(theta), h(pi + s) = -h(pi - s)
+        df, d2f = np.zeros(h.shape + (2, 2)), np.zeros(h.shape + (2, 2, 2))
+        df[..., 0, 0] = sign * (b[2:] - b[:-2]) / (2 * self.dtheta)
+        df[..., 1, 1] = 1.0
+        d2f[..., 0, 0, 0] = sign * (b[2:] - 2 * h + b[:-2]) / self.dtheta**2
+        batch._cache["_f_derivatives"] = df, d2f
         lifts = []
         for k in range(width):
             lift = object.__new__(GraphMapField)
-            lift.__dict__.update(batch.__dict__)
-            lift.shape, lift.f, lift.copies = (self.J, 1), batch.f[:, k:k + 1], PHI_WIDTH
-            lift._cache = {**column, COLUMN_SOURCE: functools.partial(_read_column, batch, k)}
+            lift.__dict__.update(column.__dict__, f=batch.f[:, k:k + 1], _cache={
+                **grid, COLUMN_SOURCE: functools.partial(_read_column, batch, k)})
             lifts.append(lift)
         return lifts
 

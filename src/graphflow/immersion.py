@@ -28,7 +28,9 @@ from .geometry import ChartManifold
 
 SEAM_MARGIN = 4  # nodes next to a reflect seam that ``interior_mask`` leaves out
 CORRUPTED_METRIC = "induced metric not positive definite (corrupted state)"
-COLUMN_SOURCE = "column source"  # cache key of a field whose derived values are a batch's column
+# cache key of a field whose derived values are a batch's column: a tsui lift, built with no
+# (J, 8) grid and exact phi derivatives (``flow.EquivariantFlow.expand_fields``)
+COLUMN_SOURCE = "column source"
 
 
 def _swap(a: np.ndarray) -> np.ndarray:
@@ -37,11 +39,8 @@ def _swap(a: np.ndarray) -> np.ndarray:
 
 def field_cached(fn):
     """Compute ``fn(field)`` once per field; it is kept with the field's derived values.
-
-    A field whose cache holds a ``COLUMN_SOURCE`` reader takes every such value
-    from it instead: ``reader(once)`` gives the value for this field, its column of
-    the value computed once on a batch grid (the (J, 1) lifts of
-    ``flow.EquivariantFlow.expand_fields``)."""
+    A field whose cache holds a ``COLUMN_SOURCE`` reader takes every such value from it
+    instead: ``reader(once)`` gives this field's column of the value computed on a batch."""
     name = fn.__name__
 
     @functools.wraps(fn)

@@ -333,15 +333,17 @@ def test_loose_h_tol_keeps_unit_singular_values_nonzero(tmp_path, name, h_tol, k
 def test_tsui_wang_lifts_each_record_once(tmp_path, monkeypatch, monitored):
     # a run with R records and S stencils lifts each record once and, with the
     # monitors on, the two stencil neighbours of each stencil.  Each lift is one
-    # (J, 1) column of one batch: the run validates one (J, PHI_WIDTH) grid and sets
-    # the values of no field per record.  The batch gathers the lifts' f stencils
-    # (one unwrap_target) and builds one SVD frame, whose field geometry serves every
-    # record's max |A|^2, the monitors and the classifier, which read only columns.
-    # The M side of the lifts is computed once per run; the batch checks its induced
-    # metric by Cholesky and nothing reads its eigenvalues
+    # (J, 1) column of one batch: the run builds no field through __init__ or
+    # _set_values, so no (J, PHI_WIDTH) grid, and wraps only the batch's (J, K, 2)
+    # values, so no (J, PHI_WIDTH, K, 2) array.  The batch's f derivatives come from
+    # the profiles (no unwrap_target), and it builds one SVD frame, whose field
+    # geometry serves every record's max |A|^2, the monitors and the classifier,
+    # which read only columns.  The M side of the lifts is computed once per run;
+    # the batch checks its induced metric by Cholesky and nothing reads its eigenvalues
     calls = Counter()
     init, frame, eigvalsh = GraphMapField.__init__, immersion.build_svd_frame, np.linalg.eigvalsh
     set_values, unwrap = GraphMapField._set_values, GraphMapField.unwrap_target
+    wrap = ChartManifold.wrap
     geometry = app.field_geometry
     chart = {name: getattr(ChartManifold, name)
              for name in ("metric_many", "inverse_metric", "christoffels_many")}
@@ -357,6 +359,10 @@ def test_tsui_wang_lifts_each_record_once(tmp_path, monkeypatch, monitored):
     def counted_unwrap(self, *args):
         calls["unwrap_target", self.shape] += 1
         return unwrap(self, *args)
+
+    def counted_wrap(self, x):
+        calls["wrap", np.shape(x)] += 1
+        return wrap(self, x)
 
     def counted_frame(*args):  # one SVD frame per field_geometry evaluation
         calls["field_geometry", args[0].shape[:2]] += 1
@@ -381,6 +387,7 @@ def test_tsui_wang_lifts_each_record_once(tmp_path, monkeypatch, monitored):
     monkeypatch.setattr(GraphMapField, "__init__", counted_init)
     monkeypatch.setattr(GraphMapField, "_set_values", counted_set_values)
     monkeypatch.setattr(GraphMapField, "unwrap_target", counted_unwrap)
+    monkeypatch.setattr(ChartManifold, "wrap", counted_wrap)
     monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
     monkeypatch.setattr(immersion, "build_svd_frame", counted_frame)
     for module in (app, graphflow.verify, graphflow.classify):
@@ -396,11 +403,11 @@ def test_tsui_wang_lifts_each_record_once(tmp_path, monkeypatch, monitored):
     assert records >= 3 and (stencils >= 2 or not monitored)
     profiles = records + 2 * stencils
     assert profiles * 32 <= graphflow.flow.LIFT_BATCH_NODES  # one batch: a column per profile
-    assert calls.pop(("set_values", (32, graphflow.flow.PHI_WIDTH))) == 1
-    assert calls.pop("grid") == 1
+    assert calls.pop(("wrap", (32, profiles, 2))) == 1  # one per batch
+    assert calls.pop(("wrap", (32, 1, 2))) == 2  # the column's coords, in g_M and Gamma_M
     assert calls.pop(("geometry read on", (32, 1))) == records + stencils + 1
-    assert calls.pop(("unwrap_target", (32, profiles))) == 1
     assert calls.pop(("field_geometry", (32, profiles))) == 1
+    # and no __init__, _set_values or unwrap_target
     assert calls == {"metric_many in g_m_field": 1, "inverse_metric in g_m_inv_field": 1,
                      "christoffels_many in gamma_m_field": 1}  # and no eigvalsh
 

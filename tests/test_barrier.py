@@ -181,3 +181,18 @@ def test_diameter_series_slope():
     assert not diameter_series(slow, eps0=0.25)["pass"]
     # no fit requested without a positive rate
     assert "log_slope" not in diameter_series(pairs, eps0=None)
+
+
+def test_diameter_slope_matches_polyfit():
+    # the closed-form slope is the least-squares slope of np.polyfit, over the
+    # final half of random series of any length
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        ts = np.sort(rng.uniform(0.0, 10.0, rng.integers(3, 40)))
+        d = np.exp(rng.normal(0.0, 2.0) + rng.normal(0.0, 1.0) * ts + rng.normal(0.0, 0.3, ts.size))
+        sel = ts >= ts.max() / 2
+        if sel.sum() < 2:
+            continue
+        want = np.polyfit(ts[sel], np.log(d[sel]), 1)[0]
+        got = diameter_series(list(zip(ts, d)), eps0=0.25)["log_slope"]
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))

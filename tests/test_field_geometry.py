@@ -6,6 +6,7 @@ agree to 1e-12 at every node.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from graphflow.classify import classify_limit
 from graphflow.flow import PHI_WIDTH, EquivariantFlow, h2_field
 from graphflow.frames import build_svd_frame
 from graphflow.geometry import WarpedSurface, builtin_warp, flat_torus, product_s1_s2
-from graphflow.immersion import GraphMapField, field_geometry
+from graphflow.immersion import COLUMN_SOURCE, GraphMapField, field_geometry
 from graphflow.verify import check_H_and_theta_inequalities, residual_p_evolution
 
 TOL = 1e-12
@@ -85,15 +86,30 @@ def _close(got, want) -> bool:
     return bool(np.abs(got - want).max() <= TOL * max(1.0, np.abs(want).max()))
 
 
-@pytest.mark.parametrize("nodes", [32, 64])
-def test_batched_lifts_match_full_width_lifts(nodes):
-    # a batch evaluates its lifts' derived values once, one column per profile, and
-    # each lift is its (J, 1) column; the full-width lift built from the same profile
-    # evaluates all PHI_WIDTH columns on its own grid.  f's differences come from the
-    # same column-0 stencil, so they are bit for bit the full lift's column 0 (its
-    # other columns round d_phi phi their own way); every other value agrees with
-    # every column at every node, seam rows included, and so do max |A|^2, the
-    # classifier's evidence and both monitors' rows, nodes and tol included
+def _assert_exact_lift_derivatives(eq, h, lift, full):
+    """A column's f derivatives: the theta parts bit for bit those of the full-width
+    lift and of the profile's odd mirror stencil (the flow's own), the phi parts
+    exactly d_phi f = (0, 1) and 0, and within 1e-13 of the full lift's, whose
+    d_phi phi rounds its own way (1 +- 7e-16, and d2_phiphi phi up to 2.3e-14 at
+    256 nodes)."""
+    df, d2f = lift.df_field()[:, 0], lift.d2f_field()[:, 0]
+    full_df, full_d2f = full.df_field()[:, 0], full.d2f_field()[:, 0]
+    b = np.concatenate([-h[:1], h, -h[-1:]])  # h(-theta) = -h(theta), h(pi + s) = -h(pi - s)
+    sign = np.where(lift.f[:, 0, 1] == 0, 1.0, -1.0)  # where the wrap mirrored h: -1
+    assert np.array_equal(df[:, 0, 0], full_df[:, 0, 0]), "d_theta f^theta: full lift"
+    assert np.array_equal(df[:, 0, 0], sign * eq.rhs(h)[1]), "d_theta f^theta: profile stencil"
+    assert np.array_equal(d2f[:, 0, 0, 0], full_d2f[:, 0, 0, 0]), "d2 f^theta: full lift"
+    assert np.array_equal(d2f[:, 0, 0, 0], sign * (b[2:] - 2 * h + b[:-2]) / eq.dtheta**2), \
+        "d2 f^theta: profile stencil"
+    # per node, df is (d_theta f^theta, d_theta f^phi, d_phi f^theta, d_phi f^phi) flat
+    assert (df.reshape(-1, 4)[:, 1:] == [0.0, 0.0, 1.0]).all(), \
+        "d_phi f = (0, 1), d_theta f^phi = 0: exact"
+    assert not d2f.reshape(-1, 8)[:, 1:].any(), "the other second derivatives: exactly 0"
+    assert np.abs(df - full_df).max() <= 1e-13, "d f: full lift"
+    assert np.abs(d2f - full_d2f).max() <= 1e-13, "d2 f: full lift"
+
+
+def _assert_lifts_match_full_width_lifts(nodes):
     eq = EquivariantFlow(nodes, lambda th: 0.8 * np.sin(th))
     run = eq.run(0.05, record_every=10)
     states = run.states[:3]
@@ -107,8 +123,7 @@ def test_batched_lifts_match_full_width_lifts(nodes):
         with pytest.raises(ValueError, match="lift the profile"):  # it would read d_phi f = 0
             lift.with_values(lift.f)
         assert np.array_equal(lift.f, full.f[:, :1]) and np.array_equal(lift.h, full.h)
-        for read in (GraphMapField.df_field, GraphMapField.d2f_field):
-            assert np.array_equal(read(lift), read(full)[:, :1])
+        _assert_exact_lift_derivatives(eq, state.h, lift, full)
         for name, read in readers.items():
             assert read(lift).shape[1] == 1 and _close(read(lift), read(full)), name
             assert not read(lift).flags.writeable, name
@@ -141,6 +156,66 @@ def test_batched_lifts_match_full_width_lifts(nodes):
     assert got["nodes"] == want["nodes"] > 0 and got["tol"] == want["tol"]
     for key in ("worst_slack_h", "worst_slack_theta", "worst_w_excess"):
         assert abs(got[key] - want[key]) <= TOL * abs(want[key]), key
+
+
+@pytest.mark.parametrize("nodes", [32, 64])
+def test_batched_lifts_match_full_width_lifts(nodes):
+    # a batch evaluates its lifts' derived values once, one column per profile, and
+    # each lift is its (J, 1) column; the full-width lift built from the same profile
+    # evaluates all PHI_WIDTH columns on its own grid.  The column's f derivatives are
+    # built from the profile: the theta parts bit for bit the full lift's, the phi
+    # parts exact (see ``_assert_exact_lift_derivatives``).  Every other value agrees
+    # with every column at every node, seam rows included, within TOL, and so do
+    # max |A|^2, the classifier's evidence and both monitors' rows, nodes and tol included
+    _assert_lifts_match_full_width_lifts(nodes)
+
+
+@pytest.mark.parametrize("profile", [lambda th: -0.8 * np.sin(th),
+                                     lambda th: 0.3 * np.sin(2 * th)],
+                         ids=["negative", "crossing_zero"])
+def test_lifts_of_profiles_the_wrap_mirrors_match_full_width_lifts(profile):
+    # where h < 0, N.wrap stores (-h, phi + pi): the column's theta derivatives change
+    # sign there, as the full lift's seam-aware stencils read them
+    eq = EquivariantFlow(32, profile)
+    lift, full = eq.expand_field(eq.h), ref.full_width_lift(eq, eq.h)
+    assert (lift.f[:, 0, 1] == math.pi).sum() >= 15
+    _assert_exact_lift_derivatives(eq, eq.h, lift, full)
+    for read in (GraphMapField.p_field, h2_field, GraphMapField.induced_dg_field):
+        assert _close(read(lift), read(full))
+    geo, want = field_geometry(lift), field_geometry(full)
+    for key in GEOMETRY_FIELDS:
+        assert _close(getattr(geo, key), getattr(want, key)), key
+
+
+def _even_ghosts(h, df, d2f, dtheta):
+    # the profile stencil's ghosts mirrored evenly, h(-theta) = h(theta) and
+    # h(pi + s) = h(pi - s): the seam rows read h_0 for -h_0 and h_{J-1} for -h_{J-1}
+    for row, inner, sign in ((0, 1, 1.0), (-1, -2, -1.0)):
+        df[row, :, 0, 0] = sign * (h[inner] - h[row]) / (2 * dtheta)
+        d2f[row, :, 0, 0, 0] = (h[inner] - h[row]) / dtheta**2
+
+
+def _phi_stretched(h, df, d2f, dtheta):
+    # d_phi f^phi = 1 + 1e-6
+    df[..., 1, 1] += 1e-6
+
+
+@pytest.mark.parametrize("defect, check", [
+    (_even_ghosts, "d_theta f^theta: full lift"),
+    (_phi_stretched, "d_phi f = (0, 1)"),
+], ids=["even_ghosts", "phi_stretched"])
+def test_lift_derivative_defects_fail_the_lift_checks(monkeypatch, defect, check):
+    # each defect, written into the f derivatives of every lift batch, fails the
+    # first check that reads it
+    def expand(self, profiles):
+        lifts = original(self, profiles)
+        batch = lifts[0]._cache[COLUMN_SOURCE].args[0]
+        defect(np.asarray(profiles).T, *batch._cache["_f_derivatives"], self.dtheta)
+        return lifts
+    original = EquivariantFlow.expand_fields
+    monkeypatch.setattr(EquivariantFlow, "expand_fields", expand)
+    with pytest.raises(AssertionError, match=re.escape(check)):
+        _assert_lifts_match_full_width_lifts(32)
 
 
 @st.composite
