@@ -34,9 +34,9 @@ from .frames import build_svd_frame, quad_form, singular_value_invariants
 from .geometry import (WARP_Z_MAX, WarpedSurface, builtin_warp, curvature_conditions_report,
                        flat_torus, hopf_map, product_s1_s2, round_sphere, s3_hopf_chart)
 from .immersion import SEAM_MARGIN, GraphMapField, field_geometry, quantity_R_vw, w_norm_sq
-from .verify import (BoundConstants, check_H_and_theta_inequalities, check_decay_bounds,
-                     check_volume_budget, compute_bound_constants, decay_rates,
-                     inequality_section, residual_p_evolution)
+from .verify import (check_H_and_theta_inequalities, check_decay_bounds, check_volume_budget,
+                     compute_bound_constants, decay_rates, inequality_section,
+                     residual_p_evolution)
 
 CSV_COLUMNS = [
     "t", "min_p", "max_lambda", "max_mu", "max_H2", "max_A2", "max_theta",
@@ -281,22 +281,59 @@ def _replace_file(path: str, text: str) -> None:
         fh.write(text)
 
 
+_json_str = json.encoder.encode_basestring_ascii  # C code; it adds the quotes
+# a subclass is written as its base, as json writes it (np.float64 is a float)
+_JSON_BASES = ((str, str.__str__), (int, int.__pos__), (float, float.__pos__), (dict, dict),
+               ((list, tuple), list))
+
+
 def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n"
+    """``json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\\n"``, byte
+    for byte: json runs its encoder in pure Python whenever it indents.  Keys must be str."""
+    out: list = []
+    _json_write(payload, out, "\n")
+    out.append("\n")
+    return "".join(out)
 
 
-def _csv_row(rec: FlowRecord, constants: Optional[BoundConstants]) -> tuple:
-    """One ``time_series.csv`` row, in CSV_COLUMNS order; no constants: NaN bounds."""
-    nan = float("nan")
-    bounds = ((constants.bound_p(rec.t), constants.bound_df2(rec.t), constants.bound_h2(rec.t))
-              if constants else (nan, nan, nan))
-    return (rec.t, rec.min_p, rec.max_lambda, rec.max_mu, rec.max_h2, rec.max_a2,
-            rec.max_theta, rec.volume, rec.diameter, *bounds, rec.residual_l2, rec.residual_linf)
+def _json_write(o, out: list, nl: str) -> None:
+    """Append the JSON text of ``o`` to ``out``; ``nl`` is a newline and the indent of
+    the line ``o`` starts on."""
+    t = type(o)
+    if t is float:
+        out.append(float.__repr__(o) if math.isfinite(o) else
+                   "NaN" if o != o else "Infinity" if o > 0 else "-Infinity")
+    elif t is str:
+        out.append(_json_str(o))
+    elif t is dict or t is list or t is tuple:
+        inner = nl + "  "
+        out.append("{" if t is dict else "[")
+        for item in sorted(o) if t is dict else o:  # a dict's items sort by key alone
+            out += (inner, _json_str(item), ": ") if t is dict else (inner,)
+            _json_write(o[item] if t is dict else item, out, inner)
+            out.append(",")  # the closing bracket overwrites the last comma
+        out[-1] = (nl if o else out[-1]) + ("}" if t is dict else "]")
+    elif o is None or t is bool:
+        out.append("null" if o is None else "true" if o else "false")
+    elif t is int:
+        out.append(int.__repr__(o))
+    else:
+        cast = next((cast for base, cast in _JSON_BASES if isinstance(o, base)), _json_default)
+        _json_write(cast(o), out, nl)
 
 
-def _csv_text(rows: list) -> str:
-    return "".join(",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row) + "\n"
-                   for row in [CSV_COLUMNS, *rows])
+_CSV_ROW = ",".join(["%.12g"] * len(CSV_COLUMNS)) + "\n"
+
+
+def _csv_text(records: list, curves: Optional[list]) -> str:
+    """``time_series.csv``: the header, then each record in CSV_COLUMNS order; ``curves``:
+    ``BoundConstants.curves(<record times>).tolist()``, or None for NaN bounds."""
+    bounds = zip(*curves[:3]) if curves else itertools.repeat((math.nan,) * 3)
+    return ",".join(CSV_COLUMNS) + "\n" + "".join(
+        _CSV_ROW % (rec.t, rec.min_p, rec.max_lambda, rec.max_mu, rec.max_h2, rec.max_a2,
+                    rec.max_theta, rec.volume, rec.diameter, *bound, rec.residual_l2,
+                    rec.residual_linf)
+        for rec, bound in zip(records, bounds))
 
 
 # ---------------------------------------------------------------------------
@@ -338,15 +375,16 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> RunManif
                                  "no step, so there is nothing to verify")
 
     verification = {"curvature_conditions": asdict(report), "constants": None, **ev.sections}
-    constants = None
+    curves = None  # the four bound curves at the record times, shared by both artifacts
     if ev.dissipation is not None:
         rec0 = ev.records[0]
         constants = compute_bound_constants(rec0.min_p, rec0.max_theta, min_ric=report.min_ric,
                                             sup_sigma_n=report.sup_sigma_n)
         verification["constants"] = {k: getattr(constants, k) for k in (
             "rho0", "c0", "c1", "eps0", "eps1", "a0", "a0_reconstructed")}
+        curves = constants.curves([rec.t for rec in ev.records]).tolist()
         verification["decay_bounds"] = check_decay_bounds(
-            ev.records, constants, h_grid=ev.h_grid, condition_a=report.cond_a)
+            ev.records, constants, h_grid=ev.h_grid, condition_a=report.cond_a, curves=curves)
         verification["volume_budget"] = check_volume_budget(
             rec0.volume, ev.records[-1].volume, ev.dissipation)
     verification.update(overall_pass=all(verdicts(verification).values()),
@@ -357,7 +395,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> RunManif
 
     texts = {
         "config.ini": cfg.canonical_text(),
-        "time_series.csv": _csv_text([_csv_row(rec, constants) for rec in ev.records]),
+        "time_series.csv": _csv_text(ev.records, curves),
         "verification.json": _json_text(verification),
         "classification.json": _json_text(classification),
     }
@@ -423,13 +461,12 @@ def _evolve_cylinder(cfg: ScenarioConfig, m_manifold, n_manifold, report,
     level, converges to the waist inside the waist-tube barrier of that level."""
     run = reduce_circle_drift(n_manifold, cfg.get("initial", "z0"), cfg.get("flow", "t_end"))
     idx = sorted({*range(0, len(run.t), cfg.get("flow", "record_every")), len(run.t) - 1})
-    records = []
-    for i in idx:  # observables of the symmetric circle: |A| = |H| = |Phi|
-        w, h2 = float(run.w[i]), float(run.h2[i])
+    records = []  # observables of the symmetric circle: |A| = |H| = |Phi|
+    for t, w, h2, volume in zip(*(a[idx].tolist() for a in (run.t, run.w, run.h2, run.volume))):
         p = 2.0 / (1.0 + w * w)
         records.append(FlowRecord(
-            t=float(run.t[i]), min_p=p, max_lambda=w, max_mu=0.0, max_df2=w**2, max_h2=h2,
-            max_a2=h2, max_theta=h2 / p, volume=float(run.volume[i]),
+            t=t, min_p=p, max_lambda=w, max_mu=0.0, max_df2=w**2, max_h2=h2, max_a2=h2,
+            max_theta=h2 / p, volume=volume,
             diameter=math.pi * w))  # chart half-circumference proxy
 
     final_h2 = float(run.h2[-1])

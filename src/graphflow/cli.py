@@ -15,8 +15,8 @@ import os
 import sys
 from dataclasses import asdict
 
-from .app import (CLASSIFICATION_SCHEMA, SCENARIOS, VERIFICATION_SCHEMA, load_config,
-                  run_identities, run_scenario, validate, verdicts)
+from .app import (CLASSIFICATION_SCHEMA, SCENARIOS, VERIFICATION_SCHEMA, _json_text,
+                  load_config, run_identities, run_scenario, validate, verdicts)
 from .errors import (ConfigurationError, DegenerateMetricError, DomainError, GraphflowError,
                      NotAreaDecreasingError, SolverAbort)
 from .geometry import curvature_conditions_report
@@ -69,7 +69,7 @@ def _cmd_check_curvature(args) -> int:
     cfg = load_config(args.config)
     m_manifold, n_manifold = SCENARIOS[cfg.name].manifolds()
     report = curvature_conditions_report(m_manifold, n_manifold, seed=cfg.seed)
-    print(json.dumps(asdict(report), indent=2, sort_keys=True))
+    print(_json_text(asdict(report)), end="")
     return EXIT_PASS if (report.cond_a and report.cond_b and report.cond_c) \
         else EXIT_VERIFICATION_FAILURE
 
@@ -107,7 +107,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_classify(args) -> int:
     classification = _read_json(args.run_dir, "classification.json", CLASSIFICATION_SCHEMA)
-    print(json.dumps(classification, indent=2, sort_keys=True))
+    print(_json_text(classification), end="")
     return EXIT_PASS
 
 

@@ -188,36 +188,20 @@ class GraphMapField:
         # center value so stencil differences see a continuous chart function
         for b, ax in enumerate(self.N.axes):
             if ax.reflect and ax.partner_axis is not None:
-                q = ax.partner_axis
+                q, c = ax.partner_axis, self.f  # c: the centre values
                 lq = self.N.axes[q].length
 
                 def perdist(d):
                     return np.abs((d + lq / 2) % lq - lq / 2)
 
-                # the mirror can only be closer where the partner coordinate is
-                # more than half the seam shift s from the centre's: for o and c
-                # on one side of a pivot p, |2p - o - c| >= |o - c|, and
-                # perdist(x + s) >= perdist(s) - perdist(x).  Values and centre lie
-                # in [0, L), so that is |gap| in (s/2, L - s/2); a relative margin
-                # of 1e-9 covers the rounding of perdist, and the mirror test
-                # below decides every value the margin admits
-                half = perdist(ax.partner_shift) / 2
-                gap = np.abs(out[..., q] - self.f[..., q])
-                far = np.flatnonzero((gap > (1 - 1e-9) * half) & (gap < (1 + 1e-9) * (lq - half)))
-                if not far.size:
-                    continue
-                flat = out.reshape(-1, out.shape[-1])          # a view: out is a fresh copy
-                o = flat[far]
-                c = self.f.reshape(-1, self.f.shape[-1])[far % self.f[..., 0].size]
                 for pivot in (ax.lo, ax.hi):
-                    alt_b = 2 * pivot - o[:, b]
-                    alt_q = o[:, q] + ax.partner_shift
-                    d_cur = np.abs(o[:, b] - c[:, b]) + perdist(o[:, q] - c[:, q])
-                    d_alt = np.abs(alt_b - c[:, b]) + perdist(alt_q - c[:, q])
+                    alt_b = 2 * pivot - out[..., b]
+                    alt_q = out[..., q] + ax.partner_shift
+                    d_cur = np.abs(out[..., b] - c[..., b]) + perdist(out[..., q] - c[..., q])
+                    d_alt = np.abs(alt_b - c[..., b]) + perdist(alt_q - c[..., q])
                     take = d_alt < d_cur
-                    o[take, b] = alt_b[take]
-                    o[take, q] = alt_q[take]
-                flat[far] = o
+                    np.copyto(out[..., b], alt_b, where=take)
+                    np.copyto(out[..., q], alt_q, where=take)
         for b, ax in enumerate(self.N.axes):
             if ax.periodic:  # y % length is y itself for y in [0, length)
                 y = out[..., b] - self.f[..., b] + ax.length / 2

@@ -43,7 +43,7 @@ class BoundConstants:
 
     def bound_p(self, t):
         e = self.c0 * np.exp(self.eps0 * np.asarray(t, dtype=float))
-        return 2 * e / np.sqrt(1 + e**2)
+        return 2 * e / np.sqrt(1 + e * e)  # e**2 of a scalar is pow(), not always e * e
 
     def bound_df2(self, t):
         return self.c1 * np.exp(-self.eps0 * np.asarray(t, dtype=float))
@@ -53,6 +53,11 @@ class BoundConstants:
 
     def bound_theta(self, t):
         return self.theta0_max * np.exp(2 * max(0.0, self.eps1) * np.asarray(t, dtype=float))
+
+    def curves(self, t) -> np.ndarray:
+        """The four bound_* curves at the times ``t``, stacked: (4,) + t's shape, bit for bit."""
+        t = np.asarray(t, dtype=float)
+        return np.stack([self.bound_p(t), self.bound_df2(t), self.bound_h2(t), self.bound_theta(t)])
 
 
 def decay_rates(min_ric: float, sup_sigma_n: float) -> tuple[float, float]:
@@ -83,28 +88,23 @@ def compute_bound_constants(min_p0: float, max_theta0: float, min_ric: float,
 
 
 def check_decay_bounds(series, constants: BoundConstants, h_grid: float,
-                       condition_a: Optional[bool] = True) -> dict:
+                       condition_a: Optional[bool] = True, curves=None) -> dict:
     """Margins of min p / max|df|^2 / max|H|^2 / max Theta against the bounds.
 
-    ``series`` holds ``flow.FlowRecord`` rows (t, min_p, max_df2, max_h2, max_theta).
+    ``series`` holds ``flow.FlowRecord`` rows (t, min_p, max_df2, max_h2, max_theta);
+    ``curves``, if given, is ``constants.curves(<the series' times>).tolist()``.
     """
     if not condition_a:
         return {"applicable": False,
                 "reason": "curvature condition (A) not certified for this scenario"}
     tol = 1e-6 + 10 * h_grid**2
     rows = []
-    ok = True
-    for rec in series:
-        t = rec.t
-        margins = {
-            "p": rec.min_p - (constants.bound_p(t) - tol),
-            "df2": (constants.bound_df2(t) + tol) - rec.max_df2,
-            "h2": (constants.bound_h2(t) + tol) - rec.max_h2,
-            "theta": (constants.bound_theta(t) + tol) - rec.max_theta,
-        }
-        row_ok = all(v >= 0 for v in margins.values())
-        ok = ok and row_ok
-        rows.append({"t": t, "margins": margins, "pass": row_ok})
+    curves = curves or constants.curves([rec.t for rec in series]).tolist()
+    for rec, b_p, b_df2, b_h2, b_theta in zip(series, *curves):
+        margins = {"p": rec.min_p - (b_p - tol), "df2": (b_df2 + tol) - rec.max_df2,
+                   "h2": (b_h2 + tol) - rec.max_h2, "theta": (b_theta + tol) - rec.max_theta}
+        rows.append({"t": rec.t, "margins": margins, "pass": all(v >= 0 for v in margins.values())})
+    ok = all(row["pass"] for row in rows)
     worst = {k: min(r["margins"][k] for r in rows) for k in ("p", "df2", "h2", "theta")}
     return {"applicable": True, "pass": ok, "tol": tol, "worst_margins": worst, "rows": rows}
 

@@ -11,16 +11,19 @@ import re
 import shutil
 import subprocess
 import sys
-from collections import Counter
+from collections import Counter, OrderedDict
 from dataclasses import replace
 
+import hypothesis.extra.numpy as hnp
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import graphflow.classify
 import graphflow.flow
 import graphflow.verify
+import reference_artifacts as ref_artifacts
 from graphflow import app, cli, errors, immersion
 from graphflow.app import (BUILTIN_SCENARIOS, CLASSIFICATION_SCHEMA, CSV_COLUMNS,
                            VERIFICATION_SCHEMA, builtin_config, load_config, run_identities,
@@ -29,8 +32,9 @@ from graphflow.cli import main as cli_main
 from graphflow.errors import ConfigurationError
 from graphflow.flow import h2_field
 from graphflow.frames import build_svd_frame
-from graphflow.geometry import ChartManifold
+from graphflow.geometry import ChartManifold, curvature_conditions_report
 from graphflow.immersion import GraphMapField
+from graphflow.verify import compute_bound_constants
 
 
 # -- configuration -----------------------------------------------------------
@@ -553,6 +557,115 @@ def test_validate_matches_jsonschema_on_every_single_defect(run, name):
             container.extend(kept)
     assert agree(golden) == 0
     assert defects > len(MUTANT_VALUES)
+
+
+# -- artifact text -----------------------------------------------------------
+
+
+# escapes, control characters, non-ASCII and a lone surrogate, as values and as keys
+JSON_STRINGS = (st.text(alphabet=st.characters(), max_size=8)
+                | st.sampled_from(["", "\"\\/\b\f\n\r\t", "\x00\x1f\x7f", "é€😀", "\ud800"]))
+
+
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+class _List(list):
+    pass
+
+
+def _json_values(leaves):
+    return st.recursive(leaves, lambda children: st.one_of(
+        st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
+        st.lists(children, max_size=4).map(_List),
+        st.dictionaries(JSON_STRINGS, children, max_size=4),
+        st.dictionaries(JSON_STRINGS, children, max_size=4).map(OrderedDict)), max_leaves=24)
+
+
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
+    st.integers(), st.integers(min_value=2**63 - 2, max_value=2**70) | st.integers(max_value=-2**63),
+    JSON_STRINGS,
+    st.floats().map(np.float64), st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_), st.integers().map(_Int), JSON_STRINGS.map(_Str),
+    hnp.arrays(st.sampled_from([np.float64, np.int64, np.bool_]),
+               hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3)))
+
+
+@given(payload=_json_values(JSON_LEAVES))
+@settings(max_examples=150, deadline=None)
+def test_json_text_is_the_indented_stdlib_text(payload):
+    # the writer's bytes are json.dumps' with indent=2 and sorted keys, the one
+    # call every artifact was written with
+    want = json.dumps(payload, indent=2, sort_keys=True, default=app._json_default) + "\n"
+    assert app._json_text(payload) == want
+
+
+@pytest.mark.parametrize("payload", [object(), {"a": [1, {"b": object()}]}, {"a": {1, 2}}])
+def test_json_text_refuses_what_json_default_refuses(payload):
+    with pytest.raises(TypeError):
+        json.dumps(payload, indent=2, sort_keys=True, default=app._json_default)
+    with pytest.raises(TypeError):
+        app._json_text(payload)
+
+
+def _default_evolution(name: str, overrides=None):
+    """(records, constants, h_grid, condition (A)) of a builtin scenario's run."""
+    cfg = builtin_config(name, overrides)
+    m_manifold, n_manifold = app.SCENARIOS[name].manifolds()
+    report = curvature_conditions_report(m_manifold, n_manifold, seed=cfg.seed)
+    ev = app.SCENARIOS[name].evolve(cfg, m_manifold, n_manifold, report)
+    rec0 = ev.records[0]
+    constants = compute_bound_constants(rec0.min_p, rec0.max_theta, min_ric=report.min_ric,
+                                        sup_sigma_n=report.sup_sigma_n)
+    return ev.records, constants, ev.h_grid, report.cond_a
+
+
+def _assert_rows_match_oracles(records, constants, h_grid, condition_a):
+    # run_scenario evaluates the curves once and hands them to both row builders
+    curves = constants.curves([rec.t for rec in records]).tolist()
+    old = ref_artifacts.check_decay_bounds(records, constants, h_grid, condition_a)
+    for shared in (None, curves):
+        new = graphflow.verify.check_decay_bounds(records, constants, h_grid, condition_a,
+                                                  curves=shared)
+        assert json.dumps(new, sort_keys=True) == json.dumps(old, sort_keys=True)
+        assert app._json_text(new) == app._json_text(old)
+    for bounds, oracle_constants in ((curves, constants), (None, None)):
+        assert app._csv_text(records, bounds) == ref_artifacts.csv_text(
+            [ref_artifacts.csv_row(rec, oracle_constants) for rec in records])
+
+
+@pytest.mark.parametrize("name, overrides", [
+    ("cylinder_waist", None), ("cylinder_drift", None),
+    # the default tsui_wang_s2 run takes seconds; the golden config records three states
+    ("tsui_wang_s2", {("grid", "nodes"): 32, ("flow", "t_end"): 0.2,
+                      ("flow", "record_every"): 80})])
+def test_artifact_rows_match_their_per_record_oracles(name, overrides):
+    _assert_rows_match_oracles(*_default_evolution(name, overrides))
+
+
+_CURVATURE = st.floats(-4.0, 4.0)
+
+
+@given(times=st.lists(st.floats(0.0, 1e3), min_size=1, max_size=12),
+       values=st.lists(st.floats(), min_size=11 * 12, max_size=11 * 12),
+       initial=st.tuples(st.floats(1e-6, 2.0, exclude_max=True), st.floats(0.0, 1e3),
+                         _CURVATURE, _CURVATURE),
+       h_grid=st.floats(0.0, 1.0), condition_a=st.booleans())
+@settings(deadline=None)
+def test_synthetic_rows_match_their_per_record_oracles(times, values, initial, h_grid,
+                                                       condition_a):
+    # every bound is also evaluated where it overflows: both sides then give the same inf or nan
+    records = [graphflow.flow.FlowRecord(t, *values[11 * i:11 * i + 11])
+               for i, t in enumerate(times)]
+    constants = compute_bound_constants(*initial)
+    with np.errstate(all="ignore"):
+        _assert_rows_match_oracles(records, constants, h_grid, condition_a)
 
 
 # -- identity suite ----------------------------------------------------------

@@ -4,20 +4,23 @@
 that the batched one replaced; the batched layer is checked against it.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import reference_artifacts as ref_artifacts
 import reference_barrier as ref
 from graphflow import app
 from graphflow.barrier import (BarrierFunction, certify_convexity, containment_monitor,
                                covariant_hessian, diameter_series, m_convexity_at,
                                waist_tube_barrier)
 from graphflow.errors import ConfigurationError
+from graphflow.flow import reduce_circle_drift
 from graphflow.frames import generalized_eigvalsh
-from graphflow.geometry import product
+from graphflow.geometry import WarpedSurface, builtin_warp, product
 
 ORACLE_RTOL = 1e-12  # relative to the largest magnitude compared
 
@@ -169,6 +172,51 @@ def test_containment_monitor():
     ring[..., -1] = np.linspace(-0.9, 0.6, 12).reshape(3, 4)
     (row,) = containment_monitor([(0.5, ring)], bar)["rows"]
     assert row["max_phi"] == 0.9 ** 2 and row["margin"] == 1.0 - 0.9 ** 2
+
+
+def _waist_checkpoints():
+    """The default cylinder_waist run's checkpoints, as its containment monitor reads them."""
+    run = reduce_circle_drift(WarpedSurface(builtin_warp("cosh")), 0.5, 30.0)
+    idx = sorted({*range(0, len(run.t), 400), len(run.t) - 1})
+    circle = np.stack(np.broadcast_arrays(0.0, 1.0, 2.0, 0.0, run.z[idx]), axis=-1)
+    return list(zip(run.t[idx], circle[:, None]))
+
+
+@pytest.mark.parametrize("checkpoints", [
+    _waist_checkpoints(),
+    [(0.0, [np.array([0.1, 0.0, 0.0, 0.0, 0.5])]), (1, np.array([0.0, 0.0, 0.0, 0.0, 0.2])),
+     (2.0, np.zeros((3, 4, 5)) + 0.9), (np.float64(3.0), [[0.0, 0.0, 0.0, 0.0, -1.5]]),
+     (4, [[0, 0, 0, 0, 1], [0, 0, 0, 0, -2]])],
+    [(t, np.linspace(-0.5, 0.5 + t, 10).reshape(2, 5)) for t in (0.0, 0.25, 0.75)],
+    [(0.5, np.array([0.0, 0.0, 0.0, 0.0, np.nan])), (1.0, np.array([0.0, 0.0, 0.0, 0.0, 0.1]))],
+    [],
+], ids=["cylinder_waist", "shapes", "stacked", "nan", "none"])
+def test_containment_monitor_matches_its_per_checkpoint_oracle(checkpoints):
+    # one phi over all checkpoints' points, whatever their shapes: the rows of the
+    # monitor that evaluated phi per checkpoint, bit for bit
+    bar = waist_tube_barrier(1.0)
+    new, old = containment_monitor(iter(checkpoints), bar), ref_artifacts.containment_monitor(
+        checkpoints, bar)
+    assert json.dumps(new, sort_keys=True) == json.dumps(old, sort_keys=True)
+
+
+@pytest.mark.parametrize("first", [np.array([0.0, 0.0, 0.0, 0.0, 2.0]), np.full((2, 5), -1.0)])
+def test_containment_monitor_refuses_as_its_oracle(first):
+    bar = waist_tube_barrier(1.0)
+    for later in (np.zeros(5), np.zeros(first.shape)):
+        with pytest.raises(ConfigurationError) as new:
+            containment_monitor([(0.0, first), (1.0, later)], bar)
+        with pytest.raises(ConfigurationError) as old:
+            ref_artifacts.containment_monitor([(0.0, first), (1.0, later)], bar)
+        assert str(new.value) == str(old.value)
+
+
+def test_containment_monitor_refuses_an_empty_checkpoint():
+    # an empty checkpoint has no maximum, for the oracle's np.max as for the monitor
+    checkpoints = [(0.0, np.zeros((2, 5))), (1.0, np.zeros((0, 5))), (2.0, np.zeros(5))]
+    for monitor in (containment_monitor, ref_artifacts.containment_monitor):
+        with pytest.raises(ValueError):
+            monitor(checkpoints, waist_tube_barrier(1.0))
 
 
 def test_diameter_series_slope():

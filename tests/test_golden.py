@@ -85,6 +85,21 @@ def test_golden_config_reproduces_its_run(name):
         assert cfg.config_hash() == json.load(fh)["config_hash"]
 
 
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_cli_prints_the_bytes_json_dumps_printed(name, capsys):
+    # classify and check-curvature print through the artifacts' writer; their stdout
+    # is what json.dumps(indent=2, sort_keys=True) printed
+    golden = os.path.join(GOLDEN_DIR, name)
+    with open(os.path.join(golden, "classification.json")) as fh:
+        classification = json.load(fh)
+    assert cli_main(["classify", golden]) == 0
+    assert capsys.readouterr().out == json.dumps(classification, indent=2, sort_keys=True) + "\n"
+    cfg = load_config(os.path.join(golden, "config.ini"))
+    report = asdict(curvature_conditions_report(*SCENARIOS[cfg.name].manifolds(), seed=cfg.seed))
+    cli_main(["check-curvature", os.path.join(golden, "config.ini")])
+    assert capsys.readouterr().out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
 def test_curvature_reports_draw_no_random_number(monkeypatch):
     # every builtin pair (M, N) has a closed form, so its report draws nothing,
     # and it is the curvature_conditions section of the scenario's golden run

@@ -66,6 +66,18 @@ def test_check_decay_bounds_pass_and_fail():
     assert res["worst_margins"]["p"] < 0
 
 
+def test_bound_curves_are_the_per_time_bounds_bit_for_bit():
+    # one curves() call on an array of times gives each bound_* at each time; at
+    # the first time e = c0 exp(eps0 t) = 22.11..., where a scalar e**2 (pow) is
+    # 1 ulp off the array's e * e with glibc
+    c = compute_bound_constants(1.0, 0.3, 3.0, 3.0)
+    t = np.concatenate([[4.860586537059564], np.random.default_rng(0).uniform(0, 1e3, 2000)])
+    with np.errstate(all="ignore"):  # the bounds overflow at large t
+        per_time = [[float(bound(x)) for x in t.tolist()]
+                    for bound in (c.bound_p, c.bound_df2, c.bound_h2, c.bound_theta)]
+        assert np.array_equal(c.curves(t), per_time, equal_nan=True)
+
+
 def test_check_decay_bounds_not_applicable():
     c = compute_bound_constants(1.0, 0.3, 1.0, 1.0)
     res = check_decay_bounds([], c, h_grid=0.01, condition_a=False)
