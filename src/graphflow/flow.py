@@ -24,7 +24,7 @@ CFL = 0.4  # Courant factor of the explicit steps (``cfl_dt``, ``EquivariantFlow
 CONVERGENCE_STREAK = 100  # consecutive steps with max|H| below tolerance
 PHI_WIDTH = 8  # azimuthal nodes of the 2D lift of an equivariant profile
 LIFT_BATCH_NODES = 2048  # theta nodes x profiles of a batch of lifts: a default lift's nodes
-DISSIPATION_BLOCK = 256  # profile steps per batched dissipation sum
+STEP_BLOCK = 64  # profile steps between the batched checks of ``EquivariantFlow.run``
 DRIFT_DT = 1e-3  # sample spacing of the circle-drift reduction
 
 
@@ -202,8 +202,8 @@ class EquivariantFlow:
         self.theta = (np.arange(self.J) + 0.5) * self.dtheta
         self._sin_t = np.sin(self.theta)  # here to _g_add: theta-only factors, computed once
         self._sin_cos_t = self._sin_t * np.cos(self.theta)
-        self._spacing = np.repeat([[self.dtheta**2], [2 * self.dtheta]], self.J, axis=1)
-        self._g_add = np.array([np.ones(self.J), self._sin_t**2])
+        self._spacing = np.repeat([[2 * self.dtheta], [self.dtheta**2]], self.J, axis=1)
+        self._g_add = np.array([self._sin_t**2, np.ones(self.J)])
         self.h = np.asarray(h0(self.theta) if callable(h0) else h0, dtype=float).copy()
         if self.h.shape != (self.J,):
             raise ValueError("profile length must match node count")
@@ -216,14 +216,15 @@ class EquivariantFlow:
         of the returned function fills the odd mirror ghosts of b, evaluates
         the right-hand side without allocating, and returns the views
         (dh/dt, h', sin h, g11, g22) of ws, which the next call of any kernel
-        bound to ws overwrites.  ws holds (dh/dt, h', sin h, g11, g22, tmp, sin h cos h):
-        (dh/dt, h'), (h', sin h) and (g11, g22) are contiguous (2, J) views, one call each.
+        bound to ws overwrites.  ws holds (sin h, h', dh/dt, g22, g11, tmp, sin h cos h):
+        (h', dh/dt), (sin h, h') and (g22, g11) are contiguous (2, J) views, one call each,
+        and ws[2:5] holds the rows (dh/dt, g22, g11) that ``run`` keeps of a step.
         Their constants are full (2, J) arrays: a broadcast (2, 1) column doubles a call's cost."""
         J = self.J
         h, g_plus, g_minus = b[1:-1], b[2:], b[:-2]
         ghost_src, ghost_dst = b[1:J + 1:max(J - 1, 1)], b[::J + 1]  # nodes 1, J -> 0, J + 1
-        v, d1, sin_h, g11, g22, tmp, sin_cos_h = ws
-        v_d1, d1_sin_h, g = ws[0:2], ws[1:3], ws[3:5]
+        sin_h, d1, v, g22, g11, tmp, sin_cos_h = ws
+        d1_v, sin_h_d1, g = ws[1:3], ws[0:2], ws[3:5]
         spacing, g_add, sin_cos_t = self._spacing, self._g_add, self._sin_cos_t
         out = (v, d1, sin_h, g11, g22)
         # the kernel's time is numpy's per-call cost: ufuncs are locals, and
@@ -237,11 +238,11 @@ class EquivariantFlow:
             add(h, h, v)  # d2 = ((g+ - 2g) + g-) / dtheta^2, h' = (g+ - g-) / (2 dtheta)
             sub(g_plus, v, v)
             add(v, g_minus, v)
-            div(v_d1, spacing, v_d1)
+            div(d1_v, spacing, d1_v)
             sin(h, sin_h)
             cos(h, sin_cos_h)
             mul(sin_h, sin_cos_h, sin_cos_h)
-            sq(d1_sin_h, g)  # g11 = h'^2 + 1, g22 = sin^2(h) + sin^2(theta)
+            sq(sin_h_d1, g)  # g22 = sin^2(h) + sin^2(theta), g11 = h'^2 + 1
             add(g, g_add, g)
             div(v, g11, v)  # v = d2 / g11 + (sin cos(theta) h' - sin h cos h) / g22
             mul(sin_cos_t, d1, tmp)
@@ -286,18 +287,23 @@ class EquivariantFlow:
         ``record_every`` steps and at the end; a recorded state keeps the steps
         around it for time stencils.  The state and the next one live in two
         ghost-padded buffers that swap roles each step, the half step in a
-        third; a recorded profile is a copy.  Each step's |H|^2, g11 g22 and dt fill a row of
-        a block of DISSIPATION_BLOCK steps; one sqrt, product and row sum per full block and at
-        the end give the terms dt * quad_w * sum(|H|^2 sqrt(g11 g22)), added in step order."""
+        third; a recorded profile is a copy.  Steps run in blocks of at most STEP_BLOCK that
+        also end at record steps and at t_end; a step keeps its first-stage (dh/dt, g22, g11),
+        its dt and its new state.  Once per block, stacked calls give each step's max |H|^2,
+        finiteness and term dt * quad_w * sum(|H|^2 sqrt(g11 g22)), and a replay in step order
+        stops where a per-step loop would: the step whose streak of small max |H|^2 reaches
+        CONVERGENCE_STREAK (Converged, without its term) or whose new state is not finite
+        (Aborted, with its term).  Time, state, counters and stencil are those before it."""
+        if record_every < 1:
+            raise ValueError(f"record_every must be at least 1, not {record_every!r}")
         J = self.J
         bufs = np.empty((3, J + 2))
         ws = np.empty((7, J))  # the stage kernels' workspace, shared
         h, h_next, h_half = (b[1:-1] for b in bufs)
         stage, stage_next, stage_half = (self._stage_kernel(b, ws) for b in bufs)
-        block = np.empty((2, DISSIPATION_BLOCK, J))
-        rows = list(zip(*block))  # (|H|^2, g11 g22) of one step
-        dts, filled = np.empty(DISSIPATION_BLOCK), 0
-        finite = np.empty(J, dtype=bool)
+        kept = ws[2:5]  # (dh/dt, g22, g11) of a step's first stage
+        firsts = np.empty((STEP_BLOCK, 3, J))  # kept, for each step of a block
+        news = np.empty((STEP_BLOCK + 1, J))  # a block's start state, then each step's new one
         h[:] = self.h
         t = 0.0
         rec0 = self.observables(h)
@@ -316,19 +322,12 @@ class EquivariantFlow:
         dt_min, dt_max = np.inf, 0.0
         quad_w = 2 * np.pi * self.dtheta
         cfl_dtheta2 = CFL * self.dtheta**2
-        h_tol2 = h_tol**2
+        h_tol2, t_stop = h_tol**2, t_end - 1e-14
         add, mul, div, sq, sqrt, isfinite = (np.add, np.multiply, np.divide, np.square,
                                              np.sqrt, np.isfinite)
         amax, amin, total, every = (np.maximum.reduce, np.minimum.reduce, np.add.reduce,
                                     np.logical_and.reduce)
-
-        def settle(dissipation: float, n: int) -> float:
-            h2s, areas = block[:, :n]
-            mul(h2s, sqrt(areas, areas), areas)
-            for term in (dts[:n] * quad_w * total(areas, axis=1)).tolist():
-                dissipation += term
-            return dissipation
-        while t < t_end - 1e-14:
+        while t < t_stop:
             at_record = step_i % record_every == 0
             if at_record:
                 h_rec = h.copy()
@@ -339,40 +338,52 @@ class EquivariantFlow:
                     status = "Aborted"
                     break
                 if step_i > 0:
-                    prev_h = h_next.copy()  # the state before, until this step overwrites it
-            k1, _, _, g11, g22 = stage()
-            h2, area = rows[filled]
-            sq(k1, h2)
-            div(h2, g11, h2)  # |H|^2 per node
-            streak = streak + 1 if amax(h2) < h_tol2 else 0
-            if streak >= CONVERGENCE_STREAK:
-                status = "Converged"
+                    prev_h = h_next.copy()  # the state before, until this block overwrites it
+            news[0] = h
+            dts, t_step = [], t
+            for i in range(min(STEP_BLOCK, record_every - step_i % record_every)):
+                k1, _, _, g11, _ = stage()
+                firsts[i] = kept
+                dt = min(cfl_dtheta2 * float(amin(g11)) / 2, t_end - t_step)
+                mul(k1, 0.5 * dt, h_half)
+                add(h, h_half, h_half)
+                k2 = stage_half()[0]
+                mul(k2, dt, h_next)
+                add(h, h_next, h_next)
+                news[i + 1] = h_next
+                dts.append(dt)
+                (h, stage), (h_next, stage_next) = (h_next, stage_next), (h, stage)
+                t_step += dt
+                if not t_step < t_stop:
+                    break
+            n = len(dts)
+            k1s, g22s, g11s = firsts[:n].transpose(1, 0, 2)
+            h2s = div(sq(k1s), g11s)  # |H|^2 per step and node
+            areas = sqrt(mul(g11s, g22s))
+            terms = np.array(dts) * quad_w * total(mul(h2s, areas, areas), axis=1)
+            taken = 0
+            for top, term, ok in zip(amax(h2s, axis=1).tolist(), terms.tolist(),
+                                     every(isfinite(news[1:n + 1]), axis=1).tolist()):
+                streak = streak + 1 if top < h_tol2 else 0
+                if streak >= CONVERGENCE_STREAK:
+                    status = "Converged"
+                    break
+                dissipation += term
+                if not ok:
+                    status = "Aborted"
+                    break
+                taken += 1
+            for dt in dts[:taken]:
+                t += dt
+            if taken:
+                dt_min, dt_max = min(dt_min, *dts[:taken]), max(dt_max, *dts[:taken])
+                if at_record and step_i > 0:
+                    states[-1].stencil = (prev_dt, dts[0], prev_h, news[1].copy())
+                prev_dt = dts[taken - 1]
+            step_i += taken
+            if status != "Running":
+                h = news[taken]
                 break
-            dt = min(cfl_dtheta2 * float(amin(g11)) / 2, t_end - t)
-            mul(g11, g22, area)
-            dts[filled] = dt
-            filled += 1
-            if filled == DISSIPATION_BLOCK:
-                dissipation, filled = settle(dissipation, filled), 0
-            mul(k1, 0.5 * dt, h_half)
-            add(h, h_half, h_half)
-            k2 = stage_half()[0]
-            mul(k2, dt, h_next)
-            add(h, h_next, h_next)
-            if not every(isfinite(h_next, finite)):
-                status = "Aborted"
-                break
-            if at_record and step_i > 0:
-                states[-1].stencil = (prev_dt, dt, prev_h, h_next.copy())
-            if dt < dt_min:
-                dt_min = dt
-            if dt > dt_max:
-                dt_max = dt
-            prev_dt = dt
-            (h, stage), (h_next, stage_next) = (h_next, stage_next), (h, stage)
-            t += dt
-            step_i += 1
-        dissipation = settle(dissipation, filled)
         if status == "Running":
             status = "Finished"
         if not step_i:

@@ -2,7 +2,8 @@
 (its stencil, right-hand side, observables and ``run`` step loop) and the
 ``reduce_circle_drift`` RK4 loop, stepping at the sample spacing, as they were
 before the fused profile kernel and the Python-float drift loop (since replaced
-by the coarse-step drift) replaced them, kept verbatim as test oracles. Left
+by the coarse-step drift) replaced them, kept verbatim as test oracles; the
+profile loop also counts its steps and the range of their dt. Left
 out: the profile's 2D lift, which the oracle tests do not use, and the target
 curvature, Courant factor and Euler scheme, which no test set (at unit
 curvature the dropped factor 1/kappa = 1.0 was exact).
@@ -98,6 +99,7 @@ class EquivariantFlow:
         streak = 0
         step_i = 0
         prev_h = prev_dt = None
+        dt_min, dt_max = np.inf, 0.0
         sin_t = np.sin(self.theta)
         quad_w = 2 * np.pi * self.dtheta
         while t < t_end - 1e-14:
@@ -131,15 +133,18 @@ class EquivariantFlow:
             if at_record and step_i > 0:
                 states[-1].stencil = (prev_dt, dt, prev_h, h_new)
             prev_h, prev_dt = h, dt
+            dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
             h = h_new
             t += dt
             step_i += 1
         if status == "Running":
             status = "Finished"
+        if not step_i:
+            dt_min = dt_max = np.nan
         records.append(self.observables(h, t))
         states.append(RecordedState(t, h))
         return EquivariantRun(records=records, states=states, dissipation=dissipation,
-                              status=status)
+                              status=status, steps=step_i, dt_min=dt_min, dt_max=dt_max)
 
 
 def reduce_circle_drift(surface: WarpedSurface, z0: float, t_end: float,

@@ -391,6 +391,36 @@ def test_equivariant_run_counts_its_steps():
     assert still.steps == 0 and np.isnan(still.dt_min) and np.isnan(still.dt_max)
 
 
+@pytest.mark.parametrize("record_every", [0, -5])
+def test_equivariant_run_refuses_record_every_below_one(record_every):
+    # 0 divided by zero, and a negative value recorded every |n| steps
+    eq = EquivariantFlow(32, lambda th: 0.8 * np.sin(th))
+    with pytest.raises(ValueError, match="^record_every must be at least 1"):
+        eq.run(t_end=0.2, record_every=record_every)
+
+
+def test_equivariant_run_builds_its_kernels_once(monkeypatch):
+    # a run binds one stage kernel to each of its three buffers, and each
+    # observables call one more: never one per block or per step
+    kernel = EquivariantFlow._stage_kernel
+    built = Counter()
+
+    def counted_kernel(self, b, ws):
+        built["kernels"] += 1
+        return kernel(self, b, ws)
+    monkeypatch.setattr(EquivariantFlow, "_stage_kernel", counted_kernel)
+    steps = set()
+    for block in (1, 3, graphflow.flow.STEP_BLOCK):
+        monkeypatch.setattr(graphflow.flow, "STEP_BLOCK", block)
+        for t_end in (1e-4, 0.05, 1.0):
+            built.clear()
+            run = EquivariantFlow(32, lambda th: 0.8 * np.sin(th)).run(t_end, record_every=10**9)
+            steps.add(run.steps)
+            # observables: the start check, step 0 and the end
+            assert built == {"kernels": 3 + 3}, (block, t_end)
+    assert len(steps) == 3 and max(steps) > 3 * graphflow.flow.STEP_BLOCK
+
+
 # -- circle drift ------------------------------------------------------------
 
 
