@@ -62,7 +62,7 @@ class FlowState:
 @field_cached
 def nonparametric_rhs(field: GraphMapField) -> np.ndarray:
     """V^a = g^{ij}(d2_ij f^a - Gamma_M^k_ij d_k f^a + Gamma_N^a_bc d_i f^b d_j f^c), (grid, 2)."""
-    term = field.covariant_d2f(field.gamma_m_field())         # (..., a, i, j)
+    term = field.covariant_d2f()                               # (..., a, i, j)
     ginv = field.induced_g_inv_field()
     return (term.reshape(term.shape[:-2] + (-1,)) @ ginv.reshape(ginv.shape[:-2] + (-1, 1)))[..., 0]
 

@@ -286,24 +286,10 @@ class GraphMapField:
         return self._first(self._neighbours(self.induced_g_field(), mixed=False))
 
     @field_cached
-    def gamma_induced_field(self) -> np.ndarray:
-        """Christoffels of the induced metric, finite-differenced from its field."""
-        m = self.M.dim
-        dg = self.induced_dg_field()
-        ginv = self.induced_g_inv_field()
-        comb = (
-            dg.transpose(*range(m), m, m + 1, m + 2)
-            + dg.transpose(*range(m), m + 1, m, m + 2)
-            - dg.transpose(*range(m), m + 1, m + 2, m)
-        )
-        return 0.5 * np.einsum("...kl,...ijl->...kij", ginv, comb)
-
-    def covariant_d2f(self, gamma: np.ndarray) -> np.ndarray:
-        """d2_ij f^a - gamma^k_ij d_k f^a + Gamma_N^a_bc d_i f^b d_j f^c, as (grid, a, i, j).
-
-        With gamma = Gamma_M its g-trace is the velocity V; with the induced
-        Christoffels it is the N part of the second fundamental form.
-        """
+    def covariant_d2f(self) -> np.ndarray:
+        """d2_ij f^a - Gamma_M^k_ij d_k f^a + Gamma_N^a_bc d_i f^b d_j f^c, the Hessian of f, as
+        (grid, a, i, j).  Its g-trace is the velocity V; its g_N product with a normal's N
+        block is the second fundamental form along that normal (``field_geometry``)."""
         df = self.df_field()
         m = self.M.dim
         batch = df.shape[:-2]
@@ -313,7 +299,7 @@ class GraphMapField:
                     ).reshape(batch + (2, 2, m))
         gam_n_dfdf = df[..., None, :, :] @ gam_n_df                # (..., a, i, j)
         flat = self.d2f_field().reshape(batch + (m * m, 2)) \
-            - _swap(gamma.reshape(batch + (m, m * m))) @ df
+            - _swap(self.gamma_m_field().reshape(batch + (m, m * m))) @ df
         return gam_n_dfdf + _swap(flat).reshape(gam_n_dfdf.shape)
 
     # -- scalar helpers --------------------------------------------------------
@@ -367,27 +353,16 @@ class GraphMapField:
 
     # -- scalar calculus on the graph -----------------------------------------
 
-    def grad_field(self, u: np.ndarray) -> np.ndarray:
-        """Coordinate gradient d_a u of a node scalar field, (grid, m)."""
-        return self._first(self._neighbours(u, mixed=False))
-
-    def laplace_beltrami(self, u: np.ndarray) -> np.ndarray:
-        """Laplacian of a scalar w.r.t. the induced metric: g^{ij}(d2_ij u - Gamma^k_ij d_k u)."""
-        return self._laplace_and_gradient(u[..., None])[0][0]
-
     def _laplace_and_gradient(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(``laplace_beltrami``, ``grad_field``) of the c scalar fields u (grid, c) from one
-        gather of their neighbours, as (c, grid) and (c, grid, m): each field's differences
-        are contiguous, so the contractions sum in the order of a single field's."""
+        """(g^{ij}(d2_ij u - Gamma_M^k_ij d_k u), d_a u) of the c scalar fields u (grid, c) from
+        one gather of their neighbours, as (c, grid) and (c, grid, m); each field's differences
+        are contiguous, so the contractions sum in a single field's order.  The first is
+        Laplace-Beltrami plus X . grad u, as g^{ij} Gamma_g^k_ij = X^k + g^{ij} Gamma_M^k_ij."""
         nb = self._neighbours(u)
         d2, du = (np.ascontiguousarray(np.moveaxis(d, -1, 0))
                   for d in (self._second(nb, u), self._first(nb)))
-        hess = d2 - np.einsum("...kij,...k->...ij", self.gamma_induced_field(), du)
+        hess = d2 - np.einsum("...kij,...k->...ij", self.gamma_m_field(), du)
         return np.einsum("...ij,...ij->...", self.induced_g_inv_field(), hess), du
-
-    def grad_norm_sq(self, u: np.ndarray) -> np.ndarray:
-        du = self.grad_field(u)
-        return quad_form(du, self.induced_g_inv_field(), du)
 
 # ---------------------------------------------------------------------------
 # Graph geometry of a whole field
@@ -421,21 +396,17 @@ def field_geometry(field: GraphMapField) -> PointGeometry:
     """Second-order geometry of the graph at every node, computed once per field."""
     m = field.M.dim
     df = field.df_field()                                      # (..., k, a)
-    g_m = field.g_m_field()
     g_n = field.g_n_field()
-    gam_g = field.gamma_induced_field()                        # (..., k, i, j)
-    frame = build_svd_frame(df, g_m, g_n)
+    frame = build_svd_frame(df, field.g_m_field(), g_n)
     e = frame.e                                                # rows e_i, chart comps
 
-    # A(d_a, d_b) in product-chart components c (M part, N part), contracted with the
-    # normals xi and eta lowered by the product metric (g_M + g_N blocks), then in the
-    # e-basis: the vectors A(e_i, e_j) are never formed
-    a_coord = np.concatenate([field.gamma_m_field() - gam_g, field.covariant_d2f(gam_g)],
-                             axis=-3).reshape(df.shape[:-2] + (m + 2, m * m))
-    normals = np.stack([frame.xi, frame.eta], axis=-2)[..., None, :]   # (..., 2, 1, m + 2)
-    lowered = np.concatenate([np.vecdot(g_m[..., None, :, :], normals[..., :m]),
-                              np.vecdot(g_n[..., None, :, :], normals[..., m:])], axis=-1)
-    a_nu = (lowered @ a_coord).reshape(df.shape[:-2] + (2, m, m))
+    # xi and eta are orthogonal to dF, so <A(d_i, d_j), nu> = g_N(Hess f_ij, nu^N): the
+    # Hessian of f contracted with the N blocks of the normals lowered by g_N, then in
+    # the e-basis; the vectors A(e_i, e_j) are never formed
+    hess = field.covariant_d2f().reshape(df.shape[:-2] + (2, m * m))
+    normals = np.stack([frame.xi[..., m:], frame.eta[..., m:]], axis=-2)[..., None, :]
+    lowered = np.vecdot(g_n[..., None, :, :], normals)         # (..., 2, 2)
+    a_nu = (lowered @ hess).reshape(df.shape[:-2] + (2, m, m))
     a_nu = e[..., None, :, :] @ a_nu @ _swap(e)[..., None, :, :]
     a_xi, a_eta = a_nu[..., 0, :, :], a_nu[..., 1, :, :]
     h_xi, h_eta = np.moveaxis(np.trace(a_nu, axis1=-2, axis2=-1), -1, 0)

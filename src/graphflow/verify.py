@@ -2,8 +2,9 @@
 the mean-curvature inequalities along recorded flows.
 
 All bound curves are closed-form, so a monitor failure localizes to the
-simulation.  Residuals compare discrete time derivatives (corrected for the
-tangential reparametrization of the nonparametric gauge) against the analytic
+simulation.  Residuals compare discrete time derivatives, less the g-trace of
+the Hessian in M's connection (the Laplace-Beltrami operator plus the tangential
+advection of the nonparametric gauge, in one term), against the analytic
 right-hand sides assembled from pointwise geometry.
 """
 
@@ -16,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, NotAreaDecreasingError
-from .flow import h2_field, tangential_vector_field
+from .flow import h2_field
 from .frames import matvec, quad_form
 from .immersion import GraphMapField, field_geometry, quantity_Q, quantity_R_vw, w_norm_sq
 
@@ -139,10 +140,11 @@ def _checkpoint(triple) -> tuple:
     field: (nodes, lhs, grads, geometry, curvature inputs) at its interior nodes.
 
     ``nodes`` counts them on the full grid (``GraphMapField.copies``); lhs (3, nodes)
-    holds (d/dt - X . grad - Laplace-Beltrami) of p, |H|^2 and Theta = |H|^2 / p, with
-    X the tangential field of the nonparametric gauge, and grads (3, nodes) holds
+    holds d/dt u - g^{ij}(d2_ij u - Gamma_M^k_ij d_k u) of u = p, |H|^2 and
+    Theta = |H|^2 / p, which is (d/dt - X . grad - Laplace-Beltrami) u with X the
+    tangential field of the nonparametric gauge, and grads (3, nodes) holds
     |grad p|^2, |grad |H||^2 and <grad Theta, grad p>.  p, |H|^2, Theta and |H| are
-    stacked for one neighbour gather, one Laplacian and one gradient."""
+    stacked for one neighbour gather, one Hessian trace and one gradient."""
     _, dtp, dtn, f_prev, f_now, f_next = triple
     key = (dtp, dtn, f_prev, f_next)
     hit = f_now._cache.get(_checkpoint.__name__, (None,))
@@ -153,8 +155,7 @@ def _checkpoint(triple) -> tuple:
                       for p, h2 in ((f.p_field(), h2_field(f)) for f in (f_prev, f_now, f_next)))
     lap, du = f_now._laplace_and_gradient(
         np.stack([*now, np.sqrt(np.maximum(now[1], 0.0))], axis=-1))
-    adv = np.einsum("...k,...k->...", tangential_vector_field(f_now), du[:3])
-    lhs = _time_derivative(prev, now, nxt, dtp, dtn) - adv - lap[:3]
+    lhs = _time_derivative(prev, now, nxt, dtp, dtn) - lap[:3]
     ginv = f_now.induced_g_inv_field()
     grads = np.stack([quad_form(du[a], ginv, du[b]) for a, b in ((0, 0), (3, 3), (2, 0))])
     geo = field_geometry(f_now)[mask]

@@ -3,9 +3,10 @@
 field geometry replaced them (which builds the vectors A(e_i, e_j), the
 batched one only their normal components), the batched m = 2 frame on stacked
 (..., 2, 2) arrays as it was before the frame moved to component arrays, the
-tangential field X over the
-full induced Christoffel tensor, the grid field's induced metric decomposed by
-``eigh`` for its inverse, sqrt(det g) and the step's lambda_min, as it was before
+induced Christoffel tensor and what read it (the tangential field X, the
+batched second fundamental form and the monitors' lhs, as they were before A
+and the monitors read M's connection alone), the grid field's induced metric
+decomposed by ``eigh`` for its inverse, sqrt(det g) and the step's lambda_min, as it was before
 the closed-form L D L^T replaced it, the singular values as the SVD of the whitened
 differential, the per-offset stencils of ``GraphMapField`` as they were before
 the ghost-padded grid replaced them, the polar fold of a field's target values
@@ -30,10 +31,11 @@ import scipy.linalg
 
 from graphflow.errors import ConfigurationError, DegenerateMetricError, DomainError, SolverAbort
 from graphflow import frames
-from graphflow.flow import PHI_WIDTH
+from graphflow.flow import PHI_WIDTH, h2_field
 from graphflow.frames import (_cholesky, _first_nonzero_positive, _tri_solve, quad_form)
 from graphflow.geometry import ChartManifold, WarpedSurface
 from graphflow.immersion import CORRUPTED_METRIC, GraphMapField, field_cached
+from graphflow.verify import _time_derivative
 
 _COMPLEX_STEP = 1e-30
 
@@ -235,12 +237,26 @@ def _node_slices(node):
     return tuple(int(i) for i in node)
 
 
+def gamma_induced(field: GraphMapField) -> np.ndarray:
+    """Christoffels of the induced metric, (grid, k, i, j), from the first differences
+    of its field: the m^3 tensor that ``GraphMapField.gamma_induced_field`` formed before
+    the second fundamental form and the monitors read M's connection alone."""
+    m = field.M.dim
+    dg = field.induced_dg_field()
+    comb = (
+        dg.transpose(*range(m), m, m + 1, m + 2)
+        + dg.transpose(*range(m), m + 1, m, m + 2)
+        - dg.transpose(*range(m), m + 1, m + 2, m)
+    )
+    return 0.5 * np.einsum("...kl,...ijl->...kij", field.induced_g_inv_field(), comb)
+
+
 def _a_vectors(field: GraphMapField, idx, e: np.ndarray) -> np.ndarray:
     """A(e_i, e_j) at a node in product-chart components (M part, N part),
     (m, m, m+2), for the rows e_i of ``e``."""
     df = field.df_field()[idx]
     gam_n = field.gamma_n_field()[idx]
-    gam_g = field.gamma_induced_field()[idx]
+    gam_g = gamma_induced(field)[idx]
     a_m = field.gamma_m_field()[idx] - gam_g                  # (k, i, j)
     a_n = (
         field.d2f_field()[idx]
@@ -307,8 +323,61 @@ def tangential_vector_field(field: GraphMapField) -> np.ndarray:
     differences of the induced metric directly: X^k = g^{ij}(Gamma_g - Gamma_M)^k_ij
     over the full induced Christoffel tensor."""
     ginv = field.induced_g_inv_field()
-    diff = field.gamma_induced_field() - field.gamma_m_field()
+    diff = gamma_induced(field) - field.gamma_m_field()
     return np.einsum("...ij,...kij->...k", ginv, diff)
+
+
+def _covariant_d2f(field: GraphMapField, gamma: np.ndarray) -> np.ndarray:
+    """``GraphMapField.covariant_d2f`` as it was when it took the connection of M's side
+    as an argument: d2_ij f^a - gamma^k_ij d_k f^a + Gamma_N^a_bc d_i f^b d_j f^c."""
+    df = field.df_field()
+    m = field.M.dim
+    batch = df.shape[:-2]
+    gam_n_df = (field.gamma_n_field().reshape(batch + (4, 2))
+                @ np.ascontiguousarray(_t(df))).reshape(batch + (2, 2, m))
+    gam_n_dfdf = df[..., None, :, :] @ gam_n_df
+    flat = field.d2f_field().reshape(batch + (m * m, 2)) \
+        - _t(gamma.reshape(batch + (m, m * m))) @ df
+    return gam_n_dfdf + _t(flat).reshape(gam_n_dfdf.shape)
+
+
+def christoffel_field_geometry(field: GraphMapField) -> dict:
+    """a_xi, a_eta, h_xi and h_eta of ``immersion.field_geometry`` as it computed them over
+    the induced Christoffels: A(d_i, d_j) = (Gamma_M - Gamma_g, Hess_g f) in product-chart
+    components, contracted with xi and eta lowered by the product metric, then in the
+    e-basis."""
+    m = field.M.dim
+    df, g_m, g_n = field.df_field(), field.g_m_field(), field.g_n_field()
+    gam_g = gamma_induced(field)
+    frame = frames.build_svd_frame(df, g_m, g_n)
+    a_coord = np.concatenate([field.gamma_m_field() - gam_g, _covariant_d2f(field, gam_g)],
+                             axis=-3).reshape(df.shape[:-2] + (m + 2, m * m))
+    normals = np.stack([frame.xi, frame.eta], axis=-2)[..., None, :]
+    lowered = np.concatenate([np.vecdot(g_m[..., None, :, :], normals[..., :m]),
+                              np.vecdot(g_n[..., None, :, :], normals[..., m:])], axis=-1)
+    a_nu = (lowered @ a_coord).reshape(df.shape[:-2] + (2, m, m))
+    a_nu = frame.e[..., None, :, :] @ a_nu @ _t(frame.e)[..., None, :, :]
+    h = np.trace(a_nu, axis1=-2, axis2=-1)
+    return {"a_xi": a_nu[..., 0, :, :], "a_eta": a_nu[..., 1, :, :],
+            "h_xi": h[..., 0], "h_eta": h[..., 1]}
+
+
+def christoffel_checkpoint_lhs(triple) -> np.ndarray:
+    """The (3, grid) lhs of ``verify._checkpoint`` as it was computed over the induced
+    Christoffels: (d/dt - X . grad - Laplace-Beltrami) of p, |H|^2 and Theta = |H|^2 / p,
+    with the Laplace-Beltrami operator g^{ij}(d2_ij u - Gamma_g^k_ij d_k u) and X the
+    g-trace of Gamma_g - Gamma_M (``tangential_vector_field`` above)."""
+    _, dtp, dtn, f_prev, f_now, f_next = triple
+    prev, now, nxt = (np.stack([p, h2, h2 / p])
+                      for p, h2 in ((f.p_field(), h2_field(f)) for f in (f_prev, f_now, f_next)))
+    u = np.stack(list(now), axis=-1)
+    nb = f_now._neighbours(u)
+    d2, du = (np.ascontiguousarray(np.moveaxis(d, -1, 0))
+              for d in (f_now._second(nb, u), f_now._first(nb)))
+    hess = d2 - np.einsum("...kij,...k->...ij", gamma_induced(f_now), du)
+    lap = np.einsum("...ij,...ij->...", f_now.induced_g_inv_field(), hess)
+    adv = np.einsum("...k,...k->...", tangential_vector_field(f_now), du)
+    return _time_derivative(prev, now, nxt, dtp, dtn) - adv - lap
 
 
 def full_width_lift(eq, h: np.ndarray, field_type=GraphMapField) -> GraphMapField:
@@ -528,8 +597,8 @@ class LoopStencilField(GraphMapField):
             out[..., a] = (self.shift(u, a, +1) - self.shift(u, a, -1)) / (2 * self.h[a])
         return out
 
-    def laplace_beltrami(self, u: np.ndarray) -> np.ndarray:
-        """Laplacian of a scalar w.r.t. the induced metric: g^{ij}(d2_ij u - Gamma^k_ij d_k u)."""
+    def hessian_trace(self, u: np.ndarray) -> np.ndarray:
+        """g-trace of a scalar's Hessian in M's connection: g^{ij}(d2_ij u - Gamma_M^k_ij d_k u)."""
         m = self.M.dim
         d2 = np.empty(self.shape + (m, m))
         for a in range(m):
@@ -542,8 +611,7 @@ class LoopStencilField(GraphMapField):
                 d2[..., a, b] = d2[..., b, a] = (pp - pm - mp + mm) / (4 * self.h[a] * self.h[b])
         du = self.grad_field(u)
         ginv = self.induced_g_inv_field()
-        gam = self.gamma_induced_field()
-        hess = d2 - np.einsum("...kij,...k->...ij", gam, du)
+        hess = d2 - np.einsum("...kij,...k->...ij", self.gamma_m_field(), du)
         return np.einsum("...ij,...ij->...", ginv, hess)
 
 

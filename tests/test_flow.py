@@ -215,10 +215,9 @@ def test_grid_step_does_its_work_once(monkeypatch):
     # the grid's stencil index is built when the first field gathers neighbours
     monkeypatch.setattr(GraphMapField, "_stencil_index", field_cached(
         counted("_stencil_index", GraphMapField._stencil_index.__wrapped__)))
-    monkeypatch.setattr(GraphMapField, "covariant_d2f",
-                        counted("covariant_d2f", GraphMapField.covariant_d2f))
-    monkeypatch.setattr(GraphMapField, "gamma_induced_field",
-                        counted("gamma_induced_field", GraphMapField.gamma_induced_field))
+    for name in ("covariant_d2f", "induced_dg_field"):
+        monkeypatch.setattr(GraphMapField, name, field_cached(
+            counted(name, getattr(GraphMapField, name).__wrapped__)))
     for name in ("eigh", "eigvalsh", "cholesky", "inv"):
         monkeypatch.setattr(np.linalg, name, by_reader(name, getattr(np.linalg, name)))
     monkeypatch.setattr(np.linalg, "det", counted("det", np.linalg.det))
@@ -230,13 +229,15 @@ def test_grid_step_does_its_work_once(monkeypatch):
     # Every 3 x 3 metric (g_M and the induced one of each field) is factorised in
     # closed form, once, for its inverse and the volume, with no LAPACK call; the
     # one LAPACK call of a step is the eigvalsh of cfl_dt, on the step's base field.
-    # X is contracted from the first differences of g, so no field builds the
-    # induced Christoffel tensor
+    # X is contracted from the first differences of g, taken only on the fields whose
+    # |H|^2 a step reads, and no field builds the induced Christoffel tensor
+    assert not hasattr(GraphMapField, "gamma_induced_field")
     assert calls == {
         "metric_many": 1, "inverse_metric": 1, "christoffels_many": 1,  # M side once per grid
         "_stencil_index": 1,                           # grid bookkeeping once per grid
         "N wrap": 1 + 2 * k,                           # one N-chart wrap per field, of its f
         "covariant_d2f": 1 + 2 * k,                    # RHS: the start, then 2 per step
+        "induced_dg_field": 1 + k,                     # |H|^2: the start, then each step's end
         "eigvalsh in cfl_dt": k,                       # one per step
     }
 

@@ -12,6 +12,8 @@ and review the diff of ``tests/golden/``.
 import json
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from dataclasses import asdict
 
@@ -98,6 +100,22 @@ def test_cli_prints_the_bytes_json_dumps_printed(name, capsys):
     report = asdict(curvature_conditions_report(*SCENARIOS[cfg.name].manifolds(), seed=cfg.seed))
     cli_main(["check-curvature", os.path.join(golden, "config.ini")])
     assert capsys.readouterr().out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+def test_tsui_golden_holds_on_another_blas_kernel(tmp_path):
+    # the tsui golden's bytes do not depend on the BLAS kernel: a run on OpenBLAS's
+    # Prescott kernels (SSE3, no FMA; any x86-64 CPU runs them) writes them too.
+    # OpenBLAS reads OPENBLAS_CORETYPE when it loads, so the run is a child process
+    golden, out = os.path.join(GOLDEN_DIR, "tsui_wang_s2"), str(tmp_path / "run")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott", PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = "import sys\nfrom graphflow.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    proc = subprocess.run([sys.executable, "-c", code, "run", os.path.join(golden, "config.ini"),
+                           "--out", out], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    for fname in FILES:
+        assert _read(os.path.join(out, fname)) == _read(os.path.join(golden, fname)), fname
 
 
 def test_curvature_reports_draw_no_random_number(monkeypatch):

@@ -2,9 +2,13 @@
 
 ``reference_geometry.LoopStencilField`` keeps ``shift``, ``neighbor_f``,
 ``unwrap_target`` (its mirror test on every value) and the per-offset
-``df_field``, ``d2f_field``, ``gamma_induced_field``, ``grad_field`` and
-``laplace_beltrami``; the padded slices must reproduce them bit for bit,
-including where the mirror test's candidate mask is decided within an ulp.
+``df_field``, ``d2f_field``, ``gamma_induced_field`` (the induced Christoffels,
+here compared with ``reference_geometry.gamma_induced`` on the padded first
+differences of the induced metric), ``grad_field`` and ``hessian_trace`` (the
+g-trace of a scalar's Hessian in M's connection, which with the gradient is what
+``GraphMapField._laplace_and_gradient`` gives); the padded slices must reproduce
+them bit for bit, including where the mirror test's candidate mask is decided
+within an ulp.
 """
 
 import math
@@ -80,15 +84,16 @@ def _assert_same_stencils(m, n, shape, f):
         assert np.array_equal(got, old.neighbor_f(shifts)), off
     assert np.array_equal(new.df_field(), old.df_field())
     assert np.array_equal(new.d2f_field(), old.d2f_field())
-    assert np.array_equal(new.gamma_induced_field(), old.gamma_induced_field())
+    assert np.array_equal(ref.gamma_induced(new), old.gamma_induced_field())
     u = new.p_field()
-    assert np.array_equal(new.grad_field(u), old.grad_field(u))
-    assert np.array_equal(new.laplace_beltrami(u), old.laplace_beltrami(u))
+    lap, du = new._laplace_and_gradient(u[..., None])
+    assert np.array_equal(du[0], old.grad_field(u))
+    assert np.array_equal(lap[0], old.hessian_trace(u))
     # the monitors' one gather for both, over scalars stacked on a trailing axis
     stacked = np.stack([u, u * u, np.cos(u)], axis=-1)
     lap, du = new._laplace_and_gradient(stacked)
     for c in range(stacked.shape[-1]):
-        assert np.array_equal(lap[c], old.laplace_beltrami(stacked[..., c])), c
+        assert np.array_equal(lap[c], old.hessian_trace(stacked[..., c])), c
         assert np.array_equal(du[c], old.grad_field(stacked[..., c])), c
 
 

@@ -5,15 +5,17 @@ import math
 import numpy as np
 import pytest
 
+import reference_geometry as ref
 from graphflow.errors import ConfigurationError, NotAreaDecreasingError
-from graphflow.flow import EquivariantFlow, FlowParams, FlowRecord, FlowState, step
+from graphflow.flow import (EquivariantFlow, FlowParams, FlowRecord, FlowState, step,
+                            tangential_vector_field)
 from graphflow.frames import quad_form
 from graphflow.geometry import (Warp, WarpedSurface, builtin_warp, curvature_conditions_report,
                                 flat_torus, product_s1_s2)
-from graphflow.immersion import GraphMapField
-from graphflow.verify import (_time_derivative, check_H_and_theta_inequalities, check_decay_bounds,
-                              check_volume_budget, compute_bound_constants, decay_rates,
-                              residual_p_evolution)
+from graphflow.immersion import GraphMapField, field_geometry
+from graphflow.verify import (_checkpoint, _time_derivative, check_H_and_theta_inequalities,
+                              check_decay_bounds, check_volume_budget, compute_bound_constants,
+                              decay_rates, residual_p_evolution)
 
 
 def test_bound_constants_formulas():
@@ -124,17 +126,21 @@ def test_inequalities_hold_on_equivariant_run():
         assert cp["worst_w_excess"] <= 1e-12  # |w|^2 <= |H|^2 pointwise
 
 
-def _s1s2_triple(shape):
-    # the circle z = 0.5 on the cosh cylinder, then two RK2 steps: one time stencil
-    m_manifold, surface = product_s1_s2(), WarpedSurface(builtin_warp("cosh"))
-    x = GraphMapField(m_manifold, surface, shape, np.zeros(shape + (2,))).coords()
-    field = GraphMapField(m_manifold, surface, shape,
-                          np.stack([x[..., 0], np.full(shape, 0.5)], axis=-1))
+def _two_steps(field):
+    # a time stencil: the field and two RK2 steps of it
     states = [FlowState(field=field, min_p=field.min_p())]
     for _ in range(2):
         states.append(step(states[-1], FlowParams(t_end=1.0)))
     s0, s1, s2 = states
     return (s1.t, s1.t - s0.t, s2.t - s1.t, s0.field, s1.field, s2.field)
+
+
+def _s1s2_triple(shape):
+    # the circle z = 0.5 on the cosh cylinder, then two RK2 steps: one time stencil
+    m_manifold, surface = product_s1_s2(), WarpedSurface(builtin_warp("cosh"))
+    x = GraphMapField(m_manifold, surface, shape, np.zeros(shape + (2,))).coords()
+    return _two_steps(GraphMapField(m_manifold, surface, shape,
+                                    np.stack([x[..., 0], np.full(shape, 0.5)], axis=-1)))
 
 
 def test_monitors_refuse_a_grid_without_interior_nodes():
@@ -152,25 +158,29 @@ def test_monitors_refuse_a_grid_without_interior_nodes():
     assert check_H_and_theta_inequalities([triple], eps1=0.0)["checkpoints"][0]["nodes"] > 0
 
 
-def test_monitors_in_the_bi_ricci_regime():
+def _bi_ricci_field() -> GraphMapField:
     # N: the warp w = 2 + cos z, whose Gauss curvature cos z / (2 + cos z) peaks
-    # at 1/3.  On S^1 x S^2, min BRic = 1 >= sup sigma_N = 1/3 > 0 = min Ric:
-    # the paper's case, where the area-decreasing property is preserved but
-    # convergence is not promised, and sec_M = 0 < sigma_N on the S^1 planes
+    # at 1/3.  A graph over S^1 x S^2 with no symmetry: every mixed derivative is live
     warp = Warp("two_plus_cos", lambda z: 2 + np.cos(z), lambda z: -np.sin(z),
                 lambda z: -np.cos(z))
     m_manifold, surface = product_s1_s2(), WarpedSurface(warp)
-    report = curvature_conditions_report(m_manifold, surface)
-    assert report.cond_a and report.cond_b and not report.cond_c
-    assert report.min_bric == 1.0 and report.min_ric == 0.0
-    assert report.sup_sigma_n == pytest.approx(1 / 3)
-
-    # a graph with no symmetry: every mixed derivative is live
     shape = (4, 12, 4)
     x = GraphMapField(m_manifold, surface, shape, np.zeros(shape + (2,))).coords()
     s, th, ph = x[..., 0], x[..., 1], x[..., 2]
     f = np.stack([s + 0.02 * np.sin(th) * np.cos(ph), 0.5 + 0.02 * np.cos(s + ph)], axis=-1)
-    field = GraphMapField(m_manifold, surface, shape, f)
+    return GraphMapField(m_manifold, surface, shape, f)
+
+
+def test_monitors_in_the_bi_ricci_regime():
+    # On S^1 x S^2 -> (w = 2 + cos z), min BRic = 1 >= sup sigma_N = 1/3 > 0 = min Ric:
+    # the paper's case, where the area-decreasing property is preserved but
+    # convergence is not promised, and sec_M = 0 < sigma_N on the S^1 planes
+    field = _bi_ricci_field()
+    report = curvature_conditions_report(field.M, field.N)
+    assert report.cond_a and report.cond_b and not report.cond_c
+    assert report.min_bric == 1.0 and report.min_ric == 0.0
+    assert report.sup_sigma_n == pytest.approx(1 / 3)
+
     states = [FlowState(field=field, min_p=field.min_p())]
     params = FlowParams(t_end=0.05)
     while states[-1].t < params.t_end:
@@ -189,6 +199,38 @@ def test_monitors_in_the_bi_ricci_regime():
     assert cp["nodes"] == 64
     assert cp["worst_slack_h"] >= 0 and cp["worst_slack_theta"] >= 0
     assert cp["worst_w_excess"] <= 1e-12
+
+
+def _torus3_to_t2_triple():
+    # T^3 -> T^2(0.5) on 8^3 nodes, off the stationary projection: a non-constant induced metric
+    m_manifold, target, shape = flat_torus(3), flat_torus(2, scale=0.5), (8, 8, 8)
+    x = GraphMapField(m_manifold, target, shape, np.zeros(shape + (2,))).coords()
+    return _two_steps(GraphMapField(m_manifold, target, shape, x[..., :2] + 0.1 * np.stack(
+        [np.sin(x[..., 2]), np.cos(x[..., 0])], axis=-1)))
+
+
+@pytest.mark.parametrize("make_triple", [
+    lambda: _two_steps(_bi_ricci_field()), lambda: _tsui_triple(), _torus3_to_t2_triple],
+    ids=["s1xs2_two_plus_cos_4x12x4", "tsui_lift_32", "t3_t2_8"])
+def test_monitors_match_the_induced_christoffel_oracle(make_triple):
+    # A along xi and eta from the Hessian of f in M's connection, and the lhs from the
+    # g-trace of the scalars' Hessians in M's connection, against the formulas over the
+    # induced Christoffels they replaced (``reference_geometry``): the two differ by
+    # <(D, df D), nu> = 0 and by the advection X . grad u that Gamma_g - Gamma_M cancels
+    triple = make_triple()
+    field = triple[4]
+    mask = field.interior_mask()
+    assert np.abs(tangential_vector_field(field)[mask]).max() > 1e-2  # a live advection term
+    geo, want = field_geometry(field), ref.christoffel_field_geometry(field)
+    # tr A_xi of an equivariant lift is zero up to rounding: xi and eta share their pair's scale
+    for pair in (("a_xi", "a_eta"), ("h_xi", "h_eta")):
+        scale = max(np.abs(want[key]).max() for key in pair)
+        for key in pair:
+            assert np.abs(getattr(geo, key) - want[key]).max() <= 1e-12 * scale, key
+    lhs, want_lhs = _checkpoint(triple)[1], ref.christoffel_checkpoint_lhs(triple)[:, mask]
+    for row, name in enumerate(("p", "|H|^2", "Theta")):
+        assert np.abs(want_lhs[row]).max() > 1e-3, name
+        assert np.abs(lhs[row] - want_lhs[row]).max() <= 1e-12 * np.abs(want_lhs[row]).max(), name
 
 
 def _tsui_triple():
