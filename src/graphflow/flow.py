@@ -80,7 +80,7 @@ def tangential_vector_field(field: GraphMapField) -> np.ndarray:
     batch = ginv.shape[:-2]
     flat = ginv.reshape(batch + (m * m,))                      # g^{ij}
     div = matvec(np.swapaxes(dg.reshape(batch + (m * m, m)), -1, -2), flat)  # g^{ij} d_i g_jl
-    trace = matvec(dg.reshape(batch + (m, m * m)), flat)       # g^{ij} d_l g_ij
+    trace = np.einsum("...ij,...j->...i", dg.reshape(batch + (m, m * m)), flat)  # g^{ij} d_l g_ij
     gam_m = matvec(field.gamma_m_field().reshape(batch + (m, m * m)), flat)
     return matvec(ginv, div - 0.5 * trace) - gam_m
 
@@ -283,12 +283,12 @@ class EquivariantFlow:
         )
 
     def run(self, t_end: float, record_every: int = 50, h_tol: float = 1e-6) -> EquivariantRun:
-        """Integrate the profile by explicit RK2 steps, recording every
-        ``record_every`` steps and at the end; a recorded state keeps the steps
-        around it for time stencils.  The state and the next one live in two
-        ghost-padded buffers that swap roles each step, the half step in a
-        third; a recorded profile is a copy.  Steps run in blocks of at most STEP_BLOCK that
-        also end at record steps and at t_end; a step keeps its first-stage (dh/dt, g22, g11),
+        """Integrate the profile by explicit RK2 steps, recording every ``record_every`` steps
+        and at the end; a recorded state keeps the steps around it for time stencils.  The
+        state and the next one live in two ghost-padded buffers that swap roles each step, the
+        half step in a third; a recorded profile is a copy.  Steps run in blocks of at most
+        STEP_BLOCK that also end at record steps, at t_end and where a streak of small max
+        |H|^2 would reach CONVERGENCE_STREAK; a step keeps its first-stage (dh/dt, g22, g11),
         its dt and its new state.  Once per block, stacked calls give each step's max |H|^2,
         finiteness and term dt * quad_w * sum(|H|^2 sqrt(g11 g22)), and a replay in step order
         stops where a per-step loop would: the step whose streak of small max |H|^2 reaches
@@ -306,7 +306,7 @@ class EquivariantFlow:
         news = np.empty((STEP_BLOCK + 1, J))  # a block's start state, then each step's new one
         h[:] = self.h
         t = 0.0
-        rec0 = self.observables(h)
+        rec0 = self.observables(h, 0.0)  # the first record, if the run takes a step
         if rec0.min_p <= 0:
             raise NotAreaDecreasingError(f"initial profile has min p = {rec0.min_p:.3e}")
         if not rec0.min_p < 2:  # p = 2 only where the differential vanishes
@@ -331,7 +331,7 @@ class EquivariantFlow:
             at_record = step_i % record_every == 0
             if at_record:
                 h_rec = h.copy()
-                rec = self.observables(h_rec, t)
+                rec = self.observables(h_rec, t) if step_i else rec0
                 records.append(rec)
                 states.append(RecordedState(t, h_rec))
                 if rec.min_p <= 0:
@@ -341,7 +341,8 @@ class EquivariantFlow:
                     prev_h = h_next.copy()  # the state before, until this block overwrites it
             news[0] = h
             dts, t_step = [], t
-            for i in range(min(STEP_BLOCK, record_every - step_i % record_every)):
+            for i in range(min(STEP_BLOCK, record_every - step_i % record_every,
+                               CONVERGENCE_STREAK - streak)):
                 k1, _, _, g11, _ = stage()
                 firsts[i] = kept
                 dt = min(cfl_dtheta2 * float(amin(g11)) / 2, t_end - t_step)

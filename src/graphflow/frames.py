@@ -32,41 +32,27 @@ class SVDFrame:
     p: np.ndarray            # (...)
 
 
-def _t(a: np.ndarray) -> np.ndarray:
-    return np.swapaxes(a, -1, -2)
-
-
 def _cholesky2(g: np.ndarray):
-    """(l00, l10, s) of 2 x 2 matrices g = (a, b; c, d) (..., 2, 2) as ``potrf``
-    forms them from the lower triangle: l00 = sqrt(a), l10 = c / l00 and the Schur
-    complement s = d - l10^2 = l11^2; None where some a <= 0 or s <= 0.  NaN passes,
-    as in ``potrf``."""
+    """(l00, l10, s) of 2 x 2 matrices g = (a, b; c, d) (..., 2, 2) as ``potrf`` forms
+    them from the lower triangle: l00 = sqrt(a), l10 = c / l00 and the Schur complement
+    s = d - l10^2 = l11^2; None where some a <= 0 or s <= 0 (NaN passes, as in ``potrf``)."""
     a = g[..., 0, 0]
-    if (a <= 0).any():
+    if a.min() <= 0:
         return None
     l00 = np.sqrt(a)
     l10 = g[..., 1, 0] / l00
     s = g[..., 1, 1] - l10 * l10
-    if (s <= 0).any():
+    if s.min() <= 0:
         return None
     return l00, l10, s
 
 
 def _cholesky(g: np.ndarray) -> np.ndarray:
-    """The lower Cholesky factors of the metrics g (..., k, k); 2 x 2 ones in closed
-    form (``_cholesky2``)."""
-    if g.shape[-1] != 2:
-        try:
-            return np.linalg.cholesky(g)
-        except np.linalg.LinAlgError as exc:  # e.g. a chart metric at its polar seam
-            raise DegenerateMetricError(f"metric not positive definite: {exc}") from exc
-    parts = _cholesky2(g)
-    if parts is None:
-        raise DegenerateMetricError("metric not positive definite: a <= 0 or ad - bc <= 0")
-    out = np.zeros(g.shape)
-    out[..., 0, 0], out[..., 1, 0], s = parts
-    out[..., 1, 1] = np.sqrt(s)
-    return out
+    """The lower Cholesky factors of the metrics g (..., k, k), by ``cholesky``."""
+    try:
+        return np.linalg.cholesky(g)
+    except np.linalg.LinAlgError as exc:  # e.g. a chart metric at its polar seam
+        raise DegenerateMetricError(f"metric not positive definite: {exc}") from exc
 
 
 def pd_inverse(g: np.ndarray) -> np.ndarray | None:
@@ -126,25 +112,6 @@ def _det2(a: np.ndarray) -> np.ndarray:
     return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
 
 
-def _tri_solve(t: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
-    """x with t x = b for triangular t (..., k, k) and b (..., k, n) on the same batch
-    axes; 2 x 2 ones by substitution in closed form, larger ones by ``solve``."""
-    if t.shape[-1] != 2:
-        return np.linalg.solve(t, b)
-    x = np.empty(b.shape)
-    i, j = (0, 1) if lower else (1, 0)  # solve row i first, then row j
-    x[..., i, :] = b[..., i, :] / t[..., i, i, None]
-    x[..., j, :] = (b[..., j, :] - t[..., j, i, None] * x[..., i, :]) / t[..., j, j, None]
-    return x
-
-
-def _whiten(df: np.ndarray, g_m: np.ndarray, g_n: np.ndarray):
-    """(L_M, R_N, R_N df^T L_M^{-T}) where L L^T = g_M and R^T R = g_N; d is (..., 2, m)."""
-    lm = _cholesky(g_m)
-    rn = _t(_cholesky(g_n))
-    return lm, rn, _t(_tri_solve(lm, df @ _t(rn), lower=True))
-
-
 def quad_form(u: np.ndarray, a: np.ndarray, v: np.ndarray) -> np.ndarray:
     """u^T a v over the batch axes: u, v (..., k), a (..., k, k)."""
     return (u[..., None, :] @ a @ v[..., :, None])[..., 0, 0]
@@ -156,44 +123,85 @@ def matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.vecdot(a, v[..., None, :])
 
 
-def _first_nonzero_positive(rows: np.ndarray) -> np.ndarray:
-    """Flip rows so that their first component above 1e-13 in magnitude is positive."""
-    idx = np.argmax(np.abs(rows) > 1e-13, axis=-1)[..., None]
-    lead = np.take_along_axis(rows, idx, axis=-1)
-    return np.where(lead < 0, -rows, rows)
+def _sign(*comps):
+    """-1 where the first of a vector's components comps above 1e-13 in magnitude is
+    negative, else 1."""
+    lead = comps[-1]
+    for c in comps[-2::-1]:
+        lead = np.where(np.abs(c) > 1e-13, c, lead)
+    return np.where(lead < 0, -1.0, 1.0)
 
 
-def _sign_fixed(x0, x1):
-    """Rows (x0, x1) flipped so that their first component above 1e-13 in magnitude
-    is positive (``_first_nonzero_positive`` on component arrays)."""
-    sign = np.where(np.where(np.abs(x0) > 1e-13, x0, x1) < 0, -1.0, 1.0)
-    return sign * x0, sign * x1
+def _blinn(a, b, c, e):
+    """(q, r, phi, cos theta, sin theta) with d = Rot(phi) diag(q + r, q - r) Rot(theta)
+    for the 2 x 2 matrices d = (a, b; c, e) given by their components: d = E I + H J +
+    F K + G L, with J the quarter turn, K = diag(1, -1) and L the axis swap, q = |(E, H)|,
+    r = |(F, G)|, and phi +- theta the polar angles of (E, H) and (F, G) (Blinn,
+    "Consider the lowly 2x2 matrix", 1996).  Where q or r vanishes (a conformal,
+    anticonformal or zero d) ``arctan2`` picks the basis; a zero d gives u = vt = I, as
+    ``svd`` does."""
+    # (E, F) and (H, G), each pair in one array; + 0.0 turns a signed zero into +0, so
+    # that arctan2(0, -0) does not read pi
+    ef, hg = np.array([a + e, a - e]) / 2 + 0.0, np.array([c - b, b + c]) / 2 + 0.0
+    (q, r), (rot_sum, rot_diff) = np.hypot(ef, hg), np.arctan2(hg, ef)
+    theta = (rot_sum - rot_diff) / 2
+    return q, r, (rot_sum + rot_diff) / 2, np.cos(theta), np.sin(theta)
 
 
-def _quad_form2(u0, u1, g, v0, v1):
-    """u^T g v for 2-vectors given by their components and g (..., 2, 2), row by row
-    as ``quad_form`` sums."""
-    return ((u0 * g[..., 0, 0] + u1 * g[..., 1, 0]) * v0
-            + (u0 * g[..., 0, 1] + u1 * g[..., 1, 1]) * v1)
+def _frame(blinn, alpha, mapped, chol_n, g_n: np.ndarray) -> SVDFrame:
+    """The frame from Blinn's SVD of the whitened df, the sign-fixed rows alpha
+    (..., m, m) and mapped[k, a] = (df^T alpha_k)_a (2, 2, ...)."""
+    q, r, phi = blinn[:3]
+    lam, mu = q + r, np.abs(q - r)
+    sv = np.array([lam, mu])
+    # beta_k = df^T alpha_k / sv_k where sv_k > 1e-13, else R_N^{-1} u_k for the
+    # sign-fixed columns u_k of u = Rot(phi) diag(1, -1 where q < r)
+    if mu.min() > 1e-13:                       # lam >= mu, and both are NaN together
+        rows = mapped / sv[:, None]
+    else:
+        (n00, n10, n11), nonzero = chol_n, sv > 1e-13
+        cp, sp, sign = np.cos(phi), np.sin(phi), np.where(q < r, -1.0, 1.0)
+        u0, u1 = np.array([cp, -sign * sp]), np.array([sp, sign * cp])
+        flip = _sign(u0, u1)
+        axis1 = flip * u1 / n11
+        chart_axis = np.array([(flip * u0 - n10 * axis1) / n00, axis1]).swapaxes(0, 1)
+        rows = np.where(nonzero[:, None], mapped / np.where(nonzero, sv, 1.0)[:, None], chart_axis)
+    # re-orthonormalize beta against g_N (exact for clean input, guards roundoff)
+    g0, g1 = np.array([g_n[..., 0, 0], g_n[..., 0, 1]]), np.array([g_n[..., 1, 0], g_n[..., 1, 1]])
+
+    def quad(u, v):  # u^T g_N v, summed as quad_form does
+        gu = u[0] * g0 + u[1] * g1
+        return gu[0] * v[0] + gu[1] * v[1]
+    b0 = rows[0] / np.sqrt(quad(rows[0], rows[0]))
+    b1 = rows[1] - quad(b0, rows[1]) * b0
+    b1 = b1 / np.sqrt(quad(b1, b1))
+    beta = np.empty(lam.shape + (2, 2))
+    (beta[..., 0, 0], beta[..., 0, 1]), (beta[..., 1, 0], beta[..., 1, 1]) = b0, b1
+
+    m, sv = alpha.shape[-1], np.empty(lam.shape + (2,))
+    sv[..., 0], sv[..., 1] = lam, mu
+    den = 1.0 + sv * sv
+    root = np.sqrt(den)[..., None]                             # (..., 2, 1)
+    normals = np.empty(lam.shape + (2, m + 2))                 # (-sv alpha_k, beta_k) / root
+    np.multiply(-sv[..., None], alpha[..., :2, :], out=normals[..., :m])
+    normals[..., m:] = beta
+    normals /= root
+    e, s_diag = alpha.copy(), np.ones(alpha.shape[:-1])
+    e[..., :2, :] /= root
+    s_diag[..., :2] = (1.0 - sv * sv) / den
+    t = -2.0 * sv / den
+    return SVDFrame(
+        lam=lam, mu=mu, alpha=alpha, beta=beta, e=e, xi=normals[..., 0, :],
+        eta=normals[..., 1, :], s_diag=s_diag, t11=t[..., 0], t22=t[..., 1],
+        p=s_diag[..., 0] + s_diag[..., 1],
+    )
 
 
 def _frame2(df: np.ndarray, g_m: np.ndarray, g_n: np.ndarray) -> SVDFrame:
-    """``build_svd_frame`` for m = 2 on per-node component arrays, each step in the
-    order of the stacked construction: the Cholesky factors and the whitened df; the
-    SVD in closed form and its sign fix; alpha, beta and beta's re-orthonormalisation;
-    e, xi, eta, S, T and p.  A stacked matmul sums its two products with one rounding
-    fewer (a fused multiply-add), so a component whose two products are both nonzero
-    can differ from the stacked one in its last bit; on a diagonal df and diagonal
-    metrics, as in an equivariant lift, at most the entries of size ~1e-15 do.
-
-    The whitened d = (a, b; c, e) is split into a rotation part E I + H J and a
-    reflection part F K + G L, with J the quarter turn, K = diag(1, -1) and L the
-    swap of the two axes.  With Q = |(E, H)| and R = |(F, G)|, d = Rot(phi)
-    diag(Q + R, Q - R) Rot(theta), where phi + theta and phi - theta are the polar
-    angles of (E, H) and (F, G) (Blinn, "Consider the lowly 2x2 matrix", 1996).
-    Where Q or R vanishes (a conformal, anticonformal or zero d) ``arctan2`` picks
-    the basis; a zero d gives u = vt = I, as ``svd`` does.
-    """
+    """``build_svd_frame`` for m = 2 in the order of the stacked construction, whose
+    matmuls sum two products with one rounding (a fused multiply-add): where both are
+    nonzero a component can differ in its last bit; on a diagonal df and diagonal
+    metrics, as in an equivariant lift, only entries of size ~1e-15 do."""
     chol_m, chol_n = _cholesky2(g_m), _cholesky2(g_n)
     if chol_m is None or chol_n is None:
         raise DegenerateMetricError("metric not positive definite: a <= 0 or ad - bc <= 0")
@@ -205,59 +213,28 @@ def _frame2(df: np.ndarray, g_m: np.ndarray, g_n: np.ndarray) -> SVDFrame:
     c = f01 * n11 / l00
     b = (f10 * n00 + f11 * n10 - l10 * a) / l11
     e = (f11 * n11 - l10 * c) / l11
-
-    # + 0.0 turns a signed zero into +0, so that arctan2(0, -0) does not read pi
-    big_e, big_f = (a + e) / 2 + 0.0, (a - e) / 2 + 0.0
-    big_g, big_h = (b + c) / 2 + 0.0, (c - b) / 2 + 0.0
-    q, r = np.hypot(big_e, big_h), np.hypot(big_f, big_g)
-    rot_sum, rot_diff = np.arctan2(big_h, big_e), np.arctan2(big_g, big_f)
-    phi, theta = (rot_sum + rot_diff) / 2, (rot_sum - rot_diff) / 2
-    ct, st = np.cos(theta), np.sin(theta)
-    lam, mu = q + r, np.abs(q - r)
-
+    blinn = _blinn(a, b, c, e)
+    ct, st = blinn[3:]
     # alpha_k = L_M^{-T} v_k for the sign-fixed rows v_k of vt = (ct, -st; st, ct)
-    batch = df.shape[:-2]
-    alpha, beta = np.empty(batch + (2, 2)), np.empty(batch + (2, 2))
-    for k, (v0, v1) in enumerate((_sign_fixed(ct, -st), _sign_fixed(st, ct))):
-        alpha[..., k, 1] = a1 = v1 / l11
-        alpha[..., k, 0] = (v0 - l10 * a1) / l00
-    # beta_k = df^T alpha_k / sv_k where sv_k > 1e-13, else R_N^{-1} u_k for the
-    # sign-fixed columns u_k of u = Rot(phi) diag(1, -1 where Q < R)
-    degenerate = not (mu > 1e-13).all()        # lam >= mu, and both are NaN together
-    rows = []
-    for k, sv in enumerate((lam, mu)):
-        nonzero = sv > 1e-13
-        div = np.where(nonzero, sv, 1.0) if degenerate else sv
-        a0, a1 = alpha[..., k, 0], alpha[..., k, 1]
-        b0, b1 = (a0 * f00 + a1 * f10) / div, (a0 * f01 + a1 * f11) / div
-        if degenerate and not nonzero.all():
-            cp, sp = np.cos(phi), np.sin(phi)
-            sign = np.where(q < r, -1.0, 1.0)
-            w0, w1 = _sign_fixed(cp, sp) if k == 0 else _sign_fixed(-sign * sp, sign * cp)
-            axis1 = w1 / n11
-            b0, b1 = np.where(nonzero, b0, (w0 - n10 * axis1) / n00), np.where(nonzero, b1, axis1)
-        rows.append((b0, b1))
-    # re-orthonormalize beta against g_N (exact for clean input, guards roundoff)
-    (b00, b01), (b10, b11) = rows
-    norm = np.sqrt(_quad_form2(b00, b01, g_n, b00, b01))
-    beta[..., 0, 0] = b00 = b00 / norm
-    beta[..., 0, 1] = b01 = b01 / norm
-    proj = _quad_form2(b00, b01, g_n, b10, b11)
-    b10, b11 = b10 - proj * b00, b11 - proj * b01
-    norm = np.sqrt(_quad_form2(b10, b11, g_n, b10, b11))
-    beta[..., 1, 0], beta[..., 1, 1] = b10 / norm, b11 / norm
+    alpha = np.empty(df.shape[:-2] + (2, 2))
+    v0, v1 = np.array([ct, st]), np.array([-st, ct])
+    flip = _sign(v0, v1)
+    alpha[..., 0, 1], alpha[..., 1, 1] = a1 = flip * v1 / l11
+    alpha[..., 0, 0], alpha[..., 1, 0] = a0 = (flip * v0 - l10 * a1) / l00
+    mapped = np.array([a0 * f00 + a1 * f10, a0 * f01 + a1 * f11]).swapaxes(0, 1)
+    return _frame(blinn, alpha, mapped, (n00, n10, n11), g_n)
 
-    sv = np.stack([lam, mu], axis=-1)
-    den = 1.0 + sv * sv
-    root = np.sqrt(den)[..., None]                             # (..., 2, 1)
-    normals = np.concatenate([-sv[..., None] * alpha, beta], axis=-1) / root
-    s_diag = (1.0 - sv * sv) / den
-    t = -2.0 * sv / den
-    return SVDFrame(
-        lam=lam, mu=mu, alpha=alpha, beta=beta, e=alpha / root, xi=normals[..., 0, :],
-        eta=normals[..., 1, :], s_diag=s_diag, t11=t[..., 0], t22=t[..., 1],
-        p=s_diag[..., 0] + s_diag[..., 1],
-    )
+
+def _reflector(x: np.ndarray):
+    """(beta, v, tau): I - tau v v^T maps the vectors x (k, n) to beta e_0, as in LAPACK's
+    ``larfg`` (beta = -sign(x_0) |x|, v_0 = 1), but also where x_1.. = 0; I where x = 0."""
+    norm = np.sqrt(np.add.reduce(x * x))
+    beta = np.copysign(norm, -x[0])
+    den = x[0] - beta                  # x_0 + sign(x_0) |x|: 0 only where x is, and beta too
+    zero = den == 0
+    v = x / (den + zero)
+    v[0] = 1.0
+    return beta, v, -den / (beta + zero)
 
 
 def build_svd_frame(df: np.ndarray, g_m: np.ndarray, g_n: np.ndarray) -> SVDFrame:
@@ -266,46 +243,62 @@ def build_svd_frame(df: np.ndarray, g_m: np.ndarray, g_n: np.ndarray) -> SVDFram
     df: (..., m, 2), df^alpha_i = d_i f^alpha with rows indexed by M axes;
     g_m: (..., m, m); g_n: (..., 2, 2).  A single point is a batch of shape ().
 
-    Deterministic: descending singular values (closed form on component arrays
-    when m = 2, ``_frame2``; numpy's SVD otherwise) plus a sign fix making the
-    first nonzero component of each whitened right-singular vector positive.  The
-    beta vectors are re-derived from df alpha_i where the singular value is
-    nonzero so that df(alpha_1) = lam beta_1 holds exactly; where it vanishes
-    they are the sign-fixed whitened left-singular vectors.
+    On per-node component arrays, with no LAPACK call (m = 2: ``_frame2``); for m > 2 an
+    array (k, ..., n) holds one component per row over the n nodes of the batch.  df is
+    whitened to d = R_N df^T L_M^{-T} by the Cholesky factors L_M L_M^T = g_M and R_N^T R_N
+    = g_N.  For m > 2, two Householder reflections give d = (B 0) Q with B 2 x 2 lower
+    triangular, B_00, B_11 >= 0, and Q orthogonal (d_0 H_0 = (B_00, 0, ...), d_1 H_0 H_1 =
+    (B_10, B_11, 0, ...), Q = H_1 H_0 up to the signs of rows 0 and 1); for m = 2, B = d
+    and Q = I.  B = u diag(lam, mu) wt in Blinn's closed form gives descending singular
+    values, and the rows v_k of diag(wt, I) Q, each sign-fixed so that its first component
+    above 1e-13 in magnitude is positive, give alpha_k = L_M^{-T} v_k.  beta_k = df^T
+    alpha_k / sv_k where sv_k > 1e-13, so that df(alpha_1) = lam beta_1 holds exactly, else
+    the sign-fixed whitened left-singular vector; then it is re-orthonormalised by g_N.
     """
-    if df.shape[-2] == 2:
+    m, batch = df.shape[-2], df.shape[:-2]
+    if m == 2:
         return _frame2(df, g_m, g_n)
-    lm, rn, d = _whiten(df, g_m, g_n)
-    u, sv, vt = np.linalg.svd(d, full_matrices=True)
-    lam, mu = sv[..., 0], sv[..., 1]
-    alpha = _t(_tri_solve(_t(lm), _t(_first_nonzero_positive(vt)), lower=False))
+    f = np.ascontiguousarray(df.reshape(-1, m, 2).transpose(1, 2, 0))     # f[i, a] = d_i f^a
+    g_n = g_n.reshape(-1, 2, 2)
+    chol_n = _cholesky2(g_n)
+    if chol_n is None:
+        raise DegenerateMetricError("metric not positive definite: a <= 0 or ad - bc <= 0")
+    n00, n10, n11 = chol_n[0], chol_n[1], np.sqrt(chol_n[2])
+    # L_M column by column, with the rows of R_N df^T below it as two more rows of the
+    # matrix factorised: they end as the rows d_0, d_1 of d, solved forward through L_M
+    low = np.empty((m + 2, m, f.shape[-1]))
+    low[:m] = g_m.reshape(-1, m, m).transpose(1, 2, 0)
+    low[m], low[m + 1] = f[:, 0] * n00 + f[:, 1] * n10, f[:, 1] * n11
+    for j in range(m):
+        s = low[j, j] - np.add.reduce(low[j, :j] * low[j, :j]) if j else low[0, 0]
+        if s.min() <= 0:                                      # NaN passes, as in potrf
+            raise DegenerateMetricError("metric not positive definite: a Cholesky pivot <= 0")
+        low[j, j] = np.sqrt(s)
+        dot = np.add.reduce(low[j + 1:, :j] * low[j, :j], axis=1) if j else 0.0
+        low[j + 1:, j] = (low[j + 1:, j] - dot) / low[j, j]
 
-    nonzero = sv[..., None] > 1e-13
-    mapped = (alpha[..., :2, :] @ df) / np.where(nonzero, sv[..., None], 1.0)
-    if nonzero.all():
-        beta = mapped
-    else:
-        chart_axis = _t(_tri_solve(rn, _t(_first_nonzero_positive(_t(u))), lower=False))
-        beta = np.where(nonzero, mapped, chart_axis)
-    # re-orthonormalize beta against g_N (exact for clean input, guards roundoff)
-    b0 = beta[..., 0, :] / np.sqrt(quad_form(beta[..., 0, :], g_n, beta[..., 0, :]))[..., None]
-    b1 = beta[..., 1, :] - quad_form(b0, g_n, beta[..., 1, :])[..., None] * b0
-    b1 = b1 / np.sqrt(quad_form(b1, g_n, b1))[..., None]
-    beta = np.stack([b0, b1], axis=-2)
-
-    root = np.sqrt(1.0 + sv * sv)[..., None]                   # (..., 2, 1)
-    e = alpha.copy()
-    e[..., :2, :] /= root
-    normals = np.concatenate([-sv[..., None] * alpha[..., :2, :], beta], axis=-1) / root
-
-    s_diag = np.ones(alpha.shape[:-1])
-    s_diag[..., :2] = (1.0 - sv * sv) / (1.0 + sv * sv)
-    t = -2.0 * sv / (1.0 + sv * sv)
-    return SVDFrame(
-        lam=lam, mu=mu, alpha=alpha, beta=beta, e=e, xi=normals[..., 0, :],
-        eta=normals[..., 1, :], s_diag=s_diag, t11=t[..., 0], t22=t[..., 1],
-        p=s_diag[..., 0] + s_diag[..., 1],
-    )
+    b00, v0, tau0 = _reflector(low[m])
+    d1 = low[m + 1] - (tau0 * np.add.reduce(v0 * low[m + 1])) * v0
+    b11, v1, tau1 = _reflector(d1[1:])
+    vt = np.eye(m)[..., None] - (tau0 * v0)[:, None] * v0     # the rows of H_0, then of Q
+    vt[1:] -= (tau1 * v1)[:, None] * np.add.reduce(v1[:, None] * vt[1:])
+    flip0, flip1 = np.copysign(1.0, b00), np.copysign(1.0, b11)  # B_00, B_11 >= 0: an
+    vt[0] *= flip0                                            # axis-aligned d keeps its axes
+    vt[1] *= flip1
+    blinn = _blinn(flip0 * b00, 0.0, flip0 * d1[0], flip1 * b11)
+    ct, st = blinn[3:]
+    vt[0], vt[1] = ct * vt[0] - st * vt[1], st * vt[0] + ct * vt[1]
+    vt *= _sign(*vt.transpose(1, 0, 2))[:, None]
+    comps = vt.transpose(1, 0, 2)                             # alpha_k^i in place of v_k^i
+    for i in range(m - 1, -1, -1):
+        if i < m - 1:
+            comps[i] -= np.add.reduce(low[i + 1:m, i, None] * comps[i + 1:])
+        comps[i] /= low[i, i]
+    mapped = np.add.reduce(vt[:2, :, None] * f, axis=1)
+    fr = _frame(blinn, np.ascontiguousarray(vt.transpose(2, 0, 1)), mapped, (n00, n10, n11), g_n)
+    if len(batch) == 1:
+        return fr
+    return SVDFrame(**{k: v.reshape(batch + v.shape[1:]) for k, v in vars(fr).items()})
 
 
 def generalized_eigvalsh(a: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -315,7 +308,7 @@ def generalized_eigvalsh(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     a, g: (..., k, k) -> (..., k); a single matrix is a batch of shape ().
     """
     inv_l = np.linalg.inv(_cholesky(g))
-    return np.linalg.eigvalsh(inv_l @ a @ _t(inv_l))
+    return np.linalg.eigvalsh(inv_l @ a @ np.swapaxes(inv_l, -1, -2))
 
 
 def singular_value_invariants(g_m_inv: np.ndarray, g_n: np.ndarray, df: np.ndarray):
@@ -329,7 +322,7 @@ def singular_value_invariants(g_m_inv: np.ndarray, g_n: np.ndarray, df: np.ndarr
     an error of about eps lambda^2 / mu in mu; for m = 2 mu is
     sqrt(det K) / lambda = |det df| sqrt(det g_M^{-1} det g_N) / lambda instead.
     """
-    k = _t(df) @ g_m_inv @ df @ g_n
+    k = np.swapaxes(df, -1, -2) @ g_m_inv @ df @ g_n
     a, b, c, d = k[..., 0, 0], k[..., 0, 1], k[..., 1, 0], k[..., 1, 1]
     tr = a + d
     root = np.sqrt(np.maximum(((a - d) / 2) ** 2 + b * c, 0.0))

@@ -32,7 +32,7 @@ import scipy.linalg
 from graphflow.errors import ConfigurationError, DegenerateMetricError, DomainError, SolverAbort
 from graphflow import frames
 from graphflow.flow import PHI_WIDTH, h2_field
-from graphflow.frames import (_cholesky, _first_nonzero_positive, _tri_solve, quad_form)
+from graphflow.frames import _cholesky, _cholesky2, quad_form
 from graphflow.geometry import ChartManifold, WarpedSurface
 from graphflow.immersion import CORRUPTED_METRIC, GraphMapField, field_cached
 from graphflow.verify import _time_derivative
@@ -176,16 +176,48 @@ def _blinn_svd(d: np.ndarray):
     return u, np.stack([q + r, np.abs(q - r)], axis=-1), vt
 
 
+def _tri_solve(t: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
+    """x with t x = b for triangular t (..., k, k) and b (..., k, n) on the same batch
+    axes; 2 x 2 ones by substitution in closed form, larger ones by ``solve``."""
+    if t.shape[-1] != 2:
+        return np.linalg.solve(t, b)
+    x = np.empty(b.shape)
+    i, j = (0, 1) if lower else (1, 0)  # solve row i first, then row j
+    x[..., i, :] = b[..., i, :] / t[..., i, i, None]
+    x[..., j, :] = (b[..., j, :] - t[..., j, i, None] * x[..., i, :]) / t[..., j, j, None]
+    return x
+
+
+def _first_nonzero_positive(rows: np.ndarray) -> np.ndarray:
+    """Flip rows so that their first component above 1e-13 in magnitude is positive."""
+    idx = np.argmax(np.abs(rows) > 1e-13, axis=-1)[..., None]
+    lead = np.take_along_axis(rows, idx, axis=-1)
+    return np.where(lead < 0, -rows, rows)
+
+
+def _stacked_cholesky(g: np.ndarray) -> np.ndarray:
+    """The lower Cholesky factors of the metrics g (..., k, k); 2 x 2 ones in the closed
+    form of ``frames._cholesky2``, larger ones by ``cholesky``."""
+    if g.shape[-1] != 2:
+        return _cholesky(g)
+    out = np.zeros(g.shape)
+    out[..., 0, 0], out[..., 1, 0], s = _cholesky2(g)
+    out[..., 1, 1] = np.sqrt(s)
+    return out
+
+
 def stacked_svd_frame(df: np.ndarray, g_m: np.ndarray, g_n: np.ndarray) -> frames.SVDFrame:
-    """The batched adapted frame of a map between surfaces, on stacked (..., 2, 2)
-    arrays: whitened df, Blinn's SVD, stacked matmuls and quadratic forms.  The
-    stacked matmuls sum two products with one rounding (a fused multiply-add), so
-    the component form agrees with it bit for bit only where one of the two
-    products vanishes."""
-    lm = _cholesky(g_m)
-    rn = _t(_cholesky(g_n))
+    """The batched adapted frame on stacked arrays: whitened df, its SVD, stacked
+    matmuls and quadratic forms.  For m = 2 the SVD is Blinn's closed form; the stacked
+    matmuls sum two products with one rounding (a fused multiply-add), so the
+    component form agrees with it bit for bit only where one of the two products
+    vanishes.  For m > 2 the whitening and the SVD are LAPACK's (``cholesky``, ``solve``
+    and a full ``svd``), whose completion of the right-singular vectors to a basis is
+    its own where m > 3."""
+    lm = _stacked_cholesky(g_m)
+    rn = _t(_stacked_cholesky(g_n))
     d = _t(_tri_solve(lm, df @ _t(rn), lower=True))
-    u, sv, vt = _blinn_svd(d)
+    u, sv, vt = _blinn_svd(d) if d.shape[-1] == 2 else np.linalg.svd(d, full_matrices=True)
     lam, mu = sv[..., 0], sv[..., 1]
     alpha = _t(_tri_solve(_t(lm), _t(_first_nonzero_positive(vt)), lower=False))
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_geometry as ref
+from graphflow.app import _identity_samples
 from graphflow.classify import classify_limit
 from graphflow.flow import PHI_WIDTH, EquivariantFlow, h2_field
 from graphflow.frames import build_svd_frame
@@ -309,15 +310,31 @@ def test_batched_frame_on_exactly_degenerate_samples(kind):
             assert np.abs(getattr(got, key) - getattr(want, key)).max() <= TOL, (k, key)
 
 
-def test_tsui_lift_calls_no_lapack(monkeypatch):
-    # every matrix of an m = 2 lift is 2 x 2, and all of them have closed forms
-    field, _ = _tsui_field(32)
-
+def _refuse_lapack(monkeypatch, what):
     def refuse(*args, **kwargs):
-        raise AssertionError("LAPACK called on a tsui lift")
+        raise AssertionError(f"LAPACK called on {what}")
 
     for name in ("svd", "solve", "inv", "cholesky"):
         monkeypatch.setattr(np.linalg, name, refuse)
+
+
+def test_tsui_lift_calls_no_lapack(monkeypatch):
+    # every matrix of an m = 2 lift is 2 x 2, and all of them have closed forms
+    field, _ = _tsui_field(32)
+    _refuse_lapack(monkeypatch, "a tsui lift")
     geo = field_geometry(field)
     assert np.isfinite(geo.a_sq).all() and np.isfinite(geo.frame.p).all()
     assert np.isfinite(field.p_field()).all() and np.isfinite(h2_field(field)).all()
+
+
+def test_m3_frames_call_no_lapack(monkeypatch):
+    # the 4^3 T^3 field and a batch of the identity suite's m = 3 samples: the m > 2
+    # frame and the 3 x 3 metrics of a grid field have closed forms too
+    field, _ = _torus_projection_field()
+    g_m, g_n, df, *_ = _identity_samples(500, 0)[3]
+    _refuse_lapack(monkeypatch, "an m = 3 frame")
+    geo = field_geometry(field)
+    assert np.isfinite(geo.a_sq).all() and np.isfinite(geo.frame.p).all()
+    frame = build_svd_frame(df, g_m, g_n)
+    assert frame.alpha.shape == (len(df), 3, 3) and np.isfinite(frame.alpha).all()
+    assert (frame.mu > 0).all()

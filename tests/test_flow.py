@@ -2,6 +2,8 @@
 
 import functools
 import math
+import os
+import subprocess
 import sys
 from collections import Counter
 
@@ -318,10 +320,10 @@ def test_equivariant_step_evaluates_rhs_once_per_stage(monkeypatch):
     eq = EquivariantFlow(32, lambda th: 0.8 * np.sin(th))
     run = eq.run(t_end=1e-4, record_every=10**6)  # one clamped step
     assert run.states[-1].t == 1e-4 and len(run.records) == 2 and run.steps == 1
-    # observables: the start check, step 0 and the end; each reads rhs once
-    # and hands it to singular_values, and rhs runs the stage kernel once;
-    # the RK2 step runs it once per stage
-    assert calls == {"observables": 3, "singular_values": 3, "rhs": 3, "stage": 3 + 2}
+    # observables: the start check, which is also step 0's record, and the end;
+    # each reads rhs once and hands it to singular_values, and rhs runs the stage
+    # kernel once; the RK2 step runs it once per stage
+    assert calls == {"observables": 2, "singular_values": 2, "rhs": 2, "stage": 2 + 2}
 
 
 def test_equivariant_decay_and_monotonicity():
@@ -400,6 +402,61 @@ def test_equivariant_run_refuses_record_every_below_one(record_every):
         eq.run(t_end=0.2, record_every=record_every)
 
 
+def test_converging_run_computes_one_step_past_its_last(monkeypatch):
+    # once a streak of small max |H|^2 is under way, a block ends where it would reach
+    # CONVERGENCE_STREAK: the step that converges is computed, and none after it
+    calls = Counter()
+    kernel, rhs = EquivariantFlow._stage_kernel, EquivariantFlow.rhs
+
+    def counted_kernel(self, b, ws):
+        stage = kernel(self, b, ws)
+
+        def counted_stage():
+            calls["stage"] += 1
+            return stage()
+        return counted_stage
+
+    def counted_rhs(self, h):
+        calls["rhs"] += 1
+        return rhs(self, h)
+    monkeypatch.setattr(EquivariantFlow, "_stage_kernel", counted_kernel)
+    monkeypatch.setattr(EquivariantFlow, "rhs", counted_rhs)
+    run = EquivariantFlow(32, lambda th: 0.8 * np.sin(th)).run(20.0, record_every=5000)
+    assert run.status == "Converged" and run.steps > 3 * graphflow.flow.STEP_BLOCK
+    computed = (calls["stage"] - calls["rhs"]) / 2   # two stages a step; rhs runs one
+    assert run.steps < computed <= run.steps + 1
+
+
+def test_tangential_field_holds_on_another_blas_kernel():
+    # X on tsui lifts along a run keeps its bytes on OpenBLAS's Prescott kernels (SSE3,
+    # no FMA): its g^{ij} d_l g_ij term is contracted in a fixed order, not by ddot.
+    # OpenBLAS reads OPENBLAS_CORETYPE when it loads, so each digest is a child process
+    code = """if True:
+        import hashlib
+        import numpy as np
+        from graphflow.flow import EquivariantFlow, tangential_vector_field
+        digest = hashlib.sha256()
+        for nodes in (32, 256):
+            eq = EquivariantFlow(nodes, lambda th: 0.8 * np.sin(th))
+            for state in eq.run(0.05, record_every=25).states:
+                digest.update(tangential_vector_field(eq.expand_field(state.h)).tobytes())
+        print(digest.hexdigest())
+    """
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    digests = []
+    for coretype in (None, "Prescott"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
+        if coretype:
+            env["OPENBLAS_CORETYPE"] = coretype
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]
+
+
 def test_equivariant_run_builds_its_kernels_once(monkeypatch):
     # a run binds one stage kernel to each of its three buffers, and each
     # observables call one more: never one per block or per step
@@ -417,8 +474,8 @@ def test_equivariant_run_builds_its_kernels_once(monkeypatch):
             built.clear()
             run = EquivariantFlow(32, lambda th: 0.8 * np.sin(th)).run(t_end, record_every=10**9)
             steps.add(run.steps)
-            # observables: the start check, step 0 and the end
-            assert built == {"kernels": 3 + 3}, (block, t_end)
+            # observables: the start check, which is also step 0's record, and the end
+            assert built == {"kernels": 3 + 2}, (block, t_end)
     assert len(steps) == 3 and max(steps) > 3 * graphflow.flow.STEP_BLOCK
 
 

@@ -318,3 +318,65 @@ def test_m2_frame_stays_within_a_few_ulps_of_the_stacked_oracle_on_any_metrics()
             got, want = getattr(new, name), getattr(old, name)
             row = np.abs(want).max(axis=-1, keepdims=True) if want.ndim > 1 else scale
             assert _ulps(got, want, row) <= 32, (kind, name)
+
+
+# -- the m > 2 frame on component arrays against the LAPACK oracle -------------
+
+
+def _metrics(rng, n, k):
+    a = rng.standard_normal((n, k, k))
+    return a @ np.swapaxes(a, -1, -2) + k * np.eye(k)
+
+
+def _complement_projector(alpha, g_m):
+    """The g_M-orthogonal projector onto the span of the rows alpha_3.. (..., m, m)."""
+    rest = alpha[..., 2:, :]
+    return np.swapaxes(rest, -1, -2) @ rest @ g_m
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_frame_matches_the_lapack_oracle(m):
+    # random batches, where df has rank 2: the scalars within 1e-13 of lambda's scale
+    # and the vectors within 1e-12 of the oracle's; for m > 3 the SVD completes
+    # alpha_1, alpha_2 to a basis its own way, so the span of alpha_3.. is compared
+    rng = np.random.default_rng(m)
+    df = rng.standard_normal((500, m, 2)) * rng.uniform(0.05, 2.0, (500, 1, 1))
+    g_m, g_n = _metrics(rng, 500, m), _metrics(rng, 500, 2)
+    new, old = _frames(df, g_m, g_n)
+    assert (old.mu > 1e-3).all()
+    scale = np.maximum(old.lam, 1.0)
+    for name in ("lam", "mu", "p", "t11", "t22"):
+        assert (np.abs(getattr(new, name) - getattr(old, name)) <= 1e-13 * scale).all(), name
+    assert (np.abs(new.s_diag - old.s_diag) <= 1e-13 * scale[:, None]).all()
+    for name in ("alpha", "e"):
+        got, want = getattr(new, name), getattr(old, name)
+        rows = 3 if m == 3 else 2
+        assert np.abs(got[:, :rows] - want[:, :rows]).max() <= 1e-12, name
+    for name in ("beta", "xi", "eta"):
+        assert np.abs(getattr(new, name) - getattr(old, name)).max() <= 1e-12, name
+    assert np.abs(_complement_projector(new.alpha, g_m)
+                  - _complement_projector(old.alpha, g_m)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+@pytest.mark.parametrize("kind", ["conformal", "rank_one", "zero"])
+def test_frame_keeps_the_chart_axes_of_an_axis_aligned_differential(m, kind):
+    # df along the chart axes and metrics k I, as in the torus projection: the frame
+    # is LAPACK's natural one, up to rounding, also where lam = mu and the singular
+    # vectors are not unique; a zero singular value is exactly 0
+    rng = np.random.default_rng(m)
+    df = np.zeros((20, m, 2))
+    scale = rng.uniform(0.2, 2.0, 20)
+    if kind != "zero":
+        df[:, 0, 0] = scale
+    if kind == "conformal":
+        df[:, 1, 1] = scale
+    g_m = np.eye(m) * rng.uniform(0.5, 3.0, (20, 1, 1))
+    g_n = np.eye(2) * rng.uniform(0.5, 3.0, (20, 1, 1))
+    new, old = _frames(df, g_m, g_n)
+    if kind == "conformal":
+        assert np.array_equal(new.lam, new.mu)
+    else:
+        assert (new.mu == 0.0).all() and ((new.lam == 0.0) == (kind == "zero")).all()
+    for name in FRAME_FIELDS:
+        assert np.abs(getattr(new, name) - getattr(old, name)).max() <= 1e-12, name
