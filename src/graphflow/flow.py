@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, fields
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, NotAreaDecreasingError, SolverAbort
-from .frames import matvec, p_batch, quad_form
+from .frames import max_eigenvalue, p_batch, sym_index
 from .geometry import Warp, WarpedSurface, round_sphere
 from .immersion import COLUMN_SOURCE, GraphMapField, field_cached
 
@@ -61,43 +62,49 @@ class FlowState:
 
 @field_cached
 def nonparametric_rhs(field: GraphMapField) -> np.ndarray:
-    """V^a = g^{ij}(d2_ij f^a - Gamma_M^k_ij d_k f^a + Gamma_N^a_bc d_i f^b d_j f^c), (grid, 2)."""
-    term = field.covariant_d2f()                               # (..., a, i, j)
-    ginv = field.induced_g_inv_field()
-    return (term.reshape(term.shape[:-2] + (-1,)) @ ginv.reshape(ginv.shape[:-2] + (-1, 1)))[..., 0]
+    """V^a = g^{ij}(d2_ij f^a - Gamma_M^k_ij d_k f^a + Gamma_N^a_bc d_i f^b d_j f^c), (grid, 2):
+    the Hessian's rows contracted with g^{-1}'s, an off-diagonal row twice."""
+    w = sym_index(field.M.dim)[3]
+    v = np.add.reduce(field._hessian_rows() * (w * field._induced_g_inverse()[0]), axis=1)
+    return v.T.reshape(field.shape + (2,))
 
 
 @field_cached
 def tangential_vector_field(field: GraphMapField) -> np.ndarray:
-    """X^k = g^{ij}(Gamma_g - Gamma_M)^k_ij; dF(X) is the tangential part of (0, V).
+    """X^k = g^{ij}(Gamma_g - Gamma_M)^k_ij; dF(X) is the tangential part of (0, V), (grid, m).
 
-    Contracted straight from the first differences of the induced metric,
+    Contracted straight from the first differences of the induced metric's rows,
     X^k = g^{kl}(g^{ij} d_i g_jl - 1/2 g^{ij} d_l g_ij) - g^{ij} Gamma_M^k_ij, so the
     m^3 induced Christoffel tensor is never formed."""
-    dg = field.induced_dg_field()                              # (..., i, j, l)
-    ginv = field.induced_g_inv_field()
-    m = ginv.shape[-1]
-    batch = ginv.shape[:-2]
-    flat = ginv.reshape(batch + (m * m,))                      # g^{ij}
-    div = matvec(np.swapaxes(dg.reshape(batch + (m * m, m)), -1, -2), flat)  # g^{ij} d_i g_jl
-    trace = np.einsum("...ij,...j->...i", dg.reshape(batch + (m, m * m)), flat)  # g^{ij} d_l g_ij
-    gam_m = matvec(field.gamma_m_field().reshape(batch + (m, m * m)), flat)
-    return matvec(ginv, div - 0.5 * trace) - gam_m
+    m = field.M.dim
+    _, _, full, w = sym_index(m)
+    ginv, dg = field._induced_g_inverse()[0], field._dg_rows()        # (S, n), (S, l, n)
+    g_full, w_ginv = ginv.take(full, axis=0), w * ginv
+    div = np.add.reduce(g_full[:, :, None] * dg.take(full, axis=0).transpose(2, 0, 1, 3),
+                        axis=(0, 1))
+    trace = np.add.reduce(w_ginv[:, None] * dg, axis=0)
+    gam_m = np.add.reduce(w_ginv * field._gamma_m_rows(), axis=1)
+    x = np.add.reduce(g_full * (div - 0.5 * trace), axis=1) - gam_m
+    return x.T.reshape(field.shape + (m,))
 
 
 @field_cached
 def h2_field(field: GraphMapField) -> np.ndarray:
     """|H|^2 per node via H = (0, V) - dF(X) in product-chart components."""
-    x = tangential_vector_field(field)
-    df = field.df_field()
-    tn = nonparametric_rhs(field) - (x[..., None, :] @ df)[..., 0, :]
-    return quad_form(x, field.g_m_field(), x) + quad_form(tn, field.g_n_field(), tn)
+    def rows(a):
+        return a.reshape(-1, a.shape[-1]).T
+
+    def quad(u, a):  # u^T a u, (u^T a) first
+        return np.add.reduce(np.add.reduce(u[:, None] * a, axis=0) * u, axis=0)
+    x, d = rows(tangential_vector_field(field)), field._f_derivatives()[0]
+    tn = rows(nonparametric_rhs(field)) - np.add.reduce(x * d, axis=1)
+    return (quad(x, field._g_m_rows()[0]) + quad(tn, field._g_n_rows())).reshape(field.shape)
 
 
 def cfl_dt(field: GraphMapField, params: FlowParams) -> float:
-    """dt = cfl * h_min^2 / (2 m Lambda), Lambda the max eigenvalue of g^{-1}."""
-    field.induced_g_inv_field()  # a corrupted g aborts here, before eigvalsh reads it
-    lam = 1.0 / float(np.linalg.eigvalsh(field.induced_g_field())[..., 0].min())
+    """dt = cfl * h_min^2 / (2 m Lambda), Lambda the max eigenvalue of g^{-1}, from the
+    inverse that checked g: in closed form for m <= 3 (``frames.max_eigenvalue``)."""
+    lam = float(max_eigenvalue(field._induced_g_inverse()[0]).max())
     return params.cfl * float(field.h.min())**2 / (2 * field.M.dim * lam)
 
 
@@ -113,7 +120,7 @@ def step(state: FlowState, params: FlowParams) -> FlowState:
     field = state.field
     dt = cfl_dt(field, params)
     v = nonparametric_rhs(field)
-    dissipated = float(np.sum(h2_field(field) * field.volume_density()) * np.prod(field.h)) * dt
+    dissipated = float(np.sum(h2_field(field) * field.volume_density()) * math.prod(field.h)) * dt
     nxt = FlowState(field=field, t=state.t + dt, step_count=state.step_count + 1,
                     dissipation=state.dissipation + dissipated,
                     low_h_streak=state.low_h_streak, min_p=state.min_p)
@@ -418,8 +425,8 @@ class EquivariantFlow:
         node counts and volume are the lift's.  Their values are computed once, on a
         batch grid of one column per profile, and each lift reads its column.  No
         (J, PHI_WIDTH) grid or array is built: f's derivatives come from the profiles'
-        odd mirror stencil, as in ``rhs``, in the arithmetic of ``GraphMapField._first``
-        and ``_second``, negated where ``N.wrap`` mirrored f^theta; d_phi f = (0, 1) and
+        odd mirror stencil, as in ``rhs``, in the arithmetic of ``GraphMapField._differences``,
+        negated where ``N.wrap`` mirrored f^theta, as the batch's rows; d_phi f = (0, 1) and
         the other second derivatives, 0, are exact."""
         column, width = self._column, len(profiles)
         grid = column._cache
@@ -432,11 +439,11 @@ class EquivariantFlow:
         batch._cache["_stencil_index"] = grid["_stencil_index"] * width + np.arange(width)
         sign = np.where(batch.f[..., 1] == 0, 1.0, -1.0)  # -1 where the wrap mirrored h
         b = np.concatenate([-h[:1], h, -h[-1:]])  # h(-theta) = -h(theta), h(pi + s) = -h(pi - s)
-        df, d2f = np.zeros(h.shape + (2, 2)), np.zeros(h.shape + (2, 2, 2))
-        df[..., 0, 0] = sign * (b[2:] - b[:-2]) / (2 * self.dtheta)
-        df[..., 1, 1] = 1.0
-        d2f[..., 0, 0, 0] = sign * (b[2:] - 2 * h + b[:-2]) / self.dtheta**2
-        batch._cache["_f_derivatives"] = df, d2f
+        d, d2 = np.zeros((2, 2, h.size)), np.zeros((2, 3, h.size))  # rows over the batch's nodes
+        d[0, 0] = (sign * (b[2:] - b[:-2]) / (2 * self.dtheta)).ravel()
+        d[1, 1] = 1.0
+        d2[0, 0] = (sign * (b[2:] - 2 * h + b[:-2]) / self.dtheta**2).ravel()
+        batch._cache["_f_derivatives"] = d, d2
         lifts = []
         for k in range(width):
             lift = object.__new__(GraphMapField)
@@ -472,9 +479,10 @@ class EquivariantFlow:
 
 def _read_column(batch: GraphMapField, k: int, cached):
     """The ``COLUMN_SOURCE`` of lift k of a batch (``EquivariantFlow.expand_fields``):
-    column k, read-only, of each array of a field-cached value computed on the batch."""
+    column k, read-only, of each array of a field-cached value computed on the batch (of
+    every row's flat nodes, for a ``row_cached`` value)."""
     def column(a: np.ndarray) -> np.ndarray:
-        out = a[:, k:k + 1]
+        out = a[..., k::batch.shape[1]] if cached.rows else a[:, k:k + 1]
         out.flags.writeable = False
         return out
     return _map_arrays(column, cached(batch))

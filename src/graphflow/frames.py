@@ -8,6 +8,8 @@ sqrt(1 + lambda^2), and analogously with mu for the second direction.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,61 +57,108 @@ def _cholesky(g: np.ndarray) -> np.ndarray:
         raise DegenerateMetricError(f"metric not positive definite: {exc}") from exc
 
 
+@functools.cache
+def sym_index(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(i, j, full, w) of the S = k(k + 1)/2 rows of a symmetric k x k tensor: row s is entry
+    (i_s, j_s), the diagonal first, then the pairs i < j in ``triu_indices`` order; full[i, j] =
+    full[j, i] is the row of entry (i, j), and w_s (1 on the diagonal, else 2) its weight."""
+    a, b = np.triu_indices(k, 1)
+    i, j = np.concatenate([np.arange(k), a]), np.concatenate([np.arange(k), b])
+    full = np.empty((k, k), dtype=int)
+    full[i, j] = full[j, i] = np.arange(len(i))
+    return i, j, full, np.where(i == j, 1.0, 2.0)[:, None]
+
+
+def components(a: np.ndarray, k: int = 2) -> np.ndarray:
+    """The k trailing (component) axes of a first, C-ordered: (..., c) -> (c, ...); with
+    k = a.ndim - j, the j leading axes last."""
+    c = a.shape[a.ndim - k:]
+    return np.ascontiguousarray(a.reshape(-1, math.prod(c)).T).reshape(c + a.shape[:a.ndim - k])
+
+
+def sym_rows(g: np.ndarray) -> np.ndarray:
+    """The ``sym_index`` rows (S, ...) of the matrices g (..., k, k), from their lower triangle."""
+    i, j = sym_index(g.shape[-1])[:2]
+    return components(g)[j, i]
+
+
+def _sym_matrices(g: np.ndarray) -> np.ndarray:
+    """The C-ordered matrices (..., k, k) of the ``sym_index`` rows g (S, ...)."""
+    full = sym_index((math.isqrt(8 * len(g) + 1) - 1) // 2)[2]
+    return components(g[full], g.ndim - 1)
+
+
 def pd_inverse(g: np.ndarray) -> np.ndarray | None:
-    """g^{-1} of ``_inverse_and_det``, or None (the caller words its own error)."""
-    inv_det = _inverse_and_det(g)
-    return None if inv_det is None else inv_det[0]
+    """g^{-1} of the matrices g (..., k, k) by ``sym_inverse_and_det`` on ``sym_rows``, C-ordered,
+    or None (the caller words its own error)."""
+    inv_det = sym_inverse_and_det(sym_rows(g))
+    return None if inv_det is None else _sym_matrices(inv_det[0])
 
 
-def _inverse_and_det(g: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """(g^{-1}, det g) of the matrices g (..., k, k) by one factorisation, or None unless all are
-    finite and pass ``potrf``'s pivot test: in closed form for 2 x 2 (a > 0, s = d - c^2/a > 0)
-    and 3 x 3 (g = L diag(d) L^T, d > 0; exactly 1/g_ii if diagonal), else ``cholesky``, inv."""
+def sym_inverse_and_det(g: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(g^{-1}, det g) of symmetric k x k matrices given by their ``sym_index`` rows g (S, ...),
+    g^{-1} in rows too, by one factorisation, or None unless all are finite and pass ``potrf``'s
+    pivot test: in closed form for 2 x 2 (a > 0, s = d - c^2/a > 0) and 3 x 3 (g = L diag(d) L^T,
+    d > 0; exactly 1/g_ii if diagonal), else ``cholesky``, inv."""
     if not np.isfinite(g).all():
         return None
-    if g.shape[-1] == 2:
-        parts = _cholesky2(g)
-        if parts is None:
+    if len(g) == 3:
+        a, d, c = g
+        if not a.min() > 0:
             return None
-        a, inv_s = g[..., 0, 0], 1.0 / parts[2]
-        up, low = g[..., 0, 1] / a, g[..., 1, 0] / a
-        out = np.empty(g.shape)
-        out[..., 0, 0] = 1.0 / a + up * low * inv_s
-        out[..., 0, 1] = -up * inv_s
-        out[..., 1, 0] = -low * inv_s
-        out[..., 1, 1] = inv_s
-        return out, a * parts[2]
-    if g.shape[-1] != 3:
+        l10 = c / np.sqrt(a)
+        s = d - l10 * l10
+        if not s.min() > 0:
+            return None
+        low, inv_s = c / a, 1.0 / s
+        return np.array([1.0 / a + low * low * inv_s, inv_s, -low * inv_s]), a * s
+    if len(g) != 6:
         try:
-            diag = np.diagonal(_cholesky(g), axis1=-2, axis2=-1)
+            diag = np.diagonal(_cholesky(_sym_matrices(g)), axis1=-2, axis2=-1)
         except DegenerateMetricError:
             return None
-        return np.linalg.inv(g), np.prod(diag, axis=-1) ** 2
-    d1, g10, g20 = g[..., 0, 0], g[..., 1, 0], g[..., 2, 0]
+        return sym_rows(np.linalg.inv(_sym_matrices(g))), np.prod(diag, axis=-1) ** 2
+    d1, g11, g22, g10, g20, g21 = g
     if not d1.min() > 0:
         return None
     l10, l20 = g10 / d1, g20 / d1
-    d2 = g[..., 1, 1] - l10 * g10
+    d2 = g11 - l10 * g10
     if not d2.min() > 0:
         return None
-    s21 = g[..., 2, 1] - l20 * g10
+    s21 = g21 - l20 * g10
     m21 = s21 / -d2                             # -l21; L^{-1} = (1, 0, 0; -l10, 1, 0; m20, m21, 1)
-    d3 = g[..., 2, 2] - l20 * g20 + m21 * s21   # each pivot is at most g_ii: NaN or -inf fail
+    d3 = g22 - l20 * g20 + m21 * s21            # each pivot is at most g_ii: NaN or -inf fail
     if not d3.min() > 0:
         return None
     i1, i2, m20 = 1.0 / d2, 1.0 / d3, -(l10 * m21 + l20)
-    out = np.empty(g.shape)
-    out[..., 2, 2] = i2
-    out[..., 2, 1] = out[..., 1, 2] = u12 = m21 * i2
-    out[..., 2, 0] = out[..., 0, 2] = u02 = m20 * i2
-    out[..., 1, 1] = i1 + m21 * u12
-    out[..., 1, 0] = out[..., 0, 1] = m20 * u12 - l10 * i1
-    out[..., 0, 0] = 1.0 / d1 + l10 * l10 * i1 + m20 * u02
-    return out, d1 * d2 * d3
+    u12, u02 = m21 * i2, m20 * i2
+    return (np.array([1.0 / d1 + l10 * l10 * i1 + m20 * u02, i1 + m21 * u12, i2,
+                      m20 * u12 - l10 * i1, u02, u12]), d1 * d2 * d3)
 
 
-def _det2(a: np.ndarray) -> np.ndarray:
-    return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+def max_eigenvalue(g: np.ndarray) -> np.ndarray:
+    """The largest eigenvalue of symmetric k x k matrices given by their ``sym_index`` rows g
+    (S, ...), exactly max g_ii where g is diagonal: for 2 x 2 max(a, d) + c^2 / (r + |a - d|/2),
+    r = |((a - d)/2, c)|, a sum of positive terms; for 3 x 3 the trigonometric form (Smith
+    1961), q + 2 p cos(arccos(r)/3), q = tr/3 and r = det((g - q I)/p)/2; else ``eigvalsh``."""
+    if len(g) == 3:
+        a, d, c = g
+        half = np.abs(a - d) / 2
+        r = np.hypot(half, c)
+        return np.maximum(a, d) + c * c / (r + half + (r == 0))
+    if len(g) != 6:
+        return np.linalg.eigvalsh(_sym_matrices(g))[..., -1]
+    off = np.add.reduce(g[3:] * g[3:])
+    if not off.any():
+        return np.maximum.reduce(g[:3])
+    q = np.add.reduce(g[:3]) / 3
+    b = g[:3] - q
+    (b0, b1, b2), (c01, c02, c12) = b, g[3:]
+    p = np.sqrt((np.add.reduce(b * b) + 2 * off) / 6)
+    det = b0 * (b1 * b2 - c12 * c12) - c01 * (c01 * b2 - c12 * c02) + c02 * (c01 * c12 - b1 * c02)
+    r = det / (2 * p * p * p + (off == 0))  # where off = 0 (c I: p = 0) max g_ii is taken
+    lam = q + 2 * p * np.cos(np.arccos(np.minimum(np.maximum(r, -1.0), 1.0)) / 3)
+    return np.where(off > 0, lam, np.maximum.reduce(g[:3]))
 
 
 def quad_form(u: np.ndarray, a: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -312,26 +361,34 @@ def generalized_eigvalsh(a: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def singular_value_invariants(g_m_inv: np.ndarray, g_n: np.ndarray, df: np.ndarray):
-    """(lambda, mu, tr K, det K) over a batch of points, where the 2x2 matrix
-    K = df^T g_M^{-1} df g_N has the eigenvalues lambda^2 >= mu^2.
+    """(lambda, mu, tr K, det K) over a batch of points, where the 2x2 matrix K = df^T g_M^{-1}
+    df g_N has the eigenvalues lambda^2 >= mu^2, from g_m_inv (..., m, m), g_n (..., 2, 2) and
+    df (..., m, 2) by ``invariant_rows``."""
+    ndim = max(g_m_inv.ndim, g_n.ndim, df.ndim)  # batch axes that broadcast, as for matmul
+    return invariant_rows(*(components(a.reshape((1,) * (ndim - a.ndim) + a.shape))
+                            for a in (g_m_inv, g_n, np.swapaxes(df, -1, -2))))
 
-    g_m_inv: (..., m, m), g_n: (..., 2, 2), df: (..., m, 2).  The discriminant
-    is ((a - d)/2)^2 + bc, not (tr/2)^2 - det: the latter cancels to roundoff
-    where lambda = mu, and its square root turns that into an error of
-    sqrt(eps) in lambda.  mu^2 = tr/2 - root cancels where mu << lambda, with
-    an error of about eps lambda^2 / mu in mu; for m = 2 mu is
-    sqrt(det K) / lambda = |det df| sqrt(det g_M^{-1} det g_N) / lambda instead.
-    """
-    k = np.swapaxes(df, -1, -2) @ g_m_inv @ df @ g_n
-    a, b, c, d = k[..., 0, 0], k[..., 0, 1], k[..., 1, 0], k[..., 1, 1]
-    tr = a + d
-    root = np.sqrt(np.maximum(((a - d) / 2) ** 2 + b * c, 0.0))
+
+def invariant_rows(g_m_inv: np.ndarray, g_n: np.ndarray, d: np.ndarray):
+    """``singular_value_invariants`` on components first: g_m_inv (m, m, ...), g_n (2, 2, ...)
+    and d (2, m, ...), d[a, i] = d_i f^a, each product summed in order over its index.  The
+    discriminant is ((a - d)/2)^2 + bc, not (tr/2)^2 - det: the latter cancels to roundoff
+    where lambda = mu, and its square root turns that into an error of sqrt(eps) in lambda.
+    mu^2 = tr/2 - root cancels where mu << lambda, with an error of about eps lambda^2 / mu
+    in mu; for m = 2 mu is sqrt(det K) / lambda = |det df| sqrt(det g_M^{-1} det g_N) /
+    lambda instead."""
+    q = np.add.reduce(d[:, :, None] * g_m_inv, axis=1)        # (df^T g_M^{-1})[a, j]
+    w = np.add.reduce(q[:, None] * d, axis=2)
+    (a, b), (c, e) = np.add.reduce(w[:, :, None] * g_n, axis=1)
+    tr = a + e
+    root = np.sqrt(np.maximum(((a - e) / 2) ** 2 + b * c, 0.0))
     lam = np.sqrt(tr / 2 + root)
-    if df.shape[-2] == 2:  # lambda = 0 only where df = 0, and then mu = 0
-        mu = np.abs(_det2(df)) * np.sqrt(_det2(g_m_inv) * _det2(g_n)) / np.where(lam > 0, lam, 1.0)
+    if d.shape[1] == 2:  # lambda = 0 only where df = 0, and then mu = 0
+        det = [x[0, 0] * x[1, 1] - x[0, 1] * x[1, 0] for x in (np.swapaxes(d, 0, 1), g_m_inv, g_n)]
+        mu = np.abs(det[0]) * np.sqrt(det[1] * det[2]) / np.where(lam > 0, lam, 1.0)
     else:
         mu = np.sqrt(np.maximum(tr / 2 - root, 0.0))
-    return lam, mu, tr, a * d - b * c
+    return lam, mu, tr, a * e - b * c
 
 
 def p_batch(lam: np.ndarray, mu: np.ndarray) -> np.ndarray:

@@ -22,8 +22,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigurationError, SolverAbort
-from .frames import (SVDFrame, _inverse_and_det, build_svd_frame, quad_form,
-                     singular_value_invariants)
+from .frames import (SVDFrame, build_svd_frame, components, invariant_rows, quad_form, sym_index,
+                     sym_inverse_and_det)
 from .geometry import ChartManifold
 
 SEAM_MARGIN = 4  # nodes next to a reflect seam that ``interior_mask`` leaves out
@@ -33,14 +33,11 @@ CORRUPTED_METRIC = "induced metric not positive definite (corrupted state)"
 COLUMN_SOURCE = "column source"
 
 
-def _swap(a: np.ndarray) -> np.ndarray:
-    return a.swapaxes(-1, -2)
-
-
-def field_cached(fn):
+def field_cached(fn, rows: bool = False):
     """Compute ``fn(field)`` once per field; it is kept with the field's derived values.
     A field whose cache holds a ``COLUMN_SOURCE`` reader takes every such value from it
-    instead: ``reader(once)`` gives this field's column of the value computed on a batch."""
+    instead: ``reader(once)`` gives this field's column of the value computed on a batch.
+    A value of ``rows`` (``row_cached``) holds one row per component over the flat nodes."""
     name = fn.__name__
 
     @functools.wraps(fn)
@@ -50,20 +47,19 @@ def field_cached(fn):
             reader = cache.get(COLUMN_SOURCE)
             cache[name] = fn(field) if reader is None else reader(once)
         return cache[name]
+    once.rows = rows
     return once
 
 
-@functools.cache
-def _axis_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs a < b of M axes, as index arrays (a, b)."""
-    return np.triu_indices(m, 1)
+row_cached = functools.partial(field_cached, rows=True)
 
 
 def _stencil_offsets(m: int) -> np.ndarray:
-    """Grid steps per M axis: +e_a, then -e_a, then ++, +-, -+, -- of each pair a < b."""
-    eye = np.eye(m, dtype=int)
-    corners = [s * eye[a] + t * eye[b] for a, b in zip(*_axis_pairs(m))
-               for s in (1, -1) for t in (1, -1)]
+    """Grid steps per M axis: +e_a, then -e_a, then ++, +-, -+, -- (each over the pairs a < b,
+    the off-diagonal rows of ``sym_index``)."""
+    eye, (i, j, _, _) = np.eye(m, dtype=int), sym_index(m)
+    corners = [s * eye[a] + t * eye[b] for s in (1, -1) for t in (1, -1)
+               for a, b in zip(i[m:], j[m:])]
     return np.array([*eye, *-eye, *corners])
 
 
@@ -72,7 +68,7 @@ class GraphMapField:
 
     # M-side fields, equal for every field on the same grid
     GRID_FIELDS = ("coords", "_stencil_index", "_interior", "g_m_field", "g_m_inv_field",
-                   "gamma_m_field")
+                   "gamma_m_field", "_g_m_rows", "_g_m_inv_rows", "_gamma_m_rows")
     # nodes of the full grid that each node stands for: PHI_WIDTH on the column of an
     # equivariant lift (``flow.EquivariantFlow.expand_fields``)
     copies = 1
@@ -150,79 +146,76 @@ class GraphMapField:
         return np.stack([padded[tuple(slice(1 + d, 1 + d + n) for d, n in zip(off, self.shape))]
                          for off in _stencil_offsets(self.M.dim)])
 
-    def _neighbours(self, arr: np.ndarray, mixed: bool = True) -> np.ndarray:
-        """``arr`` at the stencil offsets (mixed: all of them, else +-e_a only),
-        shape (offsets,) + arr.shape; ``arr`` carries the grid shape in its
-        leading axes."""
-        m = self.M.dim
-        idx = self._stencil_index() if mixed else self._stencil_index()[:2 * m]
-        return np.take(arr.reshape((-1,) + arr.shape[m:]), idx, axis=0)
+    def _gather(self, rows: np.ndarray, offsets: int | None = None) -> np.ndarray:
+        """The rows (c, n) at the stencil offsets (the first ``offsets`` of them), (c, k, n)."""
+        idx = self._stencil_index()[:offsets]
+        return rows.take(idx.reshape(len(idx), -1), axis=1)
 
-    def _first(self, nb: np.ndarray) -> np.ndarray:
-        """Central first differences d_a from stacked neighbours, (grid, m, ...)."""
-        m = self.M.dim
-        h = self.h.reshape((m,) + (1,) * (nb.ndim - 1))
-        axes = (*range(1, m + 1), 0, *range(m + 1, nb.ndim))  # the offset axis after the grid
-        return np.ascontiguousarray(((nb[:m] - nb[m:2 * m]) / (2 * h)).transpose(axes))
+    def _differences(self, nb: np.ndarray, centre: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Central first differences (c, m, n) and second differences (c, S, n), the 9-point
+        mixed stencil off the diagonal, of the rows centre (c, n) from ``_gather``'s nb."""
+        m, (i, j, _, _), h = self.M.dim, sym_index(self.M.dim), self.h[:, None]
+        d2 = np.empty((len(nb), len(i), nb.shape[-1]))
+        np.divide(nb[:, :m] - 2 * centre[:, None] + nb[:, m:2 * m], h ** 2, out=d2[:, :m])
+        pp, pm, mp, mm = nb[:, 2 * m:].reshape(len(nb), 4, len(i) - m, -1).transpose(1, 0, 2, 3)
+        np.divide(pp - pm - mp + mm, (4 * self.h[i[m:]] * self.h[j[m:]])[:, None], out=d2[:, m:])
+        return (nb[:, :m] - nb[:, m:2 * m]) / (2 * h), d2
 
-    def _second(self, nb: np.ndarray, centre: np.ndarray) -> np.ndarray:
-        """Second differences d2_ab (9-point mixed stencil) from stacked neighbours,
-        (grid, m, m, ...)."""
-        m = self.M.dim
-        ones = (1,) * (nb.ndim - 1)
-        out = np.empty(self.shape + (m, m) + centre.shape[m:])
-        view = out.transpose(m, m + 1, *range(m), *range(m + 2, out.ndim))  # (a, b, grid, ...)
-        diag = np.arange(m)
-        view[diag, diag] = (nb[:m] - 2 * centre + nb[m:2 * m]) / self.h.reshape((m,) + ones) ** 2
-        a, b = _axis_pairs(m)
-        pp, pm, mp, mm = (nb[2 * m + k::4] for k in range(4))
-        mixed = (pp - pm - mp + mm) / (4 * self.h[a] * self.h[b]).reshape((len(a),) + ones)
-        view[a, b] = mixed
-        view[b, a] = mixed
-        return out
-
-    def unwrap_target(self, vals: np.ndarray) -> np.ndarray:
-        out = vals.copy()
+    def unwrap_target(self, out: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """The rows out (2, ..., nodes) of f's values at neighbours of the nodes, unwrapped in
+        place against the rows c (2, nodes) of the nodes' own values."""
         # polar seams of N: a ghost value may sit on the other chart sheet;
         # pick the representation (mirror + partner shift) closest to the
         # center value so stencil differences see a continuous chart function
         for b, ax in enumerate(self.N.axes):
             if ax.reflect and ax.partner_axis is not None:
-                q, c = ax.partner_axis, self.f  # c: the centre values
+                q = ax.partner_axis
                 lq = self.N.axes[q].length
 
                 def perdist(d):
                     return np.abs((d + lq / 2) % lq - lq / 2)
 
                 for pivot in (ax.lo, ax.hi):
-                    alt_b = 2 * pivot - out[..., b]
-                    alt_q = out[..., q] + ax.partner_shift
-                    d_cur = np.abs(out[..., b] - c[..., b]) + perdist(out[..., q] - c[..., q])
-                    d_alt = np.abs(alt_b - c[..., b]) + perdist(alt_q - c[..., q])
+                    alt_b = 2 * pivot - out[b]
+                    alt_q = out[q] + ax.partner_shift
+                    d_cur = np.abs(out[b] - c[b]) + perdist(out[q] - c[q])
+                    d_alt = np.abs(alt_b - c[b]) + perdist(alt_q - c[q])
                     take = d_alt < d_cur
-                    np.copyto(out[..., b], alt_b, where=take)
-                    np.copyto(out[..., q], alt_q, where=take)
+                    np.copyto(out[b], alt_b, where=take)
+                    np.copyto(out[q], alt_q, where=take)
         for b, ax in enumerate(self.N.axes):
             if ax.periodic:  # y % length is y itself for y in [0, length)
-                y = out[..., b] - self.f[..., b] + ax.length / 2
+                y = out[b] - c[b] + ax.length / 2
                 np.remainder(y, ax.length, out=y, where=(y < 0) | (y >= ax.length))
-                out[..., b] = self.f[..., b] + y - ax.length / 2
+                out[b] = c[b] + y - ax.length / 2
         return out
 
     # -- differential fields --------------------------------------------------
+    # A field's own values are rows over its flat nodes, one per tensor component
+    # (``row_cached``); a symmetric m x m tensor has the S rows of ``frames.sym_index``.
+    # The monitors read grid arrays built from them.
 
-    @field_cached
+    @row_cached
     def _f_derivatives(self) -> tuple[np.ndarray, np.ndarray]:
-        nb = self.unwrap_target(self._neighbours(self.f))
-        return self._first(nb), self._second(nb, self.f)
+        """f's central differences as rows (``_differences``): d (2, m, n), d[a, i] = d_i f^a,
+        and d2 (2, S, n).  f's neighbours are gathered and unwrapped as rows."""
+        centre = self.f.reshape(-1, 2).T
+        return self._differences(self.unwrap_target(self._gather(centre), centre), centre)
+
+    def _grid_array(self, rows: np.ndarray, sym: bool = True) -> np.ndarray:
+        """Rows (..., n) as a C-ordered grid array (grid, ...); with ``sym``, the rows (..., S, n)
+        of symmetric tensors as (grid, ..., m, m) matrices."""
+        if sym:
+            rows = rows[..., sym_index(self.M.dim)[2], :]
+        return components(rows, 1).reshape(self.shape + rows.shape[:-1])
 
     def df_field(self) -> np.ndarray:
         """(grid, m, 2) central-difference differential of f."""
-        return self._f_derivatives()[0]
+        return self._grid_array(np.swapaxes(self._f_derivatives()[0], 0, 1), sym=False)
 
     def d2f_field(self) -> np.ndarray:
         """(grid, m, m, 2) second chart derivatives (9-point mixed stencil)."""
-        return self._f_derivatives()[1]
+        return np.moveaxis(self._grid_array(self._f_derivatives()[1]), -3, -1)
 
     # -- metric fields --------------------------------------------------------
 
@@ -238,6 +231,23 @@ class GraphMapField:
     def gamma_m_field(self) -> np.ndarray:
         return self.M.christoffels_many(self.coords())
 
+    @row_cached
+    def _g_m_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """g_M as rows (m, m, n), and its lower triangle's S rows."""
+        i, j, _, _ = sym_index(self.M.dim)
+        g = components(self.g_m_field().reshape(-1, self.M.dim, self.M.dim))
+        return g, g[j, i]
+
+    @row_cached
+    def _g_m_inv_rows(self) -> np.ndarray:
+        return components(self.g_m_inv_field().reshape(-1, self.M.dim, self.M.dim))
+
+    @row_cached
+    def _gamma_m_rows(self) -> np.ndarray:
+        """Gamma_M^k's S rows, (m, S, n)."""
+        i, j, _, _ = sym_index(self.M.dim)
+        return components(self.gamma_m_field()[..., i, j].reshape(-1, self.M.dim, len(i)))
+
     @field_cached
     def g_n_field(self) -> np.ndarray:
         return self.N._metric(self.f)
@@ -246,77 +256,90 @@ class GraphMapField:
     def gamma_n_field(self) -> np.ndarray:
         return np.asarray(self.N._christoffels_at(self.f))
 
-    @field_cached
-    def induced_g_field(self) -> np.ndarray:
-        """g_M + df g_N df^T per node.  A corrupted state reads NaN here without a
-        warning (an inf of g_N meets a zero of df); its readers refuse it."""
-        df, g_m, g_n = self.df_field(), self.g_m_field(), self.g_n_field()
-        with np.errstate(invalid="ignore"):
-            if self.M.dim > 2:  # a transposed right factor: the matmul takes 1.6 times as long
-                return g_m + df @ g_n @ np.ascontiguousarray(_swap(df))
-            # m = 2 entry by entry, in the stacked product's order: P = df g_N, then
-            # P df^T, then g_M + P df^T
-            f0, f1 = df[..., :, 0], df[..., :, 1]              # columns of df
-            p0 = f0 * g_n[..., None, 0, 0] + f1 * g_n[..., None, 1, 0]
-            p1 = f0 * g_n[..., None, 0, 1] + f1 * g_n[..., None, 1, 1]
-            out = np.empty(g_m.shape)
-            for j in range(2):
-                out[..., j] = g_m[..., j] + (p0 * f0[..., j, None] + p1 * f1[..., j, None])
-            return out
+    @row_cached
+    def _g_n_rows(self) -> np.ndarray:
+        return components(self.g_n_field().reshape(-1, 2, 2))
 
-    @field_cached
+    @row_cached
+    def _gamma_n_rows(self) -> np.ndarray:
+        return components(self.gamma_n_field().reshape(-1, 2, 2, 2), 3)
+
+    @row_cached
+    def _induced_g_rows(self) -> np.ndarray:
+        """The S rows of g_M + df g_N df^T, each entry summed as its lower triangle (j, i):
+        P = d_j f g_N, then P . d_i f, then g_M + that.  A corrupted state reads NaN here
+        without a warning (an inf of g_N meets a zero of df); its readers refuse it."""
+        d, (i, j, _, _), g_n = self._f_derivatives()[0], sym_index(self.M.dim), self._g_n_rows()
+        dj = d.take(j, axis=1)
+        with np.errstate(invalid="ignore"):
+            p = dj[0] * g_n[0, :, None] + dj[1] * g_n[1, :, None]
+            return self._g_m_rows()[1] + np.add.reduce(p * d.take(i, axis=1), axis=0)
+
+    def induced_g_field(self) -> np.ndarray:
+        """g_M + df g_N df^T per node, (grid, m, m)."""
+        return self._grid_array(self._induced_g_rows())
+
+    @row_cached
     def _induced_g_inverse(self) -> tuple[np.ndarray, np.ndarray]:
-        """(g^{-1}, det g) per node by one factorisation, checked finite and positive definite."""
-        inv_det = _inverse_and_det(self.induced_g_field())
+        """(g^{-1} rows, det g) per node by one factorisation, checked finite and positive
+        definite (``frames.sym_inverse_and_det``)."""
+        inv_det = sym_inverse_and_det(self._induced_g_rows())
         if inv_det is None:
             raise SolverAbort(CORRUPTED_METRIC)
         return inv_det
 
+    @field_cached
     def induced_g_inv_field(self) -> np.ndarray:
         """The inverse induced metric, checked finite and positive definite."""
-        return self._induced_g_inverse()[0]
+        return self._grid_array(self._induced_g_inverse()[0])
 
     def volume_density(self) -> np.ndarray:
         """sqrt(det g) per node, from the factorisation behind the inverse."""
-        return np.sqrt(self._induced_g_inverse()[1])
+        return np.sqrt(self._induced_g_inverse()[1]).reshape(self.shape)
+
+    @row_cached
+    def _dg_rows(self) -> np.ndarray:
+        """Central first differences d_l g_s of the induced metric's rows, (S, m, n)."""
+        m = self.M.dim
+        nb = self._gather(self._induced_g_rows(), 2 * m)
+        return (nb[:, :m] - nb[:, m:]) / (2 * self.h[:, None])
 
     @field_cached
     def induced_dg_field(self) -> np.ndarray:
         """Central first differences d_a g_ij of the induced metric, (grid, a, i, j)."""
-        return self._first(self._neighbours(self.induced_g_field(), mixed=False))
+        return self._grid_array(np.swapaxes(self._dg_rows(), 0, 1))
+
+    @row_cached
+    def _hessian_rows(self) -> np.ndarray:
+        """The rows (2, S, n) of ``covariant_d2f``, summed in this order: T^a_bj =
+        Gamma_N^a_bc d_j f^c, then d_i f^b T^a_bj, plus d2_ij f^a - Gamma_M^k_ij d_k f^a."""
+        (d, d2), (i, j, _, _) = self._f_derivatives(), sym_index(self.M.dim)
+        t = np.add.reduce(self._gamma_n_rows()[:, :, :, None] * d.take(j, axis=1), axis=2)
+        gam_m = np.add.reduce(self._gamma_m_rows() * d[:, :, None], axis=1)
+        return np.add.reduce(d.take(i, axis=1) * t, axis=1) + (d2 - gam_m)
 
     @field_cached
     def covariant_d2f(self) -> np.ndarray:
         """d2_ij f^a - Gamma_M^k_ij d_k f^a + Gamma_N^a_bc d_i f^b d_j f^c, the Hessian of f, as
         (grid, a, i, j).  Its g-trace is the velocity V; its g_N product with a normal's N
         block is the second fundamental form along that normal (``field_geometry``)."""
-        df = self.df_field()
-        m = self.M.dim
-        batch = df.shape[:-2]
-        gam_n = self.gamma_n_field()
-        # a C-ordered right factor, as in ``induced_g_field``: the same products, sooner
-        gam_n_df = (gam_n.reshape(batch + (4, 2)) @ np.ascontiguousarray(_swap(df))
-                    ).reshape(batch + (2, 2, m))
-        gam_n_dfdf = df[..., None, :, :] @ gam_n_df                # (..., a, i, j)
-        flat = self.d2f_field().reshape(batch + (m * m, 2)) \
-            - _swap(self.gamma_m_field().reshape(batch + (m, m * m))) @ df
-        return gam_n_dfdf + _swap(flat).reshape(gam_n_dfdf.shape)
+        return self._grid_array(self._hessian_rows())
 
     # -- scalar helpers --------------------------------------------------------
 
-    @field_cached
+    @row_cached
     def _singular_value_invariants(self) -> tuple[np.ndarray, ...]:
         """(lambda, mu, tr K, det K) per node; see ``frames.singular_value_invariants``."""
-        return singular_value_invariants(self.g_m_inv_field(), self.g_n_field(), self.df_field())
+        return invariant_rows(self._g_m_inv_rows(), self._g_n_rows(), self._f_derivatives()[0])
 
     def singular_value_fields(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._singular_value_invariants()[:2]
+        return tuple(x.reshape(self.shape) for x in self._singular_value_invariants()[:2])
 
     @field_cached
     def p_field(self) -> np.ndarray:
         """p = 2(1 - lambda^2 mu^2)/((1 + lambda^2)(1 + mu^2)) per node, from tr K and det K."""
         _, _, tr, det = self._singular_value_invariants()
-        return 2.0 * (1.0 - det) / (1.0 + tr + det)
+        return (2.0 * (1.0 - det) / (1.0 + tr + det)).reshape(self.shape)
 
     def min_p(self) -> float:
         return float(self.p_field().min())
@@ -358,9 +381,10 @@ class GraphMapField:
         one gather of their neighbours, as (c, grid) and (c, grid, m); each field's differences
         are contiguous, so the contractions sum in a single field's order.  The first is
         Laplace-Beltrami plus X . grad u, as g^{ij} Gamma_g^k_ij = X^k + g^{ij} Gamma_M^k_ij."""
-        nb = self._neighbours(u)
-        d2, du = (np.ascontiguousarray(np.moveaxis(d, -1, 0))
-                  for d in (self._second(nb, u), self._first(nb)))
+        rows, full = u.reshape(-1, u.shape[-1]).T, sym_index(self.M.dim)[2]
+        du, d2 = self._differences(self._gather(rows), rows)
+        d2, du = (np.ascontiguousarray(d).reshape(rows.shape[:1] + self.shape + d.shape[2:])
+                  for d in (d2.take(full, axis=1).transpose(0, 3, 1, 2), du.transpose(0, 2, 1)))
         hess = d2 - np.einsum("...kij,...k->...ij", self.gamma_m_field(), du)
         return np.einsum("...ij,...ij->...", self.induced_g_inv_field(), hess), du
 
@@ -407,7 +431,7 @@ def field_geometry(field: GraphMapField) -> PointGeometry:
     normals = np.stack([frame.xi[..., m:], frame.eta[..., m:]], axis=-2)[..., None, :]
     lowered = np.vecdot(g_n[..., None, :, :], normals)         # (..., 2, 2)
     a_nu = (lowered @ hess).reshape(df.shape[:-2] + (2, m, m))
-    a_nu = e[..., None, :, :] @ a_nu @ _swap(e)[..., None, :, :]
+    a_nu = e[..., None, :, :] @ a_nu @ e.swapaxes(-1, -2)[..., None, :, :]
     a_xi, a_eta = a_nu[..., 0, :, :], a_nu[..., 1, :, :]
     h_xi, h_eta = np.moveaxis(np.trace(a_nu, axis1=-2, axis2=-1), -1, 0)
     sq = np.sum(a_nu * a_nu, axis=(-2, -1))

@@ -32,9 +32,9 @@ import scipy.linalg
 from graphflow.errors import ConfigurationError, DegenerateMetricError, DomainError, SolverAbort
 from graphflow import frames
 from graphflow.flow import PHI_WIDTH, h2_field
-from graphflow.frames import _cholesky, _cholesky2, quad_form
+from graphflow.frames import _cholesky, _cholesky2, quad_form, sym_index
 from graphflow.geometry import ChartManifold, WarpedSurface
-from graphflow.immersion import CORRUPTED_METRIC, GraphMapField, field_cached
+from graphflow.immersion import CORRUPTED_METRIC, GraphMapField, field_cached, row_cached
 from graphflow.verify import _time_derivative
 
 _COMPLEX_STEP = 1e-30
@@ -403,9 +403,10 @@ def christoffel_checkpoint_lhs(triple) -> np.ndarray:
     prev, now, nxt = (np.stack([p, h2, h2 / p])
                       for p, h2 in ((f.p_field(), h2_field(f)) for f in (f_prev, f_now, f_next)))
     u = np.stack(list(now), axis=-1)
-    nb = f_now._neighbours(u)
-    d2, du = (np.ascontiguousarray(np.moveaxis(d, -1, 0))
-              for d in (f_now._second(nb, u), f_now._first(nb)))
+    rows, full = u.reshape(-1, u.shape[-1]).T, sym_index(f_now.M.dim)[2]
+    du, d2 = f_now._differences(f_now._gather(rows), rows)
+    d2, du = (np.ascontiguousarray(d).reshape(rows.shape[:1] + f_now.shape + d.shape[2:])
+              for d in (d2.take(full, axis=1).transpose(0, 3, 1, 2), du.transpose(0, 2, 1)))
     hess = d2 - np.einsum("...kij,...k->...ij", gamma_induced(f_now), du)
     lap = np.einsum("...ij,...ij->...", f_now.induced_g_inv_field(), hess)
     adv = np.einsum("...k,...k->...", tangential_vector_field(f_now), du)
@@ -424,9 +425,9 @@ def full_width_lift(eq, h: np.ndarray, field_type=GraphMapField) -> GraphMapFiel
 
 class EighMetricField(GraphMapField):
     """``GraphMapField`` with the induced metric decomposed once by ``eigh``: its
-    eigenvalues, checked finite and positive, give the inverse V diag(1/lambda) V^T,
-    sqrt(det g) = sqrt(prod lambda) and ``eigh_cfl_dt``'s lambda_min; M's inverse
-    metric by ``inv``."""
+    eigenvalues, checked finite and positive, give the inverse V diag(1/lambda) V^T
+    and det g = prod lambda (as the rows that the flow and ``volume_density`` read)
+    and ``eigh_cfl_dt``'s lambda_min; M's inverse metric by ``inv``."""
 
     @field_cached
     def induced_g_eigh(self) -> tuple[np.ndarray, np.ndarray]:
@@ -438,13 +439,12 @@ class EighMetricField(GraphMapField):
             raise SolverAbort(CORRUPTED_METRIC)
         return ev, vecs
 
-    @field_cached
-    def induced_g_inv_field(self) -> np.ndarray:
+    @row_cached
+    def _induced_g_inverse(self) -> tuple[np.ndarray, np.ndarray]:
         ev, vecs = self.induced_g_eigh()
-        return vecs @ np.divide(_t(vecs), ev[..., :, None], order="C")
-
-    def volume_density(self) -> np.ndarray:
-        return np.sqrt(np.prod(self.induced_g_eigh()[0], axis=-1))
+        i, j, _, _ = sym_index(self.M.dim)
+        inv = (vecs @ np.divide(_t(vecs), ev[..., :, None], order="C"))[..., i, j]
+        return np.moveaxis(inv, -1, 0).reshape(len(i), -1), np.prod(ev, axis=-1).reshape(-1)
 
     @field_cached
     def g_m_inv_field(self) -> np.ndarray:
@@ -603,6 +603,14 @@ class LoopStencilField(GraphMapField):
                     out[..., b, a, :] = mixed
             self._cache["d2f"] = out
         return self._cache["d2f"]
+
+    @row_cached
+    def _f_derivatives(self) -> tuple[np.ndarray, np.ndarray]:
+        """The loop stencils' df and d2f as the rows that the induced fields read."""
+        i, j, _, _ = sym_index(self.M.dim)
+        return (np.moveaxis(self.df_field(), (-1, -2), (0, 1)).reshape(2, self.M.dim, -1),
+                np.moveaxis(self.d2f_field()[..., i, j, :], (-1, -2), (0, 1)).reshape(
+                    2, len(i), -1))
 
     def gamma_induced_field(self) -> np.ndarray:
         """Christoffels of the induced metric, finite-differenced from its field."""

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import reference_geometry as ref
 from graphflow.app import _identity_samples
 from graphflow.classify import classify_limit
-from graphflow.flow import PHI_WIDTH, EquivariantFlow, h2_field
+from graphflow.flow import PHI_WIDTH, EquivariantFlow, FlowParams, FlowState, h2_field, step
 from graphflow.frames import build_svd_frame
 from graphflow.geometry import WarpedSurface, builtin_warp, flat_torus, product_s1_s2
 from graphflow.immersion import COLUMN_SOURCE, GraphMapField, field_geometry
@@ -42,6 +42,14 @@ def _torus_projection_field():
     mesh = np.meshgrid(*[np.arange(k) * ax.length / k for k, ax in zip(shape, m.axes)],
                        indexing="ij")
     return _with_loop_twin(GraphMapField(m, n, shape, np.stack([mesh[0], mesh[1]], axis=-1)))
+
+
+def _torus3_to_t2_field():
+    # T^3 -> T^2(0.5) off the projection: an induced metric that is not diagonal
+    m, n, shape = flat_torus(3), flat_torus(2, scale=0.5), (4, 4, 4)
+    x = GraphMapField(m, n, shape, np.zeros(shape + (2,))).coords()
+    return GraphMapField(m, n, shape, x[..., :2] + 0.1 * np.stack(
+        [np.sin(x[..., 2]), np.cos(x[..., 0])], axis=-1))
 
 
 def _s1xs2_to_warped_field():
@@ -190,15 +198,16 @@ def test_lifts_of_profiles_the_wrap_mirrors_match_full_width_lifts(profile):
 
 def _even_ghosts(h, df, d2f, dtheta):
     # the profile stencil's ghosts mirrored evenly, h(-theta) = h(theta) and
-    # h(pi + s) = h(pi - s): the seam rows read h_0 for -h_0 and h_{J-1} for -h_{J-1}
+    # h(pi + s) = h(pi - s): the seam rows read h_0 for -h_0 and h_{J-1} for -h_{J-1}.
+    # The batch's f derivatives are rows over its (J, K) nodes: df[a, i], d2f[a, s]
     for row, inner, sign in ((0, 1, 1.0), (-1, -2, -1.0)):
-        df[row, :, 0, 0] = sign * (h[inner] - h[row]) / (2 * dtheta)
-        d2f[row, :, 0, 0, 0] = (h[inner] - h[row]) / dtheta**2
+        df[0, 0].reshape(h.shape)[row] = sign * (h[inner] - h[row]) / (2 * dtheta)
+        d2f[0, 0].reshape(h.shape)[row] = (h[inner] - h[row]) / dtheta**2
 
 
 def _phi_stretched(h, df, d2f, dtheta):
     # d_phi f^phi = 1 + 1e-6
-    df[..., 1, 1] += 1e-6
+    df[1, 1] += 1e-6
 
 
 @pytest.mark.parametrize("defect, check", [
@@ -314,7 +323,7 @@ def _refuse_lapack(monkeypatch, what):
     def refuse(*args, **kwargs):
         raise AssertionError(f"LAPACK called on {what}")
 
-    for name in ("svd", "solve", "inv", "cholesky"):
+    for name in ("svd", "solve", "inv", "cholesky", "eigvalsh", "eigh"):
         monkeypatch.setattr(np.linalg, name, refuse)
 
 
@@ -325,6 +334,21 @@ def test_tsui_lift_calls_no_lapack(monkeypatch):
     geo = field_geometry(field)
     assert np.isfinite(geo.a_sq).all() and np.isfinite(geo.frame.p).all()
     assert np.isfinite(field.p_field()).all() and np.isfinite(h2_field(field)).all()
+
+
+@pytest.mark.parametrize("make", [lambda: _s1xs2_to_warped_field()[0],
+                                  lambda: _torus3_to_t2_field()],
+                         ids=["s1xs2_to_warped_cylinder", "t3_to_t2"])
+def test_grid_steps_call_no_lapack(monkeypatch, make):
+    # an m = 3 grid step: the induced metric's inverse, sqrt(det g) and the step bound's
+    # max eigenvalue of g^{-1} are closed forms on rows; on T^3 g is not diagonal
+    field = make()
+    _refuse_lapack(monkeypatch, "an m = 3 grid step")
+    state = FlowState(field=field, min_p=field.min_p())
+    for _ in range(5):
+        state = step(state, FlowParams(t_end=1.0))
+    assert state.status == "Running" and state.step_count == 5
+    assert np.isfinite(h2_field(state.field)).all()
 
 
 def test_m3_frames_call_no_lapack(monkeypatch):

@@ -20,7 +20,7 @@ from graphflow.flow import (DRIFT_DT, EquivariantFlow, FlowParams, FlowRecord, F
                             reduce_circle_drift, step, tangential_vector_field)
 from graphflow.geometry import (Warp, WarpedSurface, builtin_warp, curvature_conditions_report,
                                 flat_torus, product_s1_s2)
-from graphflow.immersion import GraphMapField, field_cached, field_geometry
+from graphflow.immersion import GraphMapField, field_cached, field_geometry, row_cached
 from graphflow.verify import check_decay_bounds, compute_bound_constants
 
 
@@ -217,8 +217,8 @@ def test_grid_step_does_its_work_once(monkeypatch):
     # the grid's stencil index is built when the first field gathers neighbours
     monkeypatch.setattr(GraphMapField, "_stencil_index", field_cached(
         counted("_stencil_index", GraphMapField._stencil_index.__wrapped__)))
-    for name in ("covariant_d2f", "induced_dg_field"):
-        monkeypatch.setattr(GraphMapField, name, field_cached(
+    for name in ("_hessian_rows", "_dg_rows"):
+        monkeypatch.setattr(GraphMapField, name, row_cached(
             counted(name, getattr(GraphMapField, name).__wrapped__)))
     for name in ("eigh", "eigvalsh", "cholesky", "inv"):
         monkeypatch.setattr(np.linalg, name, by_reader(name, getattr(np.linalg, name)))
@@ -229,8 +229,8 @@ def test_grid_step_does_its_work_once(monkeypatch):
     assert state.status == "Running" and state.step_count == k
     # p comes from the 2x2 invariants of df^T g_M^{-1} df g_N: no eigensolve there.
     # Every 3 x 3 metric (g_M and the induced one of each field) is factorised in
-    # closed form, once, for its inverse and the volume, with no LAPACK call; the
-    # one LAPACK call of a step is the eigvalsh of cfl_dt, on the step's base field.
+    # closed form, once, for its inverse and the volume, and cfl_dt reads the max
+    # eigenvalue of that inverse in closed form: a step makes no LAPACK call.
     # X is contracted from the first differences of g, taken only on the fields whose
     # |H|^2 a step reads, and no field builds the induced Christoffel tensor
     assert not hasattr(GraphMapField, "gamma_induced_field")
@@ -238,9 +238,8 @@ def test_grid_step_does_its_work_once(monkeypatch):
         "metric_many": 1, "inverse_metric": 1, "christoffels_many": 1,  # M side once per grid
         "_stencil_index": 1,                           # grid bookkeeping once per grid
         "N wrap": 1 + 2 * k,                           # one N-chart wrap per field, of its f
-        "covariant_d2f": 1 + 2 * k,                    # RHS: the start, then 2 per step
-        "induced_dg_field": 1 + k,                     # |H|^2: the start, then each step's end
-        "eigvalsh in cfl_dt": k,                       # one per step
+        "_hessian_rows": 1 + 2 * k,                    # RHS: the start, then 2 per step
+        "_dg_rows": 1 + k,                             # |H|^2: the start, then each step's end
     }
 
 
@@ -427,34 +426,60 @@ def test_converging_run_computes_one_step_past_its_last(monkeypatch):
     assert run.steps < computed <= run.steps + 1
 
 
-def test_tangential_field_holds_on_another_blas_kernel():
-    # X on tsui lifts along a run keeps its bytes on OpenBLAS's Prescott kernels (SSE3,
-    # no FMA): its g^{ij} d_l g_ij term is contracted in a fixed order, not by ddot.
-    # OpenBLAS reads OPENBLAS_CORETYPE when it loads, so each digest is a child process
-    code = """if True:
-        import hashlib
-        import numpy as np
-        from graphflow.flow import EquivariantFlow, tangential_vector_field
-        digest = hashlib.sha256()
-        for nodes in (32, 256):
-            eq = EquivariantFlow(nodes, lambda th: 0.8 * np.sin(th))
-            for state in eq.run(0.05, record_every=25).states:
-                digest.update(tangential_vector_field(eq.expand_field(state.h)).tobytes())
-        print(digest.hexdigest())
-    """
+# one child process per OpenBLAS kernel (OpenBLAS reads OPENBLAS_CORETYPE when it loads):
+# V, X, |H|^2, p and cfl_dt's dt of three fields, and f after 5 RK2 steps of the two grids
+_KERNEL_DIGEST = """if True:
+    import hashlib
+    import numpy as np
+    from graphflow.flow import (EquivariantFlow, FlowParams, FlowState, cfl_dt, h2_field,
+                                nonparametric_rhs, step, tangential_vector_field)
+    from graphflow.geometry import WarpedSurface, builtin_warp, flat_torus, product_s1_s2
+    from graphflow.immersion import GraphMapField
+
+    def grid(m, n, shape, values):
+        x = GraphMapField(m, n, shape, np.zeros(shape + (2,))).coords()
+        return GraphMapField(m, n, shape, values(x))
+
+    s1xs2 = grid(product_s1_s2(), WarpedSurface(builtin_warp("cosh")), (6, 8, 8),
+                 lambda x: np.stack([x[..., 0] + 0.3 * np.sin(x[..., 2]),
+                                     0.5 + 0.2 * np.cos(x[..., 1]) * np.sin(x[..., 0])], -1))
+    t3 = grid(flat_torus(3), flat_torus(2, scale=0.5), (4, 4, 4), lambda x: x[..., :2]
+              + 0.1 * np.stack([np.sin(x[..., 2]), np.cos(x[..., 0])], -1))
+    eq = EquivariantFlow(32, lambda th: 0.8 * np.sin(th))
+    params = FlowParams(t_end=1.0)
+    digest = hashlib.sha256()
+    for field in (s1xs2, t3, eq.expand_field(eq.h)):
+        for value in (nonparametric_rhs(field), tangential_vector_field(field), h2_field(field),
+                      field.p_field(), np.float64(cfl_dt(field, params))):
+            digest.update(np.ascontiguousarray(value).tobytes())
+    for field in (s1xs2, t3):
+        state = FlowState(field=field, min_p=field.min_p())
+        for _ in range(5):
+            state = step(state, params)
+        assert state.status == "Running"
+        digest.update(state.field.f.tobytes())
+    print(digest.hexdigest())
+"""
+
+
+def test_grid_step_holds_on_every_blas_kernel():
+    # the step's fields are contracted on rows by elementwise products and np.add.reduce, in
+    # a fixed order that no BLAS kernel picks, and its step bound has no LAPACK call: their
+    # bytes are the same on the default kernel and on OpenBLAS's Haswell and Prescott (SSE3,
+    # no FMA) kernels
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     digests = []
-    for coretype in (None, "Prescott"):
+    for coretype in (None, "Haswell", "Prescott"):
         env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
         env["PYTHONPATH"] = os.pathsep.join(
             [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
         if coretype:
             env["OPENBLAS_CORETYPE"] = coretype
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=120)
+        proc = subprocess.run([sys.executable, "-c", _KERNEL_DIGEST], env=env,
+                              capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         digests.append(proc.stdout)
-    assert digests[0] == digests[1]
+    assert digests[0] == digests[1] == digests[2], digests
 
 
 def test_equivariant_run_builds_its_kernels_once(monkeypatch):

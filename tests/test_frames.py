@@ -10,8 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import reference_geometry
 from graphflow.flow import EquivariantFlow
-from graphflow.frames import (SVDFrame, _inverse_and_det, build_svd_frame, p_batch,
-                              pd_inverse, singular_value_invariants)
+from graphflow.frames import (SVDFrame, build_svd_frame, max_eigenvalue, p_batch, pd_inverse,
+                              singular_value_invariants, sym_inverse_and_det, sym_rows)
 from graphflow.geometry import hopf_map, round_sphere, s3_hopf_chart
 
 FRAME_FIELDS = [f.name for f in fields(SVDFrame)]
@@ -184,13 +184,60 @@ def test_closed_form_3x3_inverse_and_det_against_lapack(cond):
     ev = np.array([1.0, cond**-0.5, 1.0 / cond]) * rng.uniform(0.5, 2.0, (500, 1))
     g = (q * ev[:, None, :]) @ np.swapaxes(q, -1, -2)
     g = (g + np.swapaxes(g, -1, -2)) / 2
-    ginv, det = _inverse_and_det(g)
+    ginv, (_, det) = pd_inverse(g), sym_inverse_and_det(sym_rows(g))
     want = np.linalg.inv(g)
     scale = np.abs(want).max(axis=(-2, -1))
     assert (np.abs(ginv - want).max(axis=(-2, -1)) <= 4 * EPS * cond * scale).all()
     assert np.array_equal(ginv, np.swapaxes(ginv, -1, -2))
     want_det = np.linalg.det(g)
     assert (np.abs(det - want_det) <= 4 * EPS * cond * want_det).all()
+
+
+def _ladder(k, cond):
+    """500 SPD k x k matrices with eigenvalues (1, cond^-1/2, cond^-1) (k = 3) or (1, cond^-1)
+    (k = 2), rotated at random and scaled."""
+    rng = np.random.default_rng(int(math.log10(cond)) + 10 * k)
+    q, _ = np.linalg.qr(rng.standard_normal((500, k, k)))
+    ev = np.array([1.0, cond**-0.5, 1.0 / cond][3 - k:]) * rng.uniform(0.5, 2.0, (500, 1))
+    g = (q * ev[:, None, :]) @ np.swapaxes(q, -1, -2)
+    return (g + np.swapaxes(g, -1, -2)) / 2
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("cond", [1e1, 1e2, 1e4, 1e6, 1e8])
+def test_closed_form_max_eigenvalue_against_lapack(k, cond):
+    # cfl_dt's Lambda = lambda_max(g^{-1}) = 1 / lambda_min(g), from the closed-form inverse:
+    # within 4 eps cond of eigvalsh's lambda_min, relative (it reads about 1.5 eps cond),
+    # and lambda_max of g itself within 8 eps (about 5).  The trigonometric form's least root
+    # of g would not do: it reads 5e-5 relative at cond 1e8, where the two least eigenvalues
+    # are close against the spread
+    g = _ladder(k, cond)
+    lam_min = 1.0 / max_eigenvalue(sym_inverse_and_det(sym_rows(g))[0])
+    want = np.linalg.eigvalsh(g)
+    assert (np.abs(lam_min - want[:, 0]) <= 4 * EPS * cond * want[:, 0]).all()
+    assert (np.abs(max_eigenvalue(sym_rows(g)) - want[:, -1]) <= 8 * EPS * want[:, -1]).all()
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_closed_form_max_eigenvalue_is_exact_on_diagonal_metrics(k):
+    # a diagonal g (the torus projection's induced metric), c I (the trigonometric form's
+    # 0/0) and a batch that mixes them with a full metric, whose rows take the closed form
+    rng = np.random.default_rng(k)
+    diag = np.zeros((50, k, k))
+    diag[:, range(k), range(k)] = rng.uniform(0.1, 3.0, (50, k))
+    scalar = 0.7 * np.broadcast_to(np.eye(k), (50, k, k))
+    full = _ladder(k, 1e2)[:50]
+    for g in (diag, scalar, np.concatenate([diag, scalar, full])):
+        got, n = max_eigenvalue(sym_rows(g)), min(len(g), 100)  # the first n are diagonal
+        assert np.array_equal(got[:n], np.diagonal(g[:n], axis1=-2, axis2=-1).max(axis=-1))
+    want = np.linalg.eigvalsh(full)[:, -1]
+    assert (np.abs(got[100:] - want) <= 8 * EPS * want).all()
+    # the step bound of a diagonal g: 1 / min g_ii, the bits of 1 / eigvalsh's lambda_min
+    inv = sym_inverse_and_det(sym_rows(diag))[0]
+    want = 1.0 / np.linalg.eigvalsh(diag)[:, 0]
+    assert np.array_equal(max_eigenvalue(inv), want)
+    assert np.array_equal(want, 1.0 / np.min(np.diagonal(diag, axis1=-2, axis2=-1), axis=-1))
+    assert np.array_equal(max_eigenvalue(sym_rows(scalar)), np.full(50, 0.7))
 
 
 def _cholesky_refuses(g):
@@ -219,7 +266,7 @@ def test_closed_form_3x3_refuses_what_cholesky_refuses(bad):
         h[17, 1, 2] = h[17, 2, 1] = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf,
                                      "indefinite": 50.0}[bad]
     assert _cholesky_refuses(h)
-    assert pd_inverse(h) is None and _inverse_and_det(h) is None
+    assert pd_inverse(h) is None and sym_inverse_and_det(sym_rows(h)) is None
 
 
 # -- the m = 2 frame on component arrays against the stacked oracle ------------

@@ -78,10 +78,11 @@ def _assert_same_stencils(m, n, shape, f):
     new = GraphMapField(m, n, shape, f)
     old = ref.LoopStencilField(m, n, shape, f)
     # every neighbour of f, one offset at a time
-    nb = new.unwrap_target(new._neighbours(new.f))
+    centre = new.f.reshape(-1, 2).T  # the rows of f over the nodes
+    nb = np.moveaxis(new.unwrap_target(new._gather(centre), centre), 0, -1)
     for off, got in zip(_stencil_offsets(m.dim), nb):
         shifts = [(a, int(s)) for a, s in enumerate(off) if s]
-        assert np.array_equal(got, old.neighbor_f(shifts)), off
+        assert np.array_equal(got.reshape(f.shape), old.neighbor_f(shifts)), off
     assert np.array_equal(new.df_field(), old.df_field())
     assert np.array_equal(new.d2f_field(), old.d2f_field())
     assert np.array_equal(ref.gamma_induced(new), old.gamma_induced_field())
@@ -138,7 +139,8 @@ def _seam_masks(field):
     distance perdist(gap) > s/2 taken through a remainder, and |gap| in
     (s/2, L - s/2) widened by a relative 1e-9, which must contain the first."""
     lq, half = 2 * math.pi, math.pi / 2
-    gap = field._neighbours(field.f)[..., 1] - field.f[..., 1]
+    centre = field.f.reshape(-1, 2).T
+    gap = (field._gather(centre)[1] - centre[1]).reshape((-1,) + field.shape)
     old = np.abs((gap + lq / 2) % lq - lq / 2) > half
     new = (np.abs(gap) > (1 - 1e-9) * half) & (np.abs(gap) < (1 + 1e-9) * (lq - half))
     assert not (old & ~new).any()
@@ -183,7 +185,8 @@ def test_periodic_fold_matches_the_remainder_at_its_edges(centre):
     edges = [-half, half, 3 * half, -3 * half, 0.0, -0.0, 1e-300, 40 * half + 0.1, -40 * half, np.nan]
     d = np.array(edges + [np.nextafter(e, s) for e in edges for s in (-np.inf, np.inf)])
     vals = (centre + d)[:, None, None, None] + np.zeros((1, 3, 3, 2))
-    new = GraphMapField(m, n, (3, 3), f).unwrap_target(vals)
+    new = np.moveaxis(GraphMapField(m, n, (3, 3), f).unwrap_target(
+        np.moveaxis(vals, -1, 0).copy(), np.moveaxis(f, -1, 0)), 0, -1)
     old = ref.LoopStencilField(m, n, (3, 3), f).unwrap_target(vals)
     assert np.array_equal(new, old, equal_nan=True)
 
