@@ -155,9 +155,9 @@ def _torus3_to_t2_field(n=8):
 @pytest.mark.parametrize("make", [_s1xs2_to_cosh_field, _torus3_to_t2_field],
                          ids=["s1xs2_cosh_4", "t3_t2_8"])
 def test_grid_step_matches_the_eigh_oracle(monkeypatch, make):
-    # one RK2 step through the closed-form L D L^T (inverse, sqrt(det g)) and
-    # eigvalsh (lambda_min) against the eigh decomposition it replaced: on S^1 x S^2
-    # the induced metric is diagonal, on T^3 it is not
+    # one RK2 step through the closed-form L D L^T (inverse, sqrt(det g)) and the
+    # closed-form max eigenvalue of g^{-1} (the step bound) against the eigh
+    # decomposition: on S^1 x S^2 the induced metric is diagonal, on T^3 it is not
     field = make()
     g = field.induced_g_field()
     assert (np.abs(g[..., 0, 1]).max() > 1e-2) == (make is _torus3_to_t2_field)
