@@ -371,9 +371,9 @@ def singular_value_invariants(g_m_inv: np.ndarray, g_n: np.ndarray, df: np.ndarr
 
 def invariant_rows(g_m_inv: np.ndarray, g_n: np.ndarray, d: np.ndarray):
     """``singular_value_invariants`` on components first: g_m_inv (m, m, ...), g_n (2, 2, ...)
-    and d (2, m, ...), d[a, i] = d_i f^a, each product summed in order over its index.  The
-    discriminant is ((a - d)/2)^2 + bc, not (tr/2)^2 - det: the latter cancels to roundoff
-    where lambda = mu, and its square root turns that into an error of sqrt(eps) in lambda.
+    and d (2, m, ...), d[a, i] = d_i f^a, each product summed in order over its index.  For
+    K = (a, b; c, e) the discriminant is ((a - e)/2)^2 + bc, not (tr/2)^2 - det, which cancels
+    to roundoff where lambda = mu, and its square root turns that into an error of sqrt(eps).
     mu^2 = tr/2 - root cancels where mu << lambda, with an error of about eps lambda^2 / mu
     in mu; for m = 2 mu is sqrt(det K) / lambda = |det df| sqrt(det g_M^{-1} det g_N) /
     lambda instead."""
