@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigurationError, NotAreaDecreasingError, SolverAbort
 from .frames import max_eigenvalue, p_batch, sym_index
 from .geometry import Warp, WarpedSurface, round_sphere
-from .immersion import COLUMN_SOURCE, GraphMapField, field_cached
+from .immersion import COLUMN_SOURCE, GraphMapField, row_cached
 
 CFL = 0.4  # Courant factor of the explicit steps (``cfl_dt``, ``EquivariantFlow.run``)
 CONVERGENCE_STREAK = 100  # consecutive steps with max|H| below tolerance
@@ -60,51 +60,46 @@ class FlowState:
 # Nonparametric velocity
 
 
-@field_cached
 def nonparametric_rhs(field: GraphMapField) -> np.ndarray:
-    """V^a = g^{ij}(d2_ij f^a - Gamma_M^k_ij d_k f^a + Gamma_N^a_bc d_i f^b d_j f^c), (grid, 2):
-    the Hessian's rows contracted with g^{-1}'s, an off-diagonal row twice."""
-    w = sym_index(field.M.dim)[3]
-    v = np.add.reduce(field._hessian_rows() * (w * field._induced_g_inverse()[0]), axis=1)
-    return v.T.reshape(field.shape + (2,))
+    """V^a = g^{ij}(d2_ij f^a - Gamma_M^k_ij d_k f^a + Gamma_N^a_bc d_i f^b d_j f^c), (grid, 2),
+    from the field's pointwise pass (``GraphMapField._pointwise``)."""
+    return field._pointwise().v.T.reshape(field.shape + (2,))
 
 
-@field_cached
-def tangential_vector_field(field: GraphMapField) -> np.ndarray:
-    """X^k = g^{ij}(Gamma_g - Gamma_M)^k_ij; dF(X) is the tangential part of (0, V), (grid, m).
-
-    Contracted straight from the first differences of the induced metric's rows,
-    X^k = g^{kl}(g^{ij} d_i g_jl - 1/2 g^{ij} d_l g_ij) - g^{ij} Gamma_M^k_ij, so the
-    m^3 induced Christoffel tensor is never formed."""
-    m = field.M.dim
-    _, _, full, w = sym_index(m)
-    ginv, dg = field._induced_g_inverse()[0], field._dg_rows()        # (S, n), (S, l, n)
-    g_full, w_ginv = ginv.take(full, axis=0), w * ginv
+@row_cached
+def _tangent_rows(field: GraphMapField) -> tuple[np.ndarray, np.ndarray]:
+    """(X (m, n), |H|^2 (n)) as rows over the flat nodes.  X^k = g^{ij}(Gamma_g - Gamma_M)^k_ij
+    comes straight from the first differences of the induced metric's rows, X^k = g^{kl}(g^{ij}
+    d_i g_jl - 1/2 g^{ij} d_l g_ij) - g^{ij} Gamma_M^k_ij, with no m^3 induced Christoffel
+    tensor; dF(X) is the tangential part of (0, V), |H|^2 = |X|^2_{g_M} + |V - df(X)|^2_{g_N}."""
+    _, _, full, w = sym_index(field.M.dim)
+    rows, dg = field._pointwise(), field._dg_rows()                 # dg (S, l, n)
+    g_full, w_ginv = rows.g_inv.take(full, axis=0), w * rows.g_inv
     div = np.add.reduce(g_full[:, :, None] * dg.take(full, axis=0).transpose(2, 0, 1, 3),
                         axis=(0, 1))
     trace = np.add.reduce(w_ginv[:, None] * dg, axis=0)
     gam_m = np.add.reduce(w_ginv * field._gamma_m_rows(), axis=1)
     x = np.add.reduce(g_full * (div - 0.5 * trace), axis=1) - gam_m
-    return x.T.reshape(field.shape + (m,))
+    tn = rows.v - np.add.reduce(x * field._f_derivatives()[0], axis=1)
+    x_sq, tn_sq = (np.add.reduce(np.add.reduce(u[:, None] * a, axis=0) * u, axis=0)
+                   for u, a in ((x, field._g_m_rows()[0]), (tn, rows.g_n)))
+    return x, x_sq + tn_sq
 
 
-@field_cached
+def tangential_vector_field(field: GraphMapField) -> np.ndarray:
+    """X^k = g^{ij}(Gamma_g - Gamma_M)^k_ij; dF(X) is the tangential part of (0, V), (grid, m)."""
+    return _tangent_rows(field)[0].T.reshape(field.shape + (field.M.dim,))
+
+
 def h2_field(field: GraphMapField) -> np.ndarray:
     """|H|^2 per node via H = (0, V) - dF(X) in product-chart components."""
-    def rows(a):
-        return a.reshape(-1, a.shape[-1]).T
-
-    def quad(u, a):  # u^T a u, (u^T a) first
-        return np.add.reduce(np.add.reduce(u[:, None] * a, axis=0) * u, axis=0)
-    x, d = rows(tangential_vector_field(field)), field._f_derivatives()[0]
-    tn = rows(nonparametric_rhs(field)) - np.add.reduce(x * d, axis=1)
-    return (quad(x, field._g_m_rows()[0]) + quad(tn, field._g_n_rows())).reshape(field.shape)
+    return _tangent_rows(field)[1].reshape(field.shape)
 
 
 def cfl_dt(field: GraphMapField, params: FlowParams) -> float:
     """dt = cfl * h_min^2 / (2 m Lambda), Lambda the max eigenvalue of g^{-1}, from the
     inverse that checked g: in closed form for m <= 3 (``frames.max_eigenvalue``)."""
-    lam = float(max_eigenvalue(field._induced_g_inverse()[0]).max())
+    lam = float(np.maximum.reduce(max_eigenvalue(field._pointwise().g_inv)))
     return params.cfl * float(field.h.min())**2 / (2 * field.M.dim * lam)
 
 
@@ -125,9 +120,9 @@ def step(state: FlowState, params: FlowParams) -> FlowState:
                     dissipation=state.dissipation + dissipated,
                     low_h_streak=state.low_h_streak, min_p=state.min_p)
     f = field.f + 0.5 * dt * v
-    if np.all(np.isfinite(f)):
+    if np.isfinite(f).all():
         f = field.f + dt * nonparametric_rhs(field.with_values(f))
-    if not np.all(np.isfinite(f)):
+    if not np.isfinite(f).all():
         nxt.status = "Aborted"
         nxt.diagnostic = "non-finite map values (CFL violation or blow-up)"
         return nxt
@@ -408,13 +403,11 @@ class EquivariantFlow:
 
     @functools.cached_property
     def _column(self) -> GraphMapField:
-        """The lifts' (J, 1) column, its grid fields computed: no (J, PHI_WIDTH) grid is built."""
+        """The lifts' (J, 1) column, whose grid values the lifts share: no (J, PHI_WIDTH) grid."""
         column = object.__new__(GraphMapField)
         column.__dict__.update(M=self.M, N=self.N, shape=(self.J, 1), copies=PHI_WIDTH, _cache={},
-                               h=np.array([self.dtheta, 2 * np.pi / PHI_WIDTH]),
+                               _grid={}, h=np.array([self.dtheta, 2 * np.pi / PHI_WIDTH]),
                                _seam_roll=[0, 0])  # a roll moves no node of one column
-        for name in GraphMapField.GRID_FIELDS:
-            getattr(column, name)()
         return column
 
     def expand_fields(self, profiles: Sequence[np.ndarray]) -> list:
@@ -429,14 +422,13 @@ class EquivariantFlow:
         negated where ``N.wrap`` mirrored f^theta, as the batch's rows; d_phi f = (0, 1) and
         the other second derivatives, 0, are exact."""
         column, width = self._column, len(profiles)
-        grid = column._cache
         h = np.asarray(profiles, dtype=float).T                    # (J, K)
         batch = object.__new__(GraphMapField)
-        batch.__dict__.update(column.__dict__, shape=h.shape,
+        batch.__dict__.update(column.__dict__, shape=h.shape, _cache={},
                               f=self.N.wrap(np.stack([h, np.zeros(h.shape)], axis=-1)))
-        batch._cache = {name: np.broadcast_to(grid[name], h.shape + grid[name].shape[2:])
-                        for name in ("g_m_field", "g_m_inv_field", "gamma_m_field")}
-        batch._cache["_stencil_index"] = grid["_stencil_index"] * width + np.arange(width)
+        batch._grid = {name: np.broadcast_to(a := getattr(column, name)(), h.shape + a.shape[2:])
+                       for name in ("g_m_field", "g_m_inv_field", "gamma_m_field")}
+        batch._grid["_stencil_index"] = column._stencil_index() * width + np.arange(width)
         sign = np.where(batch.f[..., 1] == 0, 1.0, -1.0)  # -1 where the wrap mirrored h
         b = np.concatenate([-h[:1], h, -h[-1:]])  # h(-theta) = -h(theta), h(pi + s) = -h(pi - s)
         d, d2 = np.zeros((2, 2, h.size)), np.zeros((2, 3, h.size))  # rows over the batch's nodes
@@ -448,7 +440,7 @@ class EquivariantFlow:
         for k in range(width):
             lift = object.__new__(GraphMapField)
             lift.__dict__.update(column.__dict__, f=batch.f[:, k:k + 1], _cache={
-                **grid, COLUMN_SOURCE: functools.partial(_read_column, batch, k)})
+                COLUMN_SOURCE: functools.partial(_read_column, batch, k)})
             lifts.append(lift)
         return lifts
 
@@ -489,12 +481,13 @@ def _read_column(batch: GraphMapField, k: int, cached):
 
 
 def _map_arrays(fn, value):
-    """``fn`` applied to each array of a value: an array, or a tuple or a record
-    (dataclass) of values."""
+    """``fn`` applied to each array of a value: an array, or a tuple (named or not) or a
+    record (dataclass) of values."""
     if isinstance(value, np.ndarray):
         return fn(value)
     if isinstance(value, tuple):
-        return tuple(_map_arrays(fn, v) for v in value)
+        items = (_map_arrays(fn, v) for v in value)
+        return type(value)._make(items) if hasattr(value, "_make") else tuple(items)
     return type(value)(**{f.name: _map_arrays(fn, getattr(value, f.name)) for f in fields(value)})
 
 

@@ -369,17 +369,21 @@ def singular_value_invariants(g_m_inv: np.ndarray, g_n: np.ndarray, df: np.ndarr
                             for a in (g_m_inv, g_n, np.swapaxes(df, -1, -2))))
 
 
-def invariant_rows(g_m_inv: np.ndarray, g_n: np.ndarray, d: np.ndarray):
-    """``singular_value_invariants`` on components first: g_m_inv (m, m, ...), g_n (2, 2, ...)
-    and d (2, m, ...), d[a, i] = d_i f^a, each product summed in order over its index.  For
-    K = (a, b; c, e) the discriminant is ((a - e)/2)^2 + bc, not (tr/2)^2 - det, which cancels
-    to roundoff where lambda = mu, and its square root turns that into an error of sqrt(eps).
-    mu^2 = tr/2 - root cancels where mu << lambda, with an error of about eps lambda^2 / mu
-    in mu; for m = 2 mu is sqrt(det K) / lambda = |det df| sqrt(det g_M^{-1} det g_N) /
-    lambda instead."""
+def k_rows(g_m_inv: np.ndarray, g_n: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """K = df^T g_M^{-1} df g_N (2, 2, ...) from g_m_inv (m, m, ...), g_n (2, 2, ...) and
+    d (2, m, ...), d[a, i] = d_i f^a, each product summed in order over its index."""
     q = np.add.reduce(d[:, :, None] * g_m_inv, axis=1)        # (df^T g_M^{-1})[a, j]
     w = np.add.reduce(q[:, None] * d, axis=2)
-    (a, b), (c, e) = np.add.reduce(w[:, :, None] * g_n, axis=1)
+    return np.add.reduce(w[:, :, None] * g_n, axis=1)
+
+
+def invariant_rows(g_m_inv: np.ndarray, g_n: np.ndarray, d: np.ndarray):
+    """``singular_value_invariants`` on components first, from ``k_rows``.  For K = (a, b; c, e)
+    the discriminant is ((a - e)/2)^2 + bc, not (tr/2)^2 - det, which cancels to roundoff where
+    lambda = mu, and its square root turns that into an error of sqrt(eps).  mu^2 = tr/2 - root
+    cancels where mu << lambda, with an error of about eps lambda^2 / mu in mu; for m = 2 mu is
+    sqrt(det K) / lambda = |det df| sqrt(det g_M^{-1} det g_N) / lambda instead."""
+    (a, b), (c, e) = k_rows(g_m_inv, g_n, d)
     tr = a + e
     root = np.sqrt(np.maximum(((a - e) / 2) ** 2 + b * c, 0.0))
     lam = np.sqrt(tr / 2 + root)

@@ -78,6 +78,12 @@ class ChartManifold:
         self.constant_curvature = k = constant_curvature
         self.blocks = blocks if k is None else ((slice(0, m), k),)
         self.ricci_extremes = None
+        # rows (low, high, signed) per axis: the closed range of coordinates that ``wrap`` leaves
+        # as they are, and whether one with its sign bit set may pass (it turns -0 into +0)
+        self._wrap_plan = np.array([
+            (ax.lo, np.nextafter(ax.hi, -np.inf), 0) if ax.periodic
+            else (ax.lo, ax.hi, 1) if ax.reflect and ax.partner_axis is not None  # polar seam
+            else (ax.lo - 1e-12, ax.hi + 1e-12, 1) for ax in self.axes]).T
         if self.blocks is not None and (k is not None or m <= 3):
             dims = [(s.stop - s.start, kb) for s, kb in self.blocks]
             scal = sum(b * (b - 1) * kb for b, kb in dims)
@@ -92,6 +98,9 @@ class ChartManifold:
         axis is mirrored back and its partner axis turned by the seam shift; then
         periodic coordinates wrap, and any other coordinate out of range raises."""
         x = np.array(x, dtype=float)
+        low, high, signed = self._wrap_plan
+        if np.logical_and.reduce((x >= low) & (x <= high) & (np.signbit(x) <= signed), axis=None):
+            return x  # each coordinate in range (NaN is in none): nothing to fold, wrap or refuse
         for a, ax in enumerate(self.axes):
             if ax.reflect and ax.partner_axis is not None:
                 q = ax.partner_axis
@@ -126,8 +135,8 @@ class ChartManifold:
 
     def _metric(self, x: np.ndarray) -> np.ndarray:
         g = np.asarray(self._metric_at(x))
-        gt = np.swapaxes(g, -1, -2)  # np.allclose(g, gt, atol=1e-12) without its set-up
-        if not (np.abs(g - gt) <= 1e-12 + 1e-5 * np.abs(gt)).all():
+        gt = np.swapaxes(g, -1, -2)  # g exactly, else np.allclose(g, gt, atol=1e-12), no set-up
+        if not ((d := g - gt) == 0).all() and not (np.abs(d) <= 1e-12 + 1e-5 * np.abs(gt)).all():
             raise DegenerateMetricError(f"{self.name}: metric not symmetric")
         return g
 

@@ -2,13 +2,12 @@
 mean curvature, and the derived scalar quantities.
 
 A map field lives on a structured grid over the chart of M.  Stencils read
-their neighbours through a ghost-padded copy of the grid's node index, built
-once per grid: one ghost layer per M axis, added in axis order.  A periodic
-axis wraps; a polar (reflect) axis uses offset nodes, and its ghost layer
-mirrors the edge layer and rolls the azimuthal partner axis by the seam shift.
-The partner must be a later axis, so the roll never moves ghosts already
-added.  Each neighbour offset is a slice of the padded index, and a grid array
-is gathered at all offsets in one indexing step.  Chart components of
+their neighbours through the node index of each stencil offset, built once per
+grid, one M axis at a time.  A periodic axis wraps; a polar (reflect) axis
+uses offset nodes, and a step past its end reads the edge node and rolls the
+azimuthal partner axis by the seam shift.  The partner must be a later axis,
+so its roll is known when its index is formed.  A grid array is gathered at
+all offsets in one indexing step.  Chart components of
 derived fields are polluted in a narrow band next to reflect seams (the
 azimuthal target coordinate is singular there); consumers skip a node margin,
 see ``interior_mask``.
@@ -16,14 +15,15 @@ see ``interior_mask``.
 
 from __future__ import annotations
 
+import collections
 import functools
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import ConfigurationError, SolverAbort
-from .frames import (SVDFrame, build_svd_frame, components, invariant_rows, quad_form, sym_index,
-                     sym_inverse_and_det)
+from .frames import (SVDFrame, build_svd_frame, components, invariant_rows, k_rows, quad_form,
+                     sym_index, sym_inverse_and_det)
 from .geometry import ChartManifold
 
 SEAM_MARGIN = 4  # nodes next to a reflect seam that ``interior_mask`` leaves out
@@ -33,16 +33,17 @@ CORRUPTED_METRIC = "induced metric not positive definite (corrupted state)"
 COLUMN_SOURCE = "column source"
 
 
-def field_cached(fn, rows: bool = False):
+def field_cached(fn, rows: bool = False, grid: bool = False):
     """Compute ``fn(field)`` once per field; it is kept with the field's derived values.
     A field whose cache holds a ``COLUMN_SOURCE`` reader takes every such value from it
     instead: ``reader(once)`` gives this field's column of the value computed on a batch.
-    A value of ``rows`` (``row_cached``) holds one row per component over the flat nodes."""
+    A value of ``rows`` (``row_cached``) holds one row per component over the flat nodes; one
+    of ``grid`` (``grid_cached``) is kept in ``_grid``, which the fields on a grid share."""
     name = fn.__name__
 
     @functools.wraps(fn)
     def once(field):
-        cache = field._cache
+        cache = field._grid if grid else field._cache
         if name not in cache:
             reader = cache.get(COLUMN_SOURCE)
             cache[name] = fn(field) if reader is None else reader(once)
@@ -52,23 +53,26 @@ def field_cached(fn, rows: bool = False):
 
 
 row_cached = functools.partial(field_cached, rows=True)
+grid_cached = functools.partial(field_cached, grid=True)
 
 
 def _stencil_offsets(m: int) -> np.ndarray:
     """Grid steps per M axis: +e_a, then -e_a, then ++, +-, -+, -- (each over the pairs a < b,
     the off-diagonal rows of ``sym_index``)."""
     eye, (i, j, _, _) = np.eye(m, dtype=int), sym_index(m)
-    corners = [s * eye[a] + t * eye[b] for s in (1, -1) for t in (1, -1)
-               for a, b in zip(i[m:], j[m:])]
-    return np.array([*eye, *-eye, *corners])
+    s, t = np.array([(1, 1), (1, -1), (-1, 1), (-1, -1)]).T[:, :, None, None]  # ++, +-, -+, --
+    return np.concatenate([eye, -eye, (s * eye[i[m:]] + t * eye[j[m:]]).reshape(-1, m)])
+
+
+# ``GraphMapField._pointwise``'s rows over the n flat nodes: g_N (2, 2, n), Gamma_N (2, 2, 2, n)
+# (first index upper), the induced metric g and its inverse (S rows each, ``frames.sym_index``),
+# det g (n), the Hessian of f, nabla^2 f (2, S, n), and the velocity V (2, n)
+FieldRows = collections.namedtuple("FieldRows", "g_n gamma_n g g_inv det hessian v")
 
 
 class GraphMapField:
     """Discrete map f: M -> N sampled on a structured chart grid of M."""
 
-    # M-side fields, equal for every field on the same grid
-    GRID_FIELDS = ("coords", "_stencil_index", "_interior", "g_m_field", "g_m_inv_field",
-                   "gamma_m_field", "_g_m_rows", "_g_m_inv_rows", "_gamma_m_rows")
     # nodes of the full grid that each node stands for: PHI_WIDTH on the column of an
     # equivariant lift (``flow.EquivariantFlow.expand_fields``)
     copies = 1
@@ -99,6 +103,7 @@ class GraphMapField:
                 self._seam_roll[a] = int(round(ax.partner_shift / hp))
                 if abs(self._seam_roll[a] * hp - ax.partner_shift) > 1e-9:
                     raise ConfigurationError("partner axis resolution must divide the seam shift")
+        self._grid: dict = {}  # the M-side values, equal for every field on the grid
         self._set_values(f_values)
 
     def _set_values(self, f_values) -> None:
@@ -115,36 +120,40 @@ class GraphMapField:
         off = 0.5 if ax.reflect else 0.0
         return ax.lo + (np.arange(self.shape[a]) + off) * self.h[a]
 
-    @field_cached
+    @grid_cached
     def coords(self) -> np.ndarray:
-        grids = np.meshgrid(*[self.axis_coords(a) for a in range(self.M.dim)], indexing="ij")
-        return np.stack(grids, axis=-1)
+        out, m = np.empty(self.shape + (self.M.dim,)), self.M.dim
+        for a in range(m):
+            out[..., a] = self.axis_coords(a).reshape([-1 if b == a else 1 for b in range(m)])
+        return out
 
     def with_values(self, f_values) -> "GraphMapField":
-        """A field on the same grid, sharing this field's checked grid and M-side fields.
-        A lift's column is refused: its stencil reads no azimuthal neighbour."""
+        """A field on the same grid, sharing this field's checked grid and, by reference, its
+        M-side values.  A lift's column is refused: its stencil reads no azimuthal neighbour."""
         if self.copies != 1:
             raise ValueError("a lift's column is no grid for new values: lift the profile")
         new = object.__new__(type(self))
         new.__dict__.update(self.__dict__)
         new._set_values(f_values)
-        new._cache.update({k: getattr(self, k)() for k in self.GRID_FIELDS})
         return new
 
-    # -- stencils on the ghost-padded grid ------------------------------------
+    # -- stencils on the grid's node index ------------------------------------
 
-    @field_cached
+    @grid_cached
     def _stencil_index(self) -> np.ndarray:
-        """Node index of each stencil neighbour, (offsets, grid): slices of the
-        ghost-padded node index."""
-        padded = np.arange(int(np.prod(self.shape))).reshape(self.shape)
-        for a, ax in enumerate(self.M.axes):
-            ghosts = [np.take(padded, [i], axis=a) for i in ((-1, 0) if ax.periodic else (0, -1))]
-            if self._seam_roll[a]:
-                ghosts = [np.roll(g, -self._seam_roll[a], axis=ax.partner_axis) for g in ghosts]
-            padded = np.concatenate([ghosts[0], padded, ghosts[1]], axis=a)
-        return np.stack([padded[tuple(slice(1 + d, 1 + d + n) for d, n in zip(off, self.shape))]
-                         for off in _stencil_offsets(self.M.dim)])
+        """Node index of each stencil neighbour, (offsets, grid), formed per axis: a step past a
+        periodic end wraps, one past a reflect end reads the edge node and turns its partner."""
+        m, offsets = self.M.dim, _stencil_offsets(self.M.dim)
+        index, roll = 0, [0] * m  # roll[q]: the partner axis q's turn at each reflect ghost
+        for a, (ax, n) in enumerate(zip(self.M.axes, self.shape)):
+            pos = (offsets[:, a].reshape((-1,) + (1,) * m)
+                   + np.arange(n).reshape([-1 if b == a else 1 for b in range(m)]))
+            node = pos % n if ax.periodic else np.minimum(np.maximum(pos, 0), n - 1)
+            if self._seam_roll[a]:  # the partner is a later axis
+                q = ax.partner_axis
+                roll[q] = roll[q] + self._seam_roll[a] * ((pos < 0) | (pos >= n))
+            index = index * n + (node + roll[a]) % n
+        return index
 
     def _gather(self, rows: np.ndarray, offsets: int | None = None) -> np.ndarray:
         """The rows (c, n) at the stencil offsets (the first ``offsets`` of them), (c, k, n)."""
@@ -219,89 +228,86 @@ class GraphMapField:
 
     # -- metric fields --------------------------------------------------------
 
-    @field_cached
+    @grid_cached
     def g_m_field(self) -> np.ndarray:
         return self.M.metric_many(self.coords())
 
-    @field_cached
+    @grid_cached
     def g_m_inv_field(self) -> np.ndarray:
         return self.M.inverse_metric(self.coords(), self.g_m_field())
 
-    @field_cached
+    @grid_cached
     def gamma_m_field(self) -> np.ndarray:
         return self.M.christoffels_many(self.coords())
 
-    @row_cached
+    @grid_cached
     def _g_m_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """g_M as rows (m, m, n), and its lower triangle's S rows."""
         i, j, _, _ = sym_index(self.M.dim)
         g = components(self.g_m_field().reshape(-1, self.M.dim, self.M.dim))
         return g, g[j, i]
 
-    @row_cached
+    @grid_cached
     def _g_m_inv_rows(self) -> np.ndarray:
         return components(self.g_m_inv_field().reshape(-1, self.M.dim, self.M.dim))
 
-    @row_cached
+    @grid_cached
     def _gamma_m_rows(self) -> np.ndarray:
         """Gamma_M^k's S rows, (m, S, n)."""
         i, j, _, _ = sym_index(self.M.dim)
         return components(self.gamma_m_field()[..., i, j].reshape(-1, self.M.dim, len(i)))
 
-    @field_cached
-    def g_n_field(self) -> np.ndarray:
-        return self.N._metric(self.f)
-
-    @field_cached
-    def gamma_n_field(self) -> np.ndarray:
-        return np.asarray(self.N._christoffels_at(self.f))
-
     @row_cached
-    def _g_n_rows(self) -> np.ndarray:
-        return components(self.g_n_field().reshape(-1, 2, 2))
-
-    @row_cached
-    def _gamma_n_rows(self) -> np.ndarray:
-        return components(self.gamma_n_field().reshape(-1, 2, 2, 2), 3)
-
-    @row_cached
-    def _induced_g_rows(self) -> np.ndarray:
-        """The S rows of g_M + df g_N df^T, each entry summed as its lower triangle (j, i):
-        P = d_j f g_N, then P . d_i f, then g_M + that.  A corrupted state reads NaN here
-        without a warning (an inf of g_N meets a zero of df); its readers refuse it."""
-        d, (i, j, _, _), g_n = self._f_derivatives()[0], sym_index(self.M.dim), self._g_n_rows()
-        dj = d.take(j, axis=1)
+    def _pointwise(self) -> FieldRows:
+        """The field's pointwise pass (``FieldRows``) from f's rows and differences: N's chart
+        evaluated once at f, then each entry summed in this order.  g_s = g_M,ji + P . d_i f, P =
+        d_j f^0 g_N,0 + d_j f^1 g_N,1 (the lower triangle (j, i)); its inverse and det by one
+        factorisation, checked finite and positive definite (``frames.sym_inverse_and_det``);
+        T^a_bj = Gamma_N^a_bc d_j f^c, then nabla^2 f = d_i f^b T^a_bj + (d2_ij f^a - Gamma_M^k_ij
+        d_k f^a); V = g^{ij} nabla^2_ij f, an off-diagonal row twice.  A corrupted state reads NaN
+        in g without a warning (an inf of g_N meets a zero of df), and is refused."""
+        (d, d2), (i, j, _, w) = self._f_derivatives(), sym_index(self.M.dim)
+        g_n = components(self.N._metric(self.f).reshape(-1, 2, 2))
+        gam_n = components(np.asarray(self.N._christoffels_at(self.f)).reshape(-1, 2, 2, 2), 3)
+        di, dj = d.take(i, axis=1), d.take(j, axis=1)
         with np.errstate(invalid="ignore"):
             p = dj[0] * g_n[0, :, None] + dj[1] * g_n[1, :, None]
-            return self._g_m_rows()[1] + np.add.reduce(p * d.take(i, axis=1), axis=0)
+            g = self._g_m_rows()[1] + np.add.reduce(p * di, axis=0)
+        if (inv_det := sym_inverse_and_det(g)) is None:
+            raise SolverAbort(CORRUPTED_METRIC)
+        t = np.add.reduce(gam_n[:, :, :, None] * dj, axis=2)
+        gam_m = np.add.reduce(self._gamma_m_rows() * d[:, :, None], axis=1)
+        hess = np.add.reduce(di * t, axis=1) + (d2 - gam_m)
+        v = np.add.reduce(hess * (w * inv_det[0]), axis=1)
+        return FieldRows(g_n, gam_n, g, *inv_det, hess, v)
+
+    @field_cached
+    def g_n_field(self) -> np.ndarray:
+        """g_N at f, (grid, 2, 2)."""
+        return self._grid_array(self._pointwise().g_n, sym=False)
+
+    def gamma_n_field(self) -> np.ndarray:
+        """Gamma_N at f, (grid, 2, 2, 2), the first index upper."""
+        return self._grid_array(self._pointwise().gamma_n, sym=False)
 
     def induced_g_field(self) -> np.ndarray:
         """g_M + df g_N df^T per node, (grid, m, m)."""
-        return self._grid_array(self._induced_g_rows())
-
-    @row_cached
-    def _induced_g_inverse(self) -> tuple[np.ndarray, np.ndarray]:
-        """(g^{-1} rows, det g) per node by one factorisation, checked finite and positive
-        definite (``frames.sym_inverse_and_det``)."""
-        inv_det = sym_inverse_and_det(self._induced_g_rows())
-        if inv_det is None:
-            raise SolverAbort(CORRUPTED_METRIC)
-        return inv_det
+        return self._grid_array(self._pointwise().g)
 
     @field_cached
     def induced_g_inv_field(self) -> np.ndarray:
         """The inverse induced metric, checked finite and positive definite."""
-        return self._grid_array(self._induced_g_inverse()[0])
+        return self._grid_array(self._pointwise().g_inv)
 
     def volume_density(self) -> np.ndarray:
         """sqrt(det g) per node, from the factorisation behind the inverse."""
-        return np.sqrt(self._induced_g_inverse()[1]).reshape(self.shape)
+        return np.sqrt(self._pointwise().det).reshape(self.shape)
 
     @row_cached
     def _dg_rows(self) -> np.ndarray:
         """Central first differences d_l g_s of the induced metric's rows, (S, m, n)."""
         m = self.M.dim
-        nb = self._gather(self._induced_g_rows(), 2 * m)
+        nb = self._gather(self._pointwise().g, 2 * m)
         return (nb[:, :m] - nb[:, m:]) / (2 * self.h[:, None])
 
     @field_cached
@@ -309,37 +315,28 @@ class GraphMapField:
         """Central first differences d_a g_ij of the induced metric, (grid, a, i, j)."""
         return self._grid_array(np.swapaxes(self._dg_rows(), 0, 1))
 
-    @row_cached
-    def _hessian_rows(self) -> np.ndarray:
-        """The rows (2, S, n) of ``covariant_d2f``, summed in this order: T^a_bj =
-        Gamma_N^a_bc d_j f^c, then d_i f^b T^a_bj, plus d2_ij f^a - Gamma_M^k_ij d_k f^a."""
-        (d, d2), (i, j, _, _) = self._f_derivatives(), sym_index(self.M.dim)
-        t = np.add.reduce(self._gamma_n_rows()[:, :, :, None] * d.take(j, axis=1), axis=2)
-        gam_m = np.add.reduce(self._gamma_m_rows() * d[:, :, None], axis=1)
-        return np.add.reduce(d.take(i, axis=1) * t, axis=1) + (d2 - gam_m)
-
     @field_cached
     def covariant_d2f(self) -> np.ndarray:
         """d2_ij f^a - Gamma_M^k_ij d_k f^a + Gamma_N^a_bc d_i f^b d_j f^c, the Hessian of f, as
         (grid, a, i, j).  Its g-trace is the velocity V; its g_N product with a normal's N
         block is the second fundamental form along that normal (``field_geometry``)."""
-        return self._grid_array(self._hessian_rows())
+        return self._grid_array(self._pointwise().hessian)
 
     # -- scalar helpers --------------------------------------------------------
 
-    @row_cached
-    def _singular_value_invariants(self) -> tuple[np.ndarray, ...]:
-        """(lambda, mu, tr K, det K) per node; see ``frames.singular_value_invariants``."""
-        return invariant_rows(self._g_m_inv_rows(), self._g_n_rows(), self._f_derivatives()[0])
-
     def singular_value_fields(self) -> tuple[np.ndarray, np.ndarray]:
-        return tuple(x.reshape(self.shape) for x in self._singular_value_invariants()[:2])
+        """(lambda, mu) per node; see ``frames.singular_value_invariants``."""
+        rows = invariant_rows(self._g_m_inv_rows(), self._pointwise().g_n, self._f_derivatives()[0])
+        return rows[0].reshape(self.shape), rows[1].reshape(self.shape)
 
     @field_cached
     def p_field(self) -> np.ndarray:
-        """p = 2(1 - lambda^2 mu^2)/((1 + lambda^2)(1 + mu^2)) per node, from tr K and det K."""
-        _, _, tr, det = self._singular_value_invariants()
-        return (2.0 * (1.0 - det) / (1.0 + tr + det)).reshape(self.shape)
+        """p = 2(1 - lambda^2 mu^2)/((1 + lambda^2)(1 + mu^2)) per node, from tr K and det K
+        alone (``frames.k_rows``)."""
+        (a, b), (c, e) = k_rows(self._g_m_inv_rows(), self._pointwise().g_n,
+                                self._f_derivatives()[0])
+        det = a * e - b * c
+        return (2.0 * (1.0 - det) / (1.0 + (a + e) + det)).reshape(self.shape)
 
     def min_p(self) -> float:
         return float(self.p_field().min())
@@ -347,17 +344,14 @@ class GraphMapField:
     def volume(self) -> float:
         return float(np.sum(self.volume_density()) * np.prod(self.h) * self.copies)
 
-    @field_cached
+    @grid_cached
     def _interior(self) -> np.ndarray:
         """The nodes more than SEAM_MARGIN nodes away from reflect seams, read-only."""
         mask = np.ones(self.shape, dtype=bool)
-        for a, ax in enumerate(self.M.axes):
+        for a, (ax, n) in enumerate(zip(self.M.axes, self.shape)):
             if ax.reflect:
-                idx = np.arange(self.shape[a])
-                keep = (idx >= SEAM_MARGIN) & (idx < self.shape[a] - SEAM_MARGIN)
-                sl = [None] * self.M.dim
-                sl[a] = slice(None)
-                mask &= keep[tuple(sl)]
+                idx = np.arange(n).reshape([-1 if b == a else 1 for b in range(self.M.dim)])
+                mask &= (idx >= SEAM_MARGIN) & (idx < n - SEAM_MARGIN)
         mask.flags.writeable = False
         return mask
 

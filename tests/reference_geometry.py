@@ -31,10 +31,11 @@ import scipy.linalg
 
 from graphflow.errors import ConfigurationError, DegenerateMetricError, DomainError, SolverAbort
 from graphflow import frames
-from graphflow.flow import PHI_WIDTH, h2_field
-from graphflow.frames import _cholesky, _cholesky2, quad_form, sym_index
+from graphflow.flow import PHI_WIDTH, h2_field, nonparametric_rhs
+from graphflow.frames import _cholesky, _cholesky2, components, quad_form, sym_index
 from graphflow.geometry import ChartManifold, WarpedSurface
-from graphflow.immersion import CORRUPTED_METRIC, GraphMapField, field_cached, row_cached
+from graphflow.immersion import (CORRUPTED_METRIC, FieldRows, GraphMapField, _stencil_offsets,
+                                 field_cached, grid_cached, row_cached)
 from graphflow.verify import _time_derivative
 
 _COMPLEX_STEP = 1e-30
@@ -423,7 +424,131 @@ def full_width_lift(eq, h: np.ndarray, field_type=GraphMapField) -> GraphMapFiel
     return field_type(eq.M, eq.N, (eq.J, PHI_WIDTH), f)
 
 
-class EighMetricField(GraphMapField):
+class RowGetterField(GraphMapField):
+    """``GraphMapField`` with the row getters it had before one pointwise pass formed g_N,
+    Gamma_N, the induced metric, its inverse and det, nabla^2 f and V: each a cached getter
+    of its own, with N's chart read through ``g_n_field`` and ``gamma_n_field``, V as
+    ``flow.nonparametric_rhs`` formed it, and p from ``frames.invariant_rows``, kept verbatim
+    as the oracle of that pass; ``_pointwise`` gathers their values.  The grid's stencil
+    index and coordinates are built as they were before the set-up formed them per axis."""
+
+    @row_cached
+    def _pointwise(self) -> FieldRows:
+        return FieldRows(self._g_n_rows(), self._gamma_n_rows(), self._induced_g_rows(),
+                         *self._induced_g_inverse(), self._hessian_rows(), self._v_rows())
+
+    @grid_cached
+    def coords(self) -> np.ndarray:
+        grids = np.meshgrid(*[self.axis_coords(a) for a in range(self.M.dim)], indexing="ij")
+        return np.stack(grids, axis=-1)
+
+    @grid_cached
+    def _stencil_index(self) -> np.ndarray:
+        """Node index of each stencil neighbour, (offsets, grid): slices of the
+        ghost-padded node index."""
+        padded = np.arange(int(np.prod(self.shape))).reshape(self.shape)
+        for a, ax in enumerate(self.M.axes):
+            ghosts = [np.take(padded, [i], axis=a) for i in ((-1, 0) if ax.periodic else (0, -1))]
+            if self._seam_roll[a]:
+                ghosts = [np.roll(g, -self._seam_roll[a], axis=ax.partner_axis) for g in ghosts]
+            padded = np.concatenate([ghosts[0], padded, ghosts[1]], axis=a)
+        return np.stack([padded[tuple(slice(1 + d, 1 + d + n) for d, n in zip(off, self.shape))]
+                         for off in _stencil_offsets(self.M.dim)])
+
+    @field_cached
+    def g_n_field(self) -> np.ndarray:
+        return self.N._metric(self.f)
+
+    @field_cached
+    def gamma_n_field(self) -> np.ndarray:
+        return np.asarray(self.N._christoffels_at(self.f))
+
+    @row_cached
+    def _g_n_rows(self) -> np.ndarray:
+        return components(self.g_n_field().reshape(-1, 2, 2))
+
+    @row_cached
+    def _gamma_n_rows(self) -> np.ndarray:
+        return components(self.gamma_n_field().reshape(-1, 2, 2, 2), 3)
+
+    @row_cached
+    def _induced_g_rows(self) -> np.ndarray:
+        """The S rows of g_M + df g_N df^T, each entry summed as its lower triangle (j, i):
+        P = d_j f g_N, then P . d_i f, then g_M + that.  A corrupted state reads NaN here
+        without a warning (an inf of g_N meets a zero of df); its readers refuse it."""
+        d, (i, j, _, _), g_n = self._f_derivatives()[0], sym_index(self.M.dim), self._g_n_rows()
+        dj = d.take(j, axis=1)
+        with np.errstate(invalid="ignore"):
+            p = dj[0] * g_n[0, :, None] + dj[1] * g_n[1, :, None]
+            return self._g_m_rows()[1] + np.add.reduce(p * d.take(i, axis=1), axis=0)
+
+    @row_cached
+    def _induced_g_inverse(self) -> tuple[np.ndarray, np.ndarray]:
+        """(g^{-1} rows, det g) per node by one factorisation, checked finite and positive
+        definite (``frames.sym_inverse_and_det``)."""
+        inv_det = frames.sym_inverse_and_det(self._induced_g_rows())
+        if inv_det is None:
+            raise SolverAbort(CORRUPTED_METRIC)
+        return inv_det
+
+    @row_cached
+    def _hessian_rows(self) -> np.ndarray:
+        """The rows (2, S, n) of ``covariant_d2f``, summed in this order: T^a_bj =
+        Gamma_N^a_bc d_j f^c, then d_i f^b T^a_bj, plus d2_ij f^a - Gamma_M^k_ij d_k f^a."""
+        (d, d2), (i, j, _, _) = self._f_derivatives(), sym_index(self.M.dim)
+        t = np.add.reduce(self._gamma_n_rows()[:, :, :, None] * d.take(j, axis=1), axis=2)
+        gam_m = np.add.reduce(self._gamma_m_rows() * d[:, :, None], axis=1)
+        return np.add.reduce(d.take(i, axis=1) * t, axis=1) + (d2 - gam_m)
+
+    @row_cached
+    def _v_rows(self) -> np.ndarray:
+        """``flow.nonparametric_rhs``'s rows: the Hessian's rows contracted with g^{-1}'s, an
+        off-diagonal row twice."""
+        w = sym_index(self.M.dim)[3]
+        return np.add.reduce(self._hessian_rows() * (w * self._induced_g_inverse()[0]), axis=1)
+
+    @field_cached
+    def p_field(self) -> np.ndarray:
+        """p = 2(1 - lambda^2 mu^2)/((1 + lambda^2)(1 + mu^2)) per node, from tr K and det K."""
+        _, _, tr, det = frames.invariant_rows(self._g_m_inv_rows(), self._g_n_rows(),
+                                              self._f_derivatives()[0])
+        return (2.0 * (1.0 - det) / (1.0 + tr + det)).reshape(self.shape)
+
+
+def row_getter_tangential_vector_field(field: GraphMapField) -> np.ndarray:
+    """``flow.tangential_vector_field`` as a grid array of its own (X^k = g^{kl}(g^{ij} d_i g_jl
+    - 1/2 g^{ij} d_l g_ij) - g^{ij} Gamma_M^k_ij), before X and |H|^2 became one pass on rows."""
+    m = field.M.dim
+    _, _, full, w = sym_index(m)
+    ginv, dg = field._pointwise().g_inv, field._dg_rows()             # (S, n), (S, l, n)
+    g_full, w_ginv = ginv.take(full, axis=0), w * ginv
+    div = np.add.reduce(g_full[:, :, None] * dg.take(full, axis=0).transpose(2, 0, 1, 3),
+                        axis=(0, 1))
+    trace = np.add.reduce(w_ginv[:, None] * dg, axis=0)
+    gam_m = np.add.reduce(w_ginv * field._gamma_m_rows(), axis=1)
+    x = np.add.reduce(g_full * (div - 0.5 * trace), axis=1) - gam_m
+    return x.T.reshape(field.shape + (m,))
+
+
+def row_getter_h2_field(field: GraphMapField) -> np.ndarray:
+    """``flow.h2_field`` reading V and X as grid arrays and back."""
+    def rows(a):
+        return a.reshape(-1, a.shape[-1]).T
+
+    def quad(u, a):  # u^T a u, (u^T a) first
+        return np.add.reduce(np.add.reduce(u[:, None] * a, axis=0) * u, axis=0)
+    x, d = rows(row_getter_tangential_vector_field(field)), field._f_derivatives()[0]
+    tn = rows(nonparametric_rhs(field)) - np.add.reduce(x * d, axis=1)
+    return (quad(x, field._g_m_rows()[0]) + quad(tn, field._pointwise().g_n)).reshape(field.shape)
+
+
+def row_getter_cfl_dt(field: GraphMapField, params) -> float:
+    """``flow.cfl_dt`` as it read the inverse's rows."""
+    lam = float(frames.max_eigenvalue(field._pointwise().g_inv).max())
+    return params.cfl * float(field.h.min())**2 / (2 * field.M.dim * lam)
+
+
+class EighMetricField(RowGetterField):
     """``GraphMapField`` with the induced metric decomposed once by ``eigh``: its
     eigenvalues, checked finite and positive, give the inverse V diag(1/lambda) V^T
     and det g = prod lambda (as the rows that the flow and ``volume_density`` read)
@@ -431,7 +556,7 @@ class EighMetricField(GraphMapField):
 
     @field_cached
     def induced_g_eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        g = self.induced_g_field()
+        g = self._grid_array(self._induced_g_rows())
         if not np.isfinite(g).all():
             raise SolverAbort(CORRUPTED_METRIC)
         ev, vecs = np.linalg.eigh(g)
@@ -446,7 +571,7 @@ class EighMetricField(GraphMapField):
         inv = (vecs @ np.divide(_t(vecs), ev[..., :, None], order="C"))[..., i, j]
         return np.moveaxis(inv, -1, 0).reshape(len(i), -1), np.prod(ev, axis=-1).reshape(-1)
 
-    @field_cached
+    @grid_cached
     def g_m_inv_field(self) -> np.ndarray:
         return np.linalg.inv(self.g_m_field())
 

@@ -20,7 +20,7 @@ from graphflow.flow import (DRIFT_DT, EquivariantFlow, FlowParams, FlowRecord, F
                             reduce_circle_drift, step, tangential_vector_field)
 from graphflow.geometry import (Warp, WarpedSurface, builtin_warp, curvature_conditions_report,
                                 flat_torus, product_s1_s2)
-from graphflow.immersion import GraphMapField, field_cached, field_geometry, row_cached
+from graphflow.immersion import GraphMapField, field_geometry, grid_cached, row_cached
 from graphflow.verify import check_decay_bounds, compute_bound_constants
 
 
@@ -183,6 +183,32 @@ def test_grid_step_matches_the_eigh_oracle(monkeypatch, make):
     assert abs(got.min_p - want.min_p) <= 1e-13 * want.min_p
 
 
+@pytest.mark.parametrize("make", [_s1xs2_to_cosh_field, lambda: _torus3_to_t2_field(4)],
+                         ids=["s1xs2_cosh_4", "t3_t2_4"])
+def test_grid_steps_match_the_row_getter_oracle(monkeypatch, make):
+    # five RK2 steps on the fused pass and on the row getters it replaced, with
+    # |H|^2 and the step bound as they were read then: the same numbers, bit for bit
+    field = make()
+    oracle = object.__new__(ref.RowGetterField)  # the same f: a second wrap can move it
+    oracle.__dict__.update(field.__dict__, _cache={}, _grid={})
+    params = FlowParams(t_end=1.0)
+
+    def run(state):
+        for _ in range(5):
+            state = step(state, params)
+        return state
+    got = run(FlowState(field=field, min_p=field.min_p()))
+    monkeypatch.setattr(graphflow.flow, "h2_field", ref.row_getter_h2_field)
+    monkeypatch.setattr(graphflow.flow, "cfl_dt", ref.row_getter_cfl_dt)
+    want = run(FlowState(field=oracle, min_p=oracle.min_p()))
+    assert isinstance(want.field, ref.RowGetterField)
+    assert (got.status, got.step_count) == (want.status, want.step_count) == ("Running", 5)
+    assert not np.array_equal(got.field.f, field.f)
+    assert np.array_equal(got.field.f, want.field.f)
+    assert ((got.t, got.min_p, got.max_h2, got.dissipation)
+            == (want.t, want.min_p, want.max_h2, want.dissipation))
+
+
 def test_grid_step_does_its_work_once(monkeypatch):
     # k RK2 steps on S^1 x S^2 -> cosh cylinder make 1 + 2k fields (the start,
     # then a midpoint and an end per step)
@@ -212,14 +238,18 @@ def test_grid_step_does_its_work_once(monkeypatch):
 
     for name in ("metric_many", "inverse_metric", "christoffels_many"):
         monkeypatch.setattr(m_manifold, name, counted(name, getattr(m_manifold, name)))
-    monkeypatch.setattr(surface, "wrap", counted("N wrap", surface.wrap))
+    for name in ("wrap", "_metric", "_christoffels_at"):
+        monkeypatch.setattr(surface, name, counted(f"N {name}", getattr(surface, name)))
     field = GraphMapField(m_manifold, surface, field.shape, field.f)  # counts its own wrap
     # the grid's stencil index is built when the first field gathers neighbours
-    monkeypatch.setattr(GraphMapField, "_stencil_index", field_cached(
+    monkeypatch.setattr(GraphMapField, "_stencil_index", grid_cached(
         counted("_stencil_index", GraphMapField._stencil_index.__wrapped__)))
-    for name in ("_hessian_rows", "_dg_rows"):
-        monkeypatch.setattr(GraphMapField, name, row_cached(
-            counted(name, getattr(GraphMapField, name).__wrapped__)))
+    monkeypatch.setattr(GraphMapField, "_pointwise", row_cached(
+        counted("_pointwise", GraphMapField._pointwise.__wrapped__)))
+    monkeypatch.setattr(GraphMapField, "_dg_rows", row_cached(
+        counted("_dg_rows", GraphMapField._dg_rows.__wrapped__)))
+    monkeypatch.setattr(graphflow.immersion, "invariant_rows",
+                        counted("invariant_rows", graphflow.immersion.invariant_rows))
     for name in ("eigh", "eigvalsh", "cholesky", "inv"):
         monkeypatch.setattr(np.linalg, name, by_reader(name, getattr(np.linalg, name)))
     monkeypatch.setattr(np.linalg, "det", counted("det", np.linalg.det))
@@ -227,20 +257,25 @@ def test_grid_step_does_its_work_once(monkeypatch):
     for _ in range(k):
         state = step(state, FlowParams(t_end=1.0))
     assert state.status == "Running" and state.step_count == k
-    # p comes from the 2x2 invariants of df^T g_M^{-1} df g_N: no eigensolve there.
-    # Every 3 x 3 metric (g_M and the induced one of each field) is factorised in
-    # closed form, once, for its inverse and the volume, and cfl_dt reads the max
-    # eigenvalue of that inverse in closed form: a step makes no LAPACK call.
-    # X is contracted from the first differences of g, taken only on the fields whose
-    # |H|^2 a step reads, and no field builds the induced Christoffel tensor
+    # One pointwise pass per field evaluates N's chart once, at f, for g_N and
+    # Gamma_N, and forms the induced metric, its inverse, nabla^2 f and V.  p comes
+    # from tr K and det K alone, so no step forms lambda or mu.  Every 3 x 3 metric
+    # (g_M and the induced one of each field) is factorised in closed form, once, for
+    # its inverse and the volume, and cfl_dt reads the max eigenvalue of that inverse
+    # in closed form: a step makes no LAPACK call.  X and |H|^2 come from the first
+    # differences of g, taken only on the fields whose |H|^2 a step reads, and no
+    # field builds the induced Christoffel tensor
     assert not hasattr(GraphMapField, "gamma_induced_field")
     assert calls == {
         "metric_many": 1, "inverse_metric": 1, "christoffels_many": 1,  # M side once per grid
         "_stencil_index": 1,                           # grid bookkeeping once per grid
         "N wrap": 1 + 2 * k,                           # one N-chart wrap per field, of its f
-        "_hessian_rows": 1 + 2 * k,                    # RHS: the start, then 2 per step
+        "_pointwise": 1 + 2 * k,                       # the start, then 2 fields per step
+        "N _metric": 1 + 2 * k, "N _christoffels_at": 1 + 2 * k,  # in the pass, once each
         "_dg_rows": 1 + k,                             # |H|^2: the start, then each step's end
     }
+    state.field.singular_value_fields()  # lambda and mu where a monitor asks for them
+    assert calls["invariant_rows"] == 1
 
 
 NON_FINITE = "non-finite map values (CFL violation or blow-up)"

@@ -87,10 +87,44 @@ def _chart_with_metric(g):
 
 
 @pytest.mark.parametrize("g", [[[1.0, 1e-3], [0.0, 1.0]], [[np.nan, 0.0], [0.0, 1.0]],
-                               [[1.0, np.nan], [np.nan, 1.0]]])
+                               [[1.0, np.nan], [np.nan, 1.0]],
+                               # inf - inf is NaN (numpy warns of it): an infinite entry
+                               # is refused, on the diagonal or off it, of either sign
+                               *(pytest.param(g, marks=pytest.mark.filterwarnings(
+                                   "ignore:invalid value encountered in subtract"))
+                                 for g in ([[np.inf, 0.0], [0.0, 1.0]],
+                                           [[1.0, 0.0], [0.0, -np.inf]],
+                                           [[1.0, np.inf], [np.inf, 1.0]],
+                                           [[1.0, -np.inf], [-np.inf, 1.0]]))])
 def test_metric_many_refuses_a_non_symmetric_or_nan_metric(g):
     with pytest.raises(DegenerateMetricError, match="metric not symmetric"):
         _chart_with_metric(g).metric_many(np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("b", [0.3, -7.0, 1e-300, 1e300, -0.0])
+def test_metric_many_passes_an_exact_copy_of_the_transpose(b):
+    # the off-diagonal entries are the same float, as every chart of the package
+    # writes them: passed unchanged, at any size
+    g = np.array([[2.0 + abs(b), b], [b, 2.0 + abs(b)]])
+    assert np.array_equal(g, g.T)
+    got = _chart_with_metric(g).metric_many(np.zeros((3, 2)))
+    assert np.array_equal(got, np.broadcast_to(g, (3, 2, 2)))
+
+
+@pytest.mark.parametrize("chart, axis", [("waist_cylinder", 1), ("sphere2", 0)])
+def test_wrap_refuses_nan_on_a_bounded_axis(request, chart, axis):
+    # NaN is in no range: on the cylinder's z and on the sphere's polar angle it
+    # raises, whatever the other nodes of the batch hold; on a periodic axis it
+    # passes through
+    chart = request.getfixturevalue(chart)
+    x = np.full((4, 4, 4, 2), 0.5)
+    x[1, 2, 3, axis] = np.nan
+    with pytest.raises(DomainError, match=f"coordinate nan outside axis {axis} range"):
+        chart.wrap(x)
+    x[1, 2, 3] = [0.5, 0.5]
+    x[3, 0, 1, 1 - axis] = np.nan
+    got = chart.wrap(x)
+    assert np.isnan(got[3, 0, 1, 1 - axis]) and np.isnan(got).sum() == 1
 
 
 def test_inverse_metric_refuses_a_metric_that_is_not_positive_definite():

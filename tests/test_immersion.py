@@ -8,11 +8,12 @@ import pytest
 
 import reference_geometry as ref
 from graphflow.errors import ConfigurationError, DomainError, SolverAbort
-from graphflow.flow import EquivariantFlow, FlowParams, cfl_dt, h2_field, nonparametric_rhs
+from graphflow.flow import (EquivariantFlow, FlowParams, cfl_dt, h2_field, nonparametric_rhs,
+                            tangential_vector_field)
 from graphflow.geometry import (WARP_Z_MAX, WarpedSurface, builtin_warp, flat_torus, product,
                                 product_s1_s2, round_sphere)
 from graphflow.frames import quad_form
-from graphflow.immersion import GraphMapField, field_geometry, w_norm_sq
+from graphflow.immersion import COLUMN_SOURCE, FieldRows, GraphMapField, field_geometry, w_norm_sq
 
 
 def _torus_field(n=32, scale=0.5, perturb=0.0):
@@ -232,21 +233,22 @@ def _torus3_field(perturb=0.1):
 
 
 @pytest.mark.parametrize("corruption", ["nan", "inf", "inf_times_zero", "indefinite"])
-def test_corrupted_induced_metric_aborts(corruption):
-    # a g_N value as a blown-up state would carry it.  On the perturbed torus df
-    # has no zero entry at the node, so the inf reaches g without an inf * 0; on
-    # the identity torus (projection) df has zero entries, so df g_N df^T meets
-    # inf * 0 and reads NaN, which must end in the same one line and raise no
-    # warning.  Both fields factorise g in closed form after a finiteness test:
-    # the 2 x 2 pivot test, like potrf's, passes NaN
+def test_corrupted_induced_metric_aborts(monkeypatch, corruption):
+    # a g_N value as a blown-up state would carry it, handed to the field's
+    # pointwise pass by N's chart without the chart's symmetry check.  On the
+    # perturbed torus df has no zero entry at the node, so the inf reaches g
+    # without an inf * 0; on the identity torus (projection) df has zero entries,
+    # so df g_N df^T meets inf * 0 and reads NaN, which must end in the same one
+    # line and raise no warning.  Both fields factorise g in closed form after a
+    # finiteness test: the 2 x 2 pivot test, like potrf's, passes NaN
     perturb = 0.0 if corruption == "inf_times_zero" else 0.1
     for fld, node in ((_torus_field(8, perturb=perturb), (3, 4)),
                       (_torus3_field(perturb), (1, 2, 3))):
-        g_n = fld.g_n_field().copy()
+        g_n = fld.N._metric(fld.f)
         g_n[node] = {"nan": np.nan, "inf": np.diag([np.inf, 1.0]),
                      "inf_times_zero": np.diag([np.inf, 1.0]),
                      "indefinite": np.diag([1.0, -50.0])}[corruption]
-        fld._cache["g_n_field"] = g_n
+        monkeypatch.setattr(fld.N, "_metric", lambda x, g_n=g_n: g_n)
         for read in (GraphMapField.induced_g_inv_field, GraphMapField.volume_density):
             with pytest.raises(SolverAbort,
                                match=r"^induced metric not positive definite \(corrupted state\)$"):
@@ -282,6 +284,73 @@ def test_induced_metric_of_an_m4_field():
     assert np.abs(fld.induced_g_inv_field() - want).max() <= 1e-14 * np.abs(want).max()
     root_det = np.sqrt(np.linalg.det(g))
     assert np.abs(fld.volume_density() - root_det).max() <= 1e-14 * root_det.max()
+
+
+# -- the pointwise pass against the row getters it replaced ------------------
+
+
+def _pass_cases():
+    """(M, N, shape, f) of the fields whose pass is checked against the row getters."""
+    def coords(m, shape):
+        return GraphMapField(m, flat_torus(2), shape, np.zeros(shape + (2,))).coords()
+    s1xs2, shape = product_s1_s2(), (6, 8, 8)
+    x = coords(s1xs2, shape)
+    yield "s1xs2_cosh", (s1xs2, WarpedSurface(builtin_warp("cosh")), shape, np.stack(
+        [x[..., 0] + 0.3 * np.sin(x[..., 2]), 0.5 + 0.2 * np.cos(x[..., 1]) * np.sin(x[..., 0])],
+        axis=-1))
+    t3, shape = flat_torus(3), (4, 4, 4)
+    x = coords(t3, shape)
+    yield "t3_t2", (t3, flat_torus(2, scale=0.5), shape, x[..., :2] + 0.1 * np.stack(
+        [np.sin(x[..., 2]), np.cos(x[..., 0] - x[..., 1])], axis=-1))
+    s2xs2, shape = product(round_sphere(2), round_sphere(2)), (8, 4, 8, 4)  # m = 4: LAPACK
+    x = coords(s2xs2, shape)
+    yield "s2xs2_s2", (s2xs2, round_sphere(2), shape, np.stack(
+        [0.5 * x[..., 0] + 0.6 + 0.2 * np.sin(x[..., 3]), x[..., 1] + 0.3 * np.sin(x[..., 2])],
+        axis=-1))
+
+
+def _assert_pass_matches_row_getters(fld, oracle):
+    got, want = fld._pointwise(), oracle._pointwise()
+    assert isinstance(got, FieldRows) and isinstance(want, FieldRows)
+    for name in FieldRows._fields:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert np.abs(got.v).max() > 1e-2  # a field that moves
+    # the oracle's own g_n_field, gamma_n_field and p_field: the chart's grid arrays, and
+    # p from invariant_rows
+    for name in ("g_n_field", "gamma_n_field", "induced_g_field", "induced_g_inv_field",
+                 "volume_density", "covariant_d2f", "p_field"):
+        assert np.array_equal(getattr(fld, name)(), getattr(oracle, name)()), name
+    assert np.array_equal(nonparametric_rhs(fld), nonparametric_rhs(oracle))
+    assert np.array_equal(h2_field(fld), ref.row_getter_h2_field(oracle))
+    assert np.array_equal(tangential_vector_field(fld),
+                          ref.row_getter_tangential_vector_field(oracle))
+
+
+@pytest.mark.parametrize("case", [c for _, c in _pass_cases()], ids=[n for n, _ in _pass_cases()])
+def test_pointwise_pass_matches_the_row_getters(case):
+    # g_N, Gamma_N, the induced metric, its inverse and det, nabla^2 f, V, and what
+    # reads them (p, X and |H|^2), bit for bit: the pass runs the getters' ufuncs in
+    # their order; on S^2 x S^2 the inverse goes through cholesky and inv
+    m, n, shape, f = case
+    _assert_pass_matches_row_getters(GraphMapField(m, n, shape, f),
+                                     ref.RowGetterField(m, n, shape, f))
+
+
+def test_pointwise_pass_of_a_lift_batch_matches_the_row_getters():
+    # a batch of three 32-node tsui lifts: the pass on the batch's rows, and each
+    # lift's column of it
+    eq = EquivariantFlow(32, lambda th: 0.8 * np.sin(th))
+    lifts = eq.expand_fields([eq.h, 0.5 * eq.h, eq.h + 0.2 * np.sin(2 * eq.theta)])
+    batch = lifts[0]._cache[COLUMN_SOURCE].args[0]
+    oracle = object.__new__(ref.RowGetterField)
+    oracle.__dict__.update(batch.__dict__, _cache={"_f_derivatives": batch._f_derivatives()})
+    _assert_pass_matches_row_getters(batch, oracle)
+    for k, lift in enumerate(lifts):
+        for read, want in ((GraphMapField.p_field, oracle.p_field()),
+                           (nonparametric_rhs, nonparametric_rhs(oracle)),
+                           (h2_field, ref.row_getter_h2_field(oracle)),
+                           (GraphMapField.covariant_d2f, oracle.covariant_d2f())):
+            assert np.array_equal(read(lift), want[:, k:k + 1]), (k, read.__name__)
 
 
 # -- pointwise geometry ------------------------------------------------------

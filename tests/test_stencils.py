@@ -21,7 +21,7 @@ import reference_geometry as ref
 from graphflow.errors import ConfigurationError
 from graphflow.flow import EquivariantFlow
 from graphflow.geometry import (Axis, ChartManifold, WarpedSurface, builtin_warp, flat_torus,
-                                product_s1_s2, round_sphere)
+                                product, product_s1_s2, round_sphere)
 from graphflow.immersion import GraphMapField, _stencil_offsets
 
 
@@ -205,3 +205,36 @@ def test_partner_resolution_must_divide_seam_shift():
     # an odd azimuthal node count cannot roll by half a turn
     with pytest.raises(ConfigurationError, match="divide the seam shift"):
         GraphMapField(round_sphere(2), round_sphere(2), (8, 5), np.ones((8, 5, 2)))
+
+
+def _grids():
+    # every seam the package's charts have: none (tori), the sphere's (its partner
+    # turned by half its nodes), one per factor (S^2 x S^2), and a lift's column
+    yield flat_torus(3), (4, 5, 3)
+    yield flat_torus(2), (7, 3)
+    yield round_sphere(2), (12, 8)
+    yield round_sphere(2), (9, 6)
+    yield product_s1_s2(), (6, 8, 8)
+    yield product_s1_s2(), (3, 4, 4)
+    yield product(round_sphere(2), round_sphere(2)), (8, 4, 8, 4)
+    yield product(round_sphere(2), flat_torus(1), round_sphere(2)), (4, 6, 3, 5, 4)
+
+
+@pytest.mark.parametrize("m, shape", list(_grids()), ids=lambda v: str(v) if isinstance(v, tuple)
+                         else v.name)
+def test_stencil_index_and_coords_match_the_padded_grid(m, shape):
+    # the per-axis stencil index and coordinate grid against the ghost-padded index
+    # (np.take, roll and concatenate per axis, then a slice per offset) and the
+    # meshgrid they replaced, value for value
+    fld = GraphMapField(m, flat_torus(2), shape, np.zeros(shape + (2,)))
+    oracle = ref.RowGetterField(m, flat_torus(2), shape, np.zeros(shape + (2,)))
+    got, want = fld._stencil_index(), oracle._stencil_index()
+    assert got.shape == want.shape == (len(_stencil_offsets(m.dim)),) + shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(fld.coords(), oracle.coords())
+
+
+def test_stencil_index_of_a_lift_column_matches_the_padded_grid():
+    eq = EquivariantFlow(32, lambda th: 0.8 * np.sin(th))
+    lift = eq.expand_field(eq.h)
+    assert np.array_equal(lift._stencil_index(), ref.RowGetterField._stencil_index.__wrapped__(lift))
