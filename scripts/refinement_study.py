@@ -31,15 +31,15 @@ def velocity_residual(J: int, amplitude: float) -> float:
                                    - np.sin(h) * np.cos(h)) / (np.sin(th)**2 + np.sin(h)**2)
 
     eq = EquivariantFlow(J, lambda th: amplitude * np.sin(th))
-    fld = eq.expand_field(eq.h)
+    (fld,) = eq.expand_fields([eq.h])
     m = fld.M.dim
     sel = (eq.theta >= 0.5) & (eq.theta <= math.pi - 0.5)
     geo = field_geometry(fld)
     v = v_exact(eq.theta[sel])
-    g_n = fld.g_n_field()[sel, 0]
+    g_n0 = fld._pointwise().g_n[0][:, sel]  # the rows g_N,0b at the selected nodes
 
     def normal_component(normal):  # <(0, V), normal> in the product metric
-        return v * np.sum(g_n[:, 0, :] * normal[sel, 0, m:], axis=-1)
+        return v * np.sum(g_n0 * normal[sel, 0, m:].T, axis=0)
 
     vals = np.concatenate([normal_component(geo.frame.xi) - geo.h_xi[sel, 0],
                            normal_component(geo.frame.eta) - geo.h_eta[sel, 0]])

@@ -30,7 +30,7 @@ from .barrier import certify_convexity, containment_monitor, diameter_series, wa
 from .classify import classify_from_observables, classify_limit
 from .flow import (DRIFT_DT, EquivariantFlow, FlowParams, FlowRecord, FlowState, h2_field,
                    reduce_circle_drift, step)
-from .frames import build_svd_frame, quad_form, singular_value_invariants
+from .frames import build_svd_frame, singular_value_invariants
 from .geometry import (WARP_Z_MAX, WarpedSurface, builtin_warp, curvature_conditions_report,
                        flat_torus, hopf_map, product_s1_s2, round_sphere, s3_hopf_chart)
 from .immersion import SEAM_MARGIN, GraphMapField, field_geometry, quantity_R_vw, w_norm_sq
@@ -653,6 +653,9 @@ def run_identities(samples: int = 10_000, seed: int = 0) -> dict:
     def worst_dev(a, target):
         return np.abs(a - target).max(axis=tuple(range(1, a.ndim)))
 
+    def quad(u, a, v):  # u^T a v over the samples
+        return np.einsum("...i,...ij,...j->...", u, a, v)
+
     t0 = time.perf_counter()
     errs = {k: 0.0 for k in (
         "s2_plus_t2", "s_diag_oracle", "t_oracle", "frame_orthonormality",
@@ -669,8 +672,8 @@ def run_identities(samples: int = 10_000, seed: int = 0) -> dict:
         # normalized by 1 + s_i^2
         al = fr.alpha[:, :2]                                   # (n, 2, m)
         dal = al @ df                                          # rows df^T alpha_i
-        raw = np.stack([quad_form(al[:, i], g_m, al[:, i])
-                        - quad_form(dal[:, i], g_n, dal[:, i]) for i in range(2)], axis=-1)
+        raw = np.stack([quad(al[:, i], g_m, al[:, i]) - quad(dal[:, i], g_n, dal[:, i])
+                        for i in range(2)], axis=-1)
         found["s_diag_oracle"] = np.abs(raw / (1 + sv * sv) - fr.s_diag[:, :2]).max(axis=-1)
         # independent singular values of g_N^{1/2} df^T g_M^{-1/2}, whitened by
         # symmetric square roots (the frame whitens by Cholesky factors); the
@@ -692,8 +695,8 @@ def run_identities(samples: int = 10_000, seed: int = 0) -> dict:
             worst_dev(fr.alpha @ g_m @ np.swapaxes(fr.alpha, -1, -2), np.eye(m)),
             worst_dev(fr.beta @ g_n @ np.swapaxes(fr.beta, -1, -2), np.eye(2)),
             worst_dev(fr.e @ g_ind @ np.swapaxes(fr.e, -1, -2), np.eye(m))])
-        nrm = np.stack([quad_form(fr.xi, gp, fr.xi) - 1, quad_form(fr.eta, gp, fr.eta) - 1,
-                        quad_form(fr.xi, gp, fr.eta)], axis=-1)
+        nrm = np.stack([quad(fr.xi, gp, fr.xi) - 1, quad(fr.eta, gp, fr.eta) - 1,
+                        quad(fr.xi, gp, fr.eta)], axis=-1)
         found["normal_frame"] = np.abs(nrm).max(axis=-1)
         normals = np.stack([fr.xi, fr.eta], axis=-1)           # (n, m+2, 2)
         found["tangency"] = np.abs(dfe @ gp @ normals).max(axis=(-2, -1))
@@ -705,12 +708,11 @@ def run_identities(samples: int = 10_000, seed: int = 0) -> dict:
         found["est2"] = np.where(lam * mu < 1, np.maximum(np.maximum(0.0, lo - mid), mid - hi),
                                  0.0)
 
-        _, v, w = quantity_R_vw(fr, h_xi, h_eta, ric, 0.0, 0.0)
-        found["w_norm"] = abs(quad_form(w, g_m, w) - w_norm_sq(fr, h_xi, h_eta))
-        lhs = quad_form(v, ric, v) + quad_form(w, ric, w)
-        rhs = (lam**2 / (1 + lam**2) * quad_form(fr.alpha[:, 0], ric, fr.alpha[:, 0])
-               + mu**2 / (1 + mu**2) * quad_form(fr.alpha[:, 1], ric, fr.alpha[:, 1])
-               ) * (h_xi**2 + h_eta**2)
+        ric11, ric22 = (quad(fr.alpha[:, i], ric, fr.alpha[:, i]) for i in range(2))
+        _, v, w = quantity_R_vw(fr, h_xi, h_eta, ric, ric11, ric22, 0.0, 0.0)
+        found["w_norm"] = abs(quad(w, g_m, w) - w_norm_sq(fr, h_xi, h_eta))
+        lhs = quad(v, ric, v) + quad(w, ric, w)
+        rhs = (lam**2 / (1 + lam**2) * ric11 + mu**2 / (1 + mu**2) * ric22) * (h_xi**2 + h_eta**2)
         found["ric_vw"] = abs(lhs - rhs)
         for key, vals in found.items():
             errs[key] = max(errs[key], float(vals.max()))

@@ -86,11 +86,6 @@ def _tangent_rows(field: GraphMapField) -> tuple[np.ndarray, np.ndarray]:
     return x, x_sq + tn_sq
 
 
-def tangential_vector_field(field: GraphMapField) -> np.ndarray:
-    """X^k = g^{ij}(Gamma_g - Gamma_M)^k_ij; dF(X) is the tangential part of (0, V), (grid, m)."""
-    return _tangent_rows(field)[0].T.reshape(field.shape + (field.M.dim,))
-
-
 def h2_field(field: GraphMapField) -> np.ndarray:
     """|H|^2 per node via H = (0, V) - dF(X) in product-chart components."""
     return _tangent_rows(field)[1].reshape(field.shape)
@@ -396,10 +391,6 @@ class EquivariantFlow:
         states.append(RecordedState(t, h_end))
         return EquivariantRun(records=records, states=states, dissipation=dissipation,
                               status=status, steps=step_i, dt_min=dt_min, dt_max=dt_max)
-
-    def expand_field(self, h: np.ndarray) -> GraphMapField:
-        """Lift one profile; see ``expand_fields``."""
-        return self.expand_fields([h])[0]
 
     @functools.cached_property
     def _column(self) -> GraphMapField:

@@ -161,17 +161,6 @@ def max_eigenvalue(g: np.ndarray) -> np.ndarray:
     return np.where(off > 0, lam, np.maximum.reduce(g[:3]))
 
 
-def quad_form(u: np.ndarray, a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """u^T a v over the batch axes: u, v (..., k), a (..., k, k)."""
-    return (u[..., None, :] @ a @ v[..., :, None])[..., 0, 0]
-
-
-def matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """a v over the batch axes: a (..., k, k), v (..., k).  Row by row with
-    ``vecdot``: on a few hundred 2 x 2 matrices it costs under half a stacked matmul."""
-    return np.vecdot(a, v[..., None, :])
-
-
 def _sign(*comps):
     """-1 where the first of a vector's components comps above 1e-13 in magnitude is
     negative, else 1."""
@@ -218,7 +207,7 @@ def _frame(blinn, alpha, mapped, chol_n, g_n: np.ndarray) -> SVDFrame:
     # re-orthonormalize beta against g_N (exact for clean input, guards roundoff)
     g0, g1 = np.array([g_n[..., 0, 0], g_n[..., 0, 1]]), np.array([g_n[..., 1, 0], g_n[..., 1, 1]])
 
-    def quad(u, v):  # u^T g_N v, summed as quad_form does
+    def quad(u, v):  # u^T g_N v, u^T g_N first
         gu = u[0] * g0 + u[1] * g1
         return gu[0] * v[0] + gu[1] * v[1]
     b0 = rows[0] / np.sqrt(quad(rows[0], rows[0]))

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateMetricError, DomainError, SolverAbort
-from .frames import matvec, pd_inverse
+from .frames import pd_inverse
 
 WARP_SAMPLES = 2001  # heights of the sup of a warped surface's Gauss curvature
 WARP_Z_MAX = 6.0  # a warped surface's chart is z in [-WARP_Z_MAX, WARP_Z_MAX]
@@ -168,7 +168,8 @@ class ChartManifold:
 
         The blocks partition the axes and g is block diagonal along them, so
         g(v, v), g(w, w) and g(v, w) are sums over the blocks: each block forms
-        g v and g w once and takes the three inner products elementwise."""
+        g v and g w once and takes the three inner products, each an elementwise product
+        summed by ``np.add.reduce``."""
         if self.blocks is None:
             raise ConfigurationError(f"{self.name}: no closed-form curvature "
                                      "(M must have a constant curvature or be a product of such)")
@@ -176,8 +177,9 @@ class ChartManifold:
         for s, k in self.blocks:
             gs, vs, ws = g[..., s, s], v[..., s], w[..., s]
             ric[..., s, s] = (s.stop - s.start - 1) * k * gs
-            gv, gw = matvec(gs, vs), matvec(gs, ws)
-            vv_s, ww_s, vw_s = np.vecdot(vs, gv), np.vecdot(ws, gw), np.vecdot(vs, gw)
+            gv, gw = (np.add.reduce(gs * u[..., None, :], axis=-1) for u in (vs, ws))
+            vv_s, ww_s, vw_s = (np.add.reduce(a * b, axis=-1)
+                                for a, b in ((vs, gv), (ws, gw), (vs, gw)))
             area = area + k * (vv_s * ww_s - vw_s ** 2)
             vv, ww, vw = vv + vv_s, ww + ww_s, vw + vw_s
         return ric, area / (vv * ww - vw ** 2)

@@ -22,8 +22,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigurationError, SolverAbort
-from .frames import (SVDFrame, build_svd_frame, components, invariant_rows, k_rows, quad_form,
-                     sym_index, sym_inverse_and_det)
+from .frames import (SVDFrame, build_svd_frame, components, invariant_rows, k_rows, sym_index,
+                     sym_inverse_and_det)
 from .geometry import ChartManifold
 
 SEAM_MARGIN = 4  # nodes next to a reflect seam that ``interior_mask`` leaves out
@@ -202,7 +202,7 @@ class GraphMapField:
     # -- differential fields --------------------------------------------------
     # A field's own values are rows over its flat nodes, one per tensor component
     # (``row_cached``); a symmetric m x m tensor has the S rows of ``frames.sym_index``.
-    # The monitors read grid arrays built from them.
+    # The step and the monitors contract them by elementwise products and ``np.add.reduce``.
 
     @row_cached
     def _f_derivatives(self) -> tuple[np.ndarray, np.ndarray]:
@@ -211,20 +211,9 @@ class GraphMapField:
         centre = self.f.reshape(-1, 2).T
         return self._differences(self.unwrap_target(self._gather(centre), centre), centre)
 
-    def _grid_array(self, rows: np.ndarray, sym: bool = True) -> np.ndarray:
-        """Rows (..., n) as a C-ordered grid array (grid, ...); with ``sym``, the rows (..., S, n)
-        of symmetric tensors as (grid, ..., m, m) matrices."""
-        if sym:
-            rows = rows[..., sym_index(self.M.dim)[2], :]
+    def _grid_array(self, rows: np.ndarray) -> np.ndarray:
+        """Rows (..., n) as a C-ordered grid array (grid, ...)."""
         return components(rows, 1).reshape(self.shape + rows.shape[:-1])
-
-    def df_field(self) -> np.ndarray:
-        """(grid, m, 2) central-difference differential of f."""
-        return self._grid_array(np.swapaxes(self._f_derivatives()[0], 0, 1), sym=False)
-
-    def d2f_field(self) -> np.ndarray:
-        """(grid, m, m, 2) second chart derivatives (9-point mixed stencil)."""
-        return np.moveaxis(self._grid_array(self._f_derivatives()[1]), -3, -1)
 
     # -- metric fields --------------------------------------------------------
 
@@ -281,24 +270,6 @@ class GraphMapField:
         v = np.add.reduce(hess * (w * inv_det[0]), axis=1)
         return FieldRows(g_n, gam_n, g, *inv_det, hess, v)
 
-    @field_cached
-    def g_n_field(self) -> np.ndarray:
-        """g_N at f, (grid, 2, 2)."""
-        return self._grid_array(self._pointwise().g_n, sym=False)
-
-    def gamma_n_field(self) -> np.ndarray:
-        """Gamma_N at f, (grid, 2, 2, 2), the first index upper."""
-        return self._grid_array(self._pointwise().gamma_n, sym=False)
-
-    def induced_g_field(self) -> np.ndarray:
-        """g_M + df g_N df^T per node, (grid, m, m)."""
-        return self._grid_array(self._pointwise().g)
-
-    @field_cached
-    def induced_g_inv_field(self) -> np.ndarray:
-        """The inverse induced metric, checked finite and positive definite."""
-        return self._grid_array(self._pointwise().g_inv)
-
     def volume_density(self) -> np.ndarray:
         """sqrt(det g) per node, from the factorisation behind the inverse."""
         return np.sqrt(self._pointwise().det).reshape(self.shape)
@@ -309,18 +280,6 @@ class GraphMapField:
         m = self.M.dim
         nb = self._gather(self._pointwise().g, 2 * m)
         return (nb[:, :m] - nb[:, m:]) / (2 * self.h[:, None])
-
-    @field_cached
-    def induced_dg_field(self) -> np.ndarray:
-        """Central first differences d_a g_ij of the induced metric, (grid, a, i, j)."""
-        return self._grid_array(np.swapaxes(self._dg_rows(), 0, 1))
-
-    @field_cached
-    def covariant_d2f(self) -> np.ndarray:
-        """d2_ij f^a - Gamma_M^k_ij d_k f^a + Gamma_N^a_bc d_i f^b d_j f^c, the Hessian of f, as
-        (grid, a, i, j).  Its g-trace is the velocity V; its g_N product with a normal's N
-        block is the second fundamental form along that normal (``field_geometry``)."""
-        return self._grid_array(self._pointwise().hessian)
 
     # -- scalar helpers --------------------------------------------------------
 
@@ -372,15 +331,14 @@ class GraphMapField:
 
     def _laplace_and_gradient(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(g^{ij}(d2_ij u - Gamma_M^k_ij d_k u), d_a u) of the c scalar fields u (grid, c) from
-        one gather of their neighbours, as (c, grid) and (c, grid, m); each field's differences
-        are contiguous, so the contractions sum in a single field's order.  The first is
+        one gather of their neighbours, as (c, grid) and rows (c, m, n), on the rows of Gamma_M
+        and of the inverse induced metric, an off-diagonal row twice.  The first is
         Laplace-Beltrami plus X . grad u, as g^{ij} Gamma_g^k_ij = X^k + g^{ij} Gamma_M^k_ij."""
-        rows, full = u.reshape(-1, u.shape[-1]).T, sym_index(self.M.dim)[2]
+        rows, w = u.reshape(-1, u.shape[-1]).T, sym_index(self.M.dim)[3]
         du, d2 = self._differences(self._gather(rows), rows)
-        d2, du = (np.ascontiguousarray(d).reshape(rows.shape[:1] + self.shape + d.shape[2:])
-                  for d in (d2.take(full, axis=1).transpose(0, 3, 1, 2), du.transpose(0, 2, 1)))
-        hess = d2 - np.einsum("...kij,...k->...ij", self.gamma_m_field(), du)
-        return np.einsum("...ij,...ij->...", self.induced_g_inv_field(), hess), du
+        hess = d2 - np.add.reduce(self._gamma_m_rows() * du[:, :, None], axis=1)
+        lap = np.add.reduce(hess * (w * self._pointwise().g_inv), axis=1)
+        return lap.reshape(rows.shape[:1] + self.shape), du
 
 # ---------------------------------------------------------------------------
 # Graph geometry of a whole field
@@ -411,28 +369,30 @@ class PointGeometry:
 
 @field_cached
 def field_geometry(field: GraphMapField) -> PointGeometry:
-    """Second-order geometry of the graph at every node, computed once per field."""
-    m = field.M.dim
-    df = field.df_field()                                      # (..., k, a)
-    g_n = field.g_n_field()
-    frame = build_svd_frame(df, field.g_m_field(), g_n)
-    e = frame.e                                                # rows e_i, chart comps
+    """Second-order geometry of the graph at every node, computed once per field on its rows
+    (``GraphMapField._pointwise``), each contraction an elementwise product summed in order by
+    ``np.add.reduce``.  The frame takes f's derivative rows and g_N's as views of the grid."""
+    m, shape, rows = field.M.dim, field.shape, field._pointwise()
+    frame = build_svd_frame(field._f_derivatives()[0].T.reshape(shape + (m, 2)), field.g_m_field(),
+                            np.moveaxis(rows.g_n, -1, 0).reshape(shape + (2, 2)))
+    e = components(frame.e).reshape(m, m, -1)                  # e[k, i]: rows e_k, chart comps
+    normals = components(np.stack([frame.xi[..., m:], frame.eta[..., m:]], axis=-2))
 
-    # xi and eta are orthogonal to dF, so <A(d_i, d_j), nu> = g_N(Hess f_ij, nu^N): the
+    # xi and eta are orthogonal to dF, so <A(d_i, d_j), nu> = g_N(nabla^2_ij f, nu^N): the
     # Hessian of f contracted with the N blocks of the normals lowered by g_N, then in
-    # the e-basis; the vectors A(e_i, e_j) are never formed
-    hess = field.covariant_d2f().reshape(df.shape[:-2] + (2, m * m))
-    normals = np.stack([frame.xi[..., m:], frame.eta[..., m:]], axis=-2)[..., None, :]
-    lowered = np.vecdot(g_n[..., None, :, :], normals)         # (..., 2, 2)
-    a_nu = (lowered @ hess).reshape(df.shape[:-2] + (2, m, m))
-    a_nu = e[..., None, :, :] @ a_nu @ e.swapaxes(-1, -2)[..., None, :, :]
-    a_xi, a_eta = a_nu[..., 0, :, :], a_nu[..., 1, :, :]
-    h_xi, h_eta = np.moveaxis(np.trace(a_nu, axis1=-2, axis2=-1), -1, 0)
-    sq = np.sum(a_nu * a_nu, axis=(-2, -1))
-    a_sq = sq[..., 0] + sq[..., 1]
+    # the e-basis (e A e^T, e A first); the vectors A(e_i, e_j) are never formed
+    lowered = np.add.reduce(rows.g_n * normals.reshape(2, 1, 2, -1), axis=2)   # (nu, b, n)
+    hess = rows.hessian.take(sym_index(m)[2], axis=1)          # (b, i, j, n)
+    a_nu = np.add.reduce(lowered[:, :, None, None] * hess, axis=1)
+    a_nu = np.add.reduce(e[:, :, None] * a_nu[:, None], axis=2)
+    a_nu = np.add.reduce(a_nu[:, :, None] * e, axis=3)         # (nu, k, l, n)
+    h_xi, h_eta = np.trace(a_nu, axis1=1, axis2=2)
+    sq = np.add.reduce((a_nu * a_nu).reshape(2, m * m, -1), axis=1)
+    a_nu = field._grid_array(a_nu)
     return PointGeometry(
-        a_xi=a_xi, a_eta=a_eta, h_xi=h_xi, h_eta=h_eta, a_sq=a_sq, h_sq=h_xi**2 + h_eta**2,
-        frame=frame,
+        a_xi=a_nu[..., 0, :, :], a_eta=a_nu[..., 1, :, :], h_xi=h_xi.reshape(shape),
+        h_eta=h_eta.reshape(shape), a_sq=(sq[0] + sq[1]).reshape(shape),
+        h_sq=(h_xi**2 + h_eta**2).reshape(shape), frame=frame,
     )
 
 
@@ -455,8 +415,10 @@ def quantity_Q(frame: SVDFrame, ric_a1, ric_a2, sigma_m12, sigma_n):
     )
 
 
-def quantity_R_vw(frame: SVDFrame, h_xi, h_eta, ricci: np.ndarray, sigma_m12, sigma_n):
-    """Curvature term in the evolution of |H|^2 and the vectors v, w."""
+def quantity_R_vw(frame: SVDFrame, h_xi, h_eta, ricci: np.ndarray, ric_a1, ric_a2, sigma_m12,
+                  sigma_n):
+    """Curvature term in the evolution of |H|^2 and the vectors v, w, from Ric_M (..., m, m)
+    and its values Ric(alpha_1, alpha_1) and Ric(alpha_2, alpha_2)."""
     lam, mu = frame.lam, frame.mu
     h_sq = h_xi**2 + h_eta**2
     den = (1 + lam**2) * (1 + mu**2)
@@ -464,12 +426,11 @@ def quantity_R_vw(frame: SVDFrame, h_xi, h_eta, ricci: np.ndarray, sigma_m12, si
     r1, r2 = np.sqrt(1 + lam**2), np.sqrt(1 + mu**2)
     v = (lam * h_xi / r1)[..., None] * a1 + (mu * h_eta / r2)[..., None] * a2
     w = (-lam * h_eta / r1)[..., None] * a1 + (mu * h_xi / r2)[..., None] * a2
-    ric_a1 = quad_form(a1, ricci, a1)
-    ric_a2 = quad_form(a2, ricci, a2)
+    ric_v = np.add.reduce(np.add.reduce(v[..., None] * ricci, axis=-2) * v, axis=-1)  # (v Ric) v
     bric = ric_a1 + ric_a2 - sigma_m12
     r = (
         2 * lam**2 * mu**2 * h_sq / den * (bric - sigma_n)
-        + 2 * quad_form(v, ricci, v)
+        + 2 * ric_v
         - 2 * lam**2 * mu**2 * h_sq / den * (ric_a1 + ric_a2)
         + 2 * sigma_n * w_norm_sq(frame, h_xi, h_eta)
     )

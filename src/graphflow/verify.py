@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NotAreaDecreasingError
 from .flow import h2_field
-from .frames import matvec, quad_form
+from .frames import sym_index
 from .immersion import GraphMapField, field_geometry, quantity_Q, quantity_R_vw, w_norm_sq
 
 H_FLOOR = 1e-8         # the inequalities are evaluated only where |H| exceeds it
@@ -120,11 +120,13 @@ def _curvature_inputs(field: GraphMapField, mask: np.ndarray, alpha: np.ndarray)
 
     M's terms are arrays over the masked nodes, from ``ChartManifold.curvature``;
     sigma_N is a scalar where N declares a constant curvature.  Ric alpha_i is
-    formed once per i and dotted with alpha_i elementwise.
+    formed once per i and multiplied with alpha_i elementwise, each sum by
+    ``np.add.reduce``.
     """
     ricci, sig_m = field.M.curvature(field.g_m_field()[mask], alpha[:, 0], alpha[:, 1])
     pair = alpha[:, :2]                                        # rows alpha_1, alpha_2
-    ric11, ric22 = np.vecdot(pair, matvec(ricci[:, None], pair)).T
+    ric_pair = np.add.reduce(ricci[:, None] * pair[:, :, None], axis=-1)
+    ric11, ric22 = np.add.reduce(pair * ric_pair, axis=-1).T
     return ric11, ric22, sig_m, field.N.gauss_curvature_at(field.f[mask]), ricci
 
 
@@ -143,8 +145,9 @@ def _checkpoint(triple) -> tuple:
     holds d/dt u - g^{ij}(d2_ij u - Gamma_M^k_ij d_k u) of u = p, |H|^2 and
     Theta = |H|^2 / p, which is (d/dt - X . grad - Laplace-Beltrami) u with X the
     tangential field of the nonparametric gauge, and grads (3, nodes) holds
-    |grad p|^2, |grad |H||^2 and <grad Theta, grad p>.  p, |H|^2, Theta and |H| are
-    stacked for one neighbour gather, one Hessian trace and one gradient."""
+    |grad p|^2, |grad |H||^2 and <grad Theta, grad p>, g^{ij} d_i u d_j v on the rows of
+    the inverse induced metric.  p, |H|^2, Theta and |H| are stacked for one neighbour
+    gather, one Hessian trace and one gradient."""
     _, dtp, dtn, f_prev, f_now, f_next = triple
     key = (dtp, dtn, f_prev, f_next)
     hit = f_now._cache.get(_checkpoint.__name__, (None,))
@@ -156,8 +159,9 @@ def _checkpoint(triple) -> tuple:
     lap, du = f_now._laplace_and_gradient(
         np.stack([*now, np.sqrt(np.maximum(now[1], 0.0))], axis=-1))
     lhs = _time_derivative(prev, now, nxt, dtp, dtn) - lap[:3]
-    ginv = f_now.induced_g_inv_field()
-    grads = np.stack([quad_form(du[a], ginv, du[b]) for a, b in ((0, 0), (3, 3), (2, 0))])
+    ginv = f_now._pointwise().g_inv.take(sym_index(f_now.M.dim)[2], axis=0)     # (i, j, n)
+    du_g = np.add.reduce(du[[0, 3, 2], :, None] * ginv, axis=1)                # d_i u g^{ij}
+    grads = np.add.reduce(du_g * du[[0, 3, 0]], axis=1).reshape(lhs.shape)
     geo = field_geometry(f_now)[mask]
     out = (int(mask.sum()) * f_now.copies, lhs[:, mask], grads[:, mask], geo,
            _curvature_inputs(f_now, mask, geo.frame.alpha))
@@ -209,17 +213,21 @@ def check_H_and_theta_inequalities(triples: Sequence, eps1: float) -> dict:
     """Slack of the differential inequalities for |H|^2 and Theta = |H|^2/p.
 
     Evaluated only at interior nodes where |H| > H_FLOOR (none above the
-    floor is a pass; ``nodes`` counts them on the full grid).  Also audits
-    |w|^2 <= |H|^2 pointwise.  Pass iff every slack >= -(1e-6 + 10 (h^2 + dt)).
+    floor is a pass; ``nodes`` counts them on the full grid).  A checkpoint passes iff
+    both slacks are >= -tol at each of those nodes, tol = 1e-6 + 10 (h^2 + dt) with h the
+    largest grid spacing and dt the larger step of its triple, and the audit of
+    |w|^2 <= |H|^2 holds there: |w|^2 - |H|^2 <= 1e-12 (``worst_w_excess``).  The
+    section passes iff every checkpoint does.
     """
     checkpoints = []
     for triple in triples:
         t, dtp, dtn, _, f_now, _ = triple
-        _, lhs, grads, pg, (_, _, sig_m, sig_n, ricci) = _checkpoint(triple)
+        _, lhs, grads, pg, (ric11, ric22, sig_m, sig_n, ricci) = _checkpoint(triple)
         tol = 1e-6 + 10 * (float(f_now.h.max())**2 + max(dtp, dtn))
         above = pg.h_sq > H_FLOOR**2
         n_eval = int(above.sum()) * f_now.copies
-        r_term, _, _ = quantity_R_vw(pg.frame, pg.h_xi, pg.h_eta, ricci, sig_m, sig_n)
+        r_term, _, _ = quantity_R_vw(pg.frame, pg.h_xi, pg.h_eta, ricci, ric11, ric22, sig_m,
+                                     sig_n)
         slack_h = -2 * grads[1] + 2 * pg.a_sq * pg.h_sq + r_term - lhs[1]
         theta = pg.h_sq / pg.frame.p
         slack_th = grads[2] / pg.frame.p + 2 * max(0.0, eps1) * theta - lhs[2]

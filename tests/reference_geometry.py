@@ -17,7 +17,10 @@ derivatives, curvature tensors by a complex step of the Christoffel symbols,
 sectional and bi-Ricci curvature, Gram-Schmidt of frames and the monitors'
 curvature inputs), kept verbatim as test oracles.  The package computes no
 curvature tensor: this layer is the oracle of its closed forms (the blocks of
-a product chart, the curvature report and the warped surfaces).
+a product chart, the curvature report and the warped surfaces).  The oracles
+and the tests read a field's rows as grid arrays through the functions below
+named after the grid getters that ``GraphMapField`` had before its monitors
+read the rows themselves (``df_field``, ..., ``covariant_d2f``).
 """
 
 from __future__ import annotations
@@ -31,14 +34,73 @@ import scipy.linalg
 
 from graphflow.errors import ConfigurationError, DegenerateMetricError, DomainError, SolverAbort
 from graphflow import frames
-from graphflow.flow import PHI_WIDTH, h2_field, nonparametric_rhs
-from graphflow.frames import _cholesky, _cholesky2, components, quad_form, sym_index
+from graphflow.flow import PHI_WIDTH, _tangent_rows, h2_field, nonparametric_rhs
+from graphflow.frames import _cholesky, _cholesky2, components, sym_index
 from graphflow.geometry import ChartManifold, WarpedSurface
 from graphflow.immersion import (CORRUPTED_METRIC, FieldRows, GraphMapField, _stencil_offsets,
                                  field_cached, grid_cached, row_cached)
 from graphflow.verify import _time_derivative
 
 _COMPLEX_STEP = 1e-30
+
+
+def quad_form(u: np.ndarray, a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u^T a v over the batch axes: u, v (..., k), a (..., k, k), by plain ``einsum``."""
+    return np.einsum("...i,...ij,...j->...", u, a, v)
+
+
+# The grid arrays of a field's rows, as ``GraphMapField``'s grid getters returned them
+# before the monitors read the rows themselves: the oracles below read a field through them.
+
+
+def _sym_grid(field: GraphMapField, rows: np.ndarray) -> np.ndarray:
+    """The rows (..., S, n) of symmetric tensors as (grid, ..., m, m) matrices."""
+    return field._grid_array(rows[..., sym_index(field.M.dim)[2], :])
+
+
+def df_field(field: GraphMapField) -> np.ndarray:
+    """(grid, m, 2) central-difference differential of f."""
+    return field._grid_array(np.swapaxes(field._f_derivatives()[0], 0, 1))
+
+
+def d2f_field(field: GraphMapField) -> np.ndarray:
+    """(grid, m, m, 2) second chart derivatives (9-point mixed stencil)."""
+    return np.moveaxis(_sym_grid(field, field._f_derivatives()[1]), -3, -1)
+
+
+def g_n_field(field: GraphMapField) -> np.ndarray:
+    """g_N at f, (grid, 2, 2)."""
+    return field._grid_array(field._pointwise().g_n)
+
+
+def gamma_n_field(field: GraphMapField) -> np.ndarray:
+    """Gamma_N at f, (grid, 2, 2, 2), the first index upper."""
+    return field._grid_array(field._pointwise().gamma_n)
+
+
+def induced_g_field(field: GraphMapField) -> np.ndarray:
+    """g_M + df g_N df^T per node, (grid, m, m)."""
+    return _sym_grid(field, field._pointwise().g)
+
+
+def induced_g_inv_field(field: GraphMapField) -> np.ndarray:
+    """The inverse induced metric, (grid, m, m)."""
+    return _sym_grid(field, field._pointwise().g_inv)
+
+
+def induced_dg_field(field: GraphMapField) -> np.ndarray:
+    """Central first differences d_a g_ij of the induced metric, (grid, a, i, j)."""
+    return _sym_grid(field, np.swapaxes(field._dg_rows(), 0, 1))
+
+
+def covariant_d2f(field: GraphMapField) -> np.ndarray:
+    """The Hessian of f in M's connection, nabla^2 f, as (grid, a, i, j)."""
+    return _sym_grid(field, field._pointwise().hessian)
+
+
+def tangent_field(field: GraphMapField) -> np.ndarray:
+    """The tangential field X of the nonparametric gauge, (grid, m)."""
+    return field._grid_array(_tangent_rows(field)[0])
 
 
 class FrameError(ValueError):
@@ -229,9 +291,11 @@ def stacked_svd_frame(df: np.ndarray, g_m: np.ndarray, g_n: np.ndarray) -> frame
     else:
         chart_axis = _t(_tri_solve(rn, _t(_first_nonzero_positive(_t(u))), lower=False))
         beta = np.where(nonzero, mapped, chart_axis)
-    b0 = beta[..., 0, :] / np.sqrt(quad_form(beta[..., 0, :], g_n, beta[..., 0, :]))[..., None]
-    b1 = beta[..., 1, :] - quad_form(b0, g_n, beta[..., 1, :])[..., None] * b0
-    b1 = b1 / np.sqrt(quad_form(b1, g_n, b1))[..., None]
+    def quad(u, a, v):  # u^T a v by stacked matmuls
+        return (u[..., None, :] @ a @ v[..., :, None])[..., 0, 0]
+    b0 = beta[..., 0, :] / np.sqrt(quad(beta[..., 0, :], g_n, beta[..., 0, :]))[..., None]
+    b1 = beta[..., 1, :] - quad(b0, g_n, beta[..., 1, :])[..., None] * b0
+    b1 = b1 / np.sqrt(quad(b1, g_n, b1))[..., None]
     beta = np.stack([b0, b1], axis=-2)
 
     root = np.sqrt(1.0 + sv * sv)[..., None]                   # (..., 2, 1)
@@ -275,24 +339,24 @@ def gamma_induced(field: GraphMapField) -> np.ndarray:
     of its field: the m^3 tensor that ``GraphMapField.gamma_induced_field`` formed before
     the second fundamental form and the monitors read M's connection alone."""
     m = field.M.dim
-    dg = field.induced_dg_field()
+    dg = induced_dg_field(field)
     comb = (
         dg.transpose(*range(m), m, m + 1, m + 2)
         + dg.transpose(*range(m), m + 1, m, m + 2)
         - dg.transpose(*range(m), m + 1, m + 2, m)
     )
-    return 0.5 * np.einsum("...kl,...ijl->...kij", field.induced_g_inv_field(), comb)
+    return 0.5 * np.einsum("...kl,...ijl->...kij", induced_g_inv_field(field), comb)
 
 
 def _a_vectors(field: GraphMapField, idx, e: np.ndarray) -> np.ndarray:
     """A(e_i, e_j) at a node in product-chart components (M part, N part),
     (m, m, m+2), for the rows e_i of ``e``."""
-    df = field.df_field()[idx]
-    gam_n = field.gamma_n_field()[idx]
+    df = df_field(field)[idx]
+    gam_n = gamma_n_field(field)[idx]
     gam_g = gamma_induced(field)[idx]
     a_m = field.gamma_m_field()[idx] - gam_g                  # (k, i, j)
     a_n = (
-        field.d2f_field()[idx]
+        d2f_field(field)[idx]
         + np.einsum("abc,ib,jc->ija", gam_n, df, df)
         - np.einsum("kij,ka->ija", gam_g, df)
     )                                                          # (i, j, alpha)
@@ -304,18 +368,18 @@ def _product_metric(field: GraphMapField, idx) -> np.ndarray:
     m = field.M.dim
     gp = np.zeros((m + 2, m + 2))
     gp[:m, :m] = field.g_m_field()[idx]
-    gp[m:, m:] = field.g_n_field()[idx]
+    gp[m:, m:] = g_n_field(field)[idx]
     return gp
 
 
 def point_geometry(field: GraphMapField, node) -> PointGeometry:
     """Full second-order geometry of the graph at a grid node."""
     idx = _node_slices(node)
-    df = field.df_field()[idx]
-    g = field.induced_g_field()[idx]
-    g_inv = field.induced_g_inv_field()[idx]
+    df = df_field(field)[idx]
+    g = induced_g_field(field)[idx]
+    g_inv = induced_g_inv_field(field)[idx]
 
-    frame = build_svd_frame(df, field.g_m_field()[idx], field.g_n_field()[idx])
+    frame = build_svd_frame(df, field.g_m_field()[idx], g_n_field(field)[idx])
     e = frame.e                                                # rows e_i, chart comps
     a_e = _a_vectors(field, idx, e)                            # e-basis
 
@@ -347,15 +411,15 @@ def tangency_residual(field: GraphMapField, e: np.ndarray, node) -> float:
     ``immersion.field_geometry``'s), A(e_i, e_j) built here: A is normal, so only the
     discretization error remains."""
     idx = _node_slices(node)
-    return _tangency(_a_vectors(field, idx, e), e, field.df_field()[idx],
+    return _tangency(_a_vectors(field, idx, e), e, df_field(field)[idx],
                      _product_metric(field, idx))
 
 
 def tangential_vector_field(field: GraphMapField) -> np.ndarray:
-    """``flow.tangential_vector_field`` as it was before it contracted the first
-    differences of the induced metric directly: X^k = g^{ij}(Gamma_g - Gamma_M)^k_ij
+    """The tangential field X (``flow._tangent_rows``) as it was before it contracted the
+    first differences of the induced metric directly: X^k = g^{ij}(Gamma_g - Gamma_M)^k_ij
     over the full induced Christoffel tensor."""
-    ginv = field.induced_g_inv_field()
+    ginv = induced_g_inv_field(field)
     diff = gamma_induced(field) - field.gamma_m_field()
     return np.einsum("...ij,...kij->...k", ginv, diff)
 
@@ -363,13 +427,13 @@ def tangential_vector_field(field: GraphMapField) -> np.ndarray:
 def _covariant_d2f(field: GraphMapField, gamma: np.ndarray) -> np.ndarray:
     """``GraphMapField.covariant_d2f`` as it was when it took the connection of M's side
     as an argument: d2_ij f^a - gamma^k_ij d_k f^a + Gamma_N^a_bc d_i f^b d_j f^c."""
-    df = field.df_field()
+    df = df_field(field)
     m = field.M.dim
     batch = df.shape[:-2]
-    gam_n_df = (field.gamma_n_field().reshape(batch + (4, 2))
+    gam_n_df = (gamma_n_field(field).reshape(batch + (4, 2))
                 @ np.ascontiguousarray(_t(df))).reshape(batch + (2, 2, m))
     gam_n_dfdf = df[..., None, :, :] @ gam_n_df
-    flat = field.d2f_field().reshape(batch + (m * m, 2)) \
+    flat = d2f_field(field).reshape(batch + (m * m, 2)) \
         - _t(gamma.reshape(batch + (m, m * m))) @ df
     return gam_n_dfdf + _t(flat).reshape(gam_n_dfdf.shape)
 
@@ -380,7 +444,7 @@ def christoffel_field_geometry(field: GraphMapField) -> dict:
     components, contracted with xi and eta lowered by the product metric, then in the
     e-basis."""
     m = field.M.dim
-    df, g_m, g_n = field.df_field(), field.g_m_field(), field.g_n_field()
+    df, g_m, g_n = df_field(field), field.g_m_field(), g_n_field(field)
     gam_g = gamma_induced(field)
     frame = frames.build_svd_frame(df, g_m, g_n)
     a_coord = np.concatenate([field.gamma_m_field() - gam_g, _covariant_d2f(field, gam_g)],
@@ -409,7 +473,7 @@ def christoffel_checkpoint_lhs(triple) -> np.ndarray:
     d2, du = (np.ascontiguousarray(d).reshape(rows.shape[:1] + f_now.shape + d.shape[2:])
               for d in (d2.take(full, axis=1).transpose(0, 3, 1, 2), du.transpose(0, 2, 1)))
     hess = d2 - np.einsum("...kij,...k->...ij", gamma_induced(f_now), du)
-    lap = np.einsum("...ij,...ij->...", f_now.induced_g_inv_field(), hess)
+    lap = np.einsum("...ij,...ij->...", induced_g_inv_field(f_now), hess)
     adv = np.einsum("...k,...k->...", tangential_vector_field(f_now), du)
     return _time_derivative(prev, now, nxt, dtp, dtn) - adv - lap
 
@@ -516,8 +580,9 @@ class RowGetterField(GraphMapField):
 
 
 def row_getter_tangential_vector_field(field: GraphMapField) -> np.ndarray:
-    """``flow.tangential_vector_field`` as a grid array of its own (X^k = g^{kl}(g^{ij} d_i g_jl
-    - 1/2 g^{ij} d_l g_ij) - g^{ij} Gamma_M^k_ij), before X and |H|^2 became one pass on rows."""
+    """The tangential field X (``flow._tangent_rows``) as a grid array of its own (X^k =
+    g^{kl}(g^{ij} d_i g_jl - 1/2 g^{ij} d_l g_ij) - g^{ij} Gamma_M^k_ij), before X and |H|^2
+    became one pass on rows."""
     m = field.M.dim
     _, _, full, w = sym_index(m)
     ginv, dg = field._pointwise().g_inv, field._dg_rows()             # (S, n), (S, l, n)
@@ -556,7 +621,7 @@ class EighMetricField(RowGetterField):
 
     @field_cached
     def induced_g_eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        g = self._grid_array(self._induced_g_rows())
+        g = _sym_grid(self, self._induced_g_rows())
         if not np.isfinite(g).all():
             raise SolverAbort(CORRUPTED_METRIC)
         ev, vecs = np.linalg.eigh(g)
@@ -740,12 +805,12 @@ class LoopStencilField(GraphMapField):
     def gamma_induced_field(self) -> np.ndarray:
         """Christoffels of the induced metric, finite-differenced from its field."""
         if "gamma_g" not in self._cache:
-            g = self.induced_g_field()
+            g = induced_g_field(self)
             m = self.M.dim
             dg = np.empty(self.shape + (m, m, m))
             for a in range(m):
                 dg[..., a, :, :] = (self.shift(g, a, +1) - self.shift(g, a, -1)) / (2 * self.h[a])
-            ginv = self.induced_g_inv_field()
+            ginv = induced_g_inv_field(self)
             comb = (
                 dg.transpose(*range(m), m, m + 1, m + 2)
                 + dg.transpose(*range(m), m + 1, m, m + 2)
@@ -763,7 +828,9 @@ class LoopStencilField(GraphMapField):
         return out
 
     def hessian_trace(self, u: np.ndarray) -> np.ndarray:
-        """g-trace of a scalar's Hessian in M's connection: g^{ij}(d2_ij u - Gamma_M^k_ij d_k u)."""
+        """g-trace of a scalar's Hessian in M's connection: g^{ij}(d2_ij u - Gamma_M^k_ij d_k u),
+        each sum over k and over the ``sym_index`` entries (an off-diagonal one twice) taken in
+        order, as ``GraphMapField._laplace_and_gradient`` takes it on rows."""
         m = self.M.dim
         d2 = np.empty(self.shape + (m, m))
         for a in range(m):
@@ -775,9 +842,10 @@ class LoopStencilField(GraphMapField):
                 mm = self.shift(self.shift(u, a, -1), b, -1)
                 d2[..., a, b] = d2[..., b, a] = (pp - pm - mp + mm) / (4 * self.h[a] * self.h[b])
         du = self.grad_field(u)
-        ginv = self.induced_g_inv_field()
-        hess = d2 - np.einsum("...kij,...k->...ij", self.gamma_m_field(), du)
-        return np.einsum("...ij,...ij->...", ginv, hess)
+        ginv, gam, (i, j, _, w) = induced_g_inv_field(self), self.gamma_m_field(), sym_index(m)
+        hess = d2 - np.add.reduce([gam[..., k, :, :] * du[..., k, None, None] for k in range(m)])
+        return np.add.reduce([hess[..., a, b] * (ws * ginv[..., a, b])
+                              for a, b, ws in zip(i, j, w[:, 0])])
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import numpy as np
 import scipy.linalg
 
 import reference_barrier
+import reference_geometry as ref
 from graphflow.app import run_identities
 from graphflow.barrier import (certify_convexity, containment_monitor, covariant_hessian,
                                diameter_series, m_convexity_at, waist_tube_barrier)
@@ -133,9 +134,9 @@ def test_criterion_3_nonparametric_consistency():
     norms = []
     for J in (16, 32, 64, 128):
         eq = EquivariantFlow(J, _profile)
-        fld = eq.expand_field(eq.h)
+        fld = eq.expand_fields([eq.h])[0]
         m = fld.M.dim
-        gm, gn = fld.g_m_field(), fld.g_n_field()
+        gm, gn = fld.g_m_field(), ref.g_n_field(fld)
         vals = []
         for i in range(J):
             if not (0.5 <= eq.theta[i] <= math.pi - 0.5):
@@ -203,7 +204,7 @@ def test_criterion_6_convergence_to_constant():
     eq, run = _tsui_convergence_run()
     last = run.records[-1]
     max_h = math.sqrt(last.max_h2)
-    final = eq.expand_field(run.states[-1].h)
+    final = eq.expand_fields([run.states[-1].h])[0]
     rep = classify_limit(final, run.status, ricci_positive=True)
     diam = diameter_series([(r.t, r.diameter) for r in run.records], eps0=0.25)
     ok = (run.status == "Converged" and run.states[-1].t <= 20.0 and max_h < 1e-6

@@ -104,7 +104,7 @@ def test_tolerance_capped_below_unit_singular_values():
 def test_classify_limit_refuses_a_lift_without_interior_nodes():
     # 8 theta nodes are all within SEAM_MARGIN of a pole: no evidence to classify
     eq = EquivariantFlow(8, lambda th: 0.8 * np.sin(th))
-    field = eq.expand_field(eq.h)
+    field = eq.expand_fields([eq.h])[0]
     with pytest.raises(ConfigurationError,
                        match=rf"^grid shape \(8, {field.shape[1]}\) has no interior node[^\n]*$"):
         classify_limit(field, "Converged")

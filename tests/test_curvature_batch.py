@@ -17,7 +17,7 @@ import pytest
 import reference_geometry as ref
 from graphflow.errors import ConfigurationError
 from graphflow.flow import FlowParams, FlowState, step
-from graphflow.frames import generalized_eigvalsh, quad_form
+from graphflow.frames import generalized_eigvalsh
 from graphflow.geometry import (WARP_SAMPLES, WARP_Z_MAX, Axis, ChartManifold, Warp,
                                 WarpedSurface, builtin_warp, curvature_conditions_report,
                                 flat_torus, product, product_s1_s2, round_sphere,
@@ -204,7 +204,7 @@ def test_bi_ricci_of_s2xs2_depends_on_the_frame(rng):
     g = np.broadcast_to(old.g, (len(frames), 4, 4))
     ricci, sig = s2xs2.curvature(g, frames[:, 0], frames[:, 1])
     v, w = frames[:, 0], frames[:, 1]
-    _close(quad_form(v, ricci, v) + quad_form(w, ricci, w) - sig, bric)
+    _close(ref.quad_form(v, ricci, v) + ref.quad_form(w, ricci, w) - sig, bric)
     with pytest.raises(ConfigurationError) as info:
         curvature_conditions_report(s2xs2, round_sphere(2))
     assert str(info.value).startswith(f"{s2xs2.name}: no closed-form curvature conditions")

@@ -5,13 +5,16 @@ the batched ``build_svd_frame`` and ``field_geometry`` replaced; both must
 agree to 1e-12 at every node.
 """
 
+import ast
 import math
+import pathlib
 import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import graphflow
 import reference_geometry as ref
 from graphflow.app import _identity_samples
 from graphflow.classify import classify_limit
@@ -29,7 +32,7 @@ GEOMETRY_FIELDS = ("a_xi", "a_eta", "h_xi", "h_eta", "a_sq", "h_sq")
 def _tsui_field(nodes):
     # the column lift, and its full-width twin on the loop stencils
     eq = EquivariantFlow(nodes, lambda th: 0.8 * np.sin(th))
-    return eq.expand_field(eq.h), ref.full_width_lift(eq, eq.h, ref.LoopStencilField)
+    return eq.expand_fields([eq.h])[0], ref.full_width_lift(eq, eq.h, ref.LoopStencilField)
 
 
 def _with_loop_twin(field):
@@ -101,8 +104,8 @@ def _assert_exact_lift_derivatives(eq, h, lift, full):
     exactly d_phi f = (0, 1) and 0, and within 1e-13 of the full lift's, whose
     d_phi phi rounds its own way (1 +- 7e-16, and d2_phiphi phi up to 2.3e-14 at
     256 nodes)."""
-    df, d2f = lift.df_field()[:, 0], lift.d2f_field()[:, 0]
-    full_df, full_d2f = full.df_field()[:, 0], full.d2f_field()[:, 0]
+    df, d2f = ref.df_field(lift)[:, 0], ref.d2f_field(lift)[:, 0]
+    full_df, full_d2f = ref.df_field(full)[:, 0], ref.d2f_field(full)[:, 0]
     b = np.concatenate([-h[:1], h, -h[-1:]])  # h(-theta) = -h(theta), h(pi + s) = -h(pi - s)
     sign = np.where(lift.f[:, 0, 1] == 0, 1.0, -1.0)  # where the wrap mirrored h: -1
     assert np.array_equal(df[:, 0, 0], full_df[:, 0, 0]), "d_theta f^theta: full lift"
@@ -124,8 +127,8 @@ def _assert_lifts_match_full_width_lifts(nodes):
     states = run.states[:3]
     assert states[0].t == 0 and len(states) == 3
     readers = {"p": GraphMapField.p_field, "h2": h2_field,
-               "dg": GraphMapField.induced_dg_field,
-               "induced_g_inv": GraphMapField.induced_g_inv_field}
+               "dg": ref.induced_dg_field,
+               "induced_g_inv": ref.induced_g_inv_field}
     for state, lift in zip(states, eq.expand_fields([s.h for s in states])):
         full = ref.full_width_lift(eq, state.h)
         assert lift.shape == (nodes, 1) and lift.copies == PHI_WIDTH
@@ -135,7 +138,9 @@ def _assert_lifts_match_full_width_lifts(nodes):
         _assert_exact_lift_derivatives(eq, state.h, lift, full)
         for name, read in readers.items():
             assert read(lift).shape[1] == 1 and _close(read(lift), read(full)), name
-            assert not read(lift).flags.writeable, name
+        # each is read from a read-only column of the batch's values
+        for value in (lift.p_field(), h2_field(lift), lift._dg_rows(), lift._pointwise().g_inv):
+            assert not value.flags.writeable
         geo, want = field_geometry(lift), field_geometry(full)
         for key in GEOMETRY_FIELDS:
             assert _close(getattr(geo, key), getattr(want, key)), key
@@ -186,10 +191,10 @@ def test_lifts_of_profiles_the_wrap_mirrors_match_full_width_lifts(profile):
     # where h < 0, N.wrap stores (-h, phi + pi): the column's theta derivatives change
     # sign there, as the full lift's seam-aware stencils read them
     eq = EquivariantFlow(32, profile)
-    lift, full = eq.expand_field(eq.h), ref.full_width_lift(eq, eq.h)
+    lift, full = eq.expand_fields([eq.h])[0], ref.full_width_lift(eq, eq.h)
     assert (lift.f[:, 0, 1] == math.pi).sum() >= 15
     _assert_exact_lift_derivatives(eq, eq.h, lift, full)
-    for read in (GraphMapField.p_field, h2_field, GraphMapField.induced_dg_field):
+    for read in (GraphMapField.p_field, h2_field, ref.induced_dg_field):
         assert _close(read(lift), read(full))
     geo, want = field_geometry(lift), field_geometry(full)
     for key in GEOMETRY_FIELDS:
@@ -362,3 +367,74 @@ def test_m3_frames_call_no_lapack(monkeypatch):
     frame = build_svd_frame(df, g_m, g_n)
     assert frame.alpha.shape == (len(df), 3, 3) and np.isfinite(frame.alpha).all()
     assert (frame.mu > 0).all()
+
+
+def _s1xs2_triple():
+    """A checkpoint of ``_s1xs2_to_warped_field``'s map on (6, 12, 8), whose 12 theta nodes
+    leave 4 interior ones: (t, dt_prev, dt_next, f_prev, f_now, f_next) of two RK2 steps."""
+    m, n = product_s1_s2(), WarpedSurface(builtin_warp("cosh"))
+    x = GraphMapField(m, n, (6, 12, 8), np.zeros((6, 12, 8, 2))).coords()
+    states = [FlowState(field=GraphMapField(m, n, (6, 12, 8), np.stack(
+        [x[..., 0] + 0.3 * np.sin(x[..., 2]),
+         0.5 + 0.2 * np.cos(x[..., 1]) * np.sin(x[..., 0])], axis=-1)))]
+    for _ in range(2):
+        states.append(step(states[-1], FlowParams(t_end=1.0)))
+    s0, s1, s2 = states
+    return (s1.t, s1.t - s0.t, s2.t - s1.t, s0.field, s1.field, s2.field)
+
+
+def test_monitors_call_no_lapack(monkeypatch):
+    # an m = 3 checkpoint's residual and inequalities, and the classifier: the frame, A and
+    # the monitors' contractions have closed forms on rows
+    triple = _s1xs2_triple()
+    _refuse_lapack(monkeypatch, "the monitors of an m = 3 grid")
+    (row,) = residual_p_evolution([triple])
+    (cp,) = check_H_and_theta_inequalities([triple], eps1=1.0)["checkpoints"]
+    assert row["nodes"] > 0 and math.isfinite(row["l2"]) and cp["nodes"] > 0
+    assert classify_limit(triple[4], "Finished")["class"] == "NotMinimal"
+
+
+# the functions of ``src/graphflow`` that may call a BLAS routine: the identity suite's
+# oracle and the barrier certificate's generalised eigenvalues
+BLAS_ALLOWED = {"app.py": {"_identity_samples", "run_identities"},
+                "frames.py": {"generalized_eigvalsh"}}
+BLAS_PRODUCTS = {"matmul", "vecdot", "dot", "inner", "tensordot"}
+
+
+def _blas_calls(source: str) -> list:
+    """(enclosing functions, line, what) of each contraction that numpy may hand to BLAS:
+    ``@``, a call of one of BLAS_PRODUCTS (``np.dot`` or ``a.dot``) and an ``einsum`` with
+    ``optimize``."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        what = None
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            what = "@"
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in BLAS_PRODUCTS or (
+                    name == "einsum" and any(k.arg == "optimize" for k in node.keywords)):
+                what = name
+        if what:
+            found.append((scope, node.lineno, what))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_no_blas_call_outside_the_allowed_functions():
+    # the step, the monitors, the classifier and the curvature terms contract by
+    # elementwise products and np.add.reduce (or a plain einsum), so no BLAS kernel
+    # decides their bits; each allowed function does hold such a call
+    probe = ("def f(a, b):\n    a @= b\n    return np.einsum('ij,j', a, b, optimize=True), "
+             "np.vecdot(a, b), a.dot(b), np.einsum('ij,j', a, b)\n")
+    assert [what for _, _, what in _blas_calls(probe)] == ["@", "einsum", "vecdot", "dot"]
+    src = pathlib.Path(graphflow.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        calls, allowed = _blas_calls(path.read_text()), BLAS_ALLOWED.get(path.name, set())
+        assert [c for c in calls if not allowed & set(c[0])] == [], path.name
+        assert allowed <= {name for scope, _, _ in calls for name in scope}, path.name

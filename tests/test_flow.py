@@ -17,7 +17,7 @@ from graphflow.errors import ConfigurationError, NotAreaDecreasingError, SolverA
 import graphflow.flow
 from graphflow.flow import (DRIFT_DT, EquivariantFlow, FlowParams, FlowRecord, FlowState,
                             _sample_times, cfl_dt, drift_velocity, h2_field, nonparametric_rhs,
-                            reduce_circle_drift, step, tangential_vector_field)
+                            reduce_circle_drift, step)
 from graphflow.geometry import (Warp, WarpedSurface, builtin_warp, curvature_conditions_report,
                                 flat_torus, product_s1_s2)
 from graphflow.immersion import GraphMapField, field_geometry, grid_cached, row_cached
@@ -42,7 +42,7 @@ def test_flow_params_validation():
 def test_stationary_map_has_zero_velocity():
     f = _stationary_torus_field()
     assert np.abs(nonparametric_rhs(f)).max() < 1e-12
-    assert np.abs(tangential_vector_field(f)).max() < 1e-12
+    assert np.abs(ref.tangent_field(f)).max() < 1e-12
     assert h2_field(f).max() < 1e-24
 
 
@@ -52,7 +52,7 @@ def test_h2_field_matches_point_geometry():
     worst = {}
     for n in (32, 64):
         eq = EquivariantFlow(n, lambda th: 0.8 * np.sin(th))
-        fld = eq.expand_field(eq.h)
+        fld = eq.expand_fields([eq.h])[0]
         h2, pointwise = h2_field(fld), field_geometry(fld).h_sq
         worst[n] = max(abs(h2[i, 0] - pointwise[i, 0])
                        for i in (n // 4, n // 2, 3 * n // 4))
@@ -132,7 +132,7 @@ def _tangential_oracle_fields():
         [x[..., 0] + 0.2 * np.sin(x[..., 2]), x[..., 1] + 0.1 * np.cos(x[..., 0] - x[..., 2])],
         axis=-1))
     eq = EquivariantFlow(32, lambda th: 0.8 * np.sin(th))
-    yield eq.expand_field(eq.h)
+    yield eq.expand_fields([eq.h])[0]
 
 
 def test_tangential_field_matches_the_christoffel_oracle():
@@ -140,7 +140,7 @@ def test_tangential_field_matches_the_christoffel_oracle():
     # g-trace of Gamma_g - Gamma_M over the full induced Christoffel tensor
     for field in _tangential_oracle_fields():
         want = ref.tangential_vector_field(field)
-        got = tangential_vector_field(field)
+        got = ref.tangent_field(field)
         assert np.abs(want).max() > 1e-2, field.M.name       # a field that moves
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), field.M.name
 
@@ -159,7 +159,7 @@ def test_grid_step_matches_the_eigh_oracle(monkeypatch, make):
     # closed-form max eigenvalue of g^{-1} (the step bound) against the eigh
     # decomposition: on S^1 x S^2 the induced metric is diagonal, on T^3 it is not
     field = make()
-    g = field.induced_g_field()
+    g = ref.induced_g_field(field)
     assert (np.abs(g[..., 0, 1]).max() > 1e-2) == (make is _torus3_to_t2_field)
     oracle = ref.EighMetricField(field.M, field.N, field.shape, field.f)
     params = FlowParams(t_end=1.0)
@@ -225,7 +225,7 @@ def test_grid_step_does_its_work_once(monkeypatch):
         return wrapper
 
     # each LAPACK call is named by the nearest of these readers on its stack
-    readers = ("inverse_metric", "induced_g_inv_field", "cfl_dt")
+    readers = ("inverse_metric", "_pointwise", "cfl_dt")
 
     def by_reader(name, fn):
         def wrapper(*args, **kwargs):
@@ -320,7 +320,7 @@ def test_equivariant_rejects_non_area_decreasing_profile():
 
 def test_equivariant_rhs_matches_generic_operator():
     eq = EquivariantFlow(48, lambda th: 0.8 * np.sin(th))
-    fld = eq.expand_field(eq.h)
+    fld = eq.expand_fields([eq.h])[0]
     v2 = nonparametric_rhs(fld)
     v1 = eq.rhs(eq.h)[0]
     assert np.abs(v2[:, 0, 0] - v1).max() < 1e-10   # colatitude component
@@ -466,8 +466,8 @@ def test_converging_run_computes_one_step_past_its_last(monkeypatch):
 _KERNEL_DIGEST = """if True:
     import hashlib
     import numpy as np
-    from graphflow.flow import (EquivariantFlow, FlowParams, FlowState, cfl_dt, h2_field,
-                                nonparametric_rhs, step, tangential_vector_field)
+    from graphflow.flow import (EquivariantFlow, FlowParams, FlowState, _tangent_rows, cfl_dt,
+                                h2_field, nonparametric_rhs, step)
     from graphflow.geometry import WarpedSurface, builtin_warp, flat_torus, product_s1_s2
     from graphflow.immersion import GraphMapField
 
@@ -483,8 +483,8 @@ _KERNEL_DIGEST = """if True:
     eq = EquivariantFlow(32, lambda th: 0.8 * np.sin(th))
     params = FlowParams(t_end=1.0)
     digest = hashlib.sha256()
-    for field in (s1xs2, t3, eq.expand_field(eq.h)):
-        for value in (nonparametric_rhs(field), tangential_vector_field(field), h2_field(field),
+    for field in (s1xs2, t3, eq.expand_fields([eq.h])[0]):
+        for value in (nonparametric_rhs(field), _tangent_rows(field)[0], h2_field(field),
                       field.p_field(), np.float64(cfl_dt(field, params))):
             digest.update(np.ascontiguousarray(value).tobytes())
     for field in (s1xs2, t3):
@@ -497,11 +497,9 @@ _KERNEL_DIGEST = """if True:
 """
 
 
-def test_grid_step_holds_on_every_blas_kernel():
-    # the step's fields are contracted on rows by elementwise products and np.add.reduce, in
-    # a fixed order that no BLAS kernel picks, and its step bound has no LAPACK call: their
-    # bytes are the same on the default kernel and on OpenBLAS's Haswell and Prescott (SSE3,
-    # no FMA) kernels
+def _digests_on_every_kernel(code: str) -> list:
+    """The output of ``code`` in a child process on the default kernel and on OpenBLAS's
+    Haswell and Prescott (SSE3, no FMA) kernels."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     digests = []
     for coretype in (None, "Haswell", "Prescott"):
@@ -510,10 +508,64 @@ def test_grid_step_holds_on_every_blas_kernel():
             [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
         if coretype:
             env["OPENBLAS_CORETYPE"] = coretype
-        proc = subprocess.run([sys.executable, "-c", _KERNEL_DIGEST], env=env,
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         digests.append(proc.stdout)
+    return digests
+
+
+def test_grid_step_holds_on_every_blas_kernel():
+    # the step's fields are contracted on rows by elementwise products and np.add.reduce, in
+    # a fixed order that no BLAS kernel picks, and its step bound has no LAPACK call: their
+    # bytes are the same on the default kernel and on OpenBLAS's Haswell and Prescott (SSE3,
+    # no FMA) kernels
+    digests = _digests_on_every_kernel(_KERNEL_DIGEST)
+    assert digests[0] == digests[1] == digests[2], digests
+
+
+# the same for the monitors: field_geometry's A, |A|^2 and H on the (6, 8, 8) S^1 x S^2 -> cosh
+# field, and at a checkpoint of the same map (a stencil triple of two RK2 steps on (6, 12, 8),
+# since a reflect axis of 8 nodes leaves no interior node) A, |A|^2 and H again, the residual
+# row of p and the inequality slacks
+_MONITOR_DIGEST = """if True:
+    import hashlib
+    import numpy as np
+    from graphflow.flow import FlowParams, FlowState, step
+    from graphflow.geometry import WarpedSurface, builtin_warp, product_s1_s2
+    from graphflow.immersion import GraphMapField, field_geometry
+    from graphflow.verify import check_H_and_theta_inequalities, residual_p_evolution
+
+    def field(shape):
+        m, n = product_s1_s2(), WarpedSurface(builtin_warp("cosh"))
+        x = GraphMapField(m, n, shape, np.zeros(shape + (2,))).coords()
+        return GraphMapField(m, n, shape, np.stack(
+            [x[..., 0] + 0.3 * np.sin(x[..., 2]),
+             0.5 + 0.2 * np.cos(x[..., 1]) * np.sin(x[..., 0])], -1))
+
+    states = [FlowState(field=field((6, 12, 8)))]
+    for _ in range(2):
+        states.append(step(states[-1], FlowParams(t_end=1.0)))
+    (s0, s1, s2), digest = states, hashlib.sha256()
+    triple = (s1.t, s1.t - s0.t, s2.t - s1.t, s0.field, s1.field, s2.field)
+    for fld in (field((6, 8, 8)), s1.field):
+        geo = field_geometry(fld)
+        for value in (geo.a_xi, geo.a_eta, geo.a_sq, geo.h_xi, geo.h_eta):
+            digest.update(np.ascontiguousarray(value).tobytes())
+    (row,) = residual_p_evolution([triple])
+    (cp,) = check_H_and_theta_inequalities([triple], eps1=1.0)["checkpoints"]
+    assert row["nodes"] > 0 and cp["nodes"] > 0
+    digest.update(repr([row["l2"], row["linf"], cp["worst_slack_h"], cp["worst_slack_theta"],
+                        cp["worst_w_excess"]]).encode())
+    print(digest.hexdigest())
+"""
+
+
+def test_monitors_hold_on_every_blas_kernel():
+    # field_geometry, the p residual and the inequalities contract rows by elementwise
+    # products and np.add.reduce, and M's curvature terms sum the same way: no BLAS kernel
+    # decides their bits
+    digests = _digests_on_every_kernel(_MONITOR_DIGEST)
     assert digests[0] == digests[1] == digests[2], digests
 
 

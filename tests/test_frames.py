@@ -216,6 +216,21 @@ def test_closed_form_max_eigenvalue_against_lapack(k, cond):
     want = np.linalg.eigvalsh(g)
     assert (np.abs(lam_min - want[:, 0]) <= 4 * EPS * cond * want[:, 0]).all()
     assert (np.abs(max_eigenvalue(sym_rows(g)) - want[:, -1]) <= 8 * EPS * want[:, -1]).all()
+    if k == 3 and cond == 1e2:
+        # where the two largest eigenvalues of g^{-1} meet, at eigenvalues (1, 1e-2 (1 + gap),
+        # 1e-2) of g, the trigonometric form loses digits (its arccos argument near -1): on
+        # 2,000 orientations 1/Lambda reads 9.4e-9, 5.2e-9 and 8.5e-11 relative at the gaps 0,
+        # 1e-8 and 1e-6, against eps cond = 2.2e-14.  The bounds are about 10x those; the
+        # per-node Gershgorin step bound (ROADMAP item 2 PR a), which needs no eigenvalue,
+        # removes the loss
+        rng = np.random.default_rng(3)
+        for gap, bound in ((0.0, 1e-7), (1e-8, 6e-8), (1e-6, 1e-9)):
+            q, _ = np.linalg.qr(rng.standard_normal((2000, 3, 3)))
+            g = (q * np.array([1.0, 1e-2 * (1 + gap), 1e-2])) @ np.swapaxes(q, -1, -2)
+            g = (g + np.swapaxes(g, -1, -2)) / 2
+            lam_min = 1.0 / max_eigenvalue(sym_inverse_and_det(sym_rows(g))[0])
+            want = np.linalg.eigvalsh(g)[:, 0]
+            assert (np.abs(lam_min - want) <= bound * want).all(), gap
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -288,8 +303,9 @@ def test_m2_frame_matches_the_stacked_oracle_on_tsui_lifts(nodes):
     eq = EquivariantFlow(nodes, lambda th: 0.8 * np.sin(th))
     run = eq.run(0.05, record_every=10)
     for h in (run.states[0].h, run.states[-1].h):
-        for fld in (eq.expand_field(h), reference_geometry.full_width_lift(eq, h)):
-            new, old = _frames(fld.df_field(), fld.g_m_field(), fld.g_n_field())
+        for fld in (eq.expand_fields([h])[0], reference_geometry.full_width_lift(eq, h)):
+            new, old = _frames(reference_geometry.df_field(fld), fld.g_m_field(),
+                               reference_geometry.g_n_field(fld))
             for name in FRAME_FIELDS:
                 got, want = getattr(new, name), getattr(old, name)
                 assert got.shape == want.shape, name

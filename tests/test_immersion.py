@@ -8,11 +8,9 @@ import pytest
 
 import reference_geometry as ref
 from graphflow.errors import ConfigurationError, DomainError, SolverAbort
-from graphflow.flow import (EquivariantFlow, FlowParams, cfl_dt, h2_field, nonparametric_rhs,
-                            tangential_vector_field)
+from graphflow.flow import EquivariantFlow, FlowParams, cfl_dt, h2_field, nonparametric_rhs
 from graphflow.geometry import (WARP_Z_MAX, WarpedSurface, builtin_warp, flat_torus, product,
                                 product_s1_s2, round_sphere)
-from graphflow.frames import quad_form
 from graphflow.immersion import COLUMN_SOURCE, FieldRows, GraphMapField, field_geometry, w_norm_sq
 
 
@@ -101,9 +99,9 @@ def test_axis_coords_offset_on_reflect():
 
 def test_identity_map_derivatives():
     f = _torus_field(16)
-    df = f.df_field()
+    df = ref.df_field(f)
     assert np.abs(df - np.eye(2)).max() < 1e-12
-    assert np.abs(f.d2f_field()).max() < 1e-12
+    assert np.abs(ref.d2f_field(f)).max() < 1e-12
 
 
 def test_smooth_map_derivative_accuracy():
@@ -116,7 +114,7 @@ def test_smooth_map_derivative_accuracy():
         exact[..., 0, 1] = -0.3 * np.sin(xs[..., 0])
         exact[..., 1, 0] = 0.3 * np.cos(xs[..., 1])
         exact[..., 1, 1] = 1.0
-        errs.append(np.abs(f.df_field() - exact).max())
+        errs.append(np.abs(ref.df_field(f) - exact).max())
     assert 3.0 < errs[0] / errs[1] < 5.0  # second-order stencils
 
 
@@ -137,8 +135,8 @@ def test_grad_norm_sq_flat():
     x = f.coords()[..., 0]
     u = np.sin(x)
     expect = np.cos(x) ** 2 / 1.25
-    du = f._laplace_and_gradient(u[..., None])[1][0]
-    assert np.abs(quad_form(du, f.induced_g_inv_field(), du) - expect).max() < 5e-3
+    du = f._grid_array(f._laplace_and_gradient(u[..., None])[1][0])
+    assert np.abs(ref.quad_form(du, ref.induced_g_inv_field(f), du) - expect).max() < 5e-3
 
 
 # -- induced metric, singular values, p --------------------------------------
@@ -187,14 +185,14 @@ def test_with_values_matches_a_fresh_field(start):
     # with_values reuses the grid that the first field validated; a field made
     # that way must be bit for bit the field that the constructor makes
     first, values = start()
-    first.p_field(), first.induced_g_inv_field()  # the first field has its fields cached
+    first.p_field(), ref.induced_g_inv_field(first)  # the first field has its fields cached
     light = first.with_values(values)
     fresh = GraphMapField(first.M, first.N, first.shape, values)
     readers = {
-        "f": lambda fld: fld.f, "df": GraphMapField.df_field, "d2f": GraphMapField.d2f_field,
-        "g_n": GraphMapField.g_n_field, "gamma_n": GraphMapField.gamma_n_field,
-        "induced_g": GraphMapField.induced_g_field,
-        "induced_g_inv": GraphMapField.induced_g_inv_field, "p": GraphMapField.p_field,
+        "f": lambda fld: fld.f, "df": ref.df_field, "d2f": ref.d2f_field,
+        "g_n": ref.g_n_field, "gamma_n": ref.gamma_n_field,
+        "induced_g": ref.induced_g_field,
+        "induced_g_inv": ref.induced_g_inv_field, "p": GraphMapField.p_field,
         "rhs": nonparametric_rhs, "h2": h2_field,
     }
     for name, read in readers.items():
@@ -249,7 +247,7 @@ def test_corrupted_induced_metric_aborts(monkeypatch, corruption):
                      "inf_times_zero": np.diag([np.inf, 1.0]),
                      "indefinite": np.diag([1.0, -50.0])}[corruption]
         monkeypatch.setattr(fld.N, "_metric", lambda x, g_n=g_n: g_n)
-        for read in (GraphMapField.induced_g_inv_field, GraphMapField.volume_density):
+        for read in (ref.induced_g_inv_field, GraphMapField.volume_density):
             with pytest.raises(SolverAbort,
                                match=r"^induced metric not positive definite \(corrupted state\)$"):
                 read(fld)
@@ -259,9 +257,9 @@ def test_induced_metric_of_an_m3_field_in_closed_form():
     # one L D L^T factorisation gives the inverse and sqrt(det g); cfl_dt reads the
     # max eigenvalue of that inverse in closed form, within rounding of eigvalsh's
     fld = _torus3_field()
-    g = fld.induced_g_field()
+    g = ref.induced_g_field(fld)
     scale = np.abs(np.linalg.inv(g)).max()
-    assert np.abs(fld.induced_g_inv_field() - np.linalg.inv(g)).max() <= 1e-14 * scale
+    assert np.abs(ref.induced_g_inv_field(fld) - np.linalg.inv(g)).max() <= 1e-14 * scale
     root_det = np.sqrt(np.linalg.det(g))
     assert np.abs(fld.volume_density() - root_det).max() <= 1e-14 * root_det.max()
     params = FlowParams()
@@ -278,10 +276,10 @@ def test_induced_metric_of_an_m4_field():
     x = GraphMapField(m, flat_torus(2), shape, np.zeros(shape + (2,))).coords()
     fld = GraphMapField(m, flat_torus(2, scale=0.5), shape, np.stack(
         [x[..., 1] + 0.3 * np.sin(x[..., 2]), x[..., 3] + 0.2 * np.cos(x[..., 0])], axis=-1))
-    g = fld.induced_g_field()
+    g = ref.induced_g_field(fld)
     assert np.abs(g[..., 0, 3]).min() > 1e-2 and np.abs(g[..., 1, 2]).min() > 1e-2
     want = np.linalg.inv(g)
-    assert np.abs(fld.induced_g_inv_field() - want).max() <= 1e-14 * np.abs(want).max()
+    assert np.abs(ref.induced_g_inv_field(fld) - want).max() <= 1e-14 * np.abs(want).max()
     root_det = np.sqrt(np.linalg.det(g))
     assert np.abs(fld.volume_density() - root_det).max() <= 1e-14 * root_det.max()
 
@@ -316,13 +314,16 @@ def _assert_pass_matches_row_getters(fld, oracle):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     assert np.abs(got.v).max() > 1e-2  # a field that moves
     # the oracle's own g_n_field, gamma_n_field and p_field: the chart's grid arrays, and
-    # p from invariant_rows
-    for name in ("g_n_field", "gamma_n_field", "induced_g_field", "induced_g_inv_field",
-                 "volume_density", "covariant_d2f", "p_field"):
+    # p from invariant_rows; the field's grid arrays of its rows
+    for name in ("g_n_field", "gamma_n_field"):
+        assert np.array_equal(getattr(ref, name)(fld), getattr(oracle, name)()), name
+    for read in (ref.induced_g_field, ref.induced_g_inv_field, ref.covariant_d2f):
+        assert np.array_equal(read(fld), read(oracle)), read.__name__
+    for name in ("volume_density", "p_field"):
         assert np.array_equal(getattr(fld, name)(), getattr(oracle, name)()), name
     assert np.array_equal(nonparametric_rhs(fld), nonparametric_rhs(oracle))
     assert np.array_equal(h2_field(fld), ref.row_getter_h2_field(oracle))
-    assert np.array_equal(tangential_vector_field(fld),
+    assert np.array_equal(ref.tangent_field(fld),
                           ref.row_getter_tangential_vector_field(oracle))
 
 
@@ -349,7 +350,7 @@ def test_pointwise_pass_of_a_lift_batch_matches_the_row_getters():
         for read, want in ((GraphMapField.p_field, oracle.p_field()),
                            (nonparametric_rhs, nonparametric_rhs(oracle)),
                            (h2_field, ref.row_getter_h2_field(oracle)),
-                           (GraphMapField.covariant_d2f, oracle.covariant_d2f())):
+                           (ref.covariant_d2f, ref.covariant_d2f(oracle))):
             assert np.array_equal(read(lift), want[:, k:k + 1]), (k, read.__name__)
 
 
@@ -376,12 +377,12 @@ def test_identity_map_flat_geometry():
     pg = field_geometry(f)[3, 7]
     assert pg.a_sq < 1e-24
     assert pg.h_sq < 1e-24
-    assert np.allclose(f.induced_g_field()[3, 7], 1.25 * np.eye(2))
+    assert np.allclose(ref.induced_g_field(f)[3, 7], 1.25 * np.eye(2))
 
 
 def test_w_norm_and_theta_nonnegative():
     eq = EquivariantFlow(32, lambda th: 0.8 * np.sin(th))
-    fld = eq.expand_field(eq.h)
+    fld = eq.expand_fields([eq.h])[0]
     pg = field_geometry(fld)[16, 0]
     assert pg.h_sq > 0
     assert 0.0 <= w_norm_sq(pg.frame, pg.h_xi, pg.h_eta) <= pg.h_sq + 1e-15
@@ -391,7 +392,7 @@ def test_w_norm_and_theta_nonnegative():
 def _p_gradient_check(field: GraphMapField, node) -> np.ndarray:
     """|discrete grad_{e_k} p - (2 A^xi_{1k} T11 + 2 A^eta_{2k} T22)| per k."""
     pg = field_geometry(field)[node]
-    dp = field._laplace_and_gradient(field.p_field()[..., None])[1][0][node]
+    dp = field._grid_array(field._laplace_and_gradient(field.p_field()[..., None])[1][0])[node]
     fr = pg.frame
     lhs = fr.e @ dp
     rhs = 2 * pg.a_xi[0] * fr.t11 + 2 * pg.a_eta[1] * fr.t22
@@ -402,7 +403,7 @@ def test_p_gradient_identity_converges():
     errs = []
     for n in (32, 64):
         eq = EquivariantFlow(n, lambda th: 0.8 * np.sin(th))
-        fld = eq.expand_field(eq.h)
+        fld = eq.expand_fields([eq.h])[0]
         errs.append(_p_gradient_check(fld, (n // 2, 0)).max())
     assert errs[1] < errs[0]
     assert errs[1] < 1e-2
@@ -410,7 +411,7 @@ def test_p_gradient_identity_converges():
 
 def test_expanded_field_matches_reduction():
     eq = EquivariantFlow(48, lambda th: 0.8 * np.sin(th))
-    fld = eq.expand_field(eq.h)
+    fld = eq.expand_fields([eq.h])[0]
     lam2, mu2 = fld.singular_value_fields()
     lam1, mu1 = eq.singular_values(eq.rhs(eq.h))
     assert np.abs(lam2[:, 0] - lam1).max() < 1e-10

@@ -7,9 +7,7 @@ import pytest
 
 import reference_geometry as ref
 from graphflow.errors import ConfigurationError, NotAreaDecreasingError
-from graphflow.flow import (EquivariantFlow, FlowParams, FlowRecord, FlowState, step,
-                            tangential_vector_field)
-from graphflow.frames import quad_form
+from graphflow.flow import EquivariantFlow, FlowParams, FlowRecord, FlowState, step
 from graphflow.geometry import (Warp, WarpedSurface, builtin_warp, curvature_conditions_report,
                                 flat_torus, product_s1_s2)
 from graphflow.immersion import GraphMapField, field_geometry
@@ -220,7 +218,7 @@ def test_monitors_match_the_induced_christoffel_oracle(make_triple):
     triple = make_triple()
     field = triple[4]
     mask = field.interior_mask()
-    assert np.abs(tangential_vector_field(field)[mask]).max() > 1e-2  # a live advection term
+    assert np.abs(ref.tangent_field(field)[mask]).max() > 1e-2  # a live advection term
     geo, want = field_geometry(field), ref.christoffel_field_geometry(field)
     # tr A_xi of an equivariant lift is zero up to rounding: xi and eta share their pair's scale
     for pair in (("a_xi", "a_eta"), ("h_xi", "h_eta")):
@@ -259,7 +257,7 @@ def test_monitors_read_every_m_from_its_chart_curvature(monkeypatch, make_triple
 
     def counted(g, v, w):
         ricci, sig_m = curvature(g, v, w)
-        seen.append((quad_form(v, ricci, v), quad_form(w, ricci, w), sig_m))
+        seen.append((ref.quad_form(v, ricci, v), ref.quad_form(w, ricci, w), sig_m))
         return ricci, sig_m
 
     monkeypatch.setattr(m_manifold, "curvature", counted)
