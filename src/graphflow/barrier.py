@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .frames import generalized_eigvalsh
+from .frames import components, generalized_eigvalsh
 from .geometry import ChartManifold, product
 
 DIAMETER_SLOPE_TOL = 0.05  # slack of the fitted log-diameter slope over -eps0/2
@@ -43,20 +43,16 @@ class ConvexityCertificate:
     m: int
 
 
-def covariant_hessian(barrier: BarrierFunction, m_manifold: ChartManifold,
-                      n_manifold: ChartManifold, y) -> np.ndarray:
-    """D^2 phi = d^2 phi - Gamma^k d_k phi w.r.t. the product connection."""
-    y = np.asarray(y, dtype=float)
-    gam = product(m_manifold, n_manifold).christoffels_many(y)
-    return barrier.hess(y) - np.einsum("...kij,...k->...ij", gam, barrier.grad(y))
-
-
 def m_convexity_at(barrier: BarrierFunction, m_manifold: ChartManifold,
                    n_manifold: ChartManifold, y, m: int) -> np.ndarray:
-    """Sum of the m smallest eigenvalues of the metric Hessian of phi at y, (...)."""
-    d2 = covariant_hessian(barrier, m_manifold, n_manifold, y)
-    g = product(m_manifold, n_manifold).metric_many(y)
-    return np.sum(generalized_eigvalsh(d2, g)[..., :m], axis=-1)
+    """Sum of the m smallest eigenvalues of the metric Hessian of phi at y, (...): the covariant
+    Hessian D^2 phi = d^2 phi - Gamma^k d_k phi of the product connection, whose g and Gamma
+    come from one ``rows`` call of the product chart, taken points last."""
+    y = np.asarray(y, dtype=float)
+    g, gam = product(m_manifold, n_manifold).rows(np.moveaxis(y, -1, 0))
+    d2 = barrier.hess(y) - np.einsum("...kij,...k->...ij", components(gam, gam.ndim - 3),
+                                     barrier.grad(y))
+    return np.sum(generalized_eigvalsh(d2, components(g, g.ndim - 2))[..., :m], axis=-1)
 
 
 def certify_convexity(barrier: BarrierFunction, m_manifold: ChartManifold,

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigurationError, NotAreaDecreasingError, SolverAbort
 from .frames import max_eigenvalue, p_batch, sym_index
 from .geometry import Warp, WarpedSurface, round_sphere
-from .immersion import COLUMN_SOURCE, GraphMapField, row_cached
+from .immersion import COLUMN_SOURCE, GraphMapField, MRows, row_cached
 
 CFL = 0.4  # Courant factor of the explicit steps (``cfl_dt``, ``EquivariantFlow.run``)
 CONVERGENCE_STREAK = 100  # consecutive steps with max|H| below tolerance
@@ -78,11 +78,11 @@ def _tangent_rows(field: GraphMapField) -> tuple[np.ndarray, np.ndarray]:
     div = np.add.reduce(g_full[:, :, None] * dg.take(full, axis=0).transpose(2, 0, 1, 3),
                         axis=(0, 1))
     trace = np.add.reduce(w_ginv[:, None] * dg, axis=0)
-    gam_m = np.add.reduce(w_ginv * field._gamma_m_rows(), axis=1)
+    gam_m = np.add.reduce(w_ginv * field._m_rows().gamma, axis=1)
     x = np.add.reduce(g_full * (div - 0.5 * trace), axis=1) - gam_m
     tn = rows.v - np.add.reduce(x * field._f_derivatives()[0], axis=1)
     x_sq, tn_sq = (np.add.reduce(np.add.reduce(u[:, None] * a, axis=0) * u, axis=0)
-                   for u, a in ((x, field._g_m_rows()[0]), (tn, rows.g_n)))
+                   for u, a in ((x, field._m_rows().g), (tn, rows.g_n)))
     return x, x_sq + tn_sq
 
 
@@ -417,8 +417,7 @@ class EquivariantFlow:
         batch = object.__new__(GraphMapField)
         batch.__dict__.update(column.__dict__, shape=h.shape, _cache={},
                               f=self.N.wrap(np.stack([h, np.zeros(h.shape)], axis=-1)))
-        batch._grid = {name: np.broadcast_to(a := getattr(column, name)(), h.shape + a.shape[2:])
-                       for name in ("g_m_field", "g_m_inv_field", "gamma_m_field")}
+        batch._grid = {"_m_rows": MRows(*(np.repeat(a, width, axis=-1) for a in column._m_rows()))}
         batch._grid["_stencil_index"] = column._stencil_index() * width + np.arange(width)
         sign = np.where(batch.f[..., 1] == 0, 1.0, -1.0)  # -1 where the wrap mirrored h
         b = np.concatenate([-h[:1], h, -h[-1:]])  # h(-theta) = -h(theta), h(pi + s) = -h(pi - s)

@@ -1,11 +1,11 @@
 """Chart-based Riemannian manifolds and their closed-form curvature.
 
 A manifold is described by a single product-of-intervals chart together with
-callables returning the metric and its analytic Christoffel symbols in chart
-components, and the curvature it knows in closed form: a constant curvature,
-or for a Riemannian product (``product``) the constant curvature of each
-factor.  Nothing here differentiates a chart field; the tests keep a numeric
-curvature tensor as the oracle of the closed forms.
+one callable returning the metric and its analytic Christoffel symbols in chart
+components, both from one call on coordinate rows, and the curvature it knows in
+closed form: a constant curvature, or for a Riemannian product (``product``) the
+constant curvature of each factor.  Nothing here differentiates a chart field;
+the tests keep a numeric curvature tensor as the oracle of the closed forms.
 
 Sign convention, used everywhere in the package: the sectional curvature of a
 plane is sigma(v ^ w) = R(v, w, w, v) / |v ^ w|^2, so the round unit sphere has
@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateMetricError, DomainError, SolverAbort
-from .frames import pd_inverse
+from .frames import components, pd_inverse
 
 WARP_SAMPLES = 2001  # heights of the sup of a warped surface's Gauss curvature
 WARP_Z_MAX = 6.0  # a warped surface's chart is z in [-WARP_Z_MAX, WARP_Z_MAX]
@@ -52,38 +52,37 @@ class Axis:
 class ChartManifold:
     """Riemannian manifold given by a global coordinate chart.
 
-    ``metric_at`` and ``christoffels_at`` map chart points (..., m) to the
-    metric (..., m, m) and its analytic Christoffel symbols (..., m, m, m),
-    first index upper.  A chart states the curvature it knows in closed form:
-    ``constant_curvature`` k, or ``blocks``, the (axes, k) of each factor of a
-    Riemannian product whose factors have constant curvature k (``product``
-    builds them; k alone is the one block of all axes).  ``ricci_extremes``
-    (min Ric, min BRic, scal) follows from them.
+    ``rows_at`` maps coordinate rows x (m, ...), one row per axis, to the metric g
+    (m, m, ...) and its analytic Christoffel symbols Gamma^k_ij (m, m, m, ...), first
+    index upper, in one call: ``rows`` reads it, and ``metric_many`` and
+    ``christoffels_many`` are points-last views of ``rows``.  A chart states the
+    curvature it knows in closed form: ``constant_curvature`` k, or ``blocks``, the
+    (axes, k) of each factor of a Riemannian product whose factors have constant
+    curvature k (``product`` builds them; k alone is the one block of all axes).
+    ``ricci_extremes`` (min Ric, min BRic, scal) follows from them.
     """
 
     def __init__(
         self,
         name: str,
         axes: Sequence[Axis],
-        metric_at: Callable[[np.ndarray], np.ndarray],
-        christoffels_at: Callable[[np.ndarray], np.ndarray],
+        rows_at: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
         constant_curvature: Optional[float] = None,
         blocks: Optional[tuple[tuple[slice, float], ...]] = None,
     ):
         self.name = name
         self.axes = tuple(axes)
         self.dim = m = len(self.axes)
-        self._metric_at = metric_at
-        self._christoffels_at = christoffels_at
+        self._rows_at = rows_at
         self.constant_curvature = k = constant_curvature
         self.blocks = blocks if k is None else ((slice(0, m), k),)
         self.ricci_extremes = None
         # rows (low, high, signed) per axis: the closed range of coordinates that ``wrap`` leaves
         # as they are, and whether one with its sign bit set may pass (it turns -0 into +0)
-        self._wrap_plan = np.array([
+        self._wrap_plan = tuple(np.array([
             (ax.lo, np.nextafter(ax.hi, -np.inf), 0) if ax.periodic
             else (ax.lo, ax.hi, 1) if ax.reflect and ax.partner_axis is not None  # polar seam
-            else (ax.lo - 1e-12, ax.hi + 1e-12, 1) for ax in self.axes]).T
+            else (ax.lo - 1e-12, ax.hi + 1e-12, 1) for ax in self.axes]).T)
         if self.blocks is not None and (k is not None or m <= 3):
             dims = [(s.stop - s.start, kb) for s, kb in self.blocks]
             scal = sum(b * (b - 1) * kb for b, kb in dims)
@@ -128,17 +127,26 @@ class ChartManifold:
 
     # -- metric ------------------------------------------------------------
 
-    def metric_many(self, pts) -> np.ndarray:
-        """Metric at a batch of points, shape (..., m) -> (..., m, m); one point
-        is a batch of shape ().  ``_metric`` takes points already ``wrap``-ped."""
-        return self._metric(self.wrap(pts))
+    def rows(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """(g (m, m, ...), Gamma (m, m, m, ...)) at the coordinate rows x (m, ...), put in chart
+        range as ``wrap`` puts points; ``_rows`` takes rows already in range."""
+        return self._rows(self.wrap(np.asarray(x, dtype=float).T).T)
 
-    def _metric(self, x: np.ndarray) -> np.ndarray:
-        g = np.asarray(self._metric_at(x))
-        gt = np.swapaxes(g, -1, -2)  # g exactly, else np.allclose(g, gt, atol=1e-12), no set-up
+    def _rows(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """g and Gamma from one ``rows_at`` call.  g passes if it equals g^T exactly, else as
+        np.allclose(g, g^T, atol=1e-12) reads it (NaN and +-inf fail)."""
+        g, gam = self._rows_at(x)
+        gt = np.swapaxes(g, 0, 1)
         if not ((d := g - gt) == 0).all() and not (np.abs(d) <= 1e-12 + 1e-5 * np.abs(gt)).all():
             raise DegenerateMetricError(f"{self.name}: metric not symmetric")
-        return g
+        return g, gam
+
+    def metric_many(self, pts) -> np.ndarray:
+        """Metric at a batch of points, (..., m) -> (..., m, m): ``rows``' g, points last; one
+        point is a batch of shape ()."""
+        x = np.asarray(pts, dtype=float)
+        g = self.rows(x.reshape(-1, self.dim).T)[0]
+        return components(g, 1).reshape(x.shape[:-1] + g.shape[:2])
 
     def inverse_metric(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
         """g^{-1} of the metrics g (..., m, m) at the chart points x (..., m)."""
@@ -155,8 +163,10 @@ class ChartManifold:
 
     def christoffels_many(self, pts) -> np.ndarray:
         """Gamma^k_{ij} at a batch of points, (..., m) -> (..., m, m, m), first index
-        upper; one point is a batch of shape ()."""
-        return np.asarray(self._christoffels_at(self.wrap(pts)))
+        upper: ``rows``' Gamma, points last; one point is a batch of shape ()."""
+        x = np.asarray(pts, dtype=float)
+        gam = self.rows(x.reshape(-1, self.dim).T)[1]
+        return components(gam, 1).reshape(x.shape[:-1] + gam.shape[:3])
 
     # -- closed-form curvature -----------------------------------------------
 
@@ -266,27 +276,17 @@ class WarpedSurface(ChartManifold):
         self.warp = warp
         axes = [Axis(0.0, 2 * math.pi, periodic=True), Axis(-WARP_Z_MAX, WARP_Z_MAX)]
 
-        def metric(x):
-            wz = warp.w(x[..., 1])
-            g = np.zeros(x.shape + (2,), dtype=x.dtype)
-            g[..., 0, 0] = wz * wz
-            g[..., 1, 1] = 1.0
-            return g
+        def rows_at(x):
+            wz, dwz = warp.w(x[1]), warp.dw(x[1])
+            g = np.zeros((2,) + x.shape, dtype=x.dtype)
+            g[0, 0] = wz * wz
+            g[1, 1] = 1.0
+            gam = np.zeros((2, 2) + x.shape, dtype=x.dtype)
+            gam[0, 0, 1] = gam[0, 1, 0] = dwz / wz
+            gam[1, 0, 0] = -wz * dwz
+            return g, gam
 
-        def christoffels(x):
-            wz = warp.w(x[..., 1])
-            dwz = warp.dw(x[..., 1])
-            gam = np.zeros(x.shape + (2, 2), dtype=x.dtype)
-            gam[..., 0, 0, 1] = gam[..., 0, 1, 0] = dwz / wz
-            gam[..., 1, 0, 0] = -wz * dwz
-            return gam
-
-        super().__init__(
-            name=f"warped_cylinder[{warp.name}]",
-            axes=axes,
-            metric_at=metric,
-            christoffels_at=christoffels,
-        )
+        super().__init__(name=f"warped_cylinder[{warp.name}]", axes=axes, rows_at=rows_at)
         zs = np.linspace(axes[1].lo, axes[1].hi, 201)
         with np.errstate(all="raise"):
             ws = np.asarray(warp.w(zs), dtype=float)
@@ -314,13 +314,14 @@ def flat_torus(m: int, scale: float = 1.0) -> ChartManifold:
     """Flat m-torus of period 2 pi; ``scale`` multiplies the metric by scale^2 (homothety)."""
     axes = [Axis(0.0, 2 * math.pi, periodic=True) for _ in range(m)]
     eye = scale * scale * np.eye(m)
-    return ChartManifold(
-        name=f"flat_torus_{m}",
-        axes=axes,
-        metric_at=lambda x: np.ones(x.shape[:-1] + (1, 1), dtype=x.dtype) * eye,
-        christoffels_at=lambda x: np.zeros(x.shape + (m, m), dtype=x.dtype),
-        constant_curvature=0.0,
-    )
+
+    def rows_at(x):
+        pad = (1,) * (x.ndim - 1)
+        return (np.ones((1, 1) + x.shape[1:], dtype=x.dtype) * eye.reshape((m, m) + pad),
+                np.zeros((m, m) + x.shape, dtype=x.dtype))
+
+    return ChartManifold(name=f"flat_torus_{m}", axes=axes, rows_at=rows_at,
+                         constant_curvature=0.0)
 
 
 def round_sphere(m: int, curvature: float = 1.0) -> ChartManifold:
@@ -341,30 +342,24 @@ def round_sphere(m: int, curvature: float = 1.0) -> ChartManifold:
     axes.append(Axis(0.0, math.pi, reflect=True, partner_axis=m - 1, partner_shift=math.pi))
     axes.append(Axis(0.0, 2 * math.pi, periodic=True))
 
-    def diagonal(x):
+    def rows_at(x):
         # diag(g)_i = prod_{j<i} sin^2 theta_j, before the overall scale
-        s2 = np.sin(x[..., : m - 1]) ** 2
-        return np.cumprod(np.concatenate([np.ones_like(x[..., :1]), s2], axis=-1), axis=-1)
-
-    def metric(x):
-        return (diagonal(x) * scale)[..., None, :] * np.eye(m)
-
-    def christoffels(x):
-        diag = diagonal(x)
-        cot = np.cos(x[..., : m - 1]) / np.sin(x[..., : m - 1])
-        gam = np.zeros(x.shape + (m, m), dtype=x.dtype)
+        s2 = np.sin(x[: m - 1]) ** 2
+        diag = np.cumprod(np.concatenate([np.ones_like(x[:1]), s2]), axis=0)
+        g = (diag * scale)[None] * np.eye(m).reshape((m, m) + (1,) * (x.ndim - 1))
+        cot = np.cos(x[: m - 1]) / np.sin(x[: m - 1])
+        gam = np.zeros((m, m) + x.shape, dtype=x.dtype)
         for i in range(m - 1):
             for j in range(i + 1, m):
                 # Gamma^i_{jj} = -(1/2) g^{ii} d_i g_jj, Gamma^j_{ij} = cot theta_i
-                gam[..., i, j, j] = -(diag[..., j] / diag[..., i]) * cot[..., i]
-                gam[..., j, i, j] = gam[..., j, j, i] = cot[..., i]
-        return gam
+                gam[i, j, j] = -(diag[j] / diag[i]) * cot[i]
+                gam[j, i, j] = gam[j, j, i] = cot[i]
+        return g, gam
 
     return ChartManifold(
         name=f"round_sphere_{m}" + ("" if curvature == 1.0 else f"[k={curvature}]"),
         axes=axes,
-        metric_at=metric,
-        christoffels_at=christoffels,
+        rows_at=rows_at,
         constant_curvature=curvature,
     )
 
@@ -384,24 +379,18 @@ def product(*charts: ChartManifold) -> ChartManifold:
         parts.append((slice(start, len(axes)), chart))
         blocks += [(slice(start + s.start, start + s.stop), k) for s, k in chart.blocks or ()]
 
-    def metric(x):
-        g = np.zeros(x.shape + x.shape[-1:], dtype=x.dtype)
+    def rows_at(x):
+        g = np.zeros(x.shape[:1] + x.shape, dtype=x.dtype)
+        gam = np.zeros(x.shape[:1] * 2 + x.shape, dtype=x.dtype)
         for s, chart in parts:
-            g[..., s, s] = chart._metric_at(x[..., s])
-        return g
-
-    def christoffels(x):
-        gam = np.zeros(x.shape + x.shape[-1:] * 2, dtype=x.dtype)
-        for s, chart in parts:
-            gam[..., s, s, s] = chart._christoffels_at(x[..., s])
-        return gam
+            g[s, s], gam[s, s, s] = chart._rows_at(x[s])
+        return g, gam
 
     declared = all(chart.blocks is not None for chart in charts)
     return ChartManifold(
         name="_x_".join(chart.name for chart in charts),
         axes=axes,
-        metric_at=metric,
-        christoffels_at=christoffels,
+        rows_at=rows_at,
         constant_curvature=0.0 if all(chart.constant_curvature == 0 for chart in charts) else None,
         blocks=tuple(blocks) if declared else None,
     )
@@ -420,29 +409,20 @@ def s3_hopf_chart() -> ChartManifold:
         Axis(0.0, 2 * math.pi, periodic=True),
     ]
 
-    def metric(x):
-        g = np.zeros(x.shape + (3,), dtype=x.dtype)
-        g[..., 0, 0] = 1.0
-        g[..., 1, 1] = np.cos(x[..., 0]) ** 2
-        g[..., 2, 2] = np.sin(x[..., 0]) ** 2
-        return g
+    def rows_at(x):
+        g = np.zeros((3,) + x.shape, dtype=x.dtype)
+        g[0, 0] = 1.0
+        g[1, 1] = np.cos(x[0]) ** 2
+        g[2, 2] = np.sin(x[0]) ** 2
+        gam = np.zeros((3, 3) + x.shape, dtype=x.dtype)
+        s, c = np.sin(x[0]), np.cos(x[0])
+        gam[0, 1, 1] = s * c
+        gam[0, 2, 2] = -s * c
+        gam[1, 0, 1] = gam[1, 1, 0] = -s / c
+        gam[2, 0, 2] = gam[2, 2, 0] = c / s
+        return g, gam
 
-    def christoffels(x):
-        gam = np.zeros(x.shape + (3, 3), dtype=x.dtype)
-        s, c = np.sin(x[..., 0]), np.cos(x[..., 0])
-        gam[..., 0, 1, 1] = s * c
-        gam[..., 0, 2, 2] = -s * c
-        gam[..., 1, 0, 1] = gam[..., 1, 1, 0] = -s / c
-        gam[..., 2, 0, 2] = gam[..., 2, 2, 0] = c / s
-        return gam
-
-    return ChartManifold(
-        name="s3_hopf",
-        axes=axes,
-        metric_at=metric,
-        christoffels_at=christoffels,
-        constant_curvature=1.0,
-    )
+    return ChartManifold(name="s3_hopf", axes=axes, rows_at=rows_at, constant_curvature=1.0)
 
 
 def hopf_map(x) -> np.ndarray:

@@ -68,6 +68,9 @@ def _stencil_offsets(m: int) -> np.ndarray:
 # (first index upper), the induced metric g and its inverse (S rows each, ``frames.sym_index``),
 # det g (n), the Hessian of f, nabla^2 f (2, S, n), and the velocity V (2, n)
 FieldRows = collections.namedtuple("FieldRows", "g_n gamma_n g g_inv det hessian v")
+# ``GraphMapField._m_rows``, a grid's M side over its n flat nodes: g_M (m, m, n), its lower
+# triangle's S rows, g_M^{-1} (m, m, n) and Gamma_M^k's S rows (m, S, n)
+MRows = collections.namedtuple("MRows", "g g_low g_inv gamma")
 
 
 class GraphMapField:
@@ -218,54 +221,41 @@ class GraphMapField:
     # -- metric fields --------------------------------------------------------
 
     @grid_cached
+    def _m_rows(self) -> MRows:
+        """The grid's M side (``MRows``) from one ``M.rows`` call at the nodes; g_M^{-1} by
+        ``frames.sym_inverse_and_det`` on g_M's lower triangle."""
+        (i, j, full, _), x = sym_index(self.M.dim), self.coords().reshape(-1, self.M.dim).T
+        g, gam = self.M.rows(x)
+        if (inv_det := sym_inverse_and_det(low := g[j, i])) is None:
+            self.M.inverse_metric(x.T, components(g, 1))  # raises, naming a node where g fails
+        return MRows(g, low, inv_det[0][full], gam[:, i, j])
+
+    @grid_cached
     def g_m_field(self) -> np.ndarray:
-        return self.M.metric_many(self.coords())
-
-    @grid_cached
-    def g_m_inv_field(self) -> np.ndarray:
-        return self.M.inverse_metric(self.coords(), self.g_m_field())
-
-    @grid_cached
-    def gamma_m_field(self) -> np.ndarray:
-        return self.M.christoffels_many(self.coords())
-
-    @grid_cached
-    def _g_m_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """g_M as rows (m, m, n), and its lower triangle's S rows."""
-        i, j, _, _ = sym_index(self.M.dim)
-        g = components(self.g_m_field().reshape(-1, self.M.dim, self.M.dim))
-        return g, g[j, i]
-
-    @grid_cached
-    def _g_m_inv_rows(self) -> np.ndarray:
-        return components(self.g_m_inv_field().reshape(-1, self.M.dim, self.M.dim))
-
-    @grid_cached
-    def _gamma_m_rows(self) -> np.ndarray:
-        """Gamma_M^k's S rows, (m, S, n)."""
-        i, j, _, _ = sym_index(self.M.dim)
-        return components(self.gamma_m_field()[..., i, j].reshape(-1, self.M.dim, len(i)))
+        """g_M as a grid array (grid, m, m), for the frame and the monitors' curvature."""
+        return self._grid_array(self._m_rows().g)
 
     @row_cached
     def _pointwise(self) -> FieldRows:
-        """The field's pointwise pass (``FieldRows``) from f's rows and differences: N's chart
-        evaluated once at f, then each entry summed in this order.  g_s = g_M,ji + P . d_i f, P =
-        d_j f^0 g_N,0 + d_j f^1 g_N,1 (the lower triangle (j, i)); its inverse and det by one
-        factorisation, checked finite and positive definite (``frames.sym_inverse_and_det``);
-        T^a_bj = Gamma_N^a_bc d_j f^c, then nabla^2 f = d_i f^b T^a_bj + (d2_ij f^a - Gamma_M^k_ij
-        d_k f^a); V = g^{ij} nabla^2_ij f, an off-diagonal row twice.  A corrupted state reads NaN
-        in g without a warning (an inf of g_N meets a zero of df), and is refused."""
+        """The field's pointwise pass (``FieldRows``) from f's rows and differences: g_N and
+        Gamma_N from one call of N's chart at f, which ``_set_values`` put in range (``N._rows``,
+        ``N.rows`` with no second wrap), g_M and Gamma_M from the grid's ``_m_rows``, then each
+        entry summed in this order.  g_s = g_M,ji + P . d_i f, P = d_j f^0 g_N,0 + d_j f^1 g_N,1
+        (the lower triangle (j, i)); its inverse and det by one factorisation, checked finite
+        and positive definite (``frames.sym_inverse_and_det``); T^a_bj = Gamma_N^a_bc d_j f^c,
+        then nabla^2 f = d_i f^b T^a_bj + (d2_ij f^a - Gamma_M^k_ij d_k f^a); V = g^{ij}
+        nabla^2_ij f, an off-diagonal row twice.  A corrupted state reads NaN in g without a
+        warning (an inf of g_N meets a zero of df), and is refused."""
         (d, d2), (i, j, _, w) = self._f_derivatives(), sym_index(self.M.dim)
-        g_n = components(self.N._metric(self.f).reshape(-1, 2, 2))
-        gam_n = components(np.asarray(self.N._christoffels_at(self.f)).reshape(-1, 2, 2, 2), 3)
+        m_rows, (g_n, gam_n) = self._m_rows(), self.N._rows(self.f.reshape(-1, 2).T)
         di, dj = d.take(i, axis=1), d.take(j, axis=1)
         with np.errstate(invalid="ignore"):
             p = dj[0] * g_n[0, :, None] + dj[1] * g_n[1, :, None]
-            g = self._g_m_rows()[1] + np.add.reduce(p * di, axis=0)
+            g = m_rows.g_low + np.add.reduce(p * di, axis=0)
         if (inv_det := sym_inverse_and_det(g)) is None:
             raise SolverAbort(CORRUPTED_METRIC)
         t = np.add.reduce(gam_n[:, :, :, None] * dj, axis=2)
-        gam_m = np.add.reduce(self._gamma_m_rows() * d[:, :, None], axis=1)
+        gam_m = np.add.reduce(m_rows.gamma * d[:, :, None], axis=1)
         hess = np.add.reduce(di * t, axis=1) + (d2 - gam_m)
         v = np.add.reduce(hess * (w * inv_det[0]), axis=1)
         return FieldRows(g_n, gam_n, g, *inv_det, hess, v)
@@ -285,14 +275,14 @@ class GraphMapField:
 
     def singular_value_fields(self) -> tuple[np.ndarray, np.ndarray]:
         """(lambda, mu) per node; see ``frames.singular_value_invariants``."""
-        rows = invariant_rows(self._g_m_inv_rows(), self._pointwise().g_n, self._f_derivatives()[0])
+        rows = invariant_rows(self._m_rows().g_inv, self._pointwise().g_n, self._f_derivatives()[0])
         return rows[0].reshape(self.shape), rows[1].reshape(self.shape)
 
     @field_cached
     def p_field(self) -> np.ndarray:
         """p = 2(1 - lambda^2 mu^2)/((1 + lambda^2)(1 + mu^2)) per node, from tr K and det K
         alone (``frames.k_rows``)."""
-        (a, b), (c, e) = k_rows(self._g_m_inv_rows(), self._pointwise().g_n,
+        (a, b), (c, e) = k_rows(self._m_rows().g_inv, self._pointwise().g_n,
                                 self._f_derivatives()[0])
         det = a * e - b * c
         return (2.0 * (1.0 - det) / (1.0 + (a + e) + det)).reshape(self.shape)
@@ -336,7 +326,7 @@ class GraphMapField:
         Laplace-Beltrami plus X . grad u, as g^{ij} Gamma_g^k_ij = X^k + g^{ij} Gamma_M^k_ij."""
         rows, w = u.reshape(-1, u.shape[-1]).T, sym_index(self.M.dim)[3]
         du, d2 = self._differences(self._gather(rows), rows)
-        hess = d2 - np.add.reduce(self._gamma_m_rows() * du[:, :, None], axis=1)
+        hess = d2 - np.add.reduce(self._m_rows().gamma * du[:, :, None], axis=1)
         lap = np.add.reduce(hess * (w * self._pointwise().g_inv), axis=1)
         return lap.reshape(rows.shape[:1] + self.shape), du
 

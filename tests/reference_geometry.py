@@ -11,8 +11,10 @@ the closed-form L D L^T replaced it, the singular values as the SVD of the white
 differential, the per-offset stencils of ``GraphMapField`` as they were before
 the ghost-padded grid replaced them, the polar fold of a field's target values
 and the periodic wrap of the chart as they were before ``ChartManifold.wrap``
-took both, the full-width lift of an equivariant profile as ``EquivariantFlow``
-lifted it before its lifts became one column, and the per-point curvature layer (chart
+took both, the points-last metric and Christoffel callables of every chart as
+they were before one ``rows_at`` call gave both on coordinate rows, the
+full-width lift of an equivariant profile as ``EquivariantFlow`` lifted it
+before its lifts became one column, and the per-point curvature layer (chart
 derivatives, curvature tensors by a complex step of the Christoffel symbols,
 sectional and bi-Ricci curvature, Gram-Schmidt of frames and the monitors'
 curvature inputs), kept verbatim as test oracles.  The package computes no
@@ -37,8 +39,8 @@ from graphflow import frames
 from graphflow.flow import PHI_WIDTH, _tangent_rows, h2_field, nonparametric_rhs
 from graphflow.frames import _cholesky, _cholesky2, components, sym_index
 from graphflow.geometry import ChartManifold, WarpedSurface
-from graphflow.immersion import (CORRUPTED_METRIC, FieldRows, GraphMapField, _stencil_offsets,
-                                 field_cached, grid_cached, row_cached)
+from graphflow.immersion import (CORRUPTED_METRIC, FieldRows, GraphMapField, MRows,
+                                 _stencil_offsets, field_cached, grid_cached, row_cached)
 from graphflow.verify import _time_derivative
 
 _COMPLEX_STEP = 1e-30
@@ -76,6 +78,11 @@ def g_n_field(field: GraphMapField) -> np.ndarray:
 def gamma_n_field(field: GraphMapField) -> np.ndarray:
     """Gamma_N at f, (grid, 2, 2, 2), the first index upper."""
     return field._grid_array(field._pointwise().gamma_n)
+
+
+def gamma_m_field(field: GraphMapField) -> np.ndarray:
+    """Gamma_M at the nodes, (grid, m, m, m), the first index upper."""
+    return _sym_grid(field, field._m_rows().gamma)
 
 
 def induced_g_field(field: GraphMapField) -> np.ndarray:
@@ -354,7 +361,7 @@ def _a_vectors(field: GraphMapField, idx, e: np.ndarray) -> np.ndarray:
     df = df_field(field)[idx]
     gam_n = gamma_n_field(field)[idx]
     gam_g = gamma_induced(field)[idx]
-    a_m = field.gamma_m_field()[idx] - gam_g                  # (k, i, j)
+    a_m = gamma_m_field(field)[idx] - gam_g                  # (k, i, j)
     a_n = (
         d2f_field(field)[idx]
         + np.einsum("abc,ib,jc->ija", gam_n, df, df)
@@ -420,7 +427,7 @@ def tangential_vector_field(field: GraphMapField) -> np.ndarray:
     first differences of the induced metric directly: X^k = g^{ij}(Gamma_g - Gamma_M)^k_ij
     over the full induced Christoffel tensor."""
     ginv = induced_g_inv_field(field)
-    diff = gamma_induced(field) - field.gamma_m_field()
+    diff = gamma_induced(field) - gamma_m_field(field)
     return np.einsum("...ij,...kij->...k", ginv, diff)
 
 
@@ -447,7 +454,7 @@ def christoffel_field_geometry(field: GraphMapField) -> dict:
     df, g_m, g_n = df_field(field), field.g_m_field(), g_n_field(field)
     gam_g = gamma_induced(field)
     frame = frames.build_svd_frame(df, g_m, g_n)
-    a_coord = np.concatenate([field.gamma_m_field() - gam_g, _covariant_d2f(field, gam_g)],
+    a_coord = np.concatenate([gamma_m_field(field) - gam_g, _covariant_d2f(field, gam_g)],
                              axis=-3).reshape(df.shape[:-2] + (m + 2, m * m))
     normals = np.stack([frame.xi, frame.eta], axis=-2)[..., None, :]
     lowered = np.concatenate([np.vecdot(g_m[..., None, :, :], normals[..., :m]),
@@ -521,11 +528,11 @@ class RowGetterField(GraphMapField):
 
     @field_cached
     def g_n_field(self) -> np.ndarray:
-        return self.N._metric(self.f)
+        return self.N.metric_many(self.f)
 
     @field_cached
     def gamma_n_field(self) -> np.ndarray:
-        return np.asarray(self.N._christoffels_at(self.f))
+        return self.N.christoffels_many(self.f)
 
     @row_cached
     def _g_n_rows(self) -> np.ndarray:
@@ -544,7 +551,7 @@ class RowGetterField(GraphMapField):
         dj = d.take(j, axis=1)
         with np.errstate(invalid="ignore"):
             p = dj[0] * g_n[0, :, None] + dj[1] * g_n[1, :, None]
-            return self._g_m_rows()[1] + np.add.reduce(p * d.take(i, axis=1), axis=0)
+            return self._m_rows().g_low + np.add.reduce(p * d.take(i, axis=1), axis=0)
 
     @row_cached
     def _induced_g_inverse(self) -> tuple[np.ndarray, np.ndarray]:
@@ -561,7 +568,7 @@ class RowGetterField(GraphMapField):
         Gamma_N^a_bc d_j f^c, then d_i f^b T^a_bj, plus d2_ij f^a - Gamma_M^k_ij d_k f^a."""
         (d, d2), (i, j, _, _) = self._f_derivatives(), sym_index(self.M.dim)
         t = np.add.reduce(self._gamma_n_rows()[:, :, :, None] * d.take(j, axis=1), axis=2)
-        gam_m = np.add.reduce(self._gamma_m_rows() * d[:, :, None], axis=1)
+        gam_m = np.add.reduce(self._m_rows().gamma * d[:, :, None], axis=1)
         return np.add.reduce(d.take(i, axis=1) * t, axis=1) + (d2 - gam_m)
 
     @row_cached
@@ -574,7 +581,7 @@ class RowGetterField(GraphMapField):
     @field_cached
     def p_field(self) -> np.ndarray:
         """p = 2(1 - lambda^2 mu^2)/((1 + lambda^2)(1 + mu^2)) per node, from tr K and det K."""
-        _, _, tr, det = frames.invariant_rows(self._g_m_inv_rows(), self._g_n_rows(),
+        _, _, tr, det = frames.invariant_rows(self._m_rows().g_inv, self._g_n_rows(),
                                               self._f_derivatives()[0])
         return (2.0 * (1.0 - det) / (1.0 + tr + det)).reshape(self.shape)
 
@@ -590,7 +597,7 @@ def row_getter_tangential_vector_field(field: GraphMapField) -> np.ndarray:
     div = np.add.reduce(g_full[:, :, None] * dg.take(full, axis=0).transpose(2, 0, 1, 3),
                         axis=(0, 1))
     trace = np.add.reduce(w_ginv[:, None] * dg, axis=0)
-    gam_m = np.add.reduce(w_ginv * field._gamma_m_rows(), axis=1)
+    gam_m = np.add.reduce(w_ginv * field._m_rows().gamma, axis=1)
     x = np.add.reduce(g_full * (div - 0.5 * trace), axis=1) - gam_m
     return x.T.reshape(field.shape + (m,))
 
@@ -604,7 +611,7 @@ def row_getter_h2_field(field: GraphMapField) -> np.ndarray:
         return np.add.reduce(np.add.reduce(u[:, None] * a, axis=0) * u, axis=0)
     x, d = rows(row_getter_tangential_vector_field(field)), field._f_derivatives()[0]
     tn = rows(nonparametric_rhs(field)) - np.add.reduce(x * d, axis=1)
-    return (quad(x, field._g_m_rows()[0]) + quad(tn, field._pointwise().g_n)).reshape(field.shape)
+    return (quad(x, field._m_rows().g) + quad(tn, field._pointwise().g_n)).reshape(field.shape)
 
 
 def row_getter_cfl_dt(field: GraphMapField, params) -> float:
@@ -617,7 +624,7 @@ class EighMetricField(RowGetterField):
     """``GraphMapField`` with the induced metric decomposed once by ``eigh``: its
     eigenvalues, checked finite and positive, give the inverse V diag(1/lambda) V^T
     and det g = prod lambda (as the rows that the flow and ``volume_density`` read)
-    and ``eigh_cfl_dt``'s lambda_min; M's inverse metric by ``inv``."""
+    and ``eigh_cfl_dt``'s lambda_min; M's inverse metric by ``inv``, as its rows."""
 
     @field_cached
     def induced_g_eigh(self) -> tuple[np.ndarray, np.ndarray]:
@@ -637,8 +644,9 @@ class EighMetricField(RowGetterField):
         return np.moveaxis(inv, -1, 0).reshape(len(i), -1), np.prod(ev, axis=-1).reshape(-1)
 
     @grid_cached
-    def g_m_inv_field(self) -> np.ndarray:
-        return np.linalg.inv(self.g_m_field())
+    def _m_rows(self) -> MRows:
+        rows = GraphMapField._m_rows.__wrapped__(self)
+        return rows._replace(g_inv=components(np.linalg.inv(components(rows.g, 1))))
 
 
 def eigh_cfl_dt(field: EighMetricField, params) -> float:
@@ -842,10 +850,184 @@ class LoopStencilField(GraphMapField):
                 mm = self.shift(self.shift(u, a, -1), b, -1)
                 d2[..., a, b] = d2[..., b, a] = (pp - pm - mp + mm) / (4 * self.h[a] * self.h[b])
         du = self.grad_field(u)
-        ginv, gam, (i, j, _, w) = induced_g_inv_field(self), self.gamma_m_field(), sym_index(m)
+        ginv, gam, (i, j, _, w) = induced_g_inv_field(self), gamma_m_field(self), sym_index(m)
         hess = d2 - np.add.reduce([gam[..., k, :, :] * du[..., k, None, None] for k in range(m)])
         return np.add.reduce([hess[..., a, b] * (ws * ginv[..., a, b])
                               for a, b, ws in zip(i, j, w[:, 0])])
+
+
+# ---------------------------------------------------------------------------
+# The points-last chart callables: a chart's metric (..., m) -> (..., m, m) and its
+# Christoffel symbols (..., m) -> (..., m, m, m), first index upper, as two callables,
+# as every chart took them before one ``rows_at`` call gave both on coordinate rows
+
+
+def _lead_last(a: np.ndarray, k: int) -> np.ndarray:
+    """a with its k leading axes moved last, in order (``np.moveaxis`` at a fraction of its
+    cost per call, which the per-point oracles pay at every point)."""
+    return a.transpose(tuple(range(k, a.ndim)) + tuple(range(k)))
+
+
+def _trail_first(a: np.ndarray, k: int) -> np.ndarray:
+    """a with its k trailing axes moved first, in order."""
+    return a.transpose(tuple(range(a.ndim - k, a.ndim)) + tuple(range(a.ndim - k)))
+
+
+def rows_of(metric_at, christoffels_at):
+    """The ``rows_at`` of points-last callables (Gamma None where christoffels_at is)."""
+    def rows_at(x):
+        y = _lead_last(x, 1)
+        g = _trail_first(np.asarray(metric_at(y)), 2)
+        return g, None if christoffels_at is None else _trail_first(
+            np.asarray(christoffels_at(y)), 3)
+    return rows_at
+
+
+def points_last(rows_at):
+    """(metric_at, christoffels_at), points last, of a ``rows_at`` callable."""
+    def metric_at(x):
+        return _lead_last(rows_at(_trail_first(x, 1))[0], 2)
+
+    def christoffels_at(x):
+        return _lead_last(rows_at(_trail_first(x, 1))[1], 3)
+    return metric_at, christoffels_at
+
+
+def flat_torus_callables(m: int, scale: float = 1.0):
+    eye = scale * scale * np.eye(m)
+    return (lambda x: np.ones(x.shape[:-1] + (1, 1), dtype=x.dtype) * eye,
+            lambda x: np.zeros(x.shape + (m, m), dtype=x.dtype))
+
+
+def round_sphere_callables(m: int, curvature: float = 1.0):
+    scale = 1.0 / curvature
+
+    def diagonal(x):
+        # diag(g)_i = prod_{j<i} sin^2 theta_j, before the overall scale
+        s2 = np.sin(x[..., : m - 1]) ** 2
+        return np.cumprod(np.concatenate([np.ones_like(x[..., :1]), s2], axis=-1), axis=-1)
+
+    def metric(x):
+        return (diagonal(x) * scale)[..., None, :] * np.eye(m)
+
+    def christoffels(x):
+        diag = diagonal(x)
+        cot = np.cos(x[..., : m - 1]) / np.sin(x[..., : m - 1])
+        gam = np.zeros(x.shape + (m, m), dtype=x.dtype)
+        for i in range(m - 1):
+            for j in range(i + 1, m):
+                # Gamma^i_{jj} = -(1/2) g^{ii} d_i g_jj, Gamma^j_{ij} = cot theta_i
+                gam[..., i, j, j] = -(diag[..., j] / diag[..., i]) * cot[..., i]
+                gam[..., j, i, j] = gam[..., j, j, i] = cot[..., i]
+        return gam
+
+    return metric, christoffels
+
+
+def warped_callables(warp):
+    def metric(x):
+        wz = warp.w(x[..., 1])
+        g = np.zeros(x.shape + (2,), dtype=x.dtype)
+        g[..., 0, 0] = wz * wz
+        g[..., 1, 1] = 1.0
+        return g
+
+    def christoffels(x):
+        wz = warp.w(x[..., 1])
+        dwz = warp.dw(x[..., 1])
+        gam = np.zeros(x.shape + (2, 2), dtype=x.dtype)
+        gam[..., 0, 0, 1] = gam[..., 0, 1, 0] = dwz / wz
+        gam[..., 1, 0, 0] = -wz * dwz
+        return gam
+
+    return metric, christoffels
+
+
+def product_callables(*factors):
+    """Block-diagonal callables of the factors' (metric, christoffels, dim), joined in order."""
+    parts, start = [], 0
+    for metric, christoffels, dim in factors:
+        parts.append((slice(start, start + dim), metric, christoffels))
+        start += dim
+
+    def metric(x):
+        g = np.zeros(x.shape + x.shape[-1:], dtype=x.dtype)
+        for s, block, _ in parts:
+            g[..., s, s] = block(x[..., s])
+        return g
+
+    def christoffels(x):
+        gam = np.zeros(x.shape + x.shape[-1:] * 2, dtype=x.dtype)
+        for s, _, block in parts:
+            gam[..., s, s, s] = block(x[..., s])
+        return gam
+
+    return metric, christoffels
+
+
+def s1xs2_callables():
+    return product_callables((*flat_torus_callables(1), 1), (*round_sphere_callables(2), 2))
+
+
+def s3_hopf_callables():
+    def metric(x):
+        g = np.zeros(x.shape + (3,), dtype=x.dtype)
+        g[..., 0, 0] = 1.0
+        g[..., 1, 1] = np.cos(x[..., 0]) ** 2
+        g[..., 2, 2] = np.sin(x[..., 0]) ** 2
+        return g
+
+    def christoffels(x):
+        gam = np.zeros(x.shape + (3, 3), dtype=x.dtype)
+        s, c = np.sin(x[..., 0]), np.cos(x[..., 0])
+        gam[..., 0, 1, 1] = s * c
+        gam[..., 0, 2, 2] = -s * c
+        gam[..., 1, 0, 1] = gam[..., 1, 1, 0] = -s / c
+        gam[..., 2, 0, 2] = gam[..., 2, 2, 0] = c / s
+        return gam
+
+    return metric, christoffels
+
+
+def warped_t3_callables(a: float = 0.6):
+    """T^3 with the metric dx^2 + e^{a sin x} (dy^2 + dz^2)."""
+    def metric(x):
+        g = np.zeros(x.shape + (3,), dtype=x.dtype)
+        g[..., 0, 0] = 1.0
+        g[..., 1, 1] = g[..., 2, 2] = np.exp(a * np.sin(x[..., 0]))
+        return g
+
+    def christoffels(x):
+        # with u = a sin x: Gamma^x_yy = Gamma^x_zz = -u' e^u / 2, Gamma^y_xy = Gamma^z_xz = u' / 2
+        du = a * np.cos(x[..., 0])
+        gam = np.zeros(x.shape + (3, 3), dtype=x.dtype)
+        gam[..., 0, 1, 1] = gam[..., 0, 2, 2] = -0.5 * du * np.exp(a * np.sin(x[..., 0]))
+        gam[..., 1, 0, 1] = gam[..., 1, 1, 0] = gam[..., 2, 0, 2] = gam[..., 2, 2, 0] = 0.5 * du
+        return gam
+
+    return metric, christoffels
+
+
+def sheared_s1xs2_callables(c: float = 0.7):
+    """S^1 x S^2 in the chart (s, theta + c s, phi): the product metric and Christoffel
+    symbols transformed as tensors by the constant Jacobian of the shear."""
+    base_metric, base_christoffels = s1xs2_callables()
+    jac = np.array([[1.0, 0.0, 0.0], [-c, 1.0, 0.0], [0.0, 0.0, 1.0]])  # d(base)/d(sheared)
+    jinv = np.linalg.inv(jac)
+
+    def to_base(x):
+        y = x.copy()
+        y[..., 1] = x[..., 1] - c * x[..., 0]
+        return y
+
+    def metric(x):
+        return jac.T @ base_metric(to_base(x)) @ jac
+
+    def christoffels(x):
+        return np.einsum("ka,...abc,bi,cj->...kij", jinv, base_christoffels(to_base(x)),
+                         jac, jac)
+
+    return metric, christoffels
 
 
 # ---------------------------------------------------------------------------
@@ -855,11 +1037,16 @@ class LoopStencilField(GraphMapField):
 class LoopCurvatureChart(ChartManifold):
     """``ChartManifold`` with the per-point chart derivatives it had before the
     batched curvature tensors: ``inverse_metric_at``, ``_dmetric``,
-    ``_dchristoffels`` and the list comprehension of ``christoffels_many``."""
+    ``_dchristoffels`` and the list comprehension of ``christoffels_many``, on the
+    points-last callables (``christoffels_at`` None: from the metric's derivatives)."""
+
+    def __init__(self, name, axes, metric_at, christoffels_at, constant_curvature=None):
+        super().__init__(name, axes, rows_of(metric_at, christoffels_at), constant_curvature)
+        self._metric_at, self._christoffels_at = metric_at, christoffels_at
 
     @classmethod
     def of(cls, manifold: ChartManifold) -> "LoopCurvatureChart":
-        return cls(manifold.name, manifold.axes, manifold._metric_at, manifold._christoffels_at,
+        return cls(manifold.name, manifold.axes, *points_last(manifold._rows_at),
                    manifold.constant_curvature)
 
     def inverse_metric_at(self, x) -> np.ndarray:

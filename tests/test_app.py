@@ -342,15 +342,17 @@ def test_tsui_wang_lifts_each_record_once(tmp_path, monkeypatch, monitored):
     # values, so no (J, PHI_WIDTH, K, 2) array.  The batch's f derivatives come from
     # the profiles (no unwrap_target), and it builds one SVD frame, whose field
     # geometry serves every record's max |A|^2, the monitors and the classifier,
-    # which read only columns.  The M side of the lifts is computed once per run;
-    # the batch checks its induced metric by Cholesky and nothing reads its eigenvalues
+    # which read only columns.  The M side of the lifts is computed once per run, from
+    # one M.rows call on the column's coordinates; the batch reads g_N and Gamma_N from
+    # one call of N's chart on its wrapped f (N._rows), checks its induced metric by
+    # Cholesky, and nothing reads its eigenvalues
     calls = Counter()
     init, frame, eigvalsh = GraphMapField.__init__, immersion.build_svd_frame, np.linalg.eigvalsh
     set_values, unwrap = GraphMapField._set_values, GraphMapField.unwrap_target
     wrap = ChartManifold.wrap
     geometry = app.field_geometry
     chart = {name: getattr(ChartManifold, name)
-             for name in ("metric_many", "inverse_metric", "christoffels_many")}
+             for name in ("rows", "_rows", "metric_many", "inverse_metric", "christoffels_many")}
 
     def counted_init(self, *args):
         calls["grid"] += 1
@@ -408,12 +410,12 @@ def test_tsui_wang_lifts_each_record_once(tmp_path, monkeypatch, monitored):
     profiles = records + 2 * stencils
     assert profiles * 32 <= graphflow.flow.LIFT_BATCH_NODES  # one batch: a column per profile
     assert calls.pop(("wrap", (32, profiles, 2))) == 1  # one per batch
-    assert calls.pop(("wrap", (32, 1, 2))) == 2  # the column's coords, in g_M and Gamma_M
+    assert calls.pop(("wrap", (32, 2))) == 1  # the column's coords, in M.rows
     assert calls.pop(("geometry read on", (32, 1))) == records + stencils + 1
     assert calls.pop(("field_geometry", (32, profiles))) == 1
     # and no __init__, _set_values or unwrap_target
-    assert calls == {"metric_many in g_m_field": 1, "inverse_metric in g_m_inv_field": 1,
-                     "christoffels_many in gamma_m_field": 1}  # and no eigvalsh
+    assert calls == {"rows in _m_rows": 1, "_rows in rows": 1,  # M: g_M, g_M^-1 and Gamma_M
+                     "_rows in _pointwise": 1}  # N: g_N and Gamma_N; and no eigvalsh
 
 
 def test_tsui_wang_artifacts_do_not_depend_on_the_lift_batches(tmp_path, monkeypatch):
@@ -918,8 +920,7 @@ def test_cli_refuses_a_chart_without_closed_form_curvature(tmp_path, capsys, mon
 
     def manifolds():
         m_manifold, n_manifold = hopf.manifolds()
-        return ChartManifold("s3_unflagged", m_manifold.axes, m_manifold._metric_at,
-                             m_manifold._christoffels_at), n_manifold
+        return ChartManifold("s3_unflagged", m_manifold.axes, m_manifold._rows_at), n_manifold
 
     monkeypatch.setitem(app.SCENARIOS, "hopf_pointwise", replace(hopf, manifolds=manifolds))
     cfg_path = _write(tmp_path, "[scenario]\nname = hopf_pointwise\n")

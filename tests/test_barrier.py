@@ -15,8 +15,7 @@ import reference_artifacts as ref_artifacts
 import reference_barrier as ref
 from graphflow import app
 from graphflow.barrier import (BarrierFunction, certify_convexity, containment_monitor,
-                               covariant_hessian, diameter_series, m_convexity_at,
-                               waist_tube_barrier)
+                               diameter_series, m_convexity_at, waist_tube_barrier)
 from graphflow.errors import ConfigurationError
 from graphflow.flow import reduce_circle_drift
 from graphflow.frames import generalized_eigvalsh
@@ -43,17 +42,21 @@ def test_waist_barrier_hessian_value(s1xs2, waist_cylinder):
     bar = waist_tube_barrier(1.0)
     z = 0.4
     y = np.array([0.3, 1.2, 2.0, 0.5, z])
-    d2 = covariant_hessian(bar, s1xs2, waist_cylinder, y)
+    d2 = ref.covariant_hessian(bar, s1xs2, waist_cylinder, y)
     w, dw = math.cosh(z), math.sinh(z)
     assert d2[-1, -1] == pytest.approx(2.0)
     assert d2[-2, -2] == pytest.approx(2.0 * z * w * dw)
     assert np.abs(d2[:3, :3]).max() == 0.0
+    # the generalized eigenvalues of (D^2 phi, g): 0 on S^1 x S^2, 2 z w'/w and 2 on the
+    # cylinder, so the full trace that the package reads is 2 z tanh z + 2
+    assert m_convexity_at(bar, s1xs2, waist_cylinder, y, 5) == pytest.approx(
+        2.0 * z * math.tanh(z) + 2.0)
 
 
 def test_m_convexity_oracle_vs_brute_force(s1xs2, waist_cylinder, rng):
     bar = waist_tube_barrier(1.0)
     y = np.array([0.1, 1.4, 0.7, 1.0, 0.3])
-    d2 = covariant_hessian(bar, s1xs2, waist_cylinder, y)
+    d2 = ref.covariant_hessian(bar, s1xs2, waist_cylinder, y)
     g = product(s1xs2, waist_cylinder).metric_many(y)
     for m in (2, 3, 4, 5):
         exact = m_convexity_at(bar, s1xs2, waist_cylinder, y, m)
@@ -106,8 +109,11 @@ def test_batched_barrier_matches_per_point_oracle(s1xs2, waist_cylinder, waist_a
     if concave:
         bar, oracle_bar = _concave(bar), _concave(oracle_bar)
     pts = waist_audit_points
-    got_d2 = covariant_hessian(bar, s1xs2, waist_cylinder, pts)
-    got_g = product(s1xs2, waist_cylinder).metric_many(pts)
+    chart = product(s1xs2, waist_cylinder)
+    # the covariant Hessian over the batch, as ``m_convexity_at`` forms it
+    got_d2 = bar.hess(pts) - np.einsum("...kij,...k->...ij", chart.christoffels_many(pts),
+                                       bar.grad(pts))
+    got_g = chart.metric_many(pts)
     for y, d2, g in zip(pts, got_d2, got_g):
         want_d2 = ref.covariant_hessian(oracle_bar, s1xs2, waist_cylinder, y)
         np.testing.assert_allclose(d2, want_d2, rtol=0, atol=ORACLE_RTOL * np.abs(want_d2).max())

@@ -30,14 +30,14 @@ TOL = 1e-12
 
 def _unflagged(manifold):
     """The same chart without its closed-form curvature."""
-    return ChartManifold(f"{manifold.name}_unflagged", manifold.axes, manifold._metric_at,
-                         manifold._christoffels_at)
+    return ChartManifold(f"{manifold.name}_unflagged", manifold.axes, manifold._rows_at)
 
 
 def _numeric(manifold):
     """The same metric with the oracle's Christoffel symbols: complex-step
     derivatives of the metric, one point at a time."""
-    return ref.LoopCurvatureChart("numeric", manifold.axes, manifold._metric_at, None)
+    return ref.LoopCurvatureChart("numeric", manifold.axes, ref.points_last(manifold._rows_at)[0],
+                                  None)
 
 
 MANIFOLDS = {
@@ -102,21 +102,18 @@ def _warped_t3(a=0.6):
     varies with x, so no chart point stands for the others."""
     axes = [Axis(0.0, 2 * math.pi, periodic=True) for _ in range(3)]
 
-    def metric(x):
-        g = np.zeros(x.shape + (3,), dtype=x.dtype)
-        g[..., 0, 0] = 1.0
-        g[..., 1, 1] = g[..., 2, 2] = np.exp(a * np.sin(x[..., 0]))
-        return g
-
-    def christoffels(x):
+    def rows_at(x):
+        g = np.zeros((3,) + x.shape, dtype=x.dtype)
+        g[0, 0] = 1.0
+        g[1, 1] = g[2, 2] = np.exp(a * np.sin(x[0]))
         # with u = a sin x: Gamma^x_yy = Gamma^x_zz = -u' e^u / 2, Gamma^y_xy = Gamma^z_xz = u' / 2
-        du = a * np.cos(x[..., 0])
-        gam = np.zeros(x.shape + (3, 3), dtype=x.dtype)
-        gam[..., 0, 1, 1] = gam[..., 0, 2, 2] = -0.5 * du * np.exp(a * np.sin(x[..., 0]))
-        gam[..., 1, 0, 1] = gam[..., 1, 1, 0] = gam[..., 2, 0, 2] = gam[..., 2, 2, 0] = 0.5 * du
-        return gam
+        du = a * np.cos(x[0])
+        gam = np.zeros((3, 3) + x.shape, dtype=x.dtype)
+        gam[0, 1, 1] = gam[0, 2, 2] = -0.5 * du * np.exp(a * np.sin(x[0]))
+        gam[1, 0, 1] = gam[1, 1, 0] = gam[2, 0, 2] = gam[2, 2, 0] = 0.5 * du
+        return g, gam
 
-    return ChartManifold("warped_t3", axes, metric, christoffels)
+    return ChartManifold("warped_t3", axes, rows_at)
 
 
 BRIC_CHARTS = {
@@ -259,17 +256,18 @@ def test_curvature_inputs_match_pointwise_oracle():
 
 
 def test_monitors_on_a_product_differentiate_nothing():
-    # the curvature inputs come from the blocks: the Christoffel symbols of M are
-    # never evaluated at a complex point, as a complex step would evaluate them
+    # the curvature inputs come from the blocks: the chart of M (its metric and
+    # Christoffel symbols) is never evaluated at a complex point, as a complex step
+    # would evaluate it
     m, n = product_s1_s2(), WarpedSurface(builtin_warp("cosh"))
-    christoffels = m._christoffels_at
+    rows_at = m._rows_at
 
     def real_only(x):
         if np.iscomplexobj(x):
-            raise AssertionError("Christoffel symbols of M differentiated")
-        return christoffels(x)
+            raise AssertionError("chart of M differentiated")
+        return rows_at(x)
 
-    m._christoffels_at = real_only
+    m._rows_at = real_only
     shape = (4, 12, 4)
     x = GraphMapField(m, n, shape, np.zeros(shape + (2,))).coords()
     f = np.stack([x[..., 0] + 0.02 * np.sin(x[..., 1]) * np.cos(x[..., 2]),
@@ -287,30 +285,11 @@ def test_monitors_on_a_product_differentiate_nothing():
 
 
 def _sheared_s1xs2(c=0.7):
-    """S^1 x S^2 in the chart (s, theta + c s, phi): a non-diagonal metric.
-
-    The metric and the Christoffel symbols are the product ones, transformed
-    as tensors by the constant Jacobian of the shear.
-    """
-    base = product_s1_s2()
-    jac = np.array([[1.0, 0.0, 0.0], [-c, 1.0, 0.0], [0.0, 0.0, 1.0]])  # d(base)/d(sheared)
-    jinv = np.linalg.inv(jac)
-
-    def to_base(x):
-        y = x.copy()
-        y[..., 1] = x[..., 1] - c * x[..., 0]
-        return y
-
-    def metric(x):
-        return jac.T @ base._metric_at(to_base(x)) @ jac
-
-    def christoffels(x):
-        return np.einsum("ka,...abc,bi,cj->...kij", jinv, base._christoffels_at(to_base(x)),
-                         jac, jac)
-
+    """S^1 x S^2 in the chart (s, theta + c s, phi): a non-diagonal metric, from the
+    points-last callables of ``reference_geometry.sheared_s1xs2_callables``."""
     # s in [0, 1] keeps theta = theta' - c s inside (0, pi) on the theta' range
     axes = [Axis(0.0, 1.0), Axis(1.0, 2.5), Axis(0.0, 2 * math.pi, periodic=True)]
-    return ChartManifold("s1_x_s2_sheared", axes, metric, christoffels)
+    return ChartManifold("s1_x_s2_sheared", axes, ref.rows_of(*ref.sheared_s1xs2_callables(c)))
 
 
 def test_ricci_minimum_of_a_non_diagonal_metric(waist_cylinder, rng):
@@ -325,3 +304,51 @@ def test_ricci_minimum_of_a_non_diagonal_metric(waist_cylinder, rng):
     # the sheared chart declares no closed form, so the report refuses it
     with pytest.raises(ConfigurationError, match="no closed-form curvature conditions"):
         curvature_conditions_report(sheared, waist_cylinder)
+
+
+# each chart with its points-last metric and Christoffel callables of ``reference_geometry``,
+# the two callables that every chart took before one ``rows_at`` call gave both on rows
+ORACLE_CHARTS = {
+    **{f"flat_torus_{m}[{scale}]": (lambda m=m, scale=scale: flat_torus(m, scale),
+                                    lambda m=m, scale=scale: ref.flat_torus_callables(m, scale))
+       for m in (1, 2, 3) for scale in (1.0, 0.5)},
+    **{f"round_sphere_{m}[{k}]": (lambda m=m, k=k: round_sphere(m, k),
+                                  lambda m=m, k=k: ref.round_sphere_callables(m, k))
+       for m in (2, 3, 4, 5) for k in (1.0, 2.5)},
+    "s1xs2": (product_s1_s2, ref.s1xs2_callables),
+    "s3_hopf": (s3_hopf_chart, ref.s3_hopf_callables),
+    **{f"warped[{w}]": (lambda w=w: WarpedSurface(builtin_warp(w)),
+                        lambda w=w: ref.warped_callables(builtin_warp(w)))
+       for w in ("cosh", "exp_neg")},
+    "sheared_s1xs2": (_sheared_s1xs2, ref.sheared_s1xs2_callables),
+    "warped_t3": (_warped_t3, ref.warped_t3_callables),
+}
+
+
+def _seam_nodes(manifold, n=8):
+    """The nodes next to either end of each axis on an n-node grid of the chart, placed as
+    ``GraphMapField.axis_coords`` places them (offset by half a step on a bounded axis)."""
+    ticks = [ax.lo + (np.array([0, 1, n - 2, n - 1]) + (0.0 if ax.periodic else 0.5))
+             * ax.length / n for ax in manifold.axes]
+    return np.stack(np.meshgrid(*ticks, indexing="ij"), axis=-1).reshape(-1, manifold.dim)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CHARTS))
+def test_rows_are_the_points_last_callables_bit_for_bit(name, rng):
+    # one rows call gives g and Gamma on coordinate rows; transposed, they are the points-last
+    # callables' values at the wrapped points, bit for bit, at random points of the chart (a
+    # batch of shape (4, 8)), and at the nodes next to a grid's seams, off range on a periodic
+    # axis too (one period on)
+    chart, (metric, christoffels) = ORACLE_CHARTS[name][0](), ORACLE_CHARTS[name][1]()
+    periods = np.array([ax.length if ax.periodic else 0.0 for ax in chart.axes])
+    nodes = _seam_nodes(chart)
+    for pts in (_chart_points(chart, rng, (4, 8)), nodes, nodes + periods):
+        g, gam = chart.rows(np.moveaxis(pts, -1, 0))
+        x = chart.wrap(pts)
+        assert np.array_equal(_bits(np.moveaxis(g, (0, 1), (-2, -1))), _bits(metric(x)))
+        assert np.array_equal(_bits(np.moveaxis(gam, (0, 1, 2), (-3, -2, -1))),
+                              _bits(christoffels(x)))

@@ -225,7 +225,7 @@ def test_grid_step_does_its_work_once(monkeypatch):
         return wrapper
 
     # each LAPACK call is named by the nearest of these readers on its stack
-    readers = ("inverse_metric", "_pointwise", "cfl_dt")
+    readers = ("_m_rows", "_pointwise", "cfl_dt")
 
     def by_reader(name, fn):
         def wrapper(*args, **kwargs):
@@ -236,9 +236,9 @@ def test_grid_step_does_its_work_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("metric_many", "inverse_metric", "christoffels_many"):
+    for name in ("rows", "metric_many", "inverse_metric", "christoffels_many"):
         monkeypatch.setattr(m_manifold, name, counted(name, getattr(m_manifold, name)))
-    for name in ("wrap", "_metric", "_christoffels_at"):
+    for name in ("wrap", "rows", "_rows", "metric_many", "christoffels_many"):
         monkeypatch.setattr(surface, name, counted(f"N {name}", getattr(surface, name)))
     field = GraphMapField(m_manifold, surface, field.shape, field.f)  # counts its own wrap
     # the grid's stencil index is built when the first field gathers neighbours
@@ -257,8 +257,11 @@ def test_grid_step_does_its_work_once(monkeypatch):
     for _ in range(k):
         state = step(state, FlowParams(t_end=1.0))
     assert state.status == "Running" and state.step_count == k
-    # One pointwise pass per field evaluates N's chart once, at f, for g_N and
-    # Gamma_N, and forms the induced metric, its inverse, nabla^2 f and V.  p comes
+    # The grid reads g_M, its inverse and Gamma_M from one M.rows call.  One pointwise
+    # pass per field reads g_N and Gamma_N from one call of N's chart at f (N._rows: f
+    # is in range since the field was set, so it is not wrapped again), and forms the
+    # induced metric, its inverse, nabla^2 f and V; no points-last view (metric_many,
+    # christoffels_many) of either chart is read, nor M's inverse_metric.  p comes
     # from tr K and det K alone, so no step forms lambda or mu.  Every 3 x 3 metric
     # (g_M and the induced one of each field) is factorised in closed form, once, for
     # its inverse and the volume, and cfl_dt reads the max eigenvalue of that inverse
@@ -267,11 +270,11 @@ def test_grid_step_does_its_work_once(monkeypatch):
     # field builds the induced Christoffel tensor
     assert not hasattr(GraphMapField, "gamma_induced_field")
     assert calls == {
-        "metric_many": 1, "inverse_metric": 1, "christoffels_many": 1,  # M side once per grid
+        "rows": 1,                                     # g_M, g_M^-1, Gamma_M once per grid
         "_stencil_index": 1,                           # grid bookkeeping once per grid
         "N wrap": 1 + 2 * k,                           # one N-chart wrap per field, of its f
         "_pointwise": 1 + 2 * k,                       # the start, then 2 fields per step
-        "N _metric": 1 + 2 * k, "N _christoffels_at": 1 + 2 * k,  # in the pass, once each
+        "N _rows": 1 + 2 * k,                          # g_N and Gamma_N in the pass
         "_dg_rows": 1 + k,                             # |H|^2: the start, then each step's end
     }
     state.field.singular_value_fields()  # lambda and mu where a monitor asks for them

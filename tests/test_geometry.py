@@ -13,6 +13,7 @@ from graphflow.errors import ConfigurationError, DegenerateMetricError, DomainEr
 from graphflow.geometry import (Axis, ChartManifold, Warp, WarpedSurface, builtin_warp,
                                 curvature_conditions_report, flat_torus, hopf_map,
                                 product_s1_s2, round_sphere, s3_hopf_chart)
+from graphflow.immersion import GraphMapField
 
 
 # -- chart bookkeeping -------------------------------------------------------
@@ -82,8 +83,16 @@ def _chart_with_metric(g):
     """A 2-torus chart whose metric is the fixed matrix g at every point."""
     g = np.array(g, dtype=float)
     return ChartManifold("fixed", [Axis(0.0, 2 * math.pi, periodic=True)] * 2,
-                         metric_at=lambda x: np.broadcast_to(g, x.shape[:-1] + (2, 2)),
-                         christoffels_at=lambda x: np.zeros(x.shape + (2, 2)))
+                         ref.rows_of(lambda x: np.broadcast_to(g, x.shape[:-1] + (2, 2)),
+                                     lambda x: np.zeros(x.shape + (2, 2))))
+
+
+# a chart's metric at points (..., m), points last, read through ``metric_many`` and through
+# ``rows``: both run the one symmetry check, with the same error
+READERS = {
+    "metric_many": lambda chart, x: chart.metric_many(x),
+    "rows": lambda chart, x: np.moveaxis(chart.rows(np.moveaxis(x, -1, 0))[0], (0, 1), (-2, -1)),
+}
 
 
 @pytest.mark.parametrize("g", [[[1.0, 1e-3], [0.0, 1.0]], [[np.nan, 0.0], [0.0, 1.0]],
@@ -97,8 +106,9 @@ def _chart_with_metric(g):
                                            [[1.0, np.inf], [np.inf, 1.0]],
                                            [[1.0, -np.inf], [-np.inf, 1.0]]))])
 def test_metric_many_refuses_a_non_symmetric_or_nan_metric(g):
-    with pytest.raises(DegenerateMetricError, match="metric not symmetric"):
-        _chart_with_metric(g).metric_many(np.zeros((3, 2)))
+    for read in READERS.values():
+        with pytest.raises(DegenerateMetricError, match="^fixed: metric not symmetric$"):
+            read(_chart_with_metric(g), np.zeros((3, 2)))
 
 
 @pytest.mark.parametrize("b", [0.3, -7.0, 1e-300, 1e300, -0.0])
@@ -107,8 +117,10 @@ def test_metric_many_passes_an_exact_copy_of_the_transpose(b):
     # writes them: passed unchanged, at any size
     g = np.array([[2.0 + abs(b), b], [b, 2.0 + abs(b)]])
     assert np.array_equal(g, g.T)
-    got = _chart_with_metric(g).metric_many(np.zeros((3, 2)))
-    assert np.array_equal(got, np.broadcast_to(g, (3, 2, 2)))
+    for read in READERS.values():
+        got = read(_chart_with_metric(g), np.zeros((3, 2)))
+        assert np.array_equal(got, np.broadcast_to(g, (3, 2, 2)))
+        assert np.array_equal(np.signbit(got), np.signbit(np.broadcast_to(g, (3, 2, 2))))
 
 
 @pytest.mark.parametrize("chart, axis", [("waist_cylinder", 1), ("sphere2", 0)])
@@ -143,16 +155,27 @@ def test_inverse_metric_names_the_point_where_only_cholesky_fails():
             chart.inverse_metric(x, chart.metric_many(x))
 
 
+def test_a_grid_names_a_node_where_its_metric_is_not_positive_definite():
+    # a grid inverts g_M's rows in closed form; where that fails, it is refused with
+    # inverse_metric's message, naming the first such node
+    chart = _chart_with_metric([[1.0, 0.0], [0.0, -1.0]])
+    field = GraphMapField(chart, flat_torus(2), (4, 4), np.zeros((4, 4, 2)))
+    with pytest.raises(DegenerateMetricError,
+                       match=r"^fixed: metric not positive definite at \[0\. 0\.\] \(eigs"):
+        field.min_p()
+
+
 @settings(max_examples=100, deadline=None)
 @given(b=st.floats(-10.0, 10.0), d=st.floats(-1e-4, 1e-4))
 def test_metric_symmetry_tolerance_is_that_of_allclose(b, d):
     g = np.array([[2.0 + abs(b), b], [b + d, 2.0 + abs(b)]])
     chart = _chart_with_metric(g)
-    if np.allclose(g, g.T, atol=1e-12):
-        assert np.array_equal(chart.metric_many(np.zeros(2)), g)
-    else:
-        with pytest.raises(DegenerateMetricError):
-            chart.metric_many(np.zeros(2))
+    for read in READERS.values():
+        if np.allclose(g, g.T, atol=1e-12):
+            assert np.array_equal(read(chart, np.zeros(2)), g)
+        else:
+            with pytest.raises(DegenerateMetricError, match="^fixed: metric not symmetric$"):
+                read(chart, np.zeros(2))
 
 
 def test_flat_torus_scale_metric():
@@ -291,8 +314,7 @@ def test_gauss_curvature_at_dispatch(sphere2, waist_cylinder):
     with pytest.raises(ConfigurationError):
         round_sphere(3).gauss_curvature_at([1.0, 1.0, 1.0])
     # a surface that declares no curvature is refused in one line, not differentiated
-    unflagged = ChartManifold("sphere_unflagged", sphere2.axes, sphere2._metric_at,
-                              sphere2._christoffels_at)
+    unflagged = ChartManifold("sphere_unflagged", sphere2.axes, sphere2._rows_at)
     with pytest.raises(ConfigurationError) as info:
         unflagged.gauss_curvature_at([1.0, 0.2])
     assert str(info.value) == ("sphere_unflagged: no closed-form sup sigma_N "
@@ -304,7 +326,7 @@ def test_sup_sigma(waist_cylinder, torus2):
     assert torus2.sup_gauss_curvature() == 0.0
     # a sphere without its constant-curvature flag has no closed form
     s = round_sphere(2, curvature=2.0)
-    unflagged = ChartManifold("sphere_unflagged", s.axes, s._metric_at, s._christoffels_at)
+    unflagged = ChartManifold("sphere_unflagged", s.axes, s._rows_at)
     with pytest.raises(ConfigurationError, match="sphere_unflagged: no closed-form sup sigma_N"):
         unflagged.sup_gauss_curvature()
 
@@ -349,8 +371,7 @@ def test_report_product_pair(s1xs2, waist_cylinder):
 def test_report_refuses_a_chart_without_a_closed_form(s1xs2, waist_cylinder):
     # S^1 x S^2 without its product flag, and the cosh cylinder (K = -1) as the
     # source of a map into the round sphere: neither declares a closed form
-    unflagged = ChartManifold("s1_x_s2_unflagged", s1xs2.axes, s1xs2._metric_at,
-                              s1xs2._christoffels_at)
+    unflagged = ChartManifold("s1_x_s2_unflagged", s1xs2.axes, s1xs2._rows_at)
     for m_manifold, n_manifold in ((unflagged, waist_cylinder), (waist_cylinder, round_sphere(2))):
         with pytest.raises(ConfigurationError) as info:
             curvature_conditions_report(m_manifold, n_manifold)

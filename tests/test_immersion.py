@@ -242,11 +242,11 @@ def test_corrupted_induced_metric_aborts(monkeypatch, corruption):
     perturb = 0.0 if corruption == "inf_times_zero" else 0.1
     for fld, node in ((_torus_field(8, perturb=perturb), (3, 4)),
                       (_torus3_field(perturb), (1, 2, 3))):
-        g_n = fld.N._metric(fld.f)
-        g_n[node] = {"nan": np.nan, "inf": np.diag([np.inf, 1.0]),
-                     "inf_times_zero": np.diag([np.inf, 1.0]),
-                     "indefinite": np.diag([1.0, -50.0])}[corruption]
-        monkeypatch.setattr(fld.N, "_metric", lambda x, g_n=g_n: g_n)
+        g_n, gam_n = fld.N._rows(fld.f.reshape(-1, 2).T)
+        g_n[..., np.ravel_multi_index(node, fld.shape)] = {
+            "nan": np.nan, "inf": np.diag([np.inf, 1.0]), "inf_times_zero": np.diag([np.inf, 1.0]),
+            "indefinite": np.diag([1.0, -50.0])}[corruption]
+        monkeypatch.setattr(fld.N, "_rows", lambda x, rows=(g_n, gam_n): rows)
         for read in (ref.induced_g_inv_field, GraphMapField.volume_density):
             with pytest.raises(SolverAbort,
                                match=r"^induced metric not positive definite \(corrupted state\)$"):

@@ -195,8 +195,8 @@ def test_partner_axis_must_come_later():
     m = ChartManifold("flipped_sphere", [
         Axis(0.0, 2 * math.pi, periodic=True),
         Axis(0.0, math.pi, reflect=True, partner_axis=0, partner_shift=math.pi)],
-        lambda x: np.broadcast_to(np.eye(2), x.shape[:-1] + (2, 2)),
-        lambda x: np.zeros(x.shape + (2, 2)))
+        lambda x: (np.broadcast_to(np.eye(2).reshape((2, 2) + (1,) * (x.ndim - 1)),
+                                   (2, 2) + x.shape[1:]), np.zeros((2,) + x.shape)))
     with pytest.raises(ConfigurationError, match="later axis"):
         GraphMapField(m, flat_torus(2), (8, 8), np.zeros((8, 8, 2)))
 
